@@ -74,10 +74,6 @@ class RingBuffer:
     def __len__(self):
         return len(self._entries)
 
-    @property
-    def full(self):
-        return len(self._entries) >= self.capacity
-
     def push(self, entry):
         """Append an entry.
 
@@ -86,17 +82,14 @@ class RingBuffer:
         (counted in both ``dropped`` and ``overwritten``) and the push
         succeeds.
         """
-        if self.full:
-            if self.policy == OVERWRITE_OLDEST:
-                self._entries.popleft()
-                self.dropped += 1
-                self.overwritten += 1
-                self._entries.append(entry)
-                self.pushed += 1
-                return True
+        entries = self._entries
+        if len(entries) >= self.capacity:
             self.dropped += 1
-            return False
-        self._entries.append(entry)
+            if self.policy != OVERWRITE_OLDEST:
+                return False
+            entries.popleft()
+            self.overwritten += 1
+        entries.append(entry)
         self.pushed += 1
         return True
 

@@ -154,14 +154,14 @@ class EnokiEnv:
         return lock
 
     def note_lock_op(self, op, lock_id):
+        thread = self.current_thread if self._threaded else self._thread
         if self.recorder is not None:
-            self.recorder.note_lock_op(op, lock_id, self.current_thread)
+            self.recorder.note_lock_op(op, lock_id, thread)
         shim = self._enoki_c
-        if shim is not None:
-            kernel = shim.kernel
-            if kernel is not None and kernel.trace is not None:
-                kernel.trace("lock_" + op, t=kernel.now,
-                             cpu=self.current_thread, lock=lock_id)
+        kernel = shim.kernel if shim is not None else None
+        trace = kernel.trace if kernel is not None else None
+        if trace is not None:
+            trace("lock_" + op, t=kernel.clock.now, cpu=thread, lock=lock_id)
 
     # -- timers ------------------------------------------------------------
 

@@ -47,16 +47,18 @@ class Message:
 
     #: trait method this message dispatches to (set per subclass)
     FUNCTION = None
+    #: field names in positional order (``_register`` fills it per class)
+    _ARG_NAMES = ()
 
     def to_record(self):
         """Serialise to plain data for the record log."""
         payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._ARG_NAMES:
+            value = getattr(self, name)
             if isinstance(value, Schedulable):
-                payload[f.name] = {"__schedulable__": value.describe()}
+                payload[name] = {"__schedulable__": value.describe()}
             else:
-                payload[f.name] = value
+                payload[name] = value
         return {"type": type(self).__name__, "fields": payload}
 
     @classmethod

@@ -42,6 +42,8 @@ def load_trace(path):
 
 def _normalise(value):
     """Canonical form for response comparison across JSON round-trips."""
+    if value is None or value.__class__ in (bool, int, float, str):
+        return value            # most responses: nothing to canonicalise
     if isinstance(value, Schedulable):
         return {"pid": value.pid, "cpu": value.cpu}
     if isinstance(value, dict) and "__schedulable__" in value:

@@ -4,7 +4,8 @@
 
 * installs itself as the kernel trace hook (it *is* a
   :class:`~repro.simkernel.tracing.SchedTracer`, so all tracer queries —
-  ``timeline``, ``busy_ns``, ``events_of_kind`` — work on it);
+  ``timeline``, ``busy_ns``, ``events_of_kind`` — work on it) and
+  routes its metrics off the tracer's single intake, by event kind;
 * finds every loaded Enoki shim and installs a
   :class:`~repro.obs.profiler.CallbackProfiler` on it;
 * hooks each scheduler's quiesce read-write lock so acquisitions appear
@@ -18,16 +19,41 @@ Detaching restores the null-hook fast path everywhere, so a kernel that
 never attaches an Observer pays only a handful of ``is None`` tests —
 benchmark numbers are unaffected (see ``bench_ablation_overhead``).
 
+A ``kinds=`` filter narrows what the ring buffer *retains*, nothing
+else: a filtered kind is counted in ``filtered`` and still bumps its
+``events.<kind>`` counter, feeds its metrics and reaches the sanitizers.
+
 The same attach point powers verification:
 :class:`~repro.verify.sanitizers.SanitizerSuite` subclasses ``Observer``
-to run invariant checkers (token discipline, task conservation, lock
-order, hint-ring accounting) over the event stream it already receives.
+to route invariant checkers (token discipline, task conservation, lock
+order, hint-ring accounting) off the same intake, each by event kind.
 """
 
 from repro.obs.export import write_chrome, write_ftrace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiler import CallbackProfiler
 from repro.simkernel.tracing import SchedTracer
+
+
+#: kind -> (registry family, metric, field): the metric the field's value
+#: feeds on every event of the kind
+_VALUE_METRICS = {
+    "dispatch": ("histogram", "kernel.dispatch_cost_ns", "cost"),
+    "enoki_msg": ("histogram", "enoki.msg_wall_ns", "wall_ns"),
+    # The gauge's max watermark is the peak ring pressure.
+    "hint_enqueue": ("gauge", "enoki.hint_ring_depth", "depth"),
+}
+
+#: kind -> counters bumped on every event of the kind; ``{name}`` is the
+#: event's field of that name
+_EVENT_COUNTERS = {
+    "slo_violation": ("slo.traced.{slo}",),
+    "enoki_panic": ("containment.panics", "containment.panic.{hook}"),
+    "failover": ("containment.failovers",),
+    "throttle": ("group_throttles", "groups.{group}.throttles"),
+    "quota_refill": ("group_refills",),
+    "watchdog_finding": ("watchdog.{finding}",),
+}
 
 
 class Observer(SchedTracer):
@@ -36,6 +62,8 @@ class Observer(SchedTracer):
     def __init__(self, capacity=200_000, kinds=None, registry=None):
         super().__init__(capacity, kinds=kinds)
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.add_route(self._count_route)
+        self.add_route(self._feeder_route)
         self.profilers = {}         # policy -> CallbackProfiler
         self._hooked_rwlocks = []
         self._observed_shims = []
@@ -88,52 +116,40 @@ class Observer(SchedTracer):
     # event ingestion
     # ------------------------------------------------------------------
 
-    def _hook(self, kind, **fields):
-        super()._hook(kind, **fields)
+    def _count_route(self, kind):
+        counter = self.registry.counter("events." + kind)
+
+        def count(kind, t, cpu, pid, fields):
+            counter.value += 1
+        return count
+
+    def _feeder_route(self, kind):
         registry = self.registry
-        registry.counter("events." + kind).inc()
-        if kind == "dispatch":
-            registry.histogram("kernel.dispatch_cost_ns").record(
-                fields.get("cost", 0))
-        elif kind == "enoki_msg":
-            registry.histogram("enoki.msg_wall_ns").record(
-                fields.get("wall_ns", 0))
-        elif kind == "hint_enqueue":
-            # The gauge's max watermark is the peak ring pressure.
-            registry.gauge("enoki.hint_ring_depth").set(
-                fields.get("depth", 0))
-        elif kind == "slo_violation":
-            registry.counter(
-                "slo.traced." + str(fields.get("slo", "?"))).inc()
-        elif kind == "enoki_panic":
-            registry.counter("containment.panics").inc()
-            registry.counter(
-                "containment.panic." + fields.get("hook", "?")).inc()
-        elif kind == "failover":
-            registry.counter("containment.failovers").inc()
-        elif kind == "throttle":
-            registry.counter("group_throttles").inc()
-            registry.counter(
-                "groups." + str(fields.get("group", "?"))
-                + ".throttles").inc()
-        elif kind == "quota_refill":
-            registry.counter("group_refills").inc()
-        elif kind == "watchdog_finding":
-            registry.counter(
-                "watchdog." + fields.get("finding", "?")).inc()
+        if kind in _VALUE_METRICS:
+            family, name, key = _VALUE_METRICS[kind]
+            metric = getattr(registry, family)(name)
+            feed = metric.record if family == "histogram" else metric.set
+            return lambda kind, t, cpu, pid, fields: feed(fields.get(key, 0))
+        names = _EVENT_COUNTERS.get(kind, ())
+
+        def bump(kind, t, cpu, pid, fields):
+            for name in names:
+                registry.counter(name.format_map(fields)).inc()
+        return bump if names else None
 
     def _rwlock_hook(self, op, name):
         kernel = self._kernel
         if kernel is None:
             return
-        self._hook("rwlock_" + op, t=kernel.now, cpu=-1, lock=name)
+        self._hook("rwlock_" + op, kernel.clock.now, lock=name)
 
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
 
     def collect(self):
-        """Pull kernel aggregate stats into the registry; returns it."""
+        """Rebuild the registry's kernel aggregates (idempotently) from
+        the kernel's own state; returns the registry."""
         kernel = self._kernel
         registry = self.registry
         if kernel is None:
@@ -174,10 +190,11 @@ class Observer(SchedTracer):
                 registry.gauge(f"{prefix}.periods").set(snap["periods"])
                 registry.gauge(f"{prefix}.max_period_consumed_ns").set(
                     snap["max_period_consumed_ns"])
-        latency_hist = registry.histogram("task.wakeup_latency_ns")
+        latency_hist = Histogram("task.wakeup_latency_ns")
         for task in kernel.tasks.values():
             for sample in task.stats.wakeup_latencies:
                 latency_hist.record(sample)
+        registry.histograms[latency_hist.name] = latency_hist
         for policy, profiler in sorted(self.profilers.items()):
             profiler.publish(registry, prefix=f"enoki.policy{policy}")
         return registry

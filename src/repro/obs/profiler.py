@@ -86,25 +86,15 @@ class CallbackProfiler:
         return sum(p.wall_ns for p in self.hooks.values())
 
     def publish(self, registry, prefix="enoki"):
-        """Feed the accumulated totals into a :class:`MetricsRegistry`."""
+        """Set the accumulated totals in a :class:`MetricsRegistry`
+        (idempotent: the profiler, not the registry, holds the counts)."""
         for hook, profile in sorted(self.hooks.items()):
-            registry.counter(f"{prefix}.calls.{hook}").inc(profile.count)
+            registry.counter(f"{prefix}.calls.{hook}").value = profile.count
             registry.gauge(
                 f"{prefix}.virtual_ns.{hook}").set(profile.virtual_ns)
-            hist = registry.histogram(f"{prefix}.wall_ns.{hook}")
-            for index, n in profile.wall_hist.buckets.items():
-                hist.buckets[index] = hist.buckets.get(index, 0) + n
-            hist.count += profile.wall_hist.count
-            hist.sum += profile.wall_hist.sum
-            for bound in ("min", "max"):
-                theirs = getattr(profile.wall_hist, bound)
-                ours = getattr(hist, bound)
-                if theirs is not None and (
-                        ours is None
-                        or (bound == "min" and theirs < ours)
-                        or (bound == "max" and theirs > ours)):
-                    setattr(hist, bound, theirs)
-        registry.counter(f"{prefix}.calls.total").inc(self.total_calls())
+            name = f"{prefix}.wall_ns.{hook}"
+            registry.histograms[name] = profile.wall_hist.copy(name)
+        registry.counter(f"{prefix}.calls.total").value = self.total_calls()
         registry.gauge(
             f"{prefix}.virtual_ns.total").set(self.total_virtual_ns())
 

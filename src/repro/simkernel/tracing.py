@@ -49,17 +49,18 @@ Usage::
 """
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
+
+_new_event = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One scheduling event.
 
     ``args`` carries kind-specific payload as a sorted tuple of
     ``(key, value)`` pairs — tuple rather than dict so events stay
-    hashable and cheap to construct on the hot path.
+    hashable and cheap to construct on the hot path; the record itself
+    is tuple-backed for the same reason.
     """
 
     t_ns: int
@@ -67,7 +68,7 @@ class TraceEvent:
     cpu: int
     pid: Optional[int] = None
     cost_ns: int = 0
-    args: tuple = field(default=())
+    args: tuple = ()
 
     def arg(self, key, default=None):
         """Look up one kind-specific payload field."""
@@ -96,9 +97,14 @@ class TraceEvent:
 class SchedTracer:
     """Bounded in-memory trace of typed kernel/framework events.
 
-    ``kinds`` optionally restricts retention to a set of event kinds —
+    :meth:`_hook` is the single intake of the observed path: it retains
+    each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission (or not),
+    then hands it to the sinks routed to its kind (:meth:`add_route`).
+
+    ``kinds`` optionally restricts *retention* to a set of event kinds —
     everything else is counted in ``filtered`` but not stored, which keeps
-    long traces of one subsystem cheap.
+    long traces of one subsystem cheap.  A filtered kind still reaches
+    its sinks, so per-kind counters and sanitizers see the whole stream.
     """
 
     def __init__(self, capacity=100_000, kinds=None):
@@ -108,6 +114,8 @@ class SchedTracer:
         self.filtered = 0
         self.kinds = frozenset(kinds) if kinds is not None else None
         self._kernel = None
+        self._resolvers = []    # kind -> sink-or-None, in call order
+        self._routes = {}       # kind -> tuple of sinks (cache)
 
     @classmethod
     def attach(cls, kernel, capacity=100_000, kinds=None):
@@ -121,25 +129,41 @@ class SchedTracer:
         if self._kernel is not None and self._kernel.trace == self._hook:
             self._kernel.set_trace(None)
         self._kernel = None
+        self._resolvers = []
+        self._routes = {}
 
-    def _hook(self, kind, **fields):
+    def add_route(self, resolve):
+        """Register a sink provider: ``resolve(kind)`` is asked on first
+        sight of each event kind and returns the sink to call for every
+        event of that kind, or ``None``.  A sink is called as
+        ``sink(kind, t, cpu, pid, fields)``, ``fields`` being the
+        emitter's other keywords (``cost`` included when charged)."""
+        self._resolvers.append(resolve)
+        self._routes = {}
+
+    def _route(self, kind):
+        sinks = self._routes[kind] = tuple(filter(None, (
+            resolve(kind) for resolve in self._resolvers)))
+        return sinks
+
+    def _hook(self, kind, t=0, cpu=-1, pid=None, cost=0, **fields):
         if self.kinds is not None and kind not in self.kinds:
             self.filtered += 1
-            return
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        t_ns = fields.pop("t", 0)
-        cpu = fields.pop("cpu", -1)
-        pid = fields.pop("pid", None)
-        cost = fields.pop("cost", 0)
-        self.events.append(TraceEvent(
-            t_ns=t_ns,
-            kind=kind,
-            cpu=cpu,
-            pid=pid,
-            cost_ns=cost,
-            args=tuple(sorted(fields.items())) if fields else (),
-        ))
+        else:
+            events = self.events
+            if len(events) == self.capacity:
+                self.dropped += 1
+            events.append(_new_event(TraceEvent, (
+                t, kind, cpu, pid, cost,
+                tuple(sorted(fields.items())) if fields else ())))
+        sinks = self._routes.get(kind)
+        if sinks is None:
+            sinks = self._route(kind)
+        if sinks:
+            if cost:
+                fields["cost"] = cost
+            for sink in sinks:
+                sink(kind, t, cpu, pid, fields)
 
     # -- queries ---------------------------------------------------------
 

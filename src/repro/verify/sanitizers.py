@@ -314,12 +314,26 @@ def assert_kernel_state(kernel):
 # ----------------------------------------------------------------------
 
 class Sanitizer:
-    """Base class: one invariant checker fed from the trace stream."""
+    """Base class: one invariant checker fed from the trace stream.
+
+    ``KINDS`` (plus any kind starting with one of ``KIND_PREFIXES``)
+    declares the event kinds :meth:`on_event` consumes.  The default
+    ``None`` means every kind, so a subclass that only overrides
+    ``on_event`` sees the whole stream; an empty set means none.
+    """
 
     name = "sanitizer"
+    KINDS = None
+    KIND_PREFIXES = ()
 
     def __init__(self, suite):
         self.suite = suite
+
+    def route(self, kind):
+        """The sink for events of ``kind``: :meth:`on_event` or None."""
+        wanted = (self.KINDS is None or kind in self.KINDS
+                  or kind.startswith(self.KIND_PREFIXES))
+        return self.on_event if wanted else None
 
     def flag(self, detail, at_ns=0, pid=-1, cpu=-1):
         self.suite.record_violation(
@@ -339,6 +353,8 @@ class TokenSanitizer(Sanitizer):
     tokens never spent."""
 
     name = "token"
+    KINDS = frozenset({"token_issue", "token_consume", "token_revoke",
+                       "dispatch"})
 
     def __init__(self, suite):
         super().__init__(suite)
@@ -384,14 +400,12 @@ class ConservationSanitizer(Sanitizer):
     name = "conservation"
 
     #: event kinds after which the full state scan runs
-    SCAN_KINDS = frozenset({
+    KINDS = SCAN_KINDS = frozenset({
         "dispatch", "wakeup", "fork", "preempt", "migrate", "idle",
         "failover", "upgrade", "throttle", "unthrottle",
     })
 
     def on_event(self, kind, t, cpu, pid, fields):
-        if kind not in self.SCAN_KINDS:
-            return
         kernel = self.suite._kernel
         if kernel is None:
             return
@@ -438,6 +452,8 @@ class LockSanitizer(Sanitizer):
     """
 
     name = "lock"
+    KINDS = frozenset({"lock_acquire", "lock_release"})
+    KIND_PREFIXES = ("rwlock_",)
 
     def __init__(self, suite):
         super().__init__(suite)
@@ -490,7 +506,7 @@ class LockSanitizer(Sanitizer):
                           "which does not hold it", at_ns=t, cpu=cpu)
             else:
                 held.remove(lock)
-        elif kind.startswith("rwlock_"):
+        else:
             self._rwlock_event(kind[len("rwlock_"):], t, cpu, fields)
 
     # -- the per-scheduler quiesce rwlock ------------------------------
@@ -539,11 +555,9 @@ class GroupBandwidthSanitizer(Sanitizer):
     name = "group_bandwidth"
 
     #: event kinds after which the group scan runs
-    SCAN_KINDS = frozenset({"throttle", "unthrottle", "quota_refill"})
+    KINDS = SCAN_KINDS = frozenset({"throttle", "unthrottle", "quota_refill"})
 
     def on_event(self, kind, t, cpu, pid, fields):
-        if kind not in self.SCAN_KINDS:
-            return
         kernel = self.suite._kernel
         if kernel is None:
             return
@@ -561,6 +575,7 @@ class HintRingSanitizer(Sanitizer):
     """Ring accounting (pushes = pops + overwrites + residual)."""
 
     name = "hint_ring"
+    KINDS = frozenset()
 
     def check(self, kernel):
         if kernel is None:
@@ -586,19 +601,25 @@ class SanitizerSuite(Observer):
 
     Everything an :class:`~repro.obs.observer.Observer` does (trace
     retention, metrics, profilers, rwlock hooks) still works; on top,
-    every event is run past each sanitizer, the shims' token registries
-    are tapped so ``token_*`` events flow, and ``check()`` runs the
-    final state scans.  Violations land in ``violations`` and in the
-    metrics registry under ``verify.*`` counters.
+    every event, retained or not, goes to the sanitizers that claim its
+    kind, the shims' token registries are tapped so ``token_*`` events
+    flow, and ``check()`` runs the final state scans.  Violations land
+    in ``violations`` and in the registry's ``verify.*`` counters.
     """
 
     def __init__(self, capacity=200_000, kinds=None, registry=None,
                  sanitizers=DEFAULT_SANITIZERS):
         super().__init__(capacity, kinds=kinds, registry=registry)
         self.violations = []
-        self.events_seen = 0
         self.sanitizers = [cls(self) for cls in sanitizers]
+        for sanitizer in self.sanitizers:
+            self.add_route(sanitizer.route)
         self._tapped_registries = []
+
+    @property
+    def events_seen(self):
+        """Events that came through the intake, retained or not."""
+        return self.filtered + self.dropped + len(self.events)
 
     # -- wiring --------------------------------------------------------
 
@@ -641,17 +662,7 @@ class SanitizerSuite(Observer):
         kernel = self._kernel
         if kernel is None:
             return
-        self._hook("token_" + op, t=kernel.now, cpu=cpu, pid=pid,
-                   gen=generation)
-
-    def _hook(self, kind, **fields):
-        super()._hook(kind, **fields)
-        self.events_seen += 1
-        t = fields.get("t", 0)
-        cpu = fields.get("cpu", -1)
-        pid = fields.get("pid")
-        for sanitizer in self.sanitizers:
-            sanitizer.on_event(kind, t, cpu, pid, fields)
+        self._hook("token_" + op, kernel.clock.now, cpu, pid, gen=generation)
 
     def record_violation(self, violation):
         self.violations.append(violation)

@@ -287,6 +287,19 @@ class TestCallbackProfiler:
         assert registry.gauge("kernel.busy_ns_total").value == \
             _kernel.stats.busy_ns_total()
 
+    def test_collect_is_idempotent(self):
+        """``report()`` calls ``collect()``, so stats followed by an
+        export used to double the wakeup-latency histogram and the
+        per-callback call counters."""
+        kernel, observer = run_observed()
+        first = observer.collect().snapshot()
+        samples = sum(len(t.stats.wakeup_latencies)
+                      for t in kernel.tasks.values())
+        assert first["histograms"]["task.wakeup_latency_ns"]["count"] \
+            == samples > 0
+        observer.report()
+        assert observer.collect().snapshot() == first
+
     def test_uninstall_restores_fast_path(self):
         kernel = wfq_kernel()
         shim = next(c for _p, c in kernel._classes if c.policy == POLICY)

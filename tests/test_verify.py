@@ -11,11 +11,14 @@ from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.fifo import EnokiFifo
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import usecs
+from repro.obs import Observer
 from repro.simkernel.program import Run, SendHint, Sleep
+from repro.simkernel.tracing import SchedTracer
 from repro.verify import (SanitizerError, SanitizerSuite, assert_kernel_state,
                           check_kernel_state, fuzz_run, generate_episode,
                           load_artifact, run_episode, shrink_episode,
                           write_artifact)
+from repro.verify.sanitizers import DEFAULT_SANITIZERS, Sanitizer
 
 POLICY = 7
 
@@ -197,6 +200,196 @@ class TestEventStreamSanitizers:
         assert any(v.sanitizer == "token"
                    and "none live" in v.detail
                    for v in suite.violations)
+
+
+#: kind -> the default sanitizers that act on it (everything else returned
+#: immediately when all six were offered every event).  Covers the
+#: taxonomy table in ``repro.simkernel.tracing`` plus the kinds later
+#: layers added, and one kind nobody has heard of.
+ROUTING_TABLE = {
+    "dispatch": {"token", "conservation", "clock"},
+    "idle": {"conservation", "clock"},
+    "wakeup": {"conservation", "clock"},
+    "fork": {"conservation", "clock"},
+    "preempt": {"conservation", "clock"},
+    "migrate": {"conservation", "clock"},
+    "migrate_failed": {"clock"},
+    "timer_fire": {"clock"},
+    "enoki_msg": {"clock"},
+    "lock_acquire": {"lock", "clock"},
+    "lock_release": {"lock", "clock"},
+    "rwlock_read_acquire": {"lock", "clock"},
+    "rwlock_read_release": {"lock", "clock"},
+    "rwlock_write_acquire": {"lock", "clock"},
+    "rwlock_write_release": {"lock", "clock"},
+    "upgrade": {"conservation", "clock"},
+    "hint_enqueue": {"clock"},
+    "hint_drop": {"clock"},
+    "hint_dequeue": {"clock"},
+    "token_issue": {"token", "clock"},
+    "token_consume": {"token", "clock"},
+    "token_revoke": {"token", "clock"},
+    "failover": {"conservation", "clock"},
+    "throttle": {"conservation", "group_bandwidth", "clock"},
+    "unthrottle": {"conservation", "group_bandwidth", "clock"},
+    "quota_refill": {"group_bandwidth", "clock"},
+    "enoki_panic": {"clock"},
+    "slo_violation": {"clock"},
+    "watchdog_finding": {"clock"},
+    "never_heard_of_it": {"clock"},
+}
+
+
+#: every field some sink reads off one of the kinds above
+PAYLOAD = {"lock": "L", "gen": 1, "slo": "s", "hook": "task_tick",
+           "group": "g0", "finding": "lost_task"}
+
+
+def spying(cls, seen):
+    """``cls`` with an ``on_event`` that notes the delivery first."""
+    class Spy(cls):
+        def on_event(self, kind, t, cpu, pid, fields):
+            seen.append((cls.name, kind))
+            super().on_event(kind, t, cpu, pid, fields)
+    return Spy
+
+
+class TestEventRouting:
+    """One intake, routed by kind: nobody loses an event they act on."""
+
+    @pytest.mark.parametrize("kind", sorted(ROUTING_TABLE))
+    def test_each_kind_reaches_exactly_the_sanitizers_that_act_on_it(
+            self, kind):
+        seen = []
+        suite = SanitizerSuite(
+            sanitizers=[spying(cls, seen) for cls in DEFAULT_SANITIZERS])
+        for t in (1, 2):        # second event rides the cached route
+            suite._hook(kind, t=t, cpu=0, pid=1, **PAYLOAD)
+        assert seen == [(name, kind) for _ in (1, 2)
+                        for name in [cls.name for cls in DEFAULT_SANITIZERS]
+                        if name in ROUTING_TABLE[kind]]
+        assert suite.events_seen == 2
+        assert suite.registry.counter("events." + kind).value == 2
+
+    def test_table_covers_the_documented_taxonomy(self):
+        import re
+        from repro.simkernel import tracing
+        documented = re.findall(r"^``(\w+)[\w/*]*``  ", tracing.__doc__,
+                                re.M)
+        assert len(documented) == 18
+        for name in documented:
+            assert any(kind.startswith(name) for kind in ROUTING_TABLE), name
+
+    def test_sanitizer_overriding_only_on_event_sees_every_event(self):
+        seen = []
+
+        class Everything(Sanitizer):
+            name = "everything"
+
+            def on_event(self, kind, t, cpu, pid, fields):
+                seen.append(kind)
+
+        suite = SanitizerSuite(sanitizers=[Everything])
+        for kind in sorted(ROUTING_TABLE):
+            suite._hook(kind, t=1, cpu=0, **PAYLOAD)
+        assert seen == sorted(ROUTING_TABLE)
+
+    def test_rwlock_prefix_reaches_the_lock_sanitizer(self):
+        suite = SanitizerSuite()
+        suite._hook("rwlock_write_acquire", t=1, cpu=-1, lock="q")
+        suite._hook("rwlock_write_acquire", t=2, cpu=-1, lock="q")
+        assert any(v.sanitizer == "lock" and "write acquired" in v.detail
+                   for v in suite.violations)
+
+    def test_route_added_after_first_event_takes_effect(self):
+        tracer = SchedTracer()
+        tracer._hook("dispatch", t=1, cpu=0, pid=1)
+        late = []
+        tracer.add_route(lambda kind: (
+            (lambda kind, t, cpu, pid, fields: late.append((kind, t)))
+            if kind == "dispatch" else None))
+        tracer._hook("dispatch", t=2, cpu=0, pid=1)
+        tracer._hook("idle", t=3, cpu=0)
+        assert late == [("dispatch", 2)]
+
+    def test_scheduler_registered_after_attach_is_audited(self):
+        """``dispatch`` is routed (and cached) long before the shim and
+        its token tap exist; the late tap must still feed the token
+        sanitizer, and the planted bug must still be caught."""
+        kernel = Kernel(Topology.smp(2), SimConfig())
+        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
+        suite = SanitizerSuite.attach(kernel)
+        kernel.spawn(spin(phases=1), policy=0)
+        kernel.run_until_idle()
+        assert suite.summary().get("dispatch", 0) > 0
+        assert "token_issue" not in suite.summary()
+        shim = EnokiSchedClass.register(kernel, EnokiFifo(2, POLICY),
+                                        POLICY, priority=10)
+        suite.observe_framework()
+        kernel.spawn(spin(phases=1), policy=POLICY)
+        kernel.run_until_idle()
+        suite.check()
+        assert suite.ok, suite.violation_report()
+        assert suite.summary().get("token_consume", 0) > 0
+        assert suite.summary().get("rwlock_read_acquire", 0) > 0
+        shim._test_skip_token_consume = True
+        kernel.spawn(spin(phases=1), policy=POLICY)
+        kernel.run_until_idle()
+        assert {v.sanitizer for v in suite.violations} == {"token"}
+
+    def test_detach_leaves_nothing_behind(self):
+        kernel, shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel)
+        kernel.spawn(spin(phases=1), policy=POLICY)
+        kernel.run_until_idle()
+        seen = suite.events_seen
+        suite.detach()
+        assert kernel.trace is None
+        assert shim.tokens.on_event is None
+        assert shim.lib.rwlock.on_event is None
+        assert shim.profiler is None
+        assert suite._resolvers == [] and suite._routes == {}
+        kernel.spawn(spin(phases=1), policy=POLICY)
+        kernel.run_until_idle()
+        assert suite.events_seen == seen
+
+
+class TestKindsFilter:
+    """``kinds=`` narrows retention only: counters and sanitizers still
+    see every event ("before ring-buffer filtering")."""
+
+    def test_filtered_kinds_are_counted_but_not_retained(self):
+        def run(kinds):
+            kernel, _shim = make_enoki_kernel()
+            observer = Observer.attach(kernel, kinds=kinds)
+            for i in range(3):
+                kernel.spawn(spin(), policy=POLICY, origin_cpu=i % 2)
+            kernel.run_until_idle()
+            return observer
+
+        everything, narrow = run(None), run({"dispatch"})
+        assert set(narrow.summary()) == {"dispatch"}
+        assert narrow.summary()["dispatch"] == \
+            everything.summary()["dispatch"]
+        assert everything.filtered == 0
+        assert narrow.filtered == \
+            len(everything.events) - len(narrow.events) > 0
+        assert narrow.registry.snapshot()["counters"] == \
+            everything.registry.snapshot()["counters"]
+        assert narrow.registry.histogram("enoki.msg_wall_ns").count == \
+            everything.registry.counter("events.enoki_msg").value
+
+    def test_sanitizers_see_filtered_kinds(self):
+        kernel, shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel, kinds={"idle"})
+        shim._test_skip_token_consume = True
+        kernel.spawn(spin(), policy=POLICY)
+        kernel.run_until_idle()
+        assert set(suite.summary()) == {"idle"}
+        assert suite.filtered > 0
+        assert suite.events_seen == suite.filtered + len(suite.events)
+        assert {v.sanitizer for v in suite.violations} == {"token"}
+        assert "without consuming" in suite.violations[0].detail
 
 
 class TestFuzzer:
