@@ -18,13 +18,13 @@ paper assigns to Enoki-C (section 3):
 
 import time
 
-from repro.core import messages as msgs
 from repro.core.errors import FaultError
 from repro.core.failover import ContainmentBoundary
 from repro.core.faults import FaultInjector
 from repro.core.hints import QueueRegistry, RevMessage, RingBuffer, UserMessage
 from repro.core.libenoki import LibEnoki
-from repro.core.schedulable import TokenRegistry
+from repro.core.messages import message_for
+from repro.core.schedulable import Schedulable, TokenRegistry
 from repro.simkernel.sched_class import SchedClass
 
 
@@ -46,26 +46,14 @@ class EnokiSchedClass(SchedClass):
         self._pending_blackout_ns = 0
         self._armed_timers = {}
         self._extra_cost_ns = 0
-        #: optional :class:`~repro.obs.profiler.CallbackProfiler`; when
-        #: None (the default) dispatch takes the unprofiled fast path
+        #: optional :class:`~repro.obs.profiler.CallbackProfiler`
         self._profiler = None
-        #: cached "observability off" flag: True exactly when a kernel is
-        #: attached with no trace hook and no profiler installed, so the
-        #: dispatch fast path is a single attribute test.  Refreshed from
-        #: attach/detach, ``Kernel.set_trace`` (via ``on_trace_changed``),
-        #: and the ``profiler`` setter.
-        self._hot = False
-        #: pooled hot-path messages (pick/balance/tick dominate message
-        #: churn); reused only while no recorder is attached — the record
-        #: log is the one consumer that retains messages past the dispatch
-        self._msg_pick = msgs.MsgPickNextTask()
-        self._msg_balance = msgs.MsgBalance()
-        self._msg_tick = msgs.MsgTaskTick()
-        self._msg_select = msgs.MsgSelectTaskRq()
-        self._msg_wakeup = msgs.MsgTaskWakeup()
-        self._msg_blocked = msgs.MsgTaskBlocked()
-        self._msg_yield = msgs.MsgTaskYield()
-        self._msg_preempt = msgs.MsgTaskPreempt()
+        #: cached crossing mode, True exactly when nobody is watching and
+        #: nothing can intercept: a kernel is attached with no trace hook,
+        #: and there is no profiler, recorder, fault injector, rwlock tap,
+        #: threaded replay or failover.  Everything that changes one of
+        #: those calls :meth:`refresh_mode`.
+        self._quiet = False
         #: set by a failover: every dispatch becomes a no-op and the
         #: fallback class (via the kernel's policy redirect) takes over
         self.failed = False
@@ -98,7 +86,7 @@ class EnokiSchedClass(SchedClass):
         return self.lib.scheduler
 
     # ------------------------------------------------------------------
-    # observability fast-path cache
+    # crossing mode cache
     # ------------------------------------------------------------------
 
     @property
@@ -108,29 +96,44 @@ class EnokiSchedClass(SchedClass):
     @profiler.setter
     def profiler(self, value):
         self._profiler = value
-        self._refresh_hot()
+        self.refresh_mode()
 
-    def _refresh_hot(self):
+    def refresh_mode(self):
+        """Recompute ``_quiet`` (and the env's lock-event twin).
+
+        Called from every site that attaches or removes a watcher:
+        attach/detach, ``Kernel.set_trace`` (as ``on_trace_changed``), the
+        ``profiler`` setter, ``install_faults``, failover, live upgrade
+        and ``Observer.observe_framework``.  A stale False only costs
+        speed (the watched path is always correct); a stale True would
+        hide crossings from a watcher, hence the explicit list.
+        """
         kernel = self.kernel
-        self._hot = (kernel is not None and kernel.trace is None
-                     and self._profiler is None)
+        lib = self.lib
+        env = lib.env
+        untraced = kernel is None or kernel.trace is None
+        self._quiet = (kernel is not None and untraced
+                       and not self.failed
+                       and self._profiler is None
+                       and lib.recorder is None
+                       and self.fault_injector is None
+                       and lib.rwlock.on_event is None
+                       and not lib.rwlock._threaded
+                       and not env._threaded)
         # Spin locks may skip note_lock_op entirely while nobody (recorder
         # or trace hook) consumes lock events.
-        env = self.lib.env
-        env._lock_quiet = (env.recorder is None
-                           and (kernel is None or kernel.trace is None))
+        env._lock_quiet = env.recorder is None and untraced
 
-    def on_trace_changed(self):
-        """Notification from ``Kernel.set_trace``."""
-        self._refresh_hot()
+    #: notification from ``Kernel.set_trace``
+    on_trace_changed = refresh_mode
 
     def attach_kernel(self, kernel):
         super().attach_kernel(kernel)
-        self._refresh_hot()
+        self.refresh_mode()
 
     def detach_kernel(self):
         super().detach_kernel()
-        self._refresh_hot()
+        self.refresh_mode()
 
     # ------------------------------------------------------------------
     # fault containment / injection configuration
@@ -147,6 +150,7 @@ class EnokiSchedClass(SchedClass):
         injector = (plan if isinstance(plan, FaultInjector)
                     else FaultInjector(plan))
         self.fault_injector = injector
+        self.refresh_mode()
         return injector
 
     def configure_containment(self, **overrides):
@@ -165,12 +169,13 @@ class EnokiSchedClass(SchedClass):
     # cost model
     # ------------------------------------------------------------------
 
-    def invocation_cost_ns(self, hook):
+    def invocation_cost_ns(self, hook, consume_blackout=True):
         # The framework's dispatch overhead comes on top of the ordinary
         # in-kernel scheduling bookkeeping (paper: "100-150 ns of overhead
         # per invocation of the Enoki scheduler").  The base lookup is
         # inlined — this runs on every dispatch and the super() call showed
-        # up in profiles.
+        # up in profiles.  ``consume_blackout=False`` reads the modelled
+        # cost side-effect free, for per-callback attribution.
         cfg = self.kernel.config
         if hook == "pick_next_task":
             cost = cfg.sched_pick_ns
@@ -181,7 +186,7 @@ class EnokiSchedClass(SchedClass):
         cost += cfg.enoki_call_ns
         if self.recorder is not None and self.recorder.active:
             cost += cfg.record_overhead_ns
-        if self._pending_blackout_ns:
+        if consume_blackout and self._pending_blackout_ns:
             # First dispatch after an upgrade pays the remaining blackout.
             cost += self._pending_blackout_ns
             self._pending_blackout_ns = 0
@@ -193,140 +198,79 @@ class EnokiSchedClass(SchedClass):
         self.blocked_until_ns = self.kernel.now + pause_ns
         self._pending_blackout_ns = pause_ns
 
-    def _hook_virtual_cost_ns(self, hook):
-        """The modelled kernel time one dispatch of ``hook`` costs.
+    # ------------------------------------------------------------------
+    # the crossing
+    # ------------------------------------------------------------------
 
-        Mirrors :meth:`invocation_cost_ns` but side-effect free (no
-        blackout consumption), so the profiler can attribute virtual time
-        per callback without disturbing the cost accounting.
+    def _call(self, func, args, extra=None):
+        """Cross into the scheduler: trait method ``func`` with ``args``
+        in the message's declared field order.
+
+        *Quiet* (nobody watching): the read section is counter
+        arithmetic, the call is ``method(*args)``, and the message exists
+        only if the call raises and containment wants its repr.
+        *Watched*: the message is built once and goes through
+        ``LibEnoki.dispatch`` (lock events, injector, recorder), then
+        wall timing and the ``enoki_msg`` / profiler / overrun fan-out.
         """
-        cfg = self.kernel.config
-        if hook == "pick_next_task":
-            cost = cfg.sched_pick_ns
-        elif hook == "balance":
-            cost = cfg.sched_balance_ns
-        else:
-            cost = cfg.sched_queue_ns
-        cost += cfg.enoki_call_ns
-        if self.recorder is not None and self.recorder.active:
-            cost += cfg.record_overhead_ns
-        return cost
-
-    # ------------------------------------------------------------------
-    # dispatch helper
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, message, extra=None):
-        if self._hot:
-            # Zero-cost observability fast path: no trace hook and no
-            # profiler means no clock reads, no event tuples, no dicts —
-            # just the containment wrapper around the dispatch itself.
-            if self.failed:
-                return None
-            boundary = self.containment
-            lib = self.lib
-            rwlock = lib.rwlock
+        lib = self.lib
+        rwlock = lib.rwlock
+        if self._quiet and extra is None and not rwlock._writer:
             env = lib.env
-            if (not rwlock._threaded and not rwlock._writer
-                    and rwlock.on_event is None and not env._threaded
-                    and self.fault_injector is None
-                    and lib.recorder is None):
-                # lib.dispatch's single-threaded fast path, merged into
-                # this frame: one call per message instead of two.
-                rwlock._readers += 1
-                rwlock.read_acquisitions += 1
-                previous_thread = env._thread
-                env._thread = self._thread_hint
-                try:
-                    method = lib._method_cache.get(message.FUNCTION)
-                    if method is None:
-                        response = lib._invoke(message, extra)
-                    else:
-                        getter = message._ARG_GETTER
-                        if getter is None:
-                            response = method()
-                        elif message._ARG_MULTI:
-                            response = method(*getter(message))
-                        else:
-                            response = method(getter(message))
-                except Exception as exc:
-                    env._thread = previous_thread
-                    rwlock._readers -= 1
-                    if boundary is None:
-                        raise
-                    return boundary.contain(exc, message)
+            rwlock._readers += 1
+            rwlock.read_acquisitions += 1
+            previous_thread = env._thread
+            env._thread = self._thread_hint
+            try:
+                response = lib.methods[func](*args)
+            except Exception as exc:
                 env._thread = previous_thread
                 rwlock._readers -= 1
-                # boundary.after_dispatch is a no-op without an injector
-                # (checked above), so the post-dispatch hook is skipped.
-                return response
-            if boundary is None:
-                return lib.dispatch(message, thread=self._thread_hint,
-                                    extra=extra)
-            try:
-                response = lib.dispatch(
-                    message, thread=self._thread_hint, extra=extra
-                )
-            except Exception as exc:
-                return boundary.contain(exc, message)
-            boundary.after_dispatch(message)
+                if self.containment is None:
+                    raise
+                return self.containment.contain(
+                    exc, message_for(func)(*args))
+            env._thread = previous_thread
+            rwlock._readers -= 1
             return response
         if self.failed:
             # The scheduler was failed over; its dispatches are no-ops
             # (the fallback class owns its tasks via the policy redirect).
             return None
-        thread = self._current_thread()
+        message = message_for(func)(*args)
+        thread = self._thread_hint
         kernel = self.kernel
         trace = kernel.trace if kernel is not None else None
-        profiler = self.profiler
+        profiler = self._profiler
         boundary = self.containment
-        if trace is None and profiler is None:
-            # Null-hook fast path: observability off, zero extra work.
+        timed = trace is not None or profiler is not None
+        if timed:
+            wall_start = time.perf_counter_ns()
+        try:
+            response = lib.dispatch(message, thread, extra)
+        except Exception as exc:
             if boundary is None:
-                return self.lib.dispatch(message, thread=thread,
-                                         extra=extra)
-            try:
-                response = self.lib.dispatch(message, thread=thread,
-                                             extra=extra)
-            except Exception as exc:
-                return boundary.contain(exc, message)
-            boundary.after_dispatch(message)
-            return response
-        wall_start = time.perf_counter_ns()
-        if boundary is None:
-            response = self.lib.dispatch(message, thread=thread,
-                                         extra=extra)
+                raise
+            response = boundary.contain(exc, message)
         else:
-            try:
-                response = self.lib.dispatch(message, thread=thread,
-                                             extra=extra)
-            except Exception as exc:
-                response = boundary.contain(exc, message)
-            else:
+            if boundary is not None:
                 boundary.after_dispatch(message)
+        if not timed:
+            return response
         wall_ns = time.perf_counter_ns() - wall_start
-        hook = message.FUNCTION
-        virtual_ns = self._hook_virtual_cost_ns(hook)
+        virtual_ns = self.invocation_cost_ns(func, consume_blackout=False)
         if trace is not None:
             trace("enoki_msg", t=kernel.now, cpu=thread,
-                  func=hook, policy=self.policy, wall_ns=wall_ns,
+                  func=func, policy=self.policy, wall_ns=wall_ns,
                   cost=virtual_ns)
         if profiler is not None:
-            profiler.note(hook, virtual_ns=virtual_ns, wall_ns=wall_ns,
+            profiler.note(func, virtual_ns=virtual_ns, wall_ns=wall_ns,
                           policy=self.policy)
         if (boundary is not None
                 and boundary.policy.wall_budget_ns is not None
                 and wall_ns > boundary.policy.wall_budget_ns):
-            boundary.note_overrun(hook, wall_ns, message=message)
+            boundary.note_overrun(func, wall_ns, message=message)
         return response
-
-    def _current_thread(self):
-        """The kernel thread id for record tagging: the handling CPU."""
-        if self.kernel is None:
-            return -1
-        # Attribute work to the CPU whose run queue is being manipulated;
-        # the kernel core runs one context at a time so this is exact.
-        return self._thread_hint
 
     #: the CPU whose hook is being handled; assigned directly at every
     #: hook entry (a method wrapper here showed up in profiles)
@@ -342,28 +286,15 @@ class EnokiSchedClass(SchedClass):
             tuple(sorted(task.allowed_cpus))
             if task.allowed_cpus is not None else None
         )
-        if self.recorder is None:
-            message = self._msg_select
-            message.pid = task.pid
-            message.prev_cpu = prev_cpu
-            message.waker_cpu = waker_cpu
-            message.wake_flags = wake_flags
-            message.allowed_cpus = allowed
-        else:
-            message = msgs.MsgSelectTaskRq(
-                pid=task.pid,
-                prev_cpu=prev_cpu,
-                waker_cpu=waker_cpu,
-                wake_flags=wake_flags,
-                allowed_cpus=allowed,
-            )
-        cpu = self._dispatch(message)
+        cpu = self._call("select_task_rq", (
+            task.pid, prev_cpu, waker_cpu, wake_flags, allowed))
         return self._sanitize_cpu(cpu, task, prev_cpu)
 
     def _sanitize_cpu(self, cpu, task, prev_cpu):
         """Enoki-C guards the kernel against bad placement answers."""
         nr = self.kernel.topology.nr_cpus
-        if isinstance(cpu, int) and 0 <= cpu < nr and task.can_run_on(cpu):
+        # A real int only: ``True`` is not CPU 1.
+        if type(cpu) is int and 0 <= cpu < nr and task.can_run_on(cpu):
             return cpu
         if self.containment is not None:
             self.containment.note_bad_response(
@@ -380,130 +311,64 @@ class EnokiSchedClass(SchedClass):
     # ------------------------------------------------------------------
     # SchedClass: state tracking
     # ------------------------------------------------------------------
+    #
+    # Every hook builds its argument tuple in the message's declared field
+    # order (= the trait method's signature; tests/test_crossing.py).
 
     def task_new(self, task, cpu):
         self._thread_hint = cpu
         token = self.tokens.issue(task.pid, cpu)
-        self._dispatch(msgs.MsgTaskNew(
-            pid=task.pid,
-            tgid=task.tgid,
-            runtime=task.sum_exec_runtime_ns,
-            runnable=True,
-            prio=task.nice,
-            sched=token,
-        ))
+        self._call("task_new", (
+            task.pid, task.tgid, task.sum_exec_runtime_ns, True, task.nice,
+            token))
 
     def task_wakeup(self, task, cpu):
         self._thread_hint = cpu
         token = self.tokens.issue(task.pid, cpu)
-        if self.recorder is None:
-            message = self._msg_wakeup
-            message.pid = task.pid
-            message.agent_data = 0
-            message.deferrable = bool(task.wakeup_flags)
-            message.last_run_cpu = task.cpu
-            message.wake_up_cpu = cpu
-            message.waker_cpu = cpu
-            message.sched = token
-        else:
-            message = msgs.MsgTaskWakeup(
-                pid=task.pid,
-                agent_data=0,
-                deferrable=bool(task.wakeup_flags),
-                last_run_cpu=task.cpu,
-                wake_up_cpu=cpu,
-                waker_cpu=cpu,
-                sched=token,
-            )
-        self._dispatch(message)
+        # (pid, agent_data, deferrable, last_run_cpu, wake_up_cpu,
+        #  waker_cpu, sched)
+        self._call("task_wakeup", (
+            task.pid, 0, bool(task.wakeup_flags), task.cpu, cpu, cpu, token))
 
     def task_blocked(self, task, cpu):
         self._thread_hint = cpu
         self.tokens.revoke(task.pid)
-        if self.recorder is None:
-            message = self._msg_blocked
-            message.pid = task.pid
-            message.runtime = task.sum_exec_runtime_ns
-            message.cpu_seqnum = self.kernel.rqs[cpu].nr_switches
-            message.cpu = cpu
-            message.from_switchto = False
-        else:
-            message = msgs.MsgTaskBlocked(
-                pid=task.pid,
-                runtime=task.sum_exec_runtime_ns,
-                cpu_seqnum=self.kernel.rqs[cpu].nr_switches,
-                cpu=cpu,
-                from_switchto=False,
-            )
-        self._dispatch(message)
+        # (pid, runtime, cpu_seqnum, cpu, from_switchto)
+        self._call("task_blocked", (
+            task.pid, task.sum_exec_runtime_ns,
+            self.kernel.rqs[cpu].nr_switches, cpu, False))
 
     def task_yield(self, task, cpu):
         self._thread_hint = cpu
         token = self.tokens.issue(task.pid, cpu)
-        if self.recorder is None:
-            message = self._msg_yield
-            message.pid = task.pid
-            message.runtime = task.sum_exec_runtime_ns
-            message.cpu_seqnum = self.kernel.rqs[cpu].nr_switches
-            message.cpu = cpu
-            message.from_switchto = False
-            message.sched = token
-        else:
-            message = msgs.MsgTaskYield(
-                pid=task.pid,
-                runtime=task.sum_exec_runtime_ns,
-                cpu_seqnum=self.kernel.rqs[cpu].nr_switches,
-                cpu=cpu,
-                from_switchto=False,
-                sched=token,
-            )
-        self._dispatch(message)
+        # (pid, runtime, cpu_seqnum, cpu, from_switchto, sched)
+        self._call("task_yield", (
+            task.pid, task.sum_exec_runtime_ns,
+            self.kernel.rqs[cpu].nr_switches, cpu, False, token))
 
     def task_preempt(self, task, cpu):
         self._thread_hint = cpu
         token = self.tokens.issue(task.pid, cpu)
-        if self.recorder is None:
-            message = self._msg_preempt
-            message.pid = task.pid
-            message.runtime = task.sum_exec_runtime_ns
-            message.cpu_seqnum = self.kernel.rqs[cpu].nr_switches
-            message.cpu = cpu
-            message.from_switchto = False
-            message.was_latched = False
-            message.sched = token
-        else:
-            message = msgs.MsgTaskPreempt(
-                pid=task.pid,
-                runtime=task.sum_exec_runtime_ns,
-                cpu_seqnum=self.kernel.rqs[cpu].nr_switches,
-                cpu=cpu,
-                from_switchto=False,
-                was_latched=False,
-                sched=token,
-            )
-        self._dispatch(message)
+        # (pid, runtime, cpu_seqnum, cpu, from_switchto, was_latched, sched)
+        self._call("task_preempt", (
+            task.pid, task.sum_exec_runtime_ns,
+            self.kernel.rqs[cpu].nr_switches, cpu, False, False, token))
 
     def task_dead(self, pid):
         self.tokens.revoke(pid)
-        self._dispatch(msgs.MsgTaskDead(pid=pid))
+        self._call("task_dead", (pid,))
 
     def task_departed(self, task, cpu):
         self._thread_hint = cpu
-        returned = self._dispatch(msgs.MsgTaskDeparted(
-            pid=task.pid,
-            cpu_seqnum=self.kernel.rqs[cpu].nr_switches,
-            cpu=cpu,
-            from_switchto=False,
-            was_current=False,
-        ))
-        if self.tokens.is_valid(returned):
-            self.tokens.consume(returned)
-        else:
+        # (pid, cpu_seqnum, cpu, from_switchto, was_current)
+        returned = self._call("task_departed", (
+            task.pid, self.kernel.rqs[cpu].nr_switches, cpu, False, False))
+        if not self.tokens.spend(returned):
             self.tokens.revoke(task.pid)
 
     def task_prio_changed(self, task, cpu):
         self._thread_hint = cpu
-        self._dispatch(msgs.MsgTaskPrioChanged(pid=task.pid, prio=task.nice))
+        self._call("task_prio_changed", (task.pid, task.nice))
 
     def task_affinity_changed(self, task, cpu):
         self._thread_hint = cpu
@@ -512,9 +377,7 @@ class EnokiSchedClass(SchedClass):
             if task.allowed_cpus is not None
             else tuple(self.kernel.topology.all_cpus())
         )
-        self._dispatch(msgs.MsgTaskAffinityChanged(
-            pid=task.pid, cpumask=mask,
-        ))
+        self._call("task_affinity_changed", (task.pid, mask))
 
     # ------------------------------------------------------------------
     # SchedClass: core decisions
@@ -524,92 +387,68 @@ class EnokiSchedClass(SchedClass):
         if self.failed:
             return None
         self._thread_hint = cpu
-        rq = self.kernel.rqs[cpu]
+        policy = self.policy
+        queued = self.kernel.rqs[cpu].queued
+        # pid -> runtime of this CPU's queued tasks of ours (Enoki-C tracks
+        # runtimes on the scheduler's behalf); most picks find none.
         mine = {
             pid: t.sum_exec_runtime_ns
-            for pid, t in rq.queued.items() if t.policy == self.policy
-        }
-        if self.recorder is None:
-            # Pool the highest-churn message: the record log is the only
-            # consumer that retains messages beyond the dispatch.
-            message = self._msg_pick
-            message.cpu = cpu
-            message.curr_pid = None
-            message.curr_runtime = None
-            message.runtimes = mine
-        else:
-            message = msgs.MsgPickNextTask(
-                cpu=cpu, curr_pid=None, curr_runtime=None, runtimes=mine,
+            for pid, t in queued.items() if t.policy == policy
+        } if queued else {}
+        # (cpu, curr_pid, curr_runtime, runtimes)
+        token = self._call("pick_next_task", (cpu, None, None, mine))
+        if token is None:
+            return None
+        # One validation.  TEST-ONLY planted bug: check the proof without
+        # spending it — the kernel happily runs the task on the unspent
+        # token and only the token sanitizer notices.
+        check = (self.tokens.is_valid if self._test_skip_token_consume
+                 else self.tokens.spend)
+        if (type(token) is Schedulable and token._pid in queued
+                and self.kernel.tasks[token._pid].policy == policy
+                and check(token, cpu)):
+            # Being scheduled spends the proof; the task will get a fresh
+            # token at its next state change.
+            return token._pid
+        # Return ownership to the scheduler through pnt_err and leave
+        # the CPU to the next class — never crash (section 3.1).
+        self.kernel.stats.pick_errors += 1
+        pid = token.pid if hasattr(token, "pid") else -1
+        if self.containment is not None:
+            self.containment.note_bad_response(
+                "pick_next_task",
+                f"invalid/stale token for pid {pid} on cpu {cpu}",
             )
-        response = self._dispatch(message)
-        if response is None:
-            return None
-        token = response
-        valid = (
-            self.tokens.is_valid(token, cpu=cpu)
-            and rq.has(token.pid)
-            and self.kernel.tasks[token.pid].policy == self.policy
-        )
-        if not valid:
-            # Return ownership to the scheduler through pnt_err and leave
-            # the CPU to the next class — never crash (section 3.1).
-            self.kernel.stats.pick_errors += 1
-            pid = token.pid if hasattr(token, "pid") else -1
-            if self.containment is not None:
-                self.containment.note_bad_response(
-                    "pick_next_task",
-                    f"invalid/stale token for pid {pid} on cpu {cpu}",
-                )
-            self._dispatch(msgs.MsgPntErr(
-                cpu=cpu, pid=pid, err=1, sched=token,
-            ))
-            return None
-        if self._test_skip_token_consume:
-            # Planted bug: run the task on an unspent proof.  The kernel
-            # happily dispatches it — only the token sanitizer notices.
-            return token.pid
-        self.tokens.consume(token)
-        # Being scheduled invalidates the spent proof; the task will get a
-        # fresh token at its next state change.
-        return token.pid
+        self._call("pnt_err", (cpu, pid, 1, token))
+        return None
 
     def balance(self, cpu):
-        if self.failed:
-            return None
         self._thread_hint = cpu
-        if self.recorder is None:
-            message = self._msg_balance
-            message.cpu = cpu
-        else:
-            message = msgs.MsgBalance(cpu=cpu)
-        pid = self._dispatch(message)
+        pid = self._call("balance", (cpu,))
         if pid is None:
             return None
-        task = self.kernel.tasks.get(pid)
+        # A real int only: anything else (unhashable, ``True``, 1.0) is a
+        # bad answer, never a task-table lookup.
+        task = self.kernel.tasks.get(pid) if type(pid) is int else None
         if task is None or task.policy != self.policy:
             if self.containment is not None:
                 self.containment.note_bad_response(
                     "balance",
                     f"answered foreign/unknown pid {pid!r} on cpu {cpu}",
                 )
-            self._dispatch(msgs.MsgBalanceErr(
-                cpu=cpu, pid=pid if isinstance(pid, int) else -1,
-                err=2, sched=None,
-            ))
+            self._call("balance_err", (
+                cpu, pid if type(pid) is int else -1, 2, None))
             return None
         return pid
 
     def balance_err(self, cpu, pid):
         self._thread_hint = cpu
-        self._dispatch(msgs.MsgBalanceErr(cpu=cpu, pid=pid, err=1,
-                                          sched=None))
+        self._call("balance_err", (cpu, pid, 1, None))
 
     def migrate_task_rq(self, task, new_cpu):
         self._thread_hint = new_cpu
         token = self.tokens.issue(task.pid, new_cpu)
-        old = self._dispatch(msgs.MsgMigrateTaskRq(
-            pid=task.pid, new_cpu=new_cpu, sched=token,
-        ))
+        old = self._call("migrate_task_rq", (task.pid, new_cpu, token))
         # The scheduler must hand back the old core's token.  Issuing the
         # new one already invalidated it, so a scheduler that keeps the
         # wrong token (the case the paper admits it cannot prevent) holds
@@ -624,21 +463,13 @@ class EnokiSchedClass(SchedClass):
 
     def task_tick(self, cpu, task):
         self._thread_hint = cpu
-        if self.recorder is None:
-            message = self._msg_tick
-            message.cpu = cpu
-            message.queued = self.kernel.rqs[cpu].nr_queued > 0
-            message.pid = task.pid if task is not None else None
-            message.runtime = (task.sum_exec_runtime_ns
-                               if task is not None else 0)
+        queued = self.kernel.rqs[cpu].nr_queued > 0
+        # (cpu, queued, pid, runtime)
+        if task is None:
+            self._call("task_tick", (cpu, queued, None, 0))
         else:
-            message = msgs.MsgTaskTick(
-                cpu=cpu,
-                queued=self.kernel.rqs[cpu].nr_queued > 0,
-                pid=task.pid if task is not None else None,
-                runtime=task.sum_exec_runtime_ns if task is not None else 0,
-            )
-        self._dispatch(message)
+            self._call("task_tick", (
+                cpu, queued, task.pid, task.sum_exec_runtime_ns))
 
     def wakeup_preempt(self, cpu, task):
         # Enoki schedulers re-evaluate at the next tick (or via their own
@@ -690,15 +521,14 @@ class EnokiSchedClass(SchedClass):
 
     def ensure_user_queue(self, tgid):
         """Create (once) the user-to-kernel hint ring for a process."""
-        for queue_id, ring in self.queues.user_queues.items():
-            if ring.name == f"user-{tgid}":
-                return queue_id
+        existing = self.queues.user_by_tgid.get(tgid)
+        if existing is not None:
+            return existing
         ring = RingBuffer(self.kernel.config.ring_buffer_capacity,
                           name=f"user-{tgid}",
                           policy=self.kernel.config.ring_overflow_policy)
-        queue_id = self._dispatch(msgs.MsgRegisterQueue(queue_id=0),
-                                  extra=ring)
-        self.queues.add_user_queue(queue_id, ring)
+        queue_id = self._call("register_queue", (0,), extra=ring)
+        self.queues.add_user_queue(queue_id, ring, tgid=tgid)
         return queue_id
 
     def ensure_rev_queue(self, tgid):
@@ -709,9 +539,7 @@ class EnokiSchedClass(SchedClass):
         ring = RingBuffer(self.kernel.config.ring_buffer_capacity,
                           name=f"rev-{tgid}",
                           policy=self.kernel.config.ring_overflow_policy)
-        queue_id = self._dispatch(
-            msgs.MsgRegisterReverseQueue(queue_id=0), extra=ring,
-        )
+        queue_id = self._call("register_reverse_queue", (0,), extra=ring)
         self.queues.add_rev_queue(queue_id, ring, tgid=tgid)
         return queue_id
 
@@ -757,8 +585,7 @@ class EnokiSchedClass(SchedClass):
             # "LibEnoki records each call and hint sent to the scheduler"
             # (section 3.4): the replay refills the ring from this entry.
             self.recorder.note_hint(queue_id, task.pid, payload, task.cpu)
-        self._dispatch(msgs.MsgEnterQueue(queue_id=queue_id,
-                                          entries=len(ring)))
+        self._call("enter_queue", (queue_id, len(ring)))
         return True
 
     def drain_rev(self, task):

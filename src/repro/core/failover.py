@@ -301,6 +301,7 @@ class FailoverManager:
             )
         try:
             shim.failed = True
+            shim.refresh_mode()
         finally:
             shim.lib.rwlock.release_write()
 

@@ -143,24 +143,27 @@ class QueueRegistry:
     """Enoki-C's table of hint queues for one loaded scheduler.
 
     Tracks which ring buffer backs which queue id, in both directions, and
-    which process registered the reverse queue (so ``RecvHints`` ops drain
-    the right one).
+    which process registered each queue (so ``SendHint`` finds the
+    process's ring and ``RecvHints`` drains the right one).
     """
 
     def __init__(self):
         self._next_id = 0
         self.user_queues = {}      # queue_id -> RingBuffer[UserMessage]
         self.rev_queues = {}       # queue_id -> RingBuffer[RevMessage]
+        self.user_by_tgid = {}     # tgid -> queue_id
         self.rev_by_tgid = {}      # tgid -> queue_id
 
     def new_queue_id(self):
         self._next_id += 1
         return self._next_id
 
-    def add_user_queue(self, queue_id, ring):
+    def add_user_queue(self, queue_id, ring, tgid=None):
         if queue_id in self.user_queues:
             raise QueueError(f"user queue {queue_id} already registered")
         self.user_queues[queue_id] = ring
+        if tgid is not None:
+            self.user_by_tgid[tgid] = queue_id
 
     def add_rev_queue(self, queue_id, ring, tgid=None):
         if queue_id in self.rev_queues:
@@ -173,31 +176,39 @@ class QueueRegistry:
         ring = self.user_queues.pop(queue_id, None)
         if ring is None:
             raise QueueError(f"no user queue {queue_id}")
+        self.user_by_tgid = _without(self.user_by_tgid, queue_id)
         return ring
 
     def remove_rev_queue(self, queue_id):
         ring = self.rev_queues.pop(queue_id, None)
         if ring is None:
             raise QueueError(f"no reverse queue {queue_id}")
-        self.rev_by_tgid = {
-            tgid: qid for tgid, qid in self.rev_by_tgid.items()
-            if qid != queue_id
-        }
+        self.rev_by_tgid = _without(self.rev_by_tgid, queue_id)
         return ring
 
-    def rebind(self, user_queues, rev_queues, rev_by_tgid):
-        """Atomically replace every id mapping.
+    def rebind(self, user_ids, rev_ids):
+        """Atomically renumber every queue (each map is old id -> new).
 
         Live upgrade: the rings survive in Enoki-C, but the incoming
         module assigns them fresh ids when they are re-announced to it,
-        so the whole table swaps in one step with the dispatch pointer.
+        so the whole table (rings and both tgid indexes) swaps in one
+        step with the dispatch pointer.
         """
-        self.user_queues = dict(user_queues)
-        self.rev_queues = dict(rev_queues)
-        self.rev_by_tgid = dict(rev_by_tgid)
+        self.user_queues = {user_ids[qid]: ring
+                            for qid, ring in self.user_queues.items()}
+        self.rev_queues = {rev_ids[qid]: ring
+                           for qid, ring in self.rev_queues.items()}
+        self.user_by_tgid = {tgid: user_ids[qid]
+                             for tgid, qid in self.user_by_tgid.items()}
+        self.rev_by_tgid = {tgid: rev_ids[qid]
+                            for tgid, qid in self.rev_by_tgid.items()}
 
     def rev_queue_for_tgid(self, tgid):
         queue_id = self.rev_by_tgid.get(tgid)
         if queue_id is None:
             return None
         return self.rev_queues.get(queue_id)
+
+
+def _without(by_tgid, queue_id):
+    return {tgid: qid for tgid, qid in by_tgid.items() if qid != queue_id}

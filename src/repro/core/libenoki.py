@@ -104,7 +104,7 @@ class EnokiEnv:
         #: cached "no lock observers" flag: True while neither a recorder
         #: nor a kernel trace hook wants lock events, letting spin-lock
         #: acquire/release skip ``note_lock_op`` entirely.  Kept fresh by
-        #: the hosting shim's ``_refresh_hot`` (trace attach/detach goes
+        #: the hosting shim's ``refresh_mode`` (trace attach/detach goes
         #: through ``Kernel.set_trace``).  False (always notify) is the
         #: safe default for envs without a shim.
         self._lock_quiet = False
@@ -194,6 +194,28 @@ class EnokiEnv:
         return True
 
 
+class _TraitMethods(dict):
+    """Trait function name -> bound scheduler method, bound on first use.
+
+    A plain subscript on the crossing; the miss path runs once per
+    function per loaded module (a live upgrade builds a fresh table with
+    its fresh :class:`LibEnoki`, so no stale bound method survives it).
+    """
+
+    def __init__(self, scheduler):
+        super().__init__()
+        self.scheduler = scheduler
+
+    def __missing__(self, func):
+        method = getattr(self.scheduler, func, None)
+        if method is None:
+            raise EnokiError(
+                f"scheduler {type(self.scheduler).__name__} lacks {func}"
+            )
+        self[func] = method
+        return method
+
+
 class LibEnoki:
     """Dispatch messages to one scheduler instance, under the rwlock."""
 
@@ -204,7 +226,7 @@ class LibEnoki:
         )
         self.recorder = recorder
         self.env = env if env is not None else EnokiEnv(enoki_c, recorder)
-        self._method_cache = {}    # FUNCTION name -> bound trait method
+        self.methods = _TraitMethods(scheduler)
         scheduler.set_env(self.env)
         scheduler.module_init()
 
@@ -216,58 +238,29 @@ class LibEnoki:
         are passed by reference rather than through the message, exactly as
         the real implementation shares memory under the message-passing
         interface (section 6).
+
+        This is the *watched* crossing (and the replayer's): Enoki-C's
+        quiet mode calls the trait method directly and never builds the
+        message (see ``EnokiSchedClass._call``).
         """
         rwlock = self.rwlock
-        env = self.env
-        if (not rwlock._threaded and not rwlock._writer
-                and rwlock.on_event is None and not env._threaded):
-            # Single-threaded fast path: the read "acquire" is counter
-            # arithmetic and the thread id is a plain attribute swap —
-            # protocol state stays exactly as the slow path leaves it.
-            rwlock._readers += 1
-            rwlock.read_acquisitions += 1
-            previous_thread = env._thread
-            env._thread = thread
-            try:
-                shim = env._enoki_c
-                injector = (None if shim is None
-                            else shim.fault_injector)
-                if injector is not None:
-                    injector.on_dispatch(message.FUNCTION)
-                    response = self._invoke(message, extra)
-                    response = injector.filter_response(
-                        message.FUNCTION, response)
-                else:
-                    # _invoke's common path, inlined (one call per message
-                    # adds up).  The method cache never holds out-of-band
-                    # functions, so a hit is always the plain-call path; a
-                    # miss falls through to the full helper.
-                    method = self._method_cache.get(message.FUNCTION)
-                    if method is None:
-                        response = self._invoke(message, extra)
-                    else:
-                        getter = message._ARG_GETTER
-                        if getter is None:
-                            response = method()
-                        elif message._ARG_MULTI:
-                            response = method(*getter(message))
-                        else:
-                            response = method(getter(message))
-            finally:
-                env._thread = previous_thread
-                rwlock._readers -= 1
-            recorder = self.recorder
-            if recorder is not None:
-                recorder.note_call(message, response, thread)
-            return response
         if not rwlock.acquire_read(blocking=False):
             raise EnokiError(
                 "dispatch while the upgrade writer holds the lock"
             )
-        previous_thread = env.current_thread
-        env.current_thread = thread
+        env = self.env
+        # The thread id is a plain attribute unless real OS threads are
+        # dispatching (threaded replay keeps it in thread-local storage).
+        threaded = env._threaded
+        if threaded:
+            previous_thread = env.current_thread
+            env.current_thread = thread
+        else:
+            previous_thread = env._thread
+            env._thread = thread
         try:
-            injector = self._injector()
+            shim = env._enoki_c
+            injector = None if shim is None else shim.fault_injector
             if injector is not None:
                 injector.on_dispatch(message.FUNCTION)
             response = self._invoke(message, extra)
@@ -275,7 +268,10 @@ class LibEnoki:
                 response = injector.filter_response(message.FUNCTION,
                                                     response)
         finally:
-            env.current_thread = previous_thread
+            if threaded:
+                env.current_thread = previous_thread
+            else:
+                env._thread = previous_thread
             rwlock.release_read()
         if self.recorder is not None:
             self.recorder.note_call(message, response, thread)
@@ -295,7 +291,8 @@ class LibEnoki:
         try:
             # Upgrade-path faults (fail reregister_init) fire here, inside
             # the quiesced region — exactly where a real init bug would.
-            injector = self._injector()
+            shim = self.env._enoki_c
+            injector = None if shim is None else shim.fault_injector
             if injector is not None:
                 injector.on_dispatch(message.FUNCTION)
             response = self._invoke(message, extra)
@@ -305,11 +302,6 @@ class LibEnoki:
             self.recorder.note_call(message, response, thread)
         return response
 
-    def _injector(self):
-        """The hosting shim's fault injector, when one is installed."""
-        shim = self.env._enoki_c
-        return None if shim is None else shim.fault_injector
-
     #: messages whose payload travels out of band (``extra``) rather than
     #: as positional message fields
     _OUT_OF_BAND = frozenset((
@@ -318,9 +310,9 @@ class LibEnoki:
     ))
 
     def _invoke(self, message, extra):
-        sched = self.scheduler
         func = message.FUNCTION
         if func in self._OUT_OF_BAND:
+            sched = self.scheduler
             if func == "parse_hint":
                 return sched.parse_hint(
                     UserMessage(message.pid, message.payload)
@@ -332,14 +324,7 @@ class LibEnoki:
             if func == "reregister_prepare":
                 return sched.reregister_prepare()
             return sched.reregister_init(extra)
-        method = self._method_cache.get(func)
-        if method is None:
-            method = getattr(sched, func, None)
-            if method is None:
-                raise EnokiError(
-                    f"scheduler {type(sched).__name__} lacks {func}"
-                )
-            self._method_cache[func] = method
+        method = self.methods[func]
         getter = message._ARG_GETTER
         if getter is None:
             return method()

@@ -21,14 +21,17 @@ from typing import Any, Optional
 
 from repro.core.schedulable import Schedulable
 
-_MESSAGE_TYPES = {}
+_MESSAGE_TYPES = {}     # class name -> class (the record log's key)
+_MESSAGE_FOR = {}       # trait function name -> class (the crossing's key)
 
 
 def _register(cls):
     _MESSAGE_TYPES[cls.__name__] = cls
-    # Cache the positional-argument order (and a C-level bulk getter) once
-    # per class so the dispatch hot path never calls dataclasses.fields()
-    # or a per-field getattr loop per message.
+    _MESSAGE_FOR[cls.FUNCTION] = cls
+    # The declared field order IS the trait method's positional signature
+    # (tests/test_crossing.py pins it): ``cls(*args)`` builds the message
+    # from a crossing's argument tuple and the C-level bulk getter takes
+    # it apart again, with no per-field loop either way.
     names = tuple(f.name for f in fields(cls))
     cls._ARG_NAMES = names
     cls._ARG_GETTER = attrgetter(*names) if names else None
@@ -39,6 +42,11 @@ def _register(cls):
 def message_type(name):
     """Look up a message class by its recorded name."""
     return _MESSAGE_TYPES[name]
+
+
+def message_for(function):
+    """The message class that invokes trait method ``function``."""
+    return _MESSAGE_FOR[function]
 
 
 @dataclass(slots=True)

@@ -120,29 +120,38 @@ class TokenRegistry:
         (optionally also checking it authorises ``cpu``)."""
         if not isinstance(token, Schedulable):
             return False
-        if token._registry_id != self._id:
+        if token._registry_id != self._id or token._consumed:
             return False
-        if token._consumed:
+        current = self._current.get(token._pid)
+        if current is None or current[0] != token._generation:
             return False
-        current = self._current.get(token.pid)
-        if current is None or current[0] != token.generation:
+        return cpu is None or token._cpu == cpu
+
+    def spend(self, token, cpu=None):
+        """Validate and spend in one step.
+
+        True when ``token`` was this registry's live proof (for ``cpu``,
+        when given) and is now consumed; False — token untouched — when
+        it is stale, foreign, already spent or not a token at all.
+        """
+        if not self.is_valid(token, cpu):
             return False
-        if cpu is not None and token.cpu != cpu:
-            return False
+        token._consumed = True
+        del self._current[token._pid]
+        if self.on_event is not None:
+            self.on_event("consume", token._pid, token._cpu,
+                          token._generation)
         return True
 
     def consume(self, token):
         """Spend a valid token.  Raises :class:`TokenError` on misuse."""
+        if self.spend(token):
+            return
         if not isinstance(token, Schedulable):
             raise TokenError(f"not a Schedulable: {token!r}")
         if token._consumed:
             raise TokenError(f"{token!r} already consumed")
-        if not self.is_valid(token):
-            raise TokenError(f"{token!r} is stale or foreign")
-        token._consumed = True
-        del self._current[token.pid]
-        if self.on_event is not None:
-            self.on_event("consume", token.pid, token.cpu, token.generation)
+        raise TokenError(f"{token!r} is stale or foreign")
 
     def revoke(self, pid):
         """Invalidate any live token for ``pid`` (task died/departed)."""

@@ -130,6 +130,7 @@ class UpgradeManager:
                 # 4. Swap the dispatch pointer (and the queue table).
                 shim.lib = new_lib
                 shim.queues.rebind(*queue_table)
+                shim.refresh_mode()
                 self._trace_phase("swap")
             except Exception as exc:
                 # The incoming module failed to initialise.  Re-init the
@@ -197,27 +198,23 @@ class UpgradeManager:
     def _reannounce_queues(shim, new_lib):
         """Register every surviving hint ring with the incoming module.
 
-        Returns ``(user_queues, rev_queues, rev_by_tgid)`` keyed by the
-        ids the new module assigned, ready for ``QueueRegistry.rebind``
-        at swap time.  Runs under the held write lock, so nothing can
-        observe the half-built table.
+        Returns ``(user_ids, rev_ids)``, each mapping a ring's current id
+        to the id the new module assigned, ready for
+        ``QueueRegistry.rebind`` at swap time.  Runs under the held write
+        lock, so nothing can observe the half-built table.
         """
         registry = shim.queues
-        rev_tgids = {qid: tgid for tgid, qid in registry.rev_by_tgid.items()}
-        user_queues = {}
-        for _old_id, ring in registry.user_queues.items():
-            new_id = new_lib.dispatch_locked(
-                msgs.MsgRegisterQueue(), extra=ring)
-            user_queues[new_id] = ring
-        rev_queues, rev_by_tgid = {}, {}
-        for old_id, ring in registry.rev_queues.items():
-            new_id = new_lib.dispatch_locked(
-                msgs.MsgRegisterReverseQueue(), extra=ring)
-            rev_queues[new_id] = ring
-            tgid = rev_tgids.get(old_id)
-            if tgid is not None:
-                rev_by_tgid[tgid] = new_id
-        return user_queues, rev_queues, rev_by_tgid
+        user_ids = {
+            old_id: new_lib.dispatch_locked(msgs.MsgRegisterQueue(),
+                                            extra=ring)
+            for old_id, ring in registry.user_queues.items()
+        }
+        rev_ids = {
+            old_id: new_lib.dispatch_locked(msgs.MsgRegisterReverseQueue(),
+                                            extra=ring)
+            for old_id, ring in registry.rev_queues.items()
+        }
+        return user_ids, rev_ids
 
     def _trace_phase(self, phase, **fields):
         """Emit one ``upgrade`` event per quiesce-protocol phase."""

@@ -798,7 +798,7 @@ def run_overhead_check(threshold=0.05, rounds=2000, repeats=3, rev=None,
     """The telemetry-overhead gate behind ``repro bench --overhead``.
 
     Runs the pipe simperf workload twice per repeat — once bare (the
-    ``_hot`` fast path) and once with inline accounting, a 1 ms sampler,
+    shim's quiet crossing) and once with inline accounting, a 1 ms sampler,
     and SLO monitors attached — alternating so thermal/allocator drift
     hits both sides equally, then feeds the two best-of rates through the
     same :func:`compare_simperf` machinery the perf gate uses.  Fails

@@ -19,7 +19,7 @@ reproduction's inline path.  Two tiers:
   wakeup-latency histogram at dispatch, per-policy run time at
   ``update_curr``, run-queue-depth watermarks at enqueue.  A kernel
   that never attaches one pays only the ``is None`` tests, so the
-  ``_hot`` fast path stays intact.
+  shim's quiet crossing stays intact.
 
 Snapshots are plain data and merge exactly across sharded kernels
 (:func:`merge_accounting_snapshots`), pairing with

@@ -101,6 +101,7 @@ class Observer(SchedTracer):
             if rwlock.on_event is None:
                 rwlock.on_event = self._rwlock_hook
                 self._hooked_rwlocks.append(rwlock)
+                sched_class.refresh_mode()
 
     def detach(self):
         for rwlock in self._hooked_rwlocks:

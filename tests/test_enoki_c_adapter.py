@@ -3,8 +3,9 @@ hint plumbing, cost accounting."""
 
 import pytest
 
-from repro.core import EnokiSchedClass, Recorder
+from repro.core import EnokiSchedClass, Recorder, UpgradeManager
 from repro.core import messages as msgs
+from repro.obs import Observer
 from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology
@@ -98,6 +99,62 @@ class TestTokenLifecycle:
         assert task.cpu == 1
 
 
+#: answers that are not a real int: unhashable, wrong type, and the two
+#: that hash/compare equal to pid/cpu 1 without being it
+BAD_ANSWERS = ([1], {"pid": 1}, "1", True, 1.0)
+
+
+class TestAnswerTypes:
+    """A non-int answer is a bad response, never a crash or a lookup."""
+
+    def run(self, sched, observed):
+        kernel, shim, _ = make(sched, nr_cpus=2)
+        if observed:
+            Observer.attach(kernel)
+
+        def prog():
+            for _ in range(3):
+                yield Run(usecs(50))
+                yield Sleep(usecs(20))
+
+        tasks = [kernel.spawn(prog, policy=POLICY) for _ in range(3)]
+        kernel.run_until_idle()
+        assert all(t.state is TaskState.DEAD for t in tasks)
+        return shim
+
+    @pytest.mark.parametrize("observed", (False, True),
+                             ids=("quiet", "observed"))
+    @pytest.mark.parametrize("answer", BAD_ANSWERS, ids=repr)
+    def test_balance(self, answer, observed):
+        class BadBalancer(EnokiWfq):
+            errors = []
+
+            def balance(self, cpu):
+                return answer
+
+            def balance_err(self, cpu, pid, err, sched):
+                self.errors.append((pid, err))
+
+        shim = self.run(BadBalancer(2, POLICY), observed)
+        assert shim.containment.bad_responses > 0
+        assert set(BadBalancer.errors) == {(-1, 2)}
+        assert not shim.containment.panics
+
+    @pytest.mark.parametrize("observed", (False, True),
+                             ids=("quiet", "observed"))
+    @pytest.mark.parametrize("answer", BAD_ANSWERS, ids=repr)
+    def test_select_task_rq(self, answer, observed):
+        class BadPlacer(EnokiWfq):
+            def select_task_rq(self, pid, prev_cpu, waker_cpu, wake_flags,
+                               allowed_cpus):
+                return answer
+
+        shim = self.run(BadPlacer(2, POLICY), observed)
+        # every placement (3 spawns + their wakeups) was refused
+        assert shim.containment.bad_responses >= 3
+        assert not shim.containment.panics
+
+
 class TestHintPlumbing:
     def test_ring_overflow_drops_and_reports(self):
         config = SimConfig().scaled(ring_buffer_capacity=4)
@@ -134,6 +191,43 @@ class TestHintPlumbing:
         ring_b = shim.queues.rev_queue_for_tgid(200)
         assert len(ring_a) == 1
         assert len(ring_b) == 0
+
+    def test_user_queue_per_process_survives_upgrade(self):
+        """A process keeps its ring across a live upgrade (same id: the
+        trait hands ids out in announcement order), two processes never
+        share one, and a removed queue leaves no index entry behind."""
+        kernel, shim, sched = make()
+        received = []
+        sched.parse_hint = received.append
+
+        def hinter(n):
+            def prog():
+                for i in range(n):
+                    yield SendHint({"i": i})
+                    yield Run(usecs(10))
+            return prog
+
+        a = kernel.spawn(hinter(2), policy=POLICY, tgid=100)
+        b = kernel.spawn(hinter(2), policy=POLICY, tgid=200)
+        kernel.run_until_idle()
+        qid_a = shim.ensure_user_queue(a.tgid)
+        qid_b = shim.ensure_user_queue(b.tgid)
+        assert qid_a != qid_b
+        assert len(shim.queues.user_queues) == 2
+        ring_a = shim.queues.user_queues[qid_a]
+
+        new = EnokiFifo(2, POLICY)
+        new.parse_hint = received.append
+        UpgradeManager(kernel, shim).upgrade_now(new)
+        assert shim.ensure_user_queue(a.tgid) == qid_a
+        assert shim.queues.user_queues[qid_a] is ring_a
+        kernel.spawn(hinter(1), policy=POLICY, tgid=100)
+        kernel.run_until_idle()
+        assert len(shim.queues.user_queues) == 2      # no second ring
+        assert ring_a.pushed == 3 and len(received) == 5
+
+        shim.queues.remove_user_queue(qid_a)
+        assert shim.queues.user_by_tgid == {b.tgid: qid_b}
 
     def test_push_to_unknown_queue_fails_gracefully(self):
         kernel, shim, sched = make()
