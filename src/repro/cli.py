@@ -515,55 +515,8 @@ def _metric_headline(metrics):
 
 
 def cmd_bench(args):
-    from repro.exp.bench import (compare_simperf, default_specs,
-                                 faas_specs, multitenant_specs,
-                                 run_group_overhead_check,
-                                 run_overhead_check, run_simperf,
-                                 run_sweep, smoke_specs)
-
-    if args.overhead:
-        ok, lines = run_overhead_check(threshold=args.threshold,
-                                       rounds=args.rounds)
-        for line in lines:
-            print(line)
-        if not ok:
-            print("telemetry overhead above threshold")
-            return 1
-        return 0
-
-    if args.group_overhead:
-        ok, lines = run_group_overhead_check(threshold=args.threshold,
-                                             rounds=args.rounds)
-        for line in lines:
-            print(line)
-        if not ok:
-            print("task-group overhead above threshold")
-            return 1
-        return 0
-
-    if args.compare:
-        from repro.exp.bench import SIMPERF_WORKLOADS
-        workloads = list(SIMPERF_WORKLOADS) if args.all_workloads else None
-        ok, lines = compare_simperf(args.simperf_out,
-                                    threshold=args.threshold,
-                                    workloads=workloads,
-                                    strict=args.all_workloads)
-        for line in lines:
-            print(line)
-        if not ok:
-            print("simperf regression detected")
-            return 1
-        return 0
-
-    if args.simperf:
-        entries = run_simperf(args.simperf_out, rounds=args.rounds)
-        for entry in entries:
-            print(f"simperf[{entry['workload']}]: "
-                  f"{entry['sim_ns_per_wall_s']:,.0f} simulated ns per "
-                  f"wall second ({entry['rounds']} rounds, best of "
-                  f"{entry['repeats']})")
-        print(f"appended to {args.simperf_out}")
-        return 0
+    from repro.exp.bench import (default_specs, faas_specs,
+                                 multitenant_specs, run_sweep, smoke_specs)
 
     if args.faas:
         specs = faas_specs(args.seed,
@@ -587,11 +540,11 @@ def cmd_bench(args):
              _metric_headline(r["metrics"]),
              f"{r['metrics'].get('simulated_ns', 0) / 1e6:.1f}"]
             for r in payload["results"]]
+    meta = payload["meta"]
     print(render_table(
         f"bench sweep '{name}' ({len(specs)} scenarios, "
-        f"{args.workers} workers)",
+        f"{meta['workers']} workers)",
         ["scenario", "sched", "workload", "headline", "sim ms"], rows))
-    meta = payload["meta"]
     rate = meta["sim_ns_per_wall_s"]
     print(f"wall {meta['wall_s']:.2f}s, {meta['cache_hits']} cached / "
           f"{meta['executed']} executed"
@@ -890,32 +843,6 @@ def main(argv=None):
                    help="always re-simulate, ignore cached results")
     p.add_argument("--json", action="store_true",
                    help="print the full payload instead of the table")
-    p.add_argument("--simperf", action="store_true",
-                   help="measure simulator speed (sim-ns per wall-second) "
-                        "over the simperf workload sweep and append to "
-                        "BENCH_simperf.json")
-    p.add_argument("--simperf-out", default="BENCH_simperf.json")
-    p.add_argument("--rounds", type=int, default=2000,
-                   help="workload scale for --simperf (pipe rounds; other "
-                        "workloads derive their size from it)")
-    p.add_argument("--all-workloads", action="store_true",
-                   help="with --compare: require every simperf sweep "
-                        "workload to have a comparable entry pair; a "
-                        "missing workload is an error, not a skip")
-    p.add_argument("--compare", action="store_true",
-                   help="diff each workload's newest simperf entry against "
-                        "its previous one; exit nonzero on regression")
-    p.add_argument("--threshold", type=float, default=0.20,
-                   help="relative regression threshold for --compare "
-                        "(0.20 = 20%%)")
-    p.add_argument("--overhead", action="store_true",
-                   help="measure accounting+telemetry overhead on the "
-                        "pipe simperf workload vs the hot baseline; "
-                        "exit nonzero above --threshold (CI passes 0.05)")
-    p.add_argument("--group-overhead", action="store_true",
-                   help="measure the task-group fast-path cost on the "
-                        "flat pipe simperf workload; exit nonzero above "
-                        "--threshold (CI passes 0.05)")
 
     args = parser.parse_args(argv)
     if args.command in (None, "list"):

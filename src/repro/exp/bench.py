@@ -12,10 +12,6 @@ The runner turns a list of :class:`~repro.exp.spec.ScenarioSpec` into a
   ``.bench-cache/``; re-running a sweep on an unchanged tree replays from
   cache and must produce a byte-identical deterministic payload (CI's
   ``bench-smoke`` job enforces exactly that).
-* **Self-measurement** — the sweep records the simulator's own speed
-  (simulated nanoseconds per wall-clock second) so optimisation PRs have
-  a trajectory to beat; :func:`run_simperf` appends the same metric to
-  ``BENCH_simperf.json``.
 
 Wall-clock and timestamp fields are volatile by nature and are kept in
 the payload's ``meta`` section; everything outside ``meta`` is
@@ -35,7 +31,6 @@ from repro.simkernel.errors import SimError
 
 #: payload marker for BENCH trajectory files
 TRAJECTORY_KIND = "repro.bench trajectory"
-SIMPERF_KIND = "repro.bench simperf trajectory"
 
 DEFAULT_CACHE_DIR = ".bench-cache"
 
@@ -228,9 +223,14 @@ class BenchCache:
                 entry = json.load(handle)
         except (OSError, ValueError):
             return None
-        if entry.get("spec_hash") != spec_hash or entry.get("rev") != self.rev:
+        # A foreign or hand-damaged file can parse to any JSON value;
+        # anything but a matching entry with a metrics object is a miss.
+        if (not isinstance(entry, dict)
+                or entry.get("spec_hash") != spec_hash
+                or entry.get("rev") != self.rev
+                or not isinstance(entry.get("metrics"), dict)):
             return None
-        return entry.get("metrics")
+        return entry["metrics"]
 
     def put(self, spec_hash, spec_dict, metrics):
         os.makedirs(self.root, exist_ok=True)
@@ -248,7 +248,8 @@ class BenchCache:
 
 def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
               out_dir=".", use_cache=True, rev=None, progress=None):
-    """Run a sweep of specs, sharded over ``workers`` processes.
+    """Run a sweep of specs, sharded over ``workers`` processes (fewer
+    than one means one: in-process, a single shard).
 
     Writes ``BENCH_<name>.json`` into ``out_dir`` and returns the payload.
     Everything outside the payload's ``meta`` key is deterministic for a
@@ -256,6 +257,7 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
     or without cache hits, at any worker count.
     """
     start = time.perf_counter()
+    workers = max(1, workers)
     specs = [ScenarioSpec.from_dict(s) if isinstance(s, dict) else s
              for s in specs]
     rev = rev if rev is not None else git_rev()
@@ -277,7 +279,7 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
     simulated_total = 0
     if pending:
         shards = [[s.to_dict() for s in pending[i::workers]]
-                  for i in range(max(1, workers))]
+                  for i in range(workers)]
         shards = [shard for shard in shards if shard]
         if workers > 1 and len(shards) > 1:
             ctx = multiprocessing.get_context("fork")
@@ -563,324 +565,3 @@ def multitenant_specs(seed=0, duration_ns=200_000_000):
         groups=mixed_groups,
         workload="multitenant", workload_options=options))
     return specs
-
-
-# ----------------------------------------------------------------------
-# simulator self-benchmark
-# ----------------------------------------------------------------------
-
-#: name of the simperf sweep definition, recorded in the trajectory's
-#: ``meta`` so entries from different sweep generations are attributable
-SIMPERF_SWEEP = "hotpath-v2"
-
-#: workloads in the ``--simperf`` sweep, in run order.  ``pipe`` is the
-#: historical headline number (wakeup/dispatch hot loop); ``wfq-bench``
-#: stresses run-queue churn, ``shinjuku-tail`` the preemption-heavy
-#: single-dispatcher path, and ``fuzz-episode`` the verify stack
-#: (sanitizers + oracles attached) so the observability fast path's cost
-#: under observation is tracked too; ``faas`` measures the open-loop
-#: invocation hot loop (spawn-on-demand pool + hint ring + two-tier
-#: serverless picks).
-SIMPERF_WORKLOADS = ("pipe", "wfq-bench", "shinjuku-tail", "fuzz-episode",
-                     "faas")
-
-
-def _simperf_spec(workload, rounds):
-    """The ScenarioSpec behind one spec-driven simperf workload."""
-    if workload == "pipe":
-        return ScenarioSpec(
-            name="simperf-pipe", sched="wfq", seed=derive_seed(0, 0),
-            workload="pipe", workload_options={"rounds": rounds})
-    if workload == "wfq-bench":
-        return ScenarioSpec(
-            name="simperf-wfq-bench", sched="wfq", topology="smp:4",
-            seed=derive_seed(0, 1), workload="hackbench",
-            workload_options={"groups": 2, "fds": 4,
-                              "loops": max(5, rounds // 50)})
-    if workload == "shinjuku-tail":
-        return ScenarioSpec(
-            name="simperf-shinjuku-tail", sched="shinjuku",
-            topology="smp:4", seed=derive_seed(0, 2), workload="schbench",
-            workload_options={"message_threads": 2,
-                              "workers_per_thread": 4,
-                              "warmup_ns": 20_000_000,
-                              "duration_ns": max(50_000_000,
-                                                 rounds * 100_000)})
-    if workload == "faas":
-        return ScenarioSpec(
-            name="simperf-faas", sched="serverless",
-            seed=derive_seed(0, 3), workload="faas",
-            workload_options={**FAAS_BASE_OPTIONS,
-                              "offered_rps": 20_000,
-                              "warmup_ns": 20_000_000,
-                              "duration_ns": max(100_000_000,
-                                                 rounds * 50_000)})
-    raise SimError(f"unknown simperf workload {workload!r}")
-
-
-def _run_fuzz_episodes(rounds):
-    """Run a fixed batch of fuzz episodes; returns (simulated_ns, extra).
-
-    Episode sessions come from the fuzzer's warm-image cache
-    (:mod:`repro.simkernel.snapshot`): the first episode of a given
-    machine shape captures a pre-spawn image and every later episode —
-    including across the best-of ``repeats`` loop — forks a
-    byte-identical clone instead of rebuilding the session.
-    """
-    from repro.verify.fuzz import generate_episode, run_episode
-    episodes = max(1, min(4, rounds // 500))
-    simulated = 0
-    for seed in range(episodes):
-        result = run_episode(generate_episode(seed, sched="wfq"))
-        simulated += result.sim_ns
-    return simulated, {"episodes": episodes}
-
-
-def _measure_simperf(workload, rounds):
-    """One timed execution; returns (rate, wall_s, simulated_ns, extra)."""
-    start = time.perf_counter()
-    if workload == "fuzz-episode":
-        simulated, extra = _run_fuzz_episodes(rounds)
-    else:
-        metrics = run_spec(_simperf_spec(workload, rounds))
-        simulated = metrics["simulated_ns"]
-        extra = {}
-        if "latency_us_per_message" in metrics:
-            extra["latency_us_per_message"] = \
-                metrics["latency_us_per_message"]
-    wall = time.perf_counter() - start
-    rate = simulated / wall if wall > 0 else 0.0
-    return rate, wall, simulated, extra
-
-
-def load_simperf(path):
-    """Read an existing simperf trajectory, or a fresh empty one."""
-    trajectory = {"kind": SIMPERF_KIND, "entries": [],
-                  "meta": {"sweep": SIMPERF_SWEEP}}
-    try:
-        with open(path) as handle:
-            existing = json.load(handle)
-        if existing.get("kind") == SIMPERF_KIND:
-            trajectory = existing
-            trajectory.setdefault("meta", {})["sweep"] = SIMPERF_SWEEP
-    except (OSError, ValueError):
-        pass
-    return trajectory
-
-
-def _simperf_key(entry):
-    """The identity an entry replaces on re-append: same revision, same
-    workload, *and* same measurement shape.  Including rounds/repeats
-    keeps a quick ``--rounds 200`` smoke run from silently overwriting
-    the committed full-depth baseline at the same revision."""
-    return (entry.get("git_rev"), entry.get("workload"),
-            entry.get("rounds"), entry.get("repeats"))
-
-
-def append_simperf(trajectory, entry):
-    """Append ``entry``, replacing any earlier entry with the same
-    :func:`_simperf_key` so repeated local runs don't accumulate
-    duplicates (the trajectory tracks revisions, not invocations)."""
-    key = _simperf_key(entry)
-    trajectory["entries"] = [
-        e for e in trajectory["entries"] if _simperf_key(e) != key
-    ]
-    trajectory["entries"].append(entry)
-    return trajectory
-
-
-def run_simperf(path="BENCH_simperf.json", rounds=2000, repeats=3,
-                rev=None, workloads=SIMPERF_WORKLOADS):
-    """Measure the simulator itself — simulated ns per wall second — over
-    the simperf sweep, appending one entry per workload to ``path``.
-
-    These are the numbers future optimisation PRs must move: each
-    workload exercises a different hot-path mix (see
-    :data:`SIMPERF_WORKLOADS`).  Each entry is best-of-``repeats`` to
-    shed scheduler/allocator noise; appends dedupe by
-    ``(git_rev, workload)``.  Returns the list of appended entries.
-    """
-    rev = rev if rev is not None else git_rev()
-    entries = []
-    for workload in workloads:
-        best = None
-        for _ in range(repeats):
-            rate, wall, simulated, extra = _measure_simperf(workload,
-                                                            rounds)
-            if best is None or rate > best["sim_ns_per_wall_s"]:
-                best = {"sim_ns_per_wall_s": rate, "wall_s": wall,
-                        "simulated_ns": simulated, **extra}
-        entries.append({
-            "git_rev": rev,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                       time.gmtime()),
-            "workload": workload,
-            "rounds": rounds,
-            "repeats": repeats,
-            **best,
-        })
-    trajectory = load_simperf(path)
-    for entry in entries:
-        append_simperf(trajectory, entry)
-    with open(path, "w") as handle:
-        json.dump(trajectory, handle, indent=2)
-        handle.write("\n")
-    return entries
-
-
-def compare_simperf(trajectory, threshold=0.20, workloads=None,
-                    strict=False):
-    """Diff each workload's newest entry against its previous one.
-
-    The previous entry is the committed baseline in CI (appends dedupe by
-    revision, so a fresh run at a new rev sits after the baseline rev's
-    entry).  Returns ``(ok, lines)`` where ``ok`` is False when any
-    workload regressed by more than ``threshold`` (a fraction, 0.20 =
-    20%); ``lines`` is a human-readable report.
-
-    With ``strict`` (the ``--compare --all-workloads`` CI mode) a
-    workload with no comparable pair is an *error*, not a skip: a sweep
-    that silently dropped a workload would otherwise read as "no
-    regressions" while measuring nothing.
-    """
-    if isinstance(trajectory, str):
-        trajectory = load_simperf(trajectory)
-    by_workload = {}
-    for entry in trajectory.get("entries", []):
-        by_workload.setdefault(entry.get("workload"), []).append(entry)
-    if workloads is None:
-        workloads = sorted(by_workload)
-    ok = True
-    lines = []
-    for workload in workloads:
-        entries = by_workload.get(workload, [])
-        if len(entries) < 2:
-            if strict:
-                ok = False
-                lines.append(
-                    f"{workload}: ERROR missing entries "
-                    f"({len(entries)} present, 2 needed for a "
-                    "baseline comparison)")
-            else:
-                lines.append(f"{workload}: no baseline to compare "
-                             f"({len(entries)} entry)")
-            continue
-        baseline, newest = entries[-2], entries[-1]
-        base_rate = baseline["sim_ns_per_wall_s"]
-        new_rate = newest["sim_ns_per_wall_s"]
-        change = (new_rate - base_rate) / base_rate if base_rate else 0.0
-        verdict = "ok"
-        if change < -threshold:
-            verdict = f"REGRESSION (> {threshold:.0%})"
-            ok = False
-        lines.append(
-            f"{workload}: {base_rate:,.0f} -> {new_rate:,.0f} "
-            f"sim-ns/wall-s ({change:+.1%}) "
-            f"[{baseline.get('git_rev', '?')[:12]} -> "
-            f"{newest.get('git_rev', '?')[:12]}] {verdict}")
-    return ok, lines
-
-
-# ----------------------------------------------------------------------
-# telemetry-overhead gate
-# ----------------------------------------------------------------------
-
-#: SLOs used by the overhead gate's telemetry-enabled run: present so the
-#: SLOMonitor evaluation cost is part of what the gate measures.
-OVERHEAD_SLOS = (
-    {"name": "p99-wakeup", "metric": "wakeup_p99_ns", "max": 5_000_000},
-    {"name": "depth", "metric": "rq_depth_max", "max": 64},
-)
-
-
-def run_overhead_check(threshold=0.05, rounds=2000, repeats=3, rev=None,
-                       telemetry_ns=1_000_000):
-    """The telemetry-overhead gate behind ``repro bench --overhead``.
-
-    Runs the pipe simperf workload twice per repeat — once bare (the
-    shim's quiet crossing) and once with inline accounting, a 1 ms sampler,
-    and SLO monitors attached — alternating so thermal/allocator drift
-    hits both sides equally, then feeds the two best-of rates through the
-    same :func:`compare_simperf` machinery the perf gate uses.  Fails
-    (returns ``ok=False``) when the telemetry-enabled run is more than
-    ``threshold`` slower in sim-ns/wall-s.
-    """
-    from dataclasses import replace
-    rev = rev if rev is not None else git_rev()
-    base_spec = _simperf_spec("pipe", rounds)
-    telem_spec = replace(base_spec, name="simperf-pipe-telemetry",
-                         telemetry_ns=telemetry_ns, slos=OVERHEAD_SLOS)
-    best = {"hot": None, "telemetry": None}
-    sides = (("hot", base_spec), ("telemetry", telem_spec))
-    for _ in range(repeats):
-        for key, spec in sides:
-            start = time.perf_counter()
-            metrics = run_spec(spec)
-            wall = time.perf_counter() - start
-            rate = metrics["simulated_ns"] / wall if wall > 0 else 0.0
-            if best[key] is None or rate > best[key]["sim_ns_per_wall_s"]:
-                best[key] = {"sim_ns_per_wall_s": rate, "wall_s": wall,
-                             "simulated_ns": metrics["simulated_ns"]}
-    # A two-entry trajectory makes compare_simperf treat the hot run as
-    # the baseline and the telemetry run as the newest entry.
-    trajectory = {"kind": SIMPERF_KIND, "meta": {"sweep": SIMPERF_SWEEP},
-                  "entries": [
-                      {"workload": "pipe+telemetry",
-                       "git_rev": "hot-baseline", **best["hot"]},
-                      {"workload": "pipe+telemetry", "git_rev": rev,
-                       **best["telemetry"]},
-                  ]}
-    return compare_simperf(trajectory, threshold)
-
-
-def run_group_overhead_check(threshold=0.05, rounds=2000, repeats=3,
-                             rev=None):
-    """The hierarchy-overhead gate behind ``repro bench --group-overhead``.
-
-    Runs the pipe simperf workload three ways per repeat — flat (no task
-    groups at all), with a group forest *defined* but every task still in
-    the implicit root group, and with both tasks inside a weight-only
-    group — alternating so drift hits all sides equally.  The gate fails
-    when the defined-but-unused run is more than ``threshold`` slower
-    than the flat run: flat workloads must not pay for the feature (lazy
-    period timers, single ``task.group`` test per hook).  The grouped
-    run's cost is reported informationally; it bounds what tenants pay
-    when they opt in.
-    """
-    from dataclasses import replace
-    rev = rev if rev is not None else git_rev()
-    flat_spec = _simperf_spec("pipe", rounds)
-    unused_spec = replace(
-        flat_spec, name="simperf-pipe-groups-unused",
-        groups=({"name": "tenant", "quota_ns": 2_000_000},))
-    grouped_spec = replace(
-        flat_spec, name="simperf-pipe-grouped",
-        groups=({"name": "tenant"},),
-        workload_options=dict(flat_spec.workload_options,
-                              group="tenant"))
-    best = {"flat": None, "unused": None, "grouped": None}
-    sides = (("flat", flat_spec), ("unused", unused_spec),
-             ("grouped", grouped_spec))
-    for _ in range(repeats):
-        for key, spec in sides:
-            start = time.perf_counter()
-            metrics = run_spec(spec)
-            wall = time.perf_counter() - start
-            rate = metrics["simulated_ns"] / wall if wall > 0 else 0.0
-            if best[key] is None or rate > best[key]["sim_ns_per_wall_s"]:
-                best[key] = {"sim_ns_per_wall_s": rate, "wall_s": wall,
-                             "simulated_ns": metrics["simulated_ns"]}
-    trajectory = {"kind": SIMPERF_KIND, "meta": {"sweep": SIMPERF_SWEEP},
-                  "entries": [
-                      {"workload": "pipe+groups",
-                       "git_rev": "flat-baseline", **best["flat"]},
-                      {"workload": "pipe+groups", "git_rev": rev,
-                       **best["unused"]},
-                  ]}
-    ok, lines = compare_simperf(trajectory, threshold)
-    flat_rate = best["flat"]["sim_ns_per_wall_s"]
-    grouped_rate = best["grouped"]["sim_ns_per_wall_s"]
-    change = ((grouped_rate - flat_rate) / flat_rate if flat_rate else 0.0)
-    lines.append(f"pipe+grouped (informational): {flat_rate:,.0f} -> "
-                 f"{grouped_rate:,.0f} sim-ns/wall-s ({change:+.1%})")
-    return ok, lines

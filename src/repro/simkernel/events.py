@@ -43,8 +43,8 @@ _SLOT_MASK = _NSLOTS - 1
 #: live-population threshold below which new events route to the spill
 #: heap instead of the wheel.  ``heapq`` is C code: at small populations
 #: its O(log n) push/pop beats any Python-level slot bookkeeping, and the
-#: measured crossover on the simperf sweep sits in the hundreds (pipe
-#: runs ~1 live event, faas ~140).  The wheel only pays off once the
+#: measured crossover sits in the hundreds of live events (pipe runs
+#: ~1, faas ~140).  The wheel only pays off once the
 #: population is dense enough that slot refills amortise over many
 #: same-slot events, so routing is density-adaptive: the bands interleave
 #: correctly regardless of where an event lives (selection is by strict

@@ -72,7 +72,8 @@ class Kernel:
         self.trace = None
         # Optional accounting sink (repro.obs.accounting).  Like ``trace``
         # it is a plain attribute read plus one ``is None`` test at each
-        # hook site, so the ``_hot`` fast path pays nothing when detached.
+        # hook site, so the shim's ``_quiet`` crossing pays nothing when
+        # detached.
         self.accounting = None
         # The four subsystems; each owns behaviour, the facade owns state.
         self.interp = OpInterpreter(self)
@@ -177,7 +178,8 @@ class Kernel:
         ``trace`` stays a plain attribute — every hot emission site reads it
         directly with one ``is None`` test — but going through this setter
         lets scheduler classes that cache a fast-path flag (the Enoki-C
-        shim's ``_hot``) refresh their cache at attach/detach time.
+        shim's ``_quiet``, recomputed by ``refresh_mode()`` through
+        ``on_trace_changed``) refresh it at attach/detach time.
         """
         self.trace = hook
         for _prio, cls in self._classes:

@@ -39,16 +39,14 @@ class PipeBenchResult:
 
 def run_pipe_benchmark(kernel, policy, rounds=2_000, same_core=False,
                        warmup_rounds=50, scheduler_name="",
-                       pin_two_cores=False, group=None):
+                       pin_two_cores=False):
     """Run the ping-pong on an already-configured kernel.
 
     ``policy`` selects the scheduler class under test for both tasks.
     ``same_core`` pins both tasks to CPU 0 (the paper's one-core case).
     ``pin_two_cores`` pins the tasks to CPUs 0 and 1, forcing the paper's
     default two-core configuration even on schedulers whose placement
-    would co-locate the pair.  ``group`` places both tasks in a task
-    group (the hierarchy-overhead gate runs the same ping-pong flat and
-    grouped).
+    would co-locate the pair.
     """
     ping, pong = Pipe("ping"), Pipe("pong")
     marks = {}
@@ -79,9 +77,9 @@ def run_pipe_benchmark(kernel, policy, rounds=2_000, same_core=False,
     else:
         sender_affinity = receiver_affinity = None
     kernel.spawn(sender, name="pipe-sender", policy=policy,
-                 allowed_cpus=sender_affinity, group=group)
+                 allowed_cpus=sender_affinity)
     kernel.spawn(receiver, name="pipe-receiver", policy=policy,
-                 allowed_cpus=receiver_affinity, origin_cpu=0, group=group)
+                 allowed_cpus=receiver_affinity, origin_cpu=0)
     kernel.run_until_idle()
 
     measured = marks["end"] - marks["start"]

@@ -202,6 +202,18 @@ class TestBenchRunner:
         assert payload["kind"] == "repro.bench trajectory"
         assert [r["name"] for r in payload["results"]] == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_mean_one(self, tmp_path, workers):
+        specs = _tiny_specs()
+        serial = run_sweep(specs, "t", workers=1, use_cache=False,
+                           out_dir=str(tmp_path), rev="r1")
+        clamped = run_sweep(specs, "t", workers=workers, use_cache=False,
+                            out_dir=str(tmp_path), rev="r1")
+        assert clamped["meta"]["workers"] == 1
+        assert len(clamped["meta"]["shard_wall_s"]) == 1
+        assert (deterministic_payload(clamped)
+                == deterministic_payload(serial))
+
     def test_cache_is_rev_scoped(self, tmp_path):
         spec = _tiny_specs()[0]
         cache = BenchCache(str(tmp_path), rev="r1")
@@ -209,6 +221,13 @@ class TestBenchRunner:
         assert cache.get(spec.spec_hash()) == {"m": 1}
         other = BenchCache(str(tmp_path), rev="r2")
         assert other.get(spec.spec_hash()) is None
+        # A file that parses but is not a matching entry with a metrics
+        # object (truncated by hand, foreign) is a miss, not a crash.
+        entry = {"rev": "r1", "spec_hash": spec.spec_hash()}
+        for damaged in ([], None, 3, "x", entry, dict(entry, metrics=[])):
+            with open(cache._path(spec.spec_hash()), "w") as handle:
+                json.dump(damaged, handle)
+            assert cache.get(spec.spec_hash()) is None
 
     def test_smoke_specs_have_derived_seeds_and_unique_hashes(self):
         specs = smoke_specs()

@@ -8,6 +8,8 @@ with live upgrades and scheduler failover — and the whole feature is
 invisible to flat workloads.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import EnokiSchedClass, UpgradeManager
@@ -23,8 +25,10 @@ from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.errors import SimError
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
+from repro.verify.fuzz import state_digest
 from repro.verify.sanitizers import group_bandwidth_violations
 from repro.workloads.multitenant import run_multitenant
+from repro.workloads.pipe_bench import run_pipe_benchmark
 
 POLICY = 7
 PIN0 = frozenset({0})
@@ -213,6 +217,25 @@ class TestSpecAndBuilder:
         flat = ScenarioSpec(name="f", topology="smp:2", seed=1,
                             sched="cfs", workload="pipe")
         assert "groups" not in flat.to_dict()
+
+    def test_unused_group_forest_is_invisible(self):
+        """A forest nobody joined costs a flat workload nothing — not one
+        event, not one nanosecond: no period timer is ever armed."""
+        flat = ScenarioSpec(name="flat", sched="wfq", seed=1,
+                            workload="pipe")
+        unused = replace(flat, name="unused", groups=(
+            {"name": "tenant", "quota_ns": 2_000_000},))
+        seen = []
+        for spec in (flat, unused):
+            session = KernelBuilder.session_from_spec(spec)
+            run_pipe_benchmark(session.kernel, session.policy, rounds=200)
+            session.stop()
+            kernel = session.kernel
+            seen.append((state_digest(kernel), kernel.now,
+                         kernel.stats.sched_invocations,
+                         kernel.events._seq))
+        assert kernel.groups.has("tenant")      # the forest was built
+        assert seen[0] == seen[1]
 
     def test_builder_materializes_groups_with_policy_inheritance(self):
         session = (KernelBuilder(topology=Topology.smp(2))

@@ -18,7 +18,7 @@ from repro.simkernel.snapshot import (
     capture,
     snapshots_enabled,
 )
-from repro.verify.fuzz import state_digest
+from repro.verify.fuzz import episode_digest, state_digest
 
 #: every scheduler the builder registry knows
 SCHEDULERS = ("wfq", "fifo", "eevdf", "shinjuku", "locality", "serverless")
@@ -137,3 +137,14 @@ class TestImageCache:
         assert not snapshots_enabled()
         monkeypatch.delenv("REPRO_NO_SNAPSHOT")
         assert snapshots_enabled()
+
+    def test_fuzz_forks_match_build_from_scratch(self, monkeypatch):
+        """Episodes on forked images — first fork and pure restore —
+        digest the same as the ``REPRO_NO_SNAPSHOT=1`` control."""
+        seeds = (1, 7, 42)
+        monkeypatch.delenv("REPRO_NO_SNAPSHOT", raising=False)
+        first = [episode_digest(seed) for seed in seeds]
+        second = [episode_digest(seed) for seed in seeds]
+        monkeypatch.setenv("REPRO_NO_SNAPSHOT", "1")
+        control = [episode_digest(seed) for seed in seeds]
+        assert first == second == control
