@@ -19,11 +19,7 @@ from repro.simkernel.clock import Clock
 from repro.simkernel.config import SimConfig
 from repro.simkernel.dispatch import DispatchEngine
 from repro.simkernel.errors import SimError, SchedulingError
-from repro.simkernel.events import (
-    EventQueue,
-    ReferenceEventQueue,
-    make_event_queue,
-)
+from repro.simkernel.events import EventQueue
 from repro.simkernel.futex import Futex
 from repro.simkernel.groups import GroupManager, TaskGroup
 from repro.simkernel.interp import OpInterpreter
@@ -50,13 +46,7 @@ from repro.simkernel.program import (
     YieldCpu,
 )
 from repro.simkernel.sched_class import SchedClass
-from repro.simkernel.snapshot import (
-    ImageCache,
-    KernelImage,
-    SnapshotError,
-    capture,
-    snapshots_enabled,
-)
+from repro.simkernel.snapshot import KernelImage, SnapshotError, capture
 from repro.simkernel.semaphore import Semaphore
 from repro.simkernel.task import TaskState, TaskStruct
 from repro.simkernel.topology import Topology
@@ -72,7 +62,6 @@ __all__ = [
     "FutexWait",
     "FutexWake",
     "GroupManager",
-    "ImageCache",
     "Kernel",
     "KernelImage",
     "LifecycleManager",
@@ -82,7 +71,6 @@ __all__ = [
     "PipeRead",
     "PipeWrite",
     "RecvHints",
-    "ReferenceEventQueue",
     "Run",
     "SchedClass",
     "SchedTracer",
@@ -103,7 +91,5 @@ __all__ = [
     "TaskStruct",
     "Topology",
     "capture",
-    "make_event_queue",
-    "snapshots_enabled",
     "YieldCpu",
 ]

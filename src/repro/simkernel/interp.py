@@ -53,12 +53,8 @@ class OpInterpreter:
                 raise ProgramError(f"negative Run: {op.ns}")
             task.run_remaining_ns = int(op.ns)
             task.run_started_ns = self.clock.now
-            # Tail continuation: begin_op is the last thing every path into
-            # it schedules, so the completion may be chained (fired inline
-            # by run_window when nothing else intervenes) instead of routed
-            # through the queue.
-            k.events.after_chain(task.run_remaining_ns,
-                                 self.run_complete, task, epoch)
+            k.events.after(task.run_remaining_ns,
+                           self.run_complete, task, epoch)
             return
         # Everything else is a syscall: charge entry cost, then apply the
         # effect at completion time.  Syscalls are non-preemptible.
@@ -66,7 +62,7 @@ class OpInterpreter:
         if isinstance(op, (ops.PipeWrite, ops.PipeRead)):
             cost += cfg.pipe_transfer_ns
         task._in_syscall = True
-        k.events.after_chain(cost, self.op_effect, task, op, epoch)
+        k.events.after(cost, self.op_effect, task, op, epoch)
 
     # ------------------------------------------------------------------
     # Run segments
@@ -102,7 +98,7 @@ class OpInterpreter:
             self.boundary(task)
             return
         task._in_syscall = True
-        self.k.events.after_chain(extra_cost, self.op_epilogue, task, epoch)
+        self.k.events.after(extra_cost, self.op_epilogue, task, epoch)
 
     def op_epilogue(self, task, epoch):
         k = self.k

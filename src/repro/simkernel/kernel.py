@@ -34,7 +34,7 @@ from repro.simkernel.clock import Clock
 from repro.simkernel.config import SimConfig
 from repro.simkernel.dispatch import DispatchEngine
 from repro.simkernel.errors import SchedulingError
-from repro.simkernel.events import make_event_queue
+from repro.simkernel.events import EventQueue
 from repro.simkernel.groups import GroupManager
 from repro.simkernel.interp import OpInterpreter
 from repro.simkernel.lifecycle import LifecycleManager
@@ -53,8 +53,7 @@ class Kernel:
         self.topology = topology if topology is not None else Topology.small8()
         self.config = config if config is not None else SimConfig()
         self.clock = Clock()
-        self.events = make_event_queue(self.clock)
-        self.events.owner = self
+        self.events = EventQueue(self.clock)
         self.timers = TimerService(self.events, self.config)
         self.timers.owner = self
         self.rqs = [KernelRunQueue(c) for c in self.topology.all_cpus()]
@@ -84,16 +83,6 @@ class Kernel:
         # present; tasks with ``group is None`` live in the implicit root
         # group and pay nothing on the hot paths.
         self.groups = GroupManager(self)
-
-    def reseed(self, seed):
-        """Re-key the deterministic jitter RNG (and record the new seed).
-
-        Used when forking a warm snapshot image: the clone's structural
-        state is byte-identical to its parent's, but each fork gets its own
-        jitter stream, so one captured image serves many episode seeds.
-        """
-        self.config.seed = seed
-        self._rng = random.Random(seed ^ 0x5EED)
 
     # ------------------------------------------------------------------
     # registration

@@ -1,11 +1,12 @@
-"""Warm-image snapshot/restore for simulated-kernel sessions.
+"""Deep-copy snapshot of a built session: ``capture`` + ``KernelImage.fork``.
 
-Building a session (kernel + scheduler stack + shim) is deterministic but
-not free, and — more importantly — two builds are only *equivalent*, not
-*identical*: every construction-order change is a chance for drift.  A
-:class:`KernelImage` removes that freedom: it captures one built session
-as a frozen deep copy and serves byte-identical clones on demand, so every
-fuzz episode or benchmark repeat starts from literally the same warm state.
+Nothing under ``src/`` forks a session any more — a fresh build costs a
+fifth of a fork (``exp.build_ms`` 0.08–0.16 ms against
+``snapshot.fork_ms`` 0.58–0.85 ms) and is deterministic, so every
+session is built from scratch.  This module remains for the one caller
+it has, perfbench's ``sessions`` driver, which reports
+``snapshot.capture_ms`` / ``snapshot.fork_ms`` through it (ROADMAP,
+``[benchmark]`` follow-up, retires both together).
 
 The capture contract (enforced by :func:`capture`):
 
@@ -18,37 +19,16 @@ The capture contract (enforced by :func:`capture`):
   *original* machine.  Pre-spawn sessions are naturally quiescent.
 * **unobserved** — no recorder, no trace hook, no fault injector, no
   scheduled upgrade, and the single-threaded lock fast path.  Those attach
-  per-run; the image stays policy-free and each fork decorates itself.
-
-Forks may be re-seeded (:meth:`KernelImage.fork` calls
-``Kernel.reseed``): the seed is only consumed lazily — by the kernel's
-jitter RNG and by workload generators at spawn time — so one warm image
-serves any number of episode seeds.
-
-``REPRO_NO_SNAPSHOT=1`` disables the whole subsystem; callers fall back
-to building every session from scratch (the pure reference path).
+  per-run; each fork decorates itself.
 """
 
 import copy
-import os
 
 from repro.simkernel.errors import SimError
 
 
 class SnapshotError(SimError):
     """A session violated the snapshot capture contract."""
-
-
-def snapshots_enabled():
-    """False when ``REPRO_NO_SNAPSHOT=1`` is set in the environment."""
-    return os.environ.get("REPRO_NO_SNAPSHOT", "") != "1"
-
-
-def _events_mode():
-    """The event-queue implementation flag, part of every cache key: an
-    image captured with the fast queue must never serve a reference-queue
-    run (and vice versa)."""
-    return os.environ.get("REPRO_REFERENCE_EVENTS", "") == "1"
 
 
 def _require(condition, why):
@@ -93,52 +73,8 @@ class KernelImage:
         self._session = session
         self.forks = 0
 
-    def fork(self, seed=None):
-        """A fresh runnable session, byte-identical to every other fork.
-
-        With ``seed`` the clone's jitter RNG (and ``SimConfig.seed``,
-        which workload generators read lazily) is re-keyed, so the same
-        image serves many episode seeds.
-        """
+    def fork(self):
+        """A fresh runnable session, byte-identical to every other fork."""
         clone = copy.deepcopy(self._session)
-        if seed is not None:
-            clone.kernel.reseed(seed)
         self.forks += 1
         return clone
-
-
-class ImageCache:
-    """LRU cache of :class:`KernelImage` keyed by session shape.
-
-    ``fork(key, build, seed=...)`` returns a runnable session: from the
-    cached image when one exists, else by calling ``build()`` once,
-    capturing it, and forking the fresh image.  The event-queue mode is
-    folded into every key automatically (see :func:`_events_mode`).
-    """
-
-    def __init__(self, capacity=16):
-        self.capacity = capacity
-        self._images = {}             # effective key -> KernelImage
-        self.hits = 0
-        self.misses = 0
-
-    def fork(self, key, build, seed=None):
-        effective = (key, _events_mode())
-        image = self._images.get(effective)
-        if image is None:
-            self.misses += 1
-            image = capture(build())
-            if len(self._images) >= self.capacity:
-                # Evict the least-recently-used image (insertion order is
-                # refreshed on every hit below).
-                self._images.pop(next(iter(self._images)))
-            self._images[effective] = image
-        else:
-            self.hits += 1
-            # Refresh recency: re-insert at the back.
-            del self._images[effective]
-            self._images[effective] = image
-        return image.fork(seed=seed)
-
-    def clear(self):
-        self._images.clear()

@@ -99,7 +99,7 @@ class TimerService:
             return
         # The handle just fired; drop it *before* the callback so a
         # callback cancelling its own chain (the telemetry sampler does)
-        # never cancels a fired — possibly since-recycled — handle.
+        # never reaches the queue with a fired handle.
         chain.handle = None
         self._note_fire(chain)
         chain.callback(chain)

@@ -33,7 +33,6 @@ from repro.exp import KernelBuilder
 from repro.simkernel.clock import usecs
 from repro.simkernel.errors import SimError
 from repro.simkernel.program import Run, SendHint, Sleep, YieldCpu
-from repro.simkernel.snapshot import ImageCache, snapshots_enabled
 from repro.simkernel.task import TaskState
 from repro.verify.sanitizers import SanitizerSuite, Violation
 
@@ -252,45 +251,18 @@ def _random_plan(rng):
                      description="fuzzer-composed plan").validate()
 
 
-#: warm images for episode sessions, keyed by machine shape.  The fuzzer
-#: rotates through a handful of (nr_cpus, sched) combinations thousands of
-#: times; every episode after the first forks a byte-identical clone of
-#: the captured pre-spawn session instead of rebuilding it, and the fork
-#: is re-seeded with the episode seed (``Kernel.reseed``) so determinism
-#: is unchanged.  ``REPRO_NO_SNAPSHOT=1`` restores the build-from-scratch
-#: path.
-_IMAGES = ImageCache()
-
-
 def _episode_session(spec, recorder=None):
-    """The Enoki session for ``spec``: a warm-image fork when possible.
-
-    Recorder-bearing sessions are never snapshotted — the recorder hooks
-    into construction (``with_enoki(..., recorder=...)``) and must observe
-    the session it actually records.
-    """
-    def build():
-        return (KernelBuilder(topology=f"smp:{spec.nr_cpus}",
-                              seed=spec.seed)
-                .with_native("cfs", policy=0, priority=5)
-                .with_enoki(spec.sched, policy=TASK_POLICY, priority=10,
-                            recorder=recorder)
-                .build())
-    if recorder is None and snapshots_enabled():
-        return _IMAGES.fork((spec.nr_cpus, spec.sched), build,
-                            seed=spec.seed)
-    return build()
+    """The Enoki session for ``spec``."""
+    return (KernelBuilder(topology=f"smp:{spec.nr_cpus}",
+                          seed=spec.seed)
+            .with_native("cfs", policy=0, priority=5)
+            .with_enoki(spec.sched, policy=TASK_POLICY, priority=10,
+                        recorder=recorder)
+            .build())
 
 
 def _control_session(spec):
-    """The native-only control machine for ``spec``.
-
-    Always built from scratch: a native-only session is an order of
-    magnitude cheaper to construct than to fork from a warm image (the
-    deep copy costs more than the build at this size), and construction
-    is deterministic, so the snapshot subsystem's byte-identity guarantee
-    buys nothing here.
-    """
+    """The native-only control machine for ``spec``."""
     return (KernelBuilder(topology=f"smp:{spec.nr_cpus}",
                           seed=spec.seed)
             .with_native("cfs", policy=0, priority=10)
@@ -413,9 +385,9 @@ def run_episode(spec, capture=False):
     """
     recorder = Recorder() if spec.recordable else None
 
-    # The episode seed lands in SimConfig (at build or via the fork's
-    # reseed), so the kernel's jitter RNG is episode-deterministic too
-    # (not just the episode-generation RNG).
+    # The episode seed lands in SimConfig at build, so the kernel's
+    # jitter RNG is episode-deterministic too (not just the
+    # episode-generation RNG).
     session = _episode_session(spec, recorder=recorder)
     kernel, shim = session.kernel, session.shim
     _install_groups(session, spec)

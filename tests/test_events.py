@@ -1,10 +1,10 @@
-"""Unit tests for the virtual clock and the two event queues.
+"""Unit tests for the virtual clock and the event queue.
 
-The queue contract (time order, insertion-order ties, cancellation,
-budget guard) is exercised against both implementations; the wheel queue
-is additionally checked *against* the reference heap under randomized
-schedule/cancel/reschedule sequences, which is the load-bearing
-equivalence evidence for the hot-path rewrite.
+``TestEventQueue`` is the queue's contract (time order, insertion-order
+ties, cancellation, budget guard); ``TestLazyDeletion`` covers the
+heap's cancelled-entry bookkeeping; ``TestRandomizedSchedule`` drives
+randomized schedule/cancel/reschedule sequences and checks the fire log
+against a model of the contract.
 """
 
 import random
@@ -13,16 +13,7 @@ import pytest
 
 from repro.simkernel.clock import Clock, msecs, secs, usecs
 from repro.simkernel.errors import SimError
-from repro.simkernel.events import (
-    EventQueue,
-    ReferenceEventQueue,
-    make_event_queue,
-)
-
-BOTH = pytest.mark.parametrize(
-    "queue_cls", [EventQueue, ReferenceEventQueue],
-    ids=["wheel", "reference"],
-)
+from repro.simkernel.events import EventHandle, EventQueue
 
 
 class TestClock:
@@ -47,9 +38,8 @@ class TestClock:
 
 
 class TestEventQueue:
-    @BOTH
-    def test_events_run_in_time_order(self, queue_cls):
-        q = queue_cls()
+    def test_events_run_in_time_order(self):
+        q = EventQueue()
         seen = []
         q.at(30, seen.append, "c")
         q.at(10, seen.append, "a")
@@ -57,9 +47,8 @@ class TestEventQueue:
         q.run_until_idle()
         assert seen == ["a", "b", "c"]
 
-    @BOTH
-    def test_ties_run_in_insertion_order(self, queue_cls):
-        q = queue_cls()
+    def test_ties_run_in_insertion_order(self):
+        q = EventQueue()
         seen = []
         q.at(10, seen.append, 1)
         q.at(10, seen.append, 2)
@@ -67,18 +56,16 @@ class TestEventQueue:
         q.run_until_idle()
         assert seen == [1, 2, 3]
 
-    @BOTH
-    def test_after_is_relative(self, queue_cls):
-        q = queue_cls()
+    def test_after_is_relative(self):
+        q = EventQueue()
         q.clock.advance_to(100)
         fired = []
         q.after(25, lambda: fired.append(q.clock.now))
         q.run_until_idle()
         assert fired == [125]
 
-    @BOTH
-    def test_cancel(self, queue_cls):
-        q = queue_cls()
+    def test_cancel(self):
+        q = EventQueue()
         seen = []
         handle = q.at(10, seen.append, "x")
         q.cancel(handle)
@@ -86,22 +73,19 @@ class TestEventQueue:
         assert seen == []
         assert len(q) == 0
 
-    @BOTH
-    def test_no_scheduling_in_the_past(self, queue_cls):
-        q = queue_cls()
+    def test_no_scheduling_in_the_past(self):
+        q = EventQueue()
         q.clock.advance_to(100)
         with pytest.raises(SimError):
             q.at(50, lambda: None)
 
-    @BOTH
-    def test_negative_delay_rejected(self, queue_cls):
-        q = queue_cls()
+    def test_negative_delay_rejected(self):
+        q = EventQueue()
         with pytest.raises(SimError):
             q.after(-1, lambda: None)
 
-    @BOTH
-    def test_run_until_stops_at_deadline(self, queue_cls):
-        q = queue_cls()
+    def test_run_until_stops_at_deadline(self):
+        q = EventQueue()
         seen = []
         q.at(10, seen.append, "early")
         q.at(100, seen.append, "late")
@@ -111,15 +95,13 @@ class TestEventQueue:
         q.run_until(200)
         assert seen == ["early", "late"]
 
-    @BOTH
-    def test_run_until_advances_clock_when_dry(self, queue_cls):
-        q = queue_cls()
+    def test_run_until_advances_clock_when_dry(self):
+        q = EventQueue()
         q.run_until(777)
         assert q.clock.now == 777
 
-    @BOTH
-    def test_events_scheduled_during_run(self, queue_cls):
-        q = queue_cls()
+    def test_events_scheduled_during_run(self):
+        q = EventQueue()
         seen = []
 
         def chain(n):
@@ -132,9 +114,8 @@ class TestEventQueue:
         assert seen == [0, 1, 2, 3]
         assert q.clock.now == 30
 
-    @BOTH
-    def test_event_budget_guard(self, queue_cls):
-        q = queue_cls()
+    def test_event_budget_guard(self):
+        q = EventQueue()
 
         def forever():
             q.after(1, forever)
@@ -143,18 +124,16 @@ class TestEventQueue:
         with pytest.raises(SimError):
             q.run_until_idle(max_events=1000)
 
-    @BOTH
-    def test_len_counts_live_events(self, queue_cls):
-        q = queue_cls()
+    def test_len_counts_live_events(self):
+        q = EventQueue()
         h1 = q.at(10, lambda: None)
         q.at(20, lambda: None)
         assert len(q) == 2
         q.cancel(h1)
         assert len(q) == 1
 
-    @BOTH
-    def test_pending_lists_live_handles_in_order(self, queue_cls):
-        q = queue_cls()
+    def test_pending_lists_live_handles_in_order(self):
+        q = EventQueue()
         q.clock.advance_to(5)
         h_far = q.at(10_000_000, lambda: None)
         h_now = q.at(5, lambda: None)
@@ -163,169 +142,26 @@ class TestEventQueue:
         q.cancel(doomed)
         assert q.pending() == [h_now, h_near, h_far]
 
-    @BOTH
-    def test_after_chain_runs_like_after(self, queue_cls):
-        q = queue_cls()
-        seen = []
-
-        def first():
-            seen.append(("first", q.clock.now))
-            q.after_chain(40, second)
-            q.after(10, middle)
-
-        def middle():
-            seen.append(("middle", q.clock.now))
-
-        def second():
-            seen.append(("second", q.clock.now))
-            q.after_chain(0, third)
-
-        def third():
-            seen.append(("third", q.clock.now))
-
-        q.at(100, first)
-        q.run_until_idle()
-        assert seen == [("first", 100), ("middle", 110),
-                        ("second", 140), ("third", 140)]
-
-    @BOTH
-    def test_after_chain_respects_run_until_deadline(self, queue_cls):
-        q = queue_cls()
-        seen = []
-
-        def first():
-            q.after_chain(100, seen.append, "late")
-
-        q.at(10, first)
-        q.run_until(50)
-        assert seen == []
-        assert q.clock.now == 50
-        assert len(q) == 1
-        q.run_until_idle()
-        assert seen == ["late"]
-        assert q.clock.now == 110
-
-
-def wheel_queue():
-    """An EventQueue with the density gate off: every in-horizon event
-    routes to the wheel band, regardless of population."""
-    q = EventQueue()
-    q._wheel_min = 0
-    return q
-
-
-class TestWheelQueue:
-    """Band behaviour specific to the wheel-based queue."""
-
-    def test_density_gate_routes_sparse_events_to_the_heap(self):
-        # Below WHEEL_MIN live events the wheel is all overhead: new
-        # in-horizon events go to the C-heap spill band instead.  Order
-        # is unaffected (selection is by strict (time, seq) everywhere).
+    def test_exact_budget_is_not_a_livelock(self):
+        # The budget is spent by the very events that finish the run:
+        # nothing live remains, so there is nothing to report.
         q = EventQueue()
-        assert q.WHEEL_MIN > 1
-        q.after(100, lambda: None)
-        assert not q._occ               # no wheel bucket was loaded
-        assert len(q._far) == 1
-        assert q.run_until_idle() == 1
-
-    def test_same_instant_events_use_the_fifo_band(self):
-        q = wheel_queue()
-        seen = []
-
-        def outer():
-            # Scheduled at the current instant: the FIFO band, which must
-            # still run after same-time events that were already pending.
-            q.after(0, seen.append, "fifo")
-
-        q.at(10, outer)
-        q.at(10, seen.append, "pending-tie")
-        q.run_until_idle()
-        assert seen == ["pending-tie", "fifo"]
-
-    def test_far_events_spill_to_the_heap_and_fire(self):
-        q = wheel_queue()
-        horizon = q.NSLOTS << q.GRAN_BITS
-        seen = []
-        q.at(horizon * 3, seen.append, "far")
-        q.at(5, seen.append, "near")
-        q.run_until_idle()
-        assert seen == ["near", "far"]
-        assert q.clock.now == horizon * 3
-
-    def test_wheel_rotation_wraparound(self):
-        # Events more than one rotation apart land in the same slot index;
-        # the occupancy scan must not run the later rotation early.
-        q = wheel_queue()
-        gran = 1 << q.GRAN_BITS
-        seen = []
-        q.at(gran * 2, seen.append, "rot0")
-
-        def reschedule_same_slot():
-            seen.append("fire")
-            q.at(q.clock.now + (q.NSLOTS - 1) * gran, seen.append, "rot1")
-
-        q.at(gran * 2 + 1, reschedule_same_slot)
-        q.run_until_idle()
-        assert seen == ["rot0", "fire", "rot1"]
-
-    def test_insert_before_loaded_slot(self):
-        # An event landing in an *earlier* slot than the one currently
-        # loaded for dispatch must still run first.
-        q = wheel_queue()
-        gran = 1 << q.GRAN_BITS
-        seen = []
-        q.at(gran * 100, seen.append, "late-slot")
-
-        def insert_earlier():
-            seen.append("first")
-            q.after(gran * 10, seen.append, "earlier-slot")
-
-        q.at(1, insert_earlier)
-        q.run_until_idle()
-        assert seen == ["first", "earlier-slot", "late-slot"]
-
-    def test_cancel_far_band_compaction(self):
-        q = EventQueue()
-        horizon = q.NSLOTS << q.GRAN_BITS
-        keep = 10
-        for i in range(keep):
-            q.at(horizon * 2 + i, lambda: None)
-        handles = [q.at(horizon * 2 + 1000 + i, lambda: None)
-                   for i in range(q.COMPACT_THRESHOLD + 1)]
-        for handle in handles[:-1]:
-            q.cancel(handle)
-        assert q._far_stale == q.COMPACT_THRESHOLD
-        assert len(q._far) == keep + len(handles)
-        q.cancel(handles[-1])
-        assert q._far_stale == 0
-        assert len(q._far) == keep
-        assert len(q) == keep
-
-    def test_handles_are_recycled_after_fire(self):
-        q = EventQueue()
-        q.at(10, lambda: None)
-        q.run_until_idle()
-        assert len(q._free) == 1
-        recycled = q._free[-1]
-        h = q.at(20, lambda: None)
-        assert h is recycled
-        assert not h.cancelled
-        q.run_until_idle()
+        q.at(1, lambda: None)
+        q.at(2, lambda: None)
+        assert q.run_until_idle(max_events=2) == 2
+        assert len(q) == 0
 
     def test_fired_handle_reads_as_cancelled(self):
         # Stale holders (a Timer whose event already fired) must see the
-        # handle as dead: Timer.cancel gates on its own ``active`` flag
-        # and never touches the queue for a fired handle, so recycling
-        # is safe as long as fired handles read as cancelled.
+        # handle as dead, so a late queue.cancel cannot drift the counts.
         q = EventQueue()
         h1 = q.at(10, lambda: None)
         q.run_until_idle()
         assert h1.cancelled
-        # queue.cancel on the fired handle is a no-op (no count drift).
         q.cancel(h1)
         assert len(q) == 0
         h2 = q.at(20, lambda: None)
-        assert h2 is h1 and not h2.cancelled
+        assert not h2.cancelled
         assert q.run_until_idle() == 1
 
     def test_cancel_after_fire_is_harmless(self):
@@ -333,19 +169,33 @@ class TestWheelQueue:
         seen = []
         handle = q.at(10, seen.append, "x")
         q.run_until_idle()
-        handle.cancel()          # late cancel on an already-fired handle
+        q.cancel(handle)         # late cancel on an already-fired handle
         assert seen == ["x"]
         assert q.step() is False
         assert len(q) == 0
 
+    def test_len_and_pending_agree_after_cancel_and_drain(self):
+        # queue.cancel is the only cancel: a handle-side cancel() could
+        # only set the flag behind the queue's back and leave len(q) at
+        # one forever.
+        assert not hasattr(EventHandle, "cancel")
+        q = EventQueue()
+        doomed = q.after(10, lambda: None)
+        q.after(20, lambda: None)
+        q.cancel(doomed)
+        assert len(q) == len(q.pending()) == 1
+        q.run_until_idle()
+        assert len(q) == len(q.pending()) == 0
+        assert q._stale == 0
+
 
 class TestLazyDeletion:
-    """Edge cases of the reference queue's lazy-cancellation scheme
+    """Edge cases of the queue's lazy-cancellation scheme
     (cancelled entries stay in the heap until they surface or a
     compaction sweeps them)."""
 
     def test_cancel_then_reschedule_same_timestamp(self):
-        q = ReferenceEventQueue()
+        q = EventQueue()
         seen = []
         first = q.at(10, seen.append, "cancelled")
         q.cancel(first)
@@ -356,7 +206,7 @@ class TestLazyDeletion:
         assert len(q) == 0
 
     def test_pop_past_run_of_cancelled_handles(self):
-        q = ReferenceEventQueue()
+        q = EventQueue()
         seen = []
         doomed = [q.at(10, seen.append, i) for i in range(50)]
         q.at(10, seen.append, "survivor")
@@ -369,7 +219,7 @@ class TestLazyDeletion:
         assert q.step() is False
 
     def test_run_until_skips_cancelled_head_beyond_deadline(self):
-        q = ReferenceEventQueue()
+        q = EventQueue()
         seen = []
         late = q.at(100, seen.append, "late")
         q.cancel(late)
@@ -379,7 +229,7 @@ class TestLazyDeletion:
         assert q.clock.now == 50
 
     def test_compaction_threshold(self):
-        q = ReferenceEventQueue()
+        q = EventQueue()
         keep = 10
         for i in range(keep):
             q.at(1_000_000 + i, lambda: None)
@@ -397,7 +247,7 @@ class TestLazyDeletion:
         assert len(q) == keep
 
     def test_no_compaction_while_live_majority(self):
-        q = ReferenceEventQueue()
+        q = EventQueue()
         live = 2 * (q.COMPACT_THRESHOLD + 2)
         for i in range(live):
             q.at(1_000_000 + i, lambda: None)
@@ -411,128 +261,72 @@ class TestLazyDeletion:
         assert len(q._heap) == live + len(handles)
 
 
-class TestFactory:
-    def test_default_builds_wheel_queue(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REFERENCE_EVENTS", raising=False)
-        assert isinstance(make_event_queue(), EventQueue)
+class TestRandomizedSchedule:
+    """Property test: a randomized schedule/cancel/reschedule workload
+    fires exactly what the contract says, in the order it says."""
 
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REFERENCE_EVENTS", "1")
-        assert isinstance(make_event_queue(), ReferenceEventQueue)
-        monkeypatch.setenv("REPRO_REFERENCE_EVENTS", "0")
-        assert isinstance(make_event_queue(), EventQueue)
-
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REFERENCE_EVENTS", "1")
-        assert isinstance(make_event_queue(reference=False), EventQueue)
-
-
-class TestWheelVsReferenceEquivalence:
-    """Property test: both queues execute randomized schedule/cancel/
-    reschedule workloads in exactly the same order at the same times."""
-
-    HORIZON_NS = EventQueue.NSLOTS << EventQueue.GRAN_BITS
+    #: delays reach a few ms so near, far and same-instant events mix
+    SPAN_NS = 2_000_000
 
     def _run_workload(self, queue, rng, n_ops):
-        """Drive one queue with a seeded op mix; return the fire log.
+        """Drive the queue with a seeded op mix.
 
+        Returns ``(log, issued, cancelled)``: the fire log of
+        ``(time, tag)``, every tag in issue order, and the cancelled set.
         Cancellation targets are tracked by tag and removed at fire, so
-        only genuinely pending events are cancelled — cancelling through
-        a stored handle after its event fired is out of contract (the
-        wheel queue recycles fired handles; real holders, i.e. Timer,
-        gate on their own liveness).
+        only genuinely pending events are cancelled.
         """
         log = []
+        issued = []
+        cancelled = set()
         pending = {}                     # tag -> handle, insertion-ordered
-        counter = [0]
+
+        def schedule(delay):
+            tag = len(issued)
+            issued.append(tag)
+            pending[tag] = queue.after(delay, fire, tag)
 
         def drop_random():
             tags = list(pending)
             tag = tags[rng.randrange(len(tags))]
+            cancelled.add(tag)
             queue.cancel(pending.pop(tag))
 
         def fire(tag):
             pending.pop(tag, None)
             log.append((queue.clock.now, tag))
-            # Events themselves reschedule, cancel, and chain.
+            # Events themselves reschedule and cancel.
             roll = rng.random()
             if roll < 0.30:
-                counter[0] += 1
-                delay = rng.choice(
+                schedule(rng.choice(
                     (0, 1, rng.randrange(1, 5000),
-                     rng.randrange(1, 3 * self.HORIZON_NS))
-                )
-                name = f"r{counter[0]}"
-                pending[name] = queue.after(delay, fire, name)
+                     rng.randrange(1, 3 * self.SPAN_NS))
+                ))
             elif roll < 0.40 and pending:
                 drop_random()
-            elif roll < 0.50:
-                counter[0] += 1
-                queue.after_chain(
-                    rng.randrange(0, 2000), fire, f"c{counter[0]}"
-                )
 
-        for i in range(n_ops):
-            roll = rng.random()
-            if roll < 0.75 or not pending:
-                delay = rng.choice(
+        for _ in range(n_ops):
+            if rng.random() < 0.75 or not pending:
+                schedule(rng.choice(
                     (0, rng.randrange(1, 200),
-                     rng.randrange(1, self.HORIZON_NS),
-                     rng.randrange(1, 4 * self.HORIZON_NS))
-                )
-                name = f"s{i}"
-                pending[name] = queue.after(delay, fire, name)
+                     rng.randrange(1, self.SPAN_NS),
+                     rng.randrange(1, 4 * self.SPAN_NS))
+                ))
             else:
                 drop_random()
         queue.run_until_idle(max_events=200_000)
-        assert len(queue) == 0
-        return log
+        return log, issued, cancelled
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_fire_logs_identical(self, seed):
-        log_wheel = self._run_workload(
-            wheel_queue(), random.Random(seed), 300
-        )
-        log_ref = self._run_workload(
-            ReferenceEventQueue(), random.Random(seed), 300
-        )
-        assert log_wheel == log_ref
-        assert len(log_wheel) > 100
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_adaptive_banding_identical(self, seed):
-        """Default (density-gated) routing: events migrate between heap
-        and wheel bands as the live population crosses WHEEL_MIN."""
+    def test_fire_log_matches_model(self, seed):
         q = EventQueue()
-        q._wheel_min = 8            # small enough to cross both ways
-        log_mixed = self._run_workload(q, random.Random(seed), 300)
-        log_ref = self._run_workload(
-            ReferenceEventQueue(), random.Random(seed), 300
+        log, issued, cancelled = self._run_workload(
+            q, random.Random(seed), 300
         )
-        assert log_mixed == log_ref
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_step_by_step_interleaving_identical(self, seed):
-        """Drive both queues one step at a time and compare clocks."""
-        rng_a, rng_b = random.Random(seed), random.Random(seed)
-        qa, qb = wheel_queue(), ReferenceEventQueue()
-        la, lb = [], []
-
-        def load(q, rng, log):
-            hs = []
-            for i in range(200):
-                if rng.random() < 0.8 or not hs:
-                    hs.append(q.after(rng.randrange(0, 50_000),
-                                      log.append, i))
-                else:
-                    q.cancel(hs[rng.randrange(len(hs))])
-
-        load(qa, rng_a, la)
-        load(qb, rng_b, lb)
-        while True:
-            ra, rb = qa.step(), qb.step()
-            assert ra == rb
-            assert qa.clock.now == qb.clock.now
-            assert la == lb
-            if not ra:
-                break
+        assert len(log) > 100
+        # Strict (time, issue order): tags are issue indices.
+        assert log == sorted(log)
+        # Exactly the never-cancelled tags fired, once each.
+        fired = [tag for _, tag in log]
+        assert sorted(fired) == [t for t in issued if t not in cancelled]
+        assert len(q) == 0
