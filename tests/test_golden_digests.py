@@ -1,0 +1,318 @@
+"""Golden quiet-path digests.
+
+``tests/test_obs_stream.py`` pins the *observed* stream; this file pins
+the quiet path — no tracer, no observer — that every workload and every
+benchmark actually runs: the pick walk, the wakeup chain, the cost model
+and the event loop.  The literals are ``state_digest`` values (final
+virtual time, every task's runtimes and counters, per-CPU accounting)
+recorded on the commit *before* the schedule path was made single-pass,
+with ``src/`` untouched, and must never change because of a refactor:
+every virtual cost, RNG draw and ``(time, seq)`` order feeds them.
+"""
+
+import pytest
+
+from repro.core import EnokiSchedClass
+from repro.core.record import Recorder
+from repro.exp import KernelBuilder, ScenarioSpec
+from repro.exp.builder import _native_factories, enoki_scheduler_names
+from repro.schedulers.cfs import CfsSchedClass
+from repro.schedulers.deadline import DeadlineSchedClass
+from repro.schedulers.rt import RtSchedClass
+from repro.schedulers.wfq import EnokiWfq
+from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel.clock import msecs, usecs
+from repro.simkernel.pipe import Pipe
+from repro.simkernel.program import PipeRead, PipeWrite, Run, Sleep, Spawn
+from repro.verify import episode_digest, state_digest
+from repro.workloads.hackbench import run_hackbench
+from repro.workloads.multitenant import run_multitenant
+from repro.workloads.pipe_bench import run_pipe_benchmark
+
+SEED = 1905
+
+#: every scheduler ``KernelBuilder`` can name -> its ``sched_options``
+#: on smp:4 (ghost_shinjuku's default CPU split assumes eight CPUs)
+SCHEDULERS = {
+    "cfs": {},
+    "fifo_native": {},
+    "eevdf": {},
+    "fifo": {},
+    "locality": {},
+    "serverless": {},
+    "shinjuku": {},
+    "wfq": {},
+    "ghost_sol": {},
+    "ghost_percpu_fifo": {},
+    "ghost_shinjuku": {"managed_cpus": [0, 1, 2], "agent_cpu": 3},
+}
+
+
+def session_for(sched, **spec_fields):
+    return KernelBuilder.session_from_spec(ScenarioSpec(
+        name=f"golden-{sched}", sched=sched, topology="smp:4", seed=SEED,
+        sched_options=SCHEDULERS[sched], **spec_fields))
+
+
+def pipe_digest(sched):
+    session = session_for(sched)
+    run_pipe_benchmark(session.kernel, session.policy, rounds=50)
+    return state_digest(session.kernel)
+
+
+def hackbench_digest(sched, groups=1, fds=2, loops=10):
+    session = session_for(sched)
+    run_hackbench(session.kernel, session.policy, groups=groups, fds=fds,
+                  loops=loops)
+    return state_digest(session.kernel)
+
+
+def tenants_digest():
+    """The three-tenant ``tenants-cfs`` contract (the multitenant
+    module's defaults) for 100 ms: groups, throttling, bandwidth timers."""
+    session = session_for("cfs")
+    result = run_multitenant(session.kernel, session.policy,
+                             duration_ns=msecs(100))
+    assert result.completed
+    return state_digest(session.kernel)
+
+
+def phased(phases, work_ns, sleep_ns):
+    def prog():
+        for _ in range(phases):
+            yield Run(work_ns)
+            yield Sleep(sleep_ns)
+    return prog
+
+
+def class_stack_digest():
+    """DL > RT > Enoki > CFS on two CPUs with sleepers in every class, so
+    wakeups land on CPUs busy with a higher and a lower class."""
+    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
+    dl = DeadlineSchedClass(policy=3)
+    rt = RtSchedClass(policy=2)
+    kernel.register_sched_class(dl, priority=90)
+    kernel.register_sched_class(rt, priority=80)
+    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
+    EnokiSchedClass.register(kernel, EnokiWfq(2, 7), 7, priority=50)
+    dl.spawn_dl(phased(6, usecs(200), usecs(700)),
+                runtime_ns=usecs(500), period_ns=msecs(2))
+    rt.spawn_rt(phased(8, usecs(150), usecs(400)), 30)
+    for index in range(3):
+        kernel.spawn(phased(10, usecs(120 + 30 * index), usecs(250)),
+                     policy=7)
+        kernel.spawn(phased(10, usecs(90 + 40 * index), usecs(300)),
+                     policy=0)
+    kernel.run_until_idle()
+    return state_digest(kernel)
+
+
+def upgrade_digest():
+    """One live upgrade at 300 us under wake/block/fork traffic: the
+    quiesce blackout is charged to exactly one later cost read."""
+    session = session_for("wfq", upgrade_at_ns=300_000)
+
+    def forker():
+        for _ in range(6):
+            yield Run(40_000)
+            yield Spawn(phased(3, 30_000, 20_000))
+            yield Sleep(60_000)
+
+    for _ in range(4):
+        session.spawn(phased(20, 50_000, 20_000))
+    session.spawn(forker)
+    session.run_until_idle()
+    assert len(session.upgrades.reports) == 1
+    return state_digest(session.kernel)
+
+
+def recorder_digest():
+    """A recorder-active run: every crossing pays ``record_overhead_ns``."""
+    recorder = Recorder(capacity=1 << 20)
+    session = KernelBuilder.session_from_spec(
+        ScenarioSpec(name="golden-record", sched="wfq", topology="smp:4",
+                     seed=SEED), recorder=recorder)
+    run_pipe_benchmark(session.kernel, session.policy, rounds=50)
+    recorder.stop()
+    assert recorder.entries
+    return state_digest(session.kernel)
+
+
+def deep_idle_digest(sched):
+    """Sleeps past ``idle_deep_threshold_ns``, then a remote wake.
+
+    ``kick_cpu_for_wakeup`` draws the deep-idle exit jitter twice — once
+    for ``task.kick_at_ns`` (the steal-protection window), once for the
+    kick event itself — so the two disagree by up to 30 us.  A model
+    quirk, pinned here because merging the draws shifts the RNG stream
+    (ROADMAP files the fix as a behaviour change).
+    """
+    session = session_for(sched)
+    kernel = session.kernel
+    assert msecs(3) >= kernel.config.idle_deep_threshold_ns
+    ping, pong = Pipe("ping"), Pipe("pong")
+
+    def sleeper():
+        for _ in range(6):
+            yield Sleep(msecs(3))
+            yield PipeWrite(ping, b"s")
+            yield PipeRead(pong)
+
+    def waiter():
+        for _ in range(6):
+            yield PipeRead(ping)
+            yield Run(usecs(40))
+            yield PipeWrite(pong, b"w")
+
+    session.spawn(sleeper, allowed_cpus=frozenset({0}))
+    session.spawn(waiter, allowed_cpus=frozenset({2}))
+    session.run_until_idle()
+    return state_digest(kernel)
+
+
+GOLDEN = {
+    ('pipe', 'cfs'):
+        "5055f1e604fe19bd177f4d2e3dc1b24d660ef3c8aa125b437d42f4ae49146176",
+    ('hackbench', 'cfs'):
+        "49cb6d99daa8d847bb47a167bc63e4a6803a0d0992a7cc504c2076ee076888a7",
+    ('hackbench-deep', 'cfs'):
+        "a424ae533ee599ce6caabe34aa0aed97ca49da86258fabd2495c24f2236d01ba",
+    ('pipe', 'eevdf'):
+        "62e6b496b743ea2ca96705bee96505955b6b92a15960abf997e32093c0625c72",
+    ('hackbench', 'eevdf'):
+        "546cdf5b9fd35c7db1f93fac97e195ffad27374c34e00017acdb75e574a0af7a",
+    ('hackbench-deep', 'eevdf'):
+        "8c1e31dec57d5217fd53d85406b34fad6955afd705bf9d33742e74075cb4c4c6",
+    ('pipe', 'fifo'):
+        "4f85dedc44ba39181ad93dccb7451b396bde8b0c21c51ea56801cb474f0f40f3",
+    ('hackbench', 'fifo'):
+        "2ca1325887c193e66e8613711e3010b3992fa4c6a46ab62f0a92bb7e0cfda218",
+    ('hackbench-deep', 'fifo'):
+        "cbbd68b2c26f2e31c5a7ce27d0378e7eb9a92b7aef9f5249bbd3af9b6eb23a9a",
+    ('pipe', 'fifo_native'):
+        "5055f1e604fe19bd177f4d2e3dc1b24d660ef3c8aa125b437d42f4ae49146176",
+    ('hackbench', 'fifo_native'):
+        "49cb6d99daa8d847bb47a167bc63e4a6803a0d0992a7cc504c2076ee076888a7",
+    ('hackbench-deep', 'fifo_native'):
+        "656b345541c6f17806363bec7181c90d220f58e9fac7b698dbf6b548e7364d3c",
+    ('pipe', 'ghost_percpu_fifo'):
+        "0a9c76d3240fb68df64b1749dbe2865eeaf1477be46eed09db0a438934c3ac31",
+    ('hackbench', 'ghost_percpu_fifo'):
+        "4dabb202bf3ccd027906a31068d4d2e285583dae947b73950b091720d539c742",
+    ('hackbench-deep', 'ghost_percpu_fifo'):
+        "5bfb6eeb6d9160c5c0ab8b3dff71e5919b9fb315e51e033ae03594c93f478e2e",
+    ('pipe', 'ghost_shinjuku'):
+        "61b306fced51d3e450a992620786d594483086d314621f5b93135507932d5d66",
+    ('hackbench', 'ghost_shinjuku'):
+        "63e42e727c4c2363d47429c71b32cf129935bbd049633540096629e7a271aa11",
+    ('hackbench-deep', 'ghost_shinjuku'):
+        "aaff14f4a6a924efb194a87f269323297acd4d946a8796ef3dac2420c8534d37",
+    ('pipe', 'ghost_sol'):
+        "a621b47a0f19d6b0d673a82bc7c53c57620d38755326d8f582d912d3ace27a8e",
+    ('hackbench', 'ghost_sol'):
+        "b3dc9626ff845f7c2224cebbb739bd77ce1ac76b2e6925f956b535ecc5b530a6",
+    ('hackbench-deep', 'ghost_sol'):
+        "637d495b87ea57a59b4389a8d99244e54d613911da2b2c7327a860eb4ee68e8e",
+    ('pipe', 'locality'):
+        "62e6b496b743ea2ca96705bee96505955b6b92a15960abf997e32093c0625c72",
+    ('hackbench', 'locality'):
+        "546cdf5b9fd35c7db1f93fac97e195ffad27374c34e00017acdb75e574a0af7a",
+    ('hackbench-deep', 'locality'):
+        "cbbd68b2c26f2e31c5a7ce27d0378e7eb9a92b7aef9f5249bbd3af9b6eb23a9a",
+    ('pipe', 'serverless'):
+        "2a1cffd6bfdc7b4430badf9dbb57c7df3c0019ecc4d423f89d862dea76e51862",
+    ('hackbench', 'serverless'):
+        "aa681d3036385a63c1c0c43c49922e2a1daeae8a107545715ef499ef8039768f",
+    ('hackbench-deep', 'serverless'):
+        "ac73bfee75d3e4efd7f76482f724d1e4fca2919a0886b788da191888e5a99d74",
+    ('pipe', 'shinjuku'):
+        "ed9ac879e04662b29b9b593ddca7390e488141a1e8bb10907d9bf95aa1318b5c",
+    ('hackbench', 'shinjuku'):
+        "c45d5eed84b55b0f36c7af0d2bcd2923e514dd1a39ffd39eede593d8fa2e940c",
+    ('hackbench-deep', 'shinjuku'):
+        "2d37b99406f5de005d43e27e39034e4811232ae98e9a46250aa6785cd0cf133e",
+    ('pipe', 'wfq'):
+        "62e6b496b743ea2ca96705bee96505955b6b92a15960abf997e32093c0625c72",
+    ('hackbench', 'wfq'):
+        "546cdf5b9fd35c7db1f93fac97e195ffad27374c34e00017acdb75e574a0af7a",
+    ('hackbench-deep', 'wfq'):
+        "8c1e31dec57d5217fd53d85406b34fad6955afd705bf9d33742e74075cb4c4c6",
+    'tenants-cfs':
+        "d4b0b6239a154b1864b34dc0d1dcc7e0205684ccee09c349c924f43e9cdb48dd",
+    'class-stack':
+        "6af0fc425a2d6b26439102b9bc5217c84bbdcab2f3f79c8d755d1ff8b4d05be2",
+    'upgrade':
+        "4393f8cf099d60d46db58ff02efb1c6db29c0dcbf3e20e7c451ba330c8178ade",
+    'recorder':
+        "f0cd19509f3e82b6810db530be8f1f10fae63bb10eb212c3d2d4d66152d30481",
+    ('deep-idle', 'cfs'):
+        "0355c1fdc6d4c02fc10761a43312354a81cb7b044c26927a9ecc43924cbceab4",
+    ('deep-idle', 'wfq'):
+        "659ef585c3d272ca69b81bd9c410c9aada78959dfb557dc67d90cf238920d53d",
+    ('fuzz', 0):
+        "ab63173fe0f1d908d93d8454fca9bc2bf7a3804ab68a7aa5a40afff8df320783",
+    ('fuzz', 1):
+        "745f383b0dfa733b5a7ba3a2c141464b89bab70c553a76cda20172c0ce9c3d57",
+    ('fuzz', 2):
+        "93cc3d07fdbaca6b585322225dca36b09a00c50b893ceebe2aab66ced2b1641d",
+    ('fuzz', 3):
+        "560b14cae7e4d7d7546c069ce09338886d5c2eaf19d773685f642bfd8ea3b6e1",
+    ('fuzz', 4):
+        "ef743bf5164e6280cbbc63b62eb6775a669302eca7c9c3f4c5f9b81dc2802315",
+    ('fuzz', 5):
+        "7821bf4a2739f5670ca50f35ccc6cd97087d4def656f9d7c3edfaf2f4469b6cf",
+    ('fuzz', 6):
+        "95b65691e8c635ce36b3b9896ce210a161fb7bbd1d2c8198934eec0bfb060aa1",
+    ('fuzz', 7):
+        "efe0acc6f1de434e4bf5575d165e444d82f39fef3873b518ac5341da18dbe4dd",
+}
+
+
+def test_every_nameable_scheduler_is_pinned():
+    named = set(_native_factories()) | set(enoki_scheduler_names())
+    assert named <= set(SCHEDULERS)
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_pipe_digest_is_golden(sched):
+    assert pipe_digest(sched) == GOLDEN["pipe", sched]
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_hackbench_digest_is_golden(sched):
+    assert hackbench_digest(sched) == GOLDEN["hackbench", sched]
+
+
+@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+def test_deep_hackbench_digest_is_golden(sched):
+    """Sixteen tasks on four CPUs: run queues several deep, balance
+    pulls and failed migrations — where the schedulers tell apart."""
+    assert (hackbench_digest(sched, groups=2, fds=4, loops=5)
+            == GOLDEN["hackbench-deep", sched])
+
+
+def test_tenants_cfs_digest_is_golden():
+    assert tenants_digest() == GOLDEN["tenants-cfs"]
+
+
+def test_four_class_stack_digest_is_golden():
+    assert class_stack_digest() == GOLDEN["class-stack"]
+
+
+def test_live_upgrade_digest_is_golden():
+    assert upgrade_digest() == GOLDEN["upgrade"]
+
+
+def test_recorder_active_digest_is_golden():
+    assert recorder_digest() == GOLDEN["recorder"]
+
+
+@pytest.mark.parametrize("sched", ("cfs", "wfq"))
+def test_deep_idle_sleeper_digest_is_golden(sched):
+    assert deep_idle_digest(sched) == GOLDEN["deep-idle", sched]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_quiet_fuzz_episode_digest_is_golden(seed):
+    """Fault plans, failover, group forests and parks, unobserved."""
+    assert episode_digest(seed) == GOLDEN["fuzz", seed]
