@@ -40,9 +40,8 @@ class EnokiSchedClass(SchedClass):
         self.queues = QueueRegistry()
         self.recorder = recorder
         self.lib = LibEnoki(scheduler, enoki_c=self, recorder=recorder)
-        #: set by the upgrade manager: dispatches before this virtual time
-        #: are delayed by the quiesce blackout (section 3.2's limitation)
-        self.blocked_until_ns = 0
+        #: set by the upgrade manager: the quiesce blackout (section 3.2's
+        #: limitation) the next cost read still has to pay
         self._pending_blackout_ns = 0
         self._armed_timers = {}
         self._extra_cost_ns = 0
@@ -129,6 +128,21 @@ class EnokiSchedClass(SchedClass):
 
     def attach_kernel(self, kernel):
         super().attach_kernel(kernel)
+        # The framework's dispatch overhead comes on top of the ordinary
+        # in-kernel bookkeeping (paper: "100-150 ns of overhead per
+        # invocation of the Enoki scheduler"): a flat fee per hook.
+        cfg = kernel.config
+        call_ns = cfg.enoki_call_ns
+        self._walk_cost_ns += 2 * call_ns
+        self._hook_cost_ns += call_ns
+        self._record_ns = cfg.record_overhead_ns
+        #: per-callback attribution on the watched path: what one
+        #: crossing of ``func`` is modelled to cost (``_hook_cost_ns``
+        #: for every function not listed)
+        self._func_cost_ns = {
+            "pick_next_task": cfg.sched_pick_ns + call_ns,
+            "balance": cfg.sched_balance_ns + call_ns,
+        }
         self.refresh_mode()
 
     def detach_kernel(self):
@@ -169,25 +183,26 @@ class EnokiSchedClass(SchedClass):
     # cost model
     # ------------------------------------------------------------------
 
-    def invocation_cost_ns(self, hook, consume_blackout=True):
-        # The framework's dispatch overhead comes on top of the ordinary
-        # in-kernel scheduling bookkeeping (paper: "100-150 ns of overhead
-        # per invocation of the Enoki scheduler").  The base lookup is
-        # inlined — this runs on every dispatch and the super() call showed
-        # up in profiles.  ``consume_blackout=False`` reads the modelled
-        # cost side-effect free, for per-callback attribution.
-        cfg = self.kernel.config
-        if hook == "pick_next_task":
-            cost = cfg.sched_pick_ns
-        elif hook == "balance":
-            cost = cfg.sched_balance_ns
-        else:
-            cost = cfg.sched_queue_ns
-        cost += cfg.enoki_call_ns
+    def pick_walk_cost_ns(self):
+        cost = self._walk_cost_ns + self._extra_cost_ns
+        self._extra_cost_ns = 0
+        if self.recorder is not None or self._pending_blackout_ns:
+            cost += self._surcharge_ns(2)
+        return cost
+
+    def hooks_cost_ns(self, n):
+        cost = n * self._hook_cost_ns
+        if self.recorder is not None or self._pending_blackout_ns:
+            cost += self._surcharge_ns(n)
+        return cost
+
+    def _surcharge_ns(self, n):
+        """What ``n`` hooks cost beyond the attach-time constants."""
+        cost = 0
         if self.recorder is not None and self.recorder.active:
-            cost += cfg.record_overhead_ns
-        if consume_blackout and self._pending_blackout_ns:
-            # First dispatch after an upgrade pays the remaining blackout.
+            cost = n * self._record_ns
+        if self._pending_blackout_ns:
+            # First cost read after an upgrade pays the whole blackout.
             cost += self._pending_blackout_ns
             self._pending_blackout_ns = 0
         return cost
@@ -195,7 +210,6 @@ class EnokiSchedClass(SchedClass):
     def note_upgrade_blackout(self, pause_ns):
         """The upgrade manager reports a quiesce window; the next dispatch
         on any CPU is delayed by it."""
-        self.blocked_until_ns = self.kernel.now + pause_ns
         self._pending_blackout_ns = pause_ns
 
     # ------------------------------------------------------------------
@@ -258,7 +272,9 @@ class EnokiSchedClass(SchedClass):
         if not timed:
             return response
         wall_ns = time.perf_counter_ns() - wall_start
-        virtual_ns = self.invocation_cost_ns(func, consume_blackout=False)
+        virtual_ns = self._func_cost_ns.get(func, self._hook_cost_ns)
+        if self.recorder is not None and self.recorder.active:
+            virtual_ns += self._record_ns
         if trace is not None:
             trace("enoki_msg", t=kernel.now, cpu=thread,
                   func=func, policy=self.policy, wall_ns=wall_ns,
@@ -508,12 +524,7 @@ class EnokiSchedClass(SchedClass):
         )
 
     def _resched_fire(self, timer):
-        self.kernel.resched_cpu(timer.tag[1], when="now")
-
-    def consume_extra_cost_ns(self):
-        cost = self._extra_cost_ns
-        self._extra_cost_ns = 0
-        return cost
+        self.kernel.resched_cpu(timer.tag[1])
 
     # ------------------------------------------------------------------
     # hints (kernel hint-handler interface + EnokiEnv backend)

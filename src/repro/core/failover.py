@@ -357,7 +357,7 @@ class FailoverManager:
         # 6. Every CPU re-picks so the fallback's freshly adopted tasks
         # (and any Enoki task still running) get re-evaluated promptly.
         for cpu in kernel.topology.all_cpus():
-            kernel.resched_cpu(cpu, when="now")
+            kernel.resched_cpu(cpu)
         return report
 
     @staticmethod

@@ -26,7 +26,7 @@ Design constraints, in order:
   that re-arms forever would keep the simulation alive forever.  The
   sampler cancels its own periodic chain at the first window boundary
   where no task is left alive (the same cancel-from-callback pattern the
-  dispatcher's ``stop_tick`` uses).
+  dispatcher's ``tick`` uses).
 * **Bounded memory.**  Windows are retained in a ring
   (``retain`` windows, default 4096) with a dropped counter, like the
   trace ring.

@@ -394,14 +394,14 @@ class CfsSchedClass(SchedClass):
         # Time-slice check.
         ran = task.sum_exec_runtime_ns - rq.curr_start_runtime
         if rq.entries and ran >= self._slice_for(task, cpu):
-            self.kernel.resched_cpu(cpu, when="now")
+            self.kernel.resched_cpu(cpu)
         elif rq.entries and rq.entries[0][0] < task.vruntime:
             # A lower-vruntime task is waiting (e.g. woke recently):
             # preempt at the tick, as the paper describes.
             wakeup_gran = (self.kernel.config.sched_wakeup_granularity_ns
                            * NICE_0_WEIGHT // task.weight)
             if task.vruntime - rq.entries[0][0] > wakeup_gran:
-                self.kernel.resched_cpu(cpu, when="now")
+                self.kernel.resched_cpu(cpu)
         # Periodic load balance.
         cfg = self.kernel.config
         if (self.kernel.now - self._last_periodic_balance[cpu]

@@ -146,7 +146,7 @@ class DeadlineSchedClass(SchedClass):
         if params.budget_ns <= 0:
             # Budget exhausted: throttle until the next period.
             params.throttled_until = params.abs_deadline
-            self.kernel.resched_cpu(task.cpu, when="now")
+            self.kernel.resched_cpu(task.cpu)
 
     # -- state tracking --------------------------------------------------------------
 
@@ -200,7 +200,7 @@ class DeadlineSchedClass(SchedClass):
         self._replenish(params, self.kernel.now)
         if self.kernel.rqs[task.cpu].has(pid):
             self._enqueue(pid, task.cpu)
-            self.kernel.resched_cpu(task.cpu, when="now")
+            self.kernel.resched_cpu(task.cpu)
 
     def task_dead(self, pid):
         self._remove(pid)
@@ -269,7 +269,7 @@ class DeadlineSchedClass(SchedClass):
             return
         if params.budget_ns <= 0:
             params.throttled_until = params.abs_deadline
-            self.kernel.resched_cpu(cpu, when="now")
+            self.kernel.resched_cpu(cpu)
         else:
             # Fired early (dispatch-cost skew): re-arm for the remainder.
             self.kernel.timers.arm(
@@ -296,4 +296,4 @@ class DeadlineSchedClass(SchedClass):
         queue = self._queues[cpu]
         self._prune_stale(queue)
         if queue and queue[0][0] < params.abs_deadline:
-            self.kernel.resched_cpu(cpu, when="now")
+            self.kernel.resched_cpu(cpu)

@@ -92,7 +92,7 @@ class NativeFifoClass(SchedClass):
             return
         ran = self.kernel.now - task.last_enqueue_ns
         if ran >= self.timeslice_ns and self._queues[cpu]:
-            self.kernel.resched_cpu(cpu, when="now")
+            self.kernel.resched_cpu(cpu)
 
     def queued_pids(self, cpu):
         """Test hook: the policy-side view of a CPU's queue."""

@@ -56,11 +56,10 @@ class GhostSchedClass(SchedClass):
         super().attach_kernel(kernel)
         self.latched = {c: deque() for c in kernel.topology.all_cpus()}
         self.running = {}
-
-    def invocation_cost_ns(self, hook):
         # Every hook produces a message into the agent queue.
-        return (super().invocation_cost_ns(hook)
-                + self.kernel.config.ghost_msg_enqueue_ns)
+        enqueue_ns = kernel.config.ghost_msg_enqueue_ns
+        self._walk_cost_ns += 2 * enqueue_ns
+        self._hook_cost_ns += enqueue_ns
 
     # -- all placement is deferred to the agent ---------------------------
 
@@ -137,7 +136,7 @@ class GhostSchedClass(SchedClass):
     def deliver_preempt(self, pid, cpu):
         """A preemption transaction: kick the CPU if the task still runs."""
         if self.running.get(cpu) == pid:
-            self.kernel.resched_cpu(cpu, when="now")
+            self.kernel.resched_cpu(cpu)
 
     def pick_next_task(self, cpu):
         queue = self.latched[cpu]

@@ -239,7 +239,7 @@ class RtSchedClass(SchedClass):
                 and rq.queues
                 and rq.peek_highest_prio() >= self._prio(task.pid)):
             self._rr_expired.add(task.pid)
-            self.kernel.resched_cpu(cpu, when="now")
+            self.kernel.resched_cpu(cpu)
 
     def wakeup_preempt(self, cpu, task):
         rq = self._rqs[cpu]

@@ -11,9 +11,14 @@ results are relative to its i7-9700 / Xeon 6138 testbeds.
 from dataclasses import dataclass, replace
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Cost model + policy knobs for the simulated kernel."""
+    """Cost model + policy knobs for the simulated kernel.
+
+    Frozen: scheduler classes resolve their per-hook costs from it once,
+    at ``attach_kernel``, so a later write must raise rather than silently
+    disagree with those constants.  :meth:`scaled` makes changed copies.
+    """
 
     # --- context switching and wakeups -------------------------------
     #: direct cost of switching between two tasks on a core
@@ -115,8 +120,3 @@ class SimConfig:
     def scaled(self, **overrides):
         """Return a copy with some constants replaced."""
         return replace(self, **overrides)
-
-
-def default_config():
-    """The calibrated default cost model."""
-    return SimConfig()

@@ -30,13 +30,11 @@ class DispatchEngine:
     # reschedule requests
     # ------------------------------------------------------------------
 
-    def resched_cpu(self, cpu, when="now"):
+    def resched_cpu(self, cpu):
         """Request a reschedule of ``cpu`` (used by scheduler classes)."""
         k = self.k
-        rq = k.rqs[cpu]
-        rq.need_resched = True
-        if when == "now":
-            k.events.after(0, self.reschedule, cpu)
+        k.rqs[cpu].need_resched = True
+        k.events.after(0, self.reschedule, cpu)
 
     def reschedule(self, cpu):
         """Honor a pending resched request if the CPU can act on it."""
@@ -49,11 +47,11 @@ class DispatchEngine:
             rq.need_resched = False
             self.pick_and_switch(cpu, prev=None)
             return
-        if getattr(cur, "_in_syscall", False):
+        if cur._in_syscall:
             return  # honored at the op boundary
-        if cur.state != TaskState.RUNNING:
+        if cur.state is not TaskState.RUNNING:
             return
-        if cur.exec_start_ns > k.now:
+        if cur.exec_start_ns > self.clock.now:
             # Mid-context-switch: interrupts are effectively off until the
             # dispatch completes.  Re-deliver just after the task actually
             # starts — without this, a preemption timer shorter than the
@@ -89,19 +87,13 @@ class DispatchEngine:
                 k.groups.park(prev, throttled)
                 if k.trace is not None:
                     k.trace("preempt", t=k.now, cpu=cpu, pid=prev.pid)
-                self.pick_and_switch(
-                    cpu, prev=prev,
-                    base_cost=cls.invocation_cost_ns("task_blocked"),
-                )
+                self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
                 return
         k._attach_runnable(prev, cpu)
         cls.task_preempt(prev, cpu)
         if k.trace is not None:
             k.trace("preempt", t=k.now, cpu=cpu, pid=prev.pid)
-        self.pick_and_switch(
-            cpu, prev=prev,
-            base_cost=cls.invocation_cost_ns("task_preempt"),
-        )
+        self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
 
     def deschedule_current(self, cpu, disposition, block_reason=None):
         """The current task leaves the CPU voluntarily.
@@ -125,12 +117,11 @@ class DispatchEngine:
             prev.set_state(TaskState.BLOCKED)
             stats = prev.stats
             stats.blocked_count += 1
-            stats.block_since_ns = k.now
+            stats.block_since_ns = self.clock.now
             stats.block_is_sleep = block_reason == "sleep"
             if prev.group is not None:
                 k.groups.unaccount(prev)
             cls.task_blocked(prev, cpu)
-            hook = "task_blocked"
         elif disposition == YIELD:
             prev.set_state(TaskState.RUNNABLE)
             prev.stats.yields += 1
@@ -141,23 +132,20 @@ class DispatchEngine:
                 # sees a block, matching the preemption park path).
                 cls.task_blocked(prev, cpu)
                 k.groups.park(prev, throttled)
-                hook = "task_blocked"
             else:
                 k._attach_runnable(prev, cpu)
                 cls.task_yield(prev, cpu)
-                hook = "task_yield"
         elif disposition == EXIT:
             prev.set_state(TaskState.DEAD)
-            prev.stats.finished_ns = k.now
+            prev.stats.finished_ns = self.clock.now
             if prev.group is not None:
                 k.groups.unaccount(prev)
             cls.task_dead(prev.pid)
-            hook = "task_dead"
             k.lifecycle.notify_exit(prev)
         else:
             raise SimError(f"unknown disposition {disposition}")
-        self.pick_and_switch(cpu, prev=prev,
-                             base_cost=cls.invocation_cost_ns(hook))
+        # Every disposition ran exactly one state hook.
+        self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
 
     # ------------------------------------------------------------------
     # the pick walk (section 3.1)
@@ -170,63 +158,63 @@ class DispatchEngine:
         if rq.current is not None:
             raise SchedulingError(f"pick on busy cpu {cpu}")
         cost = base_cost
-        chosen = None
+        stats = k.stats
         for _prio, cls in k._classes:
-            cost += cls.invocation_cost_ns("balance")
             pulled = cls.balance(cpu)
             if pulled is not None:
                 if k.migration.try_migrate(pulled, cpu, cls):
                     cost += k.config.migrate_ns
                 else:
                     cls.balance_err(cpu, pulled)
-            cost += cls.invocation_cost_ns("pick_next_task")
-            k.stats.sched_invocations += 1
+            stats.sched_invocations += 1
             pid = cls.pick_next_task(cpu)
-            cost += cls.consume_extra_cost_ns()
+            # Read after the hooks: balance + pick + what they accrued.
+            cost += cls.pick_walk_cost_ns()
             if pid is None:
                 continue
-            task = k.tasks.get(pid)
-            if (task is None or not rq.has(pid)
-                    or task.state != TaskState.RUNNABLE
-                    or not task.can_run_on(cpu)):
+            # Queued here, runnable, allowed here: one lookup.
+            task = rq.queued.get(pid)
+            if (task is None or task.state is not TaskState.RUNNABLE
+                    or (task.allowed_cpus is not None
+                        and cpu not in task.allowed_cpus)):
                 # A native class answering wrongly is the crash the paper
                 # describes; Enoki's adapter never lets this surface.
-                k.stats.pick_errors += 1
+                stats.pick_errors += 1
                 raise SchedulingError(
                     f"{cls.name}.pick_next_task({cpu}) returned pid {pid} "
                     "which is not runnable on this CPU's run queue"
                 )
-            chosen = task
-            break
-        if chosen is None:
-            self.go_idle(cpu)
+            self.dispatch(cpu, task, prev, cost)
             return
-        self.dispatch(cpu, chosen, prev, cost)
-
-    def go_idle(self, cpu):
-        k = self.k
-        rq = k.rqs[cpu]
-        rq.current = None
-        rq.idle_since_ns = k.now
-        self.stop_tick(cpu)
-        if k.trace:
-            k.trace("idle", cpu=cpu, t=k.now)
+        # Nobody answered: go idle and stop the tick.
+        now = self.clock.now
+        rq.idle_since_ns = now
+        timer = self._tick_timers[cpu]
+        if timer is not None:
+            timer.cancel()
+            self._tick_timers[cpu] = None
+        if k.trace is not None:
+            k.trace("idle", cpu=cpu, t=now)
 
     def dispatch(self, cpu, task, prev, pick_cost):
+        """Switch ``cpu`` to ``task``, which the pick walk has just proved
+        queued on this CPU's run queue and runnable here."""
         k = self.k
         now = self.clock.now
         rq = k.rqs[cpu]
+        cpu_stats = k.stats.cpus[cpu]
         if prev is None and rq.idle_since_ns >= 0:
-            k.stats.cpus[cpu].idle_ns += now - rq.idle_since_ns
+            cpu_stats.idle_ns += now - rq.idle_since_ns
             rq.idle_since_ns = -1
         cost = pick_cost
         if task is not prev:
             cost += k.config.context_switch_ns
             rq.nr_switches += 1
-            k.stats.cpus[cpu].switches += 1
-        rq.detach(task)
-        task.on_rq = True        # current counts as on_rq, as in Linux
-        task.cpu = cpu
+            cpu_stats.switches += 1
+        # Unlink without re-proving membership.  ``on_rq`` stays True (the
+        # current task counts as on_rq, as in Linux) and ``task.cpu`` is
+        # already this CPU: both were set when the task was attached.
+        del rq.queued[task.pid]
         rq.current = task
         task.set_state(TaskState.RUNNING)
         start = now + cost
@@ -266,10 +254,11 @@ class DispatchEngine:
                 deadline = start + max(headroom,
                                        k.config.timer_min_delay_ns)
                 k.events.at(deadline, self._bandwidth_expire, task, epoch)
-        self.start_tick(cpu)
-        if k.trace:
-            k.trace("dispatch", cpu=cpu, pid=task.pid, t=k.now,
-                    cost=cost)
+        if self._tick_timers[cpu] is None:
+            self._tick_timers[cpu] = k.timers.arm_periodic(
+                k.config.tick_period_ns, self.tick, tag=("tick", cpu))
+        if k.trace is not None:
+            k.trace("dispatch", cpu=cpu, pid=task.pid, t=now, cost=cost)
 
     def _bandwidth_expire(self, task, epoch):
         """A dispatched task's group budget should be dry about now:
@@ -306,28 +295,16 @@ class DispatchEngine:
     # tick
     # ------------------------------------------------------------------
 
-    def start_tick(self, cpu):
+    def tick(self, timer):
+        """The periodic tick of ``timer.tag[1]``, armed by :meth:`dispatch`
+        and cancelled when the CPU goes idle."""
         k = self.k
-        if self._tick_timers[cpu] is not None:
-            return
-        self._tick_timers[cpu] = k.timers.arm_periodic(
-            k.config.tick_period_ns,
-            lambda _t, c=cpu: self.tick(c),
-            tag=("tick", cpu),
-        )
-
-    def stop_tick(self, cpu):
-        timer = self._tick_timers[cpu]
-        if timer is not None:
-            timer.cancel()
-            self._tick_timers[cpu] = None
-
-    def tick(self, cpu):
-        k = self.k
+        cpu = timer.tag[1]
         rq = k.rqs[cpu]
         cur = rq.current
         if cur is None:
-            self.stop_tick(cpu)
+            timer.cancel()
+            self._tick_timers[cpu] = None
             return
         self.update_curr(cpu)
         k.class_of(cur).task_tick(cpu, cur)

@@ -97,22 +97,29 @@ class EventQueue:
                 self._compact()
 
     def _compact(self):
-        """Drop cancelled entries and rebuild the heap in one pass."""
-        self._heap = [e for e in self._heap if not e[2].cancelled]
+        """Drop cancelled entries and rebuild the heap in one pass (in
+        place: a running :meth:`_drain` holds the list)."""
+        self._heap[:] = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._stale = 0
 
-    def step(self):
-        """Run the next pending event.  Returns False when the queue is dry."""
+    def _drain(self, deadline=None, budget=None):
+        """The event loop: fire live events in ``(time, seq)`` order until
+        the queue is dry, the next one lies beyond ``deadline`` or
+        ``budget`` of them have fired.  Returns the number fired."""
         heap = self._heap
+        clock = self.clock
+        count = 0
         while heap:
-            handle = heappop(heap)[2]
+            t, _seq, handle = heap[0]
             if handle.cancelled:
+                heappop(heap)
                 self._stale -= 1
                 continue
+            if deadline is not None and t > deadline:
+                break
+            heappop(heap)
             self._live -= 1
-            clock = self.clock
-            t = handle.time
             if t < clock.now:
                 raise SimError(
                     f"clock would move backwards: {clock.now} -> {t}"
@@ -130,8 +137,14 @@ class EventQueue:
             # corruption.
             handle.cancelled = True
             fn(*args)
-            return True
-        return False
+            count += 1
+            if budget is not None and count >= budget:
+                break
+        return count
+
+    def step(self):
+        """Run the next pending event.  Returns False when the queue is dry."""
+        return self._drain(budget=1) == 1
 
     def run_until(self, deadline):
         """Run events up to and including virtual time ``deadline``.
@@ -139,15 +152,7 @@ class EventQueue:
         The clock finishes exactly at ``deadline`` even when the queue
         runs dry earlier.
         """
-        while self._heap:
-            head = self._heap[0]
-            if head[2].cancelled:
-                heapq.heappop(self._heap)
-                self._stale -= 1
-                continue
-            if head[0] > deadline:
-                break
-            self.step()
+        self._drain(deadline=deadline)
         if self.clock.now < deadline:
             self.clock.advance_to(deadline)
 
@@ -158,12 +163,9 @@ class EventQueue:
         run and a live event is still pending (a run that finishes
         exactly on budget is not a livelock).
         """
-        count = 0
-        while self.step():
-            count += 1
-            if max_events is not None and count >= max_events \
-                    and self._live:
-                raise SimError(_BUDGET_MSG.format(count))
+        count = self._drain(budget=max_events)
+        if max_events is not None and count >= max_events and self._live:
+            raise SimError(_BUDGET_MSG.format(count))
         return count
 
     def pending(self):

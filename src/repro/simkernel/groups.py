@@ -333,7 +333,7 @@ class GroupManager:
                     parked=parked, running=len(resched_cpus),
                     remaining=group.runtime_remaining_ns)
         for cpu in resched_cpus:
-            k.dispatcher.resched_cpu(cpu, when="now")
+            k.dispatcher.resched_cpu(cpu)
 
     def park(self, task, group, origin=PARKED_WAKE):
         """Park a task (already off every run queue) in ``group``."""

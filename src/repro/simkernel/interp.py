@@ -231,10 +231,10 @@ class OpInterpreter:
                 origin_cpu=cpu, tgid=task.tgid,
             )
             task.pending_result = child.pid
-            cls = k.class_of(child)
-            fork_cost = (cls.invocation_cost_ns("select_task_rq")
-                         + cls.invocation_cost_ns("task_new"))
-            self.complete_op(task, epoch, fork_cost)
+            # The fork ran in this task's context: select_task_rq +
+            # task_new delay its next op.
+            self.complete_op(task, epoch,
+                             k.class_of(child).hooks_cost_ns(2))
             return
         if isinstance(op, ops.SetNice):
             if task.group is not None:

@@ -61,6 +61,7 @@ class Kernel:
         self.tasks = {}
         self._classes = []            # (priority, SchedClass), high prio first
         self._class_by_policy = {}
+        self._class_priority = {}     # SchedClass -> priority
         self._policy_redirects = {}   # failed policy -> fallback policy
         self._class_cache = {}        # policy -> resolved class (memoised)
         self._limbo = set()           # pids awaiting deferred placement
@@ -99,6 +100,7 @@ class Kernel:
         self._classes.append((priority, sched_class))
         self._classes.sort(key=lambda pc: -pc[0])
         self._class_by_policy[sched_class.policy] = sched_class
+        self._class_priority[sched_class] = priority
         self._class_cache.clear()
         return sched_class
 
@@ -114,7 +116,14 @@ class Kernel:
                     "still attached"
                 )
         del self._class_by_policy[policy]
+        del self._class_priority[cls]
         self._classes = [(p, c) for (p, c) in self._classes if c is not cls]
+        # Nothing may keep routing to the detached class: not its hint
+        # handler, not a redirect onto (or left over from) its policy.
+        self._hint_handlers.pop(policy, None)
+        self._policy_redirects = {
+            src: dst for src, dst in self._policy_redirects.items()
+            if policy not in (src, dst)}
         self._class_cache.clear()
         cls.detach_kernel()
         return cls
@@ -156,10 +165,9 @@ class Kernel:
         return cls
 
     def class_priority(self, cls):
-        for prio, c in self._classes:
-            if c is cls:
-                return prio
-        raise SchedulingError(f"{cls.name} not registered")
+        if cls not in self._class_priority:
+            raise SchedulingError(f"{cls.name} not registered")
+        return self._class_priority[cls]
 
     def set_trace(self, hook):
         """Install (or remove, with ``None``) the trace hook.
@@ -229,9 +237,7 @@ class Kernel:
     def wake_task(self, task, waker_cpu=None, sync=False,
                   charge_waker=False):
         """Try-to-wake-up: move a blocked task back onto a run queue."""
-        return self.migration.wake_task(task, waker_cpu=waker_cpu,
-                                        sync=sync,
-                                        charge_waker=charge_waker)
+        return self.migration.wake_task(task, waker_cpu, sync, charge_waker)
 
     def place_task(self, pid, cpu, kicker_cpu=None):
         """Complete a deferred placement (asynchronous schedulers only)."""
@@ -245,9 +251,9 @@ class Kernel:
     # rescheduling (delegated)
     # ------------------------------------------------------------------
 
-    def resched_cpu(self, cpu, when="now"):
+    def resched_cpu(self, cpu):
         """Request a reschedule of ``cpu`` (used by scheduler classes)."""
-        self.dispatcher.resched_cpu(cpu, when=when)
+        self.dispatcher.resched_cpu(cpu)
 
     def _update_curr(self, cpu):
         """Runtime accounting up to now (native classes call this)."""
@@ -260,12 +266,13 @@ class Kernel:
     def _attach_runnable(self, task, cpu):
         rq = self.rqs[cpu]
         rq.attach(task)
-        task.last_enqueue_ns = self.now
+        now = self.clock.now
+        task.last_enqueue_ns = now
         # Delay accounting: open the wait segment unless one is already
         # open (deferred-placement limbo opens it at wakeup time, before
         # the task reaches any run queue).
         if task.stats.wait_since_ns < 0:
-            task.stats.wait_since_ns = self.now
+            task.stats.wait_since_ns = now
         if task.group is not None:
             self.groups.account(task, cpu)
         acct = self.accounting

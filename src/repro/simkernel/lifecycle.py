@@ -59,8 +59,7 @@ class LifecycleManager:
                                         origin_cpu)
         task.set_state(TaskState.RUNNABLE)
         task.last_wakeup_ns = k.now
-        hook_cost = (cls.invocation_cost_ns("select_task_rq")
-                     + cls.invocation_cost_ns("task_new"))
+        hook_cost = cls.hooks_cost_ns(2)    # select_task_rq + task_new
         if cpu == DEFERRED_CPU:
             k._limbo.add(task.pid)
             # Limbo counts as wait for delay accounting (see wake_task).

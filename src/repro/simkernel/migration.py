@@ -17,6 +17,8 @@ class MigrationService:
 
     def __init__(self, kernel):
         self.k = kernel
+        # Direct clock reference (mirrors DispatchEngine).
+        self.clock = kernel.clock
 
     # ------------------------------------------------------------------
     # placement
@@ -32,7 +34,7 @@ class MigrationService:
             raise SchedulingError(
                 f"{cls.name}.select_task_rq returned bad cpu {cpu}"
             )
-        if not task.can_run_on(cpu):
+        if task.allowed_cpus is not None and cpu not in task.allowed_cpus:
             raise SchedulingError(
                 f"{cls.name} placed pid {task.pid} on disallowed cpu {cpu}"
             )
@@ -53,10 +55,19 @@ class MigrationService:
         dispatch delay (timer-driven wakeups).
         """
         k = self.k
-        if task.state == TaskState.DEAD:
-            return 0
-        if task.state != TaskState.BLOCKED:
-            return 0
+        if task.state is not TaskState.BLOCKED:
+            return 0        # dead, or already runnable: nothing to wake
+        now = self.clock.now
+        stats = task.stats
+        if stats.block_since_ns >= 0:
+            # Close the sleep/block segment at wakeup time.
+            if stats.block_is_sleep:
+                stats.sleep_ns += now - stats.block_since_ns
+            else:
+                stats.block_ns += now - stats.block_since_ns
+            stats.block_since_ns = -1
+        k.stats.total_wakeups += 1
+        waker = waker_cpu if waker_cpu is not None else -1
         if task.group is not None:
             throttled = k.groups.throttled_ancestor(task)
             if throttled is not None:
@@ -65,54 +76,32 @@ class MigrationService:
                 # task_blocked); the wakeup is replayed at unthrottle.
                 # No wakeup-latency sample either — the task is not
                 # waiting on the scheduler, it is waiting on bandwidth.
-                stats = task.stats
-                if stats.block_since_ns >= 0:
-                    delta = k.now - stats.block_since_ns
-                    if stats.block_is_sleep:
-                        stats.sleep_ns += delta
-                    else:
-                        stats.block_ns += delta
-                    stats.block_since_ns = -1
-                k.stats.total_wakeups += 1
                 k.groups.park(task, throttled)
                 if k.trace is not None:
-                    k.trace("wakeup", t=k.now, cpu=-1, pid=task.pid,
-                            waker=waker_cpu if waker_cpu is not None
-                            else -1, throttled=True)
+                    k.trace("wakeup", t=now, cpu=-1, pid=task.pid,
+                            waker=waker, throttled=True)
                 return 0
         cls = k.class_of(task)
         flags = WF_TTWU | (WF_SYNC if sync else 0)
         task.set_state(TaskState.RUNNABLE)
-        task.last_wakeup_ns = k.now
+        task.last_wakeup_ns = now
         task.wakeup_flags = flags
-        k.stats.total_wakeups += 1
-        stats = task.stats
-        if stats.block_since_ns >= 0:
-            # Close the sleep/block segment at wakeup time.
-            delta = k.now - stats.block_since_ns
-            if stats.block_is_sleep:
-                stats.sleep_ns += delta
-            else:
-                stats.block_ns += delta
-            stats.block_since_ns = -1
-        hook_cost = (cls.invocation_cost_ns("select_task_rq")
-                     + cls.invocation_cost_ns("task_wakeup"))
-        waker = waker_cpu if waker_cpu is not None else -1
+        hook_cost = cls.hooks_cost_ns(2)    # select_task_rq + task_wakeup
         cpu = self.invoke_select(cls, task, task.cpu, flags, waker)
         if cpu == DEFERRED_CPU:
             k._limbo.add(task.pid)
             # Limbo time is wait time: the task is runnable but parked
             # until the asynchronous scheduler places it.
-            stats.wait_since_ns = k.now
+            stats.wait_since_ns = now
             cls.task_wakeup(task, DEFERRED_CPU)
             if k.trace is not None:
-                k.trace("wakeup", t=k.now, cpu=-1, pid=task.pid,
+                k.trace("wakeup", t=now, cpu=-1, pid=task.pid,
                         waker=waker, deferred=True)
             return hook_cost if charge_waker else 0
         k._attach_runnable(task, cpu)
         cls.task_wakeup(task, cpu)
         if k.trace is not None:
-            k.trace("wakeup", t=k.now, cpu=cpu, pid=task.pid,
+            k.trace("wakeup", t=now, cpu=cpu, pid=task.pid,
                     waker=waker, sync=sync)
         extra = 0 if charge_waker else hook_cost
         self.kick_cpu_for_wakeup(task, cpu, waker_cpu, cls, extra)
@@ -152,46 +141,50 @@ class MigrationService:
     # the wakeup cost model
     # ------------------------------------------------------------------
 
-    def wakeup_cost(self, target_cpu, waker_cpu):
-        k = self.k
-        cfg = k.config
-        jitter = (k._rng.randrange(cfg.wakeup_jitter_ns)
-                  if cfg.wakeup_jitter_ns > 0 else 0)
-        if waker_cpu is None or waker_cpu == target_cpu:
-            return cfg.wakeup_local_ns + jitter
-        cost = cfg.wakeup_remote_ns + jitter
-        if k.topology.distance(waker_cpu, target_cpu) >= 4:
-            cost += cfg.wakeup_cross_socket_extra_ns
-        return cost
-
-    def idle_exit_cost(self, cpu):
-        k = self.k
-        cfg = k.config
-        idle_for = k.now - k.rqs[cpu].idle_since_ns
-        if idle_for >= cfg.idle_deep_threshold_ns:
-            jitter = (k._rng.randrange(cfg.idle_exit_deep_jitter_ns)
-                      if cfg.idle_exit_deep_jitter_ns > 0 else 0)
-            return cfg.idle_exit_deep_ns + jitter
-        return cfg.idle_exit_shallow_ns
-
     def kick_cpu_for_wakeup(self, task, cpu, waker_cpu, cls, extra=0):
+        """Charge the wakeup (IPI + idle exit) and kick ``cpu`` if the
+        wakee should run: always when idle, else by class priority or the
+        class's ``wakeup_preempt`` answer."""
         k = self.k
+        cfg = k.config
+        rng = k._rng
+        now = self.clock.now
         rq = k.rqs[cpu]
-        cost = self.wakeup_cost(cpu, waker_cpu) + extra
+        cost = extra + (rng.randrange(cfg.wakeup_jitter_ns)
+                        if cfg.wakeup_jitter_ns > 0 else 0)
+        if waker_cpu is None or waker_cpu == cpu:
+            cost += cfg.wakeup_local_ns
+        else:
+            cost += cfg.wakeup_remote_ns
+            if k.topology.distance(waker_cpu, cpu) >= 4:
+                cost += cfg.wakeup_cross_socket_extra_ns
         # The target CPU owns this wakee until its kick lands (the IPI'd
         # CPU claims the task in Linux); balancers must not steal it in
         # flight, however long the idle exit takes.
-        task.kick_at_ns = k.now + cost
-        if rq.current is None:
-            task.kick_at_ns += self.idle_exit_cost(cpu)
-        if rq.current is None:
-            cost += self.idle_exit_cost(cpu)
+        cur = rq.current
+        if cur is None:
+            if now - rq.idle_since_ns < cfg.idle_deep_threshold_ns:
+                cost += cfg.idle_exit_shallow_ns
+                task.kick_at_ns = now + cost
+            else:
+                # Deep idle (C6).  The exit jitter is drawn twice, window
+                # first: the steal-protection window and the kick itself
+                # disagree by up to the jitter.  A model quirk kept as is
+                # — one draw would shift the RNG stream and every digest
+                # (ROADMAP files the fix as a behaviour change).
+                jitter_ns = cfg.idle_exit_deep_jitter_ns
+                window_jitter, kick_jitter = (
+                    (rng.randrange(jitter_ns), rng.randrange(jitter_ns))
+                    if jitter_ns > 0 else (0, 0))
+                task.kick_at_ns = (now + cost + cfg.idle_exit_deep_ns
+                                   + window_jitter)
+                cost += cfg.idle_exit_deep_ns + kick_jitter
             rq.need_resched = True
             k.events.after(cost, k.dispatcher.reschedule, cpu)
             return
-        decision = None
-        cur_cls = k.class_of(rq.current)
-        if k.class_priority(cls) > k.class_priority(cur_cls):
+        task.kick_at_ns = now + cost
+        priority = k._class_priority
+        if priority[cls] > priority[k.class_of(cur)]:
             decision = "now"
         else:
             decision = cls.wakeup_preempt(cpu, task)
@@ -226,11 +219,11 @@ class MigrationService:
             return self.migrate_failed(pid, dest_cpu, "not-queued")
         if not task.can_run_on(dest_cpu):
             return self.migrate_failed(pid, dest_cpu, "affinity")
-        if (k.now - task.last_enqueue_ns
-                < k.config.migration_min_queued_ns):
+        now = self.clock.now
+        if now - task.last_enqueue_ns < k.config.migration_min_queued_ns:
             # Its wakeup IPI is still in flight; the rq lock would be held.
             return self.migrate_failed(pid, dest_cpu, "rq-locked")
-        if k.now < task.kick_at_ns:
+        if now < task.kick_at_ns:
             # The woken task belongs to the CPU whose kick is in flight.
             return self.migrate_failed(pid, dest_cpu, "kick-in-flight")
         src_rq.detach(task)
@@ -242,8 +235,7 @@ class MigrationService:
         k.stats.cpus[dest_cpu].steals += 1
         cls.migrate_task_rq(task, dest_cpu)
         if k.trace is not None:
-            k.trace("migrate", t=k.now, cpu=dest_cpu, pid=pid,
-                    src=src_cpu)
+            k.trace("migrate", t=now, cpu=dest_cpu, pid=pid, src=src_cpu)
         return True
 
     def migrate_failed(self, pid, dest_cpu, reason):

@@ -17,8 +17,7 @@ class KernelRunQueue:
 
     __slots__ = (
         "cpu", "queued", "current", "need_resched",
-        "idle_since_ns", "busy_ns", "last_busy_update_ns",
-        "nr_switches", "balance_next_ns",
+        "idle_since_ns", "nr_switches",
     )
 
     def __init__(self, cpu):
@@ -27,10 +26,7 @@ class KernelRunQueue:
         self.current = None        # TaskStruct or None (idle)
         self.need_resched = False
         self.idle_since_ns = 0
-        self.busy_ns = 0
-        self.last_busy_update_ns = 0
         self.nr_switches = 0
-        self.balance_next_ns = 0
 
     # -- membership ------------------------------------------------------
 

@@ -20,6 +20,26 @@ walk-through in section 3.1):
 * schedule:     ``balance`` -> (kernel migration) -> ``pick_next_task``
 * tick:         ``task_tick``
 * migration:    kernel detach/attach -> ``migrate_task_rq``
+
+Cost-model contract (who charges what, once).  The kernel core charges a
+class's hooks as virtual time through exactly two reads:
+
+* :meth:`SchedClass.pick_walk_cost_ns` — once per class the pick walk
+  visits, *after* ``pick_next_task``: ``sched_balance_ns +
+  sched_pick_ns`` plus whatever the class accrued since the last read
+  (the Enoki shim's timer-arm and injected-hang extras);
+* :meth:`SchedClass.hooks_cost_ns` — once per wakeup, fork
+  (``select_task_rq`` + the state hook: ``n = 2``) and deschedule or
+  preemption (``n = 1``): ``n * sched_queue_ns``.
+
+Both are sums of :class:`~repro.simkernel.config.SimConfig` constants
+resolved at ``attach_kernel`` (the config is frozen).  A class that costs
+more per hook adds to the two constants there (ghOSt: one agent message
+per hook); only the Enoki shim overrides the reads, to add what is not
+constant — the recorder's per-hook overhead while it is active and the
+one-shot upgrade blackout.  ``migrate_ns``, ``context_switch_ns`` and the
+wakeup/idle-exit model are the dispatcher's and the migration service's,
+not the class's.
 """
 
 # Wake flags, mirroring the kernel's WF_*.
@@ -49,31 +69,23 @@ class SchedClass:
     def attach_kernel(self, kernel):
         """Called once at registration."""
         self.kernel = kernel
+        cfg = kernel.config
+        self._walk_cost_ns = cfg.sched_balance_ns + cfg.sched_pick_ns
+        self._hook_cost_ns = cfg.sched_queue_ns
 
     def detach_kernel(self):
         self.kernel = None
 
-    # -- cost model --------------------------------------------------------
+    # -- cost model (contract in the module docstring) ---------------------
 
-    def invocation_cost_ns(self, hook):
-        """Kernel time charged per hook invocation.
+    def pick_walk_cost_ns(self):
+        """Kernel time one pick-walk visit costs: ``balance`` +
+        ``pick_next_task`` + extras accrued since the last read."""
+        return self._walk_cost_ns
 
-        Native classes charge the plain in-kernel bookkeeping constants;
-        the Enoki adapter overrides this to add the framework's dispatch
-        overhead (paper: 100-150 ns per invocation).
-        """
-        cfg = self.kernel.config
-        if hook == "pick_next_task":
-            return cfg.sched_pick_ns
-        if hook in ("balance",):
-            return cfg.sched_balance_ns
-        return cfg.sched_queue_ns
-
-    def consume_extra_cost_ns(self):
-        """Extra kernel time accrued by side effects of the last hook
-        (e.g. arming a preemption timer).  Collected once by the pick
-        path; returns 0 by default."""
-        return 0
+    def hooks_cost_ns(self, n):
+        """Kernel time ``n`` placement / state-tracking hooks cost."""
+        return n * self._hook_cost_ns
 
     # -- placement ---------------------------------------------------------
 

@@ -49,20 +49,22 @@ class TaskState(enum.Enum):
     DEAD = "dead"
 
 
-_ALLOWED = {
-    TaskState.NEW: {TaskState.RUNNABLE},
-    TaskState.RUNNABLE: {
-        TaskState.RUNNING, TaskState.THROTTLED, TaskState.DEAD,
-    },
-    TaskState.RUNNING: {
-        TaskState.RUNNABLE, TaskState.BLOCKED, TaskState.DEAD,
-    },
-    TaskState.BLOCKED: {
-        TaskState.RUNNABLE, TaskState.THROTTLED, TaskState.DEAD,
-    },
-    TaskState.THROTTLED: {TaskState.RUNNABLE, TaskState.DEAD},
-    TaskState.DEAD: set(),
-}
+#: The legal transitions, hung on the members themselves as tuples:
+#: ``in`` on a tuple compares by identity, so ``set_state`` hashes no
+#: enum (``Enum.__hash__`` is a Python-level frame, and every dispatch,
+#: block and wakeup crosses the table).
+TaskState.NEW.successors = (TaskState.RUNNABLE,)
+TaskState.RUNNABLE.successors = (
+    TaskState.RUNNING, TaskState.THROTTLED, TaskState.DEAD,
+)
+TaskState.RUNNING.successors = (
+    TaskState.RUNNABLE, TaskState.BLOCKED, TaskState.DEAD,
+)
+TaskState.BLOCKED.successors = (
+    TaskState.RUNNABLE, TaskState.THROTTLED, TaskState.DEAD,
+)
+TaskState.THROTTLED.successors = (TaskState.RUNNABLE, TaskState.DEAD)
+TaskState.DEAD.successors = ()
 
 
 class TaskStruct:
@@ -145,7 +147,7 @@ class TaskStruct:
     # -- state machine ---------------------------------------------------
 
     def set_state(self, new_state):
-        if new_state not in _ALLOWED[self.state]:
+        if new_state not in self.state.successors:
             raise TaskLifecycleError(
                 f"{self}: illegal transition {self.state.value} -> "
                 f"{new_state.value}"

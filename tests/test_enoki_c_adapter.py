@@ -256,8 +256,8 @@ class TestCostAccounting:
     def test_blackout_charged_once(self):
         kernel, shim, sched = make()
         shim.note_upgrade_blackout(50_000)
-        first = shim.invocation_cost_ns("pick_next_task")
-        second = shim.invocation_cost_ns("pick_next_task")
+        first = shim.pick_walk_cost_ns()
+        second = shim.pick_walk_cost_ns()
         assert first - second == 50_000
 
 

@@ -8,7 +8,7 @@ any Enoki machinery is layered on top.
 import pytest
 
 from repro.simkernel import Kernel, Pipe, SimConfig, Topology
-from repro.simkernel.errors import SchedulingError
+from repro.simkernel.errors import ProgramError, SchedulingError
 from repro.simkernel.program import (
     Call,
     Exit,
@@ -17,14 +17,17 @@ from repro.simkernel.program import (
     PipeRead,
     PipeWrite,
     Run,
+    SendHint,
     SetAffinity,
     SetNice,
     Sleep,
     Spawn,
     YieldCpu,
 )
+from repro.core import EnokiSchedClass
 from repro.exp import KernelBuilder
 from repro.schedulers.fifo_native import NativeFifoClass
+from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel.futex import Futex
 from repro.simkernel.task import TaskState
 
@@ -403,10 +406,64 @@ class TestClassStacking:
         kernel.run_until_idle()
         kernel.unregister_sched_class(1)
 
+    def test_unregister_drops_the_hint_handler(self):
+        """A hint for a policy whose class is gone is the sender's
+        program error, not a crash inside the detached shim."""
+        kernel, _ = make_kernel()
+        EnokiSchedClass.register(kernel, EnokiWfq(2, 7), 7)
+        kernel.unregister_sched_class(7)
+
+        def prog():
+            yield SendHint({"deadline": 1}, policy=7)
+
+        kernel.spawn(prog, policy=1)
+        with pytest.raises(ProgramError, match="no hint handler for policy 7"):
+            kernel.run_until_idle()
+
+    def test_unregister_drops_redirects_onto_the_policy(self):
+        kernel, fifo = make_kernel()
+        kernel.register_sched_class(NativeFifoClass(policy=2), priority=5)
+        kernel.redirect_policy(1, 2)
+        kernel.unregister_sched_class(2)
+
+        def prog():
+            yield Run(1_000)
+
+        # Policy 1 is served by its own class again, not routed to a
+        # class that is no longer there.
+        task = kernel.spawn(prog, policy=1)
+        assert kernel.class_of(task) is fifo
+        kernel.run_until_idle()
+        assert task.state is TaskState.DEAD
+
+    def test_unregister_drops_the_policys_own_redirect(self):
+        kernel, fifo = make_kernel()
+        kernel.register_sched_class(NativeFifoClass(policy=2), priority=5)
+        kernel.redirect_policy(2, 1)           # failover: 2 served by 1
+        kernel.unregister_sched_class(2)
+        fresh = kernel.register_sched_class(NativeFifoClass(policy=2))
+
+        def prog():
+            yield Run(1_000)
+
+        # A class registered under the number later is not hijacked by
+        # the old failover route.
+        assert kernel.class_of(kernel.spawn(prog, policy=2)) is fresh
+        kernel.run_until_idle()
+
     def test_duplicate_policy_rejected(self):
         kernel, _ = make_kernel()
         with pytest.raises(SchedulingError):
             kernel.register_sched_class(NativeFifoClass(policy=1))
+
+    def test_class_priority_is_the_registered_one(self):
+        kernel, fifo = make_kernel()
+        assert kernel.class_priority(fifo) == 10
+        with pytest.raises(SchedulingError):
+            kernel.class_priority(NativeFifoClass(policy=9))
+        kernel.unregister_sched_class(1)
+        with pytest.raises(SchedulingError):
+            kernel.class_priority(fifo)
 
 
 class TestAccounting:

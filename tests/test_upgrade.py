@@ -117,10 +117,10 @@ class TestUpgrade:
         kernel.run_until(100_000)
         manager = UpgradeManager(kernel, shim)
         report = manager.upgrade_now(EnokiFifo(2, POLICY))
-        cost = shim.invocation_cost_ns("pick_next_task")
+        cost = shim.hooks_cost_ns(1)
         assert cost >= report.pause_ns
         # The blackout is charged exactly once.
-        assert shim.invocation_cost_ns("pick_next_task") < report.pause_ns
+        assert shim.hooks_cost_ns(1) < report.pause_ns
 
     def test_repeated_upgrades(self):
         kernel, shim, _ = make()
@@ -188,7 +188,7 @@ class TestUpgrade:
         assert manager.reports == [report]
         assert report.pause_ns > 0
         # The quiesce window was real: the blackout is still charged.
-        assert shim.invocation_cost_ns("pick_next_task") >= report.pause_ns
+        assert shim.pick_walk_cost_ns() >= report.pause_ns
         kernel.run_until_idle()
 
     def test_upgrade_after_aborted_upgrade_succeeds(self):
