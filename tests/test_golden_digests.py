@@ -8,22 +8,46 @@ virtual time, every task's runtimes and counters, per-CPU accounting)
 recorded on the commit *before* the schedule path was made single-pass,
 with ``src/`` untouched, and must never change because of a refactor:
 every virtual cost, RNG draw and ``(time, seq)`` order feeds them.
+
+The ``nest`` / ``arachne`` / ``upgrade-mixed`` literals were recorded the
+same way on the commit before the Enoki policies moved onto one shared
+token queue: they pin the two policies ``KernelBuilder`` cannot name and
+one mid-run live upgrade per transfer family, taken while run queues are
+several deep and both serverless tiers are populated.
 """
 
 import pytest
 
+from repro.arachne_rt import ArachneRuntime, URun
+from repro.arachne_rt.clients import EnokiArbiterClient
 from repro.core import EnokiSchedClass
 from repro.core.record import Recorder
 from repro.exp import KernelBuilder, ScenarioSpec
-from repro.exp.builder import _native_factories, enoki_scheduler_names
+from repro.exp.builder import (
+    Session,
+    _native_factories,
+    enoki_scheduler_names,
+)
+from repro.schedulers.arachne import EnokiCoreArbiter
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.deadline import DeadlineSchedClass
+from repro.schedulers.nest import EnokiNest
 from repro.schedulers.rt import RtSchedClass
 from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel import Kernel, SimConfig, TaskState, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.pipe import Pipe
-from repro.simkernel.program import PipeRead, PipeWrite, Run, Sleep, Spawn
+from repro.simkernel.program import (
+    PipeRead,
+    PipeWrite,
+    Run,
+    SendHint,
+    SetAffinity,
+    SetNice,
+    Sleep,
+    Spawn,
+    YieldCpu,
+)
 from repro.verify import episode_digest, state_digest
 from repro.workloads.hackbench import run_hackbench
 from repro.workloads.multitenant import run_multitenant
@@ -48,10 +72,25 @@ SCHEDULERS = {
 }
 
 
-def session_for(sched, **spec_fields):
-    return KernelBuilder.session_from_spec(ScenarioSpec(
-        name=f"golden-{sched}", sched=sched, topology="smp:4", seed=SEED,
-        sched_options=SCHEDULERS[sched], **spec_fields))
+def direct_session(factory, policy, topology):
+    """An Enoki policy ``KernelBuilder`` cannot name, registered directly
+    over a CFS base the way ``from_spec`` stacks the nameable ones."""
+    kernel = Kernel(topology, SimConfig(seed=SEED))
+    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
+    shim = EnokiSchedClass.register(kernel, factory(), policy, priority=10)
+    return Session(kernel, policy, shim=shim, scheduler_factory=factory)
+
+
+def session_for(sched, upgrade_at_ns=0):
+    if sched != "nest":
+        return KernelBuilder.session_from_spec(ScenarioSpec(
+            name=f"golden-{sched}", sched=sched, topology="smp:4",
+            seed=SEED, sched_options=SCHEDULERS[sched],
+            upgrade_at_ns=upgrade_at_ns))
+    session = direct_session(lambda: EnokiNest(4, 12), 12, Topology.smp(4))
+    if upgrade_at_ns:
+        session.schedule_upgrade(upgrade_at_ns)
+    return session
 
 
 def pipe_digest(sched):
@@ -124,6 +163,110 @@ def upgrade_digest():
     session.run_until_idle()
     assert len(session.upgrades.reports) == 1
     return state_digest(session.kernel)
+
+
+#: one mid-run live upgrade per transfer family (``arachne`` has its own
+#: workload below); ``locality`` exports no transfer state on the commit
+#: these were recorded on, so it runs the same traffic without one
+UPGRADE_FAMILIES = ("eevdf", "fifo", "nest", "serverless", "shinjuku", "wfq")
+MIXED_UPGRADE_AT_NS = 1_500_000
+
+
+def mixed_digest(sched, upgrade_at_ns=MIXED_UPGRADE_AT_NS):
+    """Traffic under which every policy structure holds something at
+    1.5 ms, where the live upgrade lands: run queues several deep, hogs
+    past serverless's 1 ms demotion threshold (so its long tier is
+    populated), yielders, a renice, affinity flips, forks, and
+    duration/locality hints."""
+    session = session_for(sched, upgrade_at_ns=upgrade_at_ns)
+    kernel = session.kernel
+
+    def hog():
+        yield SendHint({"expected_ns": 2_500_000, "locality": 1})
+        yield Run(2_500_000)
+
+    def undeclared_hog():
+        yield Run(2_200_000)
+
+    def yielder():
+        for _ in range(25):
+            yield Run(30_000)
+            yield YieldCpu()
+
+    def mover():
+        yield SendHint({"expected_ns": 200_000, "locality": 2})
+        yield Run(200_000)
+        yield SetAffinity(frozenset({1}))
+        yield Run(600_000)
+        yield SetNice(5)
+        yield SetAffinity(frozenset({0, 1, 2, 3}))
+        yield Run(600_000)
+
+    def forker():
+        for _ in range(6):
+            yield Run(40_000)
+            yield Spawn(phased(3, 30_000, 20_000))
+            yield Sleep(250_000)
+
+    tasks = [session.spawn(phased(25, 50_000, 20_000)) for _ in range(6)]
+    tasks += [session.spawn(prog, nice=nice)
+              for prog, nice in ((hog, 0), (hog, 3), (undeclared_hog, -2),
+                                 (yielder, 0), (yielder, 0), (mover, 0),
+                                 (forker, 0))]
+    queued = []
+    kernel.events.at(MIXED_UPGRADE_AT_NS - 1, lambda: queued.append(sum(
+        t.state is TaskState.RUNNABLE for t in kernel.tasks.values())))
+    session.run_until_idle()
+    assert queued[0] > kernel.topology.nr_cpus
+    assert all(t.state is TaskState.DEAD for t in tasks)
+    if upgrade_at_ns:
+        report, = session.upgrades.reports
+        assert not report.aborted and report.transferred_state
+        assert session.shim.lib.scheduler.generation == 2
+    return state_digest(kernel)
+
+
+def arachne_digest(upgrade_at_ns=0):
+    """The core arbiter driven by two Arachne runtimes competing for
+    cores: registration, grant, park and reclaim hints, parked tokens
+    held across picks (and, with ``upgrade_at_ns``, across a live
+    upgrade)."""
+    def factory():
+        return EnokiCoreArbiter(8, 11, managed_cores=range(1, 6))
+
+    session = direct_session(factory, 11, Topology.small8())
+    kernel, shim = session.kernel, session.shim
+    done = []
+
+    def runtime(name, cores, max_cores):
+        return ArachneRuntime(
+            kernel, cores=cores, policy=11, arbiter=EnokiArbiterClient(shim),
+            name=name, min_cores=1, max_cores=max_cores).start(1)
+
+    def work(ns):
+        def prog():
+            yield URun(ns)
+        return prog
+
+    rt_a = runtime("a", [1, 2, 3, 4], 4)
+    rt_b = runtime("b", [3, 4, 5], 3)
+    if upgrade_at_ns:
+        session.schedule_upgrade(upgrade_at_ns)
+    kernel.run_for(msecs(2))
+    for index in range(12):
+        rt_a.submit(work(usecs(300 + 150 * index)),
+                    on_done=lambda t: done.append("a"))
+    kernel.run_for(msecs(2))
+    for index in range(8):
+        rt_b.submit(work(usecs(900 - 70 * index)),
+                    on_done=lambda t: done.append("b"))
+    kernel.run_for(msecs(16))
+    assert sorted(done) == ["a"] * 12 + ["b"] * 8
+    if upgrade_at_ns:
+        report, = session.upgrades.reports
+        assert not report.aborted and report.transferred_state
+        assert shim.lib.scheduler.generation == 2
+    return state_digest(kernel)
 
 
 def recorder_digest():
@@ -249,6 +392,30 @@ GOLDEN = {
         "0355c1fdc6d4c02fc10761a43312354a81cb7b044c26927a9ecc43924cbceab4",
     ('deep-idle', 'wfq'):
         "659ef585c3d272ca69b81bd9c410c9aada78959dfb557dc67d90cf238920d53d",
+    ('pipe', 'nest'):
+        "62e6b496b743ea2ca96705bee96505955b6b92a15960abf997e32093c0625c72",
+    ('hackbench', 'nest'):
+        "546cdf5b9fd35c7db1f93fac97e195ffad27374c34e00017acdb75e574a0af7a",
+    ('hackbench-deep', 'nest'):
+        "e4bdd59e0c07383d5cccb62ce7b7ffd38a3e5057b0c719bc3a833a47c1bfaa21",
+    ('upgrade-mixed', 'eevdf'):
+        "b85115d7bf9f4b0f58de9055049791c62837a032e690111384e2114f969f7d56",
+    ('upgrade-mixed', 'fifo'):
+        "82a87e4cf2057414a8acfaaeeb1face78b7d2e2123deae793499747e6d8e3873",
+    ('upgrade-mixed', 'nest'):
+        "ffc20245f0271a3b9f48fdfd38a4c92139402066da6ae16abb06153b0b06b894",
+    ('upgrade-mixed', 'serverless'):
+        "404d90727491a317b6c3f6a398fdd33f29a12a7307719d710cf7f27ec3068a30",
+    ('upgrade-mixed', 'shinjuku'):
+        "3407fb05afd6466631542b05f298e9cb7d8deb61bc23e57a397c03bfa736d25e",
+    ('upgrade-mixed', 'wfq'):
+        "190fd782042ba0be6f669711acd9f4cf7ea72d7593ba7f829ade114d3d34aebc",
+    ('mixed', 'locality'):
+        "1e055103eb0332ac233bf7619b35392a414495903b4c73fa160da8afe8a22845",
+    'arachne':
+        "df1b45b2a2dc9515b6d4bb31cd612155ac96185ab18997df940585d54d395f1e",
+    'arachne-upgrade':
+        "318e65ad0011f68f3f37a949393cf8009f00f69cec68ece68e6ffe4acac8d6f6",
     ('fuzz', 0):
         "ab63173fe0f1d908d93d8454fca9bc2bf7a3804ab68a7aa5a40afff8df320783",
     ('fuzz', 1):
@@ -273,17 +440,21 @@ def test_every_nameable_scheduler_is_pinned():
     assert named <= set(SCHEDULERS)
 
 
-@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+#: ``nest`` is not ``KernelBuilder``-nameable; ``session_for`` registers it
+PINNED = sorted(SCHEDULERS) + ["nest"]
+
+
+@pytest.mark.parametrize("sched", PINNED)
 def test_pipe_digest_is_golden(sched):
     assert pipe_digest(sched) == GOLDEN["pipe", sched]
 
 
-@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+@pytest.mark.parametrize("sched", PINNED)
 def test_hackbench_digest_is_golden(sched):
     assert hackbench_digest(sched) == GOLDEN["hackbench", sched]
 
 
-@pytest.mark.parametrize("sched", sorted(SCHEDULERS))
+@pytest.mark.parametrize("sched", PINNED)
 def test_deep_hackbench_digest_is_golden(sched):
     """Sixteen tasks on four CPUs: run queues several deep, balance
     pulls and failed migrations — where the schedulers tell apart."""
@@ -301,6 +472,25 @@ def test_four_class_stack_digest_is_golden():
 
 def test_live_upgrade_digest_is_golden():
     assert upgrade_digest() == GOLDEN["upgrade"]
+
+
+@pytest.mark.parametrize("sched", UPGRADE_FAMILIES)
+def test_mixed_traffic_upgrade_digest_is_golden(sched):
+    assert mixed_digest(sched) == GOLDEN["upgrade-mixed", sched]
+
+
+def test_mixed_traffic_locality_digest_is_golden():
+    """Hinted groups: co-location, and a balance that skips hinted work."""
+    assert (mixed_digest("locality", upgrade_at_ns=0)
+            == GOLDEN["mixed", "locality"])
+
+
+def test_arachne_arbiter_digest_is_golden():
+    assert arachne_digest() == GOLDEN["arachne"]
+
+
+def test_arachne_arbiter_upgrade_digest_is_golden():
+    assert arachne_digest(upgrade_at_ns=msecs(3)) == GOLDEN["arachne-upgrade"]
 
 
 def test_recorder_active_digest_is_golden():
