@@ -9,51 +9,13 @@ translate here into each Enoki scheduler being a small fraction of the
 framework + substrate it rides on.
 """
 
-from pathlib import Path
-
 from bench_common import print_table
 from conftest import run_once
-
-ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-COMPONENTS = {
-    "Enoki-C equivalent (core/enoki_c.py)": ["core/enoki_c.py"],
-    "Scheduler libEnoki (core: trait, messages, tokens, locks)": [
-        "core/trait.py", "core/messages.py", "core/schedulable.py",
-        "core/libenoki.py", "core/rwlock.py", "core/hints.py",
-        "core/upgrade.py",
-    ],
-    "Record + replay": ["core/record.py", "core/replay.py"],
-    "Kernel substrate (simkernel)": ["simkernel"],
-    "CFS baseline": ["schedulers/cfs.py"],
-    "Enoki WFQ": ["schedulers/wfq.py"],
-    "Enoki Shinjuku": ["schedulers/shinjuku.py"],
-    "Enoki locality": ["schedulers/locality.py"],
-    "Enoki core arbiter": ["schedulers/arachne.py"],
-    "ghOSt model": ["schedulers/ghost.py"],
-    "Arachne runtime": ["arachne_rt"],
-    "Workloads": ["workloads"],
-}
-
-
-def _count(path):
-    full = ROOT / path
-    files = [full] if full.is_file() else sorted(full.rglob("*.py"))
-    total = 0
-    for file in files:
-        for line in file.read_text().splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                total += 1
-    return total
+from table2 import check_proportions, inventory
 
 
 def test_table2_loc(benchmark):
-    def experiment():
-        return {name: sum(_count(p) for p in paths)
-                for name, paths in COMPONENTS.items()}
-
-    counts = run_once(benchmark, experiment)
+    counts = run_once(benchmark, inventory)
     rows = [[name, loc] for name, loc in counts.items()]
     print_table(
         "Table 2 analogue — lines of code by component",
@@ -62,11 +24,4 @@ def test_table2_loc(benchmark):
                    "schedulers: WFQ 646, Shinjuku 285, locality 203, "
                    "arbiter 579 — each far below CFS's 6247",
     )
-    # The paper's proportionality claims: every Enoki scheduler is much
-    # smaller than the CFS it competes with, and the framework dwarfs any
-    # single policy.
-    cfs = counts["CFS baseline"]
-    for sched in ("Enoki WFQ", "Enoki Shinjuku", "Enoki locality",
-                  "Enoki core arbiter"):
-        assert counts[sched] < cfs * 1.2
-    assert counts["Enoki Shinjuku"] < counts["Enoki WFQ"] * 1.5
+    check_proportions(counts)

@@ -9,7 +9,9 @@ Native (trusted, kernel-side) classes:
 * :mod:`~repro.schedulers.ghost` — the ghOSt comparison model.
 
 Enoki schedulers (implement :class:`repro.core.trait.EnokiScheduler` and
-are loaded through the framework):
+are loaded through the framework; the hand-written ones keep their tokens
+in the :class:`~repro.schedulers.base.TokenQueue` and share the
+:class:`~repro.schedulers.base.QueuePolicy` base class):
 
 * :class:`~repro.schedulers.wfq.EnokiWfq` — weighted fair queuing
   (paper section 4.2.1).

@@ -31,7 +31,7 @@ on the process's reverse queue.
 
 from dataclasses import dataclass, field
 
-from repro.core.trait import EnokiScheduler
+from repro.schedulers.base import QueuePolicy, TokenQueue
 
 
 @dataclass
@@ -47,37 +47,28 @@ class _ProcessState:
 class ArbiterTransferState:
     """State passed across a live upgrade of the arbiter."""
 
-    processes: dict = field(default_factory=dict)
-    parked: dict = field(default_factory=dict)
-    queues: dict = field(default_factory=dict)
-    generation: int = 1
+    processes: dict
+    parked: dict
+    queues: TokenQueue
+    generation: int
 
 
-class EnokiCoreArbiter(EnokiScheduler):
+class EnokiCoreArbiter(QueuePolicy):
     """Two-level scheduling: processes request cores, the arbiter grants
     them by scheduling (or refusing to schedule) dispatcher kthreads."""
 
     TRANSFER_TYPE = ArbiterTransferState
+    LOCK_NAME = "arbiter-state"
 
     def __init__(self, nr_cpus, policy=11, managed_cores=None):
-        super().__init__()
-        self.nr_cpus = nr_cpus
-        self.policy = policy
+        super().__init__(nr_cpus, policy)
         self.managed_cores = (set(managed_cores) if managed_cores is not None
                               else set(range(nr_cpus)))
         self.processes = {}        # name -> _ProcessState
         self.process_of_pid = {}   # pid -> process name
         self.core_of_pid = {}      # pid -> core
         self.parked = {}           # pid -> Schedulable (held while parked)
-        self.queues = {c: [] for c in range(nr_cpus)}   # [(pid, token)]
-        self.generation = 1
-        self.lock = None
-
-    def module_init(self):
-        self.lock = self.env.create_lock("arbiter-state")
-
-    def get_policy(self):
-        return self.policy
+        self.queues = TokenQueue(nr_cpus)   # per-core FIFO
 
     # ------------------------------------------------------------------
     # hints: the arbiter protocol
@@ -153,7 +144,7 @@ class EnokiCoreArbiter(EnokiScheduler):
         if pid in self.parked:
             token = self.parked.pop(pid)
             if token is not None:
-                self.queues[core].append((pid, token))
+                self.queues.push_back(core, pid, token)
             # Standard kernel scheduling mechanism: just get the core to
             # run its pick path again.
             self.env.start_resched_timer(core, 0)
@@ -180,7 +171,7 @@ class EnokiCoreArbiter(EnokiScheduler):
             # Parked kthread: hold the token, do not queue it for pick.
             self.parked[pid] = sched
         else:
-            self.queues[sched.cpu].append((pid, sched))
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_new(self, pid, tgid, runtime, runnable, prio, sched):
         with self.lock:
@@ -203,11 +194,11 @@ class EnokiCoreArbiter(EnokiScheduler):
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
         with self.lock:
-            self._drop(pid)
+            self.queues.remove(pid)
 
     def task_dead(self, pid):
         with self.lock:
-            self._drop(pid)
+            self.queues.remove(pid)
             self.parked.pop(pid, None)
             name = self.process_of_pid.pop(pid, None)
             core = self.core_of_pid.pop(pid, None)
@@ -220,24 +211,15 @@ class EnokiCoreArbiter(EnokiScheduler):
     def task_departed(self, pid, cpu_seqnum, cpu, from_switchto,
                       was_current):
         with self.lock:
-            token = self._drop(pid)
+            token = self.queues.remove(pid)
             if token is None:
                 token = self.parked.pop(pid, None)
             return token
 
-    def _drop(self, pid):
-        token = None
-        for queue in self.queues.values():
-            for entry in list(queue):
-                if entry[0] == pid:
-                    queue.remove(entry)
-                    token = entry[1]
-        return token
-
     def migrate_task_rq(self, pid, new_cpu, sched):
         with self.lock:
-            old = self._drop(pid)
-            self.queues[new_cpu].append((pid, sched))
+            old = self.queues.remove(pid)
+            self.queues.push_back(new_cpu, pid, sched)
         return old
 
     # ------------------------------------------------------------------
@@ -246,39 +228,20 @@ class EnokiCoreArbiter(EnokiScheduler):
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
-            queue = self.queues[cpu]
+            queue = self.queues.cpus[cpu]
             while queue:
-                pid, token = queue.pop(0)
+                _seq, pid, token = self.queues.pop_head(cpu)
                 if pid in self.parked:
                     self.parked[pid] = token
                     continue
                 return token
         return None
 
-    def pnt_err(self, cpu, pid, err, sched):
-        if sched is not None:
-            with self.lock:
-                self._drop(sched.pid)
-
     # ------------------------------------------------------------------
     # live upgrade
     # ------------------------------------------------------------------
 
-    def reregister_prepare(self):
-        return ArbiterTransferState(
-            processes=self.processes,
-            parked=self.parked,
-            queues=self.queues,
-            generation=self.generation,
-        )
-
-    def reregister_init(self, state):
-        if state is None:
-            return
-        self.processes = state.processes
-        self.parked = state.parked
-        self.queues = state.queues
-        self.generation = state.generation + 1
+    def transfer_adopted(self):
         for proc in self.processes.values():
             for core, pid in proc.kthreads.items():
                 self.process_of_pid[pid] = proc.name

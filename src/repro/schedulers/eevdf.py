@@ -89,36 +89,31 @@ class EnokiEevdf(EnokiWfq):
     # ------------------------------------------------------------------
 
     def _queue_average_vruntime(self, cpu):
-        queue = self.queues[cpu]
+        queue = self.queues.cpus[cpu]
         if not queue:
             return 0
         total_weight = 0
         weighted = 0
-        for pid, _token in queue:
+        for vruntime, pid, _token in queue:
             weight = self.weights.get(pid, NICE_0_WEIGHT)
             total_weight += weight
-            weighted += self.vruntime.get(pid, 0) * weight
+            weighted += vruntime * weight
         return weighted // max(1, total_weight)
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
             for pid, runtime in runtimes.items():
                 self._observe_runtime(pid, runtime)
-            queue = self.queues[cpu]
+            queue = self.queues.cpus[cpu]
             if not queue:
                 return None
             average = self._queue_average_vruntime(cpu)
-            eligible = [
-                entry for entry in queue
-                if self.vruntime.get(entry[0], 0) <= average
-            ]
+            eligible = [entry for entry in queue if entry[0] <= average]
             pool = eligible if eligible else queue
-            pid, token = min(
+            vruntime, pid, _token = min(
                 pool,
-                key=lambda entry: self.vdeadline.get(entry[0], 0),
+                key=lambda entry: self.vdeadline.get(entry[1], 0),
             )
-            queue.remove((pid, token))
-            vr = self.vruntime.get(pid, 0)
-            self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vr)
+            self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
             self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
-            return token
+            return self.queues.remove(pid)

@@ -4,46 +4,36 @@
     each core and schedules these tasks first come, first serve on each
     core"
 
-It is written purely against the :class:`EnokiScheduler` trait: every task
-it queues is represented by the ``Schedulable`` token the framework handed
-it, and picking a task spends that token.  This file doubles as the
-reference implementation for the docs' quickstart and carries the transfer
-state used by the live-upgrade examples.
+Every task it queues is represented by the ``Schedulable`` token the
+framework handed it, and picking a task spends that token.  The queue the
+tokens wait in and the load/identity/upgrade boilerplate come from
+:mod:`repro.schedulers.base`; what is left here is the policy.  This file
+doubles as the reference implementation for the docs' quickstart and
+carries the transfer state used by the live-upgrade examples.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.trait import EnokiScheduler
+from repro.schedulers.base import QueuePolicy, TokenQueue
 
 
 @dataclass
 class FifoTransferState:
     """State passed across a live upgrade of the FIFO scheduler."""
 
-    queues: dict = field(default_factory=dict)   # cpu -> deque[(pid, token)]
-    generation: int = 1
+    queues: TokenQueue
+    generation: int
 
 
-class EnokiFifo(EnokiScheduler):
+class EnokiFifo(QueuePolicy):
     """First-come-first-serve per-core queues."""
 
     TRANSFER_TYPE = FifoTransferState
+    LOCK_NAME = "fifo-queues"
 
     def __init__(self, nr_cpus, policy=7):
-        super().__init__()
-        self.nr_cpus = nr_cpus
-        self.policy = policy
-        self.queues = {cpu: deque() for cpu in range(nr_cpus)}
-        self.lock = None
-        #: bumped by each upgraded version, for the upgrade tests/examples
-        self.generation = 1
-
-    def module_init(self):
-        self.lock = self.env.create_lock("fifo-queues")
-
-    def get_policy(self):
-        return self.policy
+        super().__init__(nr_cpus, policy)
+        self.queues = TokenQueue(nr_cpus)
 
     # -- placement -------------------------------------------------------
 
@@ -52,84 +42,43 @@ class EnokiFifo(EnokiScheduler):
         candidates = (allowed_cpus if allowed_cpus is not None
                       else range(self.nr_cpus))
         with self.lock:
-            return min(candidates, key=lambda c: len(self.queues[c]))
+            queues = self.queues.cpus
+            return min(candidates, key=lambda c: len(queues[c]))
 
     # -- state tracking ------------------------------------------------------
 
-    def _enqueue(self, sched):
-        with self.lock:
-            self.queues[sched.cpu].append((sched.pid, sched))
-
-    def _drop(self, pid):
-        with self.lock:
-            for queue in self.queues.values():
-                for entry in list(queue):
-                    if entry[0] == pid:
-                        queue.remove(entry)
-
     def task_new(self, pid, tgid, runtime, runnable, prio, sched):
-        self._enqueue(sched)
+        with self.lock:
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
                     wake_up_cpu, waker_cpu, sched):
-        self._enqueue(sched)
+        with self.lock:
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
-        self._drop(pid)
+        with self.lock:
+            self.queues.remove(pid)
 
     def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
                      was_latched, sched):
-        self._enqueue(sched)
+        with self.lock:
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
-        self._drop(pid)
-
-    def task_departed(self, pid, cpu_seqnum, cpu, from_switchto,
-                      was_current):
         with self.lock:
-            for queue in self.queues.values():
-                for entry in list(queue):
-                    if entry[0] == pid:
-                        queue.remove(entry)
-                        return entry[1]
-        return None
+            self.queues.remove(pid)
 
     def migrate_task_rq(self, pid, new_cpu, sched):
-        old_token = None
         with self.lock:
-            for queue in self.queues.values():
-                for entry in list(queue):
-                    if entry[0] == pid:
-                        queue.remove(entry)
-                        old_token = entry[1]
-                        break
-            self.queues[new_cpu].append((pid, sched))
+            old_token = self.queues.remove(pid)
+            self.queues.push_back(new_cpu, pid, sched)
         return old_token
 
     # -- decisions --------------------------------------------------------------
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
-            if self.queues[cpu]:
-                _pid, token = self.queues[cpu].popleft()
-                return token
+            if self.queues.cpus[cpu]:
+                return self.queues.pop_head(cpu)[2]
         return None
-
-    def pnt_err(self, cpu, pid, err, sched):
-        # Ownership of the rejected token returns to us; since it is stale
-        # there is nothing useful to do but drop our bookkeeping for it.
-        if sched is not None:
-            self._drop(sched.pid)
-
-    # -- live upgrade -------------------------------------------------------------
-
-    def reregister_prepare(self):
-        return FifoTransferState(queues=self.queues,
-                                 generation=self.generation)
-
-    def reregister_init(self, state):
-        if state is not None:
-            self.queues = state.queues
-            for cpu in range(self.nr_cpus):
-                self.queues.setdefault(cpu, deque())
-            self.generation = state.generation + 1

@@ -18,38 +18,48 @@ tasks uniformly at random — the paper's no-hints baseline for Table 6.
 """
 
 import random
-from collections import deque
+from dataclasses import dataclass
 
-from repro.core.trait import EnokiScheduler
+from repro.schedulers.base import TokenQueue
+from repro.schedulers.fifo import EnokiFifo
 
 
-class EnokiLocality(EnokiScheduler):
-    """Hint-driven co-location over per-core FIFO queues."""
+@dataclass
+class LocalityTransferState:
+    """State passed across a live upgrade of the locality scheduler."""
+
+    queues: TokenQueue
+    current: dict
+    group_of: dict
+    core_of_group: dict
+    _next_group_core: int
+    hints_seen: int
+    rng: random.Random
+    generation: int
+
+
+class EnokiLocality(EnokiFifo):
+    """Hint-driven co-location over the FIFO scheduler's per-core queues:
+    enqueueing and migration are inherited, placement, the running-task
+    map and stealing are not."""
+
+    TRANSFER_TYPE = LocalityTransferState
+    LOCK_NAME = "locality-state"
 
     #: refuse to co-locate onto a core already holding this many tasks
     OVERLOAD_THRESHOLD = 8
 
     def __init__(self, nr_cpus, policy=9, mode="hints", seed=1):
-        super().__init__()
+        super().__init__(nr_cpus, policy)
         if mode not in ("hints", "random"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.nr_cpus = nr_cpus
-        self.policy = policy
         self.mode = mode
         self.rng = random.Random(seed)
-        self.queues = {cpu: deque() for cpu in range(nr_cpus)}
         self.current = {}          # cpu -> running pid
         self.group_of = {}         # pid -> locality value
         self.core_of_group = {}    # locality value -> cpu
         self._next_group_core = 0
         self.hints_seen = 0
-        self.lock = None
-
-    def module_init(self):
-        self.lock = self.env.create_lock("locality-state")
-
-    def get_policy(self):
-        return self.policy
 
     # ------------------------------------------------------------------
     # hints
@@ -88,7 +98,8 @@ class EnokiLocality(EnokiScheduler):
         if allowed_cpus is not None and core not in allowed_cpus:
             return None
         # Co-location is advisory: skip it when the core is overloaded.
-        load = len(self.queues[core]) + (1 if core in self.current else 0)
+        load = (len(self.queues.cpus[core])
+                + (1 if core in self.current else 0))
         if load >= self.OVERLOAD_THRESHOLD:
             return None
         return core
@@ -103,26 +114,18 @@ class EnokiLocality(EnokiScheduler):
             core = self._group_core(pid, allowed_cpus)
             if core is not None:
                 return core
+            queues = self.queues.cpus
             return min(candidates,
-                       key=lambda c: (len(self.queues[c])
+                       key=lambda c: (len(queues[c])
                                       + (1 if c in self.current else 0)))
 
     # ------------------------------------------------------------------
-    # per-core FIFO state
+    # per-core FIFO state, plus who is running where
     # ------------------------------------------------------------------
 
-    def task_new(self, pid, tgid, runtime, runnable, prio, sched):
-        with self.lock:
-            self.queues[sched.cpu].append((pid, sched))
-
-    def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
-                    wake_up_cpu, waker_cpu, sched):
-        with self.lock:
-            self.queues[sched.cpu].append((pid, sched))
-
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
-        self._drop(pid)
         with self.lock:
+            self.queues.remove(pid)
             if self.current.get(cpu) == pid:
                 del self.current[cpu]
 
@@ -131,43 +134,15 @@ class EnokiLocality(EnokiScheduler):
         with self.lock:
             if self.current.get(cpu) == pid:
                 del self.current[cpu]
-            self.queues[sched.cpu].append((pid, sched))
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
-        self._drop(pid)
         with self.lock:
+            self.queues.remove(pid)
             self.group_of.pop(pid, None)
             for cpu, running in list(self.current.items()):
                 if running == pid:
                     del self.current[cpu]
-
-    def task_departed(self, pid, cpu_seqnum, cpu, from_switchto,
-                      was_current):
-        with self.lock:
-            for queue in self.queues.values():
-                for entry in list(queue):
-                    if entry[0] == pid:
-                        queue.remove(entry)
-                        return entry[1]
-        return None
-
-    def _drop(self, pid):
-        with self.lock:
-            for queue in self.queues.values():
-                for entry in list(queue):
-                    if entry[0] == pid:
-                        queue.remove(entry)
-
-    def migrate_task_rq(self, pid, new_cpu, sched):
-        with self.lock:
-            old = None
-            for queue in self.queues.values():
-                for entry in list(queue):
-                    if entry[0] == pid:
-                        queue.remove(entry)
-                        old = entry[1]
-            self.queues[new_cpu].append((pid, sched))
-        return old
 
     # ------------------------------------------------------------------
     # decisions
@@ -175,26 +150,22 @@ class EnokiLocality(EnokiScheduler):
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
-            if self.queues[cpu]:
-                pid, token = self.queues[cpu].popleft()
+            if self.queues.cpus[cpu]:
+                _seq, pid, token = self.queues.pop_head(cpu)
                 self.current[cpu] = pid
                 return token
         return None
-
-    def pnt_err(self, cpu, pid, err, sched):
-        if sched is not None:
-            self._drop(sched.pid)
 
     def balance(self, cpu):
         # Locality beats work conservation for hinted groups; only pull
         # from cores whose queue holds unhinted overflow work.
         with self.lock:
-            if self.queues[cpu]:
+            if self.queues.cpus[cpu]:
                 return None
-            for other, queue in self.queues.items():
+            for other, queue in self.queues.cpus.items():
                 if other == cpu:
                     continue
-                for pid, _token in queue:
+                for _seq, pid, _token in queue:
                     if self.group_of.get(pid) is None:
                         return pid
         return None

@@ -44,7 +44,8 @@ class EnokiNest(EnokiWfq):
     # -- placement: the nest ----------------------------------------------
 
     def _nest_load(self, cpu):
-        return len(self.queues[cpu]) + (1 if cpu in self.current else 0)
+        return (len(self.queues.cpus[cpu])
+                + (1 if cpu in self.current else 0))
 
     def select_task_rq(self, pid, prev_cpu, waker_cpu, wake_flags,
                        allowed_cpus):

@@ -32,13 +32,9 @@ that plus run-to-completion shorts is where the p99 win over fairness
 schedulers comes from.
 """
 
-from bisect import insort
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
-from repro.core.trait import EnokiScheduler
-
-_SEQ = itemgetter(0)
+from repro.schedulers.base import QueuePolicy, TokenQueue
 
 SHORT = 0
 LONG = 1
@@ -59,24 +55,24 @@ def _fresh_counters():
 class ServerlessTransferState:
     """State passed across a live upgrade of the serverless scheduler."""
 
-    short_queues: dict = field(default_factory=dict)
-    long_queues: dict = field(default_factory=dict)
-    classes: dict = field(default_factory=dict)
-    episode_base: dict = field(default_factory=dict)
-    vruntime: dict = field(default_factory=dict)
-    last_runtime: dict = field(default_factory=dict)
-    min_vruntime: dict = field(default_factory=dict)
-    current: dict = field(default_factory=dict)
-    shorts_streak: dict = field(default_factory=dict)
-    next_seq: int = 0
-    counters: dict = field(default_factory=_fresh_counters)
-    generation: int = 1
+    short_queues: TokenQueue
+    long_queues: TokenQueue
+    classes: dict
+    episode_base: dict
+    vruntime: dict
+    last_runtime: dict
+    min_vruntime: dict
+    current: dict
+    shorts_streak: dict
+    counters: dict
+    generation: int
 
 
-class EnokiServerless(EnokiScheduler):
+class EnokiServerless(QueuePolicy):
     """Short-FaaS-first two-tier scheduler with runtime classification."""
 
     TRANSFER_TYPE = ServerlessTransferState
+    LOCK_NAME = "serverless-state"
 
     #: Opt out of the kernel's tick-driven wakeup preemption: shorts run
     #: to completion, and the module's own resched timers handle the one
@@ -85,17 +81,16 @@ class EnokiServerless(EnokiScheduler):
 
     def __init__(self, nr_cpus, policy=9, promote_threshold_us=1_000,
                  long_slice_us=1_000, long_every=8):
-        super().__init__()
-        self.nr_cpus = nr_cpus
-        self.policy = policy
+        super().__init__(nr_cpus, policy)
         self.promote_threshold_ns = promote_threshold_us * 1_000
         self.long_slice_ns = long_slice_us * 1_000
         #: anti-starvation: serve a LONG after this many SHORT picks
         self.long_every = long_every
-        # cpu -> [(seq, pid, token)] FCFS, sorted by seq at all times
-        self.short_queues = {cpu: [] for cpu in range(nr_cpus)}
-        # cpu -> [(pid, token)] sorted by vruntime (immutable while queued)
-        self.long_queues = {cpu: [] for cpu in range(nr_cpus)}
+        # FCFS by one arrival sequence over all CPUs
+        self.short_queues = TokenQueue(nr_cpus)
+        # keyed by vruntime at push time: it accrues only while a LONG
+        # task runs, so it cannot change under a queued entry
+        self.long_queues = TokenQueue(nr_cpus)
         self.classes = {}        # pid -> SHORT/LONG (absent = SHORT)
         self.episode_base = {}   # pid -> runtime at wake-episode start
         self.vruntime = {}       # pid -> accumulated LONG-class runtime
@@ -103,16 +98,7 @@ class EnokiServerless(EnokiScheduler):
         self.min_vruntime = {cpu: 0 for cpu in range(nr_cpus)}
         self.current = {}        # cpu -> (pid, class at pick)
         self.shorts_streak = {cpu: 0 for cpu in range(nr_cpus)}
-        self.next_seq = 0
         self.counters = _fresh_counters()
-        self.generation = 1
-        self.lock = None
-
-    def module_init(self):
-        self.lock = self.env.create_lock("serverless-state")
-
-    def get_policy(self):
-        return self.policy
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -129,33 +115,20 @@ class EnokiServerless(EnokiScheduler):
     def _episode_ns(self, pid, runtime):
         return runtime - self.episode_base.get(pid, 0)
 
-    def _vrun_key(self, entry):
-        return self.vruntime.get(entry[0], 0)
-
     def _insert(self, cpu, pid, token):
         """Queue ``pid`` on ``cpu`` according to its current class."""
         if self.classes.get(pid, SHORT) == LONG:
-            self.vruntime[pid] = max(self.vruntime.get(pid, 0),
-                                     self.min_vruntime[cpu])
-            insort(self.long_queues[cpu], (pid, token), key=self._vrun_key)
+            vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
+                                                self.min_vruntime[cpu])
+            self.long_queues.push(cpu, vruntime, pid, token)
         else:
-            self.next_seq += 1
-            insort(self.short_queues[cpu], (self.next_seq, pid, token),
-                   key=_SEQ)
+            self.short_queues.push_back(cpu, pid, token)
 
     def _remove(self, pid):
-        token = None
-        for queue in self.short_queues.values():
-            for entry in list(queue):
-                if entry[1] == pid:
-                    queue.remove(entry)
-                    token = entry[2]
-        for queue in self.long_queues.values():
-            for entry in list(queue):
-                if entry[0] == pid:
-                    queue.remove(entry)
-                    token = entry[1]
-        return token
+        """Unqueue ``pid`` from whichever tier holds it."""
+        short_token = self.short_queues.remove(pid)
+        long_token = self.long_queues.remove(pid)
+        return long_token if long_token is not None else short_token
 
     def _demote(self, pid):
         self.classes[pid] = LONG
@@ -166,7 +139,8 @@ class EnokiServerless(EnokiScheduler):
     # ------------------------------------------------------------------
 
     def _load(self, cpu):
-        return (len(self.short_queues[cpu]) + len(self.long_queues[cpu])
+        return (len(self.short_queues.cpus[cpu])
+                + len(self.long_queues.cpus[cpu])
                 + (1 if cpu in self.current else 0))
 
     def select_task_rq(self, pid, prev_cpu, waker_cpu, wake_flags,
@@ -263,21 +237,21 @@ class EnokiServerless(EnokiScheduler):
         with self.lock:
             for pid, runtime in runtimes.items():
                 self._observe(pid, runtime)
-            shortq = self.short_queues[cpu]
-            longq = self.long_queues[cpu]
+            shortq = self.short_queues.cpus[cpu]
+            longq = self.long_queues.cpus[cpu]
             take_long = longq and (
                 not shortq
                 or self.shorts_streak[cpu] >= self.long_every)
             if take_long:
-                pid, token = longq.pop(0)
+                vruntime, pid, token = self.long_queues.pop_head(cpu)
                 self.shorts_streak[cpu] = 0
                 self.min_vruntime[cpu] = max(self.min_vruntime[cpu],
-                                             self.vruntime.get(pid, 0))
+                                             vruntime)
                 self.current[cpu] = (pid, LONG)
                 self.counters["long_picks"] += 1
                 slice_ns = self.long_slice_ns
             elif shortq:
-                _seq, pid, token = shortq.pop(0)
+                _seq, pid, token = self.short_queues.pop_head(cpu)
                 self.shorts_streak[cpu] += 1
                 self.current[cpu] = (pid, self.classes.get(pid, SHORT))
                 self.counters["short_picks"] += 1
@@ -298,25 +272,12 @@ class EnokiServerless(EnokiScheduler):
     def balance(self, cpu):
         """Idle CPUs steal waiting shorts first, then backing-queue work."""
         with self.lock:
-            if self.short_queues[cpu] or self.long_queues[cpu]:
+            if self.short_queues.cpus[cpu] or self.long_queues.cpus[cpu]:
                 return None
-            best, waiting = None, 0
-            for other in range(self.nr_cpus):
-                if other == cpu:
-                    continue
-                n = len(self.short_queues[other])
-                if n > waiting:
-                    best, waiting = other, n
-            if best is not None:
-                return self.short_queues[best][0][1]
-            for other in range(self.nr_cpus):
-                if other == cpu:
-                    continue
-                n = len(self.long_queues[other])
-                if n > waiting:
-                    best, waiting = other, n
-            if best is not None:
-                return self.long_queues[best][0][0]
+            for tier in (self.short_queues, self.long_queues):
+                best = tier.longest_other(cpu)
+                if best is not None:
+                    return tier.cpus[best][0][1]
             return None
 
     def balance_err(self, cpu, pid, err, sched):
@@ -379,43 +340,7 @@ class EnokiServerless(EnokiScheduler):
     # live upgrade
     # ------------------------------------------------------------------
 
-    def reregister_prepare(self):
-        return ServerlessTransferState(
-            short_queues=self.short_queues,
-            long_queues=self.long_queues,
-            classes=self.classes,
-            episode_base=self.episode_base,
-            vruntime=self.vruntime,
-            last_runtime=self.last_runtime,
-            min_vruntime=self.min_vruntime,
-            current=self.current,
-            shorts_streak=self.shorts_streak,
-            next_seq=self.next_seq,
-            counters=self.counters,
-            generation=self.generation,
-        )
-
-    def reregister_init(self, state):
-        if state is None:
-            return
-        self.short_queues = state.short_queues
-        self.long_queues = state.long_queues
-        self.classes = state.classes
-        self.episode_base = state.episode_base
-        self.vruntime = state.vruntime
-        self.last_runtime = state.last_runtime
-        self.min_vruntime = state.min_vruntime
-        self.current = state.current
-        self.shorts_streak = state.shorts_streak
-        self.next_seq = state.next_seq
-        self.counters = state.counters
-        self.generation = state.generation + 1
+    def transfer_adopted(self):
         for cpu in range(self.nr_cpus):
-            self.short_queues.setdefault(cpu, [])
-            self.long_queues.setdefault(cpu, [])
             self.min_vruntime.setdefault(cpu, 0)
             self.shorts_streak.setdefault(cpu, 0)
-        for queue in self.short_queues.values():
-            queue.sort(key=_SEQ)
-        for queue in self.long_queues.values():
-            queue.sort(key=self._vrun_key)

@@ -19,49 +19,36 @@ Mechanics:
   cost (``timer_arm_cost_ns``).
 """
 
-from bisect import insort
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
-from repro.core.trait import EnokiScheduler
-
-_SEQ = itemgetter(0)
+from repro.schedulers.base import QueuePolicy, TokenQueue
 
 
 @dataclass
 class ShinjukuTransferState:
     """State passed across a live upgrade of the Shinjuku scheduler."""
 
-    queues: dict = field(default_factory=dict)
-    next_seq: int = 0
-    generation: int = 1
+    queues: TokenQueue
+    generation: int
 
 
-class EnokiShinjuku(EnokiScheduler):
+class EnokiShinjuku(QueuePolicy):
     """Centralised-FCFS approximation with microsecond-scale preemption."""
 
     TRANSFER_TYPE = ShinjukuTransferState
+    LOCK_NAME = "shinjuku-queues"
 
     def __init__(self, nr_cpus, policy=8, preemption_us=10,
                  worker_cpus=None):
-        super().__init__()
-        self.nr_cpus = nr_cpus
-        self.policy = policy
+        super().__init__(nr_cpus, policy)
         self.preemption_ns = preemption_us * 1_000
         #: the CPUs this scheduler will place tasks on (the RocksDB setup
         #: reserves cores for the load generator and background work)
         self.worker_cpus = (list(worker_cpus) if worker_cpus is not None
                             else list(range(nr_cpus)))
-        self.queues = {cpu: [] for cpu in range(nr_cpus)}  # [(seq,pid,tok)]
-        self.next_seq = 0
-        self.generation = 1
-        self.lock = None
-
-    def module_init(self):
-        self.lock = self.env.create_lock("shinjuku-queues")
-
-    def get_policy(self):
-        return self.policy
+        # Keyed by arrival: ``push_back``'s sequence is the global FCFS
+        # order; only migration's front-of-line keys go in below it.
+        self.queues = TokenQueue(nr_cpus)
 
     # ------------------------------------------------------------------
     # placement: shortest queue among the worker cores
@@ -75,73 +62,50 @@ class EnokiShinjuku(EnokiScheduler):
             candidates = (list(allowed_cpus) if allowed_cpus
                           else list(range(self.nr_cpus)))
         with self.lock:
-            return min(candidates, key=lambda c: len(self.queues[c]))
+            queues = self.queues.cpus
+            return min(candidates, key=lambda c: len(queues[c]))
 
     # ------------------------------------------------------------------
     # FCFS state
     # ------------------------------------------------------------------
 
-    def _push(self, sched, pid):
-        # Queues stay sorted by sequence at all times.  Normal pushes use
-        # a fresh (monotonic) sequence so the insort lands at the back;
-        # only migration's adopted front-of-line sequences insert earlier.
-        self.next_seq += 1
-        insort(self.queues[sched.cpu], (self.next_seq, pid, sched),
-               key=_SEQ)
-
-    def _remove(self, pid):
-        token = None
-        for queue in self.queues.values():
-            for entry in list(queue):
-                if entry[1] == pid:
-                    queue.remove(entry)
-                    token = entry[2]
-        return token
-
     def task_new(self, pid, tgid, runtime, runnable, prio, sched):
         with self.lock:
-            self._push(sched, pid)
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
                     wake_up_cpu, waker_cpu, sched):
         with self.lock:
-            self._push(sched, pid)
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
         with self.lock:
-            self._remove(pid)
+            self.queues.remove(pid)
 
     def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
                      was_latched, sched):
         # Preempted tasks go to the BACK of the global order: this is the
         # Shinjuku processor-sharing approximation.
         with self.lock:
-            self._push(sched, pid)
+            self.queues.push_back(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
         with self.lock:
-            self._remove(pid)
-
-    def task_departed(self, pid, cpu_seqnum, cpu, from_switchto,
-                      was_current):
-        with self.lock:
-            return self._remove(pid)
+            self.queues.remove(pid)
 
     def migrate_task_rq(self, pid, new_cpu, sched):
         with self.lock:
-            old = self._remove(pid)
-            # Keep the arrival order: re-insert with a preserved sequence
-            # if we knew it; the old entry is gone, so order by the front.
-            self.next_seq += 1
-            seq = self.next_seq
-            if old is not None:
-                # Preserve FCFS position as well as we can: adopt the
-                # minimum sequence currently queued minus a step.
-                seq = min(
-                    (entry[0] for queue in self.queues.values()
-                     for entry in queue), default=self.next_seq,
-                ) - 1
-            insort(self.queues[new_cpu], (seq, pid, sched), key=_SEQ)
+            old = self.queues.remove(pid)
+            if old is None:
+                self.queues.push_back(new_cpu, pid, sched)
+            else:
+                # Preserve FCFS position as well as we can: the old entry
+                # is gone, so adopt the minimum sequence currently queued
+                # (some queue's head) minus a step.
+                front = min((queue[0][0]
+                             for queue in self.queues.cpus.values()
+                             if queue), default=1) - 1
+                self.queues.push(new_cpu, front, pid, sched)
         return old
 
     # ------------------------------------------------------------------
@@ -150,19 +114,13 @@ class EnokiShinjuku(EnokiScheduler):
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
-            queue = self.queues[cpu]
-            if not queue:
+            if not self.queues.cpus[cpu]:
                 return None
-            _seq, _pid, token = queue.pop(0)
+            token = self.queues.pop_head(cpu)[2]
         # Re-arm the preemption timer on every dispatch ("it starts a
         # reschedule timer on every operation").
         self.env.start_resched_timer(cpu, self.preemption_ns)
         return token
-
-    def pnt_err(self, cpu, pid, err, sched):
-        if sched is not None:
-            with self.lock:
-                self._remove(sched.pid)
 
     def balance(self, cpu):
         """Approximate the global FCFS: an idle worker core pulls the
@@ -170,10 +128,10 @@ class EnokiShinjuku(EnokiScheduler):
         if cpu not in self.worker_cpus:
             return None
         with self.lock:
-            if self.queues[cpu]:
+            if self.queues.cpus[cpu]:
                 return None
             oldest = None
-            for other, queue in self.queues.items():
+            for other, queue in self.queues.cpus.items():
                 if other == cpu or not queue:
                     continue
                 head = queue[0]
@@ -182,24 +140,3 @@ class EnokiShinjuku(EnokiScheduler):
             if oldest is None:
                 return None
             return oldest[1]
-
-    # ------------------------------------------------------------------
-    # live upgrade
-    # ------------------------------------------------------------------
-
-    def reregister_prepare(self):
-        return ShinjukuTransferState(queues=self.queues,
-                                     next_seq=self.next_seq,
-                                     generation=self.generation)
-
-    def reregister_init(self, state):
-        if state is None:
-            return
-        self.queues = state.queues
-        self.next_seq = state.next_seq
-        self.generation = state.generation + 1
-        for cpu in range(self.nr_cpus):
-            self.queues.setdefault(cpu, [])
-        # Re-establish the sorted invariant on adopted queues.
-        for queue in self.queues.values():
-            queue.sort(key=_SEQ)

@@ -14,10 +14,9 @@ The paper's version is 646 lines of Rust; this is deliberately the same
 kind of object — far simpler than CFS, close to it in behaviour.
 """
 
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.trait import EnokiScheduler
+from repro.schedulers.base import QueuePolicy, TokenQueue
 from repro.simkernel.task import NICE_0_WEIGHT, weight_for_nice
 
 
@@ -25,19 +24,20 @@ from repro.simkernel.task import NICE_0_WEIGHT, weight_for_nice
 class WfqTransferState:
     """State passed across a live upgrade of the WFQ scheduler."""
 
-    queues: dict = field(default_factory=dict)
-    vruntime: dict = field(default_factory=dict)
-    last_runtime: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    min_vruntime: dict = field(default_factory=dict)
-    current: dict = field(default_factory=dict)
-    generation: int = 1
+    queues: TokenQueue
+    vruntime: dict
+    last_runtime: dict
+    weights: dict
+    min_vruntime: dict
+    current: dict
+    generation: int
 
 
-class EnokiWfq(EnokiScheduler):
+class EnokiWfq(QueuePolicy):
     """Per-core weighted fair queuing with idle-time work stealing."""
 
     TRANSFER_TYPE = WfqTransferState
+    LOCK_NAME = "wfq-state"
 
     #: how much earlier than the fair share a task may run after waking
     WAKEUP_BONUS_DIVISOR = 2
@@ -45,31 +45,20 @@ class EnokiWfq(EnokiScheduler):
     def __init__(self, nr_cpus, policy=7,
                  sched_latency_ns=6_000_000,
                  min_granularity_ns=750_000):
-        super().__init__()
-        self.nr_cpus = nr_cpus
-        self.policy = policy
+        super().__init__(nr_cpus, policy)
         self.sched_latency_ns = sched_latency_ns
         self.min_granularity_ns = min_granularity_ns
-        # cpu -> list[(pid, token)] kept sorted by vruntime incrementally:
-        # every insert goes through ``_insert`` (bisect.insort), which is
-        # exact because a queued pid's vruntime never changes — all
-        # mutation sites (observe on preempt/block/yield, the wakeup
-        # floor, migration re-homing) run while the pid is off-queue, and
-        # pick-time ``_observe_runtime`` on a queued pid sees delta 0.
-        self.queues = {cpu: [] for cpu in range(nr_cpus)}
+        # Keyed by the pid's vruntime at push time, which stays its
+        # vruntime for as long as it is queued: all mutation sites
+        # (observe on preempt/block/yield, the wakeup floor, migration
+        # re-homing) run while the pid is off-queue, and pick-time
+        # ``_observe_runtime`` on a queued pid sees delta 0.
+        self.queues = TokenQueue(nr_cpus)
         self.vruntime = {}         # pid -> weighted runtime
         self.last_runtime = {}     # pid -> last raw runtime seen
         self.weights = {}          # pid -> load weight
         self.min_vruntime = {cpu: 0 for cpu in range(nr_cpus)}
         self.current = {}          # cpu -> (pid, runtime at pick)
-        self.generation = 1
-        self.lock = None
-
-    def module_init(self):
-        self.lock = self.env.create_lock("wfq-state")
-
-    def get_policy(self):
-        return self.policy
 
     # ------------------------------------------------------------------
     # vruntime bookkeeping
@@ -90,14 +79,6 @@ class EnokiWfq(EnokiScheduler):
             self.vruntime.get(pid, 0) + delta * NICE_0_WEIGHT // weight
         )
 
-    def _vrun_key(self, entry):
-        return self.vruntime.get(entry[0], 0)
-
-    def _insert(self, cpu, pid, token):
-        """Sorted insert; ties land after existing peers, matching the
-        stable-sort-of-appends order the per-pick sort used to produce."""
-        insort(self.queues[cpu], (pid, token), key=self._vrun_key)
-
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
@@ -107,19 +88,21 @@ class EnokiWfq(EnokiScheduler):
         candidates = (list(allowed_cpus) if allowed_cpus is not None
                       else list(range(self.nr_cpus)))
         with self.lock:
+            queues = self.queues.cpus
+
             def busy(cpu):
                 return cpu in self.current
 
             # Cache affinity: back to the previous CPU if it is free.
             if (prev_cpu in candidates and not busy(prev_cpu)
-                    and not self.queues.get(prev_cpu)):
+                    and not queues.get(prev_cpu)):
                 return prev_cpu
             # Otherwise any free CPU, else the shortest queue.
             for cpu in candidates:
-                if not busy(cpu) and not self.queues[cpu]:
+                if not busy(cpu) and not queues[cpu]:
                     return cpu
             return min(candidates,
-                       key=lambda c: (len(self.queues[c]) + busy(c)))
+                       key=lambda c: (len(queues[c]) + busy(c)))
 
     # ------------------------------------------------------------------
     # state tracking
@@ -131,13 +114,13 @@ class EnokiWfq(EnokiScheduler):
             self.last_runtime[pid] = runtime
             cpu = sched.cpu
             # New tasks start at the end of the current period.
-            self.vruntime[pid] = (
+            vruntime = self.vruntime[pid] = (
                 self.min_vruntime[cpu]
                 + self.sched_latency_ns
                 * NICE_0_WEIGHT // self.weights[pid]
-                // max(1, len(self.queues[cpu]) + 1)
+                // max(1, len(self.queues.cpus[cpu]) + 1)
             )
-            self._insert(cpu, pid, sched)
+            self.queues.push(cpu, vruntime, pid, sched)
 
     def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
                     wake_up_cpu, waker_cpu, sched):
@@ -145,13 +128,14 @@ class EnokiWfq(EnokiScheduler):
             cpu = sched.cpu
             floor = (self.min_vruntime[cpu]
                      - self.sched_latency_ns // self.WAKEUP_BONUS_DIVISOR)
-            self.vruntime[pid] = max(self.vruntime.get(pid, 0), floor)
-            self._insert(cpu, pid, sched)
+            vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
+                                                floor)
+            self.queues.push(cpu, vruntime, pid, sched)
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
         with self.lock:
             self._observe_runtime(pid, runtime)
-            self._remove(pid)
+            self.queues.remove(pid)
             self.current.pop(cpu, None)
 
     def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
@@ -159,24 +143,25 @@ class EnokiWfq(EnokiScheduler):
         with self.lock:
             self._observe_runtime(pid, runtime)
             self.current.pop(cpu, None)
-            self._insert(sched.cpu, pid, sched)
+            self.queues.push(sched.cpu, self.vruntime.get(pid, 0), pid,
+                             sched)
 
     def task_yield(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
                    sched):
         with self.lock:
             self._observe_runtime(pid, runtime)
             self.current.pop(cpu, None)
-            # Yielding pushes the task behind its peers (sorted order
-            # makes the back of the queue the max vruntime).
-            queue = self.queues[sched.cpu]
+            # Yielding pushes the task behind its peers (the back of the
+            # queue holds the max vruntime, as its key).
+            queue = self.queues.cpus[sched.cpu]
+            vruntime = self.vruntime.get(pid, 0)
             if queue:
-                back = self.vruntime.get(queue[-1][0], 0)
-                self.vruntime[pid] = max(self.vruntime.get(pid, 0), back)
-            self._insert(sched.cpu, pid, sched)
+                vruntime = self.vruntime[pid] = max(vruntime, queue[-1][0])
+            self.queues.push(sched.cpu, vruntime, pid, sched)
 
     def task_dead(self, pid):
         with self.lock:
-            self._remove(pid)
+            self.queues.remove(pid)
             self.vruntime.pop(pid, None)
             self.last_runtime.pop(pid, None)
             self.weights.pop(pid, None)
@@ -187,7 +172,7 @@ class EnokiWfq(EnokiScheduler):
     def task_departed(self, pid, cpu_seqnum, cpu, from_switchto,
                       was_current):
         with self.lock:
-            token = self._remove(pid)
+            token = self.queues.remove(pid)
             self.vruntime.pop(pid, None)
             self.weights.pop(pid, None)
         return token
@@ -196,22 +181,13 @@ class EnokiWfq(EnokiScheduler):
         with self.lock:
             self.weights[pid] = weight_for_nice(prio)
 
-    def _remove(self, pid):
-        token = None
-        for queue in self.queues.values():
-            for entry in list(queue):
-                if entry[0] == pid:
-                    queue.remove(entry)
-                    token = entry[1]
-        return token
-
     def migrate_task_rq(self, pid, new_cpu, sched):
         with self.lock:
-            old_token = self._remove(pid)
+            old_token = self.queues.remove(pid)
             # Re-home vruntime to the destination queue's baseline.
-            old_v = self.vruntime.get(pid, 0)
-            self.vruntime[pid] = max(old_v, self.min_vruntime[new_cpu])
-            self._insert(new_cpu, pid, sched)
+            vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
+                                                self.min_vruntime[new_cpu])
+            self.queues.push(new_cpu, vruntime, pid, sched)
         return old_token
 
     # ------------------------------------------------------------------
@@ -222,37 +198,25 @@ class EnokiWfq(EnokiScheduler):
         with self.lock:
             for pid, runtime in runtimes.items():
                 self._observe_runtime(pid, runtime)
-            queue = self.queues[cpu]
-            if not queue:
+            if not self.queues.cpus[cpu]:
                 return None
-            pid, token = queue.pop(0)
-            vr = self.vruntime.get(pid, 0)
-            self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vr)
+            vruntime, pid, token = self.queues.pop_head(cpu)
+            self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
             self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
             return token
-
-    def pnt_err(self, cpu, pid, err, sched):
-        if sched is not None:
-            with self.lock:
-                self._remove(sched.pid)
 
     def balance(self, cpu):
         """Steal from the longest queue when this core is about to idle."""
         with self.lock:
-            if self.queues[cpu]:
+            queues = self.queues.cpus
+            if queues[cpu]:
                 return None
-            longest_cpu, waiting = None, 0
-            for other in range(self.nr_cpus):
-                if other == cpu:
-                    continue
-                n = len(self.queues[other])
-                if n > waiting:
-                    longest_cpu, waiting = other, n
-            if longest_cpu is None or waiting < 1:
+            longest_cpu = self.queues.longest_other(cpu)
+            if longest_cpu is None:
                 return None
             # Steal the task that has waited longest (queue head by
             # vruntime order).
-            return self.queues[longest_cpu][0][0]
+            return queues[longest_cpu][0][1]
 
     def balance_err(self, cpu, pid, err, sched):
         # Nothing to restore: the task never left its queue.
@@ -267,15 +231,14 @@ class EnokiWfq(EnokiScheduler):
             if entry is None or entry[0] != pid or not queued:
                 return
             ran = runtime - entry[1]
-            nr = len(self.queues[cpu]) + 1
+            queue = self.queues.cpus[cpu]
             slice_ns = max(self.min_granularity_ns,
-                           self.sched_latency_ns // nr)
+                           self.sched_latency_ns // (len(queue) + 1))
             preempt = ran >= slice_ns
-            if not preempt and self.queues[cpu]:
+            if not preempt and queue:
                 # Wakeup preemption at the tick: a waiting task with a
                 # clearly lower vruntime takes the CPU (queue head).
-                head = self.vruntime.get(self.queues[cpu][0][0], 0)
-                preempt = head + self.min_granularity_ns < \
+                preempt = queue[0][0] + self.min_granularity_ns < \
                     self.vruntime.get(pid, 0)
         if preempt:
             self.env.start_resched_timer(cpu, 0)
@@ -284,31 +247,6 @@ class EnokiWfq(EnokiScheduler):
     # live upgrade
     # ------------------------------------------------------------------
 
-    def reregister_prepare(self):
-        return WfqTransferState(
-            queues=self.queues,
-            vruntime=self.vruntime,
-            last_runtime=self.last_runtime,
-            weights=self.weights,
-            min_vruntime=self.min_vruntime,
-            current=self.current,
-            generation=self.generation,
-        )
-
-    def reregister_init(self, state):
-        if state is None:
-            return
-        self.queues = state.queues
-        self.vruntime = state.vruntime
-        self.last_runtime = state.last_runtime
-        self.weights = state.weights
-        self.min_vruntime = state.min_vruntime
-        self.current = state.current
-        self.generation = state.generation + 1
+    def transfer_adopted(self):
         for cpu in range(self.nr_cpus):
-            self.queues.setdefault(cpu, [])
             self.min_vruntime.setdefault(cpu, 0)
-        # Re-establish the sorted invariant on adopted queues (stable, so
-        # a same-version transfer is a no-op re-sort).
-        for queue in self.queues.values():
-            queue.sort(key=self._vrun_key)

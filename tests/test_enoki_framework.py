@@ -178,12 +178,10 @@ class TestPntErrPath:
                 with self.lock:
                     # Deliberately pull from the *other* CPU's queue.
                     other = (cpu + 1) % self.nr_cpus
-                    if self.queues[other]:
-                        _pid, token = self.queues[other].popleft()
-                        return token
-                    if self.queues[cpu]:
-                        _pid, token = self.queues[cpu].popleft()
-                        return token
+                    if self.queues.cpus[other]:
+                        return self.queues.pop_head(other)[2]
+                    if self.queues.cpus[cpu]:
+                        return self.queues.pop_head(cpu)[2]
                 return None
 
             def pnt_err(self, cpu, pid, err, sched):
@@ -225,11 +223,12 @@ class TestPntErrPath:
                 if pid in self.hoard:
                     stale = self.hoard.pop(pid)
                     with self.lock:
-                        self.queues[stale.cpu].append((pid, stale))
+                        self.queues.push_back(stale.cpu, pid, stale)
                     self.hoard[pid] = sched
                 else:
                     self.hoard[pid] = sched
-                    self._enqueue(sched)
+                    with self.lock:
+                        self.queues.push_back(sched.cpu, pid, sched)
 
             def pnt_err(self, cpu, pid, err, sched):
                 self.pnt_errs += 1

@@ -128,9 +128,9 @@ class TestReplay:
         class LifoFifo(EnokiFifo):
             def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
                 with self.lock:
-                    if self.queues[cpu]:
-                        _pid, token = self.queues[cpu].pop()   # LIFO!
-                        return token
+                    queue = self.queues.cpus[cpu]
+                    if queue:
+                        return self.queues.remove(queue[-1][1])   # LIFO!
                 return None
 
         engine = ReplayEngine(lambda: LifoFifo(2, POLICY), recorder.entries)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import EnokiSchedClass, UpgradeManager
 from repro.core.errors import UpgradeError
+from repro.exp import KernelBuilder, ScenarioSpec
+from repro.exp.builder import enoki_scheduler_names
 from repro.schedulers.fifo import EnokiFifo, FifoTransferState
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.program import Run, Sleep
@@ -25,6 +27,21 @@ def long_prog(phases=20, work=50_000, sleep=20_000):
             yield Run(work)
             yield Sleep(sleep)
     return prog
+
+
+@pytest.mark.parametrize("sched", enoki_scheduler_names())
+def test_queued_tasks_survive_upgrade_of_every_nameable_policy(sched):
+    """The zero-loss claim, per policy: tasks waiting in the outgoing
+    module's queues at the swap are the incoming module's to run."""
+    session = KernelBuilder.session_from_spec(ScenarioSpec(
+        name=f"upgrade-{sched}", sched=sched, topology="smp:2", seed=3,
+        upgrade_at_ns=300_000))
+    tasks = [session.spawn(long_prog(phases=5, work=100_000))
+             for _ in range(8)]
+    session.run_until_idle()
+    assert [t.state for t in tasks] == [TaskState.DEAD] * 8
+    report, = session.upgrades.reports
+    assert report.transferred_state and report.transferred_tasks
 
 
 class TestUpgrade:

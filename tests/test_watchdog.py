@@ -147,9 +147,9 @@ class TestStarvation:
             def pick_next_task(self, cpu, curr_pid, curr_runtime,
                                runtimes):
                 with self.lock:
-                    if self.queues[cpu]:
-                        _pid, token = self.queues[cpu].pop()   # LIFO
-                        return token
+                    queue = self.queues.cpus[cpu]
+                    if queue:
+                        return self.queues.remove(queue[-1][1])   # LIFO
                 return None
 
         kernel, _ = make(FavouritistFifo(1, POLICY), nr_cpus=1)
