@@ -15,6 +15,9 @@ from repro.core.errors import EnokiError
 from repro.core.hints import UserMessage
 from repro.core.rwlock import SchedulerRwLock
 
+#: spin-lock op -> trace kind
+_LOCK_KINDS = {"acquire": "lock_acquire", "release": "lock_release"}
+
 
 class EnokiSpinLock:
     """A scheduler-visible lock.
@@ -161,7 +164,8 @@ class EnokiEnv:
         kernel = shim.kernel if shim is not None else None
         trace = kernel.trace if kernel is not None else None
         if trace is not None:
-            trace("lock_" + op, t=kernel.clock.now, cpu=thread, lock=lock_id)
+            trace(_LOCK_KINDS[op], t=kernel.clock.now, cpu=thread,
+                  lock=lock_id)
 
     # -- timers ------------------------------------------------------------
 

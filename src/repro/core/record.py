@@ -43,12 +43,14 @@ class Recorder:
             return
         self._seq += 1
         entry["seq"] = self._seq
-        if self._ring.push(entry):
+        ring = self._ring
+        if ring.push(entry):
             # The userspace record task drains asynchronously; modelling
             # it as an immediate batched drain keeps the overflow
-            # semantics while staying single-threaded.
-            if len(self._ring) >= self._drain_batch:
-                self.log.extend(self._ring.drain())
+            # semantics while staying single-threaded.  (A drop-new ring
+            # holds exactly ``pushed - popped`` entries.)
+            if ring.pushed - ring.popped >= self._drain_batch:
+                self.log.extend(ring.drain())
         # else: dropped, counted by the ring
 
     def note_call(self, message, response, thread):

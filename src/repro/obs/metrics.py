@@ -136,7 +136,12 @@ class Histogram:
         value = int(value)
         if value < 0:
             value = 0
-        index = _bucket_index(value)
+        # _bucket_index(value), inlined: one sample per watched crossing
+        if value < _SUB:
+            index = value
+        else:
+            shift = value.bit_length() - SUBBUCKET_BITS
+            index = _SUB + shift * _HALF + ((value >> shift) - _HALF)
         self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.sum += value

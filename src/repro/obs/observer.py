@@ -10,10 +10,13 @@
   :class:`~repro.obs.profiler.CallbackProfiler` on it;
 * hooks each scheduler's quiesce read-write lock so acquisitions appear
   in the event stream;
-* maintains a :class:`~repro.obs.metrics.MetricsRegistry` fed live with
-  per-kind event counters and dispatch-cost histograms, and on
-  :meth:`collect` with the kernel's aggregate statistics and per-task
-  wakeup-latency distributions.
+* maintains a :class:`~repro.obs.metrics.MetricsRegistry` fed live: the
+  intake itself bumps the kind's ``events.<kind>`` counter (the route
+  cache holds the registry's own :class:`~repro.obs.metrics.Counter`, so
+  a read without :meth:`collect` sees it), the value metrics and the
+  named counters (``_VALUE_METRICS``, ``_EVENT_COUNTERS``) are sinks
+  routed by kind; :meth:`collect` adds the kernel's aggregate statistics
+  and per-task wakeup-latency distributions.
 
 Detaching restores the null-hook fast path everywhere, so a kernel that
 never attaches an Observer pays only a handful of ``is None`` tests —
@@ -55,6 +58,10 @@ _EVENT_COUNTERS = {
     "watchdog_finding": ("watchdog.{finding}",),
 }
 
+#: ``SchedulerRwLock.on_event`` op -> trace kind
+_RWLOCK_KINDS = {op: "rwlock_" + op for op in (
+    "read_acquire", "read_release", "write_acquire", "write_release")}
+
 
 class Observer(SchedTracer):
     """Full-stack tracer + metrics + profilers for one kernel."""
@@ -62,7 +69,6 @@ class Observer(SchedTracer):
     def __init__(self, capacity=200_000, kinds=None, registry=None):
         super().__init__(capacity, kinds=kinds)
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.add_route(self._count_route)
         self.add_route(self._feeder_route)
         self.profilers = {}         # policy -> CallbackProfiler
         self._hooked_rwlocks = []
@@ -117,12 +123,8 @@ class Observer(SchedTracer):
     # event ingestion
     # ------------------------------------------------------------------
 
-    def _count_route(self, kind):
-        counter = self.registry.counter("events." + kind)
-
-        def count(kind, t, cpu, pid, fields):
-            counter.value += 1
-        return count
+    def _counter(self, kind):
+        return self.registry.counter("events." + kind)
 
     def _feeder_route(self, kind):
         registry = self.registry
@@ -142,7 +144,7 @@ class Observer(SchedTracer):
         kernel = self._kernel
         if kernel is None:
             return
-        self._hook("rwlock_" + op, kernel.clock.now, lock=name)
+        self._hook(_RWLOCK_KINDS[op], kernel.clock.now, lock=name)
 
     # ------------------------------------------------------------------
     # aggregation

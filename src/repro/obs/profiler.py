@@ -30,12 +30,6 @@ class CallbackProfile:
         self.wall_ns = 0
         self.wall_hist = Histogram(f"enoki.{hook}.wall_ns")
 
-    def note(self, virtual_ns, wall_ns):
-        self.count += 1
-        self.virtual_ns += virtual_ns
-        self.wall_ns += wall_ns
-        self.wall_hist.record(wall_ns)
-
     @property
     def mean_virtual_ns(self):
         return self.virtual_ns / self.count if self.count else 0.0
@@ -69,7 +63,10 @@ class CallbackProfiler:
         profile = self.hooks.get(hook)
         if profile is None:
             profile = self.hooks[hook] = CallbackProfile(hook)
-        profile.note(virtual_ns, wall_ns)
+        profile.count += 1
+        profile.virtual_ns += virtual_ns
+        profile.wall_ns += wall_ns
+        profile.wall_hist.record(wall_ns)
         if policy is not None:
             self.policies.add(policy)
 

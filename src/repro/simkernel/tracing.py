@@ -20,7 +20,8 @@ kind                      emitted by
 ``migrate_failed``        kernel core, a requested migration was rejected
 ``timer_fire``            timer service, an armed timer fired
 ``enoki_msg``             Enoki-C, one message dispatched into the scheduler
-``lock_acquire/release``  libEnoki spin-lock wrappers (record/replay stream)
+``lock_acquire``          libEnoki spin-lock wrapper, a scheduler lock was taken
+``lock_release``          libEnoki spin-lock wrapper, the lock was dropped again
 ``rwlock_*``              the per-scheduler read-write lock (quiesce protocol)
 ``upgrade``               upgrade manager, one quiesce phase of a live upgrade
 ``hint_enqueue``          Enoki-C, a userspace hint entered the ring
@@ -29,6 +30,13 @@ kind                      emitted by
 ``token_issue``           token registry, a ``Schedulable`` was minted
 ``token_consume``         token registry, a token was spent (task picked)
 ``token_revoke``          token registry, a live token was invalidated
+``throttle``              task groups, a group ran out of quota and was parked
+``unthrottle``            task groups, a refilled group released its tasks
+``quota_refill``          task groups, a bandwidth period rolled over
+``enoki_panic``           containment boundary, a scheduler callback raised
+``failover``              containment boundary, tasks moved to the fallback
+``watchdog_finding``      scheduler watchdog, a lost or starved task was found
+``slo_violation``         telemetry, a window broke a service-level objective
 ========================  =====================================================
 
 The ``token_*`` kinds only flow when a
@@ -59,8 +67,8 @@ class TraceEvent(NamedTuple):
 
     ``args`` carries kind-specific payload as a sorted tuple of
     ``(key, value)`` pairs — tuple rather than dict so events stay
-    hashable and cheap to construct on the hot path; the record itself
-    is tuple-backed for the same reason.
+    hashable and compare by value; the record itself is tuple-backed
+    for the same reason.
     """
 
     t_ns: int
@@ -98,8 +106,11 @@ class SchedTracer:
     """Bounded in-memory trace of typed kernel/framework events.
 
     :meth:`_hook` is the single intake of the observed path: it retains
-    each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission (or not),
-    then hands it to the sinks routed to its kind (:meth:`add_route`).
+    each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission as handed
+    in (or not), bumps the kind's counter if the tracer keeps one, then
+    hands it to the sinks routed to its kind (:meth:`add_route`).  A
+    retained emission becomes a :class:`TraceEvent` when :attr:`events`
+    is first read after it, so a run nobody inspects never builds one.
 
     ``kinds`` optionally restricts *retention* to a set of event kinds —
     everything else is counted in ``filtered`` but not stored, which keeps
@@ -109,17 +120,26 @@ class SchedTracer:
 
     def __init__(self, capacity=100_000, kinds=None):
         self.capacity = capacity
-        self.events = deque(maxlen=capacity)
-        self.dropped = 0
+        #: the retained emissions, oldest first: canonical events, then
+        #: the raw ``(t, kind, cpu, pid, cost, fields)`` of everything
+        #: emitted since :attr:`events` was last read
+        self._ring = deque(maxlen=capacity)
+        #: emissions ever stored, the evicted ones included
+        self.retained = 0
+        self._canonical = 0     # ``retained`` when ``events`` was last read
         self.filtered = 0
         self.kinds = frozenset(kinds) if kinds is not None else None
         self._kernel = None
         self._resolvers = []    # kind -> sink-or-None, in call order
-        self._routes = {}       # kind -> tuple of sinks (cache)
+        self._routes = {}       # kind -> (counter-or-None, sinks) (cache)
 
     @classmethod
     def attach(cls, kernel, capacity=100_000, kinds=None):
-        """Install on a kernel (replaces any existing trace hook)."""
+        """Install on a kernel.  A tracer already installed there is
+        detached first, so every tap it holds comes back with it."""
+        displaced = getattr(kernel.trace, "__self__", None)
+        if isinstance(displaced, SchedTracer):
+            displaced.detach()
         tracer = cls(capacity, kinds=kinds)
         tracer._kernel = kernel
         kernel.set_trace(tracer._hook)
@@ -137,33 +157,67 @@ class SchedTracer:
         sight of each event kind and returns the sink to call for every
         event of that kind, or ``None``.  A sink is called as
         ``sink(kind, t, cpu, pid, fields)``, ``fields`` being the
-        emitter's other keywords (``cost`` included when charged)."""
+        emitter's other keywords (``cost`` included when charged); it
+        must not change ``fields``, which the ring retains."""
         self._resolvers.append(resolve)
         self._routes = {}
 
+    def _counter(self, kind):
+        """The counter the intake bumps on every event of ``kind`` (any
+        object with a ``value``), or ``None``."""
+        return None
+
     def _route(self, kind):
-        sinks = self._routes[kind] = tuple(filter(None, (
-            resolve(kind) for resolve in self._resolvers)))
-        return sinks
+        route = self._routes[kind] = (self._counter(kind), tuple(filter(
+            None, (resolve(kind) for resolve in self._resolvers))))
+        return route
 
     def _hook(self, kind, t=0, cpu=-1, pid=None, cost=0, **fields):
         if self.kinds is not None and kind not in self.kinds:
             self.filtered += 1
         else:
-            events = self.events
-            if len(events) == self.capacity:
-                self.dropped += 1
-            events.append(_new_event(TraceEvent, (
-                t, kind, cpu, pid, cost,
-                tuple(sorted(fields.items())) if fields else ())))
-        sinks = self._routes.get(kind)
-        if sinks is None:
-            sinks = self._route(kind)
+            self.retained += 1
+            self._ring.append((t, kind, cpu, pid, cost, fields))
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._route(kind)
+        counter, sinks = route
+        if counter is not None:
+            counter.value += 1
         if sinks:
             if cost:
                 fields["cost"] = cost
             for sink in sinks:
                 sink(kind, t, cpu, pid, fields)
+
+    @property
+    def events(self):
+        """The retained events, oldest first, as :class:`TraceEvent`.
+
+        The intake stores what it was handed; the canonical form (sorted
+        ``args``, without the intake's own ``cost`` entry) is built here,
+        once per event, for whatever is still in the ring.  Read it again
+        after further emissions rather than holding on to the result.
+        """
+        ring = self._ring
+        fresh = min(self.retained - self._canonical, len(ring))
+        if fresh:
+            self._canonical = self.retained
+            ring.rotate(fresh)
+            for _ in range(fresh):
+                t, kind, cpu, pid, cost, fields = ring.popleft()
+                if cost:
+                    fields = {key: value for key, value in fields.items()
+                              if key != "cost"}
+                ring.append(_new_event(TraceEvent, (
+                    t, kind, cpu, pid, cost,
+                    tuple(sorted(fields.items())) if fields else ())))
+        return ring
+
+    @property
+    def dropped(self):
+        """Retained events the ring has since evicted."""
+        return self.retained - len(self._ring)
 
     # -- queries ---------------------------------------------------------
 

@@ -77,9 +77,18 @@ def conservation_violations(kernel, at_ns=None):
     def flag(detail, pid=-1, cpu=-1):
         out.append(Violation("conservation", now, detail, pid, cpu))
 
+    # pid -> CPUs, from one pass over the run queues: the same lists as
+    # ``kernel.queued_cpus(pid)`` / ``running_cpus(pid)``, in CPU order.
+    queued_on, running_on = {}, {}
+    for rq in kernel.rqs:
+        for pid in rq.queued:
+            queued_on.setdefault(pid, []).append(rq.cpu)
+        if rq.current is not None:
+            running_on.setdefault(rq.current.pid, []).append(rq.cpu)
+    nowhere = []
     for pid, task in kernel.tasks.items():
-        queued = kernel.queued_cpus(pid)
-        running = kernel.running_cpus(pid)
+        queued = queued_on.get(pid, nowhere)
+        running = running_on.get(pid, nowhere)
         limbo = kernel.in_limbo(pid)
         state = task.state
         if len(queued) > 1:
@@ -316,23 +325,22 @@ def assert_kernel_state(kernel):
 class Sanitizer:
     """Base class: one invariant checker fed from the trace stream.
 
-    ``KINDS`` (plus any kind starting with one of ``KIND_PREFIXES``)
-    declares the event kinds :meth:`on_event` consumes.  The default
-    ``None`` means every kind, so a subclass that only overrides
-    ``on_event`` sees the whole stream; an empty set means none.
+    ``KINDS`` declares the event kinds :meth:`on_event` consumes.  The
+    default ``None`` means every kind, so a subclass that only overrides
+    ``on_event`` sees the whole stream; an empty set means none.  A
+    sanitizer whose kinds share no code overrides :meth:`route` to hand
+    out one sink per kind instead.
     """
 
     name = "sanitizer"
     KINDS = None
-    KIND_PREFIXES = ()
 
     def __init__(self, suite):
         self.suite = suite
 
     def route(self, kind):
         """The sink for events of ``kind``: :meth:`on_event` or None."""
-        wanted = (self.KINDS is None or kind in self.KINDS
-                  or kind.startswith(self.KIND_PREFIXES))
+        wanted = self.KINDS is None or kind in self.KINDS
         return self.on_event if wanted else None
 
     def flag(self, detail, at_ns=0, pid=-1, cpu=-1):
@@ -452,14 +460,21 @@ class LockSanitizer(Sanitizer):
     """
 
     name = "lock"
-    KINDS = frozenset({"lock_acquire", "lock_release"})
-    KIND_PREFIXES = ("rwlock_",)
+    KINDS = frozenset({
+        "lock_acquire", "lock_release",
+        "rwlock_read_acquire", "rwlock_read_release",
+        "rwlock_write_acquire", "rwlock_write_release",
+    })
 
     def __init__(self, suite):
         super().__init__(suite)
         self._held = {}          # thread -> [lock_id, ...] in order
         self._edges = set()      # (lock_a, lock_b): a held while taking b
         self._rw = {}            # name -> [readers, writer_bool]
+
+    def route(self, kind):
+        """One sink per kind: the method named after it."""
+        return getattr(self, kind) if kind in self.KINDS else None
 
     # -- spinlocks ----------------------------------------------------
 
@@ -479,63 +494,69 @@ class LockSanitizer(Sanitizer):
                          if src == node)
         return True
 
-    def on_event(self, kind, t, cpu, pid, fields):
-        if kind == "lock_acquire":
-            lock = fields.get("lock")
-            for holder, locks in self._held.items():
-                if lock in locks:
-                    self.flag(f"lock {lock} acquired by thread {cpu} "
-                              f"while held by thread {holder}",
-                              at_ns=t, cpu=cpu)
-            held = self._held.setdefault(cpu, [])
-            for outer in held:
-                edge = (outer, lock)
-                if edge not in self._edges:
-                    if not self._order_ok(edge):
-                        self.flag(
-                            f"lock-order inversion: {outer} -> {lock} "
-                            "closes a cycle in the acquisition graph",
-                            at_ns=t, cpu=cpu)
-                    self._edges.add(edge)
-            held.append(lock)
-        elif kind == "lock_release":
-            lock = fields.get("lock")
-            held = self._held.get(cpu, [])
-            if lock not in held:
-                self.flag(f"lock {lock} released by thread {cpu} "
-                          "which does not hold it", at_ns=t, cpu=cpu)
-            else:
-                held.remove(lock)
+    def lock_acquire(self, kind, t, cpu, pid, fields):
+        lock = fields.get("lock")
+        for holder, locks in self._held.items():
+            if lock in locks:
+                self.flag(f"lock {lock} acquired by thread {cpu} "
+                          f"while held by thread {holder}",
+                          at_ns=t, cpu=cpu)
+        held = self._held.setdefault(cpu, [])
+        for outer in held:
+            edge = (outer, lock)
+            if edge not in self._edges:
+                if not self._order_ok(edge):
+                    self.flag(
+                        f"lock-order inversion: {outer} -> {lock} "
+                        "closes a cycle in the acquisition graph",
+                        at_ns=t, cpu=cpu)
+                self._edges.add(edge)
+        held.append(lock)
+
+    def lock_release(self, kind, t, cpu, pid, fields):
+        lock = fields.get("lock")
+        held = self._held.get(cpu, [])
+        if lock not in held:
+            self.flag(f"lock {lock} released by thread {cpu} "
+                      "which does not hold it", at_ns=t, cpu=cpu)
         else:
-            self._rwlock_event(kind[len("rwlock_"):], t, cpu, fields)
+            held.remove(lock)
 
     # -- the per-scheduler quiesce rwlock ------------------------------
 
-    def _rwlock_event(self, op, t, cpu, fields):
+    def rwlock_read_acquire(self, kind, t, cpu, pid, fields):
         name = fields.get("lock", "?")
         state = self._rw.setdefault(name, [0, False])
-        if op == "read_acquire":
-            if state[1]:
-                self.flag(f"rwlock {name!r}: read acquired while the "
-                          "upgrade writer holds it", at_ns=t, cpu=cpu)
-            state[0] += 1
-        elif op == "read_release":
-            if state[0] <= 0:
-                self.flag(f"rwlock {name!r}: read release underflow",
-                          at_ns=t, cpu=cpu)
-            else:
-                state[0] -= 1
-        elif op == "write_acquire":
-            if state[0] > 0 or state[1]:
-                self.flag(f"rwlock {name!r}: write acquired with "
-                          f"{state[0]} readers inside "
-                          f"(writer={state[1]})", at_ns=t, cpu=cpu)
-            state[1] = True
-        elif op == "write_release":
-            if not state[1]:
-                self.flag(f"rwlock {name!r}: write release without "
-                          "hold", at_ns=t, cpu=cpu)
-            state[1] = False
+        if state[1]:
+            self.flag(f"rwlock {name!r}: read acquired while the "
+                      "upgrade writer holds it", at_ns=t, cpu=cpu)
+        state[0] += 1
+
+    def rwlock_read_release(self, kind, t, cpu, pid, fields):
+        name = fields.get("lock", "?")
+        state = self._rw.setdefault(name, [0, False])
+        if state[0] <= 0:
+            self.flag(f"rwlock {name!r}: read release underflow",
+                      at_ns=t, cpu=cpu)
+        else:
+            state[0] -= 1
+
+    def rwlock_write_acquire(self, kind, t, cpu, pid, fields):
+        name = fields.get("lock", "?")
+        state = self._rw.setdefault(name, [0, False])
+        if state[0] > 0 or state[1]:
+            self.flag(f"rwlock {name!r}: write acquired with "
+                      f"{state[0]} readers inside "
+                      f"(writer={state[1]})", at_ns=t, cpu=cpu)
+        state[1] = True
+
+    def rwlock_write_release(self, kind, t, cpu, pid, fields):
+        name = fields.get("lock", "?")
+        state = self._rw.setdefault(name, [0, False])
+        if not state[1]:
+            self.flag(f"rwlock {name!r}: write release without "
+                      "hold", at_ns=t, cpu=cpu)
+        state[1] = False
 
     def check(self, kernel):
         for thread, locks in self._held.items():
@@ -619,7 +640,7 @@ class SanitizerSuite(Observer):
     @property
     def events_seen(self):
         """Events that came through the intake, retained or not."""
-        return self.filtered + self.dropped + len(self.events)
+        return self.filtered + self.retained
 
     # -- wiring --------------------------------------------------------
 

@@ -63,6 +63,13 @@ class TestBucketing:
             lower, upper = _bucket_bounds(index)
             assert lower <= value < upper
 
+    def test_record_buckets_where_bucket_index_says(self):
+        # Histogram.record carries the index arithmetic inline.
+        for value in list(range(0, 300)) + [10**3, 10**6, 10**9, 10**12]:
+            hist = Histogram("h")
+            hist.record(value)
+            assert hist.buckets == {_bucket_index(value): 1}
+
     def test_small_values_are_exact(self):
         for value in range(16):
             assert _bucket_bounds(_bucket_index(value)) == (value, value + 1)

@@ -69,6 +69,20 @@ class TestRecorder:
         assert len(loaded) == count
         assert loaded[0]["seq"] == 1
 
+    def test_ring_drains_in_batches_and_overruns_drop(self):
+        recorder = Recorder(capacity=8, drain_batch=4)
+        for i in range(10):
+            recorder.note_lock_op("acquire", i, 0)
+        assert [entry["seq"] for entry in recorder.log] == list(range(1, 9))
+        assert len(recorder._ring) == 2 and recorder.dropped == 0
+        assert len(recorder.entries) == 10
+        # A drain batch the ring cannot hold: entries past capacity drop.
+        recorder = Recorder(capacity=4, drain_batch=8)
+        for i in range(10):
+            recorder.note_lock_op("acquire", i, 0)
+        assert recorder.log == [] and recorder.dropped == 6
+        assert [entry["seq"] for entry in recorder.entries] == [1, 2, 3, 4]
+
     def test_recording_slows_execution(self):
         """Section 5.8: record mode is measurably slower than normal."""
         recorder, kernel_recorded = run_recorded_workload(rounds=50)

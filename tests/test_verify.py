@@ -18,7 +18,8 @@ from repro.verify import (SanitizerError, SanitizerSuite, assert_kernel_state,
                           check_kernel_state, fuzz_run, generate_episode,
                           load_artifact, run_episode, shrink_episode,
                           write_artifact)
-from repro.verify.sanitizers import DEFAULT_SANITIZERS, Sanitizer
+from repro.verify.sanitizers import (DEFAULT_SANITIZERS, Sanitizer, Violation,
+                                     conservation_violations)
 
 POLICY = 7
 
@@ -110,6 +111,32 @@ class TestStateScans:
                    for v in violations)
         with pytest.raises(SanitizerError):
             assert_kernel_state(kernel)
+
+    def test_conservation_scan_reports_what_the_per_task_walks_report(self):
+        """The scan indexes one pass over the run queues; the kernel's
+        per-pid walks stay the reference for what it must report."""
+        kernel, _shim = make_enoki_kernel(nr_cpus=2)
+        for _ in range(4):
+            kernel.spawn(spin(run_ns=usecs(500), phases=2), policy=POLICY,
+                         origin_cpu=0)
+        kernel.run_for(usecs(300))
+        home = next(rq for rq in kernel.rqs if rq.queued and rq.current)
+        other = kernel.rqs[1 - home.cpu]
+        queued = next(iter(home.queued.values()))
+        running = home.current
+        other.queued[queued.pid] = queued       # attached twice
+        displaced, other.current = other.current, running   # runs twice
+        violations = conservation_violations(kernel)
+        other.current = displaced
+        both = sorted((home.cpu, other.cpu))
+        assert kernel.queued_cpus(queued.pid) == both
+        for detail, pid in (
+                (f"task queued on 2 run queues {both}", queued.pid),
+                (f"RUNNABLE task queued on {both}", queued.pid),
+                (f"RUNNING task is current on {both} "
+                 "(expected exactly one CPU)", running.pid)):
+            assert Violation("conservation", kernel.now, detail,
+                             pid) in violations, detail
 
     def test_live_token_for_dead_task_is_flagged(self):
         kernel, shim = make_enoki_kernel()
@@ -237,6 +264,8 @@ ROUTING_TABLE = {
     "slo_violation": {"clock"},
     "watchdog_finding": {"clock"},
     "never_heard_of_it": {"clock"},
+    "rwlock_downgrade": {"clock"},      # an op the lock sanitizer lacks:
+    #                                     still retained and counted
 }
 
 
@@ -246,11 +275,18 @@ PAYLOAD = {"lock": "L", "gen": 1, "slo": "s", "hook": "task_tick",
 
 
 def spying(cls, seen):
-    """``cls`` with an ``on_event`` that notes the delivery first."""
+    """``cls`` with every sink its ``route`` hands out noting the
+    delivery first (so per-kind sinks are held to the table too)."""
     class Spy(cls):
-        def on_event(self, kind, t, cpu, pid, fields):
-            seen.append((cls.name, kind))
-            super().on_event(kind, t, cpu, pid, fields)
+        def route(self, kind):
+            sink = super().route(kind)
+            if sink is None:
+                return None
+
+            def spy(kind, t, cpu, pid, fields):
+                seen.append((cls.name, kind))
+                sink(kind, t, cpu, pid, fields)
+            return spy
     return Spy
 
 
@@ -269,16 +305,34 @@ class TestEventRouting:
                         for name in [cls.name for cls in DEFAULT_SANITIZERS]
                         if name in ROUTING_TABLE[kind]]
         assert suite.events_seen == 2
+        assert [event.kind for event in suite.events] == [kind, kind]
         assert suite.registry.counter("events." + kind).value == 2
 
     def test_table_covers_the_documented_taxonomy(self):
+        import pathlib
         import re
+        import repro
+        from repro.core.libenoki import _LOCK_KINDS
+        from repro.obs.observer import _RWLOCK_KINDS
         from repro.simkernel import tracing
-        documented = re.findall(r"^``(\w+)[\w/*]*``  ", tracing.__doc__,
-                                re.M)
-        assert len(documented) == 18
+        documented = re.findall(r"^``(\w+)\*?``  ", tracing.__doc__, re.M)
+        assert len(documented) == 26
         for name in documented:
             assert any(kind.startswith(name) for kind in ROUTING_TABLE), name
+        # Every kind (or kind prefix) written out at an emit site under
+        # src/repro is in the module's table, and nothing in the table
+        # has lost its emitter.
+        emitted = {*_LOCK_KINDS.values(), *_RWLOCK_KINDS.values()}
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            emitted.update(re.findall(
+                r"""\b(?:trace|_hook)\(\s*"(\w+)\"""", path.read_text()))
+        assert len(emitted) > 20
+        for kind in emitted:
+            assert any(kind.startswith(name) or name.startswith(kind)
+                       for name in documented), kind
+        for name in documented:
+            assert any(kind.startswith(name) or name.startswith(kind)
+                       for kind in emitted), name
 
     def test_sanitizer_overriding_only_on_event_sees_every_event(self):
         seen = []
@@ -300,6 +354,45 @@ class TestEventRouting:
         suite._hook("rwlock_write_acquire", t=2, cpu=-1, lock="q")
         assert any(v.sanitizer == "lock" and "write acquired" in v.detail
                    for v in suite.violations)
+
+    def test_no_default_sink_changes_the_fields_the_ring_retains(self):
+        """The ring keeps the emitter's ``fields`` dict until ``events``
+        is read, so a sink that edits it would rewrite history; only the
+        intake's own ``cost`` entry is added, and left out again."""
+        suite = SanitizerSuite()
+
+        def unchanged(kind, t, cpu, pid, fields):   # routed last
+            assert fields == {**PAYLOAD, "cost": 7}, kind
+        suite.add_route(lambda kind: unchanged)
+        for kind in sorted(ROUTING_TABLE):
+            suite._hook(kind, t=1, cpu=0, pid=1, cost=7, **PAYLOAD)
+        assert [(e.kind, e.cost_ns, e.args) for e in suite.events] == [
+            (kind, 7, tuple(sorted(PAYLOAD.items())))
+            for kind in sorted(ROUTING_TABLE)]
+
+    def test_suite_attached_second_sees_the_quiesce_lock(self):
+        """Attaching over a live observer detaches it, so the rwlock,
+        profiler and token taps follow the trace hook to the new
+        watcher instead of staying with the displaced one."""
+        kernel, shim = make_enoki_kernel()
+        first = Observer.attach(kernel)
+        suite = SanitizerSuite.attach(kernel)
+        assert first._kernel is None
+        assert shim.profiler is suite.profilers[POLICY]
+        kernel.spawn(spin(phases=2), policy=POLICY)
+        kernel.run_until_idle()
+        assert first.events_of_kind("rwlock_read_acquire") == []
+        reads = suite.summary()["rwlock_read_acquire"]
+        assert reads == shim.lib.rwlock.read_acquisitions > 0
+        suite.check()
+        assert suite.ok, suite.violation_report()
+        # A planted reader under the upgrade writer must be flagged.
+        rwlock = shim.lib.rwlock
+        rwlock.acquire_write()
+        rwlock.on_event("read_acquire", rwlock.name)
+        assert [v.sanitizer for v in suite.violations] == ["lock"]
+        assert "read acquired while the upgrade writer holds it" in \
+            suite.violations[0].detail
 
     def test_route_added_after_first_event_takes_effect(self):
         tracer = SchedTracer()
