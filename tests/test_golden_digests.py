@@ -14,6 +14,11 @@ same way on the commit before the Enoki policies moved onto one shared
 token queue: they pin the two policies ``KernelBuilder`` cannot name and
 one mid-run live upgrade per transfer family, taken while run queues are
 several deep and both serverless tiers are populated.
+
+The ``group-forest`` literal was recorded on the commit before the
+hierarchical effective weight was memoised: a stale weight after a
+renice, a migration or an unthrottle moves vruntime, so the pick order,
+so the digest.
 """
 
 import pytest
@@ -114,6 +119,62 @@ def tenants_digest():
                              duration_ns=msecs(100))
     assert result.completed
     return state_digest(session.kernel)
+
+
+def group_forest_digest():
+    """Native CFS on smp:4 over a two-level forest: ``web`` and ``batch``
+    under a capped ``org``, an uncapped ``other`` beside it, root tasks
+    around them, run queues several deep.  Tasks renice inside a group,
+    force their own migration through ``SetAffinity`` and ride several
+    throttle / unthrottle cycles, each of which changes somebody's
+    hierarchical weight."""
+    session = session_for("cfs")
+    kernel = session.kernel
+    groups = kernel.groups
+    org = groups.create("org", weight=2048, quota_ns=msecs(9),
+                        period_ns=msecs(5))
+    groups.create("web", parent="org", weight=3072)
+    groups.create("batch", parent="org", weight=512)
+    groups.create("other", weight=1024)
+
+    def bursts(count, ns):
+        def prog():
+            for _ in range(count):
+                yield Run(ns)
+        return prog
+
+    def renicer():
+        for nice in (4, -3, 0):
+            for _ in range(12):
+                yield Run(usecs(180))
+            yield SetNice(nice)
+        yield Run(msecs(1))
+
+    def mover():
+        for cpus in ({0}, {1}, {2, 3}, {0, 1, 2, 3}):
+            for _ in range(8):
+                yield Run(usecs(220))
+            yield SetAffinity(frozenset(cpus))
+        yield Run(msecs(1))
+
+    for prog, group, nice in (
+            (bursts(40, usecs(250)), "web", 0),
+            (phased(30, usecs(200), usecs(150)), "web", 2),
+            (renicer, "web", 0),
+            (bursts(30, usecs(300)), "batch", 0),
+            (mover, "batch", -2),
+            (renicer, "batch", 0),
+            (bursts(40, usecs(250)), "other", 0),
+            (phased(30, usecs(150), usecs(100)), "other", -1),
+            (mover, "other", 0),
+            (bursts(30, usecs(300)), None, 0),
+            (phased(30, usecs(250), usecs(200)), None, 3)):
+        kernel.spawn(prog, policy=session.policy, nice=nice, group=group)
+    session.run_until_idle()
+    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
+    assert org.throttle_count >= 2 and not org.throttled
+    assert kernel.stats.total_migrations > 0
+    return state_digest(kernel)
 
 
 def phased(phases, work_ns, sleep_ns):
@@ -382,6 +443,8 @@ GOLDEN = {
         "8c1e31dec57d5217fd53d85406b34fad6955afd705bf9d33742e74075cb4c4c6",
     'tenants-cfs':
         "d4b0b6239a154b1864b34dc0d1dcc7e0205684ccee09c349c924f43e9cdb48dd",
+    'group-forest':
+        "02730a1983558f0871880dfb23decd767d424c865302975171a1055827b5e644",
     'class-stack':
         "6af0fc425a2d6b26439102b9bc5217c84bbdcab2f3f79c8d755d1ff8b4d05be2",
     'upgrade':
@@ -464,6 +527,10 @@ def test_deep_hackbench_digest_is_golden(sched):
 
 def test_tenants_cfs_digest_is_golden():
     assert tenants_digest() == GOLDEN["tenants-cfs"]
+
+
+def test_group_forest_cfs_digest_is_golden():
+    assert group_forest_digest() == GOLDEN["group-forest"]
 
 
 def test_four_class_stack_digest_is_golden():
