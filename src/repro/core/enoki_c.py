@@ -513,8 +513,8 @@ class EnokiSchedClass(SchedClass):
             expiry = (self.kernel.now
                       + max(delay_ns, config.timer_min_delay_ns)
                       + config.timer_program_ns)
-            if existing.handle is not None \
-                    and existing.handle.time == expiry:
+            handle = existing.handle
+            if handle is not None and handle[0] == expiry:
                 # Identical re-arm: the armed timer already fires at this
                 # exact instant, so skip the cancel + heap churn.
                 return

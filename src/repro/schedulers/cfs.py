@@ -146,24 +146,29 @@ class CfsSchedClass(SchedClass):
                     per_cpu[cpu][group.name] = weight
         return per_cpu
 
-    def _effective_weight(self, task):
-        if task.group is None:
-            return task.weight
-        return self.kernel.groups.effective_weight(task, task.cpu)
-
     # ------------------------------------------------------------------
     # vruntime accounting
     # ------------------------------------------------------------------
 
     def update_curr(self, task, delta_ns):
-        task.vruntime += delta_ns * NICE_0_WEIGHT \
-            // self._effective_weight(task)
+        weight = task.weight
+        if task.group is not None:
+            # Hierarchical weight: the memo holds while the task's CPU,
+            # that CPU's runnable index and its own weight all do.
+            cpu = task.cpu
+            groups = self.kernel.groups
+            if task.eff_weight_key == (cpu, groups.index_gen[cpu], weight):
+                weight = task.eff_weight
+            else:
+                weight = groups.effective_weight(task, cpu)
+        task.vruntime += delta_ns * NICE_0_WEIGHT // weight
         rq = self._rqs[task.cpu]
         if rq.curr_pid == task.pid:
             floor = task.vruntime
-            if rq.entries:
-                floor = min(floor, rq.entries[0][0])
-            rq.min_vruntime = max(rq.min_vruntime, floor)
+            if rq.entries and rq.entries[0][0] < floor:
+                floor = rq.entries[0][0]
+            if floor > rq.min_vruntime:
+                rq.min_vruntime = floor
 
     def _sched_period(self, nr_running):
         cfg = self.kernel.config
@@ -172,16 +177,28 @@ class CfsSchedClass(SchedClass):
         return cfg.sched_latency_ns
 
     def _slice_for(self, task, cpu):
-        rq = self._rqs[cpu]
-        krq = self.kernel.rqs[cpu]
-        nr = max(1, krq.nr_running)
-        period = self._sched_period(nr)
-        my_weight = self._effective_weight(task)
-        total_weight = my_weight
-        for _vr, pid in rq.entries:
-            total_weight += self._effective_weight(self.kernel.tasks[pid])
+        kernel = self.kernel
+        krq = kernel.rqs[cpu]
+        period = self._sched_period(
+            max(1, len(krq.queued) + (krq.current is not None)))
+        tasks = kernel.tasks
+        groups = kernel.groups
+        index_gen = groups.index_gen
+        my_weight = total_weight = 0
+        for entity in [task] + [tasks[pid]
+                                for _vr, pid in self._rqs[cpu].entries]:
+            weight = entity.weight
+            if entity.group is not None:
+                at = entity.cpu
+                if entity.eff_weight_key == (at, index_gen[at], weight):
+                    weight = entity.eff_weight
+                else:
+                    weight = groups.effective_weight(entity, at)
+            if entity is task:
+                my_weight = weight
+            total_weight += weight
         share = period * my_weight // max(1, total_weight)
-        return max(self.kernel.config.sched_min_granularity_ns, share)
+        return max(kernel.config.sched_min_granularity_ns, share)
 
     # ------------------------------------------------------------------
     # placement
@@ -374,7 +391,7 @@ class CfsSchedClass(SchedClass):
         """Pick a pullable task from src: prefer cache-cold tasks."""
         rq = self._rqs[src_cpu]
         cfg = self.kernel.config
-        now = self.kernel.now
+        now = self.kernel.clock.now
         fallback = None
         for _vr, pid in reversed(rq.entries):
             task = self.kernel.tasks[pid]
@@ -389,24 +406,24 @@ class CfsSchedClass(SchedClass):
     def task_tick(self, cpu, task):
         if task is None:
             return
+        kernel = self.kernel
         rq = self._rqs[cpu]
-        krq = self.kernel.rqs[cpu]
         # Time-slice check.
         ran = task.sum_exec_runtime_ns - rq.curr_start_runtime
         if rq.entries and ran >= self._slice_for(task, cpu):
-            self.kernel.resched_cpu(cpu)
+            kernel.resched_cpu(cpu)
         elif rq.entries and rq.entries[0][0] < task.vruntime:
             # A lower-vruntime task is waiting (e.g. woke recently):
             # preempt at the tick, as the paper describes.
-            wakeup_gran = (self.kernel.config.sched_wakeup_granularity_ns
+            wakeup_gran = (kernel.config.sched_wakeup_granularity_ns
                            * NICE_0_WEIGHT // task.weight)
             if task.vruntime - rq.entries[0][0] > wakeup_gran:
-                self.kernel.resched_cpu(cpu)
+                kernel.resched_cpu(cpu)
         # Periodic load balance.
-        cfg = self.kernel.config
-        if (self.kernel.now - self._last_periodic_balance[cpu]
-                >= cfg.balance_interval_ns):
-            self._last_periodic_balance[cpu] = self.kernel.now
+        now = kernel.clock.now
+        if (now - self._last_periodic_balance[cpu]
+                >= kernel.config.balance_interval_ns):
+            self._last_periodic_balance[cpu] = now
             self._periodic_balance(cpu)
 
     def wakeup_preempt(self, cpu, task):
@@ -423,7 +440,8 @@ class CfsSchedClass(SchedClass):
         """Even out queue lengths: pull from the busiest CPU in scope."""
         topo = self.kernel.topology
         cfg = self.kernel.config
-        my_running = self.kernel.rqs[cpu].nr_running
+        rqs = self.kernel.rqs
+        my_running = len(rqs[cpu].queued) + (rqs[cpu].current is not None)
         for scope, threshold in (
             (topo.siblings_in_llc(cpu), 2),
             (topo.all_cpus(), cfg.numa_imbalance_threshold + 1),
@@ -432,7 +450,7 @@ class CfsSchedClass(SchedClass):
             for other in scope:
                 if other == cpu:
                     continue
-                n = self.kernel.rqs[other].nr_running
+                n = len(rqs[other].queued) + (rqs[other].current is not None)
                 if n > busiest_n:
                     busiest, busiest_n = other, n
             if busiest is None:

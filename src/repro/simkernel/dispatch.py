@@ -307,7 +307,8 @@ class DispatchEngine:
             self._tick_timers[cpu] = None
             return
         self.update_curr(cpu)
-        k.class_of(cur).task_tick(cpu, cur)
+        (k._class_cache.get(cur.policy) or k.class_of(cur)).task_tick(
+            cpu, cur)
         if rq.need_resched:
             self.reschedule(cpu)
 
@@ -327,8 +328,6 @@ class DispatchEngine:
         cur.exec_start_ns = now
         cur.sum_exec_runtime_ns += delta
         cur.last_ran_ns = now
-        # CpuStats.charge, inlined (this is its only caller and the
-        # accounting path runs at every op boundary).
         stats = k.stats.cpus[cpu]
         stats.busy_ns += delta
         pid_map = stats.busy_ns_by_pid
@@ -341,4 +340,7 @@ class DispatchEngine:
         group = cur.group
         if group is not None:
             k.groups.charge(group, delta)
-        k.class_of(cur).update_curr(cur, delta)
+        # The kernel's per-policy memo, read in place: ``class_of`` fills
+        # it on the first miss after a registration change or a redirect.
+        (k._class_cache.get(cur.policy) or k.class_of(cur)).update_curr(
+            cur, delta)

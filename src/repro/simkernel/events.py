@@ -1,20 +1,21 @@
 """The event queue driving the simulation.
 
-One binary heap (``heapq``) of ``(time, seq, handle)`` tuples over a
-shared :class:`Clock`.  ``seq`` is a per-queue counter, so events fire in
-strict ``(time, scheduling order)`` — the one property replay
-determinism rests on — and tuple comparison never reaches the handle.
-Cancellation is lazy: ``cancel`` flags the handle, the entry is skipped
-when it surfaces, and the heap is rebuilt once cancelled entries both
-exceed ``COMPACT_THRESHOLD`` and outnumber the live ones.
+One binary heap (``heapq``) of :class:`EventHandle` entries over a shared
+:class:`Clock`.  The handle a caller holds *is* the heap entry,
+``[time, seq, fn, args]``: ``seq`` is a per-queue counter, so events fire
+in strict ``(time, scheduling order)`` — the one property replay
+determinism rests on — and list comparison never reaches ``fn``.
+Cancellation is lazy: ``cancel`` clears the entry's ``fn``, the entry is
+skipped when it surfaces, and the heap is rebuilt once cancelled entries
+both exceed ``COMPACT_THRESHOLD`` and outnumber the live ones.
 
 DESIGN §10 records the three-band queue (timer wheel, now-FIFO, handle
 freelist, batched windows) this heap was once the test oracle for, and
 the measurements it was removed on.
 """
 
-import heapq
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from repro.simkernel.clock import Clock
 from repro.simkernel.errors import SimError
@@ -23,27 +24,25 @@ _BUDGET_MSG = ("event budget exhausted after {} events "
                "(likely a livelock in the simulation)")
 
 
-class EventHandle:
-    """Handle to a scheduled event; pass it to :meth:`EventQueue.cancel`.
+class EventHandle(list):
+    """A scheduled event, ``[time, seq, fn, args]``; pass it to
+    :meth:`EventQueue.cancel`.
 
     A handle is live from scheduling until the event fires or is
-    cancelled; after either it reads ``cancelled`` and cancelling it
-    again is a no-op.
+    cancelled; either clears ``fn``, after which it reads ``cancelled``
+    and cancelling it again is a no-op.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time, seq, fn, args):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    time = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    fn = property(itemgetter(2))
+    args = property(itemgetter(3))
 
-    def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.fn, "__name__", repr(self.fn))
-        return f"EventHandle(t={self.time}, {name}, {state})"
+    @property
+    def cancelled(self):
+        return self[2] is None
 
 
 class EventQueue:
@@ -70,8 +69,8 @@ class EventQueue:
                 f"event scheduled in the past: {time} < {self.clock.now}"
             )
         self._seq += 1
-        handle = EventHandle(int(time), self._seq, fn, args)
-        heappush(self._heap, (handle.time, self._seq, handle))
+        handle = EventHandle([int(time), self._seq, fn, args])
+        heappush(self._heap, handle)
         self._live += 1
         return handle
 
@@ -79,17 +78,17 @@ class EventQueue:
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds."""
         if delay < 0:
             raise SimError(f"negative event delay: {delay}")
-        time = self.clock.now + int(delay)
         self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args)
-        heappush(self._heap, (time, self._seq, handle))
+        handle = EventHandle(
+            [self.clock.now + int(delay), self._seq, fn, args])
+        heappush(self._heap, handle)
         self._live += 1
         return handle
 
     def cancel(self, handle):
         """Cancel a previously scheduled event (the only way to)."""
-        if not handle.cancelled:
-            handle.cancelled = True
+        if handle[2] is not None:
+            handle[2] = None
             self._live -= 1
             self._stale += 1
             if self._stale > self.COMPACT_THRESHOLD \
@@ -99,8 +98,8 @@ class EventQueue:
     def _compact(self):
         """Drop cancelled entries and rebuild the heap in one pass (in
         place: a running :meth:`_drain` holds the list)."""
-        self._heap[:] = [e for e in self._heap if not e[2].cancelled]
-        heapq.heapify(self._heap)
+        self._heap[:] = [e for e in self._heap if e[2] is not None]
+        heapify(self._heap)
         self._stale = 0
 
     def _drain(self, deadline=None, budget=None):
@@ -111,8 +110,9 @@ class EventQueue:
         clock = self.clock
         count = 0
         while heap:
-            t, _seq, handle = heap[0]
-            if handle.cancelled:
+            handle = heap[0]
+            t, _seq, fn, args = handle
+            if fn is None:
                 heappop(heap)
                 self._stale -= 1
                 continue
@@ -125,17 +125,13 @@ class EventQueue:
                     f"clock would move backwards: {clock.now} -> {t}"
                 )
             clock.now = t
-            fn = handle.fn
-            args = handle.args
-            # Drop the callback references once the event has fired:
-            # timer callbacks carry their Timer in ``args`` while the
-            # Timer holds this handle, a reference cycle that would
-            # otherwise make every armed timer garbage-collector work.
-            handle.fn = handle.args = None
             # Fired handles read as cancelled: a late ``cancel`` from a
             # stale holder is a no-op instead of a silent live-count
-            # corruption.
-            handle.cancelled = True
+            # corruption.  ``args`` goes too: timer callbacks carry their
+            # Timer there while the Timer holds this handle, a reference
+            # cycle that would otherwise make every armed timer
+            # garbage-collector work.
+            handle[2] = handle[3] = None
             fn(*args)
             count += 1
             if budget is not None and count >= budget:
@@ -170,9 +166,7 @@ class EventQueue:
 
     def pending(self):
         """Live handles in dispatch order (tests and diagnostics only)."""
-        out = [e[2] for e in self._heap if not e[2].cancelled]
-        out.sort(key=lambda h: (h.time, h.seq))
-        return out
+        return sorted(e for e in self._heap if e[2] is not None)
 
 
 def make_event_queue(clock=None):

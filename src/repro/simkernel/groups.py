@@ -32,6 +32,9 @@ bandwidth control:
   a task's effective weight is its own weight scaled by
   ``group.weight / runnable_entity_weight`` at every level, which reduces
   to the classic flat ``group_shares`` formula for a one-level tree.
+  Every write to a CPU's index bumps that CPU's ``index_gen``, and the
+  weight is memoised on the task against it, so readers pay the chain
+  walk when the index changed, not on every ``update_curr``.
 
 Tasks with ``task.group is None`` belong to the implicit root group and
 pay a single attribute test on the hot paths — the hierarchy is free for
@@ -148,6 +151,9 @@ class GroupManager:
         self.root = TaskGroup("root", None, 1024, 0, DEFAULT_PERIOD_NS,
                               None, nr_cpus)
         self._by_name = {"root": self.root}
+        #: per-CPU generation of the runnable index (``task_weight`` /
+        #: ``child_weight``): what a memoised effective weight is valid for
+        self.index_gen = [0] * nr_cpus
 
     # ------------------------------------------------------------------
     # tree construction / lookup
@@ -194,6 +200,7 @@ class GroupManager:
         if isinstance(group, str):
             group = self.group(group)
         task.group = group
+        task.eff_weight_key = None
         group.members[task.pid] = task
 
     # ------------------------------------------------------------------
@@ -222,6 +229,7 @@ class GroupManager:
         task.group_cpu = -1
 
     def _weight_add(self, group, weight, cpu):
+        self.index_gen[cpu] += 1
         node = group
         node.task_weight[cpu] += weight
         node.nr_runnable[cpu] += 1
@@ -233,6 +241,7 @@ class GroupManager:
             node = parent
 
     def _weight_sub(self, group, weight, cpu):
+        self.index_gen[cpu] += 1
         node = group
         node.task_weight[cpu] -= weight
         node.nr_runnable[cpu] -= 1
@@ -244,16 +253,23 @@ class GroupManager:
 
     def effective_weight(self, task, cpu):
         """Hierarchical load weight: the task's weight scaled by its
-        group's share of the runnable competition at every level."""
+        group's share of the runnable competition at every level.
+
+        Walks the chain and leaves the result on the task under
+        ``(cpu, index_gen[cpu], task.weight)``; hot readers (CFS) compare
+        that key themselves and call here only when it no longer holds.
+        """
         group = task.group
         if group is None:
             return task.weight
-        eff = task.weight
+        eff = weight = task.weight
         while group.parent is not None:
             inside = group.task_weight[cpu] + group.child_weight[cpu]
             if inside > 0:
                 eff = max(1, eff * group.weight // inside)
             group = group.parent
+        task.eff_weight = eff
+        task.eff_weight_key = (cpu, self.index_gen[cpu], weight)
         return eff
 
     # ------------------------------------------------------------------

@@ -22,15 +22,6 @@ class CpuStats:
         self.busy_ns_by_pid = {}
         self.busy_ns_by_tgid = {}
 
-    def charge(self, task, delta_ns):
-        self.busy_ns += delta_ns
-        self.busy_ns_by_pid[task.pid] = (
-            self.busy_ns_by_pid.get(task.pid, 0) + delta_ns
-        )
-        self.busy_ns_by_tgid[task.tgid] = (
-            self.busy_ns_by_tgid.get(task.tgid, 0) + delta_ns
-        )
-
 
 class KernelStats:
     """Aggregated metrics across the machine."""

@@ -83,7 +83,7 @@ class TaskStruct:
         "sum_exec_runtime_ns", "last_ran_ns", "exec_start_ns",
         "last_wakeup_ns", "last_enqueue_ns", "wakeup_flags", "kick_at_ns",
         "vruntime", "on_rq",
-        "group", "group_cpu",
+        "group", "group_cpu", "eff_weight", "eff_weight_key",
         "stats", "exit_value", "user_data",
     )
 
@@ -123,6 +123,11 @@ class TaskStruct:
         # accounted).
         self.group = None
         self.group_cpu = -1
+        # Hierarchical effective weight, memoised by
+        # ``GroupManager.effective_weight`` under the key it was computed
+        # for: (cpu, that CPU's runnable-index generation, own weight).
+        self.eff_weight = 0
+        self.eff_weight_key = None
         self.stats = TaskStats()
         self.exit_value = None
         self.user_data = None

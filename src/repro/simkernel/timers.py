@@ -48,11 +48,8 @@ class TimerService:
         self.events = events
         self.config = config
         self.owner = owner
-        self.armed = 0
-        self.fired = 0
 
     def _note_fire(self, timer):
-        self.fired += 1
         owner = self.owner
         if owner is not None and owner.trace is not None:
             tag = timer.tag
@@ -76,12 +73,10 @@ class TimerService:
         timer.handle = self.events.after(
             delay_ns + self.config.timer_program_ns, self._fire, timer
         )
-        self.armed += 1
         return timer
 
     def _fire(self, timer):
         timer.fired = True
-        self.armed -= 1
         self._note_fire(timer)
         timer.callback(timer)
 

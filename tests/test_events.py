@@ -2,7 +2,8 @@
 
 ``TestEventQueue`` is the queue's contract (time order, insertion-order
 ties, cancellation, budget guard); ``TestLazyDeletion`` covers the
-heap's cancelled-entry bookkeeping; ``TestRandomizedSchedule`` drives
+heap's cancelled-entry bookkeeping; ``TestHandleIsHeapEntry`` the
+``[time, seq, fn, args]`` layout; ``TestRandomizedSchedule`` drives
 randomized schedule/cancel/reschedule sequences and checks the fire log
 against a model of the contract.
 """
@@ -259,6 +260,83 @@ class TestLazyDeletion:
         # sweep is deferred until cancellations dominate.
         assert q._stale == len(handles)
         assert len(q._heap) == live + len(handles)
+
+
+class TestHandleIsHeapEntry:
+    """The handle a caller holds is the heap's own entry,
+    ``[time, seq, fn, args]``, ordered by its first two fields alone."""
+
+    def test_same_instant_unorderable_callbacks_never_compared(self):
+        class Opaque:
+            """Callable, and any ordering comparison is an error."""
+
+            def __init__(self, log, tag):
+                self.log, self.tag = log, tag
+
+            def __call__(self, *args):
+                self.log.append(self.tag)
+
+            def __lt__(self, other):
+                raise AssertionError("the heap compared two callbacks")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        q = EventQueue()
+        log = []
+        for tag in range(40):
+            q.at(10, Opaque(log, tag), Opaque(log, None))
+        q.cancel(q.at(10, Opaque(log, "cancelled")))
+        assert [h.seq for h in q.pending()] == list(range(1, 41))
+        q.run_until_idle()
+        assert log == list(range(40))
+
+    def test_fields_read_through_the_entry(self):
+        q = EventQueue(Clock(5))
+        handle = q.after(7, print, "a", "b")
+        assert handle == [12, 1, print, ("a", "b")]
+        assert (handle.time, handle.seq, handle.fn, handle.args) \
+            == (12, 1, print, ("a", "b"))
+        assert q._heap[0] is handle
+        assert not handle.cancelled
+
+    def test_fired_and_cancelled_handles_read_cancelled(self):
+        q = EventQueue()
+        fired = q.at(10, lambda: None)
+        dropped = q.at(20, lambda: None)
+        q.at(30, lambda: None)
+        q.cancel(dropped)
+        q.run_until(10)
+        stale = q._stale
+        for handle in (fired, dropped):
+            assert handle.cancelled and handle.fn is None
+            q.cancel(handle)         # late cancel: a no-op both ways
+            assert len(q) == 1 and q._stale == stale
+        assert q.run_until_idle() == 1
+
+    def test_pending_is_dispatch_order(self):
+        q = EventQueue()
+        handles = [q.at(t, lambda: None) for t in (30, 10, 20, 10, 30, 10)]
+        q.cancel(handles[2])
+        expected = [handles[i] for i in (1, 3, 5, 0, 4)]
+        order = q.pending()
+        assert len(order) == len(q) == 5
+        assert all(a is b for a, b in zip(order, expected))
+
+    def test_compaction_keeps_the_callers_handles(self):
+        q = EventQueue()
+        seen = []
+        kept = [q.at(1_000 + i, seen.append, i) for i in range(5)]
+        doomed = [q.at(10 + i, seen.append, "doomed")
+                  for i in range(q.COMPACT_THRESHOLD + 1)]
+        for handle in doomed:
+            q.cancel(handle)
+        assert q._stale == 0 and len(q._heap) == len(kept)
+        assert {id(e) for e in q._heap} == {id(h) for h in kept}
+        q.cancel(kept[2])
+        q.run_until_idle()
+        assert seen == [0, 1, 3, 4]
+        assert all(h.cancelled for h in kept + doomed)
+        assert all(h.args is None for h in kept if h is not kept[2])
 
 
 class TestRandomizedSchedule:

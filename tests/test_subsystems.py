@@ -110,6 +110,13 @@ def make_running(kernel, task, cpu=0):
     return task
 
 
+def begin_op(kernel, task, op):
+    """Have ``task``'s program yield ``op`` next and the interpreter
+    fetch and begin it."""
+    task._gen = (o for o in (op,))
+    kernel.interp.advance_program(task)
+
+
 def events_after(kernel, seq):
     """Live events scheduled after sequence number ``seq``."""
     return [h for h in kernel.events.pending() if h.seq > seq]
@@ -210,7 +217,7 @@ class TestInterpreterCostCharging:
         task = make_running(kernel, place_queued(kernel, policy=1))
         seq = kernel.events._seq
 
-        kernel.interp.begin_op(task, Run(10_000))
+        begin_op(kernel, task, Run(10_000))
 
         (handle,) = events_after(kernel, seq)
         assert handle.fn == kernel.interp.run_complete
@@ -222,14 +229,14 @@ class TestInterpreterCostCharging:
         kernel, hi, lo, _log = two_class_kernel()
         task = make_running(kernel, place_queued(kernel, policy=1))
         with pytest.raises(ProgramError):
-            kernel.interp.begin_op(task, Run(-1))
+            begin_op(kernel, task, Run(-1))
 
     def test_plain_syscall_charges_syscall_ns(self):
         kernel, hi, lo, _log = two_class_kernel()
         task = make_running(kernel, place_queued(kernel, policy=1))
         seq = kernel.events._seq
 
-        kernel.interp.begin_op(task, FutexWake(Futex()))
+        begin_op(kernel, task, FutexWake(Futex()))
 
         (handle,) = events_after(kernel, seq)
         assert handle.fn == kernel.interp.op_effect
@@ -240,7 +247,7 @@ class TestInterpreterCostCharging:
         kernel, hi, lo, _log = two_class_kernel()
         task = make_running(kernel, place_queued(kernel, policy=1))
         seq = kernel.events._seq
-        kernel.interp.begin_op(task, Sleep(5_000))
+        begin_op(kernel, task, Sleep(5_000))
         (handle,) = events_after(kernel, seq)
         assert handle.time - kernel.now == kernel.config.syscall_ns
 
@@ -250,11 +257,50 @@ class TestInterpreterCostCharging:
         cfg = kernel.config
         seq = kernel.events._seq
 
-        kernel.interp.begin_op(task, PipeWrite(Pipe("p"), b"x"))
+        begin_op(kernel, task, PipeWrite(Pipe("p"), b"x"))
 
         (handle,) = events_after(kernel, seq)
         assert (handle.time - kernel.now
                 == cfg.syscall_ns + cfg.pipe_transfer_ns)
+
+    def test_subclassed_op_resolves_to_its_base_handler_once(self):
+        from repro.simkernel import interp
+
+        class TimedRun(Run):
+            pass
+
+        class LoudWrite(PipeWrite):
+            pass
+
+        kernel, hi, lo, _log = two_class_kernel()
+        cfg = kernel.config
+        task = make_running(kernel, place_queued(kernel, policy=1))
+        assert TimedRun not in interp._EFFECTS
+        seq = kernel.events._seq
+        begin_op(kernel, task, TimedRun(7_000))
+        (handle,) = events_after(kernel, seq)
+        assert handle.fn == kernel.interp.run_complete
+        assert handle.time - kernel.now == 7_000
+        assert interp._EFFECTS[TimedRun] is interp._EFFECTS[Run]
+
+        other = make_running(kernel, place_queued(kernel, policy=1, cpu=1),
+                             cpu=1)
+        seq = kernel.events._seq
+        begin_op(kernel, other, LoudWrite(Pipe("p"), b"x"))
+        (handle,) = events_after(kernel, seq)
+        assert handle.fn == kernel.interp.op_effect
+        assert (handle.time - kernel.now
+                == cfg.syscall_ns + cfg.pipe_transfer_ns)
+        assert interp._EFFECTS[LoudWrite] is interp._EFFECTS[PipeWrite]
+
+    def test_unknown_op_rejected_when_its_effect_applies(self):
+        kernel, hi, lo, _log = two_class_kernel()
+        task = make_running(kernel, place_queued(kernel, policy=1))
+        begin_op(kernel, task, "not an op")
+        assert task._in_syscall is True
+        with pytest.raises(ProgramError, match="unknown op 'not an op'"):
+            kernel.run_until_idle()
+        assert kernel.now == kernel.config.syscall_ns
 
     def test_pause_run_segment_banks_remaining_time(self):
         kernel, hi, lo, _log = two_class_kernel()
