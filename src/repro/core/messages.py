@@ -17,8 +17,9 @@ descriptions and re-minted by the replay engine's registry.
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Optional
+from typing import Any, Optional, get_args
 
+from repro.core.errors import RecordError
 from repro.core.schedulable import Schedulable
 
 _MESSAGE_TYPES = {}     # class name -> class (the record log's key)
@@ -36,6 +37,11 @@ def _register(cls):
     cls._ARG_NAMES = names
     cls._ARG_GETTER = attrgetter(*names) if names else None
     cls._ARG_MULTI = len(names) > 1
+    # The record codec's only per-field work: the fields declared to hold
+    # a ``Schedulable`` (``sched`` wherever a token crosses) are the ones
+    # written as descriptions and re-minted on replay.
+    cls._TOKEN_FIELDS = tuple(f.name for f in fields(cls)
+                              if Schedulable in get_args(f.type))
     return cls
 
 
@@ -60,13 +66,17 @@ class Message:
 
     def to_record(self):
         """Serialise to plain data for the record log."""
-        payload = {}
-        for name in self._ARG_NAMES:
-            value = getattr(self, name)
-            if isinstance(value, Schedulable):
-                payload[name] = {"__schedulable__": value.describe()}
-            else:
-                payload[name] = value
+        getter = self._ARG_GETTER
+        if getter is None:
+            payload = {}
+        elif self._ARG_MULTI:
+            payload = dict(zip(self._ARG_NAMES, getter(self)))
+        else:
+            payload = {self._ARG_NAMES[0]: getter(self)}
+        for name in self._TOKEN_FIELDS:
+            token = payload[name]
+            if isinstance(token, Schedulable):
+                payload[name] = {"__schedulable__": token.describe()}
         return {"type": type(self).__name__, "fields": payload}
 
     @classmethod
@@ -74,16 +84,29 @@ class Message:
         """Rebuild a message from a record entry.
 
         ``token_minter(description)`` supplies fresh ``Schedulable`` tokens
-        for serialised token fields (the replay registry mints them).
+        for serialised token fields (the replay registry mints them).  A
+        record that names no registered message, or whose fields are not
+        exactly the message's, raises :class:`RecordError`.
         """
-        klass = message_type(record["type"])
-        kwargs = {}
-        for name, value in record["fields"].items():
-            if isinstance(value, dict) and "__schedulable__" in value:
-                kwargs[name] = token_minter(value["__schedulable__"])
-            else:
-                kwargs[name] = value
-        return klass(**kwargs)
+        try:
+            klass = _MESSAGE_TYPES[record["type"]]
+            values = record["fields"]
+            if len(values) != len(klass._ARG_NAMES):
+                raise TypeError(
+                    f"{klass.__name__} takes fields {klass._ARG_NAMES}")
+            if klass._TOKEN_FIELDS:
+                values = dict(values)     # the entry may be replayed again
+                for name in klass._TOKEN_FIELDS:
+                    described = values[name]
+                    if described is not None:
+                        values[name] = token_minter(
+                            described["__schedulable__"])
+            # With the count right, an unknown name (which the constructor
+            # refuses) is the only way a field can be missing.
+            return klass(**values)
+        except (KeyError, TypeError) as exc:
+            raise RecordError(
+                f"malformed message record {record!r}: {exc!r}") from exc
 
 
 @_register

@@ -1,12 +1,19 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants."""
 
+import dataclasses
+import json
+from typing import Any, Optional
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import geomean, percentile, stddev
+from repro.core import messages as msgs
+from repro.core.errors import RecordError
 from repro.core.hints import RingBuffer
-from repro.core.schedulable import TokenRegistry
+from repro.core.schedulable import Schedulable, TokenRegistry
 from repro.simkernel.clock import Clock
 from repro.simkernel.events import EventQueue
 from repro.simkernel.semaphore import Semaphore
@@ -252,3 +259,124 @@ class TestRecordReplayProperties:
         engine = ReplayEngine(factory, recorder.entries)
         result = engine.run_sequential()
         assert result.matched, result.divergences[:2]
+
+
+# ----------------------------------------------------------------------
+# the record codec (core/messages.py)
+# ----------------------------------------------------------------------
+
+_ints = st.integers(-(1 << 40), 1 << 40)
+_json = st.recursive(
+    st.none() | st.booleans() | _ints | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+_cpus = st.lists(st.integers(0, 255), max_size=6).map(tuple)
+#: declared field type -> values a crossing can put there; a token field
+#: draws the ``(pid, cpu)`` its token is minted for (or None)
+_FIELD_VALUES = {
+    int: _ints,
+    bool: st.booleans(),
+    Optional[int]: st.none() | _ints,
+    dict: st.dictionaries(st.integers(1, 1 << 20), _ints, max_size=4),
+    tuple: _cpus,
+    Optional[tuple]: st.none() | _cpus,
+    Any: _json,
+    Optional[Schedulable]: (st.none()
+                            | st.tuples(st.integers(1, 1 << 20),
+                                        st.integers(0, 255))),
+}
+
+
+@st.composite
+def _messages(draw):
+    """Any registered message class with drawn field values (token fields
+    still as ``(pid, cpu)`` or None: the test mints them)."""
+    cls = draw(st.sampled_from(sorted(msgs._MESSAGE_TYPES.values(),
+                                      key=lambda c: c.__name__)))
+    return cls, {f.name: draw(_FIELD_VALUES[f.type])
+                 for f in dataclasses.fields(cls)}
+
+
+def _field_loop_record(message):
+    """``Message.to_record`` as it was before the bulk getter: one
+    ``getattr`` and one ``isinstance`` per field.  Kept as the oracle."""
+    payload = {}
+    for name in message._ARG_NAMES:
+        value = getattr(message, name)
+        if isinstance(value, Schedulable):
+            payload[name] = {"__schedulable__": value.describe()}
+        else:
+            payload[name] = value
+    return {"type": type(message).__name__, "fields": payload}
+
+
+class TestRecordCodecProperties:
+    def test_token_fields_are_the_sched_fields(self):
+        holders = {cls.__name__: cls._TOKEN_FIELDS
+                   for cls in msgs._MESSAGE_TYPES.values()
+                   if cls._TOKEN_FIELDS}
+        assert holders == {name: ("sched",) for name in (
+            "MsgPntErr", "MsgTaskNew", "MsgTaskWakeup", "MsgTaskPreempt",
+            "MsgTaskYield", "MsgMigrateTaskRq", "MsgBalanceErr")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_messages())
+    def test_roundtrip_and_field_loop_oracle(self, drawn):
+        cls, values = drawn
+        live = TokenRegistry()
+        for name in cls._TOKEN_FIELDS:
+            if values[name] is not None:
+                values[name] = live.issue(*values[name])
+        message = cls(**values)
+
+        record = message.to_record()
+        oracle = _field_loop_record(message)
+        assert record == oracle
+        # the log is written with json.dumps: key order is part of it
+        assert json.dumps(record) == json.dumps(oracle)
+
+        wire = json.loads(json.dumps(record))
+        replayed = TokenRegistry()
+        rebuilt = msgs.Message.from_record(
+            wire, lambda d: replayed.issue(d["pid"], d["cpu"]))
+        assert type(rebuilt) is cls
+        assert wire == json.loads(json.dumps(record)), "record mutated"
+        for name in cls._ARG_NAMES:
+            got = getattr(rebuilt, name)
+            if name in cls._TOKEN_FIELDS and values[name] is not None:
+                assert isinstance(got, Schedulable)
+                assert (got.pid, got.cpu) == (values[name].pid,
+                                              values[name].cpu)
+                assert replayed.is_valid(got) and not live.is_valid(got)
+            else:
+                assert got == wire["fields"][name]
+
+    @given(_messages(), st.data())
+    def test_wrong_field_sets_raise_record_error(self, drawn, data):
+        cls, values = drawn
+        for name in cls._TOKEN_FIELDS:
+            values[name] = None
+        record = cls(**values).to_record()
+        fields = dict(record["fields"])
+        if fields and data.draw(st.booleans()):
+            del fields[data.draw(st.sampled_from(sorted(fields)))]
+        else:
+            fields["no_such_field"] = 0
+            if len(fields) > 1 and data.draw(st.booleans()):
+                # same count, one name wrong
+                del fields[data.draw(st.sampled_from(cls._ARG_NAMES))]
+        with pytest.raises(RecordError):
+            msgs.Message.from_record(
+                {"type": record["type"], "fields": fields}, None)
+
+    def test_unknown_type_and_shapeless_records_raise_record_error(self):
+        for record in ({"type": "MsgNoSuch", "fields": {}},
+                       {"fields": {}}, {"type": "MsgBalance"},
+                       {"type": "MsgBalance", "fields": None}, None, 7,
+                       {"type": "MsgPntErr",
+                        "fields": {"cpu": 0, "pid": 1, "err": 0,
+                                   "sched": {"pid": 1, "cpu": 0}}}):
+            with pytest.raises(RecordError):
+                msgs.Message.from_record(record, lambda d: d)
