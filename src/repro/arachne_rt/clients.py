@@ -7,7 +7,8 @@ through the scheduler itself (a parked kthread yields and is simply never
 picked until its core is granted back).
 """
 
-from repro.arachne_rt.runtime import NullArbiterClient, SlotState
+from repro.arachne_rt.runtime import (ArachneRuntime, NullArbiterClient,
+                                      SlotState)
 from repro.simkernel.program import RecvHints, SendHint, YieldCpu
 
 
@@ -102,3 +103,33 @@ class EnokiArbiterClient(NullArbiterClient):
         # Unparking is the arbiter's job (grant path); nothing to do from
         # the host side.  Ensure a request goes out so it happens.
         self._request_pending = True
+
+
+#: policy number the Enoki core arbiter is registered under
+ARBITER_POLICY = 11
+
+
+def start_arbitrated(kernel, cores, arbiter, min_cores, name):
+    """Start a runtime whose cores come from a core arbiter: ``"enoki"``
+    registers :class:`~repro.schedulers.arachne.EnokiCoreArbiter` as a
+    scheduler class above everything else on the kernel; ``"native"``
+    starts the original userspace arbiter daemon under the default
+    class.  The runtime scales between ``min_cores`` and all of
+    ``cores``."""
+    if arbiter == "enoki":
+        from repro.core import EnokiSchedClass
+        from repro.schedulers.arachne import EnokiCoreArbiter
+        shim = EnokiSchedClass.register(
+            kernel,
+            EnokiCoreArbiter(kernel.topology.nr_cpus, ARBITER_POLICY,
+                             managed_cores=cores),
+            ARBITER_POLICY, priority=20)
+        policy, client = ARBITER_POLICY, EnokiArbiterClient(shim)
+    else:
+        from repro.arachne_rt.native_arbiter import NativeCoreArbiter
+        policy = 0
+        client = NativeCoreArbiter(kernel, managed_cores=cores).client()
+    runtime = ArachneRuntime(kernel, cores=list(cores), policy=policy,
+                             arbiter=client, name=name,
+                             min_cores=min_cores, max_cores=len(cores))
+    return runtime.start(initial_cores=min_cores)

@@ -1,18 +1,18 @@
-"""Command-line entry point: run experiments without pytest.
+"""Command-line entry point.
 
 Usage::
 
-    python -m repro list                 # show available experiments
-    python -m repro pipe                 # Table 3 quick run (CFS vs WFQ)
-    python -m repro schbench --workers 2
-    python -m repro rocksdb --load 40000
-    python -m repro upgrade
-    python -m repro fairness
+    python -m repro list                 # commands and paper artefacts
+    python -m repro bench                # every table and figure of the
+                                         # paper -> BENCH_paper.json
+    python -m repro bench table3         # one artefact: its table, the
+                                         # paper's row, a verdict per claim
+    python -m repro faas --load 15000
     python -m repro trace --export chrome out.json
     python -m repro stats
 
-These are quick single-configuration runs for exploration; the full
-table/figure reproductions live in ``benchmarks/``.
+``repro bench`` is the one way to run an experiment: the catalogue in
+:mod:`repro.exp.paper` names each artefact of the paper's evaluation.
 """
 
 import argparse
@@ -26,73 +26,10 @@ from repro.simkernel.clock import msecs
 POLICY = 7
 
 
-def _cfs_session(topology=None):
-    return (KernelBuilder(topology=topology)
-            .with_native("cfs", policy=0, priority=10).build())
-
-
 def _wfq_session(topology=None):
     return (KernelBuilder(topology=topology)
             .with_native("cfs", policy=0, priority=5)
             .with_enoki("wfq", policy=POLICY, priority=10).build())
-
-
-def cmd_pipe(args):
-    from repro.workloads.pipe_bench import run_pipe_benchmark
-
-    rows = []
-    for name, factory in (("CFS", _cfs_session),
-                          ("Enoki WFQ", _wfq_session)):
-        for config, same in (("one core", True), ("two cores", False)):
-            session = factory()
-            result = run_pipe_benchmark(session.kernel, session.policy,
-                                        rounds=args.rounds,
-                                        same_core=same)
-            rows.append([name, config, result.latency_us_per_message])
-    print(render_table("sched-pipe (us per message)",
-                       ["scheduler", "config", "latency"], rows))
-    return 0
-
-
-def cmd_schbench(args):
-    from repro.workloads.schbench import run_schbench
-
-    topology = "big80" if args.big else "small8"
-    rows = []
-    for name, factory in (("CFS", _cfs_session),
-                          ("Enoki WFQ", _wfq_session)):
-        session = factory(topology)
-        result = run_schbench(session.kernel, session.policy,
-                              message_threads=2,
-                              workers_per_thread=args.workers,
-                              warmup_ns=msecs(50),
-                              duration_ns=msecs(args.duration_ms))
-        rows.append([name, result.p50_us, result.p99_us,
-                     len(result.samples_us)])
-    print(render_table(
-        f"schbench, 2 message threads x {args.workers} workers (us)",
-        ["scheduler", "p50", "p99", "samples"], rows))
-    return 0
-
-
-def cmd_rocksdb(args):
-    from repro.workloads.rocksdb import run_rocksdb
-
-    rows = []
-    for name in ("CFS", "Enoki-Shinjuku"):
-        builder = KernelBuilder().with_native("cfs", policy=0, priority=5)
-        if name == "Enoki-Shinjuku":
-            builder.with_enoki("shinjuku", policy=8, priority=10,
-                               worker_cpus=[3, 4, 5, 6, 7])
-        session = builder.build()
-        result = run_rocksdb(session.kernel, session.policy, args.load,
-                             duration_ns=msecs(args.duration_ms))
-        rows.append([name, result.p50_us, result.p99_us,
-                     result.completed])
-    print(render_table(
-        f"RocksDB-style server at {args.load} req/s (GET latency, us)",
-        ["scheduler", "p50", "p99", "completed"], rows))
-    return 0
 
 
 def cmd_faas(args):
@@ -130,47 +67,6 @@ def cmd_faas(args):
             state = ("met" if not target["violations"]
                      else f"{target['violations']} violation(s)")
             print(f"SLO[{name}] {target['name']}: {state}")
-    return 0
-
-
-def cmd_upgrade(args):
-    from repro.workloads.schbench import run_schbench
-
-    for label, topology in (("1-socket/8-core", "small8"),
-                            ("2-socket/80-cpu", "big80")):
-        session = _wfq_session(topology)
-        manager = session.schedule_upgrade(at_ns=msecs(30))
-        run_schbench(session.kernel, session.policy, message_threads=2,
-                     workers_per_thread=2, warmup_ns=msecs(10),
-                     duration_ns=msecs(80))
-        report = manager.reports[0]
-        print(f"{label}: live upgrade pause {report.pause_us:.2f} us "
-              f"({report.transferred_tasks} tasks transferred)")
-    return 0
-
-
-def cmd_fairness(args):
-    from repro.workloads.fairness import run_fair_share
-
-    rows = []
-    for name, factory in (("CFS", _cfs_session),
-                          ("Enoki WFQ", _wfq_session)):
-        session = factory()
-        spread = run_fair_share(session.kernel, session.policy,
-                                work_ns=msecs(200))
-        session = factory()
-        packed = run_fair_share(session.kernel, session.policy,
-                                work_ns=msecs(200), one_core=True)
-        rows.append([
-            name,
-            max(spread.finish_times_ns.values()) / 1e9,
-            max(packed.finish_times_ns.values()) / 1e9,
-            max(packed.finish_times_ns.values())
-            / max(spread.finish_times_ns.values()),
-        ])
-    print(render_table(
-        "five CPU hogs: spread vs one core (seconds)",
-        ["scheduler", "spread", "one core", "ratio"], rows))
     return 0
 
 
@@ -515,42 +411,64 @@ def _metric_headline(metrics):
 
 
 def cmd_bench(args):
-    from repro.exp.bench import (default_specs, faas_specs,
-                                 multitenant_specs, run_sweep, smoke_specs)
+    from repro.exp.bench import (faas_specs, multitenant_specs, run_sweep,
+                                 smoke_specs)
+    from repro.exp.paper import (CATALOGUE, catalogue_specs, report,
+                                 results_by_name)
 
-    if args.faas:
-        specs = faas_specs(args.seed,
-                           headline_invocations=args.faas_invocations)
-    elif args.multitenant:
-        specs = multitenant_specs(args.seed)
-    elif args.smoke:
-        specs = smoke_specs(args.seed)
+    artefacts = []
+    if args.faas or args.multitenant or args.smoke:
+        if args.artefact:
+            print(f"repro bench: {args.artefact!r} names a paper artefact; "
+                  "it cannot be combined with --smoke, --faas or "
+                  "--multitenant", file=sys.stderr)
+            return 2
+        if args.faas:
+            name = "faas"
+            specs = faas_specs(args.seed,
+                               headline_invocations=args.faas_invocations)
+        elif args.multitenant:
+            name, specs = "multitenant", multitenant_specs(args.seed)
+        else:
+            name, specs = "smoke", smoke_specs(args.seed)
     else:
-        specs = default_specs(args.seed)
-    name = args.name if args.name else (
-        "smoke" if args.smoke else "faas" if args.faas
-        else "multitenant" if args.multitenant else "sweep")
+        if args.artefact and args.artefact not in CATALOGUE:
+            print(f"repro bench: unknown artefact {args.artefact!r}; the "
+                  f"catalogue: {', '.join(CATALOGUE)}", file=sys.stderr)
+            return 2
+        names = [args.artefact] if args.artefact else list(CATALOGUE)
+        artefacts = [CATALOGUE[n] for n in names]
+        name, specs = args.artefact or "paper", catalogue_specs(names)
+    name = args.name or name
     payload = run_sweep(specs, name, workers=args.workers,
                         cache_dir=args.cache_dir, out_dir=args.out_dir,
                         use_cache=not args.no_cache)
+    results = results_by_name(payload)
+    reports = [report(artefact, results) for artefact in artefacts]
+    status = 0 if all(holds for _, holds in reports) else 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    rows = [[r["name"], r["spec"]["sched"], r["spec"]["workload"],
-             _metric_headline(r["metrics"]),
-             f"{r['metrics'].get('simulated_ns', 0) / 1e6:.1f}"]
-            for r in payload["results"]]
+        return status
     meta = payload["meta"]
-    print(render_table(
-        f"bench sweep '{name}' ({len(specs)} scenarios, "
-        f"{meta['workers']} workers)",
-        ["scenario", "sched", "workload", "headline", "sim ms"], rows))
+    if artefacts:
+        print("\n\n".join(text for text, _ in reports) + "\n")
+    else:
+        rows = [[r["name"], r["spec"]["sched"], r["spec"]["workload"],
+                 _metric_headline(r["metrics"]),
+                 f"{r['metrics'].get('simulated_ns', 0) / 1e6:.1f}"]
+                for r in payload["results"]]
+        print(render_table(
+            f"bench sweep '{name}' ({len(specs)} scenarios, "
+            f"{meta['workers']} workers)",
+            ["scenario", "sched", "workload", "headline", "sim ms"], rows))
     rate = meta["sim_ns_per_wall_s"]
     print(f"wall {meta['wall_s']:.2f}s, {meta['cache_hits']} cached / "
           f"{meta['executed']} executed"
           + (f", {rate:,.0f} sim-ns per wall-second" if rate else ""))
     print(f"wrote BENCH_{name}.json")
-    return 0
+    if status:
+        print("FAIL: a claim of the paper does not hold on this tree")
+    return status
 
 
 def _cluster_spec_from_args(args):
@@ -659,19 +577,14 @@ def cmd_cluster(args):
 
 
 EXPERIMENTS = {
-    "bench": (cmd_bench, "parallel sharded benchmark runner: sweep "
-                         "ScenarioSpecs over a process pool with "
-                         "spec-hash caching"),
+    "bench": (cmd_bench, "the paper's tables and figures (all, or one "
+                         "named artefact) on the sharded, cached runner; "
+                         "exit 1 if a claim fails"),
     "cluster": (cmd_cluster, "fault-tolerant simulated fleet: N kernels "
                              "behind a retrying router with health-driven "
                              "eviction and rolling upgrades"),
-    "pipe": (cmd_pipe, "Table 3 quick run: sched-pipe CFS vs Enoki WFQ"),
-    "schbench": (cmd_schbench, "Table 4 quick run: schbench latencies"),
-    "rocksdb": (cmd_rocksdb, "Figure 2 quick run: dispersed load"),
     "faas": (cmd_faas, "serverless/FaaS trace quick run: CFS vs the "
                        "Enoki serverless scheduler + SLO verdicts"),
-    "upgrade": (cmd_upgrade, "Section 5.7 quick run: live upgrade pause"),
-    "fairness": (cmd_fairness, "Appendix A.1 quick run: fair sharing"),
     "trace": (cmd_trace, "capture a full-stack trace and export it "
                          "(chrome/ftrace)"),
     "stats": (cmd_stats, "metrics registry + per-callback latency "
@@ -694,27 +607,11 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("list", help="list experiments")
 
-    p = sub.add_parser("pipe", help=EXPERIMENTS["pipe"][1])
-    p.add_argument("--rounds", type=int, default=1500)
-
-    p = sub.add_parser("schbench", help=EXPERIMENTS["schbench"][1])
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--duration-ms", type=int, default=400)
-    p.add_argument("--big", action="store_true",
-                   help="use the 80-CPU topology")
-
-    p = sub.add_parser("rocksdb", help=EXPERIMENTS["rocksdb"][1])
-    p.add_argument("--load", type=int, default=40_000)
-    p.add_argument("--duration-ms", type=int, default=200)
-
     p = sub.add_parser("faas", help=EXPERIMENTS["faas"][1])
     p.add_argument("--load", type=int, default=18_000,
                    help="offered invocations per second")
     p.add_argument("--duration-ms", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("upgrade", help=EXPERIMENTS["upgrade"][1])
-    sub.add_parser("fairness", help=EXPERIMENTS["fairness"][1])
 
     p = sub.add_parser("trace", help=EXPERIMENTS["trace"][1])
     p.add_argument("--export", choices=["chrome", "ftrace"],
@@ -818,8 +715,12 @@ def main(argv=None):
                    help="print full episode payloads instead of tables")
 
     p = sub.add_parser("bench", help=EXPERIMENTS["bench"][1])
+    p.add_argument("artefact", nargs="?",
+                   help="one artefact of the paper catalogue (see `repro "
+                        "list`); default: all of them, written to "
+                        "BENCH_paper.json")
     p.add_argument("--smoke", action="store_true",
-                   help="tiny CI-sized sweep instead of the full grid")
+                   help="tiny CI-sized sweep instead of the catalogue")
     p.add_argument("--faas", action="store_true",
                    help="FaaS table: serverless vs the field under "
                         "sweeping load + a production-scale headline "
@@ -834,7 +735,10 @@ def main(argv=None):
                    help="process-pool size; results are identical at "
                         "any worker count")
     p.add_argument("--seed", type=int, default=0,
-                   help="master seed; per-spec seeds are derived from it")
+                   help="master seed of the --smoke, --faas and "
+                        "--multitenant sweeps (per-spec seeds are derived "
+                        "from it); the paper catalogue is recorded at "
+                        "SimConfig().seed")
     p.add_argument("--name", default="",
                    help="payload name (writes BENCH_<name>.json)")
     p.add_argument("--out-dir", default=".")
@@ -846,9 +750,13 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command in (None, "list"):
+        from repro.exp.paper import CATALOGUE
         print("experiments:")
         for name, (_fn, help_text) in EXPERIMENTS.items():
             print(f"  {name:10s} {help_text}")
+        print("paper artefacts (repro bench <artefact>):")
+        for name, artefact in CATALOGUE.items():
+            print(f"  {name:16s} {artefact.title}")
         return 0
     return EXPERIMENTS[args.command][0](args)
 

@@ -8,14 +8,19 @@ The runner turns a list of :class:`~repro.exp.spec.ScenarioSpec` into a
   deterministically derived seed (:func:`derive_seed`), so results are
   bit-identical regardless of worker count or shard assignment; the
   payload is reassembled in spec order before writing.
-* **Caching** — results are keyed by ``spec_hash + git rev`` under
+* **Caching** — results are keyed by ``spec_hash + git rev`` (the rev
+  carries a digest of uncommitted edits under ``src/``) under
   ``.bench-cache/``; re-running a sweep on an unchanged tree replays from
   cache and must produce a byte-identical deterministic payload (CI's
   ``bench-smoke`` job enforces exactly that).
 
 Wall-clock and timestamp fields are volatile by nature and are kept in
-the payload's ``meta`` section; everything outside ``meta`` is
-deterministic.
+the payload's ``meta`` section; everything outside ``meta`` and
+``git_rev`` is deterministic.
+
+The paper's own tables and figures are a catalogue of such sweeps in
+:mod:`repro.exp.paper`; what one of them needs beyond a kernel workload
+is an adapter in :data:`WORKLOADS` here.
 """
 
 import hashlib
@@ -34,6 +39,10 @@ TRAJECTORY_KIND = "repro.bench trajectory"
 
 DEFAULT_CACHE_DIR = ".bench-cache"
 
+#: the tree whose state keys the cache: the directory holding ``repro/``
+_SRC_DIR = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
 
 def derive_seed(master_seed, index):
     """Deterministic per-spec seed: stable across runs, shard layouts,
@@ -42,17 +51,36 @@ def derive_seed(master_seed, index):
     return int.from_bytes(digest[:4], "big")
 
 
-def git_rev():
-    """The tree's commit hash, or "unknown" outside a git checkout."""
+def _git(*args):
+    """Stdout of one git command run in ``src/``, or None when git or
+    the checkout is missing."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(["git", *args], capture_output=True,
+                             timeout=10, cwd=_SRC_DIR)
     except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_rev():
+    """The tree's commit hash — followed by ``+`` and a digest of the
+    uncommitted state of ``src/`` when there is any, so results cached
+    for the clean tree are never served after an edit — or "unknown"
+    outside a git checkout."""
+    head = _git("rev-parse", "HEAD")
+    if head is None:
         return "unknown"
-    if out.returncode != 0:
-        return "unknown"
-    return out.stdout.strip()
+    rev = head.decode().strip()
+    edits = _git("diff", "HEAD", "--", ".") or b""
+    untracked = _git("ls-files", "--others", "--exclude-standard",
+                     "-z", "--", ".") or b""
+    if not edits and not untracked:
+        return rev
+    digest = hashlib.sha256(edits + untracked)
+    for name in filter(None, untracked.split(b"\0")):
+        with open(os.path.join(os.fsencode(_SRC_DIR), name), "rb") as handle:
+            digest.update(handle.read())
+    return f"{rev}+{digest.hexdigest()[:16]}"
 
 
 # ----------------------------------------------------------------------
@@ -71,6 +99,10 @@ def _wl_pipe(session, opts):
 
 def _wl_schbench(session, opts):
     from repro.workloads.schbench import run_schbench
+    if "affinity" in opts:
+        opts["affinity"] = frozenset(opts["affinity"])
+    for at_ns in opts.pop("upgrades_at_ns", ()):
+        session.schedule_upgrade(at_ns)
     result = run_schbench(session.kernel, session.policy, **opts)
     return {
         "p50_us": result.p50_us,
@@ -80,13 +112,18 @@ def _wl_schbench(session, opts):
 
 
 def _wl_fairness(session, opts):
-    from repro.workloads.fairness import run_fair_share
-    result = run_fair_share(session.kernel, session.policy, **opts)
+    from repro.workloads import fairness
+    run = {"share": fairness.run_fair_share,
+           "weighted": fairness.run_weighted_share,
+           "placement": fairness.run_placement}[opts.pop("mode", "share")]
+    result = run(session.kernel, session.policy, **opts)
     finish = result.finish_times_ns
     return {
         "max_finish_ns": max(finish.values()),
         "min_finish_ns": min(finish.values()),
         "tasks": len(finish),
+        "finish_ns": dict(sorted(finish.items())),
+        "runtime_stddev_ns": round(result.runtime_stddev_ns(), 3),
     }
 
 
@@ -138,6 +175,110 @@ def _wl_multitenant(session, opts):
     return out
 
 
+def _wl_rocksdb(session, opts):
+    from repro.workloads.rocksdb import run_rocksdb
+    batch = None
+    if opts.pop("batch", False):
+        from repro.workloads.batch import start_batch_app
+        # ghOSt runs the batch under ghost at low priority; the others
+        # run it under CFS at nice 19 (section 5.4).
+        ghost = session.spec.sched.startswith("ghost_")
+        batch = start_batch_app(session.kernel,
+                                session.policy if ghost else 0,
+                                cpus=opts["worker_cpus"], nice=19)
+        opts.update(nice=-20, on_drain=batch.stop)
+    result = run_rocksdb(session.kernel, session.policy, **opts)
+    return {
+        "p50_us": _latency_us(result.p50_us),
+        "p99_us": _latency_us(result.p99_us),
+        "offered": result.offered,
+        "completed": result.completed,
+        "batch_cpus": (round(batch.cpu_share(), 4)
+                       if batch is not None else None),
+    }
+
+
+def _wl_memcached(session, opts):
+    from repro.workloads import memcached
+    backend = opts.pop("backend")
+    kernel = session.kernel
+    if backend == "threads":
+        result = memcached.run_memcached_threads(kernel, session.policy,
+                                                 **opts)
+    else:
+        from repro.arachne_rt.clients import start_arbitrated
+        from repro.simkernel.clock import msecs
+        runtime = start_arbitrated(kernel, opts.pop("cores"), backend,
+                                   min_cores=2, name="mc")
+        kernel.run_for(msecs(2))
+        result = memcached.run_memcached_arachne(kernel, runtime, **opts)
+    return {
+        "p50_us": _latency_us(result.p50_us),
+        "p99_us": _latency_us(result.p99_us),
+        "offered": result.offered,
+        "completed": result.completed,
+    }
+
+
+def _wl_app(session, opts):
+    from repro.workloads.apps import ALL_PROFILES, run_app
+    profiles = {profile.name: profile for profile in ALL_PROFILES}
+    if opts["profile"] not in profiles:
+        raise SimError(f"unknown application profile {opts['profile']!r}")
+    result = run_app(session.kernel, session.policy,
+                     profiles[opts["profile"]])
+    return {"score": result.score, "elapsed_ns": result.elapsed_ns}
+
+
+def _wl_arachne_pipe(session, opts):
+    from repro.workloads.arachne_bench import run_arachne_pipe
+    return {"latency_us_per_message":
+            run_arachne_pipe(session.kernel, **opts)}
+
+
+def _wl_arachne_rounds(session, opts):
+    from repro.workloads.arachne_bench import run_arachne_rounds
+    samples = run_arachne_rounds(session.kernel, **opts)
+    return {
+        "p50_us": samples[len(samples) // 2],
+        "p99_us": samples[min(len(samples) - 1, int(len(samples) * 0.99))],
+        "samples": len(samples),
+    }
+
+
+def _wl_bursty(session, opts):
+    from dataclasses import asdict
+
+    from repro.workloads.bursty import run_bursty_periodic
+    return asdict(run_bursty_periodic(session.kernel, session.policy))
+
+
+def _wl_upgrade_now(session, opts):
+    """Live-upgrade an idle machine: the bare quiesce + transfer pause
+    (reported by ``run_spec`` with every other upgrade's)."""
+    from repro.core import UpgradeManager
+    session.upgrades = UpgradeManager(session.kernel, session.shim)
+    session.upgrades.upgrade_now(session.scheduler_factory())
+    return {}
+
+
+def _wl_record_replay(session, opts):
+    """Sched-pipe under the recorder (``record=True`` on the spec), then
+    both replay modes of its log.  The replays' host wall times stay out:
+    perfbench's ``record.replay_ns_per_entry`` is the maintained measure."""
+    from repro.core import ReplayEngine
+    metrics = _wl_pipe(session, opts)
+    recorder = session.shim.recorder
+    recorder.stop()
+    metrics["entries"] = len(recorder.entries)
+    for mode in ("sequential", "threaded"):
+        engine = ReplayEngine(session.scheduler_factory, recorder.entries)
+        result = getattr(engine, f"run_{mode}")()
+        metrics[mode] = {"calls_replayed": result.calls_replayed,
+                         "divergences": len(result.divergences)}
+    return metrics
+
+
 WORKLOADS = {
     "pipe": _wl_pipe,
     "schbench": _wl_schbench,
@@ -145,6 +286,14 @@ WORKLOADS = {
     "hackbench": _wl_hackbench,
     "faas": _wl_faas,
     "multitenant": _wl_multitenant,
+    "rocksdb": _wl_rocksdb,
+    "memcached": _wl_memcached,
+    "app": _wl_app,
+    "arachne-pipe": _wl_arachne_pipe,
+    "arachne-rounds": _wl_arachne_rounds,
+    "bursty": _wl_bursty,
+    "upgrade-now": _wl_upgrade_now,
+    "record-replay": _wl_record_replay,
 }
 
 
@@ -169,12 +318,19 @@ def run_spec(spec):
         raise SimError(
             f"unknown bench workload {spec.workload!r}; registered "
             f"workloads: {', '.join(workload_names())}")
-    session = KernelBuilder.session_from_spec(spec)
+    recorder = None
+    if spec.record:
+        from repro.core import Recorder
+        recorder = Recorder()
+    session = KernelBuilder.session_from_spec(spec, recorder=recorder)
     metrics = runner(session, dict(spec.workload_options))
     session.stop()
     metrics["simulated_ns"] = session.kernel.now
     metrics["total_wakeups"] = session.kernel.stats.total_wakeups
     metrics["total_migrations"] = session.kernel.stats.total_migrations
+    if session.upgrades is not None:
+        metrics["upgrade_pauses_us"] = [
+            report.pause_us for report in session.upgrades.reports]
     if session.telemetry is not None:
         # Windowed time-series + SLO tallies ride along in the result
         # file; everything in the summary derives from virtual time, so
@@ -213,8 +369,11 @@ class BenchCache:
         self.rev = rev
 
     def _path(self, spec_hash):
-        return os.path.join(self.root,
-                            f"{self.rev[:12]}-{spec_hash[:24]}.json")
+        # Short commit hash plus whatever follows the 40 hex digits: the
+        # dirty-tree digest, so an edit does not overwrite the clean entry.
+        return os.path.join(
+            self.root,
+            f"{self.rev[:12]}{self.rev[40:]}-{spec_hash[:24]}.json")
 
     def get(self, spec_hash):
         path = self._path(spec_hash)
@@ -340,38 +499,28 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
 
 
 def deterministic_payload(payload):
-    """The payload minus its volatile ``meta`` section — the part that
-    must be byte-identical across identical runs."""
-    return {key: value for key, value in payload.items() if key != "meta"}
+    """The payload minus its volatile ``meta`` section and ``git_rev`` —
+    the part that must be byte-identical across identical runs, and the
+    form ``BENCH_paper.json`` and ``BENCH_faas.json`` are committed in
+    (a commit cannot contain its own hash)."""
+    return {key: value for key, value in payload.items()
+            if key not in ("meta", "git_rev")}
 
 
 # ----------------------------------------------------------------------
 # sweep definitions
 # ----------------------------------------------------------------------
 
-def pipe_sweep(rounds=1500, seed=0, schedulers=("cfs", "wfq"),
-               name_prefix="pipe"):
-    """The Table 3 grid: schedulers x {one core, two cores}."""
-    specs = []
-    index = 0
-    for sched in schedulers:
-        for label, same_core in (("one-core", True), ("two-cores", False)):
-            specs.append(ScenarioSpec(
-                name=f"{name_prefix}-{sched}-{label}",
-                sched=sched,
-                seed=derive_seed(seed, index),
-                workload="pipe",
-                workload_options={"rounds": rounds, "same_core": same_core},
-            ))
-            index += 1
-    return specs
-
-
 def smoke_specs(seed=0):
     """The tiny sweep behind ``repro bench --smoke``: small enough for CI,
     wide enough to cross schedulers, topologies, and workloads."""
-    specs = pipe_sweep(rounds=150, seed=seed, schedulers=("cfs", "wfq"),
-                       name_prefix="smoke-pipe")
+    specs = []
+    for sched in ("cfs", "wfq"):
+        for label, same_core in (("one-core", True), ("two-cores", False)):
+            specs.append(ScenarioSpec(
+                name=f"smoke-pipe-{sched}-{label}", sched=sched,
+                seed=derive_seed(seed, len(specs)), workload="pipe",
+                workload_options={"rounds": 150, "same_core": same_core}))
     specs.append(ScenarioSpec(
         name="smoke-pipe-eevdf", sched="eevdf",
         seed=derive_seed(seed, 100),
@@ -388,45 +537,6 @@ def smoke_specs(seed=0):
                           "max_workers": 16, "hint_fraction": 0.25,
                           "warmup_ns": 20_000_000,
                           "duration_ns": 80_000_000}))
-    return specs
-
-
-def default_specs(seed=0):
-    """The standard sweep behind plain ``repro bench``."""
-    specs = pipe_sweep(rounds=1500, seed=seed,
-                       schedulers=("cfs", "wfq", "fifo", "eevdf"))
-    specs.append(ScenarioSpec(
-        name="schbench-cfs", sched="cfs",
-        seed=derive_seed(seed, 200), workload="schbench",
-        workload_options={"message_threads": 2, "workers_per_thread": 2,
-                          "warmup_ns": 50_000_000,
-                          "duration_ns": 200_000_000}))
-    specs.append(ScenarioSpec(
-        name="schbench-wfq", sched="wfq",
-        seed=derive_seed(seed, 201), workload="schbench",
-        workload_options={"message_threads": 2, "workers_per_thread": 2,
-                          "warmup_ns": 50_000_000,
-                          "duration_ns": 200_000_000}))
-    specs.append(ScenarioSpec(
-        name="fairness-cfs", sched="cfs",
-        seed=derive_seed(seed, 202), workload="fairness",
-        workload_options={"work_ns": 100_000_000}))
-    specs.append(ScenarioSpec(
-        name="fairness-wfq", sched="wfq",
-        seed=derive_seed(seed, 203), workload="fairness",
-        workload_options={"work_ns": 100_000_000}))
-    specs.append(ScenarioSpec(
-        name="faas-serverless", sched="serverless",
-        seed=derive_seed(seed, 204), workload="faas",
-        workload_options={**FAAS_BASE_OPTIONS, "offered_rps": 18_000,
-                          "warmup_ns": 100_000_000,
-                          "duration_ns": 900_000_000}))
-    specs.append(ScenarioSpec(
-        name="faas-cfs", sched="cfs",
-        seed=derive_seed(seed, 204), workload="faas",
-        workload_options={**FAAS_BASE_OPTIONS, "offered_rps": 18_000,
-                          "warmup_ns": 100_000_000,
-                          "duration_ns": 900_000_000}))
     return specs
 
 

@@ -39,6 +39,7 @@ def _enoki_factories():
         from repro.schedulers.eevdf import EnokiEevdf
         from repro.schedulers.fifo import EnokiFifo
         from repro.schedulers.locality import EnokiLocality
+        from repro.schedulers.nest import EnokiNest
         from repro.schedulers.serverless import EnokiServerless
         from repro.schedulers.shinjuku import EnokiShinjuku
         from repro.schedulers.wfq import EnokiWfq
@@ -50,6 +51,7 @@ def _enoki_factories():
                 nr, policy, **opts),
             "locality": lambda nr, policy, opts: EnokiLocality(
                 nr, policy, **opts),
+            "nest": lambda nr, policy, opts: EnokiNest(nr, policy, **opts),
             "serverless": lambda nr, policy, opts: EnokiServerless(
                 nr, policy, **opts),
         })

@@ -120,7 +120,7 @@ class ScenarioSpec:
     workload_options: dict = field(default_factory=dict)
     fault_plan: dict = None                         # FaultPlan.to_dict()
     upgrade_at_ns: int = 0                          # 0 = no live upgrade
-    record: bool = False
+    record: bool = False                            # run under a Recorder
     telemetry_ns: int = 0                           # 0 = no sampler
     slos: tuple = ()                                # SLOTarget.to_dict()s
     groups: tuple = ()                              # task-group forest

@@ -19,8 +19,8 @@ potentially be much smaller and simpler than CFS" — as an Enoki policy:
 
 Cold-start avoidance is directly measurable in the substrate: the deep
 idle-exit penalty (``idle_exit_deep_ns``) applies exactly to the wakeups
-a Nest placement avoids.  ``benchmarks/bench_ablation_nest.py`` compares
-warm-core reuse against spreading placement.
+a Nest placement avoids.  ``repro bench nest`` compares warm-core reuse
+against spreading placement.
 """
 
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState

@@ -25,6 +25,7 @@ synthetic.  Per-profile RNG seeds make runs deterministic.
 """
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.simkernel.clock import usecs
@@ -72,8 +73,10 @@ def _threads(profile, nr_cpus):
 
 def run_app(kernel, policy, profile, seed=None):
     """Run one profile to completion; returns its score."""
+    # Per-profile salt from a stable digest: ``hash(str)`` is randomised
+    # per process, which made every Table 5 score depend on PYTHONHASHSEED.
     rng = random.Random((seed if seed is not None else kernel.config.seed)
-                        ^ hash(profile.name) & 0xFFFFFFFF)
+                        ^ zlib.crc32(profile.name.encode()))
     nr_cpus = kernel.topology.nr_cpus
     nthreads = _threads(profile, nr_cpus)
     start = kernel.now
@@ -338,29 +341,3 @@ PHORONIX_PROFILES = [
 ]
 
 ALL_PROFILES = NAS_PROFILES + PHORONIX_PROFILES
-
-
-def compare_profiles(make_kernel_cfs, make_kernel_wfq, profiles=None,
-                     seed=None):
-    """Run every profile under both schedulers; returns comparison rows.
-
-    ``make_kernel_*`` build a fresh kernel per run (state isolation) and
-    return ``(kernel, policy)``.
-    """
-    rows = []
-    for profile in (profiles if profiles is not None else ALL_PROFILES):
-        kernel_cfs, policy_cfs = make_kernel_cfs()
-        cfs = run_app(kernel_cfs, policy_cfs, profile, seed=seed)
-        kernel_wfq, policy_wfq = make_kernel_wfq()
-        wfq = run_app(kernel_wfq, policy_wfq, profile, seed=seed)
-        if profile.higher_is_better:
-            slowdown_pct = (cfs.score - wfq.score) / cfs.score * 100.0
-        else:
-            slowdown_pct = (wfq.score - cfs.score) / cfs.score * 100.0
-        rows.append({
-            "profile": profile,
-            "cfs": cfs.score,
-            "wfq": wfq.score,
-            "slowdown_pct": slowdown_pct,
-        })
-    return rows

@@ -8,37 +8,67 @@ from repro.cli import main
 
 
 class TestCli:
-    def test_list(self, capsys):
+    def test_list_names_commands_and_the_catalogue(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "pipe" in out
-        assert "upgrade" in out
+        assert "bench" in out
+        assert "table3" in out
+        assert "record-replay" in out
 
     def test_no_command_lists(self, capsys):
         assert main([]) == 0
         assert "experiments" in capsys.readouterr().out
 
-    def test_pipe_quick(self, capsys):
-        assert main(["pipe", "--rounds", "200"]) == 0
-        out = capsys.readouterr().out
-        assert "CFS" in out
-        assert "Enoki WFQ" in out
+    def test_the_five_quick_verbs_are_gone(self, capsys):
+        for gone in ("pipe", "schbench", "rocksdb", "upgrade", "fairness"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([gone])
+            assert excinfo.value.code == 2
+        capsys.readouterr()
 
-    def test_fairness_quick(self, capsys):
-        assert main(["fairness"]) == 0
-        out = capsys.readouterr().out
-        assert "ratio" in out
 
-    def test_upgrade_quick(self, capsys):
-        assert main(["upgrade"]) == 0
-        out = capsys.readouterr().out
-        assert "pause" in out
+class TestBenchArtefact:
+    """``repro bench <artefact>``: the table, the paper's row, a verdict
+    per claim; exit 1 when a claim fails, 2 when the name is unknown.
+    (That each table is *right* is ``test_paper_tables.py``'s job.)"""
 
-    def test_rocksdb_quick(self, capsys):
-        assert main(["rocksdb", "--load", "20000",
-                     "--duration-ms", "60"]) == 0
+    def run(self, tmp_path, *argv):
+        return main(["bench", *argv, "--out-dir", str(tmp_path),
+                     "--cache-dir", str(tmp_path / "cache")])
+
+    def test_prints_table_paper_row_and_verdicts(self, tmp_path, capsys):
+        assert self.run(tmp_path, "upgrade-scaling") == 0
         out = capsys.readouterr().out
-        assert "Enoki-Shinjuku" in out
+        assert "Ablation — upgrade pause vs machine size" in out
+        assert "80 CPUs  9.20" in out
+        assert "[paper] anchors: 1.5 us at 8 cores" in out
+        assert "ok    the pause grows with core count" in out
+        payload = json.loads(
+            (tmp_path / "BENCH_upgrade-scaling.json").read_text())
+        assert [r["name"] for r in payload["results"]] == [
+            f"upgrade-scaling-{n}" for n in (2, 8, 20, 40, 80)]
+
+    def test_failed_claim_exits_one(self, tmp_path, capsys, monkeypatch):
+        from repro.exp.paper import CATALOGUE
+        monkeypatch.setattr(CATALOGUE["hackbench"], "claims",
+                            lambda results: [("never holds", False)])
+        assert self.run(tmp_path, "hackbench") == 1
+        out = capsys.readouterr().out
+        assert "FAIL  never holds" in out
+        assert "a claim of the paper does not hold" in out
+
+    def test_unknown_artefact_exits_two_naming_the_catalogue(
+            self, tmp_path, capsys):
+        assert self.run(tmp_path, "nosuch") == 2
+        err = capsys.readouterr().err
+        assert "nosuch" in err
+        for name in ("table3", "fig2bc", "upgrade-scaling"):
+            assert name in err
+        assert not list(tmp_path.iterdir())
+
+    def test_artefact_with_another_sweep_exits_two(self, tmp_path, capsys):
+        assert self.run(tmp_path, "table3", "--smoke") == 2
+        assert "cannot be combined" in capsys.readouterr().err
 
 
 class TestChaosExitCodes:

@@ -229,6 +229,37 @@ class TestBenchRunner:
                 json.dump(damaged, handle)
             assert cache.get(spec.spec_hash()) is None
 
+    def test_rev_carries_the_uncommitted_state_of_src(self, tmp_path,
+                                                      monkeypatch):
+        """Results cached for the clean tree are never served after an
+        edit under ``src/``: the rev grows a digest of the diff and of
+        every untracked file, and the cache files keep apart."""
+        from repro.exp import bench
+        head = "a" * 40
+        state = {"diff": b"", "ls-files": b""}
+        monkeypatch.setattr(bench, "_SRC_DIR", str(tmp_path))
+        monkeypatch.setattr(
+            bench, "_git",
+            lambda *args: (head.encode() + b"\n" if args[0] == "rev-parse"
+                           else state[args[0]]))
+        revs = [bench.git_rev()]
+        assert revs == [head]
+        for diff in (b"-old\n+new\n", b"-old\n+newer\n"):
+            state["diff"] = diff
+            revs.append(bench.git_rev())
+        state.update({"diff": b"", "ls-files": b"fresh.py\0"})
+        for body in ("x = 1\n", "x = 2\n"):
+            (tmp_path / "fresh.py").write_text(body)
+            revs.append(bench.git_rev())
+        assert len(set(revs)) == 5
+        assert all(rev.startswith(head + "+") for rev in revs[1:])
+        spec_hash = _tiny_specs()[0].spec_hash()
+        paths = {BenchCache(str(tmp_path), rev)._path(spec_hash)
+                 for rev in revs}
+        assert len(paths) == 5
+        monkeypatch.setattr(bench, "_git", lambda *args: None)
+        assert bench.git_rev() == "unknown"
+
     def test_smoke_specs_have_derived_seeds_and_unique_hashes(self):
         specs = smoke_specs()
         hashes = {s.spec_hash() for s in specs}

@@ -36,7 +36,6 @@ from repro.exp.builder import (
 from repro.schedulers.arachne import EnokiCoreArbiter
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.deadline import DeadlineSchedClass
-from repro.schedulers.nest import EnokiNest
 from repro.schedulers.rt import RtSchedClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, TaskState, Topology
@@ -68,6 +67,7 @@ SCHEDULERS = {
     "eevdf": {},
     "fifo": {},
     "locality": {},
+    "nest": {},
     "serverless": {},
     "shinjuku": {},
     "wfq": {},
@@ -87,15 +87,11 @@ def direct_session(factory, policy, topology):
 
 
 def session_for(sched, upgrade_at_ns=0):
-    if sched != "nest":
-        return KernelBuilder.session_from_spec(ScenarioSpec(
-            name=f"golden-{sched}", sched=sched, topology="smp:4",
-            seed=SEED, sched_options=SCHEDULERS[sched],
-            upgrade_at_ns=upgrade_at_ns))
-    session = direct_session(lambda: EnokiNest(4, 12), 12, Topology.smp(4))
-    if upgrade_at_ns:
-        session.schedule_upgrade(upgrade_at_ns)
-    return session
+    return KernelBuilder.session_from_spec(ScenarioSpec(
+        name=f"golden-{sched}", sched=sched, topology="smp:4", seed=SEED,
+        # nest's goldens were recorded under its own default policy number
+        policy=12 if sched == "nest" else 7,
+        sched_options=SCHEDULERS[sched], upgrade_at_ns=upgrade_at_ns))
 
 
 def pipe_digest(sched):
@@ -503,8 +499,7 @@ def test_every_nameable_scheduler_is_pinned():
     assert named <= set(SCHEDULERS)
 
 
-#: ``nest`` is not ``KernelBuilder``-nameable; ``session_for`` registers it
-PINNED = sorted(SCHEDULERS) + ["nest"]
+PINNED = sorted(SCHEDULERS)
 
 
 @pytest.mark.parametrize("sched", PINNED)

@@ -1,5 +1,9 @@
 """Unit/integration tests for the workload generators themselves."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import EnokiSchedClass
@@ -160,6 +164,32 @@ class TestApps:
             kernel = cfs_kernel()
             scores.append(run_app(kernel, 0, profile, seed=5).score)
         assert scores[0] == scores[1]
+
+    def test_scores_do_not_depend_on_the_hash_seed(self):
+        """One profile of each pattern, scored in two processes whose
+        ``hash(str)`` differs: the per-profile jitter stream must not be
+        salted with it (one process cannot see that)."""
+        script = (
+            "from repro.workloads.apps import ALL_PROFILES, run_app\n"
+            "from repro.exp import KernelBuilder\n"
+            "seen = set()\n"
+            "for profile in ALL_PROFILES:\n"
+            "    if profile.pattern not in seen:\n"
+            "        seen.add(profile.pattern)\n"
+            "        kernel = KernelBuilder().with_native('cfs').build()"
+            ".kernel\n"
+            "        print(profile.name, run_app(kernel, 0, profile).score)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, check=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hash_seed}).stdout
+            for hash_seed in ("1", "2")]
+        assert len(outputs[0].splitlines()) == 5
+        assert outputs[0] == outputs[1]
 
 
 class TestFairnessWorkload:
