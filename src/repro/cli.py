@@ -26,6 +26,22 @@ from repro.simkernel.clock import msecs
 POLICY = 7
 
 
+def positive_int(text):
+    """argparse type of the count and length options: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def non_negative_int(text):
+    """argparse type of ``--hogs`` and ``--upgrade-at``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _wfq_session(topology=None):
     return (KernelBuilder(topology=topology)
             .with_native("cfs", policy=0, priority=5)
@@ -608,42 +624,42 @@ def main(argv=None):
     sub.add_parser("list", help="list experiments")
 
     p = sub.add_parser("faas", help=EXPERIMENTS["faas"][1])
-    p.add_argument("--load", type=int, default=18_000,
+    p.add_argument("--load", type=positive_int, default=18_000,
                    help="offered invocations per second")
-    p.add_argument("--duration-ms", type=int, default=400)
+    p.add_argument("--duration-ms", type=positive_int, default=400)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("trace", help=EXPERIMENTS["trace"][1])
     p.add_argument("--export", choices=["chrome", "ftrace"],
                    default="chrome")
-    p.add_argument("--rounds", type=int, default=500)
-    p.add_argument("--hogs", type=int, default=12,
+    p.add_argument("--rounds", type=positive_int, default=500)
+    p.add_argument("--hogs", type=non_negative_int, default=12,
                    help="background tasks that force work stealing")
-    p.add_argument("--capacity", type=int, default=500_000,
+    p.add_argument("--capacity", type=positive_int, default=500_000,
                    help="trace ring-buffer capacity (events)")
     p.add_argument("output", nargs="?", default="trace.json")
 
     p = sub.add_parser("stats", help=EXPERIMENTS["stats"][1])
-    p.add_argument("--rounds", type=int, default=500)
-    p.add_argument("--hogs", type=int, default=12)
-    p.add_argument("--capacity", type=int, default=500_000)
+    p.add_argument("--rounds", type=positive_int, default=500)
+    p.add_argument("--hogs", type=non_negative_int, default=12)
+    p.add_argument("--capacity", type=positive_int, default=500_000)
     p.add_argument("--json", action="store_true",
                    help="machine-readable registry snapshot on stdout")
 
     p = sub.add_parser("top", help=EXPERIMENTS["top"][1])
-    p.add_argument("--rounds", type=int, default=500)
-    p.add_argument("--hogs", type=int, default=12)
-    p.add_argument("--interval-us", type=int, default=1000,
+    p.add_argument("--rounds", type=positive_int, default=500)
+    p.add_argument("--hogs", type=non_negative_int, default=12)
+    p.add_argument("--interval-us", type=positive_int, default=1000,
                    help="telemetry window length (simulated microseconds)")
-    p.add_argument("--tasks", type=int, default=5,
+    p.add_argument("--tasks", type=positive_int, default=5,
                    help="busiest tasks shown per frame")
     p.add_argument("--no-clear", action="store_true",
                    help="append frames instead of redrawing in place")
 
     p = sub.add_parser("report", help=EXPERIMENTS["report"][1])
-    p.add_argument("--rounds", type=int, default=500)
-    p.add_argument("--hogs", type=int, default=12)
-    p.add_argument("--interval-us", type=int, default=1000,
+    p.add_argument("--rounds", type=positive_int, default=500)
+    p.add_argument("--hogs", type=non_negative_int, default=12)
+    p.add_argument("--interval-us", type=positive_int, default=1000,
                    help="telemetry window length (simulated microseconds)")
     p.add_argument("--json", action="store_true",
                    help="full report as JSON instead of markdown")
@@ -654,15 +670,15 @@ def main(argv=None):
     p.add_argument("--plan", default="all",
                    help="built-in plan name, or 'all' (default)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=600)
-    p.add_argument("--hogs", type=int, default=6)
+    p.add_argument("--rounds", type=positive_int, default=600)
+    p.add_argument("--hogs", type=non_negative_int, default=6)
     p.add_argument("--list", action="store_true",
                    help="list built-in fault plans and exit")
     p.add_argument("--json", action="store_true",
                    help="machine-readable summary on stdout")
 
     p = sub.add_parser("fuzz", help=EXPERIMENTS["fuzz"][1])
-    p.add_argument("--episodes", type=int, default=50)
+    p.add_argument("--episodes", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sched",
                    choices=["wfq", "fifo", "eevdf", "serverless"],
@@ -679,32 +695,32 @@ def main(argv=None):
     p.add_argument("--bug", default="", help=argparse.SUPPRESS)
 
     p = sub.add_parser("cluster", help=EXPERIMENTS["cluster"][1])
-    p.add_argument("--machines", type=int, default=8)
+    p.add_argument("--machines", type=positive_int, default=8)
     p.add_argument("--topology", default="smp:4",
                    help="per-machine topology template")
     p.add_argument("--sched", default="wfq",
                    help="Enoki scheduler every machine runs")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=positive_int, default=1,
                    help="sweep this many derived seeds through the "
                         "bench fork pool")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=positive_int, default=1,
                    help="process-pool size for --seeds sweeps")
     p.add_argument("--faults", default="none",
                    help="fleet fault plan: "
                         "machine-crash | machine-stall | machine-loss | "
                         "double-crash | noisy-module | none")
-    p.add_argument("--rounds", type=int, default=400,
+    p.add_argument("--rounds", type=positive_int, default=400,
                    help="max cluster rounds (hard episode bound)")
-    p.add_argument("--round-ns", type=int, default=1_000_000)
-    p.add_argument("--requests", type=int, default=400)
-    p.add_argument("--work-ns", type=int, default=200_000)
+    p.add_argument("--round-ns", type=positive_int, default=1_000_000)
+    p.add_argument("--requests", type=positive_int, default=400)
+    p.add_argument("--work-ns", type=positive_int, default=200_000)
     p.add_argument("--upgrade", default="bad-dispatch",
                    choices=("none", "good", "bad-init", "bad-dispatch"),
                    help="rolling-upgrade demo: canary first, automatic "
                         "rollback on regression (default injects a "
                         "bad module to show the rollback)")
-    p.add_argument("--upgrade-at", type=int, default=40,
+    p.add_argument("--upgrade-at", type=non_negative_int, default=40,
                    help="cluster round the canary upgrade starts at")
     p.add_argument("--name", default="cluster",
                    help="payload name for --seeds sweeps")
@@ -725,13 +741,13 @@ def main(argv=None):
                    help="FaaS table: serverless vs the field under "
                         "sweeping load + a production-scale headline "
                         "pair (writes BENCH_faas.json)")
-    p.add_argument("--faas-invocations", type=int, default=1_000_000,
+    p.add_argument("--faas-invocations", type=positive_int, default=1_000_000,
                    help="invocation count of the --faas headline episode")
     p.add_argument("--multitenant", action="store_true",
                    help="noisy-neighbour table: three tenants in "
                         "weighted, bandwidth-capped task groups across "
                         "schedulers (writes BENCH_multitenant.json)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=positive_int, default=1,
                    help="process-pool size; results are identical at "
                         "any worker count")
     p.add_argument("--seed", type=int, default=0,

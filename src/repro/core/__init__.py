@@ -19,70 +19,25 @@ Plus the framework services: :mod:`~repro.core.upgrade` (live upgrade),
 robustness layer: :mod:`~repro.core.failover` (fault containment and
 scheduler failover) with :mod:`~repro.core.faults` (deterministic fault
 injection).
+
+Each name below loads its submodule on first use (:func:`repro.lazy_exports`), so
+a session imports only the framework pieces it runs.
 """
 
-from repro.core.enoki_c import EnokiSchedClass
-from repro.core.errors import (
-    EnokiError,
-    FailoverError,
-    FaultError,
-    InjectedFault,
-    QueueError,
-    ReplayMismatch,
-    TokenError,
-    UpgradeError,
-)
-from repro.core.failover import (
-    ContainmentBoundary,
-    ContainmentPolicy,
-    FailoverManager,
-    FailoverReport,
-    PanicRecord,
-)
-from repro.core.faults import (
-    BUILTIN_PLANS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-)
-from repro.core.hints import RevMessage, RingBuffer, UserMessage
-from repro.core.record import Recorder
-from repro.core.replay import ReplayEngine, load_trace
-from repro.core.schedulable import Schedulable, TokenRegistry
-from repro.core.trait import EnokiScheduler
-from repro.core.upgrade import UpgradeManager, UpgradeReport
-from repro.core.watchdog import SchedulerWatchdog, WatchdogReport
+from repro import lazy_exports
 
-__all__ = [
-    "BUILTIN_PLANS",
-    "ContainmentBoundary",
-    "ContainmentPolicy",
-    "EnokiError",
-    "EnokiSchedClass",
-    "EnokiScheduler",
-    "FailoverError",
-    "FailoverManager",
-    "FailoverReport",
-    "FaultError",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "PanicRecord",
-    "QueueError",
-    "Recorder",
-    "ReplayEngine",
-    "ReplayMismatch",
-    "RevMessage",
-    "RingBuffer",
-    "Schedulable",
-    "SchedulerWatchdog",
-    "TokenError",
-    "TokenRegistry",
-    "UpgradeError",
-    "UpgradeManager",
-    "UpgradeReport",
-    "WatchdogReport",
-    "UserMessage",
-    "load_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "enoki_c": "EnokiSchedClass",
+    "errors": "EnokiError FailoverError FaultError InjectedFault QueueError "
+              "ReplayMismatch TokenError UpgradeError",
+    "failover": "ContainmentBoundary ContainmentPolicy FailoverManager "
+                "FailoverReport PanicRecord",
+    "faults": "BUILTIN_PLANS FaultInjector FaultPlan FaultSpec",
+    "hints": "RevMessage RingBuffer UserMessage",
+    "record": "Recorder",
+    "replay": "ReplayEngine load_trace",
+    "schedulable": "Schedulable TokenRegistry",
+    "trait": "EnokiScheduler",
+    "upgrade": "UpgradeManager UpgradeReport",
+    "watchdog": "SchedulerWatchdog WatchdogReport",
+})

@@ -20,7 +20,6 @@ import time
 
 from repro.core.errors import FaultError
 from repro.core.failover import ContainmentBoundary
-from repro.core.faults import FaultInjector
 from repro.core.hints import QueueRegistry, RevMessage, RingBuffer, UserMessage
 from repro.core.libenoki import LibEnoki
 from repro.core.messages import message_for
@@ -157,6 +156,7 @@ class EnokiSchedClass(SchedClass):
         """Install a :class:`~repro.core.faults.FaultInjector` running
         ``plan``.  Returns the injector (its ``fired`` log and ``summary``
         report what actually happened)."""
+        from repro.core.faults import FaultInjector
         if self.recorder is not None and self.recorder.active:
             raise FaultError(
                 "cannot inject faults while the recorder is active"

@@ -11,56 +11,44 @@ kernel plus the handles every harness needs (the shim, the policy under
 test, a fresh-scheduler factory for live upgrades).
 """
 
+from importlib import import_module
+
 from repro.exp.spec import ScenarioSpec, canonical_groups, parse_topology
 from repro.simkernel import Kernel, SimConfig
 from repro.simkernel.errors import SimError
 
-#: native scheduler classes, by short name -> factory(policy, options)
-_NATIVE_FACTORIES = {}
+#: scheduler short name -> class name; the short name is the module's
+#: name under ``repro.schedulers``
+_NATIVE_SCHEDULERS = {"cfs": "CfsSchedClass",
+                      "fifo_native": "NativeFifoClass"}
+_ENOKI_SCHEDULERS = {
+    "eevdf": "EnokiEevdf",
+    "fifo": "EnokiFifo",
+    "locality": "EnokiLocality",
+    "nest": "EnokiNest",
+    "serverless": "EnokiServerless",
+    "shinjuku": "EnokiShinjuku",
+    "wfq": "EnokiWfq",
+}
 
-#: Enoki scheduler library modules, by short name -> factory(nr, policy, options)
-_ENOKI_FACTORIES = {}
+#: short name -> class, filled as sessions first register each one: a
+#: session imports only the scheduler modules it runs
+_CLASSES = {}
 
 
-def _native_factories():
-    if not _NATIVE_FACTORIES:
-        from repro.schedulers.cfs import CfsSchedClass
-        from repro.schedulers.fifo_native import NativeFifoClass
-        _NATIVE_FACTORIES.update({
-            "cfs": lambda policy, opts: CfsSchedClass(policy=policy, **opts),
-            "fifo_native": lambda policy, opts: NativeFifoClass(
-                policy=policy, **opts),
-        })
-    return _NATIVE_FACTORIES
-
-
-def _enoki_factories():
-    if not _ENOKI_FACTORIES:
-        from repro.schedulers.eevdf import EnokiEevdf
-        from repro.schedulers.fifo import EnokiFifo
-        from repro.schedulers.locality import EnokiLocality
-        from repro.schedulers.nest import EnokiNest
-        from repro.schedulers.serverless import EnokiServerless
-        from repro.schedulers.shinjuku import EnokiShinjuku
-        from repro.schedulers.wfq import EnokiWfq
-        _ENOKI_FACTORIES.update({
-            "wfq": lambda nr, policy, opts: EnokiWfq(nr, policy, **opts),
-            "fifo": lambda nr, policy, opts: EnokiFifo(nr, policy, **opts),
-            "eevdf": lambda nr, policy, opts: EnokiEevdf(nr, policy, **opts),
-            "shinjuku": lambda nr, policy, opts: EnokiShinjuku(
-                nr, policy, **opts),
-            "locality": lambda nr, policy, opts: EnokiLocality(
-                nr, policy, **opts),
-            "nest": lambda nr, policy, opts: EnokiNest(nr, policy, **opts),
-            "serverless": lambda nr, policy, opts: EnokiServerless(
-                nr, policy, **opts),
-        })
-    return _ENOKI_FACTORIES
+def _scheduler_class(table, name):
+    """The class ``table`` lists under ``name``, imported on first use."""
+    try:
+        return _CLASSES[name]
+    except KeyError:
+        module = import_module(f"repro.schedulers.{name}")
+        cls = _CLASSES[name] = getattr(module, table[name])
+        return cls
 
 
 def enoki_scheduler_names():
     """Short names accepted by :meth:`KernelBuilder.with_enoki`."""
-    return sorted(_enoki_factories())
+    return sorted(_ENOKI_SCHEDULERS)
 
 
 class Session:
@@ -225,12 +213,12 @@ class KernelBuilder:
 
     def with_native(self, name="cfs", policy=0, priority=5, **options):
         """Register a trusted native class (``cfs`` or ``fifo_native``)."""
-        factories = _native_factories()
-        if name not in factories:
+        if name not in _NATIVE_SCHEDULERS:
             raise SimError(f"unknown native scheduler {name!r}")
+        cls = _scheduler_class(_NATIVE_SCHEDULERS, name)
 
         def register(kernel):
-            kernel.register_sched_class(factories[name](policy, options),
+            kernel.register_sched_class(cls(policy=policy, **options),
                                         priority=priority)
         self._registrations.append(register)
         if self._policy is None:
@@ -241,19 +229,21 @@ class KernelBuilder:
                    **options):
         """Register an Enoki scheduler behind the checked shim; it becomes
         the scheduler under test (``session.policy``)."""
-        factories = _enoki_factories()
-        if name not in factories:
+        if name not in _ENOKI_SCHEDULERS:
             raise SimError(f"unknown Enoki scheduler {name!r}")
+        cls = _scheduler_class(_ENOKI_SCHEDULERS, name)
 
         def register(kernel):
             from repro.core import EnokiSchedClass
             nr = kernel.topology.nr_cpus
+
+            def factory():
+                return cls(nr, policy, **options)
             shim = EnokiSchedClass.register(
-                kernel, factories[name](nr, policy, options), policy,
+                kernel, factory(), policy,
                 priority=priority, recorder=recorder)
             self._shim_slot["shim"] = shim
-            self._shim_slot["factory"] = (
-                lambda: factories[name](nr, policy, options))
+            self._shim_slot["factory"] = factory
         self._registrations.append(register)
         self._policy = policy
         return self
@@ -344,7 +334,7 @@ class KernelBuilder:
             builder.with_config(**spec.config)
         if spec.groups:
             builder.with_groups(spec.groups)
-        if spec.sched in _native_factories() or spec.sched == "cfs":
+        if spec.sched in _NATIVE_SCHEDULERS:
             # Pure native stack: the scheduler under test is the base.
             builder.with_native(spec.sched, policy=0, priority=10,
                                 **spec.sched_options)

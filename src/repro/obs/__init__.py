@@ -19,73 +19,23 @@ a per-callback profiler for Enoki message handlers
 
 With no observer attached every hook site is a single ``is None`` test —
 the null-hook fast path keeps disabled-tracing overhead near zero.
+
+Each name loads its submodule on first use (:func:`repro.lazy_exports`).
 """
 
-from repro.obs.accounting import (
-    KernelAccounting,
-    merge_accounting_snapshots,
-    task_delay_row,
-)
-from repro.obs.export import (
-    chrome_trace,
-    ftrace_lines,
-    write_chrome,
-    write_ftrace,
-)
-from repro.obs.fleet import (
-    fleet_snapshot,
-    machine_gauges,
-    merge_fleet_accounting,
-    merge_fleet_wakeup_latency,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_histogram_snapshots,
-    merge_registry_snapshots,
-)
-from repro.obs.observer import Observer
-from repro.obs.profiler import CallbackProfile, CallbackProfiler
-from repro.obs.telemetry import (
-    SLOMonitor,
-    SLOTarget,
-    TelemetrySampler,
-    build_report,
-    latency_heatmap,
-    render_report_markdown,
-    render_top_frame,
-    timeseries_csv,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CallbackProfile",
-    "CallbackProfiler",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "KernelAccounting",
-    "MetricsRegistry",
-    "Observer",
-    "SLOMonitor",
-    "SLOTarget",
-    "TelemetrySampler",
-    "build_report",
-    "chrome_trace",
-    "fleet_snapshot",
-    "ftrace_lines",
-    "latency_heatmap",
-    "machine_gauges",
-    "merge_fleet_accounting",
-    "merge_fleet_wakeup_latency",
-    "merge_accounting_snapshots",
-    "merge_histogram_snapshots",
-    "merge_registry_snapshots",
-    "render_report_markdown",
-    "render_top_frame",
-    "task_delay_row",
-    "timeseries_csv",
-    "write_chrome",
-    "write_ftrace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "accounting": "KernelAccounting merge_accounting_snapshots "
+                  "task_delay_row",
+    "export": "chrome_trace ftrace_lines write_chrome write_ftrace",
+    "fleet": "fleet_snapshot machine_gauges merge_fleet_accounting "
+             "merge_fleet_wakeup_latency",
+    "metrics": "Counter Gauge Histogram MetricsRegistry "
+               "merge_histogram_snapshots merge_registry_snapshots",
+    "observer": "Observer",
+    "profiler": "CallbackProfile CallbackProfiler",
+    "telemetry": "SLOMonitor SLOTarget TelemetrySampler build_report "
+                 "latency_heatmap render_report_markdown render_top_frame "
+                 "timeseries_csv",
+})

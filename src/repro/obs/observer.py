@@ -19,8 +19,10 @@
   and per-task wakeup-latency distributions.
 
 Detaching restores the null-hook fast path everywhere, so a kernel that
-never attaches an Observer pays only a handful of ``is None`` tests —
-benchmark numbers are unaffected (see ``bench_ablation_overhead``).
+never attaches an Observer pays only a handful of ``is None`` tests;
+attaching one does not perturb the simulation either — an observed
+episode ends in the bare episode's state digest
+(``tests/test_observed_equivalence.py``).
 
 A ``kinds=`` filter narrows what the ring buffer *retains*, nothing
 else: a filtered kind is counted in ``filtered`` and still bumps its

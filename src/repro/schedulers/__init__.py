@@ -29,32 +29,24 @@ in the :class:`~repro.schedulers.base.TokenQueue` and share the
   scx_serverless-style two-tier policy: short FaaS invocations run to
   completion, observed/declared long work is demoted to a fair backing
   queue.
+
+Each name loads its module on first use (:func:`repro.lazy_exports`), so a
+session imports only the schedulers it registers.
 """
 
-from repro.schedulers.arachne import EnokiCoreArbiter
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.deadline import DeadlineSchedClass
-from repro.schedulers.eevdf import EnokiEevdf
-from repro.schedulers.fifo import EnokiFifo
-from repro.schedulers.fifo_native import NativeFifoClass
-from repro.schedulers.locality import EnokiLocality
-from repro.schedulers.nest import EnokiNest
-from repro.schedulers.rt import RtSchedClass
-from repro.schedulers.serverless import EnokiServerless
-from repro.schedulers.shinjuku import EnokiShinjuku
-from repro.schedulers.wfq import EnokiWfq
+from repro import lazy_exports
 
-__all__ = [
-    "CfsSchedClass",
-    "DeadlineSchedClass",
-    "EnokiEevdf",
-    "EnokiCoreArbiter",
-    "EnokiFifo",
-    "EnokiLocality",
-    "EnokiNest",
-    "EnokiServerless",
-    "EnokiShinjuku",
-    "EnokiWfq",
-    "NativeFifoClass",
-    "RtSchedClass",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "arachne": "EnokiCoreArbiter",
+    "cfs": "CfsSchedClass",
+    "deadline": "DeadlineSchedClass",
+    "eevdf": "EnokiEevdf",
+    "fifo": "EnokiFifo",
+    "fifo_native": "NativeFifoClass",
+    "locality": "EnokiLocality",
+    "nest": "EnokiNest",
+    "rt": "RtSchedClass",
+    "serverless": "EnokiServerless",
+    "shinjuku": "EnokiShinjuku",
+    "wfq": "EnokiWfq",
+})

@@ -10,41 +10,18 @@ The testing subsystem the rest of the reproduction is audited with:
   oracles;
 * :mod:`repro.verify.shrink` — minimises a failing episode to a small
   reproducer artifact.
+
+Each name loads its submodule on first use (:func:`repro.lazy_exports`).
 """
 
-from repro.verify.cluster import (assert_cluster_result,
-                                  check_cluster_ledger,
-                                  check_cluster_result)
-from repro.verify.fuzz import (EpisodeResult, EpisodeSpec, FuzzReport,
-                               TaskSpec, episode_digest, fuzz_run,
-                               generate_episode, run_episode,
-                               state_digest)
-from repro.verify.sanitizers import (SanitizerError, SanitizerSuite,
-                                     Violation, assert_kernel_state,
-                                     check_kernel_state)
-from repro.verify.shrink import (ShrinkResult, load_artifact, shrink_episode,
-                                 write_artifact)
+from repro import lazy_exports
 
-__all__ = [
-    "EpisodeResult",
-    "EpisodeSpec",
-    "FuzzReport",
-    "SanitizerError",
-    "SanitizerSuite",
-    "ShrinkResult",
-    "TaskSpec",
-    "Violation",
-    "assert_cluster_result",
-    "assert_kernel_state",
-    "check_cluster_ledger",
-    "check_cluster_result",
-    "check_kernel_state",
-    "episode_digest",
-    "fuzz_run",
-    "generate_episode",
-    "load_artifact",
-    "run_episode",
-    "shrink_episode",
-    "state_digest",
-    "write_artifact",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cluster": "assert_cluster_result check_cluster_ledger "
+               "check_cluster_result",
+    "fuzz": "EpisodeResult EpisodeSpec FuzzReport TaskSpec episode_digest "
+            "fuzz_run generate_episode run_episode state_digest",
+    "sanitizers": "SanitizerError SanitizerSuite Violation "
+                  "assert_kernel_state check_kernel_state",
+    "shrink": "ShrinkResult load_artifact shrink_episode write_artifact",
+})

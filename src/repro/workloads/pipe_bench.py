@@ -48,6 +48,11 @@ def run_pipe_benchmark(kernel, policy, rounds=2_000, same_core=False,
     default two-core configuration even on schedulers whose placement
     would co-locate the pair.
     """
+    if rounds < 0 or warmup_rounds < 0:
+        # The two loops below would disagree on the round count: the
+        # sender then blocks on ``pong`` for ever.
+        raise ValueError(f"rounds ({rounds}) and warmup_rounds "
+                         f"({warmup_rounds}) must be >= 0")
     ping, pong = Pipe("ping"), Pipe("pong")
     marks = {}
 

@@ -1,10 +1,15 @@
 """Tests for the command-line runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 class TestCli:
@@ -25,6 +30,48 @@ class TestCli:
                 main([gone])
             assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestHostileCounts:
+    """A count or length option below its range exits 2 with the usage
+    line and no traceback, before anything runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["faas", "--load", "0"],
+        ["trace", "--capacity", "0"],
+        ["stats", "--rounds", "-3"],
+        ["top", "--interval-us", "0"],
+        ["report", "--interval-us", "0"],
+        ["chaos", "--hogs", "-1"],
+        ["fuzz", "--episodes", "-2"],
+        ["cluster", "--machines", "0"],
+        ["bench", "--workers", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_exits_two_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]}")
+        assert f"argument {argv[1]}: must be >=" in err
+
+    def test_zero_hogs_is_in_range(self, capsys):
+        assert main(["chaos", "--plan", "hint-drop", "--rounds", "20",
+                     "--hogs", "0"]) == 0
+        capsys.readouterr()
+
+    def test_chaos_harness_refuses_negative_rounds_promptly(self):
+        # Below the CLI: the watchdog's timer kept a sender blocked for
+        # ever from letting the kernel go idle, so this never returned.
+        script = ("from repro.cli import _chaos_run\n"
+                  "from repro.core import FaultPlan\n"
+                  "_chaos_run(FaultPlan.builtin('tick-crash'), rounds=-1, "
+                  "hogs=1)\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 1
+        assert "ValueError: rounds (-1)" in done.stderr
 
 
 class TestBenchArtefact:

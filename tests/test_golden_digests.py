@@ -29,8 +29,8 @@ from repro.core import EnokiSchedClass
 from repro.core.record import Recorder
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.exp.builder import (
+    _NATIVE_SCHEDULERS,
     Session,
-    _native_factories,
     enoki_scheduler_names,
 )
 from repro.schedulers.arachne import EnokiCoreArbiter
@@ -495,7 +495,7 @@ GOLDEN = {
 
 
 def test_every_nameable_scheduler_is_pinned():
-    named = set(_native_factories()) | set(enoki_scheduler_names())
+    named = set(_NATIVE_SCHEDULERS) | set(enoki_scheduler_names())
     assert named <= set(SCHEDULERS)
 
 

@@ -1,9 +1,19 @@
-"""Public-API surface tests: the documented entry points exist and the
-layering rules hold."""
+"""Public-API surface tests: the documented entry points exist, the
+layering rules hold, and a session imports only the code it runs."""
 
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: the facades whose names load their submodule on first use
+LAZY_FACADES = ("repro.core", "repro.obs", "repro.schedulers",
+                "repro.verify")
 
 
 class TestPublicApi:
@@ -90,3 +100,66 @@ class TestLayering:
             assert issubclass(cls, EnokiScheduler)
             # And each declares its upgrade transfer type (or None).
             assert hasattr(cls, "TRANSFER_TYPE")
+
+
+def repro_modules_after(code):
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    script = (code + "\nimport sys\nprint(*sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'repro'))\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    return set(done.stdout.split())
+
+
+def session_modules(sched):
+    return repro_modules_after(
+        "from repro.exp import KernelBuilder, ScenarioSpec\n"
+        f"KernelBuilder.session_from_spec(ScenarioSpec(sched={sched!r}))")
+
+
+def under(modules, package):
+    return {m for m in modules if m == package or m.startswith(package + ".")}
+
+
+class TestImportGraph:
+    """What a session loads is what it costs to start: every process
+    compiles the modules it imports.  Pinned exactly, in fresh
+    interpreters."""
+
+    def test_native_cfs_session_loads_no_framework(self):
+        loaded = session_modules("cfs")
+        for package in ("repro.core", "repro.obs", "repro.verify",
+                        "repro.cluster"):
+            assert not under(loaded, package), package
+        assert under(loaded, "repro.schedulers") == {
+            "repro.schedulers", "repro.schedulers.cfs"}
+
+    def test_wfq_session_loads_its_scheduler_and_no_service(self):
+        loaded = session_modules("wfq")
+        assert under(loaded, "repro.schedulers") == {
+            "repro.schedulers", "repro.schedulers.base",
+            "repro.schedulers.cfs", "repro.schedulers.wfq"}
+        for service in ("upgrade", "replay", "watchdog", "faults", "record"):
+            assert f"repro.core.{service}" not in loaded, service
+
+    def test_importing_verify_loads_none_of_it(self):
+        loaded = repro_modules_after("import repro.verify")
+        assert not under(loaded, "repro.cluster")
+        assert under(loaded, "repro.verify") == {"repro.verify"}
+
+    def test_listing_enoki_schedulers_imports_none(self):
+        loaded = repro_modules_after(
+            "from repro.exp import enoki_scheduler_names\n"
+            "assert 'wfq' in enoki_scheduler_names()")
+        assert not under(loaded, "repro.schedulers")
+
+    @pytest.mark.parametrize("package", LAZY_FACADES)
+    def test_facade_names_resolve_and_are_listed(self, package):
+        module = importlib.import_module(package)
+        listed = dir(module)
+        for name in module.__all__:
+            assert name in listed, name
+            assert getattr(module, name) is not None, name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name  # noqa: B018

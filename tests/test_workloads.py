@@ -52,6 +52,21 @@ class TestPipeBench:
                 if t.name.startswith("pipe-")}
         assert cpus == {0, 1}
 
+    @pytest.mark.parametrize("kwargs", [{"rounds": -3},
+                                        {"warmup_rounds": -1}])
+    def test_negative_round_counts_are_refused_before_running(self, kwargs):
+        # The sender and receiver loops would disagree on the count: the
+        # sender blocked on its reply for ever.
+        kernel = cfs_kernel()
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_pipe_benchmark(kernel, 0, **kwargs)
+        assert not kernel.tasks
+
+    def test_zero_rounds_measure_nothing(self):
+        result = run_pipe_benchmark(cfs_kernel(), 0, rounds=0)
+        assert result.measured_messages == 0
+        assert result.latency_us_per_message == 0.0
+
 
 class TestSchbench:
     def test_collects_samples(self):
