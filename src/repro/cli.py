@@ -49,8 +49,7 @@ def _wfq_session(topology=None):
 
 
 def cmd_faas(args):
-    from repro.exp.bench import FAAS_BASE_OPTIONS, FAAS_SLOS
-    from repro.workloads.faas import run_faas
+    from repro.workloads.faas import FAAS_BASE_OPTIONS, FAAS_SLOS, run_faas
 
     rows = []
     slo_reports = []
@@ -406,77 +405,28 @@ def cmd_fuzz(args):
     return 0
 
 
-def _metric_headline(metrics):
-    """The one number worth a table cell, per workload."""
-    if "tenants" in metrics:
-        return "shares " + "/".join(
-            f"{row['share'] * 100:.0f}%"
-            for _, row in sorted(metrics["tenants"].items()))
-    for key, fmt in (("latency_us_per_message", "{:.2f} us/msg"),
-                     ("p99_us", "p99 {:.1f} us"),
-                     ("max_finish_ns", "max finish {:.3f} s"),
-                     ("elapsed_ns", "{:.1f} ms")):
-        if key in metrics:
-            value = metrics[key]
-            if key in ("max_finish_ns",):
-                value = value / 1e9
-            elif key == "elapsed_ns":
-                value = value / 1e6
-            return fmt.format(value)
-    return "-"
-
-
 def cmd_bench(args):
-    from repro.exp.bench import (faas_specs, multitenant_specs, run_sweep,
-                                 smoke_specs)
+    from repro.exp.bench import run_sweep
     from repro.exp.paper import (CATALOGUE, catalogue_specs, report,
                                  results_by_name)
 
-    artefacts = []
-    if args.faas or args.multitenant or args.smoke:
-        if args.artefact:
-            print(f"repro bench: {args.artefact!r} names a paper artefact; "
-                  "it cannot be combined with --smoke, --faas or "
-                  "--multitenant", file=sys.stderr)
-            return 2
-        if args.faas:
-            name = "faas"
-            specs = faas_specs(args.seed,
-                               headline_invocations=args.faas_invocations)
-        elif args.multitenant:
-            name, specs = "multitenant", multitenant_specs(args.seed)
-        else:
-            name, specs = "smoke", smoke_specs(args.seed)
-    else:
-        if args.artefact and args.artefact not in CATALOGUE:
-            print(f"repro bench: unknown artefact {args.artefact!r}; the "
-                  f"catalogue: {', '.join(CATALOGUE)}", file=sys.stderr)
-            return 2
-        names = [args.artefact] if args.artefact else list(CATALOGUE)
-        artefacts = [CATALOGUE[n] for n in names]
-        name, specs = args.artefact or "paper", catalogue_specs(names)
-    name = args.name or name
-    payload = run_sweep(specs, name, workers=args.workers,
+    if args.artefact and args.artefact not in CATALOGUE:
+        print(f"repro bench: unknown artefact {args.artefact!r}; the "
+              f"catalogue: {', '.join(CATALOGUE)}", file=sys.stderr)
+        return 2
+    names = [args.artefact] if args.artefact else list(CATALOGUE)
+    name = args.artefact or "paper"
+    payload = run_sweep(catalogue_specs(names), name, workers=args.workers,
                         cache_dir=args.cache_dir, out_dir=args.out_dir,
                         use_cache=not args.no_cache)
     results = results_by_name(payload)
-    reports = [report(artefact, results) for artefact in artefacts]
+    reports = [report(CATALOGUE[n], results) for n in names]
     status = 0 if all(holds for _, holds in reports) else 1
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return status
+    print("\n\n".join(text for text, _ in reports) + "\n")
     meta = payload["meta"]
-    if artefacts:
-        print("\n\n".join(text for text, _ in reports) + "\n")
-    else:
-        rows = [[r["name"], r["spec"]["sched"], r["spec"]["workload"],
-                 _metric_headline(r["metrics"]),
-                 f"{r['metrics'].get('simulated_ns', 0) / 1e6:.1f}"]
-                for r in payload["results"]]
-        print(render_table(
-            f"bench sweep '{name}' ({len(specs)} scenarios, "
-            f"{meta['workers']} workers)",
-            ["scenario", "sched", "workload", "headline", "sim ms"], rows))
     rate = meta["sim_ns_per_wall_s"]
     print(f"wall {meta['wall_s']:.2f}s, {meta['cache_hits']} cached / "
           f"{meta['executed']} executed"
@@ -594,7 +544,7 @@ def cmd_cluster(args):
 
 EXPERIMENTS = {
     "bench": (cmd_bench, "the paper's tables and figures (all, or one "
-                         "named artefact) on the sharded, cached runner; "
+                         "named artefact) on the parallel, cached runner; "
                          "exit 1 if a claim fails"),
     "cluster": (cmd_cluster, "fault-tolerant simulated fleet: N kernels "
                              "behind a retrying router with health-driven "
@@ -616,7 +566,8 @@ EXPERIMENTS = {
 }
 
 
-def main(argv=None):
+def build_parser():
+    """The ``repro`` argument parser: every verb and its options."""
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -735,28 +686,9 @@ def main(argv=None):
                    help="one artefact of the paper catalogue (see `repro "
                         "list`); default: all of them, written to "
                         "BENCH_paper.json")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny CI-sized sweep instead of the catalogue")
-    p.add_argument("--faas", action="store_true",
-                   help="FaaS table: serverless vs the field under "
-                        "sweeping load + a production-scale headline "
-                        "pair (writes BENCH_faas.json)")
-    p.add_argument("--faas-invocations", type=positive_int, default=1_000_000,
-                   help="invocation count of the --faas headline episode")
-    p.add_argument("--multitenant", action="store_true",
-                   help="noisy-neighbour table: three tenants in "
-                        "weighted, bandwidth-capped task groups across "
-                        "schedulers (writes BENCH_multitenant.json)")
     p.add_argument("--workers", type=positive_int, default=1,
                    help="process-pool size; results are identical at "
                         "any worker count")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed of the --smoke, --faas and "
-                        "--multitenant sweeps (per-spec seeds are derived "
-                        "from it); the paper catalogue is recorded at "
-                        "SimConfig().seed")
-    p.add_argument("--name", default="",
-                   help="payload name (writes BENCH_<name>.json)")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--cache-dir", default=".bench-cache")
     p.add_argument("--no-cache", action="store_true",
@@ -764,7 +696,11 @@ def main(argv=None):
     p.add_argument("--json", action="store_true",
                    help="print the full payload instead of the table")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     if args.command in (None, "list"):
         from repro.exp.paper import CATALOGUE
         print("experiments:")

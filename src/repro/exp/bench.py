@@ -1,18 +1,17 @@
-"""``repro bench``: a parallel, sharded, cached benchmark runner.
+"""``repro bench``: a parallel, cached benchmark runner.
 
 The runner turns a list of :class:`~repro.exp.spec.ScenarioSpec` into a
 ``BENCH_<name>.json`` trajectory:
 
-* **Sharding** — specs are dealt round-robin into one shard per worker
-  and executed on a ``multiprocessing`` pool.  Every spec carries its own
-  deterministically derived seed (:func:`derive_seed`), so results are
-  bit-identical regardless of worker count or shard assignment; the
-  payload is reassembled in spec order before writing.
+* **Dispatch** — each spec is one task on a ``multiprocessing`` pool,
+  taken by whichever worker is free.  Every spec carries its own seed,
+  so results are bit-identical regardless of worker count or which
+  worker ran what; the payload is reassembled in spec order.
 * **Caching** — results are keyed by ``spec_hash + git rev`` (the rev
   carries a digest of uncommitted edits under ``src/``) under
   ``.bench-cache/``; re-running a sweep on an unchanged tree replays from
-  cache and must produce a byte-identical deterministic payload (CI's
-  ``bench-smoke`` job enforces exactly that).
+  cache and must produce a byte-identical deterministic payload
+  (``tests/test_exp.py`` checks exactly that).
 
 Wall-clock and timestamp fields are volatile by nature and are kept in
 the payload's ``meta`` section; everything outside ``meta`` and
@@ -45,8 +44,8 @@ _SRC_DIR = os.path.dirname(os.path.dirname(os.path.dirname(
 
 
 def derive_seed(master_seed, index):
-    """Deterministic per-spec seed: stable across runs, shard layouts,
-    and worker counts."""
+    """Deterministic per-spec seed: stable across runs and worker
+    counts."""
     digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
@@ -339,22 +338,12 @@ def run_spec(spec):
     return metrics
 
 
-def _run_shard(shard):
-    """Worker entry: run a shard's specs sequentially.
-
-    Returns ``(results, wall_s, simulated_ns)`` where ``results`` maps
-    spec hash -> metrics.  Wall time is per-shard so the parent can
-    report the simulator's own speed.
-    """
+def _timed_run(spec_dict):
+    """Worker entry: one spec -> ``(metrics, wall_s)``; the wall time
+    lets the parent report the simulator's own speed."""
     start = time.perf_counter()
-    results = {}
-    simulated = 0
-    for spec_dict in shard:
-        spec = ScenarioSpec.from_dict(spec_dict)
-        metrics = run_spec(spec)
-        results[spec.spec_hash()] = metrics
-        simulated += metrics.get("simulated_ns", 0)
-    return results, time.perf_counter() - start, simulated
+    metrics = run_spec(spec_dict)
+    return metrics, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -406,9 +395,9 @@ class BenchCache:
 # ----------------------------------------------------------------------
 
 def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
-              out_dir=".", use_cache=True, rev=None, progress=None):
-    """Run a sweep of specs, sharded over ``workers`` processes (fewer
-    than one means one: in-process, a single shard).
+              out_dir=".", use_cache=True, rev=None):
+    """Run a sweep of specs on ``workers`` processes (fewer than one
+    means one: in-process).
 
     Writes ``BENCH_<name>.json`` into ``out_dir`` and returns the payload.
     Everything outside the payload's ``meta`` key is deterministic for a
@@ -424,49 +413,36 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
 
     hashes = [spec.spec_hash() for spec in specs]
     metrics_by_hash = {}
-    cache_hits = 0
     pending = []
     for spec, spec_hash in zip(specs, hashes):
         cached = cache.get(spec_hash) if cache is not None else None
         if cached is not None:
             metrics_by_hash[spec_hash] = cached
-            cache_hits += 1
         else:
-            pending.append(spec)
+            pending.append((spec, spec_hash))
 
-    shard_wall = []
+    dicts = [spec.to_dict() for spec, _ in pending]
+    if workers > 1 and len(pending) > 1:
+        # One task per spec, taken by whichever worker is free: a
+        # minutes-long cell holds up nothing queued behind it.
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes=min(workers, len(pending))) as pool:
+            runs = pool.map(_timed_run, dicts, chunksize=1)
+    else:
+        runs = [_timed_run(spec_dict) for spec_dict in dicts]
+    run_wall_s = 0.0
     simulated_total = 0
-    if pending:
-        shards = [[s.to_dict() for s in pending[i::workers]]
-                  for i in range(workers)]
-        shards = [shard for shard in shards if shard]
-        if workers > 1 and len(shards) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=len(shards)) as pool:
-                shard_results = pool.map(_run_shard, shards)
-        else:
-            shard_results = [_run_shard(shard) for shard in shards]
-        for results, wall_s, simulated in shard_results:
-            metrics_by_hash.update(results)
-            shard_wall.append(wall_s)
-            simulated_total += simulated
+    for (spec, spec_hash), spec_dict, (metrics, wall_s) in zip(
+            pending, dicts, runs):
+        metrics_by_hash[spec_hash] = metrics
+        run_wall_s += wall_s
+        simulated_total += metrics.get("simulated_ns", 0)
         if cache is not None:
-            for spec in pending:
-                spec_hash = spec.spec_hash()
-                cache.put(spec_hash, spec.to_dict(),
-                          metrics_by_hash[spec_hash])
+            cache.put(spec_hash, spec_dict, metrics)
 
-    results = []
-    for spec, spec_hash in zip(specs, hashes):
-        results.append({
-            "name": spec.name,
-            "spec_hash": spec_hash,
-            "spec": spec.to_dict(),
-            "metrics": metrics_by_hash[spec_hash],
-        })
-        if progress is not None:
-            progress(spec, metrics_by_hash[spec_hash])
-
+    results = [{"name": spec.name, "spec_hash": spec_hash,
+                "spec": spec.to_dict(), "metrics": metrics_by_hash[spec_hash]}
+               for spec, spec_hash in zip(specs, hashes)]
     wall_s = time.perf_counter() - start
     payload = {
         "kind": TRAJECTORY_KIND,
@@ -481,13 +457,12 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
                                           time.gmtime()),
             "wall_s": wall_s,
             "workers": workers,
-            "cache_hits": cache_hits,
+            "cache_hits": len(specs) - len(pending),
             "executed": len(pending),
-            "shard_wall_s": shard_wall,
+            "run_wall_s": run_wall_s,
             "sim_ns_executed": simulated_total,
-            "sim_ns_per_wall_s": (simulated_total / sum(shard_wall)
-                                  if shard_wall and sum(shard_wall) > 0
-                                  else None),
+            "sim_ns_per_wall_s": (simulated_total / run_wall_s
+                                  if run_wall_s > 0 else None),
         },
     }
     os.makedirs(out_dir, exist_ok=True)
@@ -501,177 +476,7 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
 def deterministic_payload(payload):
     """The payload minus its volatile ``meta`` section and ``git_rev`` —
     the part that must be byte-identical across identical runs, and the
-    form ``BENCH_paper.json`` and ``BENCH_faas.json`` are committed in
-    (a commit cannot contain its own hash)."""
+    form ``BENCH_paper.json`` is committed in (a commit cannot contain its
+    own hash)."""
     return {key: value for key, value in payload.items()
             if key not in ("meta", "git_rev")}
-
-
-# ----------------------------------------------------------------------
-# sweep definitions
-# ----------------------------------------------------------------------
-
-def smoke_specs(seed=0):
-    """The tiny sweep behind ``repro bench --smoke``: small enough for CI,
-    wide enough to cross schedulers, topologies, and workloads."""
-    specs = []
-    for sched in ("cfs", "wfq"):
-        for label, same_core in (("one-core", True), ("two-cores", False)):
-            specs.append(ScenarioSpec(
-                name=f"smoke-pipe-{sched}-{label}", sched=sched,
-                seed=derive_seed(seed, len(specs)), workload="pipe",
-                workload_options={"rounds": 150, "same_core": same_core}))
-    specs.append(ScenarioSpec(
-        name="smoke-pipe-eevdf", sched="eevdf",
-        seed=derive_seed(seed, 100),
-        workload="pipe", workload_options={"rounds": 100}))
-    specs.append(ScenarioSpec(
-        name="smoke-fair-wfq", sched="wfq", topology="smp:4",
-        seed=derive_seed(seed, 101),
-        workload="fairness",
-        workload_options={"tasks": 4, "work_ns": 20_000_000}))
-    specs.append(ScenarioSpec(
-        name="smoke-faas-serverless", sched="serverless",
-        seed=derive_seed(seed, 102), workload="faas",
-        workload_options={"offered_rps": 8_000, "functions": 16,
-                          "max_workers": 16, "hint_fraction": 0.25,
-                          "warmup_ns": 20_000_000,
-                          "duration_ns": 80_000_000}))
-    return specs
-
-
-# ----------------------------------------------------------------------
-# the FaaS table (``repro bench --faas``)
-# ----------------------------------------------------------------------
-
-#: knobs shared by every FaaS scenario so the schedulers face the same
-#: trace; per-spec entries override only load and episode length
-FAAS_BASE_OPTIONS = {
-    "functions": 64,
-    "zipf_s": 1.1,
-    "long_function_fraction": 0.125,
-    "short_service_us": 150.0,
-    "short_sigma": 0.6,
-    "long_service_ms": 10.0,
-    "long_sigma": 0.3,
-    "cold_start_us": 250.0,
-    "max_workers": 64,
-    "hint_fraction": 0.25,
-    "burst_factor": 2.0,
-    "burst_every_ns": 250_000_000,
-    "burst_len_ns": 25_000_000,
-}
-
-#: cold-start-style tail SLOs attached to the headline FaaS episodes;
-#: ``repro report``-style window series + verdicts ride the bench payload
-FAAS_SLOS = (
-    {"name": "faas-wakeup-p99", "metric": "wakeup_p99_ns",
-     "max": 2_000_000},
-    {"name": "faas-rq-depth", "metric": "rq_depth_max", "max": 128},
-)
-
-#: schedulers in the FaaS comparison table
-FAAS_SCHEDULERS = ("serverless", "cfs", "eevdf", "wfq", "shinjuku")
-
-
-def faas_specs(seed=0, headline_invocations=1_000_000):
-    """The sweep behind ``repro bench --faas``: serverless vs the field
-    under sweeping load, plus a production-scale headline pair.
-
-    Per load level every scheduler gets the *same* derived seed, so they
-    face byte-identical invocation traces.  The headline serverless/cfs
-    pair runs a >= ``headline_invocations`` episode with telemetry SLOs
-    attached — the "millions of users" scenario at full scale.
-    """
-    specs = []
-    for index, rps in enumerate((12_000, 15_000, 18_000)):
-        for sched in FAAS_SCHEDULERS:
-            specs.append(ScenarioSpec(
-                name=f"faas-{sched}-{rps // 1000}k",
-                sched=sched,
-                seed=derive_seed(seed, 300 + index),
-                workload="faas",
-                workload_options={**FAAS_BASE_OPTIONS,
-                                  "offered_rps": rps,
-                                  "warmup_ns": 100_000_000,
-                                  "duration_ns": 500_000_000}))
-    # ~89% effective utilisation of the 8-CPU capacity implied by
-    # FAAS_BASE_OPTIONS (E[S] ~430us, bursts add 10% on average):
-    # contended enough that CFS's tail degrades by an order of
-    # magnitude, stable enough that the container pool's FIFO backlog —
-    # which no scheduler can reorder — does not grow without bound over
-    # the minute-long episode.
-    headline_rps = 15_000
-    warmup_ns = 2_000_000_000
-    duration_ns = int(headline_invocations / headline_rps * 1e9)
-    for sched in ("serverless", "cfs"):
-        specs.append(ScenarioSpec(
-            name=f"faas-{sched}-headline",
-            sched=sched,
-            seed=derive_seed(seed, 310),
-            workload="faas",
-            workload_options={**FAAS_BASE_OPTIONS,
-                              "offered_rps": headline_rps,
-                              "warmup_ns": warmup_ns,
-                              "duration_ns": duration_ns},
-            telemetry_ns=50_000_000,
-            slos=FAAS_SLOS))
-    return specs
-
-
-# ----------------------------------------------------------------------
-# the multi-tenant table (``repro bench --multitenant``)
-# ----------------------------------------------------------------------
-
-#: the three-tenant contract shared by every multitenant scenario: a
-#: high-weight tenant, an equal-weight noisy neighbour, and a tenant
-#: capped at 20% of the machine by CPU bandwidth control
-MULTITENANT_GROUPS = (
-    {"name": "tenant-a", "weight": 2048},
-    {"name": "tenant-b", "weight": 1024},
-    {"name": "tenant-c", "weight": 1024,
-     "quota_ns": 2_000_000, "period_ns": 10_000_000},
-)
-
-#: per-tenant task counts (group parameters come from the spec's groups)
-MULTITENANT_TASKS = (
-    {"name": "tenant-a", "tasks": 4},
-    {"name": "tenant-b", "tasks": 4},
-    {"name": "tenant-c", "tasks": 2},
-)
-
-#: schedulers in the multitenant comparison table
-MULTITENANT_SCHEDULERS = ("cfs", "wfq", "eevdf")
-
-
-def multitenant_specs(seed=0, duration_ns=200_000_000):
-    """The sweep behind ``repro bench --multitenant``: the same
-    three-tenant noisy-neighbour contract across schedulers, plus one
-    mixed-policy scenario where each group picks its own scheduler
-    (tenant-b runs under native CFS while the rest stay on the Enoki
-    scheduler under test)."""
-    options = {"tenants": MULTITENANT_TASKS, "duration_ns": duration_ns}
-    specs = []
-    for index, sched in enumerate(MULTITENANT_SCHEDULERS):
-        specs.append(ScenarioSpec(
-            name=f"multitenant-{sched}", sched=sched, topology="smp:4",
-            seed=derive_seed(seed, 400 + index),
-            groups=MULTITENANT_GROUPS,
-            workload="multitenant", workload_options=options))
-    # Mixed-policy scenario: tenant-b runs under the native CFS class
-    # (policy 0) while a/c stay on the Enoki scheduler under test.  The
-    # Enoki class outranks the native class, so without bandwidth
-    # control the native tenant would starve outright (exactly the
-    # RT-vs-CFS story); capping the Enoki tenants hands tenant-b the
-    # residual — per-group policy choice made safe by per-group quotas.
-    mixed_groups = tuple(
-        dict(g, policy=0) if g["name"] == "tenant-b"
-        else dict(g, quota_ns=4_000_000, period_ns=10_000_000)
-        if g["name"] == "tenant-a" else dict(g)
-        for g in MULTITENANT_GROUPS)
-    specs.append(ScenarioSpec(
-        name="multitenant-mixed-policy", sched="wfq", topology="smp:4",
-        seed=derive_seed(seed, 410),
-        groups=mixed_groups,
-        workload="multitenant", workload_options=options))
-    return specs

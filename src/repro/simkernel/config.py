@@ -120,3 +120,11 @@ class SimConfig:
     def scaled(self, **overrides):
         """Return a copy with some constants replaced."""
         return replace(self, **overrides)
+
+    def bandwidth_slack_ns(self, nr_cpus):
+        """How far one period's consumption may overrun a group's quota:
+        each CPU charges at its own tick, so up to a tick (plus a switch
+        and the timer floor) per CPU lands before the throttle bites —
+        the tick granularity of real CFS bandwidth control."""
+        return nr_cpus * (self.tick_period_ns + self.context_switch_ns
+                          + self.timer_min_delay_ns)

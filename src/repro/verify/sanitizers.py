@@ -150,9 +150,7 @@ def group_bandwidth_violations(kernel, at_ns=None):
     """Hierarchical task-group invariants (group-bandwidth-conservation).
 
     * per-period consumption never exceeds the quota by more than the
-      enforcement slack (ticks land per CPU, so an N-CPU machine can
-      overrun by up to a tick-ish per CPU before the throttle bites —
-      the same granularity real CFS bandwidth control exhibits);
+      enforcement slack, :meth:`SimConfig.bandwidth_slack_ns`;
     * the per-CPU runnable index matches a recount from task states;
     * a group's cumulative runtime equals the sum over its subtree's
       members (dead ones included) — runtime is never lost or invented;
@@ -167,10 +165,8 @@ def group_bandwidth_violations(kernel, at_ns=None):
     def flag(detail, pid=-1, cpu=-1):
         out.append(Violation("group_bandwidth", now, detail, pid, cpu))
 
-    cfg = kernel.config
     nr_cpus = kernel.topology.nr_cpus
-    slack = nr_cpus * (cfg.tick_period_ns + cfg.context_switch_ns
-                       + cfg.timer_min_delay_ns)
+    slack = kernel.config.bandwidth_slack_ns(nr_cpus)
     all_groups = groups.all_groups()
 
     # -- recount the per-CPU runnable index from task states -----------

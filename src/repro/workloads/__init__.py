@@ -15,5 +15,5 @@
   ROADMAP's production-scale FaaS scenario).
 * :mod:`~repro.workloads.multitenant` — the noisy-neighbour episode over
   hierarchical task groups: weighted tenants plus a bandwidth-capped one
-  (``repro bench --multitenant``).
+  (``repro bench multitenant``).
 """

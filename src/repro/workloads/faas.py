@@ -199,6 +199,33 @@ class FaasResult:
         return self.completed / (self.measured_ns / 1e9)
 
 
+#: the trace every scheduler of ``repro faas`` and the ``faas`` bench
+#: artefact faces; a scenario adds only its load and episode length
+FAAS_BASE_OPTIONS = {
+    "functions": 64,
+    "zipf_s": 1.1,
+    "long_function_fraction": 0.125,
+    "short_service_us": 150.0,
+    "short_sigma": 0.6,
+    "long_service_ms": 10.0,
+    "long_sigma": 0.3,
+    "cold_start_us": 250.0,
+    "max_workers": 64,
+    "hint_fraction": 0.25,
+    "burst_factor": 2.0,
+    "burst_every_ns": 250_000_000,
+    "burst_len_ns": 25_000_000,
+}
+
+#: cold-start-style tail SLOs of the same two surfaces (telemetry
+#: windows and verdicts ride the bench payload)
+FAAS_SLOS = (
+    {"name": "faas-wakeup-p99", "metric": "wakeup_p99_ns",
+     "max": 2_000_000},
+    {"name": "faas-rq-depth", "metric": "rq_depth_max", "max": 128},
+)
+
+
 def run_faas(kernel, policy, offered_rps=20_000, duration_ns=msecs(400),
              warmup_ns=msecs(50), max_workers=64, prewarm=0,
              worker_cpus=None, cold_start_us=250.0, hint_fraction=0.0,

@@ -9,12 +9,13 @@ hierarchy (:mod:`repro.simkernel.groups`):
 * **tenant-c** — the capped batch tenant: a CPU bandwidth quota
   (2 ms / 10 ms by default) throttles it regardless of demand.
 
-Every tenant offers more work than its share, so the expected outcome is
-exactly the CFS bandwidth-control contract: tenant-c is pinned at
-``quota/period`` of the machine and tenants a/b split the residual
-2:1 by weight.  The result carries per-tenant runtimes and throttle
-statistics so tests (and ``repro bench --multitenant``) can assert both
-halves of that contract.
+Every tenant offers more work than its share, so tenant-c is pinned at
+``quota/period`` CPUs under any scheduler (the bandwidth-control
+contract).  How a and b split the residual is the scheduler's: native
+CFS honours group weights (2:1), while the Enoki policies are per-task
+fair and split it by task count.  The result carries per-tenant runtimes
+and throttle statistics so tests (and the ``multitenant`` bench
+artefact) can assert both.
 """
 
 from dataclasses import dataclass, field

@@ -2,12 +2,13 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -25,11 +26,46 @@ class TestCli:
         assert "experiments" in capsys.readouterr().out
 
     def test_the_five_quick_verbs_are_gone(self, capsys):
-        for gone in ("pipe", "schbench", "rocksdb", "upgrade", "fairness"):
+        """So are the six flags of the sweeps the catalogue absorbed."""
+        for gone in (["pipe"], ["schbench"], ["rocksdb"], ["upgrade"],
+                     ["fairness"], ["bench", "--smoke"], ["bench", "--faas"],
+                     ["bench", "--faas-invocations", "1"],
+                     ["bench", "--multitenant"], ["bench", "--seed", "0"],
+                     ["bench", "--name", "x"]):
             with pytest.raises(SystemExit) as excinfo:
-                main([gone])
+                main(gone)
             assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_every_command_line_in_the_docs_parses(self, capsys):
+        """Each ``repro <verb> [--flag ...]`` the docs cite is one the
+        parser accepts (``<placeholder>`` arguments stand for any value),
+        and each artefact a ``repro bench`` line names is in the
+        catalogue."""
+        from repro.exp.paper import CATALOGUE
+        root = os.path.dirname(SRC)
+        line = re.compile(r"(?:python3? -m |`)repro ([a-z][\w-]*)"
+                          r"([^\n`|;#>&]*)")
+        parser = build_parser()
+        stale = []
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                    ".claude/skills/verify/SKILL.md"):
+            with open(os.path.join(root, doc)) as handle:
+                text = handle.read().replace("\\\n", " ")
+            for match in line.finditer(text):
+                argv = [match.group(1)] + [
+                    "x" if word.startswith("<") else word
+                    for word in match.group(2).split()]
+                try:
+                    args = parser.parse_args(argv)
+                except SystemExit:
+                    stale.append(f"{doc}: repro {' '.join(argv)}")
+                    continue
+                if getattr(args, "artefact", None) not in (None, "x",
+                                                           *CATALOGUE):
+                    stale.append(f"{doc}: repro {' '.join(argv)}")
+        capsys.readouterr()
+        assert not stale
 
 
 class TestHostileCounts:
@@ -112,10 +148,6 @@ class TestBenchArtefact:
         for name in ("table3", "fig2bc", "upgrade-scaling"):
             assert name in err
         assert not list(tmp_path.iterdir())
-
-    def test_artefact_with_another_sweep_exits_two(self, tmp_path, capsys):
-        assert self.run(tmp_path, "table3", "--smoke") == 2
-        assert "cannot be combined" in capsys.readouterr().err
 
 
 class TestChaosExitCodes:

@@ -7,6 +7,7 @@ with or without cache hits.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,9 +24,9 @@ from repro.exp.bench import (
     deterministic_payload,
     run_spec,
     run_sweep,
-    smoke_specs,
 )
 from repro.simkernel import Topology
+from repro.simkernel.clock import msecs
 from repro.simkernel.errors import SimError
 
 
@@ -141,6 +142,20 @@ def _tiny_specs():
     ]
 
 
+def _catalogue_slice():
+    """Paper-catalogue cells of four workloads: a pipe, a fairness, a
+    shortened faas load and a multi-tenant one."""
+    from repro.exp.paper import catalogue_specs
+    cells = {spec.name: spec for spec in catalogue_specs(
+        ["table3", "fairness", "faas", "multitenant"])}
+    faas = cells["faas-serverless-12k"]
+    short = dict(faas.workload_options, warmup_ns=msecs(5),
+                 duration_ns=msecs(15))
+    return [cells["table3-wfq-two"], cells["fairness-wfq-spread"],
+            replace(faas, workload_options=short),
+            cells["multitenant-mixed-policy"]]
+
+
 class TestBenchRunner:
     def test_derive_seed_is_stable_and_distinct(self):
         assert derive_seed(0, 1) == derive_seed(0, 1)
@@ -182,8 +197,11 @@ class TestBenchRunner:
             reversed(list(c["workload_options"].items())))
         assert ScenarioSpec.from_dict(c).spec_hash() == a.spec_hash()
 
-    def test_sweep_identical_across_workers_and_cache(self, tmp_path):
-        specs = _tiny_specs()
+    @pytest.mark.parametrize("make_specs", [_tiny_specs, _catalogue_slice],
+                             ids=["tiny", "catalogue-slice"])
+    def test_sweep_identical_across_workers_and_cache(self, tmp_path,
+                                                      make_specs):
+        specs = make_specs()
         cold = run_sweep(specs, "t", workers=2,
                          cache_dir=str(tmp_path / "cache"),
                          out_dir=str(tmp_path), rev="r1")
@@ -200,7 +218,8 @@ class TestBenchRunner:
         assert a == b == c
         payload = json.loads((tmp_path / "BENCH_t.json").read_text())
         assert payload["kind"] == "repro.bench trajectory"
-        assert [r["name"] for r in payload["results"]] == ["a", "b", "c"]
+        assert ([r["name"] for r in payload["results"]]
+                == [spec.name for spec in specs])
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_mean_one(self, tmp_path, workers):
@@ -210,7 +229,6 @@ class TestBenchRunner:
         clamped = run_sweep(specs, "t", workers=workers, use_cache=False,
                             out_dir=str(tmp_path), rev="r1")
         assert clamped["meta"]["workers"] == 1
-        assert len(clamped["meta"]["shard_wall_s"]) == 1
         assert (deterministic_payload(clamped)
                 == deterministic_payload(serial))
 
@@ -259,9 +277,3 @@ class TestBenchRunner:
         assert len(paths) == 5
         monkeypatch.setattr(bench, "_git", lambda *args: None)
         assert bench.git_rev() == "unknown"
-
-    def test_smoke_specs_have_derived_seeds_and_unique_hashes(self):
-        specs = smoke_specs()
-        hashes = {s.spec_hash() for s in specs}
-        assert len(hashes) == len(specs)
-        assert smoke_specs()[0].seed == smoke_specs()[0].seed

@@ -3,9 +3,9 @@
 The contract under test (mirrors CFS group scheduling + bandwidth
 control): per-period consumption of a quota'd group never exceeds the
 quota beyond tick-granularity slack, uncapped tenants split the residual
-by weight, throttling parks tasks without losing them — even composed
-with live upgrades and scheduler failover — and the whole feature is
-invisible to flat workloads.
+by weight under CFS, throttling parks tasks without losing them — even
+composed with live upgrades and scheduler failover — and the whole
+feature is invisible to flat workloads.
 """
 
 from dataclasses import replace
@@ -41,13 +41,7 @@ def make_cfs(nr_cpus=1):
 
 
 def enforcement_slack_ns(kernel):
-    """Quota overrun bound: each CPU charges at its own tick, so a
-    period can overshoot by roughly one tick (+ dispatch costs) per CPU
-    before the enforcement timer lands — same as tick-granularity
-    slack in CFS bandwidth control."""
-    cfg = kernel.config
-    return kernel.topology.nr_cpus * (
-        cfg.tick_period_ns + cfg.context_switch_ns + cfg.timer_min_delay_ns)
+    return kernel.config.bandwidth_slack_ns(kernel.topology.nr_cpus)
 
 
 def spinner(total_ns, slice_ns=200_000):
