@@ -8,8 +8,9 @@ Usage::
     python -m repro bench table3         # one artefact: its table, the
                                          # paper's row, a verdict per claim
     python -m repro faas --load 15000
-    python -m repro trace --export chrome out.json
-    python -m repro stats
+    python -m repro trace                # observed episode: markdown
+                                         # report (--json, --csv, --live)
+    python -m repro trace out.json       # ... and its Perfetto trace
 
 ``repro bench`` is the one way to run an experiment: the catalogue in
 :mod:`repro.exp.paper` names each artefact of the paper's evaluation.
@@ -85,15 +86,32 @@ def cmd_faas(args):
     return 0
 
 
-def _observed_pipe_run(rounds, hogs, capacity):
-    """Run the pipe workload (plus optional background hogs that force
-    work stealing) on an Enoki WFQ kernel with the Observer attached."""
+#: trace ring capacity of ``repro trace``; the default episode emits
+#: ~162k events and drops none (the report carries the dropped count)
+TRACE_CAPACITY = 500_000
+
+#: SLO targets of ``repro trace``.  The default episode does not meet
+#: them: wakeups into the bandwidth-capped ``hogs`` group wait for its
+#: quota refill, so ``p99-wakeup`` is violated in 90 of 195 windows at
+#: 12 hogs (176 of 327 at 20).  At ``--rounds 200 --hogs 4`` both hold.
+DEFAULT_SLOS = (
+    {"name": "p99-wakeup", "metric": "wakeup_p99_ns", "max": 1_000_000},
+    {"name": "rq-depth", "metric": "rq_depth_max", "max": 64},
+)
+
+
+def _observed_pipe_run(rounds, hogs, interval_us, on_window=None):
+    """Run the pipe workload plus background hogs on an Enoki WFQ kernel
+    with the Observer and continuous telemetry (inline accounting,
+    windowed sampler, SLO monitors) attached; they share one registry."""
     from repro.simkernel.clock import usecs
     from repro.simkernel.program import Run, Sleep
     from repro.workloads.pipe_bench import run_pipe_benchmark
 
     session = _wfq_session()
-    observer = session.attach_observer(capacity=capacity)
+    session.attach_observer(capacity=TRACE_CAPACITY)
+    session.attach_telemetry(usecs(interval_us), slos=DEFAULT_SLOS,
+                             on_window=on_window)
 
     def hog():
         for _ in range(200):
@@ -111,133 +129,52 @@ def _observed_pipe_run(rounds, hogs, capacity):
                       allowed_cpus={0, 1, 2, 3}, origin_cpu=i % 4)
     result = run_pipe_benchmark(session.kernel, session.policy,
                                 rounds=rounds)
-    return session.kernel, observer, result
-
-
-def cmd_trace(args):
-    kernel, observer, result = _observed_pipe_run(
-        args.rounds, args.hogs, args.capacity)
-    if args.export == "chrome":
-        observer.export_chrome(args.output)
-    else:
-        observer.export_ftrace(args.output)
-    summary = observer.summary()
-    rows = [[kind, count] for kind, count in sorted(summary.items())]
-    rows.append(["(dropped)", observer.dropped])
-    print(render_table(
-        f"trace of sched-pipe + {args.hogs} hogs "
-        f"({result.latency_us_per_message:.2f} us/msg)",
-        ["event kind", "count"], rows))
-    print(f"wrote {args.export} trace to {args.output}")
-    return 0
-
-
-def cmd_stats(args):
-    _kernel, observer, result = _observed_pipe_run(
-        args.rounds, args.hogs, args.capacity)
-    if args.json:
-        observer.collect()
-        print(json.dumps({
-            "latency_us_per_message": result.latency_us_per_message,
-            "events": dict(sorted(observer.summary().items())),
-            "dropped_events": observer.dropped,
-            "metrics": observer.registry.snapshot(),
-        }, indent=2, sort_keys=True))
-        return 0
-    print(f"sched-pipe + {args.hogs} hogs: "
-          f"{result.latency_us_per_message:.2f} us/msg")
-    print(observer.report())
-    return 0
-
-
-#: default SLO targets for the telemetry CLI surfaces — generous bounds
-#: that hold on a healthy kernel, so violations mean something changed
-DEFAULT_SLOS = (
-    {"name": "p99-wakeup", "metric": "wakeup_p99_ns", "max": 1_000_000},
-    {"name": "rq-depth", "metric": "rq_depth_max", "max": 64},
-)
-
-
-def _telemetry_pipe_run(rounds, hogs, interval_us, on_window=None,
-                        top_k=5, slos=DEFAULT_SLOS):
-    """The pipe + background-hogs episode with continuous telemetry
-    attached (inline accounting, windowed sampler, SLO monitors)."""
-    from repro.simkernel.clock import usecs
-    from repro.simkernel.program import Run, Sleep
-    from repro.workloads.pipe_bench import run_pipe_benchmark
-
-    session = _wfq_session()
-    session.attach_telemetry(usecs(interval_us), slos=slos,
-                             on_window=on_window, top_k=top_k)
-
-    def hog():
-        for _ in range(200):
-            yield Run(usecs(40))
-            yield Sleep(usecs(15))
-
-    # Same bandwidth-capped hog group as ``repro stats``: the telemetry
-    # windows then carry a per-group section (shares, throttles).
-    session.kernel.groups.create("hogs", quota_ns=usecs(1000),
-                                 period_ns=usecs(2000))
-    for i in range(hogs):
-        session.spawn(hog, name=f"hog-{i}", group="hogs",
-                      allowed_cpus={0, 1, 2, 3}, origin_cpu=i % 4)
-    result = run_pipe_benchmark(session.kernel, session.policy,
-                                rounds=rounds)
     session.stop()
     return session, result
 
 
-def cmd_top(args):
-    from repro.obs.telemetry import render_top_frame
-
-    clear = (not args.no_clear) and sys.stdout.isatty()
-    frames = [0]
-
-    def show(window):
-        frames[0] += 1
-        if clear:
-            sys.stdout.write("\x1b[2J\x1b[H")
-        print(render_top_frame(window))
-        if not clear:
-            print()
-
-    session, result = _telemetry_pipe_run(
-        args.rounds, args.hogs, args.interval_us,
-        on_window=show, top_k=args.tasks)
-    sampler = session.telemetry
-    slo = sampler.monitor.summary() if sampler.monitor else None
-    violations = (sum(t["violations"] for t in slo["targets"])
-                  if slo else 0)
-    print(f"episode done: {frames[0]} windows "
-          f"@ {args.interval_us} us, "
-          f"{result.latency_us_per_message:.2f} us/msg, "
-          f"{violations} SLO violation(s)")
-    return 0
-
-
-def cmd_report(args):
+def cmd_trace(args):
     from repro.obs.telemetry import (build_report, render_report_markdown,
-                                     timeseries_csv)
+                                     render_top_frame, timeseries_csv)
 
-    session, result = _telemetry_pipe_run(
-        args.rounds, args.hogs, args.interval_us)
-    report = build_report(session.kernel, session.telemetry, meta={
+    show = None
+    if args.live:
+        clear = sys.stdout.isatty()
+
+        def show(window):
+            if clear:
+                sys.stdout.write("\x1b[2J\x1b[H")
+            print(render_top_frame(window))
+            if not clear:
+                print()
+
+    session, result = _observed_pipe_run(
+        args.rounds, args.hogs, args.interval_us, on_window=show)
+    observer, sampler = session.observer, session.telemetry
+    if args.path:
+        if args.path.endswith(".json"):
+            observer.export_chrome(args.path)
+        else:
+            observer.export_ftrace(args.path)
+    if args.csv:
+        with open(args.csv, "w") as handle:
+            handle.write(timeseries_csv(list(sampler.windows)))
+    if args.live:
+        return 0
+    report = build_report(session.kernel, sampler, meta={
         "workload": "pipe+hogs",
         "rounds": args.rounds,
         "hogs": args.hogs,
         "interval_us": args.interval_us,
         "latency_us_per_message": result.latency_us_per_message,
     })
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(timeseries_csv(list(session.telemetry.windows)))
-        if not args.json:
-            print(f"wrote time-series CSV to {args.csv}")
+    report["events"] = dict(sorted(observer.summary().items()))
+    report["dropped_events"] = observer.dropped
+    report["metrics"] = observer.collect().snapshot()
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(render_report_markdown(report))
+    else:
+        print(render_report_markdown(report))
     return 0
 
 
@@ -551,14 +488,9 @@ EXPERIMENTS = {
                              "eviction and rolling upgrades"),
     "faas": (cmd_faas, "serverless/FaaS trace quick run: CFS vs the "
                        "Enoki serverless scheduler + SLO verdicts"),
-    "trace": (cmd_trace, "capture a full-stack trace and export it "
-                         "(chrome/ftrace)"),
-    "stats": (cmd_stats, "metrics registry + per-callback latency "
-                         "percentiles"),
-    "top": (cmd_top, "live schedstat view: per-CPU bars, SLO status, "
-                     "busiest tasks per telemetry window"),
-    "report": (cmd_report, "delay-accounting + time-series episode "
-                           "report (markdown, --json, --csv)"),
+    "trace": (cmd_trace, "observe the pipe + hogs episode: one report "
+                         "(markdown, --json, --csv, --live frames), "
+                         "optionally the event trace"),
     "chaos": (cmd_chaos, "deterministic fault injection: run built-in "
                          "fault plans under containment"),
     "fuzz": (cmd_fuzz, "seeded simulation fuzzing under the invariant "
@@ -581,41 +513,23 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("trace", help=EXPERIMENTS["trace"][1])
-    p.add_argument("--export", choices=["chrome", "ftrace"],
-                   default="chrome")
+    p.add_argument("path", nargs="?",
+                   help="also write the event trace here: Chrome/Perfetto "
+                        "JSON if it ends in .json, ftrace text otherwise")
     p.add_argument("--rounds", type=positive_int, default=500)
     p.add_argument("--hogs", type=non_negative_int, default=12,
                    help="background tasks that force work stealing")
-    p.add_argument("--capacity", type=positive_int, default=500_000,
-                   help="trace ring-buffer capacity (events)")
-    p.add_argument("output", nargs="?", default="trace.json")
-
-    p = sub.add_parser("stats", help=EXPERIMENTS["stats"][1])
-    p.add_argument("--rounds", type=positive_int, default=500)
-    p.add_argument("--hogs", type=non_negative_int, default=12)
-    p.add_argument("--capacity", type=positive_int, default=500_000)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable registry snapshot on stdout")
-
-    p = sub.add_parser("top", help=EXPERIMENTS["top"][1])
-    p.add_argument("--rounds", type=positive_int, default=500)
-    p.add_argument("--hogs", type=non_negative_int, default=12)
     p.add_argument("--interval-us", type=positive_int, default=1000,
                    help="telemetry window length (simulated microseconds)")
-    p.add_argument("--tasks", type=positive_int, default=5,
-                   help="busiest tasks shown per frame")
-    p.add_argument("--no-clear", action="store_true",
-                   help="append frames instead of redrawing in place")
-
-    p = sub.add_parser("report", help=EXPERIMENTS["report"][1])
-    p.add_argument("--rounds", type=positive_int, default=500)
-    p.add_argument("--hogs", type=non_negative_int, default=12)
-    p.add_argument("--interval-us", type=positive_int, default=1000,
-                   help="telemetry window length (simulated microseconds)")
-    p.add_argument("--json", action="store_true",
-                   help="full report as JSON instead of markdown")
     p.add_argument("--csv", metavar="PATH",
                    help="also export the per-window time series as CSV")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true",
+                     help="the report, event counts and registry snapshot "
+                          "as one JSON document")
+    out.add_argument("--live", action="store_true",
+                     help="print a schedstat frame per telemetry window "
+                          "instead of the report")
 
     p = sub.add_parser("chaos", help=EXPERIMENTS["chaos"][1])
     p.add_argument("--plan", default="all",

@@ -14,7 +14,7 @@ a per-callback profiler for Enoki message handlers
 
     observer = Observer.attach(kernel)
     ... run workload ...
-    print(observer.report())
+    metrics = observer.collect().snapshot()
     observer.export_chrome("trace.json")
 
 With no observer attached every hook site is a single ``is None`` test —

@@ -2,7 +2,7 @@
 
 The registry is the substrate's ``/proc``-style metrics surface: the
 kernel trace hook, the callback profiler, and workloads all feed it, and
-``repro stats`` renders it.  Histograms use HdrHistogram-style log2
+``repro trace`` reports it.  Histograms use HdrHistogram-style log2
 bucketing with sub-buckets, so percentiles up to p999 are available at a
 bounded relative error (at most 1/8 with the default 8 sub-buckets per
 octave) while
@@ -321,30 +321,3 @@ class MetricsRegistry:
                 n: h.snapshot() for n, h in sorted(self.histograms.items())
             },
         }
-
-    def render(self):
-        """Human-readable report used by ``repro stats``."""
-        lines = []
-        if self.counters:
-            lines.append("counters:")
-            for name, counter in sorted(self.counters.items()):
-                lines.append(f"  {name:<42s} {counter.value}")
-        if self.gauges:
-            lines.append("gauges (value / min / max):")
-            for name, gauge in sorted(self.gauges.items()):
-                lo = gauge.min_value if gauge.min_value is not None else 0
-                hi = gauge.max_value if gauge.max_value is not None else 0
-                lines.append(f"  {name:<42s} {gauge.value} / {lo} / {hi}")
-        if self.histograms:
-            lines.append("histograms (ns):")
-            header = (f"  {'name':<34s} {'count':>8s} {'mean':>10s} "
-                      f"{'p50':>10s} {'p90':>10s} {'p99':>10s} {'p999':>10s}")
-            lines.append(header)
-            for name, hist in sorted(self.histograms.items()):
-                q = hist.quantiles()
-                lines.append(
-                    f"  {name:<34s} {hist.count:>8d} {hist.mean:>10.0f} "
-                    f"{q['p50']:>10.0f} {q['p90']:>10.0f} "
-                    f"{q['p99']:>10.0f} {q['p999']:>10.0f}"
-                )
-        return "\n".join(lines)

@@ -155,6 +155,8 @@ class Observer(SchedTracer):
     def collect(self):
         """Rebuild the registry's kernel aggregates (idempotently) from
         the kernel's own state; returns the registry."""
+        from repro.obs.accounting import cpu_rows
+
         kernel = self._kernel
         registry = self.registry
         if kernel is None:
@@ -171,17 +173,17 @@ class Observer(SchedTracer):
         registry.gauge("kernel.contained_panics").set(
             stats.contained_panics)
         registry.gauge("kernel.failovers").set(stats.failovers)
-        registry.gauge("kernel.busy_ns_total").set(stats.busy_ns_total())
         registry.gauge("kernel.now_ns").set(kernel.now)
-        for cpu_stats in stats.cpus:
-            prefix = f"cpu{cpu_stats.cpu}"
-            registry.gauge(f"kernel.{prefix}.busy_ns").set(cpu_stats.busy_ns)
-            registry.gauge(f"kernel.{prefix}.idle_ns").set(cpu_stats.idle_ns)
-            registry.gauge(f"kernel.{prefix}.switches").set(
-                cpu_stats.switches)
-            registry.gauge(f"kernel.{prefix}.steals").set(cpu_stats.steals)
-            registry.gauge(f"kernel.{prefix}.nr_running").set(
-                kernel.rqs[cpu_stats.cpu].nr_running)
+        # Per-CPU time as of now: ``cpu_rows`` closes the open busy/idle
+        # segment, so the gauges agree with the accounting readout.
+        rows = cpu_rows(kernel)
+        registry.gauge("kernel.busy_ns_total").set(
+            sum(row["busy_ns"] for row in rows))
+        for row in rows:
+            prefix = f"kernel.cpu{row['cpu']}"
+            for key in ("busy_ns", "idle_ns", "switches", "steals",
+                        "nr_running"):
+                registry.gauge(f"{prefix}.{key}").set(row[key])
         for name, snap in sorted(kernel.groups.snapshot().items()):
             prefix = f"groups.{name}"
             registry.gauge(f"{prefix}.runtime_ns").set(
@@ -205,7 +207,7 @@ class Observer(SchedTracer):
         return registry
 
     # ------------------------------------------------------------------
-    # reporting and export
+    # export
     # ------------------------------------------------------------------
 
     def _task_names(self):
@@ -213,28 +215,6 @@ class Observer(SchedTracer):
         if kernel is None:
             return {}
         return {pid: task.name for pid, task in kernel.tasks.items()}
-
-    def report(self):
-        """The ``repro stats`` text report."""
-        self.collect()
-        sections = []
-        summary = self.summary()
-        if summary:
-            sections.append("events by kind:")
-            sections.extend(
-                f"  {kind:<24s} {count}"
-                for kind, count in sorted(summary.items())
-            )
-        if self.dropped:
-            sections.append(f"  (ring wrapped: {self.dropped} events "
-                            "dropped)")
-        for policy, profiler in sorted(self.profilers.items()):
-            if profiler.total_calls():
-                sections.append(
-                    f"per-callback profile (policy {policy}):")
-                sections.append(profiler.report())
-        sections.append(self.registry.render())
-        return "\n".join(sections)
 
     def export_chrome(self, path):
         """Write a Perfetto-loadable Chrome trace of everything captured."""

@@ -7,7 +7,7 @@ trait method dispatched through Enoki-C, the profiler accumulates
 * **virtual time** — the modelled kernel cost the dispatch charges into
   the simulation (constant per hook, from :class:`SimConfig`), and
 * **wall time** — how long the Python handler actually took, with a
-  log-bucketed histogram so ``repro stats`` can print p50/p90/p99/p999
+  log-bucketed histogram so ``repro trace`` can print p50/p90/p99/p999
   per callback.
 
 Enoki-C consults a single ``profiler`` attribute before dispatch; when it
@@ -94,23 +94,3 @@ class CallbackProfiler:
         registry.counter(f"{prefix}.calls.total").value = self.total_calls()
         registry.gauge(
             f"{prefix}.virtual_ns.total").set(self.total_virtual_ns())
-
-    def report(self):
-        """Per-callback latency table (wall-time percentiles in us)."""
-        lines = [
-            f"  {'callback':<24s} {'calls':>8s} {'virt us':>10s} "
-            f"{'wall p50':>9s} {'wall p90':>9s} {'wall p99':>9s} "
-            f"{'wall p999':>9s}"
-        ]
-        for hook, profile in sorted(self.hooks.items()):
-            q = profile.wall_hist.quantiles()
-            lines.append(
-                f"  {hook:<24s} {profile.count:>8d} "
-                f"{profile.virtual_ns / 1e3:>10.1f} "
-                f"{q['p50'] / 1e3:>9.3f} {q['p90'] / 1e3:>9.3f} "
-                f"{q['p99'] / 1e3:>9.3f} {q['p999'] / 1e3:>9.3f}"
-            )
-        total = (f"  {'TOTAL':<24s} {self.total_calls():>8d} "
-                 f"{self.total_virtual_ns() / 1e3:>10.1f}")
-        lines.append(total)
-        return "\n".join(lines)

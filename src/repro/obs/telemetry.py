@@ -7,8 +7,9 @@ telemetry window every ``interval_ns``, snapshotting inline accounting
 into per-window deltas — utilisation, switch/steal/wakeup/migration
 rates, run-queue depth peaks, a per-window wakeup-latency histogram, and
 the top tasks by CPU time.  Each window is plain data, so the series
-exports to CSV/JSON, renders as a terminal frame (``repro top``), bins
-into a latency heatmap, and merges across sharded kernels.
+exports to CSV/JSON, renders as a terminal frame (``repro trace
+--live``), bins into a latency heatmap, and merges across sharded
+kernels.
 
 An :class:`SLOMonitor` evaluates declarative targets against every
 window's derived metrics and emits ``slo_violation`` trace events plus
@@ -35,7 +36,7 @@ Design constraints, in order:
 import io
 from collections import deque
 
-from repro.obs.accounting import KernelAccounting, cpu_rows, task_delay_row
+from repro.obs.accounting import KernelAccounting, cpu_rows
 from repro.obs.metrics import Histogram
 from repro.simkernel.task import TaskState
 
@@ -145,8 +146,8 @@ class TelemetrySampler:
 
     Use :meth:`attach` (arms the periodic timer immediately) and run the
     workload; windows accumulate in ``self.windows``.  ``on_window`` is
-    called with each closed window — ``repro top`` renders frames from
-    it live, mid-``run_until_idle``.
+    called with each closed window — ``repro trace --live`` renders
+    frames from it, mid-``run_until_idle``.
     """
 
     def __init__(self, kernel, interval_ns, slos=(), registry=None,
@@ -464,7 +465,8 @@ def timeseries_csv(windows):
 
 
 def render_top_frame(window, width=72):
-    """One ``repro top`` frame: machine line, per-CPU bars, top tasks."""
+    """One ``repro trace --live`` frame: machine line, per-CPU bars, top
+    tasks."""
     metrics = window["metrics"]
     machine = window["machine"]
     span_ms = window["span_ns"] / 1e6
@@ -525,44 +527,41 @@ def render_top_frame(window, width=72):
     return "\n".join(line[:width * 2] for line in lines)
 
 
-def build_report(kernel, sampler=None, meta=None):
+def build_report(kernel, sampler, meta=None):
     """Post-episode summary: accounting + SLO verdicts + heatmap.
 
-    Plain data, rendered to JSON by the CLI (``repro report --json``) or
-    markdown via :func:`render_report_markdown`.
+    Plain data, rendered to JSON by the CLI (``repro trace --json``) or
+    markdown via :func:`render_report_markdown`, which also renders the
+    ``events``/``dropped_events``/``metrics`` keys the CLI adds from the
+    episode's observer.
     """
-    acct = (sampler.accounting if sampler is not None
-            else kernel.accounting)
+    snap = sampler.accounting.snapshot()
+    windows = list(sampler.windows)
     report = {
         "kind": "repro.obs report",
-        "episode": dict(meta or {}),
+        "episode": {"simulated_ns": kernel.now, **(meta or {})},
         "now_ns": kernel.now,
+        "machine": snap["machine"],
+        "cpus": snap["cpus"],
+        "tasks": sorted(snap["tasks"], key=lambda t: t["pid"]),
+        "wakeup_latency": snap["wakeup_latency"],
+        "run_ns_by_policy": snap["run_ns_by_policy"],
+        "telemetry": sampler.summary(),
+        "windows": windows,
+        "heatmap": latency_heatmap(windows),
     }
-    report["episode"].setdefault("simulated_ns", kernel.now)
-    if acct is not None:
-        snap = acct.snapshot()
-        report["machine"] = snap["machine"]
-        report["cpus"] = snap["cpus"]
-        report["tasks"] = sorted(snap["tasks"], key=lambda t: t["pid"])
-        report["wakeup_latency"] = snap["wakeup_latency"]
-        report["run_ns_by_policy"] = snap["run_ns_by_policy"]
-    else:
-        report["tasks"] = sorted(
-            (task_delay_row(t, kernel.now) for t in kernel.tasks.values()),
-            key=lambda t: t["pid"])
-        report["cpus"] = cpu_rows(kernel)
-    if sampler is not None:
-        windows = list(sampler.windows)
-        report["telemetry"] = sampler.summary()
-        report["windows"] = windows
-        report["heatmap"] = latency_heatmap(windows)
-        if sampler.monitor is not None:
-            report["slo"] = sampler.monitor.summary()
+    if sampler.monitor is not None:
+        report["slo"] = sampler.monitor.summary()
     return report
 
 
 def render_report_markdown(report):
-    """Human-readable (markdown) form of :func:`build_report` output."""
+    """Human-readable (markdown) form of :func:`build_report` output.
+
+    A ``metrics`` registry snapshot adds the events-by-kind table (from
+    the ``events.*`` counters) and a callback profile per Enoki policy
+    (``enoki.policy<N>.*``); the rest of the registry is JSON-only.
+    """
     lines = [f"# {report['kind']}", ""]
     episode = report.get("episode", {})
     if episode:
@@ -574,6 +573,18 @@ def render_report_markdown(report):
         lines.append("## machine")
         for key, value in sorted(report["machine"].items()):
             lines.append(f"- {key}: {value}")
+        lines.append("")
+    metrics = report.get("metrics") or {}
+    events = {name[len("events."):]: count for name, count
+              in metrics.get("counters", {}).items()
+              if name.startswith("events.")}
+    if events:
+        lines.append(f"## events by kind "
+                     f"({report.get('dropped_events', 0)} dropped)")
+        lines.append("| kind | count |")
+        lines.append("|---|---|")
+        for kind, count in sorted(events.items()):
+            lines.append(f"| {kind} | {count} |")
         lines.append("")
     hist = report.get("wakeup_latency")
     if hist and hist.get("count"):
@@ -635,4 +646,30 @@ def render_report_markdown(report):
                 f"- wakeup p99 (ns): first={p99[0]:.0f} "
                 f"last={p99[-1]:.0f} peak={max(p99):.0f}")
         lines.append("")
+    lines.extend(_callback_profile_lines(metrics))
     return "\n".join(lines)
+
+
+def _callback_profile_lines(metrics):
+    """Markdown tables of the per-callback profiles the observer
+    published: one per Enoki policy, virtual and wall time in ns."""
+    profiles = {}
+    for name, hist in metrics.get("histograms", {}).items():
+        prefix, sep, hook = name.partition(".wall_ns.")
+        if sep and prefix.startswith("enoki.policy"):
+            profiles.setdefault(prefix, {})[hook] = hist
+    gauges = metrics.get("gauges", {})
+    lines = []
+    for prefix, hooks in sorted(profiles.items()):
+        lines.append(f"## callback profile: {prefix[len('enoki.'):]} (ns)")
+        lines.append("| callback | calls | virtual | wall p50 | wall p90 "
+                     "| wall p99 | wall p999 |")
+        lines.append("|---|---|---|---|---|---|---|")
+        for hook, hist in sorted(hooks.items()):
+            virtual = gauges[f"{prefix}.virtual_ns.{hook}"]["value"]
+            lines.append(
+                f"| {hook} | {hist['count']} | {virtual} "
+                f"| {hist['p50']:.0f} | {hist['p90']:.0f} "
+                f"| {hist['p99']:.0f} | {hist['p999']:.0f} |")
+        lines.append("")
+    return lines

@@ -20,18 +20,27 @@ class TestCli:
         assert "bench" in out
         assert "table3" in out
         assert "record-replay" in out
+        experiments = out.split("paper artefacts")[0].split("\n")[1:]
+        assert [line.split()[0] for line in experiments if line] == [
+            "bench", "cluster", "faas", "trace", "chaos", "fuzz"]
 
     def test_no_command_lists(self, capsys):
         assert main([]) == 0
         assert "experiments" in capsys.readouterr().out
 
     def test_the_five_quick_verbs_are_gone(self, capsys):
-        """So are the six flags of the sweeps the catalogue absorbed."""
+        """So are the six flags of the sweeps the catalogue absorbed, the
+        three observed-episode verbs ``repro trace`` absorbed and the
+        trace options it dropped; its ``--json`` and ``--live`` exclude
+        each other."""
         for gone in (["pipe"], ["schbench"], ["rocksdb"], ["upgrade"],
                      ["fairness"], ["bench", "--smoke"], ["bench", "--faas"],
                      ["bench", "--faas-invocations", "1"],
                      ["bench", "--multitenant"], ["bench", "--seed", "0"],
-                     ["bench", "--name", "x"]):
+                     ["bench", "--name", "x"], ["stats"], ["top"],
+                     ["report"], ["trace", "--export", "chrome"],
+                     ["trace", "--capacity", "1"],
+                     ["trace", "--json", "--live"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(gone)
             assert excinfo.value.code == 2
@@ -74,10 +83,9 @@ class TestHostileCounts:
 
     @pytest.mark.parametrize("argv", [
         ["faas", "--load", "0"],
-        ["trace", "--capacity", "0"],
-        ["stats", "--rounds", "-3"],
-        ["top", "--interval-us", "0"],
-        ["report", "--interval-us", "0"],
+        ["trace", "--rounds", "0"],
+        ["trace", "--interval-us", "0"],
+        ["trace", "--hogs", "-1"],
         ["chaos", "--hogs", "-1"],
         ["fuzz", "--episodes", "-2"],
         ["cluster", "--machines", "0"],

@@ -12,6 +12,7 @@ from repro.obs import (
     Observer,
     chrome_trace,
     ftrace_lines,
+    render_report_markdown,
 )
 from repro.obs.metrics import (Gauge, _bucket_bounds, _bucket_index,
                                merge_histogram_snapshots,
@@ -126,7 +127,6 @@ class TestHistogram:
         assert snap["gauges"]["g"]["value"] == 7
         assert snap["histograms"]["h"]["count"] == 1
         json.dumps(snap)                      # must be JSON-serialisable
-        assert "c" in registry.render()
 
     def test_empty_histogram_stats_are_zero(self):
         hist = Histogram("t")
@@ -295,16 +295,14 @@ class TestCallbackProfiler:
             _kernel.stats.busy_ns_total()
 
     def test_collect_is_idempotent(self):
-        """``report()`` calls ``collect()``, so stats followed by an
-        export used to double the wakeup-latency histogram and the
-        per-callback call counters."""
+        """A second ``collect()`` used to double the wakeup-latency
+        histogram and the per-callback call counters."""
         kernel, observer = run_observed()
         first = observer.collect().snapshot()
         samples = sum(len(t.stats.wakeup_latencies)
                       for t in kernel.tasks.values())
         assert first["histograms"]["task.wakeup_latency_ns"]["count"] \
             == samples > 0
-        observer.report()
         assert observer.collect().snapshot() == first
 
     def test_uninstall_restores_fast_path(self):
@@ -317,9 +315,10 @@ class TestCallbackProfiler:
 
     def test_report_renders_percentile_table(self):
         _kernel, observer = run_observed()
-        report = observer.report()
-        assert "per-callback profile" in report
-        assert "pick_next_task" in report
+        report = render_report_markdown(
+            {"kind": "t", "metrics": observer.collect().snapshot()})
+        assert f"## callback profile: policy{POLICY}" in report
+        assert "| pick_next_task |" in report
         assert "wall p99" in report
 
 

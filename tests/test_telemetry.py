@@ -6,7 +6,11 @@ the sampler's windows tile the episode, SLO violations surface as trace
 events and counters, and sharded snapshots merge to the combined totals.
 """
 
+import contextlib
+import io
 import json
+
+import pytest
 
 from repro.exp import KernelBuilder
 from repro.exp.bench import run_spec
@@ -337,39 +341,77 @@ class TestSpecAndBenchIntegration:
         json.dumps(metrics)
 
 
-class TestCliSurfaces:
-    def test_top_no_clear(self, capsys):
-        from repro.cli import main
-        assert main(["top", "--rounds", "80", "--hogs", "2",
-                     "--no-clear"]) == 0
-        out = capsys.readouterr().out
-        assert "episode done:" in out
-        assert "top tasks" in out
+class TestTraceVerb:
+    """``repro trace``: the observed pipe + hogs episode end to end, at
+    small size, through every output."""
 
-    def test_report_json_and_csv(self, tmp_path, capsys):
+    ARGV = ["--rounds", "80", "--hogs", "2"]
+
+    @pytest.fixture(scope="class")
+    def episode(self, tmp_path_factory):
+        """One ``--json`` run writing a Chrome trace and the CSV series:
+        (report, trace path, csv path)."""
         from repro.cli import main
-        csv_path = tmp_path / "series.csv"
-        assert main(["report", "--rounds", "80", "--hogs", "2",
-                     "--json", "--csv", str(csv_path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["kind"] == "repro.obs report"
-        assert report["tasks"]
+        root = tmp_path_factory.mktemp("trace")
+        trace, csv_path = root / "t.json", root / "series.csv"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["trace", str(trace), *self.ARGV, "--json",
+                         "--csv", str(csv_path)]) == 0
+        return json.loads(out.getvalue()), trace, csv_path
+
+    def test_json_is_one_document(self, episode):
+        report = episode[0]
+        for key in ("events", "metrics", "windows", "tasks", "slo"):
+            assert key in report, key
+        assert report["episode"]["latency_us_per_message"] > 0
+        assert report["dropped_events"] == 0
+        gauge = report["metrics"]["gauges"]["kernel.now_ns"]
+        assert set(gauge) == {"value", "min", "max"}
+        for row in report["tasks"]:
+            assert (row["run_ns"] + row["wait_ns"] + row["sleep_ns"]
+                    + row["block_ns"]) == row["span_ns"], row["name"]
+
+    def test_cpu_gauges_agree_with_the_per_cpu_table(self, episode):
+        # The registry's per-CPU gauges close the open busy/idle segment
+        # the way the report's table does, instead of reading it as 0.
+        report = episode[0]
+        gauges = report["metrics"]["gauges"]
+        for row in report["cpus"]:
+            for key in ("busy_ns", "idle_ns", "switches", "steals"):
+                name = f"kernel.cpu{row['cpu']}.{key}"
+                assert gauges[name]["value"] == row[key], name
+        assert gauges["kernel.busy_ns_total"]["value"] == sum(
+            row["busy_ns"] for row in report["cpus"])
+
+    def test_csv_has_one_row_per_window(self, episode):
+        report, _, csv_path = episode
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0].startswith("index,start_ns,end_ns")
         assert len(lines) == 1 + len(report["windows"])
 
-    def test_report_markdown_default(self, capsys):
+    def test_json_path_writes_a_chrome_trace(self, episode):
+        assert json.loads(episode[1].read_text())["traceEvents"]
+
+    def test_live_prints_one_frame_per_window(self, episode, tmp_path,
+                                              capsys):
         from repro.cli import main
-        assert main(["report", "--rounds", "80", "--hogs", "2"]) == 0
+        ftrace = tmp_path / "t.txt"
+        assert main(["trace", str(ftrace), *self.ARGV, "--live"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("wakeup latency: p50") == len(episode[0]["windows"])
+        assert "\x1b[2J" not in out  # stdout is not a tty: no redraw
+        assert ftrace.read_text().strip()
+
+    def test_markdown_by_default_and_no_file(self, tmp_path, capsys,
+                                             monkeypatch):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", *self.ARGV]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# repro.obs report")
-
-    def test_stats_json(self, capsys):
-        from repro.cli import main
-        assert main(["stats", "--rounds", "80", "--hogs", "2",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["latency_us_per_message"] > 0
-        assert "metrics" in payload and "events" in payload
-        gauge = payload["metrics"]["gauges"]["kernel.now_ns"]
-        assert set(gauge) == {"value", "min", "max"}
+        for section in ("## events by kind (0 dropped)",
+                        "## per-task delay accounting",
+                        "## callback profile: policy7"):
+            assert section in out
+        assert not list(tmp_path.iterdir())
