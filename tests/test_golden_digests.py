@@ -19,6 +19,12 @@ The ``group-forest`` literal was recorded on the commit before the
 hierarchical effective weight was memoised: a stale weight after a
 renice, a migration or an unthrottle moves vruntime, so the pick order,
 so the digest.
+
+The ``rt``, ``deadline`` and ``native-fifo-slice`` literals were recorded
+on the commit before the native classes moved onto the shared token
+queue: every queue order those classes keep (priority levels and the
+front slot a preempted RT task keeps, earliest deadline first, FIFO
+under a time slice) decides a pick, so a reordering moves the digest.
 """
 
 import pytest
@@ -36,6 +42,7 @@ from repro.exp.builder import (
 from repro.schedulers.arachne import EnokiCoreArbiter
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.deadline import DeadlineSchedClass
+from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.rt import RtSchedClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, TaskState, Topology
@@ -200,6 +207,105 @@ def class_stack_digest():
         kernel.spawn(phased(10, usecs(90 + 40 * index), usecs(300)),
                      policy=0)
     kernel.run_until_idle()
+    return state_digest(kernel)
+
+
+def run_once(ns):
+    def prog():
+        yield Run(ns)
+    return prog
+
+
+def rt_digest():
+    """RT over CFS on two CPUs: three priority levels on CPU 0, an
+    SCHED_RR pair running past its 100 ms slice, a FIFO level preempted by
+    a more urgent sleeper (the preempted task keeps its front slot ahead
+    of its level's queue) and a yielder, plus a short pair on CPU 1 that
+    goes idle and pulls queued work from CPU 0."""
+    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
+    rt = kernel.register_sched_class(RtSchedClass(policy=2), priority=80)
+    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
+    pin0 = frozenset({0})
+
+    def yielder():
+        for _ in range(6):
+            yield Run(usecs(400))
+            yield YieldCpu()
+
+    # Fork placement alternates CPUs: the long pair lands on CPU 0, the
+    # short pair on CPU 1, which then idles and pulls the queued one.
+    for ns in (msecs(4), usecs(600), msecs(4), usecs(600)):
+        rt.spawn_rt(run_once(ns), 30)
+    for _ in range(2):
+        rt.spawn_rt(run_once(msecs(230)), 10, round_robin=True,
+                    allowed_cpus=pin0)
+    for _ in range(2):
+        rt.spawn_rt(run_once(msecs(3)), 20, allowed_cpus=pin0)
+    rt.spawn_rt(yielder, 20, allowed_cpus=pin0)
+    rt.spawn_rt(phased(8, usecs(200), usecs(700)), 40, allowed_cpus=pin0)
+    for index in range(2):
+        kernel.spawn(phased(10, usecs(300 + 100 * index), usecs(500)),
+                     policy=0)
+    kernel.run_until_idle()
+    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
+    assert kernel.stats.total_migrations > 0
+    return state_digest(kernel)
+
+
+def deadline_digest():
+    """Three deadline tasks over CFS on two CPUs: a periodic sleeper, a
+    hog that exhausts its CBS budget every period and is throttled until
+    replenishment, and one that moves between CPUs through
+    ``SetAffinity``."""
+    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
+    dl = kernel.register_sched_class(DeadlineSchedClass(policy=3),
+                                     priority=90)
+    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
+
+    def mover():
+        for cpus in ({0}, {1}, {0, 1}):
+            yield Run(usecs(400))
+            yield Sleep(usecs(300))
+            yield SetAffinity(frozenset(cpus))
+        yield Run(usecs(400))
+
+    dl.spawn_dl(phased(6, usecs(300), usecs(900)), runtime_ns=usecs(400),
+                deadline_ns=msecs(1), period_ns=msecs(2))
+    hog = dl.spawn_dl(run_once(msecs(5)), runtime_ns=usecs(500),
+                      period_ns=msecs(2))
+    dl.spawn_dl(mover, runtime_ns=usecs(600), deadline_ns=msecs(1),
+                period_ns=msecs(3))
+    for index in range(3):
+        kernel.spawn(phased(8, usecs(250 + 50 * index), usecs(200)),
+                     policy=0)
+    kernel.run_until_idle()
+    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
+    assert hog.stats.preemptions >= 5
+    return state_digest(kernel)
+
+
+def native_fifo_slice_digest():
+    """``NativeFifoClass`` with a 2 ms time slice on two CPUs: hogs that
+    rotate at each slice, a yielder and sleepers waking into deep
+    queues."""
+    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
+    kernel.register_sched_class(
+        NativeFifoClass(policy=1, timeslice_ns=msecs(2)), priority=10)
+
+    def yielder():
+        for _ in range(10):
+            yield Run(usecs(300))
+            yield YieldCpu()
+
+    for ns in (msecs(7), msecs(5), msecs(9)):
+        kernel.spawn(run_once(ns), policy=1)
+    kernel.spawn(yielder, policy=1)
+    for index in range(3):
+        kernel.spawn(phased(6, usecs(200 + 100 * index), usecs(400)),
+                     policy=1)
+    kernel.run_until_idle()
+    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
+    assert sum(t.stats.preemptions for t in kernel.tasks.values()) >= 10
     return state_digest(kernel)
 
 
@@ -443,6 +549,12 @@ GOLDEN = {
         "02730a1983558f0871880dfb23decd767d424c865302975171a1055827b5e644",
     'class-stack':
         "6af0fc425a2d6b26439102b9bc5217c84bbdcab2f3f79c8d755d1ff8b4d05be2",
+    'rt':
+        "ef814f506812f77ac9e99305cefed977daac59261e19267897cdb6ad84db6eeb",
+    'deadline':
+        "ca17c87012f1fd9659a4a48cd62e2a66740b94eb2c1290e9f949c3cbb4937001",
+    'native-fifo-slice':
+        "65be6b603b551e5d3ecfe955934b6c581d65dfc17d96029cd2059694e76af3c0",
     'upgrade':
         "4393f8cf099d60d46db58ff02efb1c6db29c0dcbf3e20e7c451ba330c8178ade",
     'recorder':
@@ -530,6 +642,18 @@ def test_group_forest_cfs_digest_is_golden():
 
 def test_four_class_stack_digest_is_golden():
     assert class_stack_digest() == GOLDEN["class-stack"]
+
+
+def test_rt_levels_slices_and_pulls_digest_is_golden():
+    assert rt_digest() == GOLDEN["rt"]
+
+
+def test_deadline_throttle_and_affinity_digest_is_golden():
+    assert deadline_digest() == GOLDEN["deadline"]
+
+
+def test_native_fifo_time_slice_digest_is_golden():
+    assert native_fifo_slice_digest() == GOLDEN["native-fifo-slice"]
 
 
 def test_live_upgrade_digest_is_golden():

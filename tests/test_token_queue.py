@@ -3,7 +3,9 @@
 ``ScanModel`` is what six policies each did by hand before
 ``repro.schedulers.base``: per-CPU lists, a stable sort on every push,
 a scan of every CPU to find one pid.  Random operation sequences must
-get the same answers from both and leave the same queues behind.
+get the same answers from both and leave the same queues behind, under
+each key shape in use: plain numbers, a FIFO sequence, CFS's
+``(vruntime, pid)`` and RT's ``(-prio, +-seq)``.
 """
 
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ class ScanModel:
 CPU = st.integers(0, 7)
 PID = st.integers(1, 12)        # few pids: re-pushes and hits are common
 KEY = st.integers(0, 3)         # few keys: ties are common
+LEVEL = st.integers(1, 3)       # RT priority levels
 
 #: a queue ordered by caller-supplied keys (the fair tiers)
 KEYED_OPS = st.one_of(
@@ -64,6 +67,27 @@ FIFO_OPS = st.one_of(
     st.tuples(st.just("longest"), CPU),
     st.tuples(st.just("add_cpus"), st.integers(1, 8)),
 )
+#: CFS's keys: ``(vruntime, pid)``, so equal vruntimes order by pid
+FAIR_OPS = st.one_of(
+    st.tuples(st.just("push_fair"), CPU, KEY, PID),
+    st.tuples(st.just("remove"), PID),
+    st.tuples(st.just("pop"), CPU),
+    st.tuples(st.just("longest"), CPU),
+    st.tuples(st.just("add_cpus"), st.integers(1, 8)),
+)
+#: RT's keys: ``(-prio, seq)`` at the back of a level, ``(-prio, -seq)``
+#: for the front slot a preempted task keeps
+RT_OPS = st.one_of(
+    st.tuples(st.just("push_rt"), CPU, LEVEL, st.booleans(), PID),
+    st.tuples(st.just("remove"), PID),
+    st.tuples(st.just("pop"), CPU),
+    st.tuples(st.just("longest"), CPU),
+    st.tuples(st.just("add_cpus"), st.integers(1, 8)),
+)
+
+
+def rt_key(prio, seq, front):
+    return (-prio, -seq if front else seq)
 
 
 def check_invariants(queue, model):
@@ -87,6 +111,7 @@ def run(nr_cpus, ops):
         assert queue.seq == model.seq
 
     # token = the op's index, so a replaced entry is told from its successor
+    # (and the sequence number of an RT push)
     for token, (op, *args) in enumerate(ops):
         known = len(queue.cpus)
         if op == "add_cpus":
@@ -99,6 +124,12 @@ def run(nr_cpus, ops):
         elif op == "push_back":
             cpu, pid = args
             both("push_back", cpu % known, pid, token)
+        elif op == "push_fair":
+            cpu, vruntime, pid = args
+            both("push", cpu % known, (vruntime, pid), pid, token)
+        elif op == "push_rt":
+            cpu, prio, front, pid = args
+            both("push", cpu % known, rt_key(prio, token, front), pid, token)
         elif op == "push_front":
             cpu, pid = args
             front = min((entries[0][0]
@@ -131,6 +162,29 @@ def test_keyed_queue_matches_the_scan_model(nr_cpus, ops):
 @given(st.integers(1, 8), st.lists(FIFO_OPS, max_size=60))
 def test_fifo_queue_matches_the_scan_model(nr_cpus, ops):
     run(nr_cpus, ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.lists(FAIR_OPS, max_size=60))
+def test_fair_queue_matches_the_scan_model(nr_cpus, ops):
+    run(nr_cpus, ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.lists(RT_OPS, max_size=60))
+def test_rt_queue_matches_the_scan_model(nr_cpus, ops):
+    run(nr_cpus, ops)
+
+
+def test_rt_keys_order_levels_then_front_slots_then_arrival():
+    queue = TokenQueue(1)
+    for seq, (prio, front, pid) in enumerate(
+            ((5, False, 1), (5, False, 2), (5, True, 3), (5, True, 4),
+             (9, False, 5), (1, True, 6)), start=1):
+        queue.push(0, rt_key(prio, seq, front), pid, None)
+    # the most urgent level first; within a level the latest preempted
+    # task first, then the earlier one, then the back in arrival order
+    assert [pid for _key, pid, _token in queue.cpus[0]] == [5, 4, 3, 1, 2, 6]
 
 
 def test_equal_keys_keep_arrival_order():
