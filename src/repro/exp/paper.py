@@ -824,7 +824,9 @@ class Table2(Artefact):
     ROOT = Path(__file__).resolve().parent.parent
     ENOKI_C = "Enoki-C equivalent (core/enoki_c.py)"
     LIBENOKI = "Scheduler libEnoki (core: trait, messages, tokens, locks)"
-    SHARED = "Shared policy module (token queue + base class)"
+    #: the token queue every scheduler, CFS included, queues in is counted
+    #: under simkernel, on both sides of the comparison
+    SHARED = "Shared policy base class (schedulers/base.py)"
     COMPONENTS = {
         ENOKI_C: ["core/enoki_c.py"],
         LIBENOKI: [
@@ -876,13 +878,13 @@ class Table2(Artefact):
                              for name, loc in self.inventory().items()])
 
     def claims(self, results):
-        """Every Enoki scheduler of the paper — counted with the whole
-        shared module it stands on — is smaller than the CFS it competes
+        """Every Enoki scheduler of the paper — counted with the shared
+        base class it stands on — is smaller than the CFS it competes
         with, and the framework dwarfs any single policy."""
         counts = self.inventory()
         cfs = counts["CFS baseline"]
         claims = [
-            (f"{sched} with the shared policy module is smaller than CFS",
+            (f"{sched} with the shared base class is smaller than CFS",
              counts[self.SHARED] + sum(counts[p] for p in parts) < cfs)
             for sched, parts in self.PAPER_SCHEDULERS.items()]
         framework = counts[self.ENOKI_C] + counts[self.LIBENOKI]

@@ -1,16 +1,21 @@
 """Scheduler implementations.
 
+Every scheduler queues its waiting tasks in one format,
+:class:`~repro.simkernel.runqueue.TokenQueue`: the native classes with
+pids, the Enoki policies with their ``Schedulable`` tokens.
+
 Native (trusted, kernel-side) classes:
 
 * :class:`~repro.schedulers.cfs.CfsSchedClass` — the Linux CFS baseline.
 * :class:`~repro.schedulers.rt.RtSchedClass` — SCHED_FIFO/RR.
+* :class:`~repro.schedulers.deadline.DeadlineSchedClass` —
+  SCHED_DEADLINE (EDF + CBS throttling).
 * :class:`~repro.schedulers.fifo_native.NativeFifoClass` — a minimal
   trusted FIFO, used by substrate tests and docs.
 * :mod:`~repro.schedulers.ghost` — the ghOSt comparison model.
 
 Enoki schedulers (implement :class:`repro.core.trait.EnokiScheduler` and
-are loaded through the framework; the hand-written ones keep their tokens
-in the :class:`~repro.schedulers.base.TokenQueue` and share the
+are loaded through the framework; the hand-written ones share the
 :class:`~repro.schedulers.base.QueuePolicy` base class):
 
 * :class:`~repro.schedulers.wfq.EnokiWfq` — weighted fair queuing

@@ -31,7 +31,8 @@ on the process's reverse queue.
 
 from dataclasses import dataclass, field
 
-from repro.schedulers.base import QueuePolicy, TokenQueue
+from repro.schedulers.base import QueuePolicy
+from repro.simkernel.runqueue import TokenQueue
 
 
 @dataclass

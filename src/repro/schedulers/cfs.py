@@ -21,130 +21,58 @@ This class is trusted kernel code (it implements the raw ``SchedClass``
 interface); it exists so the Enoki schedulers have an honest CFS to race.
 """
 
-import bisect
-
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.sched_class import SchedClass, WF_FORK, WF_SYNC
 from repro.simkernel.task import NICE_0_WEIGHT
 
 
 class _CfsRq:
-    """One core's fair run queue: a vruntime-ordered set of queued tasks."""
+    """One core's fair-queue state beside its entries in the shared
+    queue: ``queued`` is that CPU's list of ``((vruntime, pid), pid,
+    None)``, leftmost first — the queue's own list object, which it only
+    ever changes in place."""
 
-    __slots__ = ("cpu", "entries", "min_vruntime", "curr_pid",
-                 "curr_start_runtime")
+    __slots__ = ("queued", "min_vruntime", "curr_pid", "curr_start_runtime")
 
-    def __init__(self, cpu):
-        self.cpu = cpu
-        self.entries = []           # sorted [(vruntime, pid)]
+    def __init__(self, queued):
+        self.queued = queued
         self.min_vruntime = 0
         self.curr_pid = None
         self.curr_start_runtime = 0
 
-    def insert(self, task):
-        bisect.insort(self.entries, (task.vruntime, task.pid))
-
-    def remove(self, task):
-        key = (task.vruntime, task.pid)
-        index = bisect.bisect_left(self.entries, key)
-        if index < len(self.entries) and self.entries[index] == key:
-            self.entries.pop(index)
-            return True
-        # vruntime may have moved since insertion; fall back to a scan.
-        for i, (_vr, pid) in enumerate(self.entries):
-            if pid == task.pid:
-                self.entries.pop(i)
-                return True
-        return False
-
-    def leftmost(self):
-        return self.entries[0][1] if self.entries else None
-
-    def __len__(self):
-        return len(self.entries)
-
 
 class CfsSchedClass(SchedClass):
-    """The CFS baseline (with task-group fairness, see below).
+    """The CFS baseline, with task-group fairness.
 
     Group scheduling — "dividing CPU time proportionally between groups
-    of tasks, and then within each group" (paper section 4.2.1) — is
-    modelled with the flat approximation the kernel's hierarchy computes:
-    a task accrues vruntime at the rate of its *effective* weight,
+    of tasks, and then within each group" (paper section 4.2.1) — comes
+    from the kernel's group hierarchy (``kernel.groups``): a task accrues
+    vruntime at the rate of its hierarchical *effective* weight, so a
+    group's tasks collectively receive the group's share however many of
+    them are runnable.  With every task in the root group this reduces
+    exactly to plain per-task weighting.
 
-        eff_weight = task_weight * group_shares / group_runnable_weight
-
-    so a group's tasks collectively receive the group's share however
-    many of them are runnable.  With every task in the root group this
-    reduces exactly to plain per-task weighting.
+    Entries are keyed ``(vruntime, pid)``: equal vruntimes order by pid.
     """
 
     name = "cfs"
 
-    ROOT_GROUP = "root"
-
     def __init__(self, policy=0):
         super().__init__()
         self.policy = policy
+        self.queues = None
         self._rqs = None
         self._last_periodic_balance = None
-        self.group_shares = {self.ROOT_GROUP: NICE_0_WEIGHT}
-        self.group_of = {}           # pid -> group name (compat mirror)
-        self._pending_shares = []    # groups created before attach
 
     def attach_kernel(self, kernel):
         super().attach_kernel(kernel)
-        self._rqs = [_CfsRq(c) for c in kernel.topology.all_cpus()]
-        self._last_periodic_balance = [0] * kernel.topology.nr_cpus
-        for name, shares in self._pending_shares:
-            self._materialize_group(name, shares)
-        self._pending_shares = []
+        nr_cpus = kernel.topology.nr_cpus
+        self.queues = TokenQueue(nr_cpus)
+        self._rqs = [_CfsRq(queued) for queued in self.queues.cpus.values()]
+        self._last_periodic_balance = [0] * nr_cpus
 
-    # ------------------------------------------------------------------
-    # task groups (cgroup cpu.shares equivalent)
-    #
-    # This used to be a flat per-class approximation; it is now a thin
-    # adapter over the kernel's real hierarchy (kernel.groups), keeping
-    # the old keyword API.  ``shares`` maps to the group's weight.
-    # ------------------------------------------------------------------
-
-    def create_group(self, name, shares=NICE_0_WEIGHT):
-        """Create a task group with the given cpu.shares weight."""
-        if shares <= 0:
-            raise ValueError(f"group shares must be positive: {shares}")
-        self.group_shares[name] = shares
-        if self.kernel is None:
-            self._pending_shares.append((name, shares))
-        else:
-            self._materialize_group(name, shares)
-
-    def _materialize_group(self, name, shares):
-        groups = self.kernel.groups
-        if not groups.has(name):
-            groups.create(name, weight=shares, policy=self.policy)
-
-    def spawn_in_group(self, prog, group, **spawn_kwargs):
-        """Spawn a task directly into a group (fork into a cgroup)."""
-        if group not in self.group_shares:
-            raise ValueError(f"unknown group {group!r}")
-        spawn_group = group if group != self.ROOT_GROUP else None
-        task = self.kernel.spawn(prog, policy=self.policy,
-                                 group=spawn_group, **spawn_kwargs)
-        self.group_of[task.pid] = group
-        return task
-
-    @property
-    def _group_weight(self):
-        """Per-cpu ``{group: runnable weight}`` (compat view over the
-        hierarchy's runnable index; tests introspect this)."""
-        kernel = self.kernel
-        per_cpu = [dict() for _ in kernel.topology.all_cpus()]
-        for group in kernel.groups.all_groups():
-            if group.parent is None:
-                continue
-            for cpu, weight in enumerate(group.task_weight):
-                if weight:
-                    per_cpu[cpu][group.name] = weight
-        return per_cpu
+    def _enqueue(self, task, cpu):
+        self.queues.push(cpu, (task.vruntime, task.pid), task.pid, None)
 
     # ------------------------------------------------------------------
     # vruntime accounting
@@ -165,8 +93,9 @@ class CfsSchedClass(SchedClass):
         rq = self._rqs[task.cpu]
         if rq.curr_pid == task.pid:
             floor = task.vruntime
-            if rq.entries and rq.entries[0][0] < floor:
-                floor = rq.entries[0][0]
+            queued = rq.queued
+            if queued and queued[0][0][0] < floor:
+                floor = queued[0][0][0]
             if floor > rq.min_vruntime:
                 rq.min_vruntime = floor
 
@@ -186,7 +115,7 @@ class CfsSchedClass(SchedClass):
         index_gen = groups.index_gen
         my_weight = total_weight = 0
         for entity in [task] + [tasks[pid]
-                                for _vr, pid in self._rqs[cpu].entries]:
+                                for _key, pid, _ in self._rqs[cpu].queued]:
             weight = entity.weight
             if entity.group is not None:
                 at = entity.cpu
@@ -263,46 +192,42 @@ class CfsSchedClass(SchedClass):
         task.vruntime += (self._sched_period(self.kernel.rqs[cpu].nr_running)
                           * NICE_0_WEIGHT // task.weight
                           // max(1, self.kernel.rqs[cpu].nr_running))
-        rq.insert(task)
+        self._enqueue(task, cpu)
 
     def task_wakeup(self, task, cpu):
         rq = self._rqs[cpu]
         # place_entity: don't let sleepers bank unbounded credit.
         threshold = self.kernel.config.sched_latency_ns // 2
         task.vruntime = max(task.vruntime, rq.min_vruntime - threshold)
-        rq.insert(task)
+        self._enqueue(task, cpu)
 
     def task_blocked(self, task, cpu):
         rq = self._rqs[cpu]
         if rq.curr_pid == task.pid:
             rq.curr_pid = None
         else:
-            rq.remove(task)
+            self.queues.remove(task.pid)
 
     def task_yield(self, task, cpu):
         # yield_task_fair: skip ahead of nothing, just requeue.
         rq = self._rqs[cpu]
         if rq.curr_pid == task.pid:
             rq.curr_pid = None
-        if rq.entries:
-            task.vruntime = max(task.vruntime, rq.entries[-1][0])
-        rq.insert(task)
+        if rq.queued:
+            task.vruntime = max(task.vruntime, rq.queued[-1][0][0])
+        self._enqueue(task, cpu)
 
     def task_preempt(self, task, cpu):
         rq = self._rqs[cpu]
         if rq.curr_pid == task.pid:
             rq.curr_pid = None
-        rq.insert(task)
+        self._enqueue(task, cpu)
 
     def task_dead(self, pid):
         for rq in self._rqs:
             if rq.curr_pid == pid:
                 rq.curr_pid = None
-        task = self.kernel.tasks.get(pid)
-        if task is not None:
-            for rq in self._rqs:
-                rq.remove(task)
-        self.group_of.pop(pid, None)
+        self.queues.remove(pid)
 
     def task_departed(self, task, cpu):
         self.task_dead(task.pid)
@@ -314,19 +239,16 @@ class CfsSchedClass(SchedClass):
     def migrate_task_rq(self, task, new_cpu):
         # Re-home the vruntime: subtract the old queue's baseline, add the
         # new one's, as migrate_task_rq_fair does.  (The kernel's group
-        # runnable index re-homes itself in try_migrate.)
-        old_cpu = None
-        for rq in self._rqs:
-            if rq.cpu != new_cpu and rq.remove(task):
-                old_cpu = rq.cpu
-                break
-        if old_cpu is not None:
-            task.vruntime -= self._rqs[old_cpu].min_vruntime
-            task.vruntime += self._rqs[new_cpu].min_vruntime
+        # runnable index re-homes itself in try_migrate.)  The push
+        # replaces the old entry.
+        new_rq = self._rqs[new_cpu]
+        old_cpu = self.queues.where.get(task.pid, new_cpu)
+        if old_cpu != new_cpu:
+            task.vruntime += (new_rq.min_vruntime
+                              - self._rqs[old_cpu].min_vruntime)
         else:
-            task.vruntime = max(task.vruntime,
-                                self._rqs[new_cpu].min_vruntime)
-        self._rqs[new_cpu].insert(task)
+            task.vruntime = max(task.vruntime, new_rq.min_vruntime)
+        self._enqueue(task, new_cpu)
 
     # ------------------------------------------------------------------
     # decisions
@@ -334,30 +256,27 @@ class CfsSchedClass(SchedClass):
 
     def pick_next_task(self, cpu):
         rq = self._rqs[cpu]
-        pid = rq.leftmost()
-        if pid is None:
+        queued = rq.queued
+        if not queued:
             return None
+        _key, pid, _token = self.queues.pop_head(cpu)
         task = self.kernel.tasks[pid]
-        rq.remove(task)
         rq.curr_pid = pid
         rq.curr_start_runtime = task.sum_exec_runtime_ns
-        if rq.entries:
+        if queued:
             rq.min_vruntime = max(rq.min_vruntime,
-                                  min(task.vruntime, rq.entries[0][0]))
+                                  min(task.vruntime, queued[0][0][0]))
         else:
             rq.min_vruntime = max(rq.min_vruntime, task.vruntime)
         return pid
 
     def balance(self, cpu):
         """New-idle balance: pull from the busiest CPU when going idle."""
-        if self._rqs[cpu].entries or self.kernel.rqs[cpu].nr_running:
+        if self._rqs[cpu].queued or self.kernel.rqs[cpu].nr_running:
             return None
         # Nothing queued anywhere means nothing to pull: skip the topology
         # scan entirely (this runs on every pick while CFS is idle).
-        for rq in self._rqs:
-            if rq.entries:
-                break
-        else:
+        if not self.queues.where:
             return None
         # New-idle balance must not rip cache-hot tasks off their CPU
         # (can_migrate_task's task_hot check); periodic balance may.
@@ -375,8 +294,7 @@ class CfsSchedClass(SchedClass):
             for other in scope:
                 if other == cpu:
                     continue
-                other_krq = self.kernel.rqs[other]
-                waiting = len(self._rqs[other])
+                waiting = len(self._rqs[other].queued)
                 if waiting < threshold or waiting <= best_load - 1:
                     continue
                 pid = self._steal_candidate(other, cpu, allow_hot)
@@ -389,11 +307,10 @@ class CfsSchedClass(SchedClass):
 
     def _steal_candidate(self, src_cpu, dst_cpu, allow_hot=True):
         """Pick a pullable task from src: prefer cache-cold tasks."""
-        rq = self._rqs[src_cpu]
         cfg = self.kernel.config
         now = self.kernel.clock.now
         fallback = None
-        for _vr, pid in reversed(rq.entries):
+        for _key, pid, _ in reversed(self._rqs[src_cpu].queued):
             task = self.kernel.tasks[pid]
             if not task.can_run_on(dst_cpu):
                 continue
@@ -408,16 +325,17 @@ class CfsSchedClass(SchedClass):
             return
         kernel = self.kernel
         rq = self._rqs[cpu]
+        queued = rq.queued
         # Time-slice check.
         ran = task.sum_exec_runtime_ns - rq.curr_start_runtime
-        if rq.entries and ran >= self._slice_for(task, cpu):
+        if queued and ran >= self._slice_for(task, cpu):
             kernel.resched_cpu(cpu)
-        elif rq.entries and rq.entries[0][0] < task.vruntime:
+        elif queued and queued[0][0][0] < task.vruntime:
             # A lower-vruntime task is waiting (e.g. woke recently):
             # preempt at the tick, as the paper describes.
             wakeup_gran = (kernel.config.sched_wakeup_granularity_ns
                            * NICE_0_WEIGHT // task.weight)
-            if task.vruntime - rq.entries[0][0] > wakeup_gran:
+            if task.vruntime - queued[0][0][0] > wakeup_gran:
                 kernel.resched_cpu(cpu)
         # Periodic load balance.
         now = kernel.clock.now

@@ -19,9 +19,8 @@ Semantics modelled (kernel/sched/deadline.c, simplified):
   exceed the CPU count.
 """
 
-import heapq
-
 from repro.simkernel.errors import SchedulingError
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.sched_class import SchedClass
 
 
@@ -43,7 +42,12 @@ class _DlParams:
 
 
 class DeadlineSchedClass(SchedClass):
-    """Earliest-deadline-first with constant-bandwidth throttling."""
+    """Earliest-deadline-first with constant-bandwidth throttling.
+
+    Queued tasks are keyed ``(abs_deadline, pid)``; a throttled task is
+    on its CPU's kernel run queue but not in this queue until its
+    replenishment timer re-queues it.
+    """
 
     name = "deadline"
 
@@ -51,20 +55,14 @@ class DeadlineSchedClass(SchedClass):
         super().__init__()
         self.policy = policy
         self.params = {}            # pid -> _DlParams
-        # Per-cpu heaps of (abs_deadline, pid, gen).  Removal is lazy: a
-        # pid's generation bump invalidates every queued entry for it, and
-        # stale entries are skipped when they surface — no heapify on the
-        # removal path.  ``pid`` sorts before ``gen`` so valid-entry
-        # ordering matches the old (abs_deadline, pid) heap exactly.
-        self._queues = None
-        self._gen = {}              # pid -> live entry generation
+        self.queues = None
         self._current = {}          # cpu -> pid
         self._total_util = 0.0
         self._pending = None
 
     def attach_kernel(self, kernel):
         super().attach_kernel(kernel)
-        self._queues = [[] for _ in kernel.topology.all_cpus()]
+        self.queues = TokenQueue(kernel.topology.nr_cpus)
 
     # -- admission ---------------------------------------------------------
 
@@ -151,16 +149,8 @@ class DeadlineSchedClass(SchedClass):
     # -- state tracking --------------------------------------------------------------
 
     def _enqueue(self, pid, cpu):
-        params = self._params(pid)
-        heapq.heappush(self._queues[cpu],
-                       (params.abs_deadline, pid, self._gen.get(pid, 0)))
-
-    def _stale(self, entry):
-        return entry[2] != self._gen.get(entry[1], 0)
-
-    def _prune_stale(self, queue):
-        while queue and self._stale(queue[0]):
-            heapq.heappop(queue)
+        key = (self._params(pid).abs_deadline, pid)
+        self.queues.push(cpu, key, pid, None)
 
     def task_new(self, task, cpu):
         params = self._params(task.pid)
@@ -174,7 +164,7 @@ class DeadlineSchedClass(SchedClass):
     def task_blocked(self, task, cpu):
         if self._current.get(cpu) == task.pid:
             del self._current[cpu]
-        self._remove(task.pid)
+        self.queues.remove(task.pid)
 
     def task_preempt(self, task, cpu):
         if self._current.get(cpu) == task.pid:
@@ -203,7 +193,7 @@ class DeadlineSchedClass(SchedClass):
             self.kernel.resched_cpu(task.cpu)
 
     def task_dead(self, pid):
-        self._remove(pid)
+        self.queues.remove(pid)
         for cpu, cur in list(self._current.items()):
             if cur == pid:
                 del self._current[cpu]
@@ -215,40 +205,26 @@ class DeadlineSchedClass(SchedClass):
         self.task_dead(task.pid)
 
     def migrate_task_rq(self, task, new_cpu):
-        self._remove(task.pid)
-        self._enqueue(task.pid, new_cpu)
-
-    def _remove(self, pid):
-        # Lazy: bumping the generation invalidates every queued entry for
-        # this pid (never deleted from ``_gen`` — a zeroed default would
-        # resurrect stale generation-0 entries).
-        self._gen[pid] = self._gen.get(pid, 0) + 1
+        self._enqueue(task.pid, new_cpu)   # replaces the old entry
 
     # -- decisions ------------------------------------------------------------------------
 
     def pick_next_task(self, cpu):
-        queue = self._queues[cpu]
+        queued = self.queues.cpus[cpu]
         now = self.kernel.now
-        while queue:
-            entry = queue[0]
-            if self._stale(entry):
-                heapq.heappop(queue)
-                continue
-            pid = entry[1]
+        while queued:
+            _key, pid, _token = self.queues.pop_head(cpu)
             task = self.kernel.tasks.get(pid)
             if task is None or not self.kernel.rqs[cpu].has(pid):
-                heapq.heappop(queue)
                 continue
             params = self._params(pid)
             if params.budget_ns <= 0 and now < params.throttled_until:
-                heapq.heappop(queue)
                 self.kernel.timers.arm(
                     params.throttled_until - now,
                     lambda _t, p=pid, c=cpu: self._unthrottle(p, c),
                     tag=("dl-replenish", pid),
                 )
                 continue
-            heapq.heappop(queue)
             self._current[cpu] = pid
             # hrtick-style precision: fire exactly when the CBS budget
             # runs out instead of waiting for the next periodic tick.
@@ -293,7 +269,6 @@ class DeadlineSchedClass(SchedClass):
         params = self.params.get(task.pid)
         if params is None:
             return
-        queue = self._queues[cpu]
-        self._prune_stale(queue)
-        if queue and queue[0][0] < params.abs_deadline:
+        queued = self.queues.cpus[cpu]
+        if queued and queued[0][0][0] < params.abs_deadline:
             self.kernel.resched_cpu(cpu)

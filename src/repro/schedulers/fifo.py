@@ -14,7 +14,8 @@ carries the transfer state used by the live-upgrade examples.
 
 from dataclasses import dataclass
 
-from repro.schedulers.base import QueuePolicy, TokenQueue
+from repro.schedulers.base import QueuePolicy
+from repro.simkernel.runqueue import TokenQueue
 
 
 @dataclass

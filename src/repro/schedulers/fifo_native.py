@@ -9,8 +9,7 @@ dangerous that is: nothing stops it from returning a bogus pid, which the
 kernel core treats as a crash.
 """
 
-from collections import deque
-
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.sched_class import SchedClass, WF_SYNC
 
 
@@ -23,12 +22,12 @@ class NativeFifoClass(SchedClass):
         super().__init__()
         self.policy = policy
         self.timeslice_ns = timeslice_ns
-        self._queues = None
+        self.queues = None
         self._next_cpu = 0
 
     def attach_kernel(self, kernel):
         super().attach_kernel(kernel)
-        self._queues = [deque() for _ in kernel.topology.all_cpus()]
+        self.queues = TokenQueue(kernel.topology.nr_cpus)
 
     # -- placement ---------------------------------------------------------
 
@@ -48,52 +47,39 @@ class NativeFifoClass(SchedClass):
     # -- state tracking -------------------------------------------------------
 
     def task_new(self, task, cpu):
-        self._queues[cpu].append(task.pid)
+        self.queues.push_back(cpu, task.pid, None)
 
     def task_wakeup(self, task, cpu):
-        self._queues[cpu].append(task.pid)
+        self.queues.push_back(cpu, task.pid, None)
 
     def task_blocked(self, task, cpu):
-        self._discard(task.pid)
+        self.queues.remove(task.pid)
 
     def task_yield(self, task, cpu):
-        self._queues[cpu].append(task.pid)
+        self.queues.push_back(cpu, task.pid, None)
 
     def task_preempt(self, task, cpu):
-        self._queues[cpu].append(task.pid)
+        self.queues.push_back(cpu, task.pid, None)
 
     def task_dead(self, pid):
-        self._discard(pid)
+        self.queues.remove(pid)
 
     def task_departed(self, task, cpu):
-        self._discard(task.pid)
+        self.queues.remove(task.pid)
 
     def migrate_task_rq(self, task, new_cpu):
-        self._discard(task.pid)
-        self._queues[new_cpu].append(task.pid)
-
-    def _discard(self, pid):
-        for queue in self._queues:
-            try:
-                queue.remove(pid)
-            except ValueError:
-                pass
+        self.queues.push_back(new_cpu, task.pid, None)   # replaces the old
 
     # -- decisions ------------------------------------------------------------
 
     def pick_next_task(self, cpu):
-        queue = self._queues[cpu]
-        if queue:
-            return queue.popleft()
+        if self.queues.cpus[cpu]:
+            return self.queues.pop_head(cpu)[1]
         return None
 
     def task_tick(self, cpu, task):
         if self.timeslice_ns is None or task is None:
             return
         ran = self.kernel.now - task.last_enqueue_ns
-        if ran >= self.timeslice_ns and self._queues[cpu]:
+        if ran >= self.timeslice_ns and self.queues.cpus[cpu]:
             self.kernel.resched_cpu(cpu)
-
-    def queued_pids(self, cpu):
-        """Test hook: the policy-side view of a CPU's queue."""
-        return tuple(self._queues[cpu])

@@ -32,6 +32,7 @@ from collections import deque
 
 from repro.simkernel.futex import Futex
 from repro.simkernel.program import Call, FutexWait, Run
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.sched_class import DEFERRED_CPU, SchedClass
 from repro.simkernel.task import TaskState
 from repro.schedulers.fifo_native import NativeFifoClass
@@ -178,8 +179,9 @@ class GhostAgentModel:
         self._spin_processing = False
         self.msgs = deque()
         self.futex = Futex(name=f"ghost-agent-{agent_cpu}")
-        self.runnable = deque()       # high priority (nice <= 0)
-        self.runnable_low = deque()   # low priority (nice > 0)
+        #: runnable pids in arrival order: at "CPU" 0 the high-priority
+        #: level (nice <= 0), at 1 the low one (nice > 0)
+        self.runnable = TokenQueue(2)
         self.prio = {}                # pid -> nice
         self.allowed = {}             # pid -> frozenset | None
         self.agent_task = None
@@ -275,26 +277,16 @@ class GhostAgentModel:
                 self.allowed[pid] = allowed
             self._enqueue_runnable(pid)
         elif kind in ("blocked", "yield", "dead"):
-            self._forget(pid)
+            self.runnable.remove(pid)
             if kind == "yield":
                 self._enqueue_runnable(pid)
         elif kind == "picked":
             pass  # informational
 
     def _enqueue_runnable(self, pid):
-        if pid in self.runnable or pid in self.runnable_low:
-            return
-        if self.prio.get(pid, 0) > 0:
-            self.runnable_low.append(pid)
-        else:
-            self.runnable.append(pid)
-
-    def _forget(self, pid):
-        for queue in (self.runnable, self.runnable_low):
-            try:
-                queue.remove(pid)
-            except ValueError:
-                pass
+        if pid not in self.runnable.where:
+            level = 1 if self.prio.get(pid, 0) > 0 else 0
+            self.runnable.push_back(level, pid, None)
 
     # -- policy: commit work to free CPUs -------------------------------------
 
@@ -308,11 +300,11 @@ class GhostAgentModel:
 
     def _next_runnable(self, cpu):
         """FIFO-pop the first runnable task allowed on ``cpu``."""
-        for queue in (self.runnable, self.runnable_low):
-            for pid in queue:
+        for queued in self.runnable.cpus.values():
+            for _seq, pid, _token in queued:
                 mask = self.allowed.get(pid)
                 if mask is None or cpu in mask:
-                    queue.remove(pid)
+                    self.runnable.remove(pid)
                     return pid
         return None
 

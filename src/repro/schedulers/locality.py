@@ -20,8 +20,8 @@ tasks uniformly at random — the paper's no-hints baseline for Table 6.
 import random
 from dataclasses import dataclass
 
-from repro.schedulers.base import TokenQueue
 from repro.schedulers.fifo import EnokiFifo
+from repro.simkernel.runqueue import TokenQueue
 
 
 @dataclass

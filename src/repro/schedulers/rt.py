@@ -13,76 +13,37 @@ Semantics modelled:
   runs; equal priorities are FIFO, or round-robin with a 100 ms slice
   when a task is created with ``round_robin=True`` (SCHED_RR);
 * an RT task preempts lower-priority RT tasks immediately on wakeup;
-* a simple RT push balance: an overloaded CPU offers its second task to
-  any CPU running lower-priority work.
+* a simple RT pull balance: a CPU going idle takes the most urgent task
+  waiting at the head of another CPU's queue.
 """
 
-from collections import deque
-
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.sched_class import SchedClass
 
 RR_SLICE_NS = 100_000_000   # sched_rr_timeslice default (100 ms)
 
-
-class _RtRq:
-    """Per-CPU priority array, like rt_rq's bitmap + queues."""
-
-    __slots__ = ("queues", "curr_pid", "curr_prio", "curr_slice_start")
-
-    def __init__(self):
-        self.queues = {}          # prio -> deque of pids
-        self.curr_pid = None
-        self.curr_prio = -1
-        self.curr_slice_start = 0
-
-    def push(self, prio, pid, front=False):
-        queue = self.queues.setdefault(prio, deque())
-        if front:
-            queue.appendleft(pid)
-        else:
-            queue.append(pid)
-
-    def pop_highest(self):
-        if not self.queues:
-            return None, -1
-        prio = max(self.queues)
-        pid = self.queues[prio].popleft()
-        if not self.queues[prio]:
-            del self.queues[prio]
-        return pid, prio
-
-    def peek_highest_prio(self):
-        return max(self.queues) if self.queues else -1
-
-    def remove(self, pid):
-        for prio, queue in list(self.queues.items()):
-            try:
-                queue.remove(pid)
-            except ValueError:
-                continue
-            if not queue:
-                del self.queues[prio]
-            return prio
-        return None
-
-    def second_task(self):
-        """A candidate to push away: the head below the top task."""
-        if not self.queues:
-            return None
-        prios = sorted(self.queues, reverse=True)
-        # Anything queued is waiting behind the current task.
-        return self.queues[prios[0]][0] if self.queues[prios[0]] else None
+_IDLE = (None, -1)
 
 
 class RtSchedClass(SchedClass):
-    """Fixed-priority preemptive scheduling (SCHED_FIFO / SCHED_RR)."""
+    """Fixed-priority preemptive scheduling (SCHED_FIFO / SCHED_RR).
+
+    Each CPU's queue, like rt_rq's bitmap + per-priority lists, is one
+    ordered list keyed ``(-prio, seq)``: the most urgent level first, FIFO
+    within it.  A task preempted by something more urgent keeps its front
+    slot under ``(-prio, -seq)``, ahead of its level's queue, the latest
+    preempted first.
+    """
 
     name = "rt"
 
     def __init__(self, policy=2):
         super().__init__()
         self.policy = policy
-        self._rqs = None
+        self.queues = None
+        self._seq = 0
+        self._current = {}        # cpu -> (pid, prio) of the running task
+        self._slice_start = {}    # cpu -> when that task was picked
         self.rt_priority = {}     # pid -> static priority (1..99)
         self.round_robin = {}     # pid -> bool
         self._pending = None      # (priority, rr) during spawn_rt
@@ -90,7 +51,7 @@ class RtSchedClass(SchedClass):
 
     def attach_kernel(self, kernel):
         super().attach_kernel(kernel)
-        self._rqs = [_RtRq() for _ in kernel.topology.all_cpus()]
+        self.queues = TokenQueue(kernel.topology.nr_cpus)
 
     # -- task admission ------------------------------------------------------
 
@@ -126,6 +87,21 @@ class RtSchedClass(SchedClass):
             return self._pending[0]
         return 1
 
+    def _top_prio(self, cpu):
+        """The most urgent queued level on ``cpu``, or -1."""
+        queued = self.queues.cpus[cpu]
+        return -queued[0][0][0] if queued else -1
+
+    def _push(self, task, cpu, front=False):
+        self._seq += 1
+        key = (-self._prio(task.pid), -self._seq if front else self._seq)
+        self.queues.push(cpu, key, task.pid, None)
+
+    def _stop(self, pid, cpu):
+        """``pid`` no longer runs on ``cpu``."""
+        if self._current.get(cpu, _IDLE)[0] == pid:
+            del self._current[cpu]
+
     # -- placement --------------------------------------------------------------
 
     def select_task_rq(self, task, prev_cpu, wake_flags, waker_cpu=-1):
@@ -135,12 +111,11 @@ class RtSchedClass(SchedClass):
         for cpu in self.kernel.topology.all_cpus():
             if not task.can_run_on(cpu):
                 continue
-            rq = self._rqs[cpu]
-            running = rq.curr_prio
+            running = self._current.get(cpu, _IDLE)[1]
             if running < my_prio:
                 key = (0, running, self.kernel.rqs[cpu].nr_running)
             else:
-                key = (1, rq.peek_highest_prio(),
+                key = (1, self._top_prio(cpu),
                        self.kernel.rqs[cpu].nr_running)
             if best_key is None or key < best_key:
                 best, best_key = cpu, key
@@ -149,41 +124,34 @@ class RtSchedClass(SchedClass):
     # -- state tracking ------------------------------------------------------------
 
     def task_new(self, task, cpu):
-        self._rqs[cpu].push(self._prio(task.pid), task.pid)
+        self._push(task, cpu)
 
     def task_wakeup(self, task, cpu):
-        self._rqs[cpu].push(self._prio(task.pid), task.pid)
+        self._push(task, cpu)
 
     def task_blocked(self, task, cpu):
-        rq = self._rqs[cpu]
-        if rq.curr_pid == task.pid:
-            rq.curr_pid, rq.curr_prio = None, -1
-        else:
-            rq.remove(task.pid)
+        self._stop(task.pid, cpu)
+        self.queues.remove(task.pid)
 
     def task_preempt(self, task, cpu):
-        rq = self._rqs[cpu]
-        if rq.curr_pid == task.pid:
-            rq.curr_pid, rq.curr_prio = None, -1
+        self._stop(task.pid, cpu)
         if task.pid in self._rr_expired:
             # SCHED_RR slice expiry: rotate to the back of the level.
             self._rr_expired.discard(task.pid)
-            rq.push(self._prio(task.pid), task.pid)
+            self._push(task, cpu)
         else:
             # Preempted by something more urgent: keep the front slot.
-            rq.push(self._prio(task.pid), task.pid, front=True)
+            self._push(task, cpu, front=True)
 
     def task_yield(self, task, cpu):
-        rq = self._rqs[cpu]
-        if rq.curr_pid == task.pid:
-            rq.curr_pid, rq.curr_prio = None, -1
-        rq.push(self._prio(task.pid), task.pid)   # back of its level
+        self._stop(task.pid, cpu)
+        self._push(task, cpu)   # back of its level
 
     def task_dead(self, pid):
-        for rq in self._rqs:
-            if rq.curr_pid == pid:
-                rq.curr_pid, rq.curr_prio = None, -1
-            rq.remove(pid)
+        for cpu, (running, _prio) in list(self._current.items()):
+            if running == pid:
+                del self._current[cpu]
+        self.queues.remove(pid)
         self.rt_priority.pop(pid, None)
         self.round_robin.pop(pid, None)
 
@@ -191,36 +159,27 @@ class RtSchedClass(SchedClass):
         self.task_dead(task.pid)
 
     def migrate_task_rq(self, task, new_cpu):
-        for rq in self._rqs:
-            rq.remove(task.pid)
-        self._rqs[new_cpu].push(self._prio(task.pid), task.pid)
+        self._push(task, new_cpu)   # replaces the old entry
 
     # -- decisions --------------------------------------------------------------------
 
     def pick_next_task(self, cpu):
-        rq = self._rqs[cpu]
-        pid, prio = rq.pop_highest()
-        if pid is None:
+        if not self.queues.cpus[cpu]:
             return None
-        rq.curr_pid, rq.curr_prio = pid, prio
-        rq.curr_slice_start = self.kernel.now
+        (neg_prio, _seq), pid, _token = self.queues.pop_head(cpu)
+        self._current[cpu] = (pid, -neg_prio)
+        self._slice_start[cpu] = self.kernel.now
         return pid
 
     def balance(self, cpu):
-        """RT pull: an idle CPU takes waiting RT work from elsewhere."""
-        if self._rqs[cpu].queues or self.kernel.rqs[cpu].nr_running:
+        """RT pull: an idle CPU takes the head of another CPU's queue."""
+        if self.queues.cpus[cpu] or self.kernel.rqs[cpu].nr_running:
             return None
         best_pid, best_prio = None, 0
-        for other, rq in enumerate(self._rqs):
-            if other == cpu:
+        for other, queued in self.queues.cpus.items():
+            if other == cpu or not queued:
                 continue
-            candidate = rq.second_task() if rq.curr_pid is not None \
-                else None
-            if candidate is None and rq.queues:
-                prios = sorted(rq.queues, reverse=True)
-                candidate = rq.queues[prios[0]][0]
-            if candidate is None:
-                continue
+            candidate = queued[0][1]
             task = self.kernel.tasks.get(candidate)
             if task is None or not task.can_run_on(cpu):
                 continue
@@ -232,17 +191,14 @@ class RtSchedClass(SchedClass):
     def task_tick(self, cpu, task):
         if task is None:
             return
-        rq = self._rqs[cpu]
         if not self.round_robin.get(task.pid, False):
             return
-        if (self.kernel.now - rq.curr_slice_start >= RR_SLICE_NS
-                and rq.queues
-                and rq.peek_highest_prio() >= self._prio(task.pid)):
+        if (self.kernel.now - self._slice_start.get(cpu, 0) >= RR_SLICE_NS
+                and self._top_prio(cpu) >= self._prio(task.pid)):
             self._rr_expired.add(task.pid)
             self.kernel.resched_cpu(cpu)
 
     def wakeup_preempt(self, cpu, task):
-        rq = self._rqs[cpu]
-        if self._prio(task.pid) > rq.curr_prio:
+        if self._prio(task.pid) > self._current.get(cpu, _IDLE)[1]:
             return "now"
         return None

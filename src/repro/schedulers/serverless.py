@@ -34,7 +34,8 @@ schedulers comes from.
 
 from dataclasses import dataclass
 
-from repro.schedulers.base import QueuePolicy, TokenQueue
+from repro.schedulers.base import QueuePolicy
+from repro.simkernel.runqueue import TokenQueue
 
 SHORT = 0
 LONG = 1

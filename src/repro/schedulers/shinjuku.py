@@ -21,7 +21,8 @@ Mechanics:
 
 from dataclasses import dataclass
 
-from repro.schedulers.base import QueuePolicy, TokenQueue
+from repro.schedulers.base import QueuePolicy
+from repro.simkernel.runqueue import TokenQueue
 
 
 @dataclass

@@ -16,7 +16,8 @@ kind of object — far simpler than CFS, close to it in behaviour.
 
 from dataclasses import dataclass
 
-from repro.schedulers.base import QueuePolicy, TokenQueue
+from repro.schedulers.base import QueuePolicy
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.task import NICE_0_WEIGHT, weight_for_nice
 
 

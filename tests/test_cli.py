@@ -11,6 +11,9 @@ import pytest
 from repro.cli import build_parser, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+#: the documents whose command lines and file paths are checked
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md")
 
 
 class TestCli:
@@ -57,8 +60,7 @@ class TestCli:
                           r"([^\n`|;#>&]*)")
         parser = build_parser()
         stale = []
-        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
-                    ".claude/skills/verify/SKILL.md"):
+        for doc in DOCS:
             with open(os.path.join(root, doc)) as handle:
                 text = handle.read().replace("\\\n", " ")
             for match in line.finditer(text):
@@ -75,6 +77,23 @@ class TestCli:
                     stale.append(f"{doc}: repro {' '.join(argv)}")
         capsys.readouterr()
         assert not stale
+
+    def test_every_python_path_in_the_docs_exists(self):
+        """Each ``*.py`` path the docs cite in backticks or a code block
+        is a file under the repo root, ``src/`` or ``src/repro/`` (a bare
+        file name, with no directory, is a label and is not checked)."""
+        root = os.path.dirname(SRC)
+        code = re.compile(r"```.*?```|`[^`\n]+`", re.S)
+        path = re.compile(r"[\w.-]*(?:/[\w.-]+)+\.py\b")
+        cited, stale = 0, []
+        for doc in DOCS:
+            with open(os.path.join(root, doc)) as handle:
+                names = path.findall(" ".join(code.findall(handle.read())))
+            cited += len(names)
+            stale += [f"{doc}: {name}" for name in names
+                      if not any(os.path.isfile(os.path.join(root, base, name))
+                                 for base in ("", "src", "src/repro"))]
+        assert cited and not stale
 
 
 class TestHostileCounts:

@@ -1,18 +1,18 @@
 """The shared token run queue against the list-scan code it replaced.
 
-``ScanModel`` is what six policies each did by hand before
-``repro.schedulers.base``: per-CPU lists, a stable sort on every push,
-a scan of every CPU to find one pid.  Random operation sequences must
-get the same answers from both and leave the same queues behind, under
-each key shape in use: plain numbers, a FIFO sequence, CFS's
-``(vruntime, pid)`` and RT's ``(-prio, +-seq)``.
+``ScanModel`` is what six policies each did by hand before the shared
+queue: per-CPU lists, a stable sort on every push, a scan of every CPU
+to find one pid.  Random operation sequences must get the same answers
+from both and leave the same queues behind, under each key shape in use:
+plain numbers, a FIFO sequence, CFS's ``(vruntime, pid)`` and RT's
+``(-prio, +-seq)``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedulers.base import TokenQueue
 from repro.schedulers.fifo import EnokiFifo, FifoTransferState
+from repro.simkernel.runqueue import TokenQueue
 
 
 class ScanModel:
