@@ -25,6 +25,11 @@ on the commit before the native classes moved onto the shared token
 queue: every queue order those classes keep (priority levels and the
 front slot a preempted RT task keeps, earliest deadline first, FIFO
 under a time slice) decides a pick, so a reordering moves the digest.
+
+The ``flat-cfs`` literal was recorded on the commit before CFS's time
+slice was memoised: a stale slice after a wakeup, a block, a migration, a
+renice or a change in how many tasks the CPU holds moves a tick's
+preemption, so the digest.
 """
 
 import pytest
@@ -281,6 +286,62 @@ def deadline_digest():
     kernel.run_until_idle()
     assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
     assert hog.stats.preemptions >= 5
+    return state_digest(kernel)
+
+
+def flat_cfs_digest():
+    """Ungrouped native CFS under deadline and RT on two CPUs.  Ten CFS
+    tasks are pinned to CPU 0, hogs at nine nice levels and one that
+    renices itself while the others wait, so its queue runs past the
+    period's eight-task knee; a sleeper wakes into that queue.  Beside
+    them: a yielder, a task that moves itself through ``SetAffinity``,
+    free hogs the balancers spread, free sleepers.  An RT task wakes on
+    CPU 0 every 50 us, and a CBS-throttled deadline hog waits on CPU 0's
+    run queue between replenishments, so ticks see more tasks queued on
+    the CPU than CFS has queued."""
+    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
+    dl = kernel.register_sched_class(DeadlineSchedClass(policy=3),
+                                     priority=90)
+    rt = kernel.register_sched_class(RtSchedClass(policy=2), priority=80)
+    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
+    pin0 = frozenset({0})
+
+    def renicer():
+        for nice in (6, -4, 2):
+            for _ in range(6):
+                yield Run(usecs(400))
+            yield SetNice(nice)
+        yield Run(msecs(2))
+
+    def yielder():
+        for _ in range(12):
+            yield Run(usecs(350))
+            yield YieldCpu()
+
+    def mover():
+        for cpus in ({1}, {0}, {0, 1}):
+            yield Run(msecs(2))
+            yield SetAffinity(frozenset(cpus))
+        yield Run(msecs(2))
+
+    for index, nice in enumerate((-5, -2, 0, 0, 3, 5, 8, 10, 15)):
+        kernel.spawn(run_once(msecs(3 + index % 3)), nice=nice,
+                     allowed_cpus=pin0)
+    kernel.spawn(renicer, allowed_cpus=pin0)
+    kernel.spawn(phased(8, usecs(150), msecs(2)), allowed_cpus=pin0)
+    kernel.spawn(yielder, nice=2)
+    kernel.spawn(mover, nice=-1)
+    for index in range(2):
+        kernel.spawn(phased(8, usecs(200 + 50 * index), msecs(2)),
+                     nice=index)
+    for ns in (msecs(9), msecs(7), msecs(8), msecs(6)):
+        kernel.spawn(run_once(ns))
+    dl.spawn_dl(run_once(msecs(4)), runtime_ns=usecs(500),
+                period_ns=msecs(3), allowed_cpus=pin0)
+    rt.spawn_rt(phased(250, usecs(10), usecs(40)), 30, allowed_cpus=pin0)
+    kernel.run_until_idle()
+    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
+    assert kernel.stats.total_migrations > 0
     return state_digest(kernel)
 
 
@@ -555,6 +616,8 @@ GOLDEN = {
         "ca17c87012f1fd9659a4a48cd62e2a66740b94eb2c1290e9f949c3cbb4937001",
     'native-fifo-slice':
         "65be6b603b551e5d3ecfe955934b6c581d65dfc17d96029cd2059694e76af3c0",
+    'flat-cfs':
+        "7f7f04c621af16b4f540615965bed11cc64eb6d083e87180f36a5035815ed22a",
     'upgrade':
         "4393f8cf099d60d46db58ff02efb1c6db29c0dcbf3e20e7c451ba330c8178ade",
     'recorder':
@@ -654,6 +717,10 @@ def test_deadline_throttle_and_affinity_digest_is_golden():
 
 def test_native_fifo_time_slice_digest_is_golden():
     assert native_fifo_slice_digest() == GOLDEN["native-fifo-slice"]
+
+
+def test_flat_cfs_nice_renice_and_shared_cpu_digest_is_golden():
+    assert flat_cfs_digest() == GOLDEN["flat-cfs"]
 
 
 def test_live_upgrade_digest_is_golden():
