@@ -12,7 +12,7 @@ are never simulated twice for the same tree.
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.simkernel.errors import SimError
 from repro.simkernel.topology import Topology
@@ -88,7 +88,8 @@ def parse_topology(desc):
         return Topology.big80()
     if isinstance(desc, str) and desc.startswith("smp:"):
         parts = desc.split(":")[1:]
-        if not 1 <= len(parts) <= 3:
+        if (not 1 <= len(parts) <= 3
+                or not all(p.isdecimal() and int(p) > 0 for p in parts)):
             raise SimError(f"bad topology spec {desc!r}")
         nums = [int(p) for p in parts]
         nr_cpus = nums[0]
@@ -154,11 +155,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f: data[f] for f in (
-            "name", "topology", "seed", "config", "sched", "sched_options",
-            "base_sched", "policy", "workload", "workload_options",
-            "fault_plan", "upgrade_at_ns", "record", "telemetry_ns",
-            ) if f in data}
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise SimError("unknown ScenarioSpec field(s): "
+                           + ", ".join(sorted(map(repr, unknown))))
+        known = dict(data)
         if "slos" in data:
             known["slos"] = tuple(dict(s) for s in data["slos"])
         if "groups" in data:

@@ -30,15 +30,22 @@ class _CfsRq:
     """One core's fair-queue state beside its entries in the shared
     queue: ``queued`` is that CPU's list of ``((vruntime, pid), pid,
     None)``, leftmost first — the queue's own list object, which it only
-    ever changes in place."""
+    ever changes in place.  ``gen`` is bumped whenever a task is queued
+    here, a CFS task leaves the CPU or one of them changes weight, so it
+    names the set of CFS tasks on the CPU and their weights;
+    ``slice_ns`` is the last time slice, valid under ``slice_key``."""
 
-    __slots__ = ("queued", "min_vruntime", "curr_pid", "curr_start_runtime")
+    __slots__ = ("queued", "min_vruntime", "curr_pid", "curr_start_runtime",
+                 "gen", "slice_key", "slice_ns")
 
     def __init__(self, queued):
         self.queued = queued
         self.min_vruntime = 0
         self.curr_pid = None
         self.curr_start_runtime = 0
+        self.gen = 0
+        self.slice_key = None
+        self.slice_ns = 0
 
 
 class CfsSchedClass(SchedClass):
@@ -72,6 +79,7 @@ class CfsSchedClass(SchedClass):
         self._last_periodic_balance = [0] * nr_cpus
 
     def _enqueue(self, task, cpu):
+        self._rqs[cpu].gen += 1
         self.queues.push(cpu, (task.vruntime, task.pid), task.pid, None)
 
     # ------------------------------------------------------------------
@@ -108,14 +116,21 @@ class CfsSchedClass(SchedClass):
     def _slice_for(self, task, cpu):
         kernel = self.kernel
         krq = kernel.rqs[cpu]
+        rq = self._rqs[cpu]
+        # Memoised: the re-sum reads this CPU's runnable index (a queued
+        # entity's ``cpu`` is always the queue's), CFS's tasks on the CPU
+        # and their weights (``rq.gen``), and how many tasks it holds.
+        key = (kernel.groups.index_gen[cpu], rq.gen, len(krq.queued),
+               task.pid)
+        if rq.slice_key == key:
+            return rq.slice_ns
         period = self._sched_period(
             max(1, len(krq.queued) + (krq.current is not None)))
         tasks = kernel.tasks
         groups = kernel.groups
         index_gen = groups.index_gen
         my_weight = total_weight = 0
-        for entity in [task] + [tasks[pid]
-                                for _key, pid, _ in self._rqs[cpu].queued]:
+        for entity in [task] + [tasks[pid] for _key, pid, _ in rq.queued]:
             weight = entity.weight
             if entity.group is not None:
                 at = entity.cpu
@@ -127,7 +142,9 @@ class CfsSchedClass(SchedClass):
                 my_weight = weight
             total_weight += weight
         share = period * my_weight // max(1, total_weight)
-        return max(kernel.config.sched_min_granularity_ns, share)
+        rq.slice_key = key
+        rq.slice_ns = max(kernel.config.sched_min_granularity_ns, share)
+        return rq.slice_ns
 
     # ------------------------------------------------------------------
     # placement
@@ -203,6 +220,7 @@ class CfsSchedClass(SchedClass):
 
     def task_blocked(self, task, cpu):
         rq = self._rqs[cpu]
+        rq.gen += 1
         if rq.curr_pid == task.pid:
             rq.curr_pid = None
         else:
@@ -225,6 +243,7 @@ class CfsSchedClass(SchedClass):
 
     def task_dead(self, pid):
         for rq in self._rqs:
+            rq.gen += 1     # whichever CPU the task was on
             if rq.curr_pid == pid:
                 rq.curr_pid = None
         self.queues.remove(pid)
@@ -233,8 +252,9 @@ class CfsSchedClass(SchedClass):
         self.task_dead(task.pid)
 
     def task_prio_changed(self, task, cpu):
-        # Weight changed; vruntime accrual rate adjusts automatically.
-        pass
+        # Weight changed: vruntime accrual adjusts by itself, the slice
+        # memo does not.
+        self._rqs[cpu].gen += 1
 
     def migrate_task_rq(self, task, new_cpu):
         # Re-home the vruntime: subtract the old queue's baseline, add the
@@ -243,6 +263,7 @@ class CfsSchedClass(SchedClass):
         # replaces the old entry.
         new_rq = self._rqs[new_cpu]
         old_cpu = self.queues.where.get(task.pid, new_cpu)
+        self._rqs[old_cpu].gen += 1
         if old_cpu != new_cpu:
             task.vruntime += (new_rq.min_vruntime
                               - self._rqs[old_cpu].min_vruntime)

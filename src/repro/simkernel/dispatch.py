@@ -328,12 +328,7 @@ class DispatchEngine:
         cur.exec_start_ns = now
         cur.sum_exec_runtime_ns += delta
         cur.last_ran_ns = now
-        stats = k.stats.cpus[cpu]
-        stats.busy_ns += delta
-        pid_map = stats.busy_ns_by_pid
-        pid_map[cur.pid] = pid_map.get(cur.pid, 0) + delta
-        tgid_map = stats.busy_ns_by_tgid
-        tgid_map[cur.tgid] = tgid_map.get(cur.tgid, 0) + delta
+        k.stats.cpus[cpu].busy_ns += delta
         acct = k.accounting
         if acct is not None:
             acct.note_run(cur.policy, delta)

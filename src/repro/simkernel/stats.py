@@ -1,17 +1,14 @@
 """Machine-wide accounting: per-CPU busy time, switches, idle residency.
 
-Workloads read these to compute CPU shares (Figure 2c), utilisation, and
-scheduling-delay distributions.
+Workloads read these for utilisation and scheduling-delay distributions;
+CPU time per task is the task's own ``sum_exec_runtime_ns``.
 """
 
 
 class CpuStats:
     """Accumulated per-CPU counters."""
 
-    __slots__ = (
-        "cpu", "busy_ns", "idle_ns", "switches", "steals",
-        "busy_ns_by_pid", "busy_ns_by_tgid",
-    )
+    __slots__ = ("cpu", "busy_ns", "idle_ns", "switches", "steals")
 
     def __init__(self, cpu):
         self.cpu = cpu
@@ -19,8 +16,6 @@ class CpuStats:
         self.idle_ns = 0
         self.switches = 0
         self.steals = 0              # tasks pulled onto this CPU by migration
-        self.busy_ns_by_pid = {}
-        self.busy_ns_by_tgid = {}
 
 
 class KernelStats:
@@ -37,15 +32,5 @@ class KernelStats:
         self.contained_panics = 0
         self.failovers = 0
 
-    def busy_ns_for_tgid(self, tgid):
-        """Total CPU time consumed machine-wide by a thread group."""
-        return sum(c.busy_ns_by_tgid.get(tgid, 0) for c in self.cpus)
-
     def busy_ns_total(self):
         return sum(c.busy_ns for c in self.cpus)
-
-    def cpu_share_for_tgid(self, tgid, window_ns):
-        """Average number of CPUs a thread group held over a window."""
-        if window_ns <= 0:
-            return 0.0
-        return self.busy_ns_for_tgid(tgid) / window_ns

@@ -20,12 +20,19 @@ class BatchApp:
     tgid: int
     started_ns: int
 
+    def busy_ns(self):
+        """CPU time the application's threads have consumed (the task
+        table keeps dead tasks, so exited threads still count)."""
+        return sum(task.sum_exec_runtime_ns
+                   for task in self.kernel.tasks.values()
+                   if task.tgid == self.tgid)
+
     def cpu_share(self, since_ns=None, until_ns=None):
         """Average CPUs held since start (Figure 2c's y-axis)."""
         start = since_ns if since_ns is not None else self.started_ns
         end = until_ns if until_ns is not None else self.kernel.now
         window = max(1, end - start)
-        return self.kernel.stats.busy_ns_for_tgid(self.tgid) / window
+        return self.busy_ns() / window
 
 
 def start_batch_app(kernel, policy, cpus, threads_per_cpu=1, nice=19,

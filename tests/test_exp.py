@@ -7,6 +7,7 @@ with or without cache hits.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -52,6 +53,18 @@ class TestScenarioSpec:
         assert parse_topology(topo) is topo
         with pytest.raises(SimError):
             parse_topology("hexagonal")
+
+    @pytest.mark.parametrize("desc", [
+        "smp:x", "smp:", "smp:4:", "smp:0", "smp:4:0", "smp:-4",
+        "smp:1:1:1:1"])
+    def test_a_malformed_smp_topology_is_named(self, desc):
+        with pytest.raises(SimError, match=re.escape(repr(desc))):
+            parse_topology(desc)
+
+    def test_an_unknown_field_is_named_not_dropped(self):
+        # a typo must not quietly run the default (CFS) scheduler
+        with pytest.raises(SimError, match="'schd'"):
+            ScenarioSpec.from_dict({"schd": "wfq"})
 
 
 class TestKernelBuilder:

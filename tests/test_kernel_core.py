@@ -30,6 +30,7 @@ from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel.futex import Futex
 from repro.simkernel.task import TaskState
+from repro.workloads.batch import BatchApp
 
 
 def make_kernel(nr_cpus=2, **config_overrides):
@@ -475,8 +476,8 @@ class TestAccounting:
 
         task = kernel.spawn(prog, policy=1)
         kernel.run_until_idle()
-        busy = kernel.stats.cpus[0].busy_ns_by_pid[task.pid]
-        assert busy >= 100_000
+        assert task.sum_exec_runtime_ns >= 100_000
+        assert kernel.stats.cpus[0].busy_ns == task.sum_exec_runtime_ns
 
     def test_tgid_aggregation(self):
         kernel, _ = make_kernel(nr_cpus=2)
@@ -490,8 +491,9 @@ class TestAccounting:
 
         task = kernel.spawn(parent, policy=1)
         kernel.run_until_idle()
-        total = kernel.stats.busy_ns_for_tgid(task.tgid)
+        total = BatchApp(kernel, task.tgid, started_ns=0).busy_ns()
         assert total >= 100_000
+        assert total == kernel.stats.busy_ns_total()
 
     def test_idle_time_accumulates(self):
         kernel, _ = make_kernel(nr_cpus=2)

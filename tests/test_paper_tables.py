@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exp import ScenarioSpec
 from repro.exp.bench import run_spec
 from repro.exp.paper import CATALOGUE, catalogue_specs, results_by_name
 from repro.simkernel.clock import msecs
@@ -98,6 +99,8 @@ def test_the_record_satisfies_every_claim(name):
 def test_the_record_is_of_the_sweep_the_catalogue_runs():
     assert ([(row["name"], row["spec_hash"]) for row in RECORD["results"]]
             == [(spec.name, spec.spec_hash()) for spec in catalogue_specs()])
+    assert all(ScenarioSpec.from_dict(row["spec"]).spec_hash()
+               == row["spec_hash"] for row in RECORD["results"])
     # the deterministic half only: a commit cannot hold its own hash
     assert sorted(RECORD) == ["kind", "name", "results", "specs"]
 

@@ -6,7 +6,7 @@ from repro.core import EnokiSchedClass
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.nest import EnokiNest
 from repro.schedulers.rt import RtSchedClass
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel import Kernel, SchedTracer, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
@@ -126,13 +126,11 @@ class TestNest:
                 yield Run(usecs(200))
                 yield Sleep(usecs(300))
 
-        tasks = [kernel.spawn(bursty, policy=12) for _ in range(2)]
+        tracer = SchedTracer.attach(kernel, kinds={"dispatch"})
+        pids = {kernel.spawn(bursty, policy=12).pid for _ in range(2)}
         kernel.run_until_idle()
-        used_cpus = set()
-        for stats in kernel.stats.cpus:
-            for task in tasks:
-                if stats.busy_ns_by_pid.get(task.pid, 0) > 0:
-                    used_cpus.add(stats.cpu)
+        used_cpus = {event.cpu for event in tracer.events
+                     if event.pid in pids}
         # Two tasks stayed on at most a few warm cores, not all eight.
         assert len(used_cpus) <= 3
 
