@@ -79,7 +79,7 @@ def part2_fuzz():
     print(f"seed 1234 -> {spec.sched} on {spec.nr_cpus} cpus, "
           f"{len(spec.tasks)} tasks, "
           f"upgrade={'yes' if spec.upgrade_at_ns else 'no'}, "
-          f"plan={spec.plan.name if spec.plan else 'none'}")
+          f"plan={spec.plan['name'] if spec.plan else 'none'}")
 
     report = fuzz_run(10, seed=1)
     replayed = sum(1 for r in report.results if r.replay_checked)

@@ -284,10 +284,19 @@ def cmd_chaos(args):
 
 
 def cmd_fuzz(args):
-    from repro.verify import fuzz_run, load_artifact, run_episode
+    from repro.verify import (SCHEDULER_NAMES, ArtifactError, fuzz_run,
+                              load_artifact, run_episode)
 
+    if args.sched is not None and args.sched not in SCHEDULER_NAMES:
+        print(f"repro fuzz: unknown --sched {args.sched!r}; the fuzz pool: "
+              f"{', '.join(SCHEDULER_NAMES)}", file=sys.stderr)
+        return 2
     if args.repro:
-        spec, payload = load_artifact(args.repro)
+        try:
+            spec, _payload = load_artifact(args.repro)
+        except ArtifactError as exc:
+            print(f"repro fuzz: {exc}", file=sys.stderr)
+            return 2
         result = run_episode(spec)
         if args.json:
             print(json.dumps(result.to_dict(), indent=2))
@@ -546,8 +555,8 @@ def build_parser():
     p.add_argument("--episodes", type=positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sched",
-                   choices=["wfq", "fifo", "eevdf", "serverless"],
-                   help="pin every episode to one scheduler")
+                   help="pin every episode to one scheduler of the fuzz "
+                        "pool")
     p.add_argument("--json", action="store_true",
                    help="machine-readable summary on stdout")
     p.add_argument("--out", metavar="PATH",

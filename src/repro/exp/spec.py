@@ -99,6 +99,20 @@ def parse_topology(desc):
     raise SimError(f"unknown topology spec {desc!r}")
 
 
+def spec_kwargs(cls, data):
+    """``data`` as keyword arguments for the spec dataclass ``cls`` (a
+    ``slos`` list becomes a tuple); raises :class:`SimError` naming any
+    key that is not a field."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise SimError(f"unknown {cls.__name__} field(s): "
+                       + ", ".join(sorted(map(repr, unknown))))
+    known = dict(data)
+    if "slos" in data:
+        known["slos"] = tuple(dict(s) for s in data["slos"])
+    return known
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-described experiment scenario.
@@ -155,13 +169,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise SimError("unknown ScenarioSpec field(s): "
-                           + ", ".join(sorted(map(repr, unknown))))
-        known = dict(data)
-        if "slos" in data:
-            known["slos"] = tuple(dict(s) for s in data["slos"])
+        known = spec_kwargs(cls, data)
         if "groups" in data:
             known["groups"] = canonical_groups(data["groups"])
         return cls(**known)
@@ -282,14 +290,7 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f: data[f] for f in (
-            "name", "machines", "topology", "seed", "sched", "base_sched",
-            "policy", "round_ns", "max_rounds", "requests", "router",
-            "health", "fault_plan", "upgrade", "telemetry_ns",
-            ) if f in data}
-        if "slos" in data:
-            known["slos"] = tuple(dict(s) for s in data["slos"])
-        return cls(**known)
+        return cls(**spec_kwargs(cls, data))
 
     def with_seed(self, seed):
         return replace(self, seed=seed)

@@ -229,9 +229,7 @@ class DispatchEngine:
             stats.wait_since_ns = -1
         if task.last_wakeup_ns >= 0:
             latency = start - task.last_wakeup_ns
-            stats.note_wakeup_latency(
-                latency, k.collect_wakeup_samples
-            )
+            stats.note_wakeup_latency(latency)
             task.last_wakeup_ns = -1
             acct = k.accounting
             if acct is not None:

@@ -68,7 +68,6 @@ class Kernel:
         self._hint_handlers = {}      # policy -> handler object
         # Deterministic micro-jitter source (IRQ/C-state variance model).
         self._rng = random.Random(self.config.seed ^ 0x5EED)
-        self.collect_wakeup_samples = True
         self.trace = None
         # Optional accounting sink (repro.obs.accounting).  Like ``trace``
         # it is a plain attribute read plus one ``is None`` test at each

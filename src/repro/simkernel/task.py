@@ -12,8 +12,8 @@ from collections import deque
 from repro.simkernel.errors import TaskLifecycleError
 
 #: retention bound for per-task wakeup-latency samples — long simulations
-#: with ``keep_samples=True`` keep a sliding window of the most recent
-#: samples instead of growing without limit
+#: keep a sliding window of the most recent samples instead of growing
+#: without limit
 WAKEUP_SAMPLE_CAP = 65_536
 
 #: Linux's sched_prio_to_weight[] table, indexed by nice + 20.
@@ -214,14 +214,13 @@ class TaskStats:
         self.block_since_ns = -1
         self.block_is_sleep = False
 
-    def note_wakeup_latency(self, latency_ns, keep_samples):
+    def note_wakeup_latency(self, latency_ns):
         self.wakeups += 1
         self.wakeup_latency_total_ns += latency_ns
-        if keep_samples:
-            samples = self.wakeup_latencies
-            if len(samples) == samples.maxlen:
-                self.wakeup_samples_dropped += 1
-            samples.append(latency_ns)
+        samples = self.wakeup_latencies
+        if len(samples) == samples.maxlen:
+            self.wakeup_samples_dropped += 1
+        samples.append(latency_ns)
 
     @property
     def mean_wakeup_latency_ns(self):

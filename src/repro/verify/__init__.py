@@ -19,9 +19,11 @@ from repro import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "cluster": "assert_cluster_result check_cluster_ledger "
                "check_cluster_result",
-    "fuzz": "EpisodeResult EpisodeSpec FuzzReport TaskSpec episode_digest "
-            "fuzz_run generate_episode run_episode state_digest",
+    "fuzz": "EpisodeResult EpisodeSpec FuzzReport SCHEDULER_NAMES TaskSpec "
+            "episode_digest fuzz_run generate_episode run_episode "
+            "state_digest",
     "sanitizers": "SanitizerError SanitizerSuite Violation "
                   "assert_kernel_state check_kernel_state",
-    "shrink": "ShrinkResult load_artifact shrink_episode write_artifact",
+    "shrink": "ArtifactError ShrinkResult load_artifact shrink_episode "
+              "write_artifact",
 })

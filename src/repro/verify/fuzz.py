@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.core import FaultPlan, Recorder, ReplayEngine
 from repro.core.faults import FaultSpec
-from repro.exp import KernelBuilder
+from repro.exp import KernelBuilder, ScenarioSpec, enoki_scheduler_names
+from repro.exp.spec import spec_kwargs
 from repro.simkernel.clock import usecs
 from repro.simkernel.errors import SimError
 from repro.simkernel.program import Run, SendHint, Sleep, YieldCpu
@@ -87,7 +88,7 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
+        return cls(**spec_kwargs(cls, data))
 
 
 @dataclass(frozen=True)
@@ -117,21 +118,28 @@ class EpisodeSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            seed=data["seed"],
-            sched=data["sched"],
-            nr_cpus=data["nr_cpus"],
-            tasks=tuple(TaskSpec.from_dict(t) for t in data["tasks"]),
-            upgrade_at_ns=data.get("upgrade_at_ns", 0),
-            plan=data.get("plan"),
-            bug=data.get("bug", ""),
-            groups=tuple(dict(g) for g in data.get("groups", ())),
-        )
+        """Inverse of :meth:`to_dict`; raises :class:`SimError` naming an
+        unknown field or scheduler."""
+        known = spec_kwargs(cls, data)
+        sched = known.get("sched")
+        if sched not in enoki_scheduler_names():
+            raise SimError(f"unknown Enoki scheduler {sched!r}")
+        known["tasks"] = tuple(TaskSpec.from_dict(t) for t in known["tasks"])
+        known["groups"] = tuple(dict(g) for g in known.get("groups", ()))
+        return cls(**known)
 
     @property
     def recordable(self):
         """The recorder refuses faults and upgrades (paper section 3.4)."""
         return self.plan is None and self.upgrade_at_ns == 0
+
+    def scenario(self):
+        """The episode's machine as a :class:`~repro.exp.ScenarioSpec`:
+        scheduler, topology, group forest, fault plan and upgrade."""
+        return ScenarioSpec(topology=f"smp:{self.nr_cpus}", seed=self.seed,
+                            sched=self.sched, policy=TASK_POLICY,
+                            groups=self.groups, fault_plan=self.plan,
+                            upgrade_at_ns=self.upgrade_at_ns)
 
 
 @dataclass
@@ -251,31 +259,29 @@ def _random_plan(rng):
                      description="fuzzer-composed plan").validate()
 
 
-def _episode_session(spec, recorder=None):
-    """The Enoki session for ``spec``."""
-    return (KernelBuilder(topology=f"smp:{spec.nr_cpus}",
-                          seed=spec.seed)
-            .with_native("cfs", policy=0, priority=5)
-            .with_enoki(spec.sched, policy=TASK_POLICY, priority=10,
-                        recorder=recorder)
-            .build())
+def _run_episode_session(spec, attach, recorder=None):
+    """Build, observe, populate and run the machine ``spec`` describes.
 
-
-def _control_session(spec):
-    """The native-only control machine for ``spec``."""
-    return (KernelBuilder(topology=f"smp:{spec.nr_cpus}",
-                          seed=spec.seed)
-            .with_native("cfs", policy=0, priority=10)
-            .build())
-
-
-def _install_groups(session, spec):
-    """Create the episode's group forest on the built kernel."""
-    for g in spec.groups:
-        session.kernel.groups.create(
-            g["name"], parent=g.get("parent", "root"),
-            weight=g.get("weight", 1024), quota_ns=g.get("quota_ns", 0),
-            period_ns=g.get("period_ns", 0), policy=g.get("policy"))
+    The one way an episode is built: :meth:`KernelBuilder
+    .session_from_spec` creates the group forest, installs the fault plan
+    with its watchdog and schedules the upgrade; the planted ``bug`` goes
+    in here and nowhere else.  ``attach(kernel)`` hooks an observer on
+    before the first task spawns.  Returns ``(session, what attach
+    returned, the SimError that stopped the run or None)``.
+    """
+    session = KernelBuilder.session_from_spec(spec.scenario(),
+                                              recorder=recorder)
+    if spec.bug == "skip_consume":
+        session.shim._test_skip_token_consume = True
+    hook = attach(session.kernel)
+    _spawn_tasks(session, spec)
+    error = None
+    try:
+        session.kernel.run_until_idle(max_events=_EVENT_BUDGET)
+    except SimError as exc:
+        error = exc
+    session.stop()
+    return session, hook, error
 
 
 def _spawn_tasks(session, spec):
@@ -354,23 +360,11 @@ def episode_digest(seed, observe=False, sched=None):
     """
     from repro.obs import Observer
 
-    spec = generate_episode(seed, sched=sched)
-    session = _episode_session(spec)
-    kernel = session.kernel
-    _install_groups(session, spec)
-    if observe:
-        Observer.attach(kernel)
-    if spec.plan is not None:
-        session.install_faults(FaultPlan.from_dict(spec.plan))
-    if spec.upgrade_at_ns:
-        session.schedule_upgrade(spec.upgrade_at_ns)
-    _spawn_tasks(session, spec)
-    try:
-        kernel.run_until_idle(max_events=_EVENT_BUDGET)
-    except SimError:
-        pass                    # the digest covers however far it got
-    session.stop()
-    return state_digest(kernel)
+    # A run that stops on a SimError digests however far it got.
+    session, _observer, _error = _run_episode_session(
+        generate_episode(seed, sched=sched),
+        Observer.attach if observe else lambda _kernel: None)
+    return state_digest(session.kernel)
 
 
 # ----------------------------------------------------------------------
@@ -381,36 +375,21 @@ def run_episode(spec, capture=False):
     """Run one episode under the sanitizer suite and both oracles.
 
     Returns an :class:`EpisodeResult`; with ``capture`` the attached
-    suite is included (as ``result.suite``) for trace inspection.
+    suite (``result.suite``, for trace inspection) and the recorder of a
+    recordable episode (``result.recorder``) are included.
     """
     recorder = Recorder() if spec.recordable else None
 
     # The episode seed lands in SimConfig at build, so the kernel's
     # jitter RNG is episode-deterministic too (not just the
     # episode-generation RNG).
-    session = _episode_session(spec, recorder=recorder)
-    kernel, shim = session.kernel, session.shim
-    _install_groups(session, spec)
-    suite = SanitizerSuite.attach(kernel)
-
-    if spec.bug == "skip_consume":
-        shim._test_skip_token_consume = True
-
-    injector = None
-    if spec.plan is not None:
-        injector = session.install_faults(FaultPlan.from_dict(spec.plan))
-    if spec.upgrade_at_ns:
-        session.schedule_upgrade(spec.upgrade_at_ns)
-
-    _spawn_tasks(session, spec)
-
-    try:
-        kernel.run_until_idle(max_events=_EVENT_BUDGET)
-    except SimError as exc:
+    session, suite, error = _run_episode_session(
+        spec, SanitizerSuite.attach, recorder=recorder)
+    kernel, injector = session.kernel, session.injector
+    if error is not None:
         suite.record_violation(Violation(
             "completion", kernel.now,
-            f"episode did not quiesce: {exc}"))
-    session.stop()
+            f"episode did not quiesce: {error}"))
     if recorder is not None:
         recorder.stop()
 
@@ -435,6 +414,7 @@ def run_episode(spec, capture=False):
     )
     if capture:
         result.suite = suite
+        result.recorder = recorder
 
     _replay_oracle(spec, recorder, session.scheduler_factory, result)
     _control_oracle(spec, result)
@@ -460,7 +440,8 @@ def _control_oracle(spec, result):
     it does and the Enoki machine lost tasks, the loss is real."""
     # Same seed as the Enoki machine: the control differs only in its
     # scheduler stack, never in jitter.
-    session = _control_session(spec)
+    session = KernelBuilder.session_from_spec(ScenarioSpec(
+        sched="cfs", topology=f"smp:{spec.nr_cpus}", seed=spec.seed))
     kernel = session.kernel
     for i, task_spec in enumerate(spec.tasks):
         # Policy 0 has no hint handler; the control program strips hints.

@@ -19,11 +19,17 @@ command that re-runs it.
 import json
 from dataclasses import dataclass, replace
 
+from repro.simkernel.errors import SimError
 from repro.verify.fuzz import EpisodeSpec, run_episode
 
 #: cap on full re-runs during minimisation; the ladder converges long
 #: before this on every episode the generator can produce
 _MAX_ATTEMPTS = 200
+
+
+class ArtifactError(ValueError):
+    """A reproducer artifact that cannot be loaded; the message names the
+    path and what is wrong with it."""
 
 
 @dataclass
@@ -145,27 +151,16 @@ def write_artifact(path, shrink_result):
 
     The artifact re-runs with ``repro fuzz --repro <path>`` and carries
     enough context (violations, trace tail, record log when available)
-    to debug without re-running at all.
+    to debug without re-running at all.  Trace tail and record log both
+    come from one captured run of the shrunk episode: the log is the
+    failing run's own.
     """
     shrunk = shrink_result.shrunk
-    replayed = run_episode(shrunk, capture=True)
+    failing = run_episode(shrunk, capture=True)
     trace_tail = [event.to_dict()
-                  for event in list(replayed.suite.events)[-200:]]
-    record_log = []
-    if shrunk.recordable:
-        from repro.core import Recorder  # avoid cycle at import time
-        # Re-run once more with the recorder installed so the artifact
-        # carries the exact dispatch log of the failing run.
-        from repro.verify import fuzz as _fuzz
-        recorder = Recorder()
-        try:
-            kernel = _build_recorded(shrunk, recorder, _fuzz)
-            kernel.run_until_idle(max_events=_fuzz._EVENT_BUDGET)
-        except Exception:
-            record_log = []
-        else:
-            recorder.stop()
-            record_log = list(recorder.entries)[:2000]
+                  for event in list(failing.suite.events)[-200:]]
+    record_log = (failing.recorder.entries[:2000]
+                  if failing.recorder is not None else [])
     payload = {
         "kind": "repro.verify reproducer",
         "spec": shrunk.to_dict(),
@@ -183,31 +178,26 @@ def write_artifact(path, shrink_result):
     return path
 
 
-def _build_recorded(spec, recorder, fuzz_mod):
-    """A bare kernel for ``spec`` with the recorder installed (no
-    sanitizers: this run only exists to capture the dispatch log)."""
-    from repro.exp import KernelBuilder
-
-    session = (KernelBuilder(topology=f"smp:{spec.nr_cpus}",
-                             seed=spec.seed)
-               .with_native("cfs", policy=0, priority=5)
-               .with_enoki(spec.sched, policy=fuzz_mod.TASK_POLICY,
-                           priority=10, recorder=recorder)
-               .build())
-    if spec.bug == "skip_consume":
-        session.shim._test_skip_token_consume = True
-    for i, task_spec in enumerate(spec.tasks):
-        session.spawn(fuzz_mod._make_program(task_spec,
-                                             fuzz_mod.TASK_POLICY),
-                      name=f"fuzz-{i}",
-                      origin_cpu=i % spec.nr_cpus)
-    return session.kernel
-
-
 def load_artifact(path):
-    """Load a reproducer artifact; returns (EpisodeSpec, payload)."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    if payload.get("kind") != "repro.verify reproducer":
-        raise ValueError(f"{path} is not a repro.verify reproducer")
-    return EpisodeSpec.from_dict(payload["spec"]), payload
+    """Load a reproducer artifact; returns (EpisodeSpec, payload).
+
+    Raises :class:`ArtifactError` naming ``path`` when the file is
+    missing or unreadable, is not a reproducer, or carries a spec that
+    cannot be rebuilt.
+    """
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ArtifactError(
+            f"{path}: cannot read reproducer: {reason}") from exc
+    if (not isinstance(payload, dict)
+            or payload.get("kind") != "repro.verify reproducer"):
+        raise ArtifactError(f"{path} is not a repro.verify reproducer")
+    if "spec" not in payload:
+        raise ArtifactError(f"{path}: reproducer has no 'spec'")
+    try:
+        return EpisodeSpec.from_dict(payload["spec"]), payload
+    except (SimError, KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: bad episode spec: {exc}") from exc

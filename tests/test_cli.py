@@ -9,6 +9,8 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.verify import (SCHEDULER_NAMES, ArtifactError, generate_episode,
+                          load_artifact)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 #: the documents whose command lines and file paths are checked
@@ -241,3 +243,47 @@ class TestFuzzCli:
         assert payload["kind"] == "repro.verify reproducer"
         assert payload["violations"]
         assert artifact in payload["repro_command"]
+
+    @pytest.mark.parametrize("sched", SCHEDULER_NAMES)
+    def test_every_pool_scheduler_is_accepted(self, sched, capsys):
+        assert main(["fuzz", "--episodes", "1", "--seed", "1",
+                     "--sched", sched]) == 0
+        capsys.readouterr()
+
+    def test_scheduler_outside_the_pool_exits_two_naming_it(self, capsys):
+        assert main(["fuzz", "--episodes", "1", "--sched", "shinjuku"]) == 2
+        err = capsys.readouterr().err
+        assert "'shinjuku'" in err
+        assert all(name in err for name in SCHEDULER_NAMES)
+
+    @staticmethod
+    def _damage(how, path):
+        spec = generate_episode(3).to_dict()
+        if how == "unknown EpisodeSpec field":
+            spec["nr_cpu"] = 2
+        elif how == "unknown TaskSpec field":
+            spec["tasks"][0]["runns"] = 1
+        elif how == "unknown scheduler":
+            spec["sched"] = "nosuch"
+        text = json.dumps({"kind": "repro.verify reproducer", "spec": spec})
+        if how == "truncated JSON":
+            text = text[:len(text) // 2]
+        elif how == "missing spec":
+            text = json.dumps({"kind": "repro.verify reproducer"})
+        if how != "missing file":
+            path.write_text(text)
+
+    @pytest.mark.parametrize("how", [
+        "missing file", "truncated JSON", "missing spec",
+        "unknown EpisodeSpec field", "unknown TaskSpec field",
+        "unknown scheduler"])
+    def test_damaged_reproducer_is_one_typed_error(self, how, tmp_path,
+                                                   capsys):
+        path = tmp_path / "repro.json"
+        self._damage(how, path)
+        with pytest.raises(ArtifactError, match=re.escape(str(path))):
+            load_artifact(str(path))
+        assert main(["fuzz", "--repro", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.count("\n") == 1 and str(path) in err

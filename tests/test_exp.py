@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.exp import (
+    ClusterSpec,
     KernelBuilder,
     ScenarioSpec,
     Session,
@@ -65,6 +66,15 @@ class TestScenarioSpec:
         # a typo must not quietly run the default (CFS) scheduler
         with pytest.raises(SimError, match="'schd'"):
             ScenarioSpec.from_dict({"schd": "wfq"})
+
+    def test_an_unknown_cluster_field_is_named_not_dropped(self):
+        spec = ClusterSpec(machines=3, slos=({"name": "p99",
+                                              "metric": "wakeup_p99_ns",
+                                              "max": 1},))
+        assert ClusterSpec.from_dict(
+            json.loads(json.dumps(spec.to_dict()))) == spec
+        with pytest.raises(SimError, match="'machnes'"):
+            ClusterSpec.from_dict({"machnes": 9})
 
 
 class TestKernelBuilder:

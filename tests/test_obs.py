@@ -394,7 +394,7 @@ class TestWakeupLatencyRetention:
     def test_samples_bounded_with_drop_counter(self):
         stats = TaskStats(sample_cap=8)
         for i in range(20):
-            stats.note_wakeup_latency(i, keep_samples=True)
+            stats.note_wakeup_latency(i)
         assert len(stats.wakeup_latencies) == 8
         assert stats.wakeup_samples_dropped == 12
         assert stats.wakeup_latencies[-1] == 19      # newest retained

@@ -336,7 +336,7 @@ class TestKernelFacadeApi:
     )
     ATTRS = (
         "topology", "config", "clock", "events", "timers", "rqs", "stats",
-        "tasks", "trace", "collect_wakeup_samples",
+        "tasks", "trace",
         "_classes", "_class_by_policy", "_limbo", "_rng",
     )
 

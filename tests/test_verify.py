@@ -14,10 +14,10 @@ from repro.simkernel.clock import usecs
 from repro.obs import Observer
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.tracing import SchedTracer
-from repro.verify import (SanitizerError, SanitizerSuite, assert_kernel_state,
-                          check_kernel_state, fuzz_run, generate_episode,
-                          load_artifact, run_episode, shrink_episode,
-                          write_artifact)
+from repro.verify import (SanitizerError, SanitizerSuite, ShrinkResult,
+                          assert_kernel_state, check_kernel_state, fuzz_run,
+                          generate_episode, load_artifact, run_episode,
+                          shrink_episode, write_artifact)
 from repro.verify.sanitizers import (DEFAULT_SANITIZERS, Sanitizer, Violation,
                                      conservation_violations)
 
@@ -565,6 +565,23 @@ class TestShrinker:
         _spec, payload = load_artifact(path)
         assert payload["record_log"], "recordable episode lost its log"
         assert payload["trace_tail"]
+
+    def test_artifact_record_log_is_the_failing_runs_own(self, tmp_path):
+        # A recordable episode inside a group forest: the log must come
+        # from the run that failed, groups and group policies included.
+        spec = replace(generate_episode(9), bug="skip_consume")
+        assert spec.groups and spec.recordable
+        failing = run_episode(spec, capture=True)
+        assert not failing.ok
+        path = str(tmp_path / "repro.json")
+        write_artifact(path, ShrinkResult(
+            original=spec, shrunk=spec,
+            original_events=failing.events_seen,
+            shrunk_events=failing.events_seen,
+            violations=failing.violations))
+        _spec, payload = load_artifact(path)
+        own = json.loads(json.dumps(failing.recorder.entries[:2000]))
+        assert payload["record_log"] == own
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "notrepro.json"
