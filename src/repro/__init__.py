@@ -35,6 +35,8 @@ plain attribute hit.  :mod:`repro.simkernel` stays eager: a session runs
 nearly all of it.
 """
 
+from dataclasses import MISSING, fields
+from functools import cache
 from importlib import import_module
 
 from repro.simkernel import Kernel, SimConfig, Topology
@@ -65,3 +67,44 @@ def lazy_exports(namespace, exports):
         return sorted(namespace.keys() | where.keys())
 
     return sorted(where), __getattr__, __dir__
+
+
+#: the types a loaded value may have, by its field's annotation (the
+#: annotation first, so error messages can name it)
+_LOADABLE = {tuple: (tuple, list), float: (float, int)}
+
+
+@cache
+def _field_rules(cls):
+    """Field name -> (loadable types, required, ``None`` allowed)."""
+    return {f.name: (_LOADABLE.get(f.type, (f.type,)),
+                     f.default is MISSING and f.default_factory is MISSING,
+                     f.default is None)
+            for f in fields(cls)}
+
+
+def dataclass_kwargs(cls, data, error):
+    """``data`` checked as keyword arguments for the dataclass ``cls``.
+
+    Raises ``error`` naming the key when ``data`` is not a dict, a key is
+    not a field, a field without a default is missing, or a value's type
+    is not its field's.  A list loads as a tuple, an int as a float,
+    ``None`` where the default is ``None``; a bool is not an int.
+    """
+    name = cls.__name__
+    if type(data) is not dict:
+        raise error(f"{name} must be a mapping, got {type(data).__name__}")
+    rules = _field_rules(cls)
+    for key in data:
+        if key not in rules:
+            unknown = sorted(repr(k) for k in data if k not in rules)
+            raise error(f"unknown {name} field(s): " + ", ".join(unknown))
+    for key, (types, required, none_ok) in rules.items():
+        if key in data:
+            value = data[key]
+            if type(value) not in types and not (value is None and none_ok):
+                raise error(f"{name} field {key!r} must be "
+                            f"{types[0].__name__}, got {value!r}")
+        elif required:
+            raise error(f"{name} needs field {key!r}")
+    return dict(data)

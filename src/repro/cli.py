@@ -36,7 +36,7 @@ def positive_int(text):
 
 
 def non_negative_int(text):
-    """argparse type of ``--hogs`` and ``--upgrade-at``: an integer >= 0."""
+    """argparse type of ``--hogs``: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -383,118 +383,10 @@ def cmd_bench(args):
     return status
 
 
-def _cluster_spec_from_args(args):
-    from repro.core.faults import FaultPlan
-    from repro.exp import ClusterSpec
-
-    fault_plan = None
-    if args.faults and args.faults != "none":
-        fault_plan = FaultPlan.fleet(args.faults).to_dict()
-    upgrade = None
-    if args.upgrade != "none":
-        upgrade = {"at_round": args.upgrade_at, "mode": args.upgrade}
-    return ClusterSpec(
-        name="cli-cluster",
-        machines=args.machines,
-        topology=args.topology,
-        seed=args.seed,
-        sched=args.sched,
-        round_ns=args.round_ns,
-        max_rounds=args.rounds,
-        requests={"count": args.requests, "work_ns": args.work_ns},
-        fault_plan=fault_plan,
-        upgrade=upgrade,
-    )
-
-
-def _print_cluster_result(metrics, seed):
-    router = metrics["router"]
-    health = metrics["health"]
-    membership = {m: g["membership"]
-                  for m, g in health["machines"].items()}
-    rows = [[p["machine"], p["state"],
-             membership.get(p["machine"],
-                            membership.get(str(p["machine"]), "?")),
-             p["boots"], p["dispatched"], p["completed"],
-             p.get("panics", 0), p.get("failovers", 0)]
-            for p in metrics["per_machine"]]
-    print(render_table(
-        f"cluster seed={seed}: {metrics['machines']} machines, "
-        f"{metrics['rounds']} rounds",
-        ["m", "state", "member", "boots", "disp", "done", "panics",
-         "failovers"], rows))
-    print(f"requests: {router['completed']}/{router['admitted']} "
-          f"completed, {router['shed']} shed, "
-          f"{router['lost_to_dead']} lost to dead machines, "
-          f"{router['retries']} retries, {router['timeouts']} timeouts, "
-          f"{router['hedges']} hedges, "
-          f"{router['duplicate_completions']} duplicates deduped")
-    print(f"latency: p50 {router['latency_p50_ns'] / 1e6:.2f} ms, "
-          f"p99 {router['latency_p99_ns'] / 1e6:.2f} ms")
-    for event in health["events"]:
-        print(f"health: round {event['round']:4d} machine "
-              f"{event['machine']} {event['action']} ({event['reason']})")
-    rolling = metrics.get("rolling_upgrade")
-    if rolling:
-        print(f"rolling upgrade [{rolling['mode']}]: {rolling['verdict']}")
-        slo = rolling.get("slo")
-        if slo:
-            state = "met" if slo["met"] else "VIOLATED"
-            print(f"fleet SLO {slo['metric']}: {state} "
-                  f"({slo['value'] / 1e6:.2f} ms vs bound "
-                  f"{slo['bound'] / 1e6:.2f} ms)")
-    invariant = metrics["invariant"]
-    if invariant["exactly_once"]:
-        print("exactly-once invariant: OK")
-    else:
-        print(f"exactly-once invariant: VIOLATED "
-              f"({len(invariant['violations'])} finding(s))")
-        for violation in invariant["violations"]:
-            print(f"  - {violation['detail']}")
-
-
-def cmd_cluster(args):
-    from repro.exp.bench import derive_seed, run_sweep
-
-    base = _cluster_spec_from_args(args)
-    if args.seeds > 1:
-        # Seed sweep: shard fleet episodes over the bench fork pool
-        # (spec-hash caching included — fleet params are in the hash).
-        specs = [base.with_seed(derive_seed(args.seed, i))
-                 .to_scenario_spec() for i in range(args.seeds)]
-        payload = run_sweep(specs, args.name, workers=args.workers,
-                            cache_dir=args.cache_dir,
-                            out_dir=args.out_dir,
-                            use_cache=not args.no_cache)
-        results = payload["results"]
-    else:
-        from repro.cluster import run_cluster_spec
-        results = [{"metrics": run_cluster_spec(base),
-                    "spec": {"seed": args.seed}}]
-    if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True))
-    failures = 0
-    for result in results:
-        if not args.json:
-            _print_cluster_result(result["metrics"],
-                                  result["spec"]["seed"])
-            print()
-        if not result["metrics"]["invariant"]["exactly_once"]:
-            failures += 1
-    if failures:
-        print(f"{failures}/{len(results)} episode(s) violated the "
-              "exactly-once invariant")
-        return 1
-    return 0
-
-
 EXPERIMENTS = {
     "bench": (cmd_bench, "the paper's tables and figures (all, or one "
                          "named artefact) on the parallel, cached runner; "
                          "exit 1 if a claim fails"),
-    "cluster": (cmd_cluster, "fault-tolerant simulated fleet: N kernels "
-                             "behind a retrying router with health-driven "
-                             "eviction and rolling upgrades"),
     "faas": (cmd_faas, "serverless/FaaS trace quick run: CFS vs the "
                        "Enoki serverless scheduler + SLO verdicts"),
     "trace": (cmd_trace, "observe the pipe + hogs episode: one report "
@@ -567,42 +459,6 @@ def build_parser():
     # Test-only: plant a known defect so the suite can prove the
     # sanitizers catch it (see tests/test_cli.py).
     p.add_argument("--bug", default="", help=argparse.SUPPRESS)
-
-    p = sub.add_parser("cluster", help=EXPERIMENTS["cluster"][1])
-    p.add_argument("--machines", type=positive_int, default=8)
-    p.add_argument("--topology", default="smp:4",
-                   help="per-machine topology template")
-    p.add_argument("--sched", default="wfq",
-                   help="Enoki scheduler every machine runs")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seeds", type=positive_int, default=1,
-                   help="sweep this many derived seeds through the "
-                        "bench fork pool")
-    p.add_argument("--workers", type=positive_int, default=1,
-                   help="process-pool size for --seeds sweeps")
-    p.add_argument("--faults", default="none",
-                   help="fleet fault plan: "
-                        "machine-crash | machine-stall | machine-loss | "
-                        "double-crash | noisy-module | none")
-    p.add_argument("--rounds", type=positive_int, default=400,
-                   help="max cluster rounds (hard episode bound)")
-    p.add_argument("--round-ns", type=positive_int, default=1_000_000)
-    p.add_argument("--requests", type=positive_int, default=400)
-    p.add_argument("--work-ns", type=positive_int, default=200_000)
-    p.add_argument("--upgrade", default="bad-dispatch",
-                   choices=("none", "good", "bad-init", "bad-dispatch"),
-                   help="rolling-upgrade demo: canary first, automatic "
-                        "rollback on regression (default injects a "
-                        "bad module to show the rollback)")
-    p.add_argument("--upgrade-at", type=non_negative_int, default=40,
-                   help="cluster round the canary upgrade starts at")
-    p.add_argument("--name", default="cluster",
-                   help="payload name for --seeds sweeps")
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--cache-dir", default=".bench-cache")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--json", action="store_true",
-                   help="print full episode payloads instead of tables")
 
     p = sub.add_parser("bench", help=EXPERIMENTS["bench"][1])
     p.add_argument("artefact", nargs="?",

@@ -22,6 +22,7 @@ every built-in plan must complete with zero lost tasks (see
 import random
 from dataclasses import dataclass, field, replace
 
+from repro import dataclass_kwargs
 from repro.core.errors import FaultError, InjectedFault
 from repro.core.schedulable import Schedulable
 
@@ -31,14 +32,8 @@ DISPATCH_KINDS = ("raise", "hang")
 TOKEN_KINDS = ("corrupt_token", "duplicate_token")
 #: fault kinds applied to the user->kernel hint path
 HINT_KINDS = ("drop_hint", "delay_hint")
-#: whole-machine fault kinds, executed by the cluster fleet layer
-#: (:mod:`repro.cluster`), not by the per-dispatch injector: a crash
-#: kills the machine (losing its in-flight work) and optionally reboots
-#: it after ``duration_ns``; a stall freezes its virtual clock for
-#: ``duration_ns`` while the rest of the fleet keeps moving.
-MACHINE_KINDS = ("machine_crash", "machine_stall")
 
-FAULT_KINDS = DISPATCH_KINDS + TOKEN_KINDS + HINT_KINDS + MACHINE_KINDS
+FAULT_KINDS = DISPATCH_KINDS + TOKEN_KINDS + HINT_KINDS
 
 #: offset added to a forged token's generation so it can never collide
 #: with a genuinely issued one
@@ -62,17 +57,6 @@ class FaultSpec:
     count: int = 1
     hang_ns: int = 0            # required for hang
     probability: float = 1.0
-    #: cluster-only targeting: which machine the fault applies to.
-    #: Required (>= 0) for machine kinds; for dispatch/token/hint kinds
-    #: -1 means "every machine" when the plan runs fleet-wide.
-    machine: int = -1
-    #: machine kinds fire at this cluster virtual time (not an
-    #: invocation index — whole-machine faults are wall events)
-    at_ns: int = 0
-    #: outage length for machine kinds: a crash reboots after this long
-    #: (0 = stays down for the rest of the episode); a stall must be
-    #: finite, so it requires a positive duration
-    duration_ns: int = 0
 
     def validate(self):
         if self.kind not in FAULT_KINDS:
@@ -80,20 +64,6 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r} "
                 f"(expected one of {FAULT_KINDS})"
             )
-        if self.kind in MACHINE_KINDS:
-            if self.machine < 0:
-                raise FaultError(
-                    f"{self.kind!r} fault needs a target machine index"
-                )
-            if self.at_ns <= 0:
-                raise FaultError(
-                    f"{self.kind!r} fault needs a positive at_ns"
-                )
-            if self.kind == "machine_stall" and self.duration_ns <= 0:
-                raise FaultError(
-                    "machine_stall fault needs a positive duration_ns"
-                )
-            return
         if self.kind in DISPATCH_KINDS and not self.callback:
             raise FaultError(
                 f"{self.kind!r} fault needs a target callback"
@@ -114,7 +84,7 @@ class FaultSpec:
         return self.at <= invocation < self.at + self.count
 
     def to_dict(self):
-        out = {
+        return {
             "kind": self.kind,
             "callback": self.callback,
             "at": self.at,
@@ -122,19 +92,12 @@ class FaultSpec:
             "hang_ns": self.hang_ns,
             "probability": self.probability,
         }
-        # Cluster-targeting fields are emitted only when meaningful so
-        # single-machine plan dicts (and their spec hashes) are unchanged
-        # by the fleet extension.
-        if self.machine >= 0:
-            out["machine"] = self.machine
-        if self.kind in MACHINE_KINDS:
-            out["at_ns"] = self.at_ns
-            out["duration_ns"] = self.duration_ns
-        return out
 
     @classmethod
     def from_dict(cls, data):
-        spec = cls(**data)
+        """Inverse of :meth:`to_dict`; raises :class:`FaultError` naming
+        an unknown, missing or wrong-typed key."""
+        spec = cls(**dataclass_kwargs(cls, data, FaultError))
         spec.validate()
         return spec
 
@@ -158,35 +121,6 @@ class FaultPlan:
     def with_seed(self, seed):
         return replace(self, seed=seed)
 
-    # -- fleet splitting -------------------------------------------------
-
-    def machine_specs(self):
-        """The whole-machine specs (executed by the cluster layer)."""
-        return tuple(s for s in self.specs if s.kind in MACHINE_KINDS)
-
-    def for_machine(self, index):
-        """The dispatch-level sub-plan that applies to machine ``index``.
-
-        Returns a plan of the non-machine specs targeting ``index`` (or
-        targeting every machine via ``machine == -1``), seeded per
-        machine so probabilistic faults de-correlate across the fleet —
-        or None when nothing applies.  Machine kinds never reach the
-        per-dispatch injector.
-        """
-        picked = tuple(
-            s for s in self.specs
-            if s.kind not in MACHINE_KINDS
-            and s.machine in (-1, index)
-        )
-        if not picked:
-            return None
-        return FaultPlan(
-            name=f"{self.name}@m{index}",
-            specs=picked,
-            seed=self.seed ^ (0x9E3779B9 * (index + 1) & 0xFFFFFFFF),
-            description=self.description,
-        )
-
     def to_dict(self):
         return {
             "name": self.name,
@@ -197,13 +131,11 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data):
-        plan = cls(
-            name=data["name"],
-            seed=data.get("seed", 0),
-            description=data.get("description", ""),
-            specs=tuple(FaultSpec.from_dict(s) for s in data["specs"]),
-        )
-        return plan.validate()
+        """Inverse of :meth:`to_dict`; raises :class:`FaultError` naming
+        an unknown, missing or wrong-typed key, in the plan or a spec."""
+        known = dataclass_kwargs(cls, data, FaultError)
+        known["specs"] = tuple(FaultSpec.from_dict(s) for s in data["specs"])
+        return cls(**known).validate()
 
     @staticmethod
     def builtin(name):
@@ -218,21 +150,6 @@ class FaultPlan:
     @staticmethod
     def builtin_names():
         return tuple(sorted(BUILTIN_PLANS))
-
-    @staticmethod
-    def fleet(name):
-        """A built-in fleet-scale plan (``repro cluster --faults``)."""
-        plan = FLEET_PLANS.get(name)
-        if plan is None:
-            raise FaultError(
-                f"no built-in fleet fault plan {name!r} "
-                f"(available: {', '.join(sorted(FLEET_PLANS))})"
-            )
-        return plan
-
-    @staticmethod
-    def fleet_names():
-        return tuple(sorted(FLEET_PLANS))
 
 
 @dataclass
@@ -465,55 +382,6 @@ BUILTIN_PLANS = {
             FaultSpec(kind="corrupt_token", at=15),
             FaultSpec(kind="raise", callback="task_wakeup", at=20,
                       count=2),
-        ),
-    )
-}
-
-
-#: fleet-scale chaos suite executed by ``repro.cluster``: whole-machine
-#: outages plus per-machine scheduler faults.  Every plan here must be
-#: survivable by the cluster router — the exactly-once ledger invariant
-#: holds and no request is lost except to a machine that never returns
-#: (see ``tests/test_cluster.py``).
-FLEET_PLANS = {
-    plan.name: plan for plan in (
-        _plan(
-            "machine-crash",
-            "machine 1 crashes at 5 ms and reboots 20 ms later: its "
-            "in-flight requests are retried on peers, the machine is "
-            "evicted, then re-admitted after probation",
-            FaultSpec(kind="machine_crash", machine=1,
-                      at_ns=5_000_000, duration_ns=20_000_000),
-        ),
-        _plan(
-            "machine-stall",
-            "machine 1 freezes for 15 ms at 5 ms: deadline timeouts "
-            "re-route its work while late completions are deduplicated",
-            FaultSpec(kind="machine_stall", machine=1,
-                      at_ns=5_000_000, duration_ns=15_000_000),
-        ),
-        _plan(
-            "machine-loss",
-            "machine 1 crashes at 5 ms and never reboots: the fleet "
-            "degrades gracefully on the surviving machines",
-            FaultSpec(kind="machine_crash", machine=1, at_ns=5_000_000),
-        ),
-        _plan(
-            "double-crash",
-            "machines 1 and 2 crash in overlapping windows: the fleet "
-            "rides through a third of its capacity going away",
-            FaultSpec(kind="machine_crash", machine=1,
-                      at_ns=5_000_000, duration_ns=25_000_000),
-            FaultSpec(kind="machine_crash", machine=2,
-                      at_ns=12_000_000, duration_ns=25_000_000),
-        ),
-        _plan(
-            "noisy-module",
-            "machine 1's scheduler module strikes out in task_tick: "
-            "per-machine containment fails it over to the native class "
-            "and fleet health evicts, then re-admits, the machine",
-            FaultSpec(kind="raise", callback="task_tick", at=3, count=8,
-                      machine=1),
         ),
     )
 }

@@ -148,15 +148,10 @@ class QueueRegistry:
     """
 
     def __init__(self):
-        self._next_id = 0
         self.user_queues = {}      # queue_id -> RingBuffer[UserMessage]
         self.rev_queues = {}       # queue_id -> RingBuffer[RevMessage]
         self.user_by_tgid = {}     # tgid -> queue_id
         self.rev_by_tgid = {}      # tgid -> queue_id
-
-    def new_queue_id(self):
-        self._next_id += 1
-        return self._next_id
 
     def add_user_queue(self, queue_id, ring, tgid=None):
         if queue_id in self.user_queues:

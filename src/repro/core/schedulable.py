@@ -161,16 +161,3 @@ class TokenRegistry:
 
     def live_pids(self):
         return tuple(self._current)
-
-    def adopt(self, other):
-        """Take over another registry's live tokens (live upgrade).
-
-        Token objects minted by the old registry stay valid: the new
-        registry assumes the old identity mapping.
-        """
-        self._current.update(other._current)
-        self._next_generation = max(
-            self._next_generation, other._next_generation
-        )
-        self._id = other._id
-        return self

@@ -193,8 +193,3 @@ class SchedulerWatchdog:
                     ))
             else:
                 self._idle_with_work_since.pop(cpu, None)
-
-
-def watch(kernel, policy, **kwargs):
-    """Convenience constructor mirroring ``EnokiSchedClass.register``."""
-    return SchedulerWatchdog(kernel, policy, **kwargs)

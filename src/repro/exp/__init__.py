@@ -6,17 +6,14 @@ package: a :class:`ScenarioSpec` describes a run as data, a
 resulting :class:`Session` carries the handles (shim, policy, fresh
 scheduler factory) that the CLI, benchmark runner, fuzzer, and tests
 need.  :mod:`repro.exp.bench` shards specs across a process pool and
-caches results by spec hash + git revision.  A :class:`ClusterSpec`
-describes a whole simulated fleet the same way (see
-:mod:`repro.cluster`).
+caches results by spec hash + git revision.
 """
 
 from repro.exp.builder import KernelBuilder, Session, enoki_scheduler_names
-from repro.exp.spec import (ClusterSpec, ScenarioSpec,
-                            canonical_fault_plan, parse_topology)
+from repro.exp.spec import (ScenarioSpec, canonical_fault_plan,
+                            parse_topology)
 
 __all__ = [
-    "ClusterSpec",
     "KernelBuilder",
     "ScenarioSpec",
     "Session",

@@ -298,7 +298,7 @@ WORKLOADS = {
 
 def workload_names():
     """Every workload name ``run_spec`` accepts."""
-    return sorted(WORKLOADS) + ["cluster"]
+    return sorted(WORKLOADS)
 
 
 def run_spec(spec):
@@ -306,12 +306,6 @@ def run_spec(spec):
     metrics dict (no wall-clock values)."""
     if isinstance(spec, dict):
         spec = ScenarioSpec.from_dict(spec)
-    if spec.workload == "cluster":
-        # Fleet episodes build their own N kernels; the spec's fleet
-        # parameters all live in workload_options, so the cache key
-        # (spec_hash + git rev) covers them like any other scenario.
-        from repro.cluster import run_cluster_spec
-        return run_cluster_spec(spec)
     runner = WORKLOADS.get(spec.workload)
     if runner is None:
         raise SimError(

@@ -187,11 +187,6 @@ class KernelBuilder:
 
     # -- configuration --------------------------------------------------
 
-    def with_topology(self, topology):
-        """``Topology`` instance or compact string ("small8", "smp:4")."""
-        self._topology = topology
-        return self
-
     def with_config(self, config=None, **overrides):
         if config is not None:
             self._config = config
@@ -246,15 +241,6 @@ class KernelBuilder:
             self._shim_slot["factory"] = factory
         self._registrations.append(register)
         self._policy = policy
-        return self
-
-    def with_scheduler(self, sched_class, priority=10, under_test=True):
-        """Register an already-built :class:`SchedClass` instance."""
-        def register(kernel):
-            kernel.register_sched_class(sched_class, priority=priority)
-        self._registrations.append(register)
-        if under_test or self._policy is None:
-            self._policy = sched_class.policy
         return self
 
     def with_ghost(self, variant="sol", managed_cpus=None, agent_cpu=None,

@@ -26,13 +26,9 @@ Each name loads its submodule on first use (:func:`repro.lazy_exports`).
 from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "accounting": "KernelAccounting merge_accounting_snapshots "
-                  "task_delay_row",
+    "accounting": "KernelAccounting task_delay_row",
     "export": "chrome_trace ftrace_lines write_chrome write_ftrace",
-    "fleet": "fleet_snapshot machine_gauges merge_fleet_accounting "
-             "merge_fleet_wakeup_latency",
-    "metrics": "Counter Gauge Histogram MetricsRegistry "
-               "merge_histogram_snapshots merge_registry_snapshots",
+    "metrics": "Counter Gauge Histogram MetricsRegistry",
     "observer": "Observer",
     "profiler": "CallbackProfile CallbackProfiler",
     "telemetry": "SLOMonitor SLOTarget TelemetrySampler build_report "

@@ -20,13 +20,9 @@ reproduction's inline path.  Two tiers:
   ``update_curr``, run-queue-depth watermarks at enqueue.  A kernel
   that never attaches one pays only the ``is None`` tests, so the
   shim's quiet crossing stays intact.
-
-Snapshots are plain data and merge exactly across sharded kernels
-(:func:`merge_accounting_snapshots`), pairing with
-:func:`repro.obs.metrics.merge_registry_snapshots` for fleet roll-ups.
 """
 
-from repro.obs.metrics import Histogram, merge_histogram_snapshots
+from repro.obs.metrics import Histogram
 from repro.simkernel.task import TaskState
 
 
@@ -154,8 +150,7 @@ class KernelAccounting:
 
     def snapshot(self):
         """Plain-data dump: machine totals, per-CPU rows, per-task delay
-        rows, the wakeup-latency distribution (with buckets, so two
-        shards' snapshots merge exactly)."""
+        rows, the wakeup-latency distribution (with buckets)."""
         kernel = self.kernel
         now = kernel.now
         stats = kernel.stats
@@ -182,28 +177,3 @@ class KernelAccounting:
             "run_ns_by_policy": {str(p): ns for p, ns
                                  in sorted(self.run_ns_by_policy.items())},
         }
-
-
-def merge_accounting_snapshots(a, b):
-    """Merge two :meth:`KernelAccounting.snapshot` dumps exactly.
-
-    Shard semantics: each snapshot describes a disjoint kernel (distinct
-    CPUs and tasks), so machine counters sum, task/CPU rows concatenate,
-    per-policy run time sums, and the wakeup histograms merge bucket-wise.
-    Associative, like every merge in this layer.
-    """
-    machine = dict(a["machine"])
-    for key, value in b["machine"].items():
-        machine[key] = machine.get(key, 0) + value
-    policies = dict(a["run_ns_by_policy"])
-    for policy, ns in b["run_ns_by_policy"].items():
-        policies[policy] = policies.get(policy, 0) + ns
-    return {
-        "now_ns": max(a["now_ns"], b["now_ns"]),
-        "machine": machine,
-        "cpus": list(a["cpus"]) + list(b["cpus"]),
-        "tasks": list(a["tasks"]) + list(b["tasks"]),
-        "wakeup_latency": merge_histogram_snapshots(
-            a["wakeup_latency"], b["wakeup_latency"]),
-        "run_ns_by_policy": dict(sorted(policies.items())),
-    }

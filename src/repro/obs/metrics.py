@@ -8,13 +8,6 @@ bounded relative error (at most 1/8 with the default 8 sub-buckets per
 octave) while
 ingestion stays O(1) with a small fixed memory footprint — the property
 the paper's overhead ablation needs from in-kernel telemetry.
-
-Every metric is **mergeable**: :meth:`Histogram.merge` folds another
-histogram's buckets in exactly (bucket counts are integers, so the merge
-is lossless and associative), and the snapshot-level helpers
-(:func:`merge_histogram_snapshots`, :func:`merge_registry_snapshots`)
-do the same over the plain-data dumps — the substrate N sharded kernels
-use to aggregate fleet-wide telemetry without sharing live objects.
 """
 
 #: sub-bucket resolution: 2**SUBBUCKET_BITS linear slots per power of two
@@ -39,31 +32,6 @@ def _bucket_bounds(index):
     shift, sub = divmod(index - _SUB, _HALF)
     lower = (_HALF + sub) << shift
     return lower, lower + (1 << shift)
-
-
-def _percentile_from_buckets(buckets, count, lo, hi, p):
-    """Percentile ``p`` over a bucket-index -> count map.
-
-    Shared by live histograms and merged snapshots so both agree exactly.
-    Returns 0.0 when the distribution is empty.
-    """
-    if not count:
-        return 0.0
-    if p <= 0:
-        return float(lo)
-    if p >= 100:
-        return float(hi)
-    target = p / 100.0 * count
-    seen = 0
-    for index in sorted(buckets):
-        in_bucket = buckets[index]
-        if seen + in_bucket >= target:
-            lower, upper = _bucket_bounds(index)
-            fraction = (target - seen) / in_bucket
-            value = lower + (upper - lower) * fraction
-            return float(min(max(value, lo), hi))
-        seen += in_bucket
-    return float(hi)
 
 
 class Counter:
@@ -150,28 +118,8 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def merge(self, other):
-        """Fold ``other``'s samples into this histogram, losslessly.
-
-        Bucket counts are integers, so merging is exact and associative:
-        ``merge(a, b)`` then ``merge(ab, c)`` equals any other grouping.
-        Returns ``self`` for chaining.
-        """
-        buckets = self.buckets
-        for index, in_bucket in other.buckets.items():
-            buckets[index] = buckets.get(index, 0) + in_bucket
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None
-                                      or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None
-                                      or other.max > self.max):
-            self.max = other.max
-        return self
-
     def copy(self, name=None):
-        """An independent duplicate (merge targets shouldn't alias)."""
+        """An independent duplicate."""
         out = Histogram(name if name is not None else self.name)
         out.buckets = dict(self.buckets)
         out.count = self.count
@@ -187,8 +135,24 @@ class Histogram:
     def percentile(self, p):
         """The value at percentile ``p`` (0..100), interpolated inside the
         containing bucket.  Returns 0.0 for an empty histogram."""
-        return _percentile_from_buckets(self.buckets, self.count,
-                                        self.min, self.max, p)
+        if not self.count:
+            return 0.0
+        if p <= 0:
+            return float(self.min)
+        if p >= 100:
+            return float(self.max)
+        target = p / 100.0 * self.count
+        seen = 0
+        buckets = self.buckets
+        for index in sorted(buckets):
+            in_bucket = buckets[index]
+            if seen + in_bucket >= target:
+                lower, upper = _bucket_bounds(index)
+                fraction = (target - seen) / in_bucket
+                value = lower + (upper - lower) * fraction
+                return float(min(max(value, self.min), self.max))
+            seen += in_bucket
+        return float(self.max)
 
     def quantiles(self):
         """The standard latency summary: p50/p90/p99/p999."""
@@ -201,9 +165,8 @@ class Histogram:
 
     def snapshot(self):
         """Plain-data dump.  ``buckets`` carries the full distribution
-        (sorted ``[index, count]`` pairs), so snapshots merge losslessly
-        via :func:`merge_histogram_snapshots` and JSON round-trips keep
-        the heatmap/merge fidelity."""
+        (sorted ``[index, count]`` pairs), so JSON round-trips keep the
+        heatmap fidelity."""
         out = {
             "count": self.count,
             "sum": self.sum,
@@ -216,72 +179,8 @@ class Histogram:
         out.update(self.quantiles())
         return out
 
-    @classmethod
-    def from_snapshot(cls, snap, name=""):
-        """Rebuild a live histogram from a :meth:`snapshot` dump."""
-        out = cls(name)
-        out.buckets = {int(i): int(n) for i, n in snap.get("buckets", [])}
-        out.count = snap.get("count", 0)
-        out.sum = snap.get("sum", 0)
-        if out.count:
-            out.min = snap.get("min", 0)
-            out.max = snap.get("max", 0)
-        return out
-
     def __repr__(self):
         return f"Histogram({self.name!r}, n={self.count})"
-
-
-def merge_histogram_snapshots(a, b):
-    """Merge two histogram snapshot dicts exactly.
-
-    Works on the plain-data form (so it composes across process and JSON
-    boundaries) and is associative: bucket counts, totals, and extremes
-    are integer sums/min/max, and the derived stats are recomputed from
-    the merged buckets.
-    """
-    merged = Histogram.from_snapshot(a)
-    merged.merge(Histogram.from_snapshot(b))
-    return merged.snapshot()
-
-
-def merge_registry_snapshots(a, b):
-    """Merge two :meth:`MetricsRegistry.snapshot` dumps.
-
-    Fleet-aggregation semantics: counters sum, gauge values sum (their
-    watermarks take the elementwise min/max), histograms merge exactly.
-    Metric names present in only one snapshot pass through unchanged.
-    """
-    counters = dict(a.get("counters", {}))
-    for name, value in b.get("counters", {}).items():
-        counters[name] = counters.get(name, 0) + value
-    gauges = {}
-    a_gauges = a.get("gauges", {})
-    b_gauges = b.get("gauges", {})
-    for name in set(a_gauges) | set(b_gauges):
-        ga = a_gauges.get(name)
-        gb = b_gauges.get(name)
-        if ga is None or gb is None:
-            gauges[name] = dict(ga if ga is not None else gb)
-            continue
-        gauges[name] = {
-            "value": ga["value"] + gb["value"],
-            "min": min(ga["min"], gb["min"]),
-            "max": max(ga["max"], gb["max"]),
-        }
-    histograms = {}
-    a_hists = a.get("histograms", {})
-    b_hists = b.get("histograms", {})
-    for name in set(a_hists) | set(b_hists):
-        ha = a_hists.get(name)
-        hb = b_hists.get(name)
-        if ha is None or hb is None:
-            histograms[name] = dict(ha if ha is not None else hb)
-            continue
-        histograms[name] = merge_histogram_snapshots(ha, hb)
-    return {"counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items()))}
 
 
 class MetricsRegistry:

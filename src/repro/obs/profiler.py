@@ -30,10 +30,6 @@ class CallbackProfile:
         self.wall_ns = 0
         self.wall_hist = Histogram(f"enoki.{hook}.wall_ns")
 
-    @property
-    def mean_virtual_ns(self):
-        return self.virtual_ns / self.count if self.count else 0.0
-
 
 class CallbackProfiler:
     """Profiles every message dispatched into one (or more) schedulers."""

@@ -55,14 +55,6 @@ class RtSchedClass(SchedClass):
 
     # -- task admission ------------------------------------------------------
 
-    def set_rt_priority(self, pid, priority, round_robin=False):
-        """Assign the static priority (prefer :meth:`spawn_rt`, which
-        applies the priority before placement)."""
-        if not 1 <= priority <= 99:
-            raise ValueError(f"rt priority out of range: {priority}")
-        self.rt_priority[pid] = priority
-        self.round_robin[pid] = round_robin
-
     def spawn_rt(self, prog, priority, round_robin=False, **spawn_kwargs):
         """Spawn a task under this class with its priority pre-assigned,
         so placement and queueing see the real priority from the start

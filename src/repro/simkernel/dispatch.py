@@ -141,7 +141,6 @@ class DispatchEngine:
             if prev.group is not None:
                 k.groups.unaccount(prev)
             cls.task_dead(prev.pid)
-            k.lifecycle.notify_exit(prev)
         else:
             raise SimError(f"unknown disposition {disposition}")
         # Every disposition ran exactly one state hook.

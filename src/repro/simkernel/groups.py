@@ -108,10 +108,6 @@ class TaskGroup:
         self._timer_armed = False
         self._enforce_pending = False
 
-    def entity_weight(self, cpu):
-        """Total weight of this group's runnable entities on ``cpu``."""
-        return self.task_weight[cpu] + self.child_weight[cpu]
-
     def iter_subtree(self):
         """Yield this group and every descendant (deterministic order)."""
         stack = [self]
@@ -121,7 +117,7 @@ class TaskGroup:
             stack.extend(reversed(node.children))
 
     def snapshot(self):
-        """Mergeable per-group stats row (fleet rollups, obs gauges)."""
+        """Per-group stats row (obs gauges)."""
         return {
             "weight": self.weight,
             "quota_ns": self.quota_ns,
@@ -443,7 +439,7 @@ class GroupManager:
         k.migration.kick_cpu_for_wakeup(task, cpu, None, cls)
 
     # ------------------------------------------------------------------
-    # introspection (sanitizers, obs, fleet rollups)
+    # introspection (sanitizers, obs)
     # ------------------------------------------------------------------
 
     def parked_containers(self, pid):

@@ -18,8 +18,7 @@ the logic lives in four collaborating subsystems, each owning one concern:
   (``kernel.migration``) — wakeup placement, the IPI/idle-exit cost
   model, and run-queue migration with failed-migration accounting.
 * :class:`~repro.simkernel.lifecycle.LifecycleManager`
-  (``kernel.lifecycle``) — pid allocation, fork placement, and exit
-  notification.
+  (``kernel.lifecycle``) — pid allocation and fork placement.
 
 ``Kernel`` itself owns all shared state — run queues, the current task of
 every CPU, the task table, the registered
@@ -190,10 +189,6 @@ class Kernel:
         ``drain_rev(task)``; the Enoki adapter installs one per scheduler.
         """
         self._hint_handlers[policy] = handler
-
-    def on_task_exit(self, callback):
-        """Register ``callback(task)`` to run when any task exits."""
-        self.lifecycle.on_task_exit(callback)
 
     # ------------------------------------------------------------------
     # time

@@ -1,10 +1,9 @@
-"""Task lifecycle: creation, fork placement, and exit notification.
+"""Task lifecycle: creation and fork placement.
 
 One of the four kernel-core subsystems (see :mod:`repro.simkernel.kernel`
-for the facade): this one allocates pids, builds ``TaskStruct`` objects,
-runs the fork path (``select_task_rq`` -> attach -> ``task_new``), and
-fans task-exit notifications out to registered callbacks (the watchdog
-and failover machinery ride these).
+for the facade): this one allocates pids, builds ``TaskStruct`` objects
+and runs the fork path (``select_task_rq`` -> attach -> ``task_new``).
+Exit is the dispatch engine's ``EXIT`` disposition.
 """
 
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_FORK
@@ -12,12 +11,11 @@ from repro.simkernel.task import TaskState, TaskStruct
 
 
 class LifecycleManager:
-    """Creates tasks and announces their exits."""
+    """Creates tasks."""
 
     def __init__(self, kernel):
         self.k = kernel
         self._next_pid = 1
-        self._exit_callbacks = []
 
     # ------------------------------------------------------------------
     # creation
@@ -76,16 +74,3 @@ class LifecycleManager:
                     origin=origin_cpu)
         k.migration.kick_cpu_for_wakeup(task, cpu, origin_cpu, cls)
         return hook_cost
-
-    # ------------------------------------------------------------------
-    # exit
-    # ------------------------------------------------------------------
-
-    def on_task_exit(self, callback):
-        """Register ``callback(task)`` to run when any task exits."""
-        self._exit_callbacks.append(callback)
-
-    def notify_exit(self, task):
-        """Fan a completed exit out to every registered callback."""
-        for callback in self._exit_callbacks:
-            callback(task)

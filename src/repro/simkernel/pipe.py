@@ -50,12 +50,6 @@ class Pipe:
             raise SimError(f"{task} already waiting on {self.name}")
         self.waiting_readers.append(task)
 
-    def remove_reader(self, task):
-        try:
-            self.waiting_readers.remove(task)
-        except ValueError:
-            pass
-
     def __repr__(self):
         return (
             f"Pipe({self.name!r}, buffered={len(self.buffer)}, "

@@ -93,9 +93,6 @@ class Topology:
 
     # -- queries ----------------------------------------------------------
 
-    def socket_of(self, cpu):
-        return self.cpus[cpu].socket
-
     def llc_of(self, cpu):
         return self.cpus[cpu].llc
 

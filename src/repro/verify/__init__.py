@@ -17,8 +17,6 @@ Each name loads its submodule on first use (:func:`repro.lazy_exports`).
 from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "cluster": "assert_cluster_result check_cluster_ledger "
-               "check_cluster_result",
     "fuzz": "EpisodeResult EpisodeSpec FuzzReport SCHEDULER_NAMES TaskSpec "
             "episode_digest fuzz_run generate_episode run_episode "
             "state_digest",

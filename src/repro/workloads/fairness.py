@@ -14,7 +14,7 @@ Three experiments verifying that the Enoki WFQ scheduler implements the
 
 from dataclasses import dataclass, field
 
-from repro.analysis.stats import mean, stddev
+from repro.analysis.stats import stddev
 from repro.simkernel.clock import msecs
 from repro.simkernel.program import Run, SetAffinity
 
@@ -24,16 +24,8 @@ class FairnessResult:
     finish_times_ns: dict = field(default_factory=dict)   # name -> ns
     runtimes_ns: dict = field(default_factory=dict)
 
-    def spread_ns(self, names=None):
-        values = [v for k, v in self.finish_times_ns.items()
-                  if names is None or k in names]
-        return max(values) - min(values)
-
     def runtime_stddev_ns(self):
         return stddev(list(self.runtimes_ns.values()))
-
-    def runtime_mean_ns(self):
-        return mean(list(self.runtimes_ns.values()))
 
 
 def run_fair_share(kernel, policy, tasks=5, work_ns=msecs(400),

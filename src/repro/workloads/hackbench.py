@@ -24,10 +24,6 @@ class HackbenchResult:
     total_messages: int
 
     @property
-    def elapsed_ms(self):
-        return self.elapsed_ns / 1e6
-
-    @property
     def messages_per_second(self):
         if self.elapsed_ns == 0:
             return 0.0

@@ -50,11 +50,6 @@ class MultitenantResult:
             return 0.0
         return self.runtime_ns(tenant) / self.capacity_ns
 
-    def residual_ratio(self, a, b):
-        """Runtime ratio between two uncapped tenants (weight check)."""
-        denom = self.runtime_ns(b)
-        return self.runtime_ns(a) / denom if denom else float("inf")
-
 
 def _ensure_groups(kernel, tenants):
     for tenant in tenants:

@@ -27,7 +27,7 @@ class TestCli:
         assert "record-replay" in out
         experiments = out.split("paper artefacts")[0].split("\n")[1:]
         assert [line.split()[0] for line in experiments if line] == [
-            "bench", "cluster", "faas", "trace", "chaos", "fuzz"]
+            "bench", "faas", "trace", "chaos", "fuzz"]
 
     def test_no_command_lists(self, capsys):
         assert main([]) == 0
@@ -36,8 +36,8 @@ class TestCli:
     def test_the_five_quick_verbs_are_gone(self, capsys):
         """So are the six flags of the sweeps the catalogue absorbed, the
         three observed-episode verbs ``repro trace`` absorbed and the
-        trace options it dropped; its ``--json`` and ``--live`` exclude
-        each other."""
+        trace options it dropped, and the retired fleet's ``cluster``;
+        ``trace``'s ``--json`` and ``--live`` exclude each other."""
         for gone in (["pipe"], ["schbench"], ["rocksdb"], ["upgrade"],
                      ["fairness"], ["bench", "--smoke"], ["bench", "--faas"],
                      ["bench", "--faas-invocations", "1"],
@@ -45,7 +45,7 @@ class TestCli:
                      ["bench", "--name", "x"], ["stats"], ["top"],
                      ["report"], ["trace", "--export", "chrome"],
                      ["trace", "--capacity", "1"],
-                     ["trace", "--json", "--live"]):
+                     ["trace", "--json", "--live"], ["cluster"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(gone)
             assert excinfo.value.code == 2
@@ -109,7 +109,6 @@ class TestHostileCounts:
         ["trace", "--hogs", "-1"],
         ["chaos", "--hogs", "-1"],
         ["fuzz", "--episodes", "-2"],
-        ["cluster", "--machines", "0"],
         ["bench", "--workers", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_out_of_range_exits_two_with_usage(self, argv, capsys):

@@ -12,11 +12,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import FaultPlan, FaultSpec
 from repro.exp import (
-    ClusterSpec,
     KernelBuilder,
     ScenarioSpec,
     Session,
+    canonical_fault_plan,
     enoki_scheduler_names,
     parse_topology,
 )
@@ -67,14 +68,44 @@ class TestScenarioSpec:
         with pytest.raises(SimError, match="'schd'"):
             ScenarioSpec.from_dict({"schd": "wfq"})
 
-    def test_an_unknown_cluster_field_is_named_not_dropped(self):
-        spec = ClusterSpec(machines=3, slos=({"name": "p99",
-                                              "metric": "wakeup_p99_ns",
-                                              "max": 1},))
-        assert ClusterSpec.from_dict(
-            json.loads(json.dumps(spec.to_dict()))) == spec
-        with pytest.raises(SimError, match="'machnes'"):
-            ClusterSpec.from_dict({"machnes": 9})
+    @pytest.mark.parametrize("data, named", [
+        ({"seed": "x"}, "'seed'"), ({"upgrade_at_ns": "5"}, "'upgrade_at_ns'"),
+        ({"policy": True}, "'policy'"), ({"topology": 8}, "'topology'"),
+        ({"record": 1}, "'record'"), ({"config": []}, "'config'"),
+        ({"groups": "g0"}, "'groups'"), ({"fault_plan": "x"}, "'fault_plan'"),
+        (["pipe"], "must be a mapping"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_a_wrong_typed_value_is_named_at_load(self, data, named):
+        with pytest.raises(SimError, match=named):
+            ScenarioSpec.from_dict(data)
+
+
+class TestFaultPlanCacheKeys:
+    def test_fault_plan_changes_hash(self):
+        clean = ScenarioSpec(name="x", workload="pipe")
+        faulted = ScenarioSpec(name="x", workload="pipe",
+                               fault_plan=FaultPlan.builtin("tick-crash"))
+        assert clean.spec_hash() != faulted.spec_hash()
+
+    def test_plan_object_and_sparse_dict_hash_identically(self):
+        # The sparse spelling leaves out every field at its default.
+        plan = FaultPlan.builtin("rampage")
+        default = FaultSpec(kind="raise").to_dict()
+        sparse = {"name": plan.name, "description": plan.description,
+                  "specs": [{k: v for k, v in s.to_dict().items()
+                             if k == "kind" or v != default[k]}
+                            for s in plan.specs]}
+        as_object = ScenarioSpec(name="x", workload="pipe",
+                                 fault_plan=plan)
+        as_sparse = ScenarioSpec(name="x", workload="pipe",
+                                 fault_plan=sparse)
+        assert as_object.spec_hash() == as_sparse.spec_hash()
+
+    def test_canonical_fault_plan_round_trips(self):
+        plan = FaultPlan.builtin("rampage")
+        canonical = canonical_fault_plan(plan)
+        assert canonical == canonical_fault_plan(canonical)
+        assert canonical_fault_plan(None) is None
 
 
 class TestKernelBuilder:
@@ -136,7 +167,7 @@ class TestKernelBuilder:
         assert session.policy == GHOST_POLICY
 
     def test_from_spec_fault_plan_wires_containment(self):
-        from repro.core import FaultPlan
+        from repro.core import FaultPlan, FaultSpec
         plan = FaultPlan.builtin(FaultPlan.builtin_names()[0]).to_dict()
         spec = ScenarioSpec(sched="wfq", topology="smp:2", fault_plan=plan)
         session = KernelBuilder.session_from_spec(spec)
@@ -145,7 +176,7 @@ class TestKernelBuilder:
         session.stop()
 
     def test_fault_install_requires_shim(self):
-        from repro.core import FaultPlan
+        from repro.core import FaultPlan, FaultSpec
         session = KernelBuilder().with_native("cfs").build()
         plan = FaultPlan.builtin(FaultPlan.builtin_names()[0])
         with pytest.raises(SimError):

@@ -7,6 +7,8 @@ tasks — and with no faults injected, containment is invisible
 (bit-identical traces).
 """
 
+import re
+
 import pytest
 
 from repro.core import (
@@ -18,6 +20,7 @@ from repro.core import (
     UpgradeManager,
 )
 from repro.core.errors import (
+    FailoverError,
     FaultError,
     InjectedFault,
     QueueError,
@@ -116,6 +119,34 @@ class TestFaultSpecs:
     def test_empty_plan_rejected(self):
         with pytest.raises(FaultError):
             FaultPlan(name="empty", specs=()).validate()
+
+    @pytest.mark.parametrize("data, named", [
+        ({"name": "p", "specs": [{"kind": "raise", "callbak": "x"}]},
+         "'callbak'"),
+        ({"name": "p", "specs": [{"kind": "drop_hint", "machine": 1}]},
+         "'machine'"),
+        ({"name": "p", "specs": [{"kind": "drop_hint", "at_ns": 5}]},
+         "'at_ns'"),
+        ({"name": "p", "specs": [{"kind": "drop_hint",
+                                  "duration_ns": 5}]}, "'duration_ns'"),
+        ({"name": "p", "specs": [{"at": 2}]}, "'kind'"),
+        ({"name": "p", "specs": [{"kind": "drop_hint", "at": "3"}]},
+         "'at'"),
+        ({"name": "p", "specs": [{"kind": "drop_hint",
+                                  "probability": "1"}]}, "'probability'"),
+        ({"name": "p", "specs": ["drop_hint"]}, "FaultSpec must be a "
+                                                "mapping"),
+        ({"name": "p"}, "'specs'"),
+        ({"specs": [{"kind": "drop_hint"}]}, "'name'"),
+        ({"name": "p", "seed": "1", "specs": [{"kind": "drop_hint"}]},
+         "'seed'"),
+        ({"name": "p", "specs": [{"kind": "drop_hint"}], "x": 0}, "'x'"),
+        ([], "FaultPlan must be a mapping"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_a_malformed_plan_is_a_fault_error_naming_the_key(
+            self, data, named):
+        with pytest.raises(FaultError, match=re.escape(named)):
+            FaultPlan.from_dict(data)
 
 
 class TestChaosSuite:
@@ -267,6 +298,59 @@ class TestWatchdogEscalation:
         kernel.run_until(40_000_000)
         watchdog.stop()
         assert seen and seen[0].kind == "lost_task"
+
+
+def _contained_stack(nr_cpus=2):
+    kernel, shim, _ = make(nr_cpus)
+    shim.configure_containment(fallback_policy=0)
+    return kernel, shim
+
+
+class TestIdempotentEscalation:
+    def test_double_engage_is_single_failover(self):
+        kernel, shim = _contained_stack()
+        boundary = shim.containment
+        first = boundary.engage_failover(reason="strike")
+        second = boundary.engage_failover(reason="watchdog:lost_task")
+        assert first is second
+        assert kernel.stats.failovers == 1
+        assert boundary.suppressed_escalations == 1
+
+    def test_manager_refuses_failed_shim(self):
+        from repro.core.failover import FailoverManager
+        kernel, shim = _contained_stack()
+        shim.containment.engage_failover(reason="strike")
+        manager = FailoverManager(shim, fallback_policy=0)
+        with pytest.raises(FailoverError):
+            manager.engage(manager.find_fallback(), reason="again")
+
+    def test_watchdog_escalates_once(self):
+        from repro.core.watchdog import Finding
+        kernel, shim = _contained_stack()
+        watchdog = SchedulerWatchdog(kernel, POLICY,
+                                     escalate=shim.containment,
+                                     escalate_kinds=("lost_task",))
+        finding = Finding(kind="lost_task", at_ns=0, pid=1, cpu=0)
+        watchdog._escalate(finding)
+        watchdog._escalate(finding)
+        assert kernel.stats.failovers == 1
+        assert watchdog.escalations_suppressed == 1
+
+    def test_watchdog_suppresses_after_same_step_strike(self):
+        # A containment strike already failed the shim over when the
+        # watchdog scan lands in the same event step: the watchdog must
+        # record the suppression instead of double-firing.
+        from repro.core.watchdog import Finding
+        kernel, shim = _contained_stack()
+        watchdog = SchedulerWatchdog(kernel, POLICY,
+                                     escalate=shim.containment,
+                                     escalate_kinds=("lost_task",))
+        shim.containment.engage_failover(reason="strike")
+        assert kernel.stats.failovers == 1
+        watchdog._escalate(Finding(kind="lost_task", at_ns=0, pid=1,
+                                   cpu=0))
+        assert kernel.stats.failovers == 1
+        assert watchdog.escalations_suppressed == 1
 
 
 class TestHintFaults:

@@ -16,7 +16,6 @@ from repro.core import EnokiSchedClass, UpgradeManager
 from repro.core.faults import FaultPlan
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.exp.spec import canonical_groups
-from repro.obs.fleet import merge_fleet_groups
 from repro.obs.observer import Observer
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.wfq import EnokiWfq
@@ -286,30 +285,6 @@ class TestObservability:
         assert "groups.t.quota_ns" in snap["gauges"]
         assert observer.events_of_kind("throttle")
         assert observer.events_of_kind("unthrottle")
-
-    def test_fleet_rollup_merges_groups_by_name(self):
-        class FakeMachine:
-            def __init__(self, index, kernel):
-                self.index = index
-                self.session = type("S", (), {"kernel": kernel})()
-
-        machines = []
-        for index in range(2):
-            kernel = make_cfs()
-            kernel.groups.create("tenant",
-                                 quota_ns=msecs(1), period_ns=msecs(5))
-            kernel.spawn(spinner(msecs(3)), group="tenant",
-                         allowed_cpus=PIN0)
-            kernel.run_until_idle()
-            machines.append(FakeMachine(index, kernel))
-        merged = merge_fleet_groups(machines)
-        assert merged["tenant"]["machines"] == 2
-        assert merged["tenant"]["total_runtime_ns"] == sum(
-            m.session.kernel.groups.group("tenant").total_runtime_ns
-            for m in machines)
-        assert merged["tenant"]["throttle_count"] == sum(
-            m.session.kernel.groups.group("tenant").throttle_count
-            for m in machines)
 
 
 class TestCompositionWithFaults:

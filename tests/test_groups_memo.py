@@ -2,7 +2,7 @@
 
 ``GroupManager.effective_weight`` leaves its result on the task under
 ``(cpu, index_gen[cpu], own weight)`` and CFS trusts that key without
-walking the chain (DESIGN §10, §13).  The property: whatever sequence of
+walking the chain (DESIGN §10, §12).  The property: whatever sequence of
 spawns, wakes, blocks, migrations, renices, throttles and unthrottles a
 random forest goes through, a key that still matches holds exactly what a
 from-scratch walk computes, and what ``cfs.update_curr`` charges with is

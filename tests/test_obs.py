@@ -14,9 +14,7 @@ from repro.obs import (
     ftrace_lines,
     render_report_markdown,
 )
-from repro.obs.metrics import (Gauge, _bucket_bounds, _bucket_index,
-                               merge_histogram_snapshots,
-                               merge_registry_snapshots)
+from repro.obs.metrics import Gauge, _bucket_bounds, _bucket_index
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology
@@ -146,38 +144,6 @@ class TestHistogram:
         assert hist.percentile(-5) == 3        # clamped below
         assert hist.percentile(250) == 123_456  # clamped above
 
-    def test_merge_with_disjoint_buckets(self):
-        low = Histogram("low")
-        high = Histogram("high")
-        for sample in (1, 2, 3):
-            low.record(sample)
-        for sample in (10**6, 2 * 10**6):
-            high.record(sample)
-        low.merge(high)
-        assert low.count == 5
-        assert low.min == 1 and low.max == 2 * 10**6
-        assert low.percentile(0) == 1
-        assert low.percentile(100) == 2 * 10**6
-        # Every bucket of both parents survives in the merge.
-        assert len(low.snapshot()["buckets"]) == 5
-
-    def test_snapshot_merge_matches_live_merge_and_is_associative(self):
-        parts = []
-        for seed, samples in enumerate(((5, 70, 900), (70, 12_000),
-                                        (900, 900, 31))):
-            hist = Histogram(f"h{seed}")
-            for sample in samples:
-                hist.record(sample)
-            parts.append(hist)
-        combined = Histogram("all")
-        for hist in parts:
-            for_merge = hist.copy()
-            combined.merge(for_merge)
-        a, b, c = (h.snapshot() for h in parts)
-        left = merge_histogram_snapshots(merge_histogram_snapshots(a, b), c)
-        right = merge_histogram_snapshots(a, merge_histogram_snapshots(b, c))
-        assert left == right == combined.snapshot()
-
     def test_gauge_watermarks(self):
         gauge = Gauge("g")
         assert gauge.snapshot() == {"value": 0, "min": 0, "max": 0}
@@ -186,25 +152,6 @@ class TestHistogram:
         gauge.add(10)
         snap = gauge.snapshot()
         assert snap == {"value": 8, "min": -2, "max": 8}
-
-    def test_registry_snapshot_merge(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("shared").inc(2)
-        b.counter("shared").inc(5)
-        a.counter("only-a").inc(1)
-        a.gauge("g").set(3)
-        b.gauge("g").set(9)
-        a.histogram("h").record(10)
-        b.histogram("h").record(5_000)
-        merged = merge_registry_snapshots(a.snapshot(), b.snapshot())
-        assert merged["counters"]["shared"] == 7
-        assert merged["counters"]["only-a"] == 1
-        assert merged["gauges"]["g"]["value"] == 12
-        assert merged["gauges"]["g"]["min"] == 3   # min of the shard mins
-        assert merged["gauges"]["g"]["max"] == 9
-        assert merged["histograms"]["h"]["count"] == 2
-        json.dumps(merged)
 
 
 class TestChromeExport:

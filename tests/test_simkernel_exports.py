@@ -129,8 +129,7 @@ class TestImportGraph:
 
     def test_native_cfs_session_loads_no_framework(self):
         loaded = session_modules("cfs")
-        for package in ("repro.core", "repro.obs", "repro.verify",
-                        "repro.cluster"):
+        for package in ("repro.core", "repro.obs", "repro.verify"):
             assert not under(loaded, package), package
         assert under(loaded, "repro.schedulers") == {
             "repro.schedulers", "repro.schedulers.cfs"}
@@ -145,7 +144,6 @@ class TestImportGraph:
 
     def test_importing_verify_loads_none_of_it(self):
         loaded = repro_modules_after("import repro.verify")
-        assert not under(loaded, "repro.cluster")
         assert under(loaded, "repro.verify") == {"repro.verify"}
 
     def test_listing_enoki_schedulers_imports_none(self):

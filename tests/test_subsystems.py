@@ -327,7 +327,7 @@ class TestKernelFacadeApi:
     METHODS = (
         "register_sched_class", "unregister_sched_class",
         "redirect_policy", "class_of", "class_priority",
-        "register_hint_handler", "on_task_exit",
+        "register_hint_handler",
         "spawn", "wake_task", "place_task", "try_migrate", "resched_cpu",
         "run_until", "run_for", "run_until_idle",
         "runnable_pids", "current_pid", "queued_cpus", "running_cpus",

@@ -3,7 +3,7 @@
 Covers the inline (trace-free) accounting path end to end: every
 nanosecond of a task's life lands in exactly one of run/wait/sleep/block,
 the sampler's windows tile the episode, SLO violations surface as trace
-events and counters, and sharded snapshots merge to the combined totals.
+events and counters.
 """
 
 import contextlib
@@ -16,9 +16,7 @@ from repro.exp import KernelBuilder
 from repro.exp.bench import run_spec
 from repro.exp.spec import ScenarioSpec
 from repro.obs import Observer
-from repro.obs.accounting import (KernelAccounting,
-                                  merge_accounting_snapshots,
-                                  task_delay_row)
+from repro.obs.accounting import KernelAccounting, task_delay_row
 from repro.obs.telemetry import (SLOMonitor, SLOTarget, TelemetrySampler,
                                  TIMESERIES_COLUMNS, build_report,
                                  latency_heatmap, render_report_markdown,
@@ -111,30 +109,6 @@ class TestDelayAccounting:
         stats = session.kernel.stats
         total_steals = sum(c.steals for c in stats.cpus)
         assert total_steals == stats.total_migrations
-
-    def test_snapshot_merges_to_combined_totals(self):
-        # Two disjoint shards vs their merge: machine counters sum,
-        # task/CPU rows concatenate, histogram counts add.
-        snaps = []
-        for hogs in (2, 5):
-            session, _result = pipe_episode(
-                rounds=120, hogs=hogs, telemetry_ns=usecs(500))
-            snaps.append(session.telemetry.accounting.snapshot())
-        merged = merge_accounting_snapshots(snaps[0], snaps[1])
-        for key in merged["machine"]:
-            assert merged["machine"][key] == (snaps[0]["machine"][key]
-                                             + snaps[1]["machine"][key])
-        assert len(merged["tasks"]) == (len(snaps[0]["tasks"])
-                                        + len(snaps[1]["tasks"]))
-        assert len(merged["cpus"]) == 16
-        assert merged["wakeup_latency"]["count"] == (
-            snaps[0]["wakeup_latency"]["count"]
-            + snaps[1]["wakeup_latency"]["count"])
-        for policy in merged["run_ns_by_policy"]:
-            assert merged["run_ns_by_policy"][policy] == (
-                snaps[0]["run_ns_by_policy"].get(policy, 0)
-                + snaps[1]["run_ns_by_policy"].get(policy, 0))
-        json.dumps(merged)
 
 
 class TestTelemetrySampler:

@@ -156,18 +156,6 @@ class TestKernelMisc:
         with pytest.raises(ProgramError):
             kernel.run_until_idle()
 
-    def test_on_task_exit_callbacks(self):
-        kernel = self.make()
-        exited = []
-        kernel.on_task_exit(lambda t: exited.append(t.pid))
-
-        def prog():
-            yield Run(1_000)
-
-        task = kernel.spawn(prog, policy=1)
-        kernel.run_until_idle()
-        assert exited == [task.pid]
-
     def test_run_for_and_now(self):
         kernel = self.make()
         kernel.run_for(5_000)
