@@ -1,6 +1,7 @@
 """Tests for the ``repro.exp`` session layer and the bench runner.
 
-Covers the spec's JSON/hash identity, every builder path (native, Enoki,
+Covers the spec's JSON/hash identity, the typed loader behind it, every
+builder path (native, Enoki,
 ghOSt, declarative from-spec), seed threading into the kernel RNG, and
 the bench runner's core promise: results identical at any worker count,
 with or without cache hits.
@@ -8,11 +9,13 @@ with or without cache hits.
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro import dataclass_kwargs
 from repro.core import FaultPlan, FaultSpec
+from repro.core.errors import FaultError
 from repro.exp import (
     KernelBuilder,
     ScenarioSpec,
@@ -78,6 +81,60 @@ class TestScenarioSpec:
     def test_a_wrong_typed_value_is_named_at_load(self, data, named):
         with pytest.raises(SimError, match=named):
             ScenarioSpec.from_dict(data)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    name: str
+    sizes: tuple = ()
+    scale: float = 1.0
+    count: int = 0
+    note: str = None
+
+
+class TestDataclassKwargs:
+    """The one type check every spec and fault-plan loader goes through."""
+
+    def test_a_list_or_tuple_loads_for_a_tuple_field(self):
+        for sizes in ([1, 2], (1, 2)):
+            data = {"name": "a", "sizes": sizes}
+            assert dataclass_kwargs(_Shape, data, SimError) == data
+
+    def test_an_int_loads_for_a_float_field_but_not_the_reverse(self):
+        assert dataclass_kwargs(_Shape, {"name": "a", "scale": 2},
+                                SimError)["scale"] == 2
+        with pytest.raises(SimError, match="'count' must be int, got 2.0"):
+            dataclass_kwargs(_Shape, {"name": "a", "count": 2.0}, SimError)
+
+    def test_a_bool_is_not_an_int(self):
+        with pytest.raises(SimError, match="'count' must be int, got True"):
+            dataclass_kwargs(_Shape, {"name": "a", "count": True}, SimError)
+
+    def test_none_loads_only_where_the_default_is_none(self):
+        assert dataclass_kwargs(_Shape, {"name": "a", "note": None},
+                                SimError)["note"] is None
+        for key in ("name", "count"):
+            with pytest.raises(SimError, match=repr(key)):
+                dataclass_kwargs(_Shape, {"name": "a", key: None}, SimError)
+
+    def test_every_unknown_key_is_named(self):
+        with pytest.raises(SimError, match="'aa', 'zz'"):
+            dataclass_kwargs(_Shape, {"name": "a", "zz": 1, "aa": 2},
+                             SimError)
+
+    def test_a_missing_required_field_is_named(self):
+        with pytest.raises(SimError, match="_Shape needs field 'name'"):
+            dataclass_kwargs(_Shape, {"count": 1}, SimError)
+
+    def test_the_caller_names_the_error_class(self):
+        with pytest.raises(FaultError, match="must be a mapping, got list"):
+            dataclass_kwargs(_Shape, [("name", "a")], FaultError)
+
+    def test_the_result_is_a_copy(self):
+        data = {"name": "a"}
+        out = dataclass_kwargs(_Shape, data, SimError)
+        out["count"] = 3
+        assert data == {"name": "a"}
 
 
 class TestFaultPlanCacheKeys:

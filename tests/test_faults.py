@@ -7,6 +7,7 @@ tasks — and with no faults injected, containment is invisible
 (bit-identical traces).
 """
 
+import json
 import re
 
 import pytest
@@ -112,6 +113,17 @@ class TestFaultSpecs:
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone == plan
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PLANS))
+    def test_builtin_plan_round_trips_through_json(self, name):
+        # JSON turns the specs tuple into a list and may turn 1.0 into 1;
+        # the typed loader must take both back to the same plan.
+        plan = FaultPlan.builtin(name).with_seed(5)
+        data = json.loads(json.dumps(plan.to_dict()))
+        assert FaultPlan.from_dict(data) == plan
+        for spec in data["specs"]:
+            spec["probability"] = int(spec["probability"])
+        assert FaultPlan.from_dict(data) == plan
+
     def test_unknown_builtin(self):
         with pytest.raises(FaultError):
             FaultPlan.builtin("no-such-plan")
@@ -170,6 +182,27 @@ class TestChaosSuite:
         assert first.summary() == second.summary()
         assert [(e.kind, e.callback, e.invocation) for e in first.fired] \
             == [(e.kind, e.callback, e.invocation) for e in second.fired]
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PLANS))
+    def test_builtin_plan_replays_identically(self, name):
+        """Two runs of one seeded plan: the same faults fire at the same
+        invocations, and containment ends the same way at the same
+        virtual time."""
+        def outcome():
+            kernel, shim, injector, watchdog, _, _ = run_plan(
+                FaultPlan.builtin(name).with_seed(3))
+            stats = kernel.stats
+            return (
+                kernel.now, injector.fired, shim.failed,
+                shim.containment.failover_report,
+                [(p.at_ns, p.hook, p.kind, p.strike)
+                 for p in shim.containment.panics],
+                [(f.kind, f.at_ns, f.pid) for f in watchdog.report.findings],
+                (stats.contained_panics, stats.failovers, stats.pick_errors,
+                 stats.hint_drops, stats.total_wakeups),
+            )
+
+        assert outcome() == outcome()
 
 
 class TestContainment:

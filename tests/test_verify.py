@@ -11,13 +11,15 @@ from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.fifo import EnokiFifo
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import usecs
+from repro.simkernel.errors import SimError
 from repro.obs import Observer
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.tracing import SchedTracer
-from repro.verify import (SanitizerError, SanitizerSuite, ShrinkResult,
-                          assert_kernel_state, check_kernel_state, fuzz_run,
-                          generate_episode, load_artifact, run_episode,
-                          shrink_episode, write_artifact)
+from repro.verify import (EpisodeSpec, SanitizerError, SanitizerSuite,
+                          ShrinkResult, assert_kernel_state,
+                          check_kernel_state, fuzz_run, generate_episode,
+                          load_artifact, run_episode, shrink_episode,
+                          write_artifact)
 from repro.verify.sanitizers import (DEFAULT_SANITIZERS, Sanitizer, Violation,
                                      conservation_violations)
 
@@ -495,6 +497,18 @@ class TestFuzzer:
             spec = generate_episode(seed)
             data = json.loads(json.dumps(spec.to_dict()))
             assert type(spec).from_dict(data) == spec
+
+    @pytest.mark.parametrize("task, key, value", [
+        (False, "nr_cpus", "x"), (False, "seed", 1.5),
+        (False, "upgrade_at_ns", "5"), (False, "plan", []),
+        (False, "tasks", "t"), (True, "run_ns", "5"),
+        (True, "hints", 1), (True, "phases", True), (True, "group", None),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_a_wrong_typed_value_is_named_at_load(self, task, key, value):
+        data = generate_episode(3).to_dict()
+        (data["tasks"][0] if task else data)[key] = value
+        with pytest.raises(SimError, match=repr(key)):
+            EpisodeSpec.from_dict(data)
 
     def test_episode_runs_are_reproducible(self):
         spec = generate_episode(123)
