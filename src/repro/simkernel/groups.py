@@ -439,12 +439,8 @@ class GroupManager:
         k.migration.kick_cpu_for_wakeup(task, cpu, None, cls)
 
     # ------------------------------------------------------------------
-    # introspection (sanitizers, obs)
+    # introspection (obs)
     # ------------------------------------------------------------------
-
-    def parked_containers(self, pid):
-        """Names of every group container holding ``pid`` (sanitizers)."""
-        return [g.name for g in self._by_name.values() if pid in g.parked]
 
     def snapshot(self):
         """Per-group stats rows keyed by name (skips a bare root)."""

@@ -298,10 +298,6 @@ class Kernel:
         return [rq.cpu for rq in self.rqs
                 if rq.current is not None and rq.current.pid == pid]
 
-    def in_limbo(self, pid):
-        """True while ``pid`` awaits a deferred placement."""
-        return pid in self._limbo
-
     def alive_tasks(self):
         return [t for t in self.tasks.values()
                 if t.state != TaskState.DEAD]

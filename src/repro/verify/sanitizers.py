@@ -28,6 +28,7 @@ Two ways to use them:
 from dataclasses import dataclass
 
 from repro.obs.observer import Observer
+from repro.simkernel.errors import SchedulingError
 from repro.simkernel.task import TaskState
 
 
@@ -77,39 +78,45 @@ def conservation_violations(kernel, at_ns=None):
     def flag(detail, pid=-1, cpu=-1):
         out.append(Violation("conservation", now, detail, pid, cpu))
 
-    # pid -> CPUs, from one pass over the run queues: the same lists as
-    # ``kernel.queued_cpus(pid)`` / ``running_cpus(pid)``, in CPU order.
-    queued_on, running_on = {}, {}
+    RUNNABLE, RUNNING = TaskState.RUNNABLE, TaskState.RUNNING
+    THROTTLED, DEAD, NEW = TaskState.THROTTLED, TaskState.DEAD, TaskState.NEW
+    # One pass over the run queues: pid -> CPUs (the same lists as
+    # ``kernel.queued_cpus(pid)`` / ``running_cpus(pid)``, in CPU order),
+    # the pids queued twice, and the queued non-runnable tasks.
+    queued_on, running_on, twice, misqueued = {}, {}, set(), []
     for rq in kernel.rqs:
-        for pid in rq.queued:
-            queued_on.setdefault(pid, []).append(rq.cpu)
+        cpu = rq.cpu
+        for pid, task in rq.queued.items():
+            if pid in queued_on:
+                queued_on[pid].append(cpu)
+                twice.add(pid)
+            else:
+                queued_on[pid] = [cpu]
+            if task.state is not RUNNABLE:
+                misqueued.append((pid, task, cpu))
         if rq.current is not None:
-            running_on.setdefault(rq.current.pid, []).append(rq.cpu)
+            running_on.setdefault(rq.current.pid, []).append(cpu)
+    limbo_pids = kernel._limbo
     nowhere = []
+    parked_in = {}      # pid -> names of the group containers holding it
+    for group in kernel.groups.all_groups():
+        for pid in group.parked:
+            parked_in[pid] = parked_in.get(pid, nowhere) + [group.name]
     for pid, task in kernel.tasks.items():
-        queued = queued_on.get(pid, nowhere)
-        running = running_on.get(pid, nowhere)
-        limbo = kernel.in_limbo(pid)
+        limbo = pid in limbo_pids
         state = task.state
-        if len(queued) > 1:
-            flag(f"task queued on {len(queued)} run queues {queued}",
-                 pid=pid)
-        if state is TaskState.DEAD:
-            if queued or running or limbo:
-                flag("dead task still scheduler-visible "
-                     f"(queued={queued}, running={running}, "
-                     f"limbo={limbo})", pid=pid)
-        elif state is TaskState.RUNNING:
-            if len(running) != 1:
-                flag(f"RUNNING task is current on {running} "
-                     "(expected exactly one CPU)", pid=pid)
-            elif running[0] != task.cpu:
-                flag(f"RUNNING task thinks it is on cpu {task.cpu} but "
-                     f"is current on cpu {running[0]}", pid=pid)
-            if queued or limbo:
-                flag(f"RUNNING task also queued={queued} limbo={limbo}",
-                     pid=pid)
-        elif state is TaskState.RUNNABLE:
+        if pid in twice:
+            flag(f"task queued on {len(queued_on[pid])} run queues "
+                 f"{queued_on[pid]}", pid=pid)
+        # Each state tests its clean case first; strings are built only on
+        # the way to a flag.
+        if state is RUNNABLE:
+            # on exactly one of (one run queue, limbo), nowhere else
+            if ((pid in queued_on) != limbo and pid not in twice
+                    and pid not in running_on and pid not in parked_in):
+                continue
+            queued = queued_on.get(pid, nowhere)
+            running = running_on.get(pid, nowhere)
             if running:
                 flag(f"RUNNABLE task is current on cpu {running[0]}",
                      pid=pid)
@@ -120,29 +127,41 @@ def conservation_violations(kernel, at_ns=None):
                 flag("RUNNABLE task lost: on no run queue and not in "
                      "limbo" if not queued else
                      f"RUNNABLE task queued on {queued}", pid=pid)
-            if kernel.groups.parked_containers(pid):
+            if pid in parked_in:
                 flag("RUNNABLE task still parked in throttled group(s) "
-                     f"{kernel.groups.parked_containers(pid)}", pid=pid)
-        elif state is TaskState.BLOCKED:
-            if queued or running or limbo:
-                flag(f"BLOCKED task still scheduler-visible "
+                     f"{parked_in[pid]}", pid=pid)
+        elif state is RUNNING:
+            running = running_on.get(pid, nowhere)
+            if running == [task.cpu] and pid not in queued_on and not limbo:
+                continue
+            queued = queued_on.get(pid, nowhere)
+            if len(running) != 1:
+                flag(f"RUNNING task is current on {running} "
+                     "(expected exactly one CPU)", pid=pid)
+            elif running[0] != task.cpu:
+                flag(f"RUNNING task thinks it is on cpu {task.cpu} but "
+                     f"is current on cpu {running[0]}", pid=pid)
+            if queued or limbo:
+                flag(f"RUNNING task also queued={queued} limbo={limbo}",
+                     pid=pid)
+        elif state is not NEW:
+            # BLOCKED, THROTTLED, DEAD: on no run queue, CPU or limbo
+            if limbo or pid in queued_on or pid in running_on:
+                queued = queued_on.get(pid, nowhere)
+                running = running_on.get(pid, nowhere)
+                who = "dead" if state is DEAD else state.name
+                flag(f"{who} task still scheduler-visible "
                      f"(queued={queued}, running={running}, "
                      f"limbo={limbo})", pid=pid)
-        elif state is TaskState.THROTTLED:
-            if queued or running or limbo:
-                flag(f"THROTTLED task still scheduler-visible "
-                     f"(queued={queued}, running={running}, "
-                     f"limbo={limbo})", pid=pid)
-            containers = kernel.groups.parked_containers(pid)
-            if len(containers) != 1:
-                flag("THROTTLED task parked in "
-                     f"{containers if containers else 'no'} group(s) "
-                     "(expected exactly one)", pid=pid)
-    for rq in kernel.rqs:
-        for pid, task in rq.queued.items():
-            if task.state is not TaskState.RUNNABLE:
-                flag(f"run queue holds non-runnable task "
-                     f"(state {task.state.name})", pid=pid, cpu=rq.cpu)
+            if state is THROTTLED:
+                containers = parked_in.get(pid)
+                if containers is None or len(containers) != 1:
+                    flag("THROTTLED task parked in "
+                         f"{containers if containers else 'no'} group(s) "
+                         "(expected exactly one)", pid=pid)
+    for pid, task, cpu in misqueued:
+        flag(f"run queue holds non-runnable task "
+             f"(state {task.state.name})", pid=pid, cpu=cpu)
     return out
 
 
@@ -168,52 +187,73 @@ def group_bandwidth_violations(kernel, at_ns=None):
     nr_cpus = kernel.topology.nr_cpus
     slack = kernel.config.bandwidth_slack_ns(nr_cpus)
     all_groups = groups.all_groups()
+    RUNNABLE, RUNNING = TaskState.RUNNABLE, TaskState.RUNNING
 
     # -- recount the per-CPU runnable index from task states -----------
-    task_weight = {g.name: [0] * nr_cpus for g in all_groups}
-    counted = {g.name: [0] * nr_cpus for g in all_groups}
+    # group -> (task_weight, counted) rows, only for groups that have an
+    # accounted task; every other group's rows are all zero.
+    recount = {}
     for pid, task in kernel.tasks.items():
         group = task.group
-        accounted = (task.state is TaskState.RUNNING
-                     or (task.state is TaskState.RUNNABLE and task.on_rq))
+        group_cpu = task.group_cpu
         if group is None:
-            if task.group_cpu != -1:
-                flag(f"ungrouped task has group_cpu {task.group_cpu}",
-                     pid=pid)
+            if group_cpu != -1:
+                flag(f"ungrouped task has group_cpu {group_cpu}", pid=pid)
             continue
-        if accounted:
-            if task.group_cpu != task.cpu:
+        state = task.state
+        if state is RUNNING or (state is RUNNABLE and task.on_rq):
+            if group_cpu != task.cpu:
                 flag(f"runnable grouped task accounted on cpu "
-                     f"{task.group_cpu}, lives on cpu {task.cpu}",
+                     f"{group_cpu}, lives on cpu {task.cpu}",
                      pid=pid, cpu=task.cpu)
-            elif 0 <= task.group_cpu < nr_cpus:
-                task_weight[group.name][task.group_cpu] += task.weight
-                counted[group.name][task.group_cpu] += 1
-        elif task.group_cpu != -1:
-            flag(f"{task.state.name} grouped task still accounted on "
-                 f"cpu {task.group_cpu}", pid=pid)
+            elif 0 <= group_cpu < nr_cpus:
+                rows = recount.get(group)
+                if rows is None:
+                    rows = recount[group] = ([0] * nr_cpus, [0] * nr_cpus)
+                rows[0][group_cpu] += task.weight
+                rows[1][group_cpu] += 1
+        elif group_cpu != -1:
+            flag(f"{state.name} grouped task still accounted on "
+                 f"cpu {group_cpu}", pid=pid)
 
+    zeros = [0] * nr_cpus
     for group in all_groups:
-        for cpu in range(nr_cpus):
-            expect_tw = task_weight[group.name][cpu]
-            expect_nr = counted[group.name][cpu]
-            expect_cw = 0
+        expect_tw, expect_nr = recount.get(group, (zeros, zeros))
+        expect_cw = zeros
+        if group.children:
+            expect_nr, expect_cw = list(expect_nr), [0] * nr_cpus
             for child in group.children:
-                if child.nr_runnable[cpu] > 0:
-                    expect_nr += 1
-                    expect_cw += child.weight
-            if group.task_weight[cpu] != expect_tw:
+                for cpu in range(nr_cpus):
+                    if child.nr_runnable[cpu] > 0:
+                        expect_nr[cpu] += 1
+                        expect_cw[cpu] += child.weight
+        if (group.task_weight == expect_tw and group.nr_runnable == expect_nr
+                and group.child_weight == expect_cw):
+            continue
+        for cpu in range(nr_cpus):
+            if group.task_weight[cpu] != expect_tw[cpu]:
                 flag(f"group {group.name!r} task_weight[{cpu}] is "
                      f"{group.task_weight[cpu]}, recount says "
-                     f"{expect_tw}", cpu=cpu)
-            if group.child_weight[cpu] != expect_cw:
+                     f"{expect_tw[cpu]}", cpu=cpu)
+            if group.child_weight[cpu] != expect_cw[cpu]:
                 flag(f"group {group.name!r} child_weight[{cpu}] is "
                      f"{group.child_weight[cpu]}, recount says "
-                     f"{expect_cw}", cpu=cpu)
-            if group.nr_runnable[cpu] != expect_nr:
+                     f"{expect_cw[cpu]}", cpu=cpu)
+            if group.nr_runnable[cpu] != expect_nr[cpu]:
                 flag(f"group {group.name!r} nr_runnable[{cpu}] is "
                      f"{group.nr_runnable[cpu]}, recount says "
-                     f"{expect_nr}", cpu=cpu)
+                     f"{expect_nr[cpu]}", cpu=cpu)
+
+    # Subtree runtime, bottom-up: a group is created after its parent,
+    # so in reverse creation order every child precedes its parent.
+    subtree = {}
+    for group in reversed(all_groups):
+        runtime = 0
+        for task in group.members.values():
+            runtime += task.sum_exec_runtime_ns
+        for child in group.children:
+            runtime += subtree[child]
+        subtree[group] = runtime
 
     # -- bandwidth, conservation, throttle containment -----------------
     for group in all_groups:
@@ -225,10 +265,7 @@ def group_bandwidth_violations(kernel, at_ns=None):
                     flag(f"group {group.name!r} {label} period "
                          f"consumption {consumed} exceeds quota "
                          f"{group.quota_ns} + slack {slack}")
-        subtree_runtime = 0
-        for node in group.iter_subtree():
-            subtree_runtime += sum(
-                t.sum_exec_runtime_ns for t in node.members.values())
+        subtree_runtime = subtree[group]
         if subtree_runtime != group.total_runtime_ns:
             flag(f"group {group.name!r} runtime {group.total_runtime_ns}"
                  f" != subtree task runtime {subtree_runtime} "
@@ -240,8 +277,7 @@ def group_bandwidth_violations(kernel, at_ns=None):
             # means the throttle failed to drain the run queues.
             for node in group.iter_subtree():
                 for pid, task in node.members.items():
-                    if (task.state is TaskState.RUNNABLE
-                            and task.on_rq):
+                    if task.state is RUNNABLE and task.on_rq:
                         flag(f"throttled group {group.name!r} has "
                              f"queued member via {node.name!r}",
                              pid=pid)
@@ -555,14 +591,15 @@ class LockSanitizer(Sanitizer):
         state[1] = False
 
     def check(self, kernel):
+        now = kernel.now if kernel is not None else 0
         for thread, locks in self._held.items():
             if locks:
                 self.flag(f"thread {thread} still holds locks {locks} "
-                          "at end of run", cpu=thread)
+                          "at end of run", at_ns=now, cpu=thread)
         for name, (readers, writer) in self._rw.items():
             if readers or writer:
                 self.flag(f"rwlock {name!r} leaked: readers={readers} "
-                          f"writer={writer}")
+                          f"writer={writer}", at_ns=now)
 
 
 class GroupBandwidthSanitizer(Sanitizer):
@@ -667,7 +704,7 @@ class SanitizerSuite(Observer):
             return False
         try:
             cls = kernel.class_of(task)
-        except Exception:
+        except SchedulingError:
             return False
         return (getattr(cls, "lib", None) is not None
                 and hasattr(cls, "tokens")

@@ -331,7 +331,7 @@ class TestKernelFacadeApi:
         "spawn", "wake_task", "place_task", "try_migrate", "resched_cpu",
         "run_until", "run_for", "run_until_idle",
         "runnable_pids", "current_pid", "queued_cpus", "running_cpus",
-        "in_limbo", "alive_tasks", "all_done",
+        "alive_tasks", "all_done",
         "_update_curr", "_attach_runnable",
     )
     ATTRS = (

@@ -82,6 +82,27 @@ class TestSanitizerSuite:
         assert {v.sanitizer for v in suite.violations} == {"token"}
         assert "without consuming" in suite.violations[0].detail
 
+    def test_task_of_an_unregistered_policy_is_not_monitored(self):
+        kernel, _shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel)
+        task = kernel.spawn(spin(), policy=POLICY)
+        assert suite.monitors_task(task)
+        task.policy = 99
+        assert not suite.monitors_task(task)
+
+    def test_unexpected_class_lookup_errors_propagate(self, monkeypatch):
+        """Only the lookup's own error means "no class"; anything else
+        is a bug and must not silently switch the token check off."""
+        kernel, _shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel)
+        task = kernel.spawn(spin(), policy=POLICY)
+
+        def broken(task):
+            raise KeyError(task.policy)
+        monkeypatch.setattr(kernel, "class_of", broken)
+        with pytest.raises(KeyError):
+            suite.monitors_task(task)
+
     def test_violations_counted_in_metrics(self):
         kernel, shim = make_enoki_kernel()
         suite = SanitizerSuite.attach(kernel)
@@ -210,6 +231,25 @@ class TestEventStreamSanitizers:
         suite._hook("lock_acquire", t=1, cpu=0, lock="A")
         suite.check()
         assert any("still holds" in v.detail for v in suite.violations)
+
+    def test_lock_leaks_are_reported_at_the_end_of_run_time(self):
+        kernel, _shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel)
+        kernel.spawn(spin(phases=1), policy=POLICY)
+        kernel.run_until_idle()
+        suite._hook("lock_acquire", t=1, cpu=0, lock="A")
+        suite._hook("rwlock_read_acquire", t=2, cpu=-1, lock="q")
+        suite.check()
+        leaks = [v for v in suite.violations if v.sanitizer == "lock"]
+        assert [v.detail.split()[0] for v in leaks] == ["thread", "rwlock"]
+        assert kernel.now > 0
+        assert {v.at_ns for v in leaks} == {kernel.now}
+
+    def test_lock_leaks_of_a_detached_suite_are_reported_at_zero(self):
+        suite = SanitizerSuite()
+        suite._hook("lock_acquire", t=1, cpu=0, lock="A")
+        suite.check()
+        assert [v.at_ns for v in suite.violations] == [0]
 
     def test_rwlock_reader_during_writer(self):
         suite = SanitizerSuite()
