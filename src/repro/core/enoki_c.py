@@ -223,9 +223,10 @@ class EnokiSchedClass(SchedClass):
         *Quiet* (nobody watching): the read section is counter
         arithmetic, the call is ``method(*args)``, and the message exists
         only if the call raises and containment wants its repr.
-        *Watched*: the message is built once and goes through
-        ``LibEnoki.dispatch`` (lock events, injector, recorder), then
-        wall timing and the ``enoki_msg`` / profiler / overrun fan-out.
+        *Watched*: the same tuple goes through ``LibEnoki.dispatch``
+        (lock events, injector, recorder), then wall timing and the
+        ``enoki_msg`` / profiler / overrun fan-out.  Either way the
+        message is built only for a panic record's repr.
         """
         lib = self.lib
         rwlock = lib.rwlock
@@ -251,7 +252,6 @@ class EnokiSchedClass(SchedClass):
             # The scheduler was failed over; its dispatches are no-ops
             # (the fallback class owns its tasks via the policy redirect).
             return None
-        message = message_for(func)(*args)
         thread = self._thread_hint
         kernel = self.kernel
         trace = kernel.trace if kernel is not None else None
@@ -261,14 +261,16 @@ class EnokiSchedClass(SchedClass):
         if timed:
             wall_start = time.perf_counter_ns()
         try:
-            response = lib.dispatch(message, thread, extra)
+            response = lib.dispatch(func, args, thread, extra)
         except Exception as exc:
             if boundary is None:
                 raise
-            response = boundary.contain(exc, message)
+            response = boundary.contain(exc, message_for(func)(*args))
         else:
-            if boundary is not None:
-                boundary.after_dispatch(message)
+            injector = self.fault_injector
+            if (boundary is not None and injector is not None
+                    and injector.pending_overrun_ns):
+                boundary.after_dispatch(func, args)
         if not timed:
             return response
         wall_ns = time.perf_counter_ns() - wall_start
@@ -276,7 +278,7 @@ class EnokiSchedClass(SchedClass):
         if self.recorder is not None and self.recorder.active:
             virtual_ns += self._record_ns
         if trace is not None:
-            trace("enoki_msg", t=kernel.now, cpu=thread,
+            trace("enoki_msg", t=kernel.clock.now, cpu=thread,
                   func=func, policy=self.policy, wall_ns=wall_ns,
                   cost=virtual_ns)
         if profiler is not None:
@@ -285,7 +287,8 @@ class EnokiSchedClass(SchedClass):
         if (boundary is not None
                 and boundary.policy.wall_budget_ns is not None
                 and wall_ns > boundary.policy.wall_budget_ns):
-            boundary.note_overrun(func, wall_ns, message=message)
+            boundary.note_overrun(func, wall_ns,
+                                  message=message_for(func)(*args))
         return response
 
     #: the CPU whose hook is being handled; assigned directly at every

@@ -29,6 +29,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from repro.core.errors import EnokiError, FailoverError, InjectedFault
+from repro.core.messages import message_for
 from repro.simkernel.task import TaskState
 
 #: callbacks whose response the kernel consumes synchronously: a crash
@@ -138,17 +139,16 @@ class ContainmentBoundary:
                 raise exc
         return None
 
-    def after_dispatch(self, message):
-        """Post-dispatch checks: charge injected hangs, strike overruns."""
-        injector = self.shim.fault_injector
-        if injector is None or injector.pending_overrun_ns == 0:
-            return
-        overrun = injector.take_overrun_ns()
+    def after_dispatch(self, func, args):
+        """A dispatch of ``func(*args)`` left an injected hang pending:
+        charge it, and strike it when it overran the budget."""
+        overrun = self.shim.fault_injector.take_overrun_ns()
         # The hang consumed real (virtual) CPU time: charge it into the
         # kernel's cost accounting like any other scheduler-induced work.
         self.shim._extra_cost_ns += overrun
         if overrun > self.policy.callback_budget_ns:
-            self.note_overrun(message.FUNCTION, overrun, message=message)
+            self.note_overrun(func, overrun,
+                              message=message_for(func)(*args))
 
     # ------------------------------------------------------------------
     # strike sources

@@ -12,7 +12,6 @@ import copy
 import threading
 
 from repro.core.errors import EnokiError
-from repro.core.hints import UserMessage
 from repro.core.rwlock import SchedulerRwLock
 
 #: spin-lock op -> trace kind
@@ -234,18 +233,20 @@ class LibEnoki:
         scheduler.set_env(self.env)
         scheduler.module_init()
 
-    def dispatch(self, message, thread=-1, extra=None):
-        """Process one message: lock, invoke, record, return the response.
+    def dispatch(self, func, args, thread=-1, extra=None):
+        """Process one call: lock, invoke, record, return the response.
 
-        ``extra`` carries out-of-band payloads (ring buffers for queue
-        registration, the transfer structure for ``reregister_init``) that
-        are passed by reference rather than through the message, exactly as
-        the real implementation shares memory under the message-passing
-        interface (section 6).
+        ``args`` is trait method ``func``'s positional argument tuple, in
+        the message's declared field order.  ``extra`` carries out-of-band
+        payloads (ring buffers for queue registration, the transfer
+        structure for ``reregister_init``) that are passed by reference
+        rather than through the message, exactly as the real
+        implementation shares memory under the message-passing interface
+        (section 6).
 
         This is the *watched* crossing (and the replayer's): Enoki-C's
-        quiet mode calls the trait method directly and never builds the
-        message (see ``EnokiSchedClass._call``).
+        quiet mode calls the trait method directly (see
+        ``EnokiSchedClass._call``).
         """
         rwlock = self.rwlock
         if not rwlock.acquire_read(blocking=False):
@@ -266,11 +267,10 @@ class LibEnoki:
             shim = env._enoki_c
             injector = None if shim is None else shim.fault_injector
             if injector is not None:
-                injector.on_dispatch(message.FUNCTION)
-            response = self._invoke(message, extra)
+                injector.on_dispatch(func)
+            response = self._invoke(func, args, extra)
             if injector is not None:
-                response = injector.filter_response(message.FUNCTION,
-                                                    response)
+                response = injector.filter_response(func, response)
         finally:
             if threaded:
                 env.current_thread = previous_thread
@@ -278,10 +278,10 @@ class LibEnoki:
                 env._thread = previous_thread
             rwlock.release_read()
         if self.recorder is not None:
-            self.recorder.note_call(message, response, thread)
+            self.recorder.note_call(func, args, response, thread)
         return response
 
-    def dispatch_locked(self, message, thread=-1, extra=None):
+    def dispatch_locked(self, func, args, thread=-1, extra=None):
         """Dispatch while the caller holds the upgrade write lock.
 
         Only the upgrade manager uses this, for ``reregister_prepare`` /
@@ -298,40 +298,29 @@ class LibEnoki:
             shim = self.env._enoki_c
             injector = None if shim is None else shim.fault_injector
             if injector is not None:
-                injector.on_dispatch(message.FUNCTION)
-            response = self._invoke(message, extra)
+                injector.on_dispatch(func)
+            response = self._invoke(func, args, extra)
         finally:
             self.env.current_thread = previous_thread
         if self.recorder is not None:
-            self.recorder.note_call(message, response, thread)
+            self.recorder.note_call(func, args, response, thread)
         return response
 
-    #: messages whose payload travels out of band (``extra``) rather than
-    #: as positional message fields
+    #: calls whose payload travels out of band (``extra``) rather than as
+    #: positional message fields
     _OUT_OF_BAND = frozenset((
-        "parse_hint", "register_queue", "register_reverse_queue",
+        "register_queue", "register_reverse_queue",
         "reregister_prepare", "reregister_init",
     ))
 
-    def _invoke(self, message, extra):
-        func = message.FUNCTION
-        if func in self._OUT_OF_BAND:
-            sched = self.scheduler
-            if func == "parse_hint":
-                return sched.parse_hint(
-                    UserMessage(message.pid, message.payload)
-                )
-            if func == "register_queue":
-                return sched.register_queue(extra)
-            if func == "register_reverse_queue":
-                return sched.register_reverse_queue(extra)
-            if func == "reregister_prepare":
-                return sched.reregister_prepare()
-            return sched.reregister_init(extra)
-        method = self.methods[func]
-        getter = message._ARG_GETTER
-        if getter is None:
-            return method()
-        if message._ARG_MULTI:
-            return method(*getter(message))
-        return method(getter(message))
+    def _invoke(self, func, args, extra):
+        if func not in self._OUT_OF_BAND:
+            return self.methods[func](*args)
+        sched = self.scheduler
+        if func == "register_queue":
+            return sched.register_queue(extra)
+        if func == "register_reverse_queue":
+            return sched.register_reverse_queue(extra)
+        if func == "reregister_prepare":
+            return sched.reregister_prepare()
+        return sched.reregister_init(extra)

@@ -9,15 +9,17 @@ Paper, section 3.1:
 
 Each message carries everything the scheduler needs — including the task
 runtime that Enoki-C tracks on the scheduler's behalf — so the scheduler
-never touches kernel state.  Messages also know how to serialise themselves
-for the record log (``to_record``) and how to be rebuilt during replay
-(``from_record``): ``Schedulable`` payloads are serialised as plain
-descriptions and re-minted by the replay engine's registry.
+never touches kernel state.  The dataclasses are the schema: their field
+order is the trait method's positional signature, and the crossing passes
+an argument tuple in that order.  A message object is built only for a
+panic record's repr; the record log's codec (``encode_call`` /
+``decode_call``) goes straight between ``(func, args)`` and plain data,
+writing ``Schedulable`` payloads as descriptions that the replay engine's
+registry re-mints.
 """
 
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Any, Optional, get_args
+from typing import Optional, get_args
 
 from repro.core.errors import RecordError
 from repro.core.schedulable import Schedulable
@@ -31,12 +33,8 @@ def _register(cls):
     _MESSAGE_FOR[cls.FUNCTION] = cls
     # The declared field order IS the trait method's positional signature
     # (tests/test_crossing.py pins it): ``cls(*args)`` builds the message
-    # from a crossing's argument tuple and the C-level bulk getter takes
-    # it apart again, with no per-field loop either way.
-    names = tuple(f.name for f in fields(cls))
-    cls._ARG_NAMES = names
-    cls._ARG_GETTER = attrgetter(*names) if names else None
-    cls._ARG_MULTI = len(names) > 1
+    # from a crossing's argument tuple.
+    cls._ARG_NAMES = tuple(f.name for f in fields(cls))
     # The record codec's only per-field work: the fields declared to hold
     # a ``Schedulable`` (``sched`` wherever a token crosses) are the ones
     # written as descriptions and re-minted on replay.
@@ -63,50 +61,6 @@ class Message:
     FUNCTION = None
     #: field names in positional order (``_register`` fills it per class)
     _ARG_NAMES = ()
-
-    def to_record(self):
-        """Serialise to plain data for the record log."""
-        getter = self._ARG_GETTER
-        if getter is None:
-            payload = {}
-        elif self._ARG_MULTI:
-            payload = dict(zip(self._ARG_NAMES, getter(self)))
-        else:
-            payload = {self._ARG_NAMES[0]: getter(self)}
-        for name in self._TOKEN_FIELDS:
-            token = payload[name]
-            if isinstance(token, Schedulable):
-                payload[name] = {"__schedulable__": token.describe()}
-        return {"type": type(self).__name__, "fields": payload}
-
-    @classmethod
-    def from_record(cls, record, token_minter):
-        """Rebuild a message from a record entry.
-
-        ``token_minter(description)`` supplies fresh ``Schedulable`` tokens
-        for serialised token fields (the replay registry mints them).  A
-        record that names no registered message, or whose fields are not
-        exactly the message's, raises :class:`RecordError`.
-        """
-        try:
-            klass = _MESSAGE_TYPES[record["type"]]
-            values = record["fields"]
-            if len(values) != len(klass._ARG_NAMES):
-                raise TypeError(
-                    f"{klass.__name__} takes fields {klass._ARG_NAMES}")
-            if klass._TOKEN_FIELDS:
-                values = dict(values)     # the entry may be replayed again
-                for name in klass._TOKEN_FIELDS:
-                    described = values[name]
-                    if described is not None:
-                        values[name] = token_minter(
-                            described["__schedulable__"])
-            # With the count right, an unknown name (which the constructor
-            # refuses) is the only way a field can be missing.
-            return klass(**values)
-        except (KeyError, TypeError) as exc:
-            raise RecordError(
-                f"malformed message record {record!r}: {exc!r}") from exc
 
 
 @_register
@@ -311,14 +265,6 @@ class MsgUnregisterRevQueue(Message):
 
 @_register
 @dataclass(slots=True)
-class MsgParseHint(Message):
-    FUNCTION = "parse_hint"
-    pid: int = 0
-    payload: Any = None
-
-
-@_register
-@dataclass(slots=True)
 class MsgReregisterPrepare(Message):
     FUNCTION = "reregister_prepare"
 
@@ -331,6 +277,46 @@ class MsgReregisterInit(Message):
     # by reference exactly as the paper describes); the message only notes
     # that the call happened.
     has_state: bool = False
+
+
+def encode_call(func, args):
+    """Trait call ``func(*args)`` as the record log writes it: the
+    message's name and its fields by name, a token as its description."""
+    cls = _MESSAGE_FOR[func]
+    values = dict(zip(cls._ARG_NAMES, args))
+    for name in cls._TOKEN_FIELDS:
+        token = values[name]
+        if isinstance(token, Schedulable):
+            values[name] = {"__schedulable__": token.describe()}
+    return {"type": cls.__name__, "fields": values}
+
+
+def decode_call(record, token_minter):
+    """Inverse of :func:`encode_call`: ``(func, args)``.
+
+    ``token_minter(description)`` supplies fresh ``Schedulable`` tokens
+    for serialised token fields (the replay registry mints them).  A
+    record that names no registered message, or whose fields are not
+    exactly the message's, raises :class:`RecordError`.
+    """
+    try:
+        cls = _MESSAGE_TYPES[record["type"]]
+        values = record["fields"]
+        names = cls._ARG_NAMES
+        if len(values) != len(names):
+            raise TypeError(f"{cls.__name__} takes fields {names}")
+        # With the count right, an unknown name is the only way a field
+        # can be missing (a KeyError here).
+        args = list(map(values.__getitem__, names))
+        for name in cls._TOKEN_FIELDS:
+            described = values[name]
+            if described is not None:
+                args[names.index(name)] = token_minter(
+                    described["__schedulable__"])
+        return cls.FUNCTION, tuple(args)
+    except (KeyError, TypeError) as exc:
+        raise RecordError(
+            f"malformed message record {record!r}: {exc!r}") from exc
 
 
 def response_to_record(value):

@@ -11,10 +11,10 @@ LibEnoki reports three event streams to the recorder:
 * **outputs** — resched-timer arms and reverse-queue messages, the only
   side channels a scheduler has besides its responses.
 
-Entries flow through a ring buffer shared with a (modelled) userspace
-record task that writes them out asynchronously; if the buffer overruns,
-events are dropped and counted, matching the paper's stated semantics.
-The per-message cost of reserving ring space is charged by Enoki-C
+Entries flow through a ring shared with a (modelled) userspace record
+task that writes them out asynchronously; if the ring overruns, events
+are dropped and counted, matching the paper's stated semantics.  The
+per-message cost of reserving ring space is charged by Enoki-C
 (``record_overhead_ns``), which is what makes the recorded sched-pipe run
 measurably slower (section 5.8).
 """
@@ -22,94 +22,106 @@ measurably slower (section 5.8).
 import json
 
 from repro.core.errors import RecordError
-from repro.core.hints import RingBuffer
-from repro.core.messages import response_to_record
+from repro.core.messages import encode_call, response_to_record
 
 
 class Recorder:
     """Collects the record log for one scheduler module."""
 
     def __init__(self, capacity=1 << 20, drain_batch=4096):
-        self._ring = RingBuffer(capacity, name="record-ring")
+        if type(capacity) is not int or capacity <= 0:
+            raise RecordError(
+                f"record ring capacity must be a positive int: "
+                f"{capacity!r}")
+        self._capacity = capacity
         self._drain_batch = drain_batch
         self.log = []
+        self._pending = []      # in the modelled ring, not yet in ``log``
+        self._held = 0          # len(self._pending)
         self._seq = 0
+        self.dropped = 0
         self.active = True
 
     # -- event intake (called from libEnoki shims) ----------------------
+    #
+    # Every push takes a ``seq``; at ``capacity`` held the entry is
+    # dropped, at ``drain_batch`` held the pending entries go to ``log``.
+    # The two per-crossing kinds (calls, lock ops) push inline, so one
+    # entry costs one call here; the rare kinds go through ``_push``.
 
     def _push(self, entry):
         if not self.active:
             return
         self._seq += 1
+        if self._held >= self._capacity:
+            self.dropped += 1
+            return
         entry["seq"] = self._seq
-        ring = self._ring
-        if ring.push(entry):
-            # The userspace record task drains asynchronously; modelling
-            # it as an immediate batched drain keeps the overflow
-            # semantics while staying single-threaded.  (A drop-new ring
-            # holds exactly ``pushed - popped`` entries.)
-            if ring.pushed - ring.popped >= self._drain_batch:
-                self.log.extend(ring.drain())
-        # else: dropped, counted by the ring
+        self._pending.append(entry)
+        self._held += 1
+        if self._held >= self._drain_batch:
+            self._drain()
 
-    def note_call(self, message, response, thread):
-        self._push({
-            "kind": "call",
-            "thread": thread,
-            "msg": message.to_record(),
-            "response": response_to_record(response),
-        })
+    def _drain(self):
+        self.log.extend(self._pending)
+        self._pending = []
+        self._held = 0
+
+    def note_call(self, func, args, response, thread):
+        """Trait call ``func(*args)`` returned ``response``."""
+        if not self.active:
+            return
+        self._seq += 1
+        if self._held >= self._capacity:
+            self.dropped += 1
+            return
+        if response is not None and response.__class__ is not int:
+            response = response_to_record(response)
+        self._pending.append({"kind": "call", "thread": thread,
+                              "msg": encode_call(func, args),
+                              "response": response, "seq": self._seq})
+        self._held += 1
+        if self._held >= self._drain_batch:
+            self._drain()
 
     def note_lock_created(self, lock_id, name):
-        self._push({
-            "kind": "lock_created",
-            "lock_id": lock_id,
-            "name": name,
-        })
+        self._push({"kind": "lock_created", "lock_id": lock_id,
+                    "name": name})
 
     def note_lock_op(self, op, lock_id, thread):
-        self._push({
-            "kind": "lock",
-            "op": op,
-            "lock_id": lock_id,
-            "thread": thread,
-        })
+        if not self.active:
+            return
+        self._seq += 1
+        if self._held >= self._capacity:
+            self.dropped += 1
+            return
+        self._pending.append({"kind": "lock", "op": op, "lock_id": lock_id,
+                              "thread": thread, "seq": self._seq})
+        self._held += 1
+        if self._held >= self._drain_batch:
+            self._drain()
 
     def note_output(self, channel, payload, thread):
-        self._push({
-            "kind": "output",
-            "channel": channel,
-            "payload": payload,
-            "thread": thread,
-        })
+        self._push({"kind": "output", "channel": channel,
+                    "payload": payload, "thread": thread})
 
     def note_hint(self, queue_id, pid, payload, thread):
         """A userspace hint entered a ring buffer (recorded so replay can
         refill the queue before the matching enter_queue call)."""
-        self._push({
-            "kind": "hint",
-            "queue_id": queue_id,
-            "pid": pid,
-            "payload": payload,
-            "thread": thread,
-        })
+        self._push({"kind": "hint", "queue_id": queue_id, "pid": pid,
+                    "payload": payload, "thread": thread})
 
     # -- finishing ---------------------------------------------------------
 
     def stop(self):
         """Stop recording and flush the ring."""
         self.active = False
-        self.log.extend(self._ring.drain())
-
-    @property
-    def dropped(self):
-        return self._ring.dropped
+        self._drain()
 
     @property
     def entries(self):
         """All drained entries (flushes the ring first)."""
-        self.log.extend(self._ring.drain())
+        self._drain()
         return self.log
 
     def save(self, path):

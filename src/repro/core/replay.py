@@ -31,7 +31,7 @@ from operator import attrgetter
 from repro.core.errors import RecordError, ReplayMismatch
 from repro.core.hints import RingBuffer, UserMessage
 from repro.core.libenoki import EnokiEnv, LibEnoki
-from repro.core.messages import Message, message_for
+from repro.core.messages import decode_call, message_for
 from repro.core.schedulable import Schedulable, TokenRegistry
 
 #: entry kinds the replay loop consumes / the other kinds a recorder writes
@@ -46,6 +46,8 @@ _QUEUE_FUNCTIONS = _RING_FUNCTIONS | {
     "enter_queue", "unregister_queue", "unregister_rev_queue"}
 _QUEUE_MESSAGES = frozenset(message_for(function).__name__
                             for function in _QUEUE_FUNCTIONS)
+#: response types compared as they are (``_normalise`` leaves them alone)
+_SCALARS = frozenset((type(None), bool, int, float, str))
 
 
 def load_trace(path):
@@ -83,7 +85,7 @@ def _malformed(entry, exc):
 
 def _normalise(value):
     """Canonical form for response comparison across JSON round-trips."""
-    if value is None or value.__class__ in (bool, int, float, str):
+    if value.__class__ in _SCALARS:
         return value            # most responses: nothing to canonicalise
     if isinstance(value, Schedulable):
         return {"pid": value.pid, "cpu": value.cpu}
@@ -404,7 +406,6 @@ class ReplayEngine:
         passed over — and check every response against the recorded one.
         ``queue_turns`` (threaded mode) admits hint-queue traffic in the
         recorded order."""
-        from_record = Message.from_record
         mint = self._mint
         dispatch = lib.dispatch
         divergences = result.divergences
@@ -413,11 +414,10 @@ class ReplayEngine:
             try:
                 kind = entry["kind"]
                 if kind == "call":
-                    message = from_record(entry["msg"], mint)
+                    function, args = decode_call(entry["msg"], mint)
                     thread = entry["thread"]
                     recorded = entry["response"]
                     seq = entry["seq"]
-                    function = message.FUNCTION
                     queue_call = function in _QUEUE_FUNCTIONS
                     # Hand the scheduler the reconstructed ring; the
                     # recorded response tells us which id the hints
@@ -436,12 +436,14 @@ class ReplayEngine:
                 raise _malformed(entry, exc) from exc
             if queue_call:
                 with queue_turns:
-                    actual = dispatch(message, thread, extra)
+                    actual = dispatch(function, args, thread, extra)
             else:
-                actual = dispatch(message, thread, extra)
+                actual = dispatch(function, args, thread, extra)
             calls += 1
-            expected = _normalise(recorded)
-            observed = _normalise(actual)
+            expected, observed = recorded, actual
+            if (recorded.__class__ not in _SCALARS
+                    or actual.__class__ not in _SCALARS):
+                expected, observed = _normalise(recorded), _normalise(actual)
             if expected != observed:
                 divergences.append(Divergence(
                     seq=seq,

@@ -20,7 +20,6 @@ service interruption the same way section 5.7's instrumentation does.
 
 from dataclasses import dataclass
 
-from repro.core import messages as msgs
 from repro.core.errors import UpgradeError
 from repro.core.libenoki import LibEnoki
 
@@ -100,7 +99,7 @@ class UpgradeManager:
         abort_error = None
         try:
             # 2. Export state from the old version.
-            state = old_lib.dispatch_locked(msgs.MsgReregisterPrepare())
+            state = old_lib.dispatch_locked("reregister_prepare", ())
             self._check_state_type(old_scheduler, state)
             self._trace_phase("prepare", has_state=state is not None)
 
@@ -114,9 +113,7 @@ class UpgradeManager:
                                    recorder=shim.recorder)
                 new_lib.rwlock = old_lib.rwlock   # same quiesce domain
                 new_lib.dispatch_locked(
-                    msgs.MsgReregisterInit(has_state=state is not None),
-                    extra=state,
-                )
+                    "reregister_init", (state is not None,), extra=state)
                 self._trace_phase("init")
 
                 # Hint queues are "passed as part of the shared state"
@@ -139,9 +136,7 @@ class UpgradeManager:
                 # machine keeps its working scheduler.
                 abort_error = exc
                 old_lib.dispatch_locked(
-                    msgs.MsgReregisterInit(has_state=state is not None),
-                    extra=state,
-                )
+                    "reregister_init", (state is not None,), extra=state)
                 self._trace_phase("abort", error=type(exc).__name__)
         finally:
             old_lib.rwlock.release_write()
@@ -205,12 +200,12 @@ class UpgradeManager:
         """
         registry = shim.queues
         user_ids = {
-            old_id: new_lib.dispatch_locked(msgs.MsgRegisterQueue(),
+            old_id: new_lib.dispatch_locked("register_queue", (0,),
                                             extra=ring)
             for old_id, ring in registry.user_queues.items()
         }
         rev_ids = {
-            old_id: new_lib.dispatch_locked(msgs.MsgRegisterReverseQueue(),
+            old_id: new_lib.dispatch_locked("register_reverse_queue", (0,),
                                             extra=ring)
             for old_id, ring in registry.rev_queues.items()
         }

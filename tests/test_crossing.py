@@ -2,10 +2,12 @@
 
 ``EnokiSchedClass._call(func, args)`` hands the policy an argument tuple in
 the message's declared field order.  *Quiet* (nothing attached) it calls
-the trait method directly and builds no message; *watched* (trace hook,
-profiler, recorder, fault injector, rwlock tap) it builds the message once
-and goes through ``LibEnoki.dispatch``.  These tests pin what keeps the two
-equal: the positional contract, identical arguments either way, identical
+the trait method directly; *watched* (trace hook, profiler, recorder,
+fault injector, rwlock tap) it passes the same tuple through
+``LibEnoki.dispatch(func, args, ...)``, which the recorder encodes
+straight from ``(func, args)``.  Neither mode builds a message unless a
+panic record needs its repr.  These tests pin what keeps the two equal:
+the positional contract, identical arguments either way, identical
 containment, the writer guard, and a mode flag that is never stale.
 """
 
@@ -36,7 +38,7 @@ POLICY = 7
 NR_CPUS = 4
 
 #: trait function -> message class, for every in-band function (the
-#: out-of-band five pass their payload by reference, not positionally)
+#: out-of-band four pass their payload by reference, not positionally)
 IN_BAND = {
     func: cls for func, cls in msgs._MESSAGE_FOR.items()
     if func not in LibEnoki._OUT_OF_BAND
@@ -144,7 +146,12 @@ class TestPositionalContract:
     def test_message_roundtrips_its_argument_tuple(self):
         args = (3, 17, 2, 0, (0, 1))
         message = msgs.message_for("select_task_rq")(*args)
-        assert message._ARG_GETTER(message) == args
+        assert tuple(getattr(message, name)
+                     for name in message._ARG_NAMES) == args
+        record = msgs.encode_call("select_task_rq", args)
+        assert record == {"type": "MsgSelectTaskRq",
+                          "fields": dict(zip(message._ARG_NAMES, args))}
+        assert msgs.decode_call(record, None) == ("select_task_rq", args)
 
 
 class TestTwoModesSeeTheSameArguments:

@@ -13,29 +13,30 @@ from repro.core.schedulable import TokenRegistry
 
 class TestMessageSerialisation:
     def test_roundtrip_plain_message(self):
-        message = msgs.MsgTaskBlocked(pid=4, runtime=123, cpu_seqnum=9,
-                                      cpu=2, from_switchto=False)
-        record = message.to_record()
+        args = (4, 123, 9, 2, False)
+        record = msgs.encode_call("task_blocked", args)
+        assert record == {"type": "MsgTaskBlocked", "fields": {
+            "pid": 4, "runtime": 123, "cpu_seqnum": 9, "cpu": 2,
+            "from_switchto": False}}
         registry = TokenRegistry()
-        rebuilt = msgs.Message.from_record(
+        rebuilt = msgs.decode_call(
             record, lambda d: registry.issue(d["pid"], d["cpu"]))
-        assert rebuilt == message
+        assert rebuilt == ("task_blocked", args)
 
     def test_roundtrip_with_token(self):
         registry = TokenRegistry()
         token = registry.issue(7, 3)
-        message = msgs.MsgTaskWakeup(pid=7, agent_data=0, deferrable=True,
-                                     last_run_cpu=1, wake_up_cpu=3,
-                                     waker_cpu=0, sched=token)
-        record = message.to_record()
+        record = msgs.encode_call("task_wakeup", (7, 0, True, 1, 3, 0, token))
         assert record["fields"]["sched"]["__schedulable__"]["pid"] == 7
 
         replay_registry = TokenRegistry()
-        rebuilt = msgs.Message.from_record(
+        func, args = msgs.decode_call(
             record,
             lambda d: replay_registry.issue(d["pid"], d["cpu"]))
-        assert rebuilt.sched.pid == 7
-        assert rebuilt.sched.cpu == 3
+        assert func == "task_wakeup"
+        assert args[:6] == (7, 0, True, 1, 3, 0)
+        assert args[6].pid == 7
+        assert args[6].cpu == 3
 
     def test_function_names_match_trait(self):
         from repro.core.trait import EnokiScheduler

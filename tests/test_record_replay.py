@@ -81,7 +81,7 @@ class TestRecorder:
         for i in range(10):
             recorder.note_lock_op("acquire", i, 0)
         assert [entry["seq"] for entry in recorder.log] == list(range(1, 9))
-        assert len(recorder._ring) == 2 and recorder.dropped == 0
+        assert recorder.dropped == 0
         assert len(recorder.entries) == 10
         # A drain batch the ring cannot hold: entries past capacity drop.
         recorder = Recorder(capacity=4, drain_batch=8)
@@ -89,6 +89,12 @@ class TestRecorder:
             recorder.note_lock_op("acquire", i, 0)
         assert recorder.log == [] and recorder.dropped == 6
         assert [entry["seq"] for entry in recorder.entries] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("capacity", [True, False, 2.5, "8", None, 0,
+                                          -1])
+    def test_bad_capacity_raises_record_error(self, capacity):
+        with pytest.raises(RecordError, match=repr(capacity)):
+            Recorder(capacity=capacity)
 
     def test_recording_slows_execution(self):
         """Section 5.8: record mode is measurably slower than normal."""
@@ -190,8 +196,9 @@ class TestReplay:
 
 class TestReplayWithHints:
     def test_hint_messages_replay(self, tmp_path):
-        """parse_hint calls are part of the recorded sequence; a replay
-        rebuilds the same group->core bindings."""
+        """Hints are part of the recorded sequence (a hint entry, then the
+        enter_queue call whose default drain hands it to parse_hint); a
+        replay rebuilds the same group->core bindings."""
         from repro.schedulers.locality import EnokiLocality
         from repro.simkernel.program import Run, SendHint, Sleep, Spawn
 
