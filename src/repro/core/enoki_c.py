@@ -115,9 +115,7 @@ class EnokiSchedClass(SchedClass):
                        and self._profiler is None
                        and lib.recorder is None
                        and self.fault_injector is None
-                       and lib.rwlock.on_event is None
-                       and not lib.rwlock._threaded
-                       and not env._threaded)
+                       and lib.rwlock.on_event is None)
         # Spin locks may skip note_lock_op entirely while nobody (recorder
         # or trace hook) consumes lock events.
         env._lock_quiet = env.recorder is None and untraced

@@ -8,9 +8,6 @@ scheduler code reaches the few kernel services it may use (locks, resched
 timers, reverse hint queues).
 """
 
-import copy
-import threading
-
 from repro.core.errors import EnokiError
 from repro.core.rwlock import SchedulerRwLock
 
@@ -44,8 +41,7 @@ class EnokiSpinLock:
                 f"{self._held_by} (self-deadlock)"
             )
         env = self._env
-        self._held_by = (env._thread if not env._threaded
-                         else env.current_thread)
+        self._held_by = env._thread
         if not env._lock_quiet:
             env.note_lock_op("acquire", self.lock_id)
 
@@ -66,8 +62,7 @@ class EnokiSpinLock:
                 f"{self._held_by} (self-deadlock)"
             )
         env = self._env
-        self._held_by = (env._thread if not env._threaded
-                         else env.current_thread)
+        self._held_by = env._thread
         if not env._lock_quiet:
             env.note_lock_op("acquire", self.lock_id)
         return self
@@ -94,13 +89,9 @@ class EnokiEnv:
     def __init__(self, enoki_c=None, recorder=None):
         self._enoki_c = enoki_c
         self.recorder = recorder
-        # A plain attribute carries the current thread id in the (default)
-        # single-threaded simulation; the threaded replayer switches to
-        # thread-local storage via make_threaded() so concurrent dispatches
-        # don't clobber each other.
-        self._threaded = False
+        #: the kernel thread whose call is being dispatched (``dispatch``
+        #: saves and restores it around each call)
         self._thread = -1
-        self._tls = threading.local()
         self._next_lock_id = 0
         self.locks = []
         #: cached "no lock observers" flag: True while neither a recorder
@@ -111,37 +102,9 @@ class EnokiEnv:
         #: safe default for envs without a shim.
         self._lock_quiet = False
 
-    def make_threaded(self):
-        """Route ``current_thread`` through thread-local storage."""
-        self._threaded = True
-
-    def __deepcopy__(self, memo):
-        # Thread-local storage cannot be deep-copied (and never needs to
-        # be: only the threaded replayer populates it, and snapshots are
-        # taken from quiescent single-threaded simulations).  Copy every
-        # other attribute through the memo and give the clone fresh TLS.
-        cls = self.__class__
-        clone = cls.__new__(cls)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "_tls":
-                clone._tls = threading.local()
-            else:
-                clone.__dict__[key] = copy.deepcopy(value, memo)
-        return clone
-
     @property
     def current_thread(self):
-        if self._threaded:
-            return getattr(self._tls, "thread", -1)
         return self._thread
-
-    @current_thread.setter
-    def current_thread(self, value):
-        if self._threaded:
-            self._tls.thread = value
-        else:
-            self._thread = value
 
     # -- locks ------------------------------------------------------------
 
@@ -156,7 +119,7 @@ class EnokiEnv:
         return lock
 
     def note_lock_op(self, op, lock_id):
-        thread = self.current_thread if self._threaded else self._thread
+        thread = self._thread
         if self.recorder is not None:
             self.recorder.note_lock_op(op, lock_id, thread)
         shim = self._enoki_c
@@ -249,20 +212,13 @@ class LibEnoki:
         ``EnokiSchedClass._call``).
         """
         rwlock = self.rwlock
-        if not rwlock.acquire_read(blocking=False):
+        if not rwlock.acquire_read():
             raise EnokiError(
                 "dispatch while the upgrade writer holds the lock"
             )
         env = self.env
-        # The thread id is a plain attribute unless real OS threads are
-        # dispatching (threaded replay keeps it in thread-local storage).
-        threaded = env._threaded
-        if threaded:
-            previous_thread = env.current_thread
-            env.current_thread = thread
-        else:
-            previous_thread = env._thread
-            env._thread = thread
+        previous_thread = env._thread
+        env._thread = thread
         try:
             shim = env._enoki_c
             injector = None if shim is None else shim.fault_injector
@@ -272,10 +228,7 @@ class LibEnoki:
             if injector is not None:
                 response = injector.filter_response(func, response)
         finally:
-            if threaded:
-                env.current_thread = previous_thread
-            else:
-                env._thread = previous_thread
+            env._thread = previous_thread
             rwlock.release_read()
         if self.recorder is not None:
             self.recorder.note_call(func, args, response, thread)
@@ -290,18 +243,19 @@ class LibEnoki:
         """
         if not self.rwlock.write_held:
             raise EnokiError("dispatch_locked without the write lock")
-        previous_thread = self.env.current_thread
-        self.env.current_thread = thread
+        env = self.env
+        previous_thread = env._thread
+        env._thread = thread
         try:
             # Upgrade-path faults (fail reregister_init) fire here, inside
             # the quiesced region — exactly where a real init bug would.
-            shim = self.env._enoki_c
+            shim = env._enoki_c
             injector = None if shim is None else shim.fault_injector
             if injector is not None:
                 injector.on_dispatch(func)
             response = self._invoke(func, args, extra)
         finally:
-            self.env.current_thread = previous_thread
+            env._thread = previous_thread
         if self.recorder is not None:
             self.recorder.note_call(func, args, response, thread)
         return response

@@ -13,7 +13,10 @@ Two modes, both from the paper:
   not, the thread is blocked until its turn."  This reproduces the paper's
   observation that the constant blocking/waking makes replay much slower
   than record.  A log whose lock order its calls cannot follow raises
-  :class:`ReplayMismatch` rather than blocking for ever.
+  :class:`ReplayMismatch` rather than blocking for ever.  The mode brings
+  its own concurrency — ordered locks, a per-thread ``env._thread``, a
+  serialised rwlock — so the framework classes it drives stay
+  single-threaded.
 * **sequential** — a fast validation mode that replays messages in global
   sequence order on one thread (sufficient whenever the recorded execution
   was already serialised, which a single-run log always is).  One thread
@@ -32,6 +35,7 @@ from repro.core.errors import RecordError, ReplayMismatch
 from repro.core.hints import RingBuffer, UserMessage
 from repro.core.libenoki import EnokiEnv, LibEnoki
 from repro.core.messages import decode_call, message_for
+from repro.core.rwlock import SchedulerRwLock
 from repro.core.schedulable import Schedulable, TokenRegistry
 
 #: entry kinds the replay loop consumes / the other kinds a recorder writes
@@ -177,8 +181,27 @@ def _current_replay_thread():
     return getattr(_replay_tls, "thread", -1)
 
 
+class _SerialisedRwLock(SchedulerRwLock):
+    """The scheduler rwlock under threaded replay: dispatches enter from
+    several OS threads at once, so the read counters update under a
+    mutex.  Replay never upgrades, so no writer exists to wait for."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self._mutex = threading.Lock()
+
+    def acquire_read(self):
+        with self._mutex:
+            return super().acquire_read()
+
+    def release_read(self):
+        with self._mutex:
+            super().release_read()
+
+
 class _ReplayEnv(EnokiEnv):
-    """EnokiEnv for userspace replay: no kernel below, outputs collected.
+    """EnokiEnv for userspace replay: no kernel below, so a resched timer
+    arms nothing and a reverse-queue send is accepted.
 
     Sequential replay uses it as it is.  Its locks are the framework's
     own :class:`~repro.core.libenoki.EnokiSpinLock` — one thread cannot
@@ -190,30 +213,24 @@ class _ReplayEnv(EnokiEnv):
     def __init__(self):
         super().__init__(enoki_c=None, recorder=None)
         self._lock_quiet = True
-        self.outputs = []
-        self._outputs_mutex = threading.Lock()
-
-    def start_resched_timer(self, cpu, delay_ns):
-        with self._outputs_mutex:
-            self.outputs.append(
-                ("timer", {"cpu": cpu, "delay_ns": delay_ns})
-            )
-
-    def send_rev_message(self, queue_id, payload):
-        with self._outputs_mutex:
-            self.outputs.append(
-                ("rev_msg", {"queue_id": queue_id, "payload": payload})
-            )
-        return True
 
 
 class _ThreadedReplayEnv(_ReplayEnv):
     """The threaded mode's env: every lock admits in the recorded order,
     and a wait that cannot end raises instead of hanging the replay."""
 
+    @property
+    def _thread(self):
+        """The calling replay thread's own id (``dispatch`` saves and
+        restores it; the ordered locks read it for the turn)."""
+        return _current_replay_thread()
+
+    @_thread.setter
+    def _thread(self, thread):
+        _replay_tls.thread = thread
+
     def __init__(self, lock_orders, queue_order, threads):
         super().__init__()
-        self.make_threaded()
         self._lock_orders = lock_orders   # creation index -> acquire order
         self._created = 0
         #: guards every ordered lock's position and the two fields below
@@ -345,10 +362,7 @@ class ReplayEngine:
         orders, queue_order, by_thread, lock_ops = self._analyse()
         env = _ThreadedReplayEnv(orders, queue_order, by_thread)
         lib = self._build_lib(env)
-        # Dispatches arrive from real OS threads here, so the rwlock needs
-        # actual mutex/condition synchronisation instead of the simulator's
-        # single-threaded counter fast path.
-        lib.rwlock.set_threaded(True)
+        lib.rwlock = _SerialisedRwLock(lib.rwlock.name)
         results = {tid: ReplayResult() for tid in by_thread}
         failures = []     # in time order: the cause before what it stalls
 
@@ -454,9 +468,15 @@ class ReplayEngine:
         result.calls_replayed += calls
 
     def verify(self, mode="sequential"):
-        """Run and raise :class:`ReplayMismatch` on any divergence."""
-        result = (self.run_threaded() if mode == "threaded"
-                  else self.run_sequential())
+        """Run in ``mode`` (``"sequential"`` or ``"threaded"``) and raise
+        :class:`ReplayMismatch` on any divergence."""
+        if mode == "threaded":
+            result = self.run_threaded()
+        elif mode == "sequential":
+            result = self.run_sequential()
+        else:
+            raise ValueError(f"unknown replay mode {mode!r}: expected "
+                             "'sequential' or 'threaded'")
         if not result.matched:
             first = result.divergences[0]
             raise ReplayMismatch(

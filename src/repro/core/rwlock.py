@@ -9,16 +9,15 @@ Paper, section 3.2:
 
 In the discrete-event simulation, per-CPU kernel contexts execute their
 scheduler calls atomically at one virtual instant, so read sections always
-drain before an upgrade event runs — logical quiescence is guaranteed.  The
-lock still *enforces* the protocol (a write acquire with readers in flight,
-or a dispatch during a held write, is a framework bug and raises), and the
-*time* the quiesce costs on a real machine is modelled by the upgrade
-manager from the per-CPU sync constants.  Threaded replay reuses the same
-class under real concurrency.
+drain before an upgrade event runs — logical quiescence is guaranteed.
+Nothing here ever blocks: a read acquire under the writer and a write
+acquire with readers in flight both return False (the caller models the
+delay or raises), and a release without a hold is a framework bug that
+raises.  The *time* the quiesce costs on a real machine is modelled by the
+upgrade manager from the per-CPU sync constants.  Threaded replay, the one
+caller on real OS threads, installs a subclass that serialises the read
+counters (``repro.core.replay``).
 """
-
-import copy
-import threading
 
 from repro.core.errors import UpgradeError
 
@@ -28,147 +27,51 @@ class SchedulerRwLock:
 
     def __init__(self, name="enoki-sched"):
         self.name = name
-        self._mutex = threading.Lock()
-        self._readers_ok = threading.Condition(self._mutex)
         self._readers = 0
         self._writer = False
-        #: False (the default) selects the single-threaded fast path: the
-        #: simulator runs one kernel context at a time, so the protocol
-        #: checks reduce to plain counter arithmetic with no mutex or
-        #: condition traffic.  The threaded replayer flips this on via
-        #: :meth:`set_threaded` before dispatching from real OS threads.
-        self._threaded = False
         self.read_acquisitions = 0
-        self.write_acquisitions = 0
         #: optional ``callback(op, lock_name)`` observability hook; ``op``
         #: is one of ``read_acquire``/``read_release``/``write_acquire``/
         #: ``write_release``.  Left None (a single attribute test) on the
         #: fast path so disabled tracing costs nothing measurable.
         self.on_event = None
 
-    def __deepcopy__(self, memo):
-        # The OS mutex/condition cannot be deep-copied, and never needs to
-        # be: snapshots are taken from quiescent single-threaded sessions
-        # (no readers or writer in flight), so the clone gets fresh
-        # primitives while the protocol state and counters copy through.
-        cls = self.__class__
-        clone = cls.__new__(cls)
-        memo[id(self)] = clone
-        for key, value in self.__dict__.items():
-            if key == "_mutex":
-                clone._mutex = threading.Lock()
-            elif key == "_readers_ok":
-                clone._readers_ok = threading.Condition(clone._mutex)
-            else:
-                clone.__dict__[key] = copy.deepcopy(value, memo)
-        return clone
-
-    def set_threaded(self, threaded=True):
-        """Select real mutex/condition synchronisation (threaded replay).
-
-        Call before any concurrent use; the protocol counters carry over.
-        """
-        self._threaded = bool(threaded)
-
     # -- read side --------------------------------------------------------
 
-    def acquire_read(self, blocking=True):
-        """Enter a dispatch.  Returns False when the writer holds the lock
-        and ``blocking`` is False (the caller models the delay instead)."""
-        if not self._threaded:
-            if self._writer:
-                if not blocking:
-                    return False
-                raise UpgradeError(
-                    f"{self.name}: blocking read acquire with the writer "
-                    "held would deadlock without threads"
-                )
-            self._readers += 1
-            self.read_acquisitions += 1
-        else:
-            with self._mutex:
-                if self._writer:
-                    if not blocking:
-                        return False
-                    while self._writer:
-                        self._readers_ok.wait()
-                self._readers += 1
-                self.read_acquisitions += 1
+    def acquire_read(self):
+        """Enter a dispatch.  Returns False while the writer holds the
+        lock (the caller models the delay instead)."""
+        if self._writer:
+            return False
+        self._readers += 1
+        self.read_acquisitions += 1
         if self.on_event is not None:
             self.on_event("read_acquire", self.name)
         return True
 
     def release_read(self):
-        if not self._threaded:
-            if self._readers <= 0:
-                raise UpgradeError(f"{self.name}: read release underflow")
-            self._readers -= 1
-        else:
-            with self._mutex:
-                if self._readers <= 0:
-                    raise UpgradeError(
-                        f"{self.name}: read release underflow"
-                    )
-                self._readers -= 1
-                if self._readers == 0:
-                    self._readers_ok.notify_all()
+        if self._readers <= 0:
+            raise UpgradeError(f"{self.name}: read release underflow")
+        self._readers -= 1
         if self.on_event is not None:
             self.on_event("read_release", self.name)
 
     # -- write side ----------------------------------------------------------
 
-    def acquire_write(self):
-        """Begin an upgrade.  In the simulation this must succeed
-        immediately (readers have drained); under real threads it waits."""
-        if not self._threaded:
-            if self._writer or self._readers > 0:
-                raise UpgradeError(
-                    f"{self.name}: write acquire with readers in flight "
-                    "would deadlock without threads"
-                )
-            self._writer = True
-            self.write_acquisitions += 1
-        else:
-            with self._mutex:
-                while self._writer or self._readers > 0:
-                    self._readers_ok.wait()
-                self._writer = True
-                self.write_acquisitions += 1
-        if self.on_event is not None:
-            self.on_event("write_acquire", self.name)
-
     def try_acquire_write(self):
-        """Non-blocking write acquire for the simulator's upgrade path."""
-        if not self._threaded:
-            if self._writer or self._readers > 0:
-                return False
-            self._writer = True
-            self.write_acquisitions += 1
-        else:
-            with self._mutex:
-                if self._writer or self._readers > 0:
-                    return False
-                self._writer = True
-                self.write_acquisitions += 1
+        """Begin an upgrade.  Returns False while readers are in flight or
+        another writer holds the lock."""
+        if self._writer or self._readers > 0:
+            return False
+        self._writer = True
         if self.on_event is not None:
             self.on_event("write_acquire", self.name)
         return True
 
     def release_write(self):
-        if not self._threaded:
-            if not self._writer:
-                raise UpgradeError(
-                    f"{self.name}: write release without hold"
-                )
-            self._writer = False
-        else:
-            with self._mutex:
-                if not self._writer:
-                    raise UpgradeError(
-                        f"{self.name}: write release without hold"
-                    )
-                self._writer = False
-                self._readers_ok.notify_all()
+        if not self._writer:
+            raise UpgradeError(f"{self.name}: write release without hold")
+        self._writer = False
         if self.on_event is not None:
             self.on_event("write_release", self.name)
 

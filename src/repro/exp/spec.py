@@ -15,8 +15,31 @@ import json
 from dataclasses import dataclass, field, replace
 
 from repro import dataclass_kwargs
+from repro.simkernel.config import SimConfig
 from repro.simkernel.errors import SimError
 from repro.simkernel.topology import Topology
+
+
+@dataclass(frozen=True)
+class GroupSpec:
+    """One task-group definition of a spec's ``groups`` forest."""
+
+    name: str
+    parent: str = "root"
+    weight: int = 1024
+    quota_ns: int = 0
+    period_ns: int = 0
+    policy: int = None          # None = inherit the parent's
+
+
+@dataclass(frozen=True)
+class SLOSpec:
+    """One entry of a spec's ``slos``: an ``obs.SLOTarget``'s fields."""
+
+    name: str
+    metric: str
+    max: float = None
+    min: float = None
 
 
 def canonical_fault_plan(plan):
@@ -54,23 +77,10 @@ def canonical_groups(groups):
         return ()
     out = []
     for g in groups:
-        g = dict(g)
-        name = g.pop("name", "")
-        if not name:
+        group = GroupSpec(**dataclass_kwargs(GroupSpec, g, SimError))
+        if not group.name:
             raise SimError("group definition needs a name")
-        entry = {
-            "name": str(name),
-            "parent": str(g.pop("parent", "root")),
-            "weight": int(g.pop("weight", 1024)),
-            "quota_ns": int(g.pop("quota_ns", 0)),
-            "period_ns": int(g.pop("period_ns", 0)),
-            "policy": g.pop("policy", None),
-        }
-        if entry["policy"] is not None:
-            entry["policy"] = int(entry["policy"])
-        if g:
-            raise SimError(f"unknown group fields {sorted(g)} for {name!r}")
-        out.append(entry)
+        out.append(dict(vars(group)))
     return tuple(out)
 
 
@@ -100,13 +110,21 @@ def parse_topology(desc):
     raise SimError(f"unknown topology spec {desc!r}")
 
 
+def _slo_entry(slo):
+    entry = dataclass_kwargs(SLOSpec, slo, SimError)
+    if entry.get("max") is None and entry.get("min") is None:
+        raise SimError(f"SLO {entry['name']!r} needs a 'max' or 'min' bound")
+    return entry
+
+
 def spec_kwargs(cls, data):
     """``data`` as keyword arguments for the spec dataclass ``cls`` (a
-    ``slos`` list becomes a tuple); raises :class:`SimError` naming any
-    key that is not a field, or whose value has the wrong type."""
+    ``slos`` list becomes a tuple of checked entries); raises
+    :class:`SimError` naming any key that is not a field, or whose value
+    has the wrong type."""
     known = dataclass_kwargs(cls, data, SimError)
     if "slos" in data:
-        known["slos"] = tuple(dict(s) for s in data["slos"])
+        known["slos"] = tuple(_slo_entry(s) for s in data["slos"])
     return known
 
 
@@ -166,7 +184,12 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`; raises :class:`SimError` naming a
+        key of the spec, its ``config``, a group or an SLO that is
+        unknown or has the wrong type."""
         known = spec_kwargs(cls, data)
+        if "config" in data:
+            dataclass_kwargs(SimConfig, data["config"], SimError)
         if "groups" in data:
             known["groups"] = canonical_groups(data["groups"])
         return cls(**known)

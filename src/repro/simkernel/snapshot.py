@@ -18,11 +18,13 @@ The capture contract (enforced by :func:`capture`):
   plain functions as atomic, so a copied armed timer would still poke the
   *original* machine.  Pre-spawn sessions are naturally quiescent.
 * **unobserved** — no recorder, no trace hook, no fault injector, no
-  scheduled upgrade, and the single-threaded lock fast path.  Those attach
-  per-run; each fork decorates itself.
+  scheduled upgrade.  Those attach per-run; each fork decorates itself.
+
+A fork is a plain ``deepcopy``: a session holds no OS lock or
+thread-local storage that would need a copy hook.
 """
 
-import copy
+from copy import deepcopy
 
 from repro.simkernel.errors import SimError
 
@@ -61,8 +63,6 @@ def capture(session):
         rwlock = lib.rwlock
         _require(not rwlock._readers and not rwlock._writer,
                  "scheduler rwlock held")
-        _require(not rwlock._threaded and not lib.env._threaded,
-                 "threaded-replay mode")
     return KernelImage(session)
 
 
@@ -75,6 +75,6 @@ class KernelImage:
 
     def fork(self):
         """A fresh runnable session, byte-identical to every other fork."""
-        clone = copy.deepcopy(self._session)
+        clone = deepcopy(self._session)
         self.forks += 1
         return clone

@@ -216,7 +216,7 @@ class TestWriterGuard:
     def test_quiet_crossing_under_the_upgrade_writer_raises(self):
         kernel, shim, _ = make()
         assert shim._quiet
-        shim.lib.rwlock.acquire_write()
+        assert shim.lib.rwlock.try_acquire_write()
         try:
             with pytest.raises(EnokiError):
                 shim.balance(0)

@@ -77,6 +77,12 @@ class TestScenarioSpec:
         ({"record": 1}, "'record'"), ({"config": []}, "'config'"),
         ({"groups": "g0"}, "'groups'"), ({"fault_plan": "x"}, "'fault_plan'"),
         (["pipe"], "must be a mapping"),
+        # nested values: each group, SLO and config override
+        ({"groups": [{"name": "a", "weight": "x"}]}, "'weight'"),
+        ({"groups": [{"name": "a", "weight": "5"}]}, "'weight'"),
+        ({"config": {"enoki_call_ns": "x"}}, "'enoki_call_ns'"),
+        ({"config": {"nonexistent_key": 1}}, "'nonexistent_key'"),
+        ({"slos": [{"name": "x"}]}, "'metric'"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_a_wrong_typed_value_is_named_at_load(self, data, named):
         with pytest.raises(SimError, match=named):

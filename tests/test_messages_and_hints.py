@@ -93,8 +93,8 @@ class TestQueueRegistry:
 class TestRwLock:
     def test_read_shared(self):
         lock = SchedulerRwLock()
-        assert lock.acquire_read(blocking=False)
-        assert lock.acquire_read(blocking=False)
+        assert lock.acquire_read()
+        assert lock.acquire_read()
         assert lock.readers == 2
         lock.release_read()
         lock.release_read()
@@ -102,10 +102,10 @@ class TestRwLock:
 
     def test_write_excludes_reads(self):
         lock = SchedulerRwLock()
-        lock.acquire_write()
-        assert not lock.acquire_read(blocking=False)
+        assert lock.try_acquire_write()
+        assert not lock.acquire_read()
         lock.release_write()
-        assert lock.acquire_read(blocking=False)
+        assert lock.acquire_read()
 
     def test_write_requires_no_readers(self):
         lock = SchedulerRwLock()

@@ -187,6 +187,13 @@ class TestReplay:
         with pytest.raises(ReplayMismatch):
             engine.verify()
 
+    def test_verify_rejects_an_unknown_mode(self):
+        recorder, _ = run_recorded_workload()
+        engine = ReplayEngine(lambda: EnokiFifo(2, POLICY),
+                              recorder.entries)
+        with pytest.raises(ValueError, match="unknown replay mode 'thread'"):
+            engine.verify(mode="thread")
+
     def test_divergence_reports_are_informative(self):
         divergence = Divergence(seq=9, function="pick_next_task",
                                 expected={"pid": 1}, actual=None)
@@ -520,6 +527,43 @@ class TestThreadedReplayTerminates:
         assert not other.is_alive()
         assert "belongs to thread 1, which has finished; thread 0" in (
             errors[0])
+
+    def test_each_replay_thread_sees_its_own_thread_id(self):
+        """Replay threads dispatch concurrently, so the env's thread id
+        must be per thread: each pick sees the CPU it was recorded on."""
+
+        class ThreadSeeingFifo(EnokiFifo):
+            def module_init(self):
+                super().module_init()
+                self.seen = []
+
+            def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
+                # After the lock: while this thread waited for its turn,
+                # the others dispatched.
+                picked = super().pick_next_task(cpu, curr_pid, curr_runtime,
+                                                runtimes)
+                self.seen.append((cpu, self.env.current_thread))
+                return picked
+
+        recorder, _ = run_recorded_workload(nr_cpus=4, rounds=40)
+        engine = ReplayEngine(lambda: ThreadSeeingFifo(4, POLICY),
+                              recorder.entries)
+        libs = []
+        build = engine._build_lib
+
+        def capture(env):
+            libs.append(build(env))
+            return libs[-1]
+
+        engine._build_lib = capture
+        result = run_in_thread(engine.run_threaded)
+        assert result.matched, result.divergences[:3]
+        lib, = libs
+        seen = lib.scheduler.seen
+        assert len({cpu for cpu, _ in seen}) > 1
+        assert all(cpu == thread for cpu, thread in seen)
+        assert lib.rwlock.readers == 0
+        assert lib.rwlock.read_acquisitions == result.calls_replayed
 
     def test_scheduler_error_in_a_replay_thread_reaches_the_caller(self):
         recorder, _ = run_recorded_workload()

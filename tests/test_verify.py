@@ -430,7 +430,7 @@ class TestEventRouting:
         assert suite.ok, suite.violation_report()
         # A planted reader under the upgrade writer must be flagged.
         rwlock = shim.lib.rwlock
-        rwlock.acquire_write()
+        assert rwlock.try_acquire_write()
         rwlock.on_event("read_acquire", rwlock.name)
         assert [v.sanitizer for v in suite.violations] == ["lock"]
         assert "read acquired while the upgrade writer holds it" in \
