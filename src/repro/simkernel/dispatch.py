@@ -10,6 +10,10 @@ describes in section 3.1, the periodic tick, and runtime accounting
 from repro.simkernel.errors import SchedulingError, SimError
 from repro.simkernel.task import TaskState
 
+#: per-event state tests read module globals, not enum attributes
+_RUNNABLE, _RUNNING, _BLOCKED, _DEAD = (
+    TaskState.RUNNABLE, TaskState.RUNNING, TaskState.BLOCKED, TaskState.DEAD)
+
 #: dispositions a current task leaves its CPU with
 BLOCK = "block"
 YIELD = "yield"
@@ -49,7 +53,7 @@ class DispatchEngine:
             return
         if cur._in_syscall:
             return  # honored at the op boundary
-        if cur.state is not TaskState.RUNNING:
+        if cur.state is not _RUNNING:
             return
         if cur.exec_start_ns > self.clock.now:
             # Mid-context-switch: interrupts are effectively off until the
@@ -71,7 +75,7 @@ class DispatchEngine:
         self.update_curr(cpu)
         k.interp.pause_run_segment(prev)
         prev.run_epoch += 1
-        prev.set_state(TaskState.RUNNABLE)
+        prev.set_state(_RUNNABLE)
         prev.stats.preemptions += 1
         rq.current = None
         prev.on_rq = False
@@ -114,7 +118,7 @@ class DispatchEngine:
         prev.on_rq = False
         cls = k.class_of(prev)
         if disposition == BLOCK:
-            prev.set_state(TaskState.BLOCKED)
+            prev.set_state(_BLOCKED)
             stats = prev.stats
             stats.blocked_count += 1
             stats.block_since_ns = self.clock.now
@@ -123,7 +127,7 @@ class DispatchEngine:
                 k.groups.unaccount(prev)
             cls.task_blocked(prev, cpu)
         elif disposition == YIELD:
-            prev.set_state(TaskState.RUNNABLE)
+            prev.set_state(_RUNNABLE)
             prev.stats.yields += 1
             throttled = (k.groups.throttled_ancestor(prev)
                          if prev.group is not None else None)
@@ -136,7 +140,7 @@ class DispatchEngine:
                 k._attach_runnable(prev, cpu)
                 cls.task_yield(prev, cpu)
         elif disposition == EXIT:
-            prev.set_state(TaskState.DEAD)
+            prev.set_state(_DEAD)
             prev.stats.finished_ns = self.clock.now
             if prev.group is not None:
                 k.groups.unaccount(prev)
@@ -173,7 +177,7 @@ class DispatchEngine:
                 continue
             # Queued here, runnable, allowed here: one lookup.
             task = rq.queued.get(pid)
-            if (task is None or task.state is not TaskState.RUNNABLE
+            if (task is None or task.state is not _RUNNABLE
                     or (task.allowed_cpus is not None
                         and cpu not in task.allowed_cpus)):
                 # A native class answering wrongly is the crash the paper
@@ -215,7 +219,7 @@ class DispatchEngine:
         # already this CPU: both were set when the task was attached.
         del rq.queued[task.pid]
         rq.current = task
-        task.set_state(TaskState.RUNNING)
+        task.set_state(_RUNNING)
         start = now + cost
         task.exec_start_ns = start
         task.run_started_ns = start
@@ -261,7 +265,7 @@ class DispatchEngine:
         """A dispatched task's group budget should be dry about now:
         charge up to the instant and re-arm or let enforcement throttle."""
         k = self.k
-        if task.run_epoch != epoch or task.state != TaskState.RUNNING:
+        if task.run_epoch != epoch or task.state is not _RUNNING:
             return
         cpu = task.cpu
         if k.rqs[cpu].current is not task:
@@ -275,7 +279,7 @@ class DispatchEngine:
 
     def task_resume(self, task, epoch):
         k = self.k
-        if task.run_epoch != epoch or task.state != TaskState.RUNNING:
+        if task.run_epoch != epoch or task.state is not _RUNNING:
             return
         cpu = task.cpu
         if k.rqs[cpu].current is not task:

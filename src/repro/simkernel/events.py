@@ -1,13 +1,15 @@
 """The event queue driving the simulation.
 
-One binary heap (``heapq``) of :class:`EventHandle` entries over a shared
-:class:`Clock`.  The handle a caller holds *is* the heap entry,
-``[time, seq, fn, args]``: ``seq`` is a per-queue counter, so events fire
-in strict ``(time, scheduling order)`` — the one property replay
+One binary heap (``heapq``) of plain lists over a shared :class:`Clock`.
+The handle a caller holds *is* the heap entry, an exact ``list``
+``[time, seq, fn, args]`` (a subclass would lose CPython's specialised
+unpack and subscript paths): ``seq`` is a per-queue counter, so events
+fire in strict ``(time, scheduling order)`` — the one property replay
 determinism rests on — and list comparison never reaches ``fn``.
-Cancellation is lazy: ``cancel`` clears the entry's ``fn``, the entry is
-skipped when it surfaces, and the heap is rebuilt once cancelled entries
-both exceed ``COMPACT_THRESHOLD`` and outnumber the live ones.
+Cancellation is lazy: ``cancel`` clears the entry's ``fn`` (a fired
+entry reads the same), the entry is skipped when it surfaces, and the
+heap is rebuilt once cancelled entries both exceed ``COMPACT_THRESHOLD``
+and outnumber the live ones.
 
 DESIGN §10 records the three-band queue (timer wheel, now-FIFO, handle
 freelist, batched windows) this heap was once the test oracle for, and
@@ -15,34 +17,12 @@ the measurements it was removed on.
 """
 
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
 
 from repro.simkernel.clock import Clock
 from repro.simkernel.errors import SimError
 
 _BUDGET_MSG = ("event budget exhausted after {} events "
                "(likely a livelock in the simulation)")
-
-
-class EventHandle(list):
-    """A scheduled event, ``[time, seq, fn, args]``; pass it to
-    :meth:`EventQueue.cancel`.
-
-    A handle is live from scheduling until the event fires or is
-    cancelled; either clears ``fn``, after which it reads ``cancelled``
-    and cancelling it again is a no-op.
-    """
-
-    __slots__ = ()
-
-    time = property(itemgetter(0))
-    seq = property(itemgetter(1))
-    fn = property(itemgetter(2))
-    args = property(itemgetter(3))
-
-    @property
-    def cancelled(self):
-        return self[2] is None
 
 
 class EventQueue:
@@ -56,11 +36,10 @@ class EventQueue:
         self.clock = clock if clock is not None else Clock()
         self._heap = []
         self._seq = 0
-        self._live = 0
         self._stale = 0
 
     def __len__(self):
-        return self._live
+        return len(self._heap) - self._stale
 
     def at(self, time, fn, *args):
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
@@ -69,9 +48,8 @@ class EventQueue:
                 f"event scheduled in the past: {time} < {self.clock.now}"
             )
         self._seq += 1
-        handle = EventHandle([int(time), self._seq, fn, args])
+        handle = [int(time), self._seq, fn, args]
         heappush(self._heap, handle)
-        self._live += 1
         return handle
 
     def after(self, delay, fn, *args):
@@ -79,17 +57,14 @@ class EventQueue:
         if delay < 0:
             raise SimError(f"negative event delay: {delay}")
         self._seq += 1
-        handle = EventHandle(
-            [self.clock.now + int(delay), self._seq, fn, args])
+        handle = [self.clock.now + int(delay), self._seq, fn, args]
         heappush(self._heap, handle)
-        self._live += 1
         return handle
 
     def cancel(self, handle):
         """Cancel a previously scheduled event (the only way to)."""
         if handle[2] is not None:
             handle[2] = None
-            self._live -= 1
             self._stale += 1
             if self._stale > self.COMPACT_THRESHOLD \
                     and self._stale * 2 > len(self._heap):
@@ -119,14 +94,13 @@ class EventQueue:
             if deadline is not None and t > deadline:
                 break
             heappop(heap)
-            self._live -= 1
             if t < clock.now:
                 raise SimError(
                     f"clock would move backwards: {clock.now} -> {t}"
                 )
             clock.now = t
             # Fired handles read as cancelled: a late ``cancel`` from a
-            # stale holder is a no-op instead of a silent live-count
+            # stale holder is a no-op instead of a silent stale-count
             # corruption.  ``args`` goes too: timer callbacks carry their
             # Timer there while the Timer holds this handle, a reference
             # cycle that would otherwise make every armed timer
@@ -160,7 +134,7 @@ class EventQueue:
         exactly on budget is not a livelock).
         """
         count = self._drain(budget=max_events)
-        if max_events is not None and count >= max_events and self._live:
+        if max_events is not None and count >= max_events and len(self):
             raise SimError(_BUDGET_MSG.format(count))
         return count
 

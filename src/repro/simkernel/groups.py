@@ -45,6 +45,10 @@ from repro.simkernel.errors import SimError
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_FORK, WF_TTWU
 from repro.simkernel.task import TaskState
 
+#: per-event state tests read module globals, not enum attributes
+_RUNNABLE, _RUNNING, _THROTTLED = (
+    TaskState.RUNNABLE, TaskState.RUNNING, TaskState.THROTTLED)
+
 #: default replenishment period.  CFS defaults to 100 ms; simulated
 #: episodes are tens of milliseconds long, so the default is scaled down
 #: to keep several replenishments per episode.
@@ -330,13 +334,13 @@ class GroupManager:
         for node in group.iter_subtree():
             for task in node.members.values():
                 state = task.state
-                if state is TaskState.RUNNABLE and task.on_rq:
+                if state is _RUNNABLE and task.on_rq:
                     cpu = task.cpu
                     k.rqs[cpu].detach(task)
                     k.class_of(task).task_blocked(task, cpu)
                     self.park(task, group)
                     parked += 1
-                elif state is TaskState.RUNNING:
+                elif state is _RUNNING:
                     # Preempted off the CPU; the dispatcher parks it on
                     # the way out (it sees the throttled ancestor).
                     resched_cpus.append(task.cpu)
@@ -349,7 +353,7 @@ class GroupManager:
 
     def park(self, task, group, origin=PARKED_WAKE):
         """Park a task (already off every run queue) in ``group``."""
-        task.set_state(TaskState.THROTTLED)
+        task.set_state(_THROTTLED)
         self.unaccount(task)
         if task.stats.wait_since_ns < 0:
             # Parked time is wait time: the task wants the CPU and the
@@ -410,7 +414,7 @@ class GroupManager:
         while group.parked:
             pid = next(iter(group.parked))
             task, origin = group.parked.pop(pid)
-            if task.state is not TaskState.THROTTLED:
+            if task.state is not _THROTTLED:
                 continue
             other = self.throttled_ancestor(task)
             if other is not None:
@@ -424,7 +428,7 @@ class GroupManager:
         """Place a released task exactly like a fresh wakeup (or fork,
         for tasks that were parked at birth and never saw ``task_new``)."""
         k = self.k
-        task.set_state(TaskState.RUNNABLE)
+        task.set_state(_RUNNABLE)
         cls = k.class_of(task)
         origin_cpu = task.cpu if task.cpu >= 0 else 0
         flags = WF_FORK if origin == PARKED_NEW else WF_TTWU

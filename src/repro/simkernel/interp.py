@@ -13,6 +13,9 @@ from repro.simkernel.dispatch import BLOCK, EXIT, YIELD
 from repro.simkernel.errors import ProgramError
 from repro.simkernel.task import TaskState
 
+#: per-event state tests read module globals, not enum attributes
+_RUNNING = TaskState.RUNNING
+
 
 class OpInterpreter:
     """Executes task programs one op at a time on the kernel."""
@@ -71,7 +74,7 @@ class OpInterpreter:
 
     def run_complete(self, task, epoch):
         k = self.k
-        if task.run_epoch != epoch or task.state != TaskState.RUNNING:
+        if task.run_epoch != epoch or task.state is not _RUNNING:
             return
         if k.rqs[task.cpu].current is not task:
             return
@@ -103,7 +106,7 @@ class OpInterpreter:
 
     def op_epilogue(self, task, epoch):
         k = self.k
-        if task.run_epoch != epoch or task.state != TaskState.RUNNING:
+        if task.run_epoch != epoch or task.state is not _RUNNING:
             return
         if k.rqs[task.cpu].current is not task:
             return
@@ -130,7 +133,7 @@ class OpInterpreter:
         """A syscall's entry cost has elapsed: account it, then apply
         ``effect``, the handler ``advance_program`` resolved."""
         k = self.k
-        if task.run_epoch != epoch or task.state != TaskState.RUNNING:
+        if task.run_epoch != epoch or task.state is not _RUNNING:
             return
         cpu = task.cpu
         if k.rqs[cpu].current is not task:

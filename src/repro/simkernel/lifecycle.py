@@ -9,6 +9,9 @@ Exit is the dispatch engine's ``EXIT`` disposition.
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_FORK
 from repro.simkernel.task import TaskState, TaskStruct
 
+#: per-event state tests read module globals, not enum attributes
+_RUNNABLE = TaskState.RUNNABLE
+
 
 class LifecycleManager:
     """Creates tasks."""
@@ -46,7 +49,7 @@ class LifecycleManager:
                 # Born into a throttled subtree: park without telling the
                 # scheduler class — it first hears about this task via the
                 # fork-flavoured admission at unthrottle time.
-                task.set_state(TaskState.RUNNABLE)
+                task.set_state(_RUNNABLE)
                 k.groups.park(task, throttled, origin="new")
                 if k.trace is not None:
                     k.trace("fork", t=k.now, cpu=origin_cpu, pid=task.pid,
@@ -55,7 +58,7 @@ class LifecycleManager:
         cls = k.class_of(task)
         cpu = k.migration.invoke_select(cls, task, origin_cpu, WF_FORK,
                                         origin_cpu)
-        task.set_state(TaskState.RUNNABLE)
+        task.set_state(_RUNNABLE)
         task.last_wakeup_ns = k.now
         hook_cost = cls.hooks_cost_ns(2)    # select_task_rq + task_new
         if cpu == DEFERRED_CPU:

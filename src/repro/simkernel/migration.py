@@ -11,6 +11,9 @@ from repro.simkernel.errors import SchedulingError
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_SYNC, WF_TTWU
 from repro.simkernel.task import TaskState
 
+#: per-event state tests read module globals, not enum attributes
+_RUNNABLE, _BLOCKED = TaskState.RUNNABLE, TaskState.BLOCKED
+
 
 class MigrationService:
     """Placement and migration over the kernel's shared state."""
@@ -55,7 +58,7 @@ class MigrationService:
         dispatch delay (timer-driven wakeups).
         """
         k = self.k
-        if task.state is not TaskState.BLOCKED:
+        if task.state is not _BLOCKED:
             return 0        # dead, or already runnable: nothing to wake
         now = self.clock.now
         stats = task.stats
@@ -83,7 +86,7 @@ class MigrationService:
                 return 0
         cls = k.class_of(task)
         flags = WF_TTWU | (WF_SYNC if sync else 0)
-        task.set_state(TaskState.RUNNABLE)
+        task.set_state(_RUNNABLE)
         task.last_wakeup_ns = now
         task.wakeup_flags = flags
         hook_cost = cls.hooks_cost_ns(2)    # select_task_rq + task_wakeup
@@ -116,7 +119,7 @@ class MigrationService:
         """
         k = self.k
         task = k.tasks.get(pid)
-        if task is None or task.state != TaskState.RUNNABLE:
+        if task is None or task.state is not _RUNNABLE:
             return False
         if pid not in k._limbo:
             return False
@@ -207,7 +210,7 @@ class MigrationService:
         """
         k = self.k
         task = k.tasks.get(pid)
-        if task is None or task.state != TaskState.RUNNABLE:
+        if task is None or task.state is not _RUNNABLE:
             return self.migrate_failed(pid, dest_cpu, "not-runnable")
         if pid in k._limbo:
             return self.migrate_failed(pid, dest_cpu, "in-limbo")

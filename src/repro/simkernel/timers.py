@@ -2,7 +2,10 @@
 
 Scheduler classes use these for preemption timers (the Enoki Shinjuku
 scheduler re-arms a 10 us resched timer on every pick, section 4.2.2) and
-the kernel core uses them for the periodic tick.
+the kernel core uses them for the periodic tick.  A timer's ``handle`` is
+the queue's ``[time, seq, fn, args]`` entry; a fire tests the owner's
+``trace`` hook inline, so an untraced fire enters no frame but the
+callback's.
 """
 
 from repro.simkernel.errors import SimError
@@ -49,16 +52,14 @@ class TimerService:
         self.config = config
         self.owner = owner
 
-    def _note_fire(self, timer):
-        owner = self.owner
-        if owner is not None and owner.trace is not None:
-            tag = timer.tag
-            cpu = -1
-            if isinstance(tag, tuple) and len(tag) == 2 \
-                    and isinstance(tag[1], int):
-                cpu = tag[1]      # conventionally ("tick", cpu) etc.
-            owner.trace("timer_fire", t=self.events.clock.now, cpu=cpu,
-                        tag=str(tag) if tag is not None else None)
+    def _note_fire(self, trace, timer):
+        tag = timer.tag
+        cpu = -1
+        if isinstance(tag, tuple) and len(tag) == 2 \
+                and isinstance(tag[1], int):
+            cpu = tag[1]      # conventionally ("tick", cpu) etc.
+        trace("timer_fire", t=self.events.clock.now, cpu=cpu,
+              tag=str(tag) if tag is not None else None)
 
     def arm(self, delay_ns, callback, tag=None):
         """Arm a one-shot timer ``delay_ns`` from now.
@@ -77,7 +78,9 @@ class TimerService:
 
     def _fire(self, timer):
         timer.fired = True
-        self._note_fire(timer)
+        owner = self.owner
+        if owner is not None and owner.trace is not None:
+            self._note_fire(owner.trace, timer)
         timer.callback(timer)
 
     def arm_periodic(self, period_ns, callback, tag=None):
@@ -96,7 +99,9 @@ class TimerService:
         # callback cancelling its own chain (the telemetry sampler does)
         # never reaches the queue with a fired handle.
         chain.handle = None
-        self._note_fire(chain)
+        owner = self.owner
+        if owner is not None and owner.trace is not None:
+            self._note_fire(owner.trace, chain)
         chain.callback(chain)
         if not chain.cancelled:
             chain.handle = self.events.after(

@@ -27,10 +27,11 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
+from repro import dataclass_kwargs
 from repro.core import FaultPlan, Recorder, ReplayEngine
 from repro.core.faults import FaultSpec
 from repro.exp import KernelBuilder, ScenarioSpec, enoki_scheduler_names
-from repro.exp.spec import spec_kwargs
+from repro.exp.spec import GroupSpec, spec_kwargs
 from repro.simkernel.clock import usecs
 from repro.simkernel.errors import SimError
 from repro.simkernel.program import Run, SendHint, Sleep, YieldCpu
@@ -119,13 +120,14 @@ class EpisodeSpec:
     @classmethod
     def from_dict(cls, data):
         """Inverse of :meth:`to_dict`; raises :class:`SimError` naming an
-        unknown field or scheduler."""
+        unknown field or scheduler or a bad :class:`GroupSpec` entry."""
         known = spec_kwargs(cls, data)
         sched = known.get("sched")
         if sched not in enoki_scheduler_names():
             raise SimError(f"unknown Enoki scheduler {sched!r}")
         known["tasks"] = tuple(TaskSpec.from_dict(t) for t in known["tasks"])
-        known["groups"] = tuple(dict(g) for g in known.get("groups", ()))
+        known["groups"] = tuple(dataclass_kwargs(GroupSpec, g, SimError)
+                                for g in known.get("groups", ()))
         return cls(**known)
 
     @property

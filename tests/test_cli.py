@@ -264,6 +264,10 @@ class TestFuzzCli:
             spec["tasks"][0]["runns"] = 1
         elif how == "unknown scheduler":
             spec["sched"] = "nosuch"
+        elif how == "wrong-typed GroupSpec value":
+            spec["groups"][0]["weight"] = "heavy"
+        elif how == "unknown GroupSpec field":
+            spec["groups"][0]["parnt"] = "root"
         text = json.dumps({"kind": "repro.verify reproducer", "spec": spec})
         if how == "truncated JSON":
             text = text[:len(text) // 2]
@@ -275,7 +279,8 @@ class TestFuzzCli:
     @pytest.mark.parametrize("how", [
         "missing file", "truncated JSON", "missing spec",
         "unknown EpisodeSpec field", "unknown TaskSpec field",
-        "unknown scheduler"])
+        "unknown scheduler", "wrong-typed GroupSpec value",
+        "unknown GroupSpec field"])
     def test_damaged_reproducer_is_one_typed_error(self, how, tmp_path,
                                                    capsys):
         path = tmp_path / "repro.json"

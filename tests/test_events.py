@@ -3,9 +3,9 @@
 ``TestEventQueue`` is the queue's contract (time order, insertion-order
 ties, cancellation, budget guard); ``TestLazyDeletion`` covers the
 heap's cancelled-entry bookkeeping; ``TestHandleIsHeapEntry`` the
-``[time, seq, fn, args]`` layout; ``TestRandomizedSchedule`` drives
-randomized schedule/cancel/reschedule sequences and checks the fire log
-against a model of the contract.
+plain-list ``[time, seq, fn, args]`` layout; ``TestRandomizedSchedule``
+drives randomized schedule/cancel/reschedule sequences and checks the
+fire log, ``len`` and ``pending()`` against a model of the contract.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 
 from repro.simkernel.clock import Clock, msecs, secs, usecs
 from repro.simkernel.errors import SimError
-from repro.simkernel.events import EventHandle, EventQueue
+from repro.simkernel.events import EventQueue
 
 
 class TestClock:
@@ -158,11 +158,11 @@ class TestEventQueue:
         q = EventQueue()
         h1 = q.at(10, lambda: None)
         q.run_until_idle()
-        assert h1.cancelled
+        assert h1[2] is None
         q.cancel(h1)
         assert len(q) == 0
         h2 = q.at(20, lambda: None)
-        assert not h2.cancelled
+        assert h2[2] is not None
         assert q.run_until_idle() == 1
 
     def test_cancel_after_fire_is_harmless(self):
@@ -176,13 +176,11 @@ class TestEventQueue:
         assert len(q) == 0
 
     def test_len_and_pending_agree_after_cancel_and_drain(self):
-        # queue.cancel is the only cancel: a handle-side cancel() could
-        # only set the flag behind the queue's back and leave len(q) at
-        # one forever.
-        assert not hasattr(EventHandle, "cancel")
+        # queue.cancel is the only cancel: a handle is a plain list, so
+        # no handle-side cancel() can set a flag behind the queue's back.
         q = EventQueue()
         doomed = q.after(10, lambda: None)
-        q.after(20, lambda: None)
+        assert type(doomed) is type(q.at(20, lambda: None)) is list
         q.cancel(doomed)
         assert len(q) == len(q.pending()) == 1
         q.run_until_idle()
@@ -286,7 +284,7 @@ class TestHandleIsHeapEntry:
         for tag in range(40):
             q.at(10, Opaque(log, tag), Opaque(log, None))
         q.cancel(q.at(10, Opaque(log, "cancelled")))
-        assert [h.seq for h in q.pending()] == list(range(1, 41))
+        assert [h[1] for h in q.pending()] == list(range(1, 41))
         q.run_until_idle()
         assert log == list(range(40))
 
@@ -294,10 +292,10 @@ class TestHandleIsHeapEntry:
         q = EventQueue(Clock(5))
         handle = q.after(7, print, "a", "b")
         assert handle == [12, 1, print, ("a", "b")]
-        assert (handle.time, handle.seq, handle.fn, handle.args) \
-            == (12, 1, print, ("a", "b"))
+        time, seq, fn, args = handle
+        assert (time, seq, fn, args) == (12, 1, print, ("a", "b"))
         assert q._heap[0] is handle
-        assert not handle.cancelled
+        assert handle[2] is not None
 
     def test_fired_and_cancelled_handles_read_cancelled(self):
         q = EventQueue()
@@ -308,7 +306,7 @@ class TestHandleIsHeapEntry:
         q.run_until(10)
         stale = q._stale
         for handle in (fired, dropped):
-            assert handle.cancelled and handle.fn is None
+            assert handle[2] is None
             q.cancel(handle)         # late cancel: a no-op both ways
             assert len(q) == 1 and q._stale == stale
         assert q.run_until_idle() == 1
@@ -335,8 +333,8 @@ class TestHandleIsHeapEntry:
         q.cancel(kept[2])
         q.run_until_idle()
         assert seen == [0, 1, 3, 4]
-        assert all(h.cancelled for h in kept + doomed)
-        assert all(h.args is None for h in kept if h is not kept[2])
+        assert all(h[2] is None for h in kept + doomed)
+        assert all(h[3] is None for h in kept if h is not kept[2])
 
 
 class TestRandomizedSchedule:
@@ -352,26 +350,35 @@ class TestRandomizedSchedule:
         Returns ``(log, issued, cancelled)``: the fire log of
         ``(time, tag)``, every tag in issue order, and the cancelled set.
         Cancellation targets are tracked by tag and removed at fire, so
-        only genuinely pending events are cancelled.
+        only genuinely pending events are cancelled.  ``len(queue)`` and
+        ``queue.pending()`` are checked against the model after every
+        schedule, cancel and fire.
         """
         log = []
         issued = []
         cancelled = set()
         pending = {}                     # tag -> handle, insertion-ordered
 
+        def agrees_with_model():
+            assert len(queue) == len(pending)
+            assert queue.pending() == sorted(pending.values())
+
         def schedule(delay):
             tag = len(issued)
             issued.append(tag)
             pending[tag] = queue.after(delay, fire, tag)
+            agrees_with_model()
 
         def drop_random():
             tags = list(pending)
             tag = tags[rng.randrange(len(tags))]
             cancelled.add(tag)
             queue.cancel(pending.pop(tag))
+            agrees_with_model()
 
         def fire(tag):
             pending.pop(tag, None)
+            agrees_with_model()
             log.append((queue.clock.now, tag))
             # Events themselves reschedule and cancel.
             roll = rng.random()

@@ -11,6 +11,10 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
+#: the simkernel modules on the per-event path (DESIGN §10's alias rule)
+PER_EVENT_MODULES = ("events", "timers", "interp", "dispatch", "migration",
+                     "groups", "lifecycle")
+
 #: the facades whose names load their submodule on first use
 LAZY_FACADES = ("repro.core", "repro.obs", "repro.schedulers",
                 "repro.verify")
@@ -56,6 +60,28 @@ class TestLayering:
             text = path.read_text()
             assert "from repro.core" not in text, path.name
             assert "import repro.core" not in text, path.name
+
+    def test_per_event_modules_read_task_states_through_aliases(self):
+        """No function body on the per-event path loads a ``TaskState``
+        member; each compares against a module-level alias instead."""
+        import ast
+        from pathlib import Path
+        import repro.simkernel as simkernel
+
+        package_dir = Path(inspect.getfile(simkernel)).parent
+        found = []
+        for name in PER_EVENT_MODULES:
+            tree = ast.parse((package_dir / f"{name}.py").read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                found += [f"{name}.py:{node.lineno} TaskState.{node.attr}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.ctx, ast.Load)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == "TaskState"]
+        assert not found
 
     def test_enoki_schedulers_do_not_touch_the_kernel(self):
         """Enoki scheduler modules import only the trait layer and task

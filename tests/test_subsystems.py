@@ -119,7 +119,7 @@ def begin_op(kernel, task, op):
 
 def events_after(kernel, seq):
     """Live events scheduled after sequence number ``seq``."""
-    return [h for h in kernel.events.pending() if h.seq > seq]
+    return [h for h in kernel.events.pending() if h[1] > seq]
 
 
 class TestDispatchOrdering:
@@ -204,10 +204,10 @@ class TestDispatchOrdering:
         # The dispatch completion carries the accumulated cost: one
         # balance + one pick per consulted class, plus the context switch.
         (resume,) = [h for h in events_after(kernel, seq)
-                     if h.fn == kernel.dispatcher.task_resume]
+                     if h[2] == kernel.dispatcher.task_resume]
         expected = (2 * cfg.sched_balance_ns + 2 * cfg.sched_pick_ns
                     + cfg.context_switch_ns)
-        assert resume.time - kernel.now == expected
+        assert resume[0] - kernel.now == expected
         assert task.exec_start_ns == kernel.now + expected
 
 
@@ -220,8 +220,8 @@ class TestInterpreterCostCharging:
         begin_op(kernel, task, Run(10_000))
 
         (handle,) = events_after(kernel, seq)
-        assert handle.fn == kernel.interp.run_complete
-        assert handle.time - kernel.now == 10_000
+        assert handle[2] == kernel.interp.run_complete
+        assert handle[0] - kernel.now == 10_000
         assert task.run_remaining_ns == 10_000
         assert not getattr(task, "_in_syscall", False)
 
@@ -239,8 +239,8 @@ class TestInterpreterCostCharging:
         begin_op(kernel, task, FutexWake(Futex()))
 
         (handle,) = events_after(kernel, seq)
-        assert handle.fn == kernel.interp.op_effect
-        assert handle.time - kernel.now == kernel.config.syscall_ns
+        assert handle[2] == kernel.interp.op_effect
+        assert handle[0] - kernel.now == kernel.config.syscall_ns
         assert task._in_syscall is True
 
     def test_sleep_is_a_syscall(self):
@@ -249,7 +249,7 @@ class TestInterpreterCostCharging:
         seq = kernel.events._seq
         begin_op(kernel, task, Sleep(5_000))
         (handle,) = events_after(kernel, seq)
-        assert handle.time - kernel.now == kernel.config.syscall_ns
+        assert handle[0] - kernel.now == kernel.config.syscall_ns
 
     def test_pipe_ops_charge_transfer_cost_on_top(self):
         kernel, hi, lo, _log = two_class_kernel()
@@ -260,7 +260,7 @@ class TestInterpreterCostCharging:
         begin_op(kernel, task, PipeWrite(Pipe("p"), b"x"))
 
         (handle,) = events_after(kernel, seq)
-        assert (handle.time - kernel.now
+        assert (handle[0] - kernel.now
                 == cfg.syscall_ns + cfg.pipe_transfer_ns)
 
     def test_subclassed_op_resolves_to_its_base_handler_once(self):
@@ -279,8 +279,8 @@ class TestInterpreterCostCharging:
         seq = kernel.events._seq
         begin_op(kernel, task, TimedRun(7_000))
         (handle,) = events_after(kernel, seq)
-        assert handle.fn == kernel.interp.run_complete
-        assert handle.time - kernel.now == 7_000
+        assert handle[2] == kernel.interp.run_complete
+        assert handle[0] - kernel.now == 7_000
         assert interp._EFFECTS[TimedRun] is interp._EFFECTS[Run]
 
         other = make_running(kernel, place_queued(kernel, policy=1, cpu=1),
@@ -288,8 +288,8 @@ class TestInterpreterCostCharging:
         seq = kernel.events._seq
         begin_op(kernel, other, LoudWrite(Pipe("p"), b"x"))
         (handle,) = events_after(kernel, seq)
-        assert handle.fn == kernel.interp.op_effect
-        assert (handle.time - kernel.now
+        assert handle[2] == kernel.interp.op_effect
+        assert (handle[0] - kernel.now
                 == cfg.syscall_ns + cfg.pipe_transfer_ns)
         assert interp._EFFECTS[LoudWrite] is interp._EFFECTS[PipeWrite]
 
