@@ -59,6 +59,8 @@ Usage::
 from collections import deque
 from typing import NamedTuple, Optional
 
+from repro.simkernel.errors import SimError
+
 _new_event = tuple.__new__
 
 
@@ -106,11 +108,12 @@ class SchedTracer:
     """Bounded in-memory trace of typed kernel/framework events.
 
     :meth:`_hook` is the single intake of the observed path: it retains
-    each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission as handed
-    in (or not), bumps the kind's counter if the tracer keeps one, then
-    hands it to the sinks routed to its kind (:meth:`add_route`).  A
-    retained emission becomes a :class:`TraceEvent` when :attr:`events`
-    is first read after it, so a run nobody inspects never builds one.
+    each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission (or not) as
+    one flat tuple of its values, bumps the kind's counter if the tracer
+    keeps one, then hands it to the sinks routed to its kind
+    (:meth:`add_route`).  A retained emission becomes a
+    :class:`TraceEvent` when :attr:`events` is first read after it, so a
+    run nobody inspects never builds one.
 
     ``kinds`` optionally restricts *retention* to a set of event kinds —
     everything else is counted in ``filtered`` but not stored, which keeps
@@ -119,16 +122,25 @@ class SchedTracer:
     """
 
     def __init__(self, capacity=100_000, kinds=None):
+        if type(capacity) is not int or capacity < 0:
+            raise SimError(f"trace ring capacity must be an int >= 0: "
+                           f"{capacity!r}")
+        if kinds is not None:
+            if isinstance(kinds, str):
+                raise SimError(f"kinds must be a collection of event "
+                               f"kinds, not the string {kinds!r}")
+            kinds = frozenset(kinds)
         self.capacity = capacity
         #: the retained emissions, oldest first: canonical events, then
-        #: the raw ``(t, kind, cpu, pid, cost, fields)`` of everything
-        #: emitted since :attr:`events` was last read
+        #: the raw ``(t, kind, cpu, pid, cost, *keys, *values)`` of
+        #: everything emitted since :attr:`events` was last read — flat,
+        #: so the cyclic GC stops tracking an entry of atomic values
         self._ring = deque(maxlen=capacity)
         #: emissions ever stored, the evicted ones included
         self.retained = 0
         self._canonical = 0     # ``retained`` when ``events`` was last read
         self.filtered = 0
-        self.kinds = frozenset(kinds) if kinds is not None else None
+        self.kinds = kinds
         self._kernel = None
         self._resolvers = []    # kind -> sink-or-None, in call order
         self._routes = {}       # kind -> (counter-or-None, sinks) (cache)
@@ -157,8 +169,9 @@ class SchedTracer:
         sight of each event kind and returns the sink to call for every
         event of that kind, or ``None``.  A sink is called as
         ``sink(kind, t, cpu, pid, fields)``, ``fields`` being the
-        emitter's other keywords (``cost`` included when charged); it
-        must not change ``fields``, which the ring retains."""
+        emitter's other keywords (``cost`` included when charged).  The
+        sinks of one event share that dict, so a sink must not change
+        it; the ring keeps its own copy of the values, not the dict."""
         self._resolvers.append(resolve)
         self._routes = {}
 
@@ -177,11 +190,12 @@ class SchedTracer:
             self.filtered += 1
         else:
             self.retained += 1
-            self._ring.append((t, kind, cpu, pid, cost, fields))
-        route = self._routes.get(kind)
-        if route is None:
-            route = self._route(kind)
-        counter, sinks = route
+            self._ring.append((t, kind, cpu, pid, cost,
+                               *fields, *fields.values()))
+        try:
+            counter, sinks = self._routes[kind]
+        except KeyError:
+            counter, sinks = self._route(kind)
         if counter is not None:
             counter.value += 1
         if sinks:
@@ -194,10 +208,10 @@ class SchedTracer:
     def events(self):
         """The retained events, oldest first, as :class:`TraceEvent`.
 
-        The intake stores what it was handed; the canonical form (sorted
-        ``args``, without the intake's own ``cost`` entry) is built here,
-        once per event, for whatever is still in the ring.  Read it again
-        after further emissions rather than holding on to the result.
+        The intake stores each emission flat; the canonical form (the
+        payload as sorted ``args``) is built here, once per event, for
+        whatever is still in the ring.  Read it again after further
+        emissions rather than holding on to the result.
         """
         ring = self._ring
         fresh = min(self.retained - self._canonical, len(ring))
@@ -205,13 +219,12 @@ class SchedTracer:
             self._canonical = self.retained
             ring.rotate(fresh)
             for _ in range(fresh):
-                t, kind, cpu, pid, cost, fields = ring.popleft()
-                if cost:
-                    fields = {key: value for key, value in fields.items()
-                              if key != "cost"}
+                entry = ring.popleft()
+                half = (len(entry) + 5) >> 1     # where the values start
                 ring.append(_new_event(TraceEvent, (
-                    t, kind, cpu, pid, cost,
-                    tuple(sorted(fields.items())) if fields else ())))
+                    *entry[:5],
+                    tuple(sorted(zip(entry[5:half], entry[half:])))
+                    if half > 5 else ())))
         return ring
 
     @property

@@ -1,7 +1,7 @@
 """Property tests: the tracer's lazy ring equals an eager intake.
 
-``SchedTracer._hook`` retains what it was handed and builds the
-canonical :class:`TraceEvent` only when ``events`` is read.  The
+``SchedTracer._hook`` retains each emission as one flat tuple and builds
+the canonical :class:`TraceEvent` only when ``events`` is read.  The
 reference below is the eager intake it replaced — one ``TraceEvent`` per
 retained emission, ``dropped`` counted at the append — behind the same
 query helpers, so every read a caller can make is compared at random
@@ -9,6 +9,7 @@ points of random emission sequences.  Plain seeded ``random`` drives the
 generation; failures print the seed.
 """
 
+import gc
 import random
 from collections import deque
 
@@ -16,7 +17,8 @@ import pytest
 
 from repro.obs import Observer
 from repro.simkernel.tracing import SchedTracer, TraceEvent
-from repro.verify import SanitizerSuite
+from repro.verify import SanitizerSuite, generate_episode
+from repro.verify.fuzz import _run_episode_session
 
 N_CASES = 40
 CAPACITY = 16
@@ -106,3 +108,63 @@ def test_raw_ring_is_bounded_by_capacity_without_a_read():
     assert tracer.dropped == CAPACITY * 9
     assert [e.t_ns for e in tracer.events] == list(
         range(CAPACITY * 9, CAPACITY * 10))
+
+
+#: one emission of each shape the flat layout must round-trip
+SHAPES = {
+    "no-fields": dict(kind="dispatch", cpu=0, pid=1),
+    "one-field": dict(kind="wakeup", cpu=1, pid=2, target=0),
+    "several-fields": dict(kind="enoki_msg", cpu=0, pid=3, zeta=1,
+                           msg="pick", alpha=None, depth=2),
+    "cost-no-fields": dict(kind="idle", cpu=1, cost=150),
+    "cost-and-fields": dict(kind="lock_acquire", cpu=0, cost=40,
+                            lock="rq", wall_ns=7),
+    "unknown-kind": dict(kind="mystery", cpu=0, pid=None, gen=4),
+}
+
+
+@pytest.mark.parametrize("kinds", [None, RETAINED],
+                         ids=["unfiltered", "kinds-filter"])
+@pytest.mark.parametrize("capacity", [len(SHAPES) * 3, 4],
+                         ids=["no-wrap", "wrap"])
+def test_each_emission_shape_equals_eager_intake(capacity, kinds):
+    tracer = SchedTracer(capacity, kinds=kinds)
+    reference = EagerTracer(capacity, kinds=kinds)
+    for t, emission in enumerate(list(SHAPES.values()) * 2):
+        tracer._hook(t=t, **emission)
+        reference._hook(t=t, **emission)
+    assert list(tracer.events) == list(reference.events)
+    assert (tracer.dropped, tracer.filtered) == (reference.dropped,
+                                                 reference.filtered)
+    if capacity == 4:
+        assert tracer.dropped > 0
+
+
+def test_retained_entries_are_flat_and_untracked_by_the_gc():
+    """A raw ring entry holds only atomic values, so the cyclic GC stops
+    tracking it; a sink editing its ``fields`` cannot reach it."""
+
+    def editing_attach(kernel):
+        suite = SanitizerSuite.attach(kernel)
+
+        def clobber(kind, t, cpu, pid, fields):
+            fields.clear()
+            fields["clobbered"] = True
+        suite.add_route(lambda kind: clobber)
+        return suite
+
+    spec = generate_episode(0)
+    _, suite, _ = _run_episode_session(spec, SanitizerSuite.attach)
+    _, edited, _ = _run_episode_session(spec, editing_attach)
+    gc.collect()
+    assert len(suite._ring) > 100
+    for entry in suite._ring:
+        assert type(entry) is tuple, entry
+        assert not gc.is_tracked(entry), entry
+
+    def deterministic(events):      # ``wall_ns`` is host time
+        return [e._replace(args=tuple(a for a in e.args
+                                      if a[0] != "wall_ns"))
+                for e in events]
+    assert deterministic(edited.events) == deterministic(suite.events)
+    assert any(e.args for e in suite.events)

@@ -1,9 +1,13 @@
 """Tests for the scheduling tracer."""
 
+import re
+
 import pytest
 
+from repro.exp import KernelBuilder, ScenarioSpec
+from repro.obs import Observer
 from repro.schedulers.fifo_native import NativeFifoClass
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel import Kernel, SimConfig, SimError, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.tracing import SchedTracer, TraceEvent
@@ -67,6 +71,32 @@ class TestTracer:
             tracer._hook("dispatch", cpu=0, pid=1, t=i)
         assert len(tracer.events) == 10
         assert tracer.dropped == 15
+
+    def test_capacity_zero_counts_and_retains_nothing(self):
+        tracer = SchedTracer(capacity=0)
+        for i in range(5):
+            tracer._hook("dispatch", cpu=0, pid=1, t=i)
+        assert len(tracer.events) == 0
+        assert tracer.retained == tracer.dropped == 5
+
+    @pytest.mark.parametrize("capacity", [True, False, -1, 2.5, "8", None])
+    def test_bad_capacity_raises_sim_error(self, capacity):
+        with pytest.raises(SimError, match=re.escape(repr(capacity))):
+            SchedTracer(capacity=capacity)
+
+    def test_string_kinds_raises_sim_error(self):
+        """A bare string would be a set of its characters and silently
+        filter out every event."""
+        with pytest.raises(SimError, match="'dispatch'"):
+            SchedTracer(kinds="dispatch")
+        kernel = make_kernel()
+        with pytest.raises(SimError, match="'dispatch'"):
+            Observer.attach(kernel, kinds="dispatch")
+        assert kernel.trace is None
+        session = KernelBuilder.session_from_spec(
+            ScenarioSpec(sched="wfq", topology="smp:2"))
+        with pytest.raises(SimError, match="'idle'"):
+            session.attach_observer(kinds="idle")
 
     def test_detach_restores_hook(self):
         kernel = make_kernel()
