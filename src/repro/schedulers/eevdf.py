@@ -21,6 +21,11 @@ Policy (the 6.6 sched/fair.c shape, simplified):
 Inherits the Enoki WFQ scheduler's bookkeeping (runtime folding, queues,
 stealing, upgrade state); only ordering and placement credit change,
 which is exactly the kind of surgical policy swap the framework is for.
+
+A live upgrade carries WFQ's state and nothing more, so EEVDF and WFQ
+can replace each other: the incoming version re-derives every queued
+task's deadline from its vruntime (its queue key).  Slices set through
+:meth:`EnokiEevdf.set_slice` do not cross an upgrade.
 """
 
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
@@ -79,6 +84,17 @@ class EnokiEevdf(EnokiWfq):
                              was_latched, sched)
         self._assign_deadline(pid)
 
+    def task_yield(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
+                   sched):
+        super().task_yield(pid, runtime, cpu_seqnum, cpu, from_switchto,
+                           sched)
+        self._assign_deadline(pid)
+
+    def migrate_task_rq(self, pid, new_cpu, sched):
+        old_token = super().migrate_task_rq(pid, new_cpu, sched)
+        self._assign_deadline(pid)
+        return old_token
+
     def task_dead(self, pid):
         super().task_dead(pid)
         self.vdeadline.pop(pid, None)
@@ -117,3 +133,13 @@ class EnokiEevdf(EnokiWfq):
             self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
             self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
             return self.queues.remove(pid)
+
+    # ------------------------------------------------------------------
+    # live upgrade
+    # ------------------------------------------------------------------
+
+    def transfer_adopted(self):
+        super().transfer_adopted()
+        for queue in self.queues.cpus.values():
+            for _vruntime, pid, _token in queue:
+                self._assign_deadline(pid)

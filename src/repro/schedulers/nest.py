@@ -23,13 +23,25 @@ a Nest placement avoids.  ``repro bench nest`` compares warm-core reuse
 against spreading placement.
 """
 
+from dataclasses import dataclass
+
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
+
+
+@dataclass
+class NestTransferState(WfqTransferState):
+    """WFQ's upgrade state plus the nest and its decay counters."""
+
+    nest: list
+    _idle_picks: dict
+    expansions: int
+    contractions: int
 
 
 class EnokiNest(EnokiWfq):
     """Warm-core-first placement over the WFQ engine."""
 
-    TRANSFER_TYPE = WfqTransferState
+    TRANSFER_TYPE = NestTransferState
 
     #: nest shrink: a nest core idle this long is released
     DECAY_PICKS = 64

@@ -30,6 +30,12 @@ The ``flat-cfs`` literal was recorded on the commit before CFS's time
 slice was memoised: a stale slice after a wakeup, a block, a migration, a
 renice or a change in how many tasks the CPU holds moves a tick's
 preemption, so the digest.
+
+The ``upgrade-mixed`` literals for ``eevdf`` and ``nest`` and fuzz
+episode 2's were re-recorded when those two policies stopped losing
+state: EEVDF assigns a deadline on every queue entry (yield and
+migration included) and re-derives the queued ones after an upgrade,
+and Nest carries its nest across one.
 """
 
 import pytest
@@ -633,11 +639,11 @@ GOLDEN = {
     ('hackbench-deep', 'nest'):
         "e4bdd59e0c07383d5cccb62ce7b7ffd38a3e5057b0c719bc3a833a47c1bfaa21",
     ('upgrade-mixed', 'eevdf'):
-        "b85115d7bf9f4b0f58de9055049791c62837a032e690111384e2114f969f7d56",
+        "190fd782042ba0be6f669711acd9f4cf7ea72d7593ba7f829ade114d3d34aebc",
     ('upgrade-mixed', 'fifo'):
         "82a87e4cf2057414a8acfaaeeb1face78b7d2e2123deae793499747e6d8e3873",
     ('upgrade-mixed', 'nest'):
-        "ffc20245f0271a3b9f48fdfd38a4c92139402066da6ae16abb06153b0b06b894",
+        "95d1b34da7bc17e7ba72202c155125518a474da9dc21c08f9015e3ea84609659",
     ('upgrade-mixed', 'serverless'):
         "404d90727491a317b6c3f6a398fdd33f29a12a7307719d710cf7f27ec3068a30",
     ('upgrade-mixed', 'shinjuku'):
@@ -655,7 +661,7 @@ GOLDEN = {
     ('fuzz', 1):
         "745f383b0dfa733b5a7ba3a2c141464b89bab70c553a76cda20172c0ce9c3d57",
     ('fuzz', 2):
-        "93cc3d07fdbaca6b585322225dca36b09a00c50b893ceebe2aab66ced2b1641d",
+        "a2a554f69bb04eb7c406274786e98fed9b33ad94349c6dd7174bac8c427b9dd4",
     ('fuzz', 3):
         "560b14cae7e4d7d7546c069ce09338886d5c2eaf19d773685f642bfd8ea3b6e1",
     ('fuzz', 4):

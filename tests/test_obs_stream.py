@@ -8,8 +8,11 @@ below were first recorded on the commit *before* the three stacked
 because of a refactor of that pipeline.  They were re-recorded once, when
 the ``kernel.cpu<N>.*`` and ``kernel.busy_ns_total`` gauges began closing
 the open busy/idle segment (with those gauges left out, the digests were
-unchanged).  Only wall-clock material is left out (the ``wall_ns`` field
-of ``enoki_msg`` events and the ``*wall_ns*`` histograms).
+unchanged).  The three ``faults`` digests (an EEVDF episode) were
+re-recorded when EEVDF began assigning a deadline on every queue entry,
+yield and migration included.  Only wall-clock material is left out
+(the ``wall_ns`` field of ``enoki_msg`` events and the ``*wall_ns*``
+histograms).
 """
 
 import hashlib
@@ -90,11 +93,11 @@ def fuzz_episode(monkeypatch, shape, seed, bug=""):
 
 GOLDEN = {
     ('faults', 11):
-        "6793c05704c81dff250ca740ec938f9f6aae53709e7b25bd122efd6f84d5463c",
+        "7d17b976383797269eb7bb60944d8bcc14fc3221d58d83b6c1de229d6bfbd333",
     ('faults', 202):
-        "eeab143af4b81574ed90884b44037c2261293078eb22f23d0de2b75d9bef12f6",
+        "6170b9bab4dedd442433443750a4fa833c58384c6e39ca58a5a74f775e6486b3",
     ('faults', 3003):
-        "23e3c8a244aa8b909fa513e8f61ac42d4a8850abc2cd5c2d1c441025be181f35",
+        "e8550fd9fc93ab01919f281dd191b0c59a07dc998a177b5d62dd1bfbc4bd0098",
     ('groups', 11):
         "5c6a0ed96f0788b1c788096c601f6ba2b353db4de08e271e7cd4c2c844101bca",
     ('groups', 202):

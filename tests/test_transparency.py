@@ -7,9 +7,6 @@ a self-upgrade at time T, or a recorder on the shim, gives the same
 ``state_digest`` as the plain run of the same episode.  The episodes
 are the fuzzer's, with faults and groups stripped so the only
 difference between the two runs is the upgrade or the recorder.
-
-EEVDF and Nest lose scheduler state across a self-upgrade (ROADMAP item
-2(b)); their upgrade cases are strict xfails, so the fix flips them.
 """
 
 from dataclasses import replace
@@ -26,14 +23,10 @@ ZERO_UPGRADE = {"upgrade_sync_per_cpu_ns": 0, "upgrade_swap_ns": 0,
                 "upgrade_per_task_ns": 0}
 ZERO_RECORD = {"record_overhead_ns": 0}
 
-#: (episode seed, upgrade time): EEVDF and Nest move the digest on
-#: every one of these
+#: (episode seed, upgrade time): EEVDF and Nest moved the digest on
+#: every one of these while their transferred state was incomplete
 UPGRADE_CASES = ((3, 60_000), (5, 400_000), (5, 1_500_000))
 RECORD_SEEDS = (3, 4)
-
-#: ROADMAP item 2(b): transferred scheduler state is incomplete
-LOSES_STATE = {"eevdf", "nest"}
-
 
 def plain_episode(seed, sched):
     spec = generate_episode(seed, sched)
@@ -53,17 +46,7 @@ def run(spec, config, upgrade_at_ns=0, recorder=None):
     return state_digest(session.kernel), session
 
 
-def upgrade_params():
-    for sched in enoki_scheduler_names():
-        marks = ([pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ROADMAP item 2(b): EEVDF and Nest lose scheduler "
-            "state across a self-upgrade")]
-            if sched in LOSES_STATE else [])
-        yield pytest.param(sched, marks=marks, id=sched)
-
-
-@pytest.mark.parametrize("sched", upgrade_params())
+@pytest.mark.parametrize("sched", enoki_scheduler_names())
 def test_zero_cost_self_upgrade_leaves_the_digest(sched):
     moved = []
     for seed in sorted({seed for seed, _ in UPGRADE_CASES}):
