@@ -145,7 +145,7 @@ class EnokiCoreArbiter(QueuePolicy):
         if pid in self.parked:
             token = self.parked.pop(pid)
             if token is not None:
-                self.queues.push_back(core, pid, token)
+                self._enqueue(core, pid, token)
             # Standard kernel scheduling mechanism: just get the core to
             # run its pick path again.
             self.env.start_resched_timer(core, 0)
@@ -167,35 +167,12 @@ class EnokiCoreArbiter(QueuePolicy):
             return min(allowed_cpus)
         return prev_cpu if prev_cpu >= 0 else 0
 
-    def _enqueue(self, pid, sched):
+    def _enqueue(self, cpu, pid, sched):
         if pid in self.parked:
             # Parked kthread: hold the token, do not queue it for pick.
             self.parked[pid] = sched
         else:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_new(self, pid, tgid, runtime, runnable, prio, sched):
-        with self.lock:
-            self._enqueue(pid, sched)
-
-    def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
-                    wake_up_cpu, waker_cpu, sched):
-        with self.lock:
-            self._enqueue(pid, sched)
-
-    def task_yield(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
-                   sched):
-        with self.lock:
-            self._enqueue(pid, sched)
-
-    def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
-                     was_latched, sched):
-        with self.lock:
-            self._enqueue(pid, sched)
-
-    def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
-        with self.lock:
-            self.queues.remove(pid)
+            super()._enqueue(cpu, pid, sched)
 
     def task_dead(self, pid):
         with self.lock:
@@ -216,12 +193,6 @@ class EnokiCoreArbiter(QueuePolicy):
             if token is None:
                 token = self.parked.pop(pid, None)
             return token
-
-    def migrate_task_rq(self, pid, new_cpu, sched):
-        with self.lock:
-            old = self.queues.remove(pid)
-            self.queues.push_back(new_cpu, pid, sched)
-        return old
 
     # ------------------------------------------------------------------
     # decisions

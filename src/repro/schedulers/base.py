@@ -5,10 +5,11 @@ The :class:`~repro.core.trait.EnokiScheduler` trait stays the only
 contract with the framework; nothing here is visible to it.  The queue
 every scheduler keeps its waiting tasks in is
 :class:`~repro.simkernel.runqueue.TokenQueue`; :class:`QueuePolicy` adds
-the lock, the ``pnt_err`` / ``task_departed`` bookkeeping and the live
-upgrade by declared fields, so that ``fifo`` (and ``locality`` over
-it), ``wfq`` (and ``eevdf`` / ``nest`` over it), ``shinjuku``,
-``serverless`` and ``arachne`` hold policy and nothing else.
+the lock, the token-entry hooks over one enqueue site, the ``pnt_err`` /
+``task_departed`` bookkeeping and the live upgrade by declared fields,
+so that ``fifo`` (and ``locality`` over it), ``wfq`` (and ``eevdf`` /
+``nest`` over it), ``shinjuku``, ``serverless`` and ``arachne`` hold
+policy and nothing else.
 """
 
 from dataclasses import fields
@@ -23,8 +24,13 @@ class QueuePolicy(EnokiScheduler):
     Subclasses declare ``LOCK_NAME`` and ``TRANSFER_TYPE`` — a dataclass
     whose field names are the attributes a live upgrade carries to the
     next version (``generation`` among them) — and build their queue(s)
-    in ``__init__``.  ``pnt_err`` and ``task_departed`` here serve the
-    policies with a single queue named ``queues``.
+    in ``__init__``.  The hooks here serve the policies with a single
+    queue named ``queues``.
+
+    Every hook that hands the policy a token (new, wakeup, preempt,
+    yield through the trait's default, migrate) queues it through
+    :meth:`_enqueue`, each inside one lock section: a policy that only
+    orders its tasks differently overrides that one method.
     """
 
     LOCK_NAME = None
@@ -42,6 +48,40 @@ class QueuePolicy(EnokiScheduler):
 
     def get_policy(self):
         return self.policy
+
+    # -- the token-entry hooks: one enqueue site --------------------------
+
+    def _enqueue(self, cpu, pid, sched):
+        """Queue ``pid``'s token on ``cpu``; the lock is held.  FIFO."""
+        self.queues.push_back(cpu, pid, sched)
+
+    def task_new(self, pid, tgid, runtime, runnable, prio, sched):
+        with self.lock:
+            self._enqueue(sched.cpu, pid, sched)
+
+    def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
+                    wake_up_cpu, waker_cpu, sched):
+        with self.lock:
+            self._enqueue(sched.cpu, pid, sched)
+
+    def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
+                     was_latched, sched):
+        with self.lock:
+            self._enqueue(sched.cpu, pid, sched)
+
+    def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
+        with self.lock:
+            self.queues.remove(pid)
+
+    def task_dead(self, pid):
+        with self.lock:
+            self.queues.remove(pid)
+
+    def migrate_task_rq(self, pid, new_cpu, sched):
+        with self.lock:
+            old_token = self.queues.remove(pid)
+            self._enqueue(new_cpu, pid, sched)
+        return old_token
 
     def pnt_err(self, cpu, pid, err, sched):
         # Ownership of the rejected token returns to us; it is stale, so

@@ -66,34 +66,10 @@ class EnokiEevdf(EnokiWfq):
         """Latency tuning: a shorter slice buys earlier deadlines."""
         self.slice_ns[pid] = max(1, int(slice_ns))
 
-    # Re-derive a deadline whenever a task (re)enters a queue.
-
-    def task_new(self, pid, tgid, runtime, runnable, prio, sched):
-        super().task_new(pid, tgid, runtime, runnable, prio, sched)
+    def _enqueue(self, cpu, pid, sched):
+        # Every (re)entry to a queue re-derives the deadline.
         self._assign_deadline(pid)
-
-    def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
-                    wake_up_cpu, waker_cpu, sched):
-        super().task_wakeup(pid, agent_data, deferrable, last_run_cpu,
-                            wake_up_cpu, waker_cpu, sched)
-        self._assign_deadline(pid)
-
-    def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
-                     was_latched, sched):
-        super().task_preempt(pid, runtime, cpu_seqnum, cpu, from_switchto,
-                             was_latched, sched)
-        self._assign_deadline(pid)
-
-    def task_yield(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
-                   sched):
-        super().task_yield(pid, runtime, cpu_seqnum, cpu, from_switchto,
-                           sched)
-        self._assign_deadline(pid)
-
-    def migrate_task_rq(self, pid, new_cpu, sched):
-        old_token = super().migrate_task_rq(pid, new_cpu, sched)
-        self._assign_deadline(pid)
-        return old_token
+        super()._enqueue(cpu, pid, sched)
 
     def task_dead(self, pid):
         super().task_dead(pid)
@@ -116,23 +92,15 @@ class EnokiEevdf(EnokiWfq):
             weighted += vruntime * weight
         return weighted // max(1, total_weight)
 
-    def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
-        with self.lock:
-            for pid, runtime in runtimes.items():
-                self._observe_runtime(pid, runtime)
-            queue = self.queues.cpus[cpu]
-            if not queue:
-                return None
-            average = self._queue_average_vruntime(cpu)
-            eligible = [entry for entry in queue if entry[0] <= average]
-            pool = eligible if eligible else queue
-            vruntime, pid, _token = min(
-                pool,
-                key=lambda entry: self.vdeadline.get(entry[1], 0),
-            )
-            self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
-            self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
-            return self.queues.remove(pid)
+    def _take(self, cpu):
+        """Unqueue the eligible entry with the earliest deadline."""
+        queue = self.queues.cpus[cpu]
+        average = self._queue_average_vruntime(cpu)
+        eligible = [entry for entry in queue if entry[0] <= average]
+        entry = min(eligible or queue,
+                    key=lambda entry: self.vdeadline.get(entry[1], 0))
+        self.queues.remove(entry[1])
+        return entry
 
     # ------------------------------------------------------------------
     # live upgrade

@@ -6,8 +6,10 @@
 
 Every task it queues is represented by the ``Schedulable`` token the
 framework handed it, and picking a task spends that token.  The queue the
-tokens wait in and the load/identity/upgrade boilerplate come from
-:mod:`repro.schedulers.base`; what is left here is the policy.  This file
+tokens wait in, the hooks that queue them (first come, first served is
+the base class's default order) and the load/identity/upgrade
+boilerplate come from :mod:`repro.schedulers.base`; what is left here is
+placement and the pick.  This file
 doubles as the reference implementation for the docs' quickstart and
 carries the transfer state used by the live-upgrade examples.
 """
@@ -45,36 +47,6 @@ class EnokiFifo(QueuePolicy):
         with self.lock:
             queues = self.queues.cpus
             return min(candidates, key=lambda c: len(queues[c]))
-
-    # -- state tracking ------------------------------------------------------
-
-    def task_new(self, pid, tgid, runtime, runnable, prio, sched):
-        with self.lock:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
-                    wake_up_cpu, waker_cpu, sched):
-        with self.lock:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
-        with self.lock:
-            self.queues.remove(pid)
-
-    def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
-                     was_latched, sched):
-        with self.lock:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_dead(self, pid):
-        with self.lock:
-            self.queues.remove(pid)
-
-    def migrate_task_rq(self, pid, new_cpu, sched):
-        with self.lock:
-            old_token = self.queues.remove(pid)
-            self.queues.push_back(new_cpu, pid, sched)
-        return old_token
 
     # -- decisions --------------------------------------------------------------
 

@@ -134,7 +134,7 @@ class EnokiLocality(EnokiFifo):
         with self.lock:
             if self.current.get(cpu) == pid:
                 del self.current[cpu]
-            self.queues.push_back(sched.cpu, pid, sched)
+            self._enqueue(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
         with self.lock:

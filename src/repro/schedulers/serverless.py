@@ -116,7 +116,7 @@ class EnokiServerless(QueuePolicy):
     def _episode_ns(self, pid, runtime):
         return runtime - self.episode_base.get(pid, 0)
 
-    def _insert(self, cpu, pid, token):
+    def _enqueue(self, cpu, pid, token):
         """Queue ``pid`` on ``cpu`` according to its current class."""
         if self.classes.get(pid, SHORT) == LONG:
             vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
@@ -161,7 +161,7 @@ class EnokiServerless(QueuePolicy):
         with self.lock:
             self.last_runtime[pid] = runtime
             self.episode_base[pid] = runtime
-            self._insert(sched.cpu, pid, sched)
+            self._enqueue(sched.cpu, pid, sched)
 
     def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
                     wake_up_cpu, waker_cpu, sched):
@@ -169,7 +169,7 @@ class EnokiServerless(QueuePolicy):
             cpu = sched.cpu
             self.episode_base[pid] = self.last_runtime.get(pid, 0)
             cls = self.classes.get(pid, SHORT)
-            self._insert(cpu, pid, sched)
+            self._enqueue(cpu, pid, sched)
             running = self.current.get(cpu)
             preempt = (cls == SHORT and running is not None
                        and running[1] == LONG)
@@ -201,7 +201,7 @@ class EnokiServerless(QueuePolicy):
                 # Misclassified: it called itself short (or said nothing)
                 # and outran the trial slice.
                 self._demote(pid)
-            self._insert(sched.cpu, pid, sched)
+            self._enqueue(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
         with self.lock:
@@ -227,7 +227,7 @@ class EnokiServerless(QueuePolicy):
     def migrate_task_rq(self, pid, new_cpu, sched):
         with self.lock:
             old_token = self._remove(pid)
-            self._insert(new_cpu, pid, sched)
+            self._enqueue(new_cpu, pid, sched)
         return old_token
 
     # ------------------------------------------------------------------
@@ -330,7 +330,7 @@ class EnokiServerless(QueuePolicy):
                     else:
                         token = self._remove(pid)
                         if token is not None:
-                            self._insert(token.cpu, pid, token)
+                            self._enqueue(token.cpu, pid, token)
             else:
                 self.counters["hint_short"] += 1
                 self.classes[pid] = SHORT

@@ -67,38 +67,16 @@ class EnokiShinjuku(QueuePolicy):
             return min(candidates, key=lambda c: len(queues[c]))
 
     # ------------------------------------------------------------------
-    # FCFS state
+    # FCFS state: new, woken and preempted tasks take the base class's
+    # ``push_back``, so a preempted task goes to the BACK of the global
+    # order (the Shinjuku processor-sharing approximation)
     # ------------------------------------------------------------------
-
-    def task_new(self, pid, tgid, runtime, runnable, prio, sched):
-        with self.lock:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
-                    wake_up_cpu, waker_cpu, sched):
-        with self.lock:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
-        with self.lock:
-            self.queues.remove(pid)
-
-    def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
-                     was_latched, sched):
-        # Preempted tasks go to the BACK of the global order: this is the
-        # Shinjuku processor-sharing approximation.
-        with self.lock:
-            self.queues.push_back(sched.cpu, pid, sched)
-
-    def task_dead(self, pid):
-        with self.lock:
-            self.queues.remove(pid)
 
     def migrate_task_rq(self, pid, new_cpu, sched):
         with self.lock:
             old = self.queues.remove(pid)
             if old is None:
-                self.queues.push_back(new_cpu, pid, sched)
+                self._enqueue(new_cpu, pid, sched)
             else:
                 # Preserve FCFS position as well as we can: the old entry
                 # is gone, so adopt the minimum sequence currently queued

@@ -106,8 +106,12 @@ class EnokiWfq(QueuePolicy):
                        key=lambda c: (len(queues[c]) + busy(c)))
 
     # ------------------------------------------------------------------
-    # state tracking
+    # state tracking: each entry hook sets the pid's vruntime, then
+    # queues it keyed by that value
     # ------------------------------------------------------------------
+
+    def _enqueue(self, cpu, pid, sched):
+        self.queues.push(cpu, self.vruntime.get(pid, 0), pid, sched)
 
     def task_new(self, pid, tgid, runtime, runnable, prio, sched):
         with self.lock:
@@ -115,13 +119,13 @@ class EnokiWfq(QueuePolicy):
             self.last_runtime[pid] = runtime
             cpu = sched.cpu
             # New tasks start at the end of the current period.
-            vruntime = self.vruntime[pid] = (
+            self.vruntime[pid] = (
                 self.min_vruntime[cpu]
                 + self.sched_latency_ns
                 * NICE_0_WEIGHT // self.weights[pid]
                 // max(1, len(self.queues.cpus[cpu]) + 1)
             )
-            self.queues.push(cpu, vruntime, pid, sched)
+            self._enqueue(cpu, pid, sched)
 
     def task_wakeup(self, pid, agent_data, deferrable, last_run_cpu,
                     wake_up_cpu, waker_cpu, sched):
@@ -129,9 +133,8 @@ class EnokiWfq(QueuePolicy):
             cpu = sched.cpu
             floor = (self.min_vruntime[cpu]
                      - self.sched_latency_ns // self.WAKEUP_BONUS_DIVISOR)
-            vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
-                                                floor)
-            self.queues.push(cpu, vruntime, pid, sched)
+            self.vruntime[pid] = max(self.vruntime.get(pid, 0), floor)
+            self._enqueue(cpu, pid, sched)
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
         with self.lock:
@@ -144,8 +147,7 @@ class EnokiWfq(QueuePolicy):
         with self.lock:
             self._observe_runtime(pid, runtime)
             self.current.pop(cpu, None)
-            self.queues.push(sched.cpu, self.vruntime.get(pid, 0), pid,
-                             sched)
+            self._enqueue(sched.cpu, pid, sched)
 
     def task_yield(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
                    sched):
@@ -155,10 +157,10 @@ class EnokiWfq(QueuePolicy):
             # Yielding pushes the task behind its peers (the back of the
             # queue holds the max vruntime, as its key).
             queue = self.queues.cpus[sched.cpu]
-            vruntime = self.vruntime.get(pid, 0)
             if queue:
-                vruntime = self.vruntime[pid] = max(vruntime, queue[-1][0])
-            self.queues.push(sched.cpu, vruntime, pid, sched)
+                self.vruntime[pid] = max(self.vruntime.get(pid, 0),
+                                         queue[-1][0])
+            self._enqueue(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
         with self.lock:
@@ -186,9 +188,9 @@ class EnokiWfq(QueuePolicy):
         with self.lock:
             old_token = self.queues.remove(pid)
             # Re-home vruntime to the destination queue's baseline.
-            vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
-                                                self.min_vruntime[new_cpu])
-            self.queues.push(new_cpu, vruntime, pid, sched)
+            self.vruntime[pid] = max(self.vruntime.get(pid, 0),
+                                     self.min_vruntime[new_cpu])
+            self._enqueue(new_cpu, pid, sched)
         return old_token
 
     # ------------------------------------------------------------------
@@ -201,10 +203,14 @@ class EnokiWfq(QueuePolicy):
                 self._observe_runtime(pid, runtime)
             if not self.queues.cpus[cpu]:
                 return None
-            vruntime, pid, token = self.queues.pop_head(cpu)
+            vruntime, pid, token = self._take(cpu)
             self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
             self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
             return token
+
+    def _take(self, cpu):
+        """Unqueue the entry a non-empty ``cpu`` runs next: its head."""
+        return self.queues.pop_head(cpu)
 
     def balance(self, cpu):
         """Steal from the longest queue when this core is about to idle."""
