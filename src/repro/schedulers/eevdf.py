@@ -82,8 +82,6 @@ class EnokiEevdf(EnokiWfq):
 
     def _queue_average_vruntime(self, cpu):
         queue = self.queues.cpus[cpu]
-        if not queue:
-            return 0
         total_weight = 0
         weighted = 0
         for vruntime, pid, _token in queue:
@@ -92,14 +90,14 @@ class EnokiEevdf(EnokiWfq):
             weighted += vruntime * weight
         return weighted // max(1, total_weight)
 
-    def _take(self, cpu):
+    def _take(self, queues, cpu):
         """Unqueue the eligible entry with the earliest deadline."""
-        queue = self.queues.cpus[cpu]
+        queue = queues.cpus[cpu]
         average = self._queue_average_vruntime(cpu)
         eligible = [entry for entry in queue if entry[0] <= average]
         entry = min(eligible or queue,
                     key=lambda entry: self.vdeadline.get(entry[1], 0))
-        self.queues.remove(entry[1])
+        queues.remove(entry[1])
         return entry
 
     # ------------------------------------------------------------------

@@ -9,9 +9,9 @@ framework handed it, and picking a task spends that token.  The queue the
 tokens wait in, the hooks that queue them (first come, first served is
 the base class's default order) and the load/identity/upgrade
 boilerplate come from :mod:`repro.schedulers.base`; what is left here is
-placement and the pick.  This file
-doubles as the reference implementation for the docs' quickstart and
-carries the transfer state used by the live-upgrade examples.
+placement and the pick.  This file doubles as the reference
+implementation for the docs' quickstart and carries the transfer state
+used by the live-upgrade examples.
 """
 
 from dataclasses import dataclass

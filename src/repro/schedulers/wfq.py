@@ -43,6 +43,11 @@ class EnokiWfq(QueuePolicy):
     #: how much earlier than the fair share a task may run after waking
     WAKEUP_BONUS_DIVISOR = 2
 
+    #: ``_take(queues, cpu)`` unqueues the entry a non-empty ``cpu`` runs
+    #: next: here the queue's own ``pop_head``, so a pick pays no extra
+    #: frame for the choice an ordering variant overrides
+    _take = staticmethod(TokenQueue.pop_head)
+
     def __init__(self, nr_cpus, policy=7,
                  sched_latency_ns=6_000_000,
                  min_granularity_ns=750_000):
@@ -106,12 +111,12 @@ class EnokiWfq(QueuePolicy):
                        key=lambda c: (len(queues[c]) + busy(c)))
 
     # ------------------------------------------------------------------
-    # state tracking: each entry hook sets the pid's vruntime, then
-    # queues it keyed by that value
+    # state tracking: a pid has a vruntime from its task_new on; each
+    # entry hook updates it, then queues the pid keyed by it
     # ------------------------------------------------------------------
 
     def _enqueue(self, cpu, pid, sched):
-        self.queues.push(cpu, self.vruntime.get(pid, 0), pid, sched)
+        self.queues.push(cpu, self.vruntime[pid], pid, sched)
 
     def task_new(self, pid, tgid, runtime, runnable, prio, sched):
         with self.lock:
@@ -133,7 +138,7 @@ class EnokiWfq(QueuePolicy):
             cpu = sched.cpu
             floor = (self.min_vruntime[cpu]
                      - self.sched_latency_ns // self.WAKEUP_BONUS_DIVISOR)
-            self.vruntime[pid] = max(self.vruntime.get(pid, 0), floor)
+            self.vruntime[pid] = max(self.vruntime[pid], floor)
             self._enqueue(cpu, pid, sched)
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
@@ -158,8 +163,7 @@ class EnokiWfq(QueuePolicy):
             # queue holds the max vruntime, as its key).
             queue = self.queues.cpus[sched.cpu]
             if queue:
-                self.vruntime[pid] = max(self.vruntime.get(pid, 0),
-                                         queue[-1][0])
+                self.vruntime[pid] = max(self.vruntime[pid], queue[-1][0])
             self._enqueue(sched.cpu, pid, sched)
 
     def task_dead(self, pid):
@@ -188,7 +192,7 @@ class EnokiWfq(QueuePolicy):
         with self.lock:
             old_token = self.queues.remove(pid)
             # Re-home vruntime to the destination queue's baseline.
-            self.vruntime[pid] = max(self.vruntime.get(pid, 0),
+            self.vruntime[pid] = max(self.vruntime[pid],
                                      self.min_vruntime[new_cpu])
             self._enqueue(new_cpu, pid, sched)
         return old_token
@@ -203,14 +207,10 @@ class EnokiWfq(QueuePolicy):
                 self._observe_runtime(pid, runtime)
             if not self.queues.cpus[cpu]:
                 return None
-            vruntime, pid, token = self._take(cpu)
+            vruntime, pid, token = self._take(self.queues, cpu)
             self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
             self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
             return token
-
-    def _take(self, cpu):
-        """Unqueue the entry a non-empty ``cpu`` runs next: its head."""
-        return self.queues.pop_head(cpu)
 
     def balance(self, cpu):
         """Steal from the longest queue when this core is about to idle."""

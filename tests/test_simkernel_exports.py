@@ -83,6 +83,36 @@ class TestLayering:
                           and node.value.id == "TaskState"]
         assert not found
 
+    def test_queue_policies_push_only_in_enqueue(self):
+        """Every token a queue policy holds enters through one method:
+        no ``.push(`` / ``.push_back(`` outside ``_enqueue``."""
+        import ast
+        from pathlib import Path
+        import repro.schedulers as schedulers
+        from repro.exp.builder import enoki_scheduler_names
+
+        #: ROADMAP item 2(c): Shinjuku's migrants jump to the global front
+        allowed = {("shinjuku", "migrate_task_rq")}
+        package_dir = Path(inspect.getfile(schedulers)).parent
+        found = []
+
+        def visit(module, node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("push", "push_back")
+                    and function != "_enqueue"
+                    and (module, function) not in allowed):
+                found.append(f"{module}.py:{node.lineno} in {function}")
+            for child in ast.iter_child_nodes(node):
+                visit(module, child, function)
+
+        for module in ("base", "arachne", *enoki_scheduler_names()):
+            tree = ast.parse((package_dir / f"{module}.py").read_text())
+            visit(module, tree, None)
+        assert not found
+
     def test_enoki_schedulers_do_not_touch_the_kernel(self):
         """Enoki scheduler modules import only the trait layer and task
         constants — never the Kernel or SchedClass (paper: schedulers are

@@ -6,8 +6,15 @@ to find one pid.  Random operation sequences must get the same answers
 from both and leave the same queues behind, under each key shape in use:
 plain numbers, a FIFO sequence, CFS's ``(vruntime, pid)`` and RT's
 ``(-prio, +-seq)``.
+
+The policies queue through one method, ``QueuePolicy._enqueue``: the
+last test orders every token-entry hook by overriding it alone.
 """
 
+import threading
+from collections import namedtuple
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,3 +234,38 @@ def test_incoming_version_adopts_cpus_the_outgoing_one_did_not_know():
     assert outgoing.longest_other(0) == 1
     assert outgoing.pop_head(3) == (2, 6, "t6")
     assert outgoing.where == {5: 1}
+
+
+# -- one enqueue site: a policy that only orders differently -----------------
+
+
+class PidOrderFifo(EnokiFifo):
+    """FIFO's placement and pick, queued by pid instead of by arrival."""
+
+    def _enqueue(self, cpu, pid, sched):
+        self.queues.push(cpu, pid, pid, sched)
+
+
+Token = namedtuple("Token", "pid cpu")
+
+#: every hook that hands the policy a token, called the way Enoki-C does
+ENTRY_HOOKS = {
+    "task_new": lambda s, t: s.task_new(t.pid, t.pid, 0, True, 0, t),
+    "task_wakeup": lambda s, t: s.task_wakeup(t.pid, None, False, 0, 0,
+                                              0, t),
+    "task_preempt": lambda s, t: s.task_preempt(t.pid, 0, 0, 0, False,
+                                                False, t),
+    "task_yield": lambda s, t: s.task_yield(t.pid, 0, 0, 0, False, t),
+    "migrate_task_rq": lambda s, t: s.migrate_task_rq(t.pid, t.cpu, t),
+}
+
+
+@pytest.mark.parametrize("hook", sorted(ENTRY_HOOKS))
+def test_overriding_enqueue_alone_orders_every_entry(hook):
+    sched = PidOrderFifo(1, 7)
+    sched.lock = threading.Lock()
+    for pid in (3, 1, 4, 2):
+        ENTRY_HOOKS[hook](sched, Token(pid, 0))
+    picked = [sched.pick_next_task(0, None, 0, {}) for _ in range(5)]
+    assert picked == [Token(1, 0), Token(2, 0), Token(3, 0), Token(4, 0),
+                      None]

@@ -7,15 +7,23 @@ a self-upgrade at time T, or a recorder on the shim, gives the same
 ``state_digest`` as the plain run of the same episode.  The episodes
 are the fuzzer's, with faults and groups stripped so the only
 difference between the two runs is the upgrade or the recorder.
+
+The upgrade oracle is only as good as the state it can see go missing,
+so it is checked against planted drops: a transfer dataclass without
+Nest's ``nest``, or without the ``vruntime`` EEVDF carries, moves the
+digest on every upgrade case.  Dropping Nest's ``_idle_picks``,
+``expansions`` or ``contractions`` does not move it on these cases.
 """
 
-from dataclasses import replace
+from dataclasses import fields, make_dataclass, replace
 
 import pytest
 
 from repro.core import Recorder
 from repro.exp import KernelBuilder
 from repro.exp.builder import enoki_scheduler_names
+from repro.schedulers.eevdf import EnokiEevdf
+from repro.schedulers.nest import EnokiNest
 from repro.verify import generate_episode, state_digest
 from repro.verify.fuzz import _spawn_tasks
 
@@ -27,6 +35,7 @@ ZERO_RECORD = {"record_overhead_ns": 0}
 #: every one of these while their transferred state was incomplete
 UPGRADE_CASES = ((3, 60_000), (5, 400_000), (5, 1_500_000))
 RECORD_SEEDS = (3, 4)
+
 
 def plain_episode(seed, sched):
     spec = generate_episode(seed, sched)
@@ -46,8 +55,8 @@ def run(spec, config, upgrade_at_ns=0, recorder=None):
     return state_digest(session.kernel), session
 
 
-@pytest.mark.parametrize("sched", enoki_scheduler_names())
-def test_zero_cost_self_upgrade_leaves_the_digest(sched):
+def moved_cases(sched):
+    """The upgrade cases whose zero-cost self-upgrade moves the digest."""
     moved = []
     for seed in sorted({seed for seed, _ in UPGRADE_CASES}):
         spec = plain_episode(seed, sched)
@@ -59,7 +68,25 @@ def test_zero_cost_self_upgrade_leaves_the_digest(sched):
             assert len(session.upgrades.reports) == 1, (seed, at_ns)
             if upgraded != plain:
                 moved.append((seed, at_ns))
-    assert moved == []
+    return moved
+
+
+@pytest.mark.parametrize("sched", enoki_scheduler_names())
+def test_zero_cost_self_upgrade_leaves_the_digest(sched):
+    assert moved_cases(sched) == []
+
+
+@pytest.mark.parametrize("sched, cls, field", [
+    ("nest", EnokiNest, "nest"),
+    ("eevdf", EnokiEevdf, "vruntime"),
+])
+def test_a_planted_transfer_drop_moves_the_digest(monkeypatch, sched, cls,
+                                                  field):
+    declared = cls.TRANSFER_TYPE
+    monkeypatch.setattr(cls, "TRANSFER_TYPE", make_dataclass(
+        f"{declared.__name__}Without_{field}",
+        [(f.name, f.type) for f in fields(declared) if f.name != field]))
+    assert moved_cases(sched) == list(UPGRADE_CASES)
 
 
 @pytest.mark.parametrize("sched", enoki_scheduler_names())

@@ -6,7 +6,10 @@ from repro.core import EnokiSchedClass, UpgradeManager
 from repro.core.errors import UpgradeError
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.exp.builder import enoki_scheduler_names
+from repro.schedulers.eevdf import EnokiEevdf
 from repro.schedulers.fifo import EnokiFifo, FifoTransferState
+from repro.schedulers.nest import EnokiNest
+from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
@@ -101,6 +104,28 @@ class TestUpgrade:
         task = kernel.spawn(long_prog(phases=1), policy=POLICY)
         kernel.run_until_idle()
         assert task.state is TaskState.DEAD
+
+    def test_wfq_hot_swaps_to_eevdf_but_not_to_nest(self):
+        """EEVDF carries exactly WFQ's state, so the two replace each
+        other; Nest's state is WFQ's plus its nest, so the swap is
+        refused before anything moves, naming both sides."""
+        kernel = Kernel(Topology.smp(2), SimConfig())
+        shim = EnokiSchedClass.register(kernel, EnokiWfq(2, POLICY),
+                                        POLICY)
+        tasks = [kernel.spawn(long_prog(), policy=POLICY)
+                 for _ in range(4)]
+        kernel.run_until(100_000)
+        manager = UpgradeManager(kernel, shim)
+        with pytest.raises(UpgradeError) as refused:
+            manager.upgrade_now(EnokiNest(2, POLICY))
+        for name in ("EnokiWfq", "WfqTransferState", "EnokiNest",
+                     "NestTransferState"):
+            assert name in str(refused.value), name
+        report = manager.upgrade_now(EnokiEevdf(2, POLICY))
+        assert report.transferred_state
+        assert isinstance(shim.lib.scheduler, EnokiEevdf)
+        kernel.run_until_idle()
+        assert all(t.state is TaskState.DEAD for t in tasks)
 
     def test_wrong_state_instance_rejected(self):
         kernel, shim, _ = make()
