@@ -30,8 +30,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "enoki_c": "EnokiSchedClass",
     "errors": "EnokiError FailoverError FaultError InjectedFault QueueError "
               "ReplayMismatch TokenError UpgradeError",
-    "failover": "ContainmentBoundary ContainmentPolicy FailoverManager "
-                "FailoverReport PanicRecord",
+    "failover": "CALLBACK_BUDGET_NS STRIKE_THRESHOLD ContainmentBoundary "
+                "FailoverManager FailoverReport PanicRecord",
     "faults": "BUILTIN_PLANS FaultInjector FaultPlan FaultSpec",
     "hints": "RevMessage RingBuffer UserMessage",
     "record": "Recorder",

@@ -165,18 +165,6 @@ class EnokiSchedClass(SchedClass):
         self.refresh_mode()
         return injector
 
-    def configure_containment(self, **overrides):
-        """Adjust containment knobs (``strike_threshold``,
-        ``fallback_policy``, ``callback_budget_ns``, ...)."""
-        if self.containment is None:
-            self.containment = ContainmentBoundary(self)
-        policy = self.containment.policy
-        for key, value in overrides.items():
-            if not hasattr(policy, key):
-                raise FaultError(f"unknown containment knob {key!r}")
-            setattr(policy, key, value)
-        return self.containment
-
     # ------------------------------------------------------------------
     # cost model
     # ------------------------------------------------------------------
@@ -282,11 +270,6 @@ class EnokiSchedClass(SchedClass):
         if profiler is not None:
             profiler.note(func, virtual_ns=virtual_ns, wall_ns=wall_ns,
                           policy=self.policy)
-        if (boundary is not None
-                and boundary.policy.wall_budget_ns is not None
-                and wall_ns > boundary.policy.wall_budget_ns):
-            boundary.note_overrun(func, wall_ns,
-                                  message=message_for(func)(*args))
         return response
 
     #: the CPU whose hook is being handled; assigned directly at every
@@ -314,10 +297,7 @@ class EnokiSchedClass(SchedClass):
         if type(cpu) is int and 0 <= cpu < nr and task.can_run_on(cpu):
             return cpu
         if self.containment is not None:
-            self.containment.note_bad_response(
-                "select_task_rq",
-                f"placed pid {task.pid} on invalid cpu {cpu!r}",
-            )
+            self.containment.note_bad_response()
         if task.can_run_on(prev_cpu) and 0 <= prev_cpu < nr:
             return prev_cpu
         for candidate in self.kernel.topology.all_cpus():
@@ -432,10 +412,7 @@ class EnokiSchedClass(SchedClass):
         self.kernel.stats.pick_errors += 1
         pid = token.pid if hasattr(token, "pid") else -1
         if self.containment is not None:
-            self.containment.note_bad_response(
-                "pick_next_task",
-                f"invalid/stale token for pid {pid} on cpu {cpu}",
-            )
+            self.containment.note_bad_response()
         self._call("pnt_err", (cpu, pid, 1, token))
         return None
 
@@ -449,10 +426,7 @@ class EnokiSchedClass(SchedClass):
         task = self.kernel.tasks.get(pid) if type(pid) is int else None
         if task is None or task.policy != self.policy:
             if self.containment is not None:
-                self.containment.note_bad_response(
-                    "balance",
-                    f"answered foreign/unknown pid {pid!r} on cpu {cpu}",
-                )
+                self.containment.note_bad_response()
             self._call("balance_err", (
                 cpu, pid if type(pid) is int else -1, 2, None))
             return None
@@ -537,8 +511,7 @@ class EnokiSchedClass(SchedClass):
         if existing is not None:
             return existing
         ring = RingBuffer(self.kernel.config.ring_buffer_capacity,
-                          name=f"user-{tgid}",
-                          policy=self.kernel.config.ring_overflow_policy)
+                          name=f"user-{tgid}")
         queue_id = self._call("register_queue", (0,), extra=ring)
         self.queues.add_user_queue(queue_id, ring, tgid=tgid)
         return queue_id
@@ -549,8 +522,7 @@ class EnokiSchedClass(SchedClass):
         if existing is not None:
             return existing
         ring = RingBuffer(self.kernel.config.ring_buffer_capacity,
-                          name=f"rev-{tgid}",
-                          policy=self.kernel.config.ring_overflow_policy)
+                          name=f"rev-{tgid}")
         queue_id = self._call("register_reverse_queue", (0,), extra=ring)
         self.queues.add_rev_queue(queue_id, ring, tgid=tgid)
         return queue_id

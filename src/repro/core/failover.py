@@ -10,15 +10,15 @@ answers*; this module catches everything else:
 * **virtual-time overruns** (a callback charging far more than its
   budget, e.g. an injected hang) count as strikes;
 * **invalid responses** (stale tokens, wrong-core picks, foreign balance
-  answers) are tallied separately — they are part of the paper's normal
-  ``pnt_err`` flow and do not trigger failover unless explicitly asked.
+  answers) are only counted — they are part of the paper's normal
+  ``pnt_err`` flow and never trigger failover.
 
-After a configurable strike threshold — or immediately for
-non-recoverable callbacks like ``pick_next_task``, whose answer the
-kernel needs *now* — the boundary **fails over**: quiesce through the
-scheduler rwlock, mark the shim dead, drain live tokens, requeue every
-queued Enoki task into a fallback native class, and redirect the policy
-so running/blocked tasks are adopted lazily at their next state change.
+After ``STRIKE_THRESHOLD`` strikes — or immediately for non-recoverable
+callbacks like ``pick_next_task``, whose answer the kernel needs *now* —
+the boundary **fails over**: quiesce through the scheduler rwlock, mark
+the shim dead, drain live tokens, requeue every queued Enoki task into
+the highest-priority native class, and redirect the policy so
+running/blocked tasks are adopted lazily at their next state change.
 Tasks keep their policy number, so hint handlers stay routed and
 watchdogs keep watching; only ``class_of`` resolution changes.  Not a
 single task is lost — the guarantee ``tests/test_faults.py`` enforces
@@ -26,7 +26,7 @@ under every built-in fault plan.
 """
 
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import EnokiError, FailoverError, InjectedFault
 from repro.core.messages import message_for
@@ -36,6 +36,12 @@ from repro.simkernel.task import TaskState
 #: here cannot be degraded to a no-op, the class must fail over (or, with
 #: no fallback registered, the bug surfaces as it would have unguarded)
 NONRECOVERABLE_HOOKS = frozenset({"pick_next_task"})
+
+#: exceptions/overruns before a recoverable callback forces failover
+STRIKE_THRESHOLD = 3
+#: virtual time a single callback may charge before it counts as an
+#: overrun strike (the per-callback watchdog budget)
+CALLBACK_BUDGET_NS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -66,33 +72,11 @@ class FailoverReport:
         return len(self.requeued_pids) + len(self.lazy_pids)
 
 
-@dataclass
-class ContainmentPolicy:
-    """Knobs for the containment boundary."""
-
-    #: exceptions/overruns before a recoverable callback forces failover
-    strike_threshold: int = 3
-    #: invalid responses before failover; None = never (stale tokens are
-    #: part of the paper's normal pnt_err flow, not necessarily fatal)
-    bad_response_threshold: int = None
-    #: virtual time a single callback may charge before it counts as an
-    #: overrun strike (the per-callback watchdog budget)
-    callback_budget_ns: int = 1_000_000
-    #: wall-clock budget per callback; None disables (wall time is only
-    #: measured when an observer/profiler is attached, and wall-based
-    #: strikes are inherently non-deterministic)
-    wall_budget_ns: int = None
-    #: policy number of the class to fail over to; None = the highest
-    #: priority native (non-Enoki) class registered on the kernel
-    fallback_policy: int = None
-
-
 class ContainmentBoundary:
     """Per-shim panic ledger + strike counter + failover trigger."""
 
-    def __init__(self, shim, policy=None):
+    def __init__(self, shim):
         self.shim = shim
-        self.policy = policy if policy is not None else ContainmentPolicy()
         self.panics = []
         self.strikes = 0
         self.bad_responses = 0
@@ -146,7 +130,7 @@ class ContainmentBoundary:
         # The hang consumed real (virtual) CPU time: charge it into the
         # kernel's cost accounting like any other scheduler-induced work.
         self.shim._extra_cost_ns += overrun
-        if overrun > self.policy.callback_budget_ns:
+        if overrun > CALLBACK_BUDGET_NS:
             self.note_overrun(func, overrun,
                               message=message_for(func)(*args))
 
@@ -160,26 +144,20 @@ class ContainmentBoundary:
         self._record_panic(
             hook, "overrun", message,
             f"callback charged {overrun_ns} ns "
-            f"(budget {self.policy.callback_budget_ns} ns)",
+            f"(budget {CALLBACK_BUDGET_NS} ns)",
         )
         if self._struck_out():
             self.engage_failover(
                 reason=f"overrun in {hook}: {overrun_ns} ns"
             )
 
-    def note_bad_response(self, hook, detail):
+    def note_bad_response(self):
         """An invalid answer (stale token, foreign pid, bad core).
 
         These route through the paper's pnt_err/sanitise flow and are
-        survivable, so they only force failover past an explicit
-        ``bad_response_threshold``.
+        survivable: counted, never a strike.
         """
         self.bad_responses += 1
-        threshold = self.policy.bad_response_threshold
-        if threshold is not None and self.bad_responses >= threshold:
-            self.engage_failover(
-                reason=f"bad response in {hook}: {detail}"
-            )
 
     # ------------------------------------------------------------------
     # failover
@@ -201,9 +179,7 @@ class ContainmentBoundary:
         if shim.failed or self._engaging:
             self.suppressed_escalations += 1
             return self.failover_report
-        manager = FailoverManager(
-            shim, fallback_policy=self.policy.fallback_policy
-        )
+        manager = FailoverManager(shim)
         fallback = manager.find_fallback()
         if fallback is None:
             return None
@@ -217,7 +193,7 @@ class ContainmentBoundary:
     # ------------------------------------------------------------------
 
     def _struck_out(self):
-        return self.strikes >= self.policy.strike_threshold
+        return self.strikes >= STRIKE_THRESHOLD
 
     def _record_panic(self, hook, kind, message, detail):
         shim = self.shim
@@ -241,24 +217,15 @@ class ContainmentBoundary:
 class FailoverManager:
     """Moves every task of a failed Enoki shim into a fallback class."""
 
-    def __init__(self, shim, fallback_policy=None):
+    def __init__(self, shim):
         self.shim = shim
-        self.fallback_policy = fallback_policy
 
     def find_fallback(self):
-        """The class to fail over to: explicit policy, else the highest
-        priority native (non-Enoki) class on the kernel."""
+        """The class to fail over to: the highest priority native
+        (non-Enoki) class on the kernel."""
         kernel = self.shim.kernel
         if kernel is None:
             return None
-        if self.fallback_policy is not None:
-            fallback = kernel._class_by_policy.get(self.fallback_policy)
-            if fallback is None:
-                raise FailoverError(
-                    f"fallback policy {self.fallback_policy} is not "
-                    "registered"
-                )
-            return fallback
         for _prio, cls in kernel._classes:
             if cls is self.shim:
                 continue

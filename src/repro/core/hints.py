@@ -34,61 +34,35 @@ class RevMessage:
     payload: Any
 
 
-#: overflow policy: reject the incoming entry (the paper's semantics)
-DROP_NEW = "drop-new"
-#: overflow policy: evict the oldest entry to make room (lossy tail-keep)
-OVERWRITE_OLDEST = "overwrite-oldest"
-
-_OVERFLOW_POLICIES = (DROP_NEW, OVERWRITE_OLDEST)
-
-
 class RingBuffer:
-    """A bounded FIFO with an explicit overflow policy.
+    """A bounded FIFO that drops new entries when full.
 
-    ``drop-new`` matches the paper's overrun semantics ("If the buffer
-    overruns, events may be dropped"): a push into a full ring is rejected.
-    ``overwrite-oldest`` keeps the freshest entries instead, evicting the
-    oldest — useful for hint streams where the latest hint supersedes the
-    rest.  Either way every lost entry is counted in ``dropped`` so
-    backpressure is observable.
+    This is the paper's overrun semantics ("If the buffer overruns, events
+    may be dropped"): a push into a full ring is rejected and counted in
+    ``dropped`` so backpressure is observable.
     """
 
-    def __init__(self, capacity, name=None, policy=DROP_NEW):
+    def __init__(self, capacity, name=None):
         if capacity <= 0:
             raise QueueError(f"ring buffer capacity must be positive: "
                              f"{capacity}")
-        if policy not in _OVERFLOW_POLICIES:
-            raise QueueError(
-                f"unknown ring overflow policy {policy!r} "
-                f"(expected one of {_OVERFLOW_POLICIES})"
-            )
         self.capacity = capacity
         self.name = name or "ring"
-        self.policy = policy
         self._entries = deque()
         self.pushed = 0
         self.popped = 0
         self.dropped = 0
-        self.overwritten = 0
 
     def __len__(self):
         return len(self._entries)
 
     def push(self, entry):
-        """Append an entry.
-
-        Under ``drop-new`` a push into a full ring returns False and counts
-        a drop.  Under ``overwrite-oldest`` the oldest entry is evicted
-        (counted in both ``dropped`` and ``overwritten``) and the push
-        succeeds.
-        """
+        """Append an entry; a push into a full ring returns False and
+        counts a drop."""
         entries = self._entries
         if len(entries) >= self.capacity:
             self.dropped += 1
-            if self.policy != OVERWRITE_OLDEST:
-                return False
-            entries.popleft()
-            self.overwritten += 1
+            return False
         entries.append(entry)
         self.pushed += 1
         return True
@@ -115,22 +89,19 @@ class RingBuffer:
     def accounting(self):
         """The ring-accounting ledger the verify sanitizers audit.
 
-        Every successful push is eventually popped, overwritten, or still
-        resident — so ``pushed == popped + overwritten + len(ring)`` must
-        hold at every quiescent point, for either overflow policy.
+        Every successful push is eventually popped or still resident — so
+        ``pushed == popped + len(ring)`` must hold at every quiescent point.
         """
         return {
             "pushed": self.pushed,
             "popped": self.popped,
-            "overwritten": self.overwritten,
             "dropped": self.dropped,
             "residual": len(self._entries),
         }
 
     def accounting_ok(self):
         """True when the push/pop/drop ledger balances."""
-        return (self.pushed
-                == self.popped + self.overwritten + len(self._entries))
+        return self.pushed == self.popped + len(self._entries)
 
     def __repr__(self):
         return (

@@ -58,9 +58,7 @@ class SchedulerWatchdog:
 
     def __init__(self, kernel, policy, period_ns=1_000_000,
                  lost_task_ns=50_000_000, starvation_ns=20_000_000,
-                 idle_grace_ns=100_000, strict=False, escalate=None,
-                 escalate_kinds=("lost_task", "starvation",
-                                 "work_conservation")):
+                 idle_grace_ns=100_000, strict=False, escalate=None):
         self.kernel = kernel
         self.policy = policy
         self.period_ns = period_ns
@@ -68,22 +66,14 @@ class SchedulerWatchdog:
         self.starvation_ns = starvation_ns
         self.idle_grace_ns = idle_grace_ns
         self.strict = strict
-        #: a ContainmentBoundary (or any callable taking the finding):
-        #: findings of the listed kinds trigger scheduler failover, which
-        #: is how tasks a buggy module *silently dropped* get rescued —
-        #: no exception ever crossed the dispatch boundary, only the
-        #: watchdog can see them.
+        #: a ContainmentBoundary: a ``lost_task`` finding engages its
+        #: (idempotent) failover, which is how tasks a buggy module
+        #: *silently dropped* get rescued — no exception ever crossed the
+        #: dispatch boundary, only the watchdog can see them.
         self.escalate = escalate
-        self.escalate_kinds = frozenset(escalate_kinds)
         self.report = WatchdogReport()
         self._flagged = set()       # (kind, pid/cpu) de-duplication
         self._idle_with_work_since = {}
-        #: one escalation per watchdog, ever: a single scan can surface
-        #: several findings (and a containment strike may have engaged
-        #: failover in the same event step already) — the first
-        #: escalation wins, the rest only record findings
-        self._escalated = False
-        self.escalations_suppressed = 0
         self._timer = kernel.timers.arm_periodic(
             period_ns, lambda _t: self._scan(), tag=("watchdog", policy))
 
@@ -104,40 +94,13 @@ class SchedulerWatchdog:
             kernel.trace("watchdog_finding", t=finding.at_ns,
                          cpu=finding.cpu, pid=finding.pid,
                          finding=finding.kind, policy=self.policy)
-        if self.escalate is not None and finding.kind in self.escalate_kinds:
-            self._escalate(finding)
+        if self.escalate is not None and finding.kind == "lost_task":
+            self.escalate.engage_failover(reason="watchdog:lost_task")
         if self.strict:
             raise SchedulingError(
                 f"watchdog[{finding.kind}] pid={finding.pid} "
                 f"cpu={finding.cpu}: {finding.detail}"
             )
-
-    def _escalate(self, finding):
-        """Fire the escalation target exactly once.
-
-        A containment strike can engage failover in the same event step
-        a scan runs in, and one scan can emit several findings; both
-        paths must not double-fire into the FailoverManager.  The
-        boundary's ``engage_failover`` is idempotent, and this latch
-        keeps plain-callable escalation targets single-shot too.
-        """
-        if self._escalated:
-            self.escalations_suppressed += 1
-            return
-        engage = getattr(self.escalate, "engage_failover", None)
-        if engage is not None:
-            # Already failed over (e.g. by a strike earlier in this
-            # event step): record the suppression, don't re-engage.
-            if getattr(getattr(self.escalate, "shim", None),
-                       "failed", False):
-                self.escalations_suppressed += 1
-                self._escalated = True
-                return
-            self._escalated = True
-            engage(reason=f"watchdog:{finding.kind}")
-        else:
-            self._escalated = True
-            self.escalate(finding)
 
     def _scan(self):
         if not self.kernel.alive_tasks():

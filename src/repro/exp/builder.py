@@ -31,6 +31,11 @@ _ENOKI_SCHEDULERS = {
     "wfq": "EnokiWfq",
 }
 
+#: the fault harness's watchdog: scan every 200 us, and call a task
+#: queued 5 ms without a pick lost (then escalate it into failover)
+WATCHDOG_PERIOD_NS = 200_000
+LOST_TASK_NS = 5_000_000
+
 #: short name -> class, filled as sessions first register each one: a
 #: session imports only the scheduler modules it runs
 _CLASSES = {}
@@ -128,25 +133,18 @@ class Session:
             self.kernel, interval_ns, slos=tuple(slos), **kw)
         return self.telemetry
 
-    def install_faults(self, plan, fallback_policy=0,
-                       watchdog_period_ns=None, lost_task_ns=None):
+    def install_faults(self, plan):
         """Wire the full containment stack the chaos/fuzz harnesses use:
-        injector on the shim, containment boundary with a native fallback,
-        and a watchdog escalating lost tasks into failover."""
+        injector on the shim, the shim's containment boundary (failing
+        over to the highest-priority native class), and a watchdog
+        escalating lost tasks into failover."""
         from repro.core import SchedulerWatchdog
-        from repro.simkernel.clock import usecs
         if self.shim is None:
             raise SimError("fault injection needs an Enoki shim")
         self.injector = self.shim.install_faults(plan)
-        self.shim.configure_containment(fallback_policy=fallback_policy)
         self.watchdog = SchedulerWatchdog(
-            self.kernel, self.policy,
-            period_ns=(watchdog_period_ns if watchdog_period_ns is not None
-                       else usecs(200)),
-            lost_task_ns=(lost_task_ns if lost_task_ns is not None
-                          else usecs(5_000)),
-            escalate=self.shim.containment,
-            escalate_kinds=("lost_task",))
+            self.kernel, self.policy, period_ns=WATCHDOG_PERIOD_NS,
+            lost_task_ns=LOST_TASK_NS, escalate=self.shim.containment)
         return self.injector
 
     def schedule_upgrade(self, at_ns, factory=None):

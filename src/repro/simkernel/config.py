@@ -110,10 +110,6 @@ class SimConfig:
     # --- misc -----------------------------------------------------------
     #: capacity of hint/record ring buffers (entries)
     ring_buffer_capacity: int = 65536
-    #: what a full hint ring does with a new entry: "drop-new" rejects it
-    #: (the paper's overrun semantics), "overwrite-oldest" evicts the
-    #: stalest entry instead
-    ring_overflow_policy: str = "drop-new"
     #: seed for any stochastic workload components
     seed: int = 20240422
 

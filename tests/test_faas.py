@@ -276,7 +276,6 @@ class TestServerlessScheduler:
         and its tasks requeued into native CFS — every in-flight
         invocation still completes."""
         kernel, shim, _ = make(nr_cpus=4)
-        shim.configure_containment(fallback_policy=0)
         kernel.events.after(
             msecs(30),
             lambda: shim.containment.engage_failover(reason="test"))

@@ -24,10 +24,11 @@ from repro.core.errors import (
     FailoverError,
     FaultError,
     InjectedFault,
-    QueueError,
 )
-from repro.core.hints import OVERWRITE_OLDEST, RingBuffer
+from repro.core.failover import STRIKE_THRESHOLD, FailoverManager
+from repro.core.hints import RingBuffer
 from repro.schedulers.cfs import CfsSchedClass
+from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.program import Run, SendHint, Sleep
@@ -61,10 +62,9 @@ def run_plan(plan, nr_cpus=4, tasks=8, hints=True):
     """The chaos harness: injector + containment + escalating watchdog."""
     kernel, shim, sched = make(nr_cpus)
     injector = shim.install_faults(plan)
-    shim.configure_containment(fallback_policy=0)
     watchdog = SchedulerWatchdog(
         kernel, POLICY, period_ns=200_000, lost_task_ns=5_000_000,
-        escalate=shim.containment, escalate_kinds=("lost_task",))
+        escalate=shim.containment)
     upgrades = None
     if any(spec.callback == "reregister_init" for spec in plan.specs):
         upgrades = UpgradeManager(kernel, shim)
@@ -226,7 +226,7 @@ class TestContainment:
         assert report is not None
         assert report.to_policy == 0
         assert "strike" in report.reason or "task_tick" in report.reason
-        assert boundary.strikes >= boundary.policy.strike_threshold
+        assert boundary.strikes >= STRIKE_THRESHOLD
         assert kernel.stats.failovers == 1
         assert all(t.state is TaskState.DEAD for t in spawned)
 
@@ -247,6 +247,20 @@ class TestContainment:
             kernel.spawn(hog(), policy=POLICY, origin_cpu=i % 4)
         with pytest.raises(InjectedFault):
             kernel.run_until_idle()
+
+    def test_fallback_is_highest_priority_native_class(self):
+        """With CFS (priority 5) and native FIFO (priority 8) below the
+        shim, failover lands in FIFO."""
+        kernel, shim, _ = make()
+        kernel.register_sched_class(NativeFifoClass(policy=3), priority=8)
+        shim.install_faults(FaultPlan.builtin("pick-crash"))
+        spawned = [kernel.spawn(hog(), policy=POLICY, origin_cpu=i % 4)
+                   for i in range(4)]
+        kernel.run_until_idle()
+        assert shim.failed
+        assert shim.containment.failover_report.to_policy == 3
+        assert kernel.stats.failovers == 1
+        assert all(t.state is TaskState.DEAD for t in spawned)
 
     def test_hang_charges_virtual_time_as_strikes(self):
         plan = FaultPlan.builtin("callback-hang")
@@ -282,11 +296,6 @@ class TestContainment:
         assert shim.failed
         assert shim.containment.engage_failover(reason="again") is report
 
-    def test_configure_containment_rejects_unknown_knob(self):
-        _, shim, _ = make()
-        with pytest.raises(FaultError):
-            shim.configure_containment(strike_limit=5)
-
     def test_containment_off_restores_raw_semantics(self):
         kernel, shim, _ = make()
         shim.containment = None
@@ -317,26 +326,15 @@ class TestWatchdogEscalation:
         assert shim.failed
         assert all(t.state is TaskState.DEAD for t in spawned)
 
-    def test_escalate_accepts_plain_callable(self):
-        kernel, shim, _ = make()
-        seen = []
-        watchdog = SchedulerWatchdog(kernel, POLICY, period_ns=200_000,
-                                     lost_task_ns=5_000_000,
-                                     escalate=seen.append,
-                                     escalate_kinds=("lost_task",))
-        shim.install_faults(FaultPlan.builtin("token-corrupt"))
-        shim.configure_containment(fallback_policy=0)
-        spawned = [kernel.spawn(hog(), policy=POLICY, origin_cpu=i % 4)
-                   for i in range(8)]
-        kernel.run_until(40_000_000)
-        watchdog.stop()
-        assert seen and seen[0].kind == "lost_task"
-
 
 def _contained_stack(nr_cpus=2):
     kernel, shim, _ = make(nr_cpus)
-    shim.configure_containment(fallback_policy=0)
     return kernel, shim
+
+
+def _lost(pid):
+    from repro.core.watchdog import Finding
+    return Finding(kind="lost_task", at_ns=0, pid=pid, cpu=0)
 
 
 class TestIdempotentEscalation:
@@ -350,40 +348,38 @@ class TestIdempotentEscalation:
         assert boundary.suppressed_escalations == 1
 
     def test_manager_refuses_failed_shim(self):
-        from repro.core.failover import FailoverManager
         kernel, shim = _contained_stack()
         shim.containment.engage_failover(reason="strike")
-        manager = FailoverManager(shim, fallback_policy=0)
+        manager = FailoverManager(shim)
         with pytest.raises(FailoverError):
             manager.engage(manager.find_fallback(), reason="again")
 
     def test_watchdog_escalates_once(self):
-        from repro.core.watchdog import Finding
+        # One scan can surface several lost tasks: the first engages
+        # failover, the boundary absorbs the second.
         kernel, shim = _contained_stack()
         watchdog = SchedulerWatchdog(kernel, POLICY,
-                                     escalate=shim.containment,
-                                     escalate_kinds=("lost_task",))
-        finding = Finding(kind="lost_task", at_ns=0, pid=1, cpu=0)
-        watchdog._escalate(finding)
-        watchdog._escalate(finding)
+                                     escalate=shim.containment)
+        watchdog._emit(_lost(1))
+        watchdog._emit(_lost(2))
         assert kernel.stats.failovers == 1
-        assert watchdog.escalations_suppressed == 1
+        assert shim.containment.suppressed_escalations == 1
+        assert shim.containment.failover_report.reason \
+            == "watchdog:lost_task"
 
     def test_watchdog_suppresses_after_same_step_strike(self):
         # A containment strike already failed the shim over when the
         # watchdog scan lands in the same event step: the watchdog must
         # record the suppression instead of double-firing.
-        from repro.core.watchdog import Finding
         kernel, shim = _contained_stack()
         watchdog = SchedulerWatchdog(kernel, POLICY,
-                                     escalate=shim.containment,
-                                     escalate_kinds=("lost_task",))
+                                     escalate=shim.containment)
         shim.containment.engage_failover(reason="strike")
         assert kernel.stats.failovers == 1
-        watchdog._escalate(Finding(kind="lost_task", at_ns=0, pid=1,
-                                   cpu=0))
+        watchdog._emit(_lost(1))
         assert kernel.stats.failovers == 1
-        assert watchdog.escalations_suppressed == 1
+        assert shim.containment.suppressed_escalations == 1
+        assert shim.containment.failover_report.reason == "strike"
 
 
 class TestHintFaults:
@@ -424,18 +420,8 @@ class TestRingOverflowPolicy:
         ring = RingBuffer(2)
         assert ring.push("a") and ring.push("b")
         assert not ring.push("c")
-        assert ring.dropped == 1 and ring.overwritten == 0
+        assert ring.dropped == 1 and ring.pushed == 2
         assert ring.pop() == "a"
-
-    def test_overwrite_oldest(self):
-        ring = RingBuffer(2, policy=OVERWRITE_OLDEST)
-        assert ring.push("a") and ring.push("b") and ring.push("c")
-        assert ring.dropped == 1 and ring.overwritten == 1
-        assert ring.pop() == "b" and ring.pop() == "c"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(QueueError):
-            RingBuffer(2, policy="spill")
 
 
 class TestNoFaultTransparency:
@@ -478,10 +464,9 @@ class TestFailoverUpgradeInterleaving:
         kernel, shim, _ = make()
         tracer = SchedTracer.attach(kernel, capacity=200_000)
         shim.install_faults(plan)
-        shim.configure_containment(fallback_policy=0)
         watchdog = SchedulerWatchdog(
             kernel, POLICY, period_ns=200_000, lost_task_ns=5_000_000,
-            escalate=shim.containment, escalate_kinds=("lost_task",))
+            escalate=shim.containment)
         upgrades = UpgradeManager(kernel, shim)
         upgrades.schedule_upgrade(lambda: EnokiWfq(4, POLICY),
                                   at_ns=upgrade_at_ns)

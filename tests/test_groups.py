@@ -299,7 +299,6 @@ class TestCompositionWithFaults:
         sched = EnokiWfq(4, POLICY)
         shim = EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
         shim.install_faults(FaultPlan.builtin("strike-out"))
-        shim.configure_containment(fallback_policy=0)
         kernel.groups.create("tenant",
                              quota_ns=msecs(2), period_ns=msecs(10))
 

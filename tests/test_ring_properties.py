@@ -1,21 +1,20 @@
-"""Property-based tests for ring-buffer overflow policies and hint
-accounting.
+"""Property-based tests for the drop-new ring buffer and hint accounting.
 
 Plain seeded ``random`` drives the generation (no extra dependencies):
 each property runs against many random operation sequences, checking the
 ring against a straightforward reference model and the accounting
 invariant the verify sanitizers rely on —
 
-    pushed == popped + overwritten + residual
+    pushed == popped + residual
 
-for *both* overflow policies, under any interleaving of push/pop/drain.
+under any interleaving of push/pop/drain.
 Failures print the seed, so any counterexample is a one-number repro.
 """
 
 import random
 
 from repro.core import EnokiSchedClass
-from repro.core.hints import (DROP_NEW, OVERWRITE_OLDEST, RingBuffer)
+from repro.core.hints import RingBuffer
 from repro.schedulers.fifo import EnokiFifo
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import usecs
@@ -29,21 +28,13 @@ OPS_PER_CASE = 300
 class _ModelRing:
     """The obviously-correct reference implementation."""
 
-    def __init__(self, capacity, policy):
+    def __init__(self, capacity):
         self.capacity = capacity
-        self.policy = policy
         self.entries = []
-        self.pushed = self.popped = self.dropped = self.overwritten = 0
+        self.pushed = self.popped = self.dropped = 0
 
     def push(self, entry):
         if len(self.entries) >= self.capacity:
-            if self.policy == OVERWRITE_OLDEST:
-                self.entries.pop(0)
-                self.dropped += 1
-                self.overwritten += 1
-                self.entries.append(entry)
-                self.pushed += 1
-                return True
             self.dropped += 1
             return False
         self.entries.append(entry)
@@ -64,10 +55,10 @@ class _ModelRing:
         return out
 
 
-def _run_case(rng, policy):
+def _run_case(rng):
     capacity = rng.randint(1, 8)
-    ring = RingBuffer(capacity, policy=policy)
-    model = _ModelRing(capacity, policy)
+    ring = RingBuffer(capacity)
+    model = _ModelRing(capacity)
     for step in range(OPS_PER_CASE):
         op = rng.random()
         if op < 0.55:
@@ -85,36 +76,19 @@ def _run_case(rng, policy):
     assert ledger["pushed"] == model.pushed
     assert ledger["popped"] == model.popped
     assert ledger["dropped"] == model.dropped
-    assert ledger["overwritten"] == model.overwritten
 
 
 class TestRingBufferProperties:
     def test_drop_new_matches_model(self):
         for case in range(N_CASES):
             seed = 1_000 + case
-            _run_case(random.Random(seed), DROP_NEW)
-
-    def test_overwrite_oldest_matches_model(self):
-        for case in range(N_CASES):
-            seed = 2_000 + case
-            _run_case(random.Random(seed), OVERWRITE_OLDEST)
-
-    def test_overwrite_oldest_keeps_freshest(self):
-        for case in range(N_CASES):
-            rng = random.Random(3_000 + case)
-            capacity = rng.randint(1, 6)
-            ring = RingBuffer(capacity, policy=OVERWRITE_OLDEST)
-            values = [rng.randrange(1_000) for _ in
-                      range(rng.randint(capacity, capacity * 4))]
-            for value in values:
-                assert ring.push(value)     # overwrite never rejects
-            assert ring.peek_all() == values[-capacity:]
+            _run_case(random.Random(seed))
 
     def test_drop_new_never_loses_accepted_entries(self):
         for case in range(N_CASES):
             rng = random.Random(4_000 + case)
             capacity = rng.randint(1, 6)
-            ring = RingBuffer(capacity, policy=DROP_NEW)
+            ring = RingBuffer(capacity)
             accepted = [v for v in (rng.randrange(1_000) for _ in range(20))
                         if ring.push(v)]
             assert ring.drain() == accepted
@@ -122,12 +96,11 @@ class TestRingBufferProperties:
 
 class TestKernelHintAccounting:
     """End-to-end: random hint storms through a tiny ring must keep the
-    push/pop/drop ledger balanced for both overflow policies."""
+    push/pop/drop ledger balanced."""
 
-    def _storm(self, seed, overflow_policy):
+    def _storm(self, seed):
         rng = random.Random(seed)
-        config = SimConfig(ring_buffer_capacity=rng.randint(1, 4),
-                           ring_overflow_policy=overflow_policy)
+        config = SimConfig(ring_buffer_capacity=rng.randint(1, 4))
         kernel = Kernel(Topology.smp(2), config)
         shim = EnokiSchedClass.register(kernel, EnokiFifo(2, POLICY),
                                         POLICY, priority=10)
@@ -155,8 +128,4 @@ class TestKernelHintAccounting:
 
     def test_drop_new_hint_storm(self):
         for case in range(12):
-            self._storm(5_000 + case, "drop-new")
-
-    def test_overwrite_oldest_hint_storm(self):
-        for case in range(12):
-            self._storm(6_000 + case, "overwrite-oldest")
+            self._storm(5_000 + case)
