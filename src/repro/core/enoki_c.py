@@ -549,10 +549,15 @@ class EnokiSchedClass(SchedClass):
         ring = self.queues.user_queues[queue_id]
         if injector is not None:
             # Delayed hints ride ahead of the next push, preserving order
-            # within the held batch.
+            # within the held batch, each into its own process's ring.
             for held in injector.take_held_hints():
-                if not ring.push(UserMessage(held.pid, held.payload)):
+                held_id = self.ensure_user_queue(held.tgid)
+                held_ring = self.queues.user_queues[held_id]
+                if not held_ring.push(UserMessage(held.pid, held.payload)):
                     self.kernel.stats.hint_drops += 1
+                elif held_id != queue_id:
+                    self._thread_hint = task.cpu
+                    self._call("enter_queue", (held_id, len(held_ring)))
         if not ring.push(UserMessage(task.pid, payload)):
             self.kernel.stats.hint_drops += 1
             if self.kernel.trace is not None:

@@ -387,6 +387,14 @@ class TestHintFaults:
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.hints = []
+            #: (ring name, sender pid) of every hint a queue entry finds
+            self.placed = []
+
+        def enter_queue(self, queue_id, entries):
+            ring = self._user_queues[queue_id]
+            self.placed.extend((ring.name, hint.pid)
+                               for hint in ring.peek_all())
+            super().enter_queue(queue_id, entries)
 
         def parse_hint(self, hint):
             self.hints.append(hint.payload)
@@ -403,6 +411,14 @@ class TestHintFaults:
         kernel.run_until_idle()
         sent = sum(1 for t in spawned) * 3   # 3 hints per hog program
         return kernel, sched, sent
+
+    def test_delayed_hints_land_in_their_senders_rings(self):
+        """A held hint is flushed by whichever task sends next; it must
+        still go to the ring of its own sender's process."""
+        kernel, sched, sent = self._run("hint-delay")
+        assert len(sched.placed) == sent
+        for ring_name, pid in sched.placed:
+            assert ring_name == f"user-{kernel.tasks[pid].tgid}"
 
     def test_dropped_hints_counted_and_lost(self):
         kernel, sched, sent = self._run("hint-drop")
