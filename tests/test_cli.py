@@ -1,5 +1,8 @@
 """Tests for the command-line runner."""
 
+import ast
+import importlib
+import inspect
 import json
 import os
 import re
@@ -96,6 +99,68 @@ class TestCli:
                       if not any(os.path.isfile(os.path.join(root, base, name))
                                  for base in ("", "src", "src/repro"))]
         assert cited and not stale
+
+    def test_every_cited_class_attribute_exists(self):
+        """Each backticked ``Name.attr`` the docs cite, where ``Name`` is a
+        public class of ``repro``, is a class attribute, a dataclass
+        field, an ``__init__`` parameter or a ``self.attr`` assignment of
+        that class or one of its ``repro`` bases."""
+        root = os.path.dirname(SRC)
+        classes = _public_classes()
+        cite = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
+        cited, stale = 0, []
+        for doc in DOCS:
+            with open(os.path.join(root, doc)) as handle:
+                text = handle.read()
+            for match in cite.finditer(text):
+                name, attr = match.groups()
+                if name not in classes:
+                    continue
+                cited += 1
+                klass = getattr(importlib.import_module(classes[name]), name)
+                if not (hasattr(klass, attr)
+                        or attr in getattr(klass, "__dataclass_fields__", {})
+                        or attr in inspect.signature(klass).parameters
+                        or attr in _self_attributes(klass)):
+                    line = text.count("\n", 0, match.start()) + 1
+                    stale.append(f"{doc}:{line}: {name}.{attr}")
+        assert cited and not stale
+
+
+def _public_classes():
+    """Module-level class name -> module, for every public class under
+    ``src/repro``."""
+    classes = {}
+    for dirpath, _dirs, files in os.walk(os.path.join(SRC, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            module = os.path.relpath(path, SRC)[:-3].replace(os.sep, ".")
+            module = module.removesuffix(".__init__")
+            with open(path) as handle:
+                tree = ast.parse(handle.read())
+            for node in tree.body:
+                if (isinstance(node, ast.ClassDef)
+                        and not node.name.startswith("_")):
+                    classes[node.name] = module
+    return classes
+
+
+def _self_attributes(klass):
+    """Every ``self.attr`` a method of ``klass`` or a ``repro`` base
+    assigns."""
+    names = set()
+    for base in klass.__mro__:
+        if not base.__module__.startswith("repro"):
+            continue
+        tree = ast.parse(inspect.getsource(base))
+        names.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+    return names
 
 
 class TestHostileCounts:
