@@ -88,7 +88,7 @@ class ContainmentBoundary:
         #: makes every such nested/duplicate request a no-op.
         self._engaging = False
         #: escalations absorbed by the latch or the failed flag (visible
-        #: so tests and the watchdog can assert single-fire behaviour)
+        #: so tests can assert single-fire behaviour)
         self.suppressed_escalations = 0
 
     # ------------------------------------------------------------------

@@ -137,14 +137,15 @@ class SchedulerWatchdog:
 
     def _scan_idle_cpus(self, now):
         for cpu, rq in enumerate(self.kernel.rqs):
-            waiting = [
+            # A busy CPU is never a violation: skip collecting its queue.
+            waiting = rq.current is None and [
                 pid for pid, task in rq.queued.items()
                 if task.policy == self.policy
                 and task.state is TaskState.RUNNABLE
                 # In-flight wakeups are not violations: the kick is coming.
                 and now >= task.kick_at_ns
             ]
-            if rq.current is None and waiting:
+            if waiting:
                 since = self._idle_with_work_since.setdefault(cpu, now)
                 if now - since >= self.idle_grace_ns:
                     self._emit(Finding(

@@ -27,6 +27,7 @@ from repro.core.errors import (
 )
 from repro.core.failover import STRIKE_THRESHOLD, FailoverManager
 from repro.core.hints import RingBuffer
+from repro.core.watchdog import Finding
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.wfq import EnokiWfq
@@ -333,7 +334,6 @@ def _contained_stack(nr_cpus=2):
 
 
 def _lost(pid):
-    from repro.core.watchdog import Finding
     return Finding(kind="lost_task", at_ns=0, pid=pid, cpu=0)
 
 
