@@ -18,10 +18,9 @@ class NativeFifoClass(SchedClass):
 
     name = "native-fifo"
 
-    def __init__(self, policy=1, timeslice_ns=None):
+    def __init__(self, policy=1):
         super().__init__()
         self.policy = policy
-        self.timeslice_ns = timeslice_ns
         self.queues = None
         self._next_cpu = 0
 
@@ -76,10 +75,3 @@ class NativeFifoClass(SchedClass):
         if self.queues.cpus[cpu]:
             return self.queues.pop_head(cpu)[1]
         return None
-
-    def task_tick(self, cpu, task):
-        if self.timeslice_ns is None or task is None:
-            return
-        ran = self.kernel.now - task.last_enqueue_ns
-        if ran >= self.timeslice_ns and self.queues.cpus[cpu]:
-            self.kernel.resched_cpu(cpu)

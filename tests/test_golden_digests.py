@@ -20,11 +20,11 @@ hierarchical effective weight was memoised: a stale weight after a
 renice, a migration or an unthrottle moves vruntime, so the pick order,
 so the digest.
 
-The ``rt``, ``deadline`` and ``native-fifo-slice`` literals were recorded
-on the commit before the native classes moved onto the shared token
-queue: every queue order those classes keep (priority levels and the
-front slot a preempted RT task keeps, earliest deadline first, FIFO
-under a time slice) decides a pick, so a reordering moves the digest.
+The ``rt`` and ``deadline`` literals were recorded on the commit before
+the native classes moved onto the shared token queue: every queue order
+those classes keep (priority levels and the front slot a preempted RT
+task keeps, earliest deadline first) decides a pick, so a reordering
+moves the digest.
 
 The ``flat-cfs`` literal was recorded on the commit before CFS's time
 slice was memoised: a stale slice after a wakeup, a block, a migration, a
@@ -53,7 +53,6 @@ from repro.exp.builder import (
 from repro.schedulers.arachne import EnokiCoreArbiter
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.deadline import DeadlineSchedClass
-from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.rt import RtSchedClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, TaskState, Topology
@@ -351,31 +350,6 @@ def flat_cfs_digest():
     return state_digest(kernel)
 
 
-def native_fifo_slice_digest():
-    """``NativeFifoClass`` with a 2 ms time slice on two CPUs: hogs that
-    rotate at each slice, a yielder and sleepers waking into deep
-    queues."""
-    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    kernel.register_sched_class(
-        NativeFifoClass(policy=1, timeslice_ns=msecs(2)), priority=10)
-
-    def yielder():
-        for _ in range(10):
-            yield Run(usecs(300))
-            yield YieldCpu()
-
-    for ns in (msecs(7), msecs(5), msecs(9)):
-        kernel.spawn(run_once(ns), policy=1)
-    kernel.spawn(yielder, policy=1)
-    for index in range(3):
-        kernel.spawn(phased(6, usecs(200 + 100 * index), usecs(400)),
-                     policy=1)
-    kernel.run_until_idle()
-    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
-    assert sum(t.stats.preemptions for t in kernel.tasks.values()) >= 10
-    return state_digest(kernel)
-
-
 def upgrade_digest():
     """One live upgrade at 300 us under wake/block/fork traffic: the
     quiesce blackout is charged to exactly one later cost read."""
@@ -620,8 +594,6 @@ GOLDEN = {
         "ef814f506812f77ac9e99305cefed977daac59261e19267897cdb6ad84db6eeb",
     'deadline':
         "ca17c87012f1fd9659a4a48cd62e2a66740b94eb2c1290e9f949c3cbb4937001",
-    'native-fifo-slice':
-        "65be6b603b551e5d3ecfe955934b6c581d65dfc17d96029cd2059694e76af3c0",
     'flat-cfs':
         "7f7f04c621af16b4f540615965bed11cc64eb6d083e87180f36a5035815ed22a",
     'upgrade':
@@ -719,10 +691,6 @@ def test_rt_levels_slices_and_pulls_digest_is_golden():
 
 def test_deadline_throttle_and_affinity_digest_is_golden():
     assert deadline_digest() == GOLDEN["deadline"]
-
-
-def test_native_fifo_time_slice_digest_is_golden():
-    assert native_fifo_slice_digest() == GOLDEN["native-fifo-slice"]
 
 
 def test_flat_cfs_nice_renice_and_shared_cpu_digest_is_golden():
