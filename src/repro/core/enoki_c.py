@@ -100,7 +100,7 @@ class EnokiSchedClass(SchedClass):
         """Recompute ``_quiet`` (and the env's lock-event twin).
 
         Called from every site that attaches or removes a watcher:
-        attach/detach, ``Kernel.set_trace`` (as ``on_trace_changed``), the
+        attach, ``Kernel.set_trace`` (as ``on_trace_changed``), the
         ``profiler`` setter, ``install_faults``, failover, live upgrade
         and ``Observer.observe_framework``.  A stale False only costs
         speed (the watched path is always correct); a stale True would
@@ -140,10 +140,6 @@ class EnokiSchedClass(SchedClass):
             "pick_next_task": cfg.sched_pick_ns + call_ns,
             "balance": cfg.sched_balance_ns + call_ns,
         }
-        self.refresh_mode()
-
-    def detach_kernel(self):
-        super().detach_kernel()
         self.refresh_mode()
 
     # ------------------------------------------------------------------
@@ -595,10 +591,3 @@ class EnokiSchedClass(SchedClass):
         if ring is None:
             return False
         return ring.push(RevMessage(payload))
-
-    # ------------------------------------------------------------------
-    # user-queue access for Enoki schedulers' default trait helpers
-    # ------------------------------------------------------------------
-
-    def user_ring(self, queue_id):
-        return self.queues.user_queues.get(queue_id)

@@ -138,20 +138,6 @@ class QueueRegistry:
         if tgid is not None:
             self.rev_by_tgid[tgid] = queue_id
 
-    def remove_user_queue(self, queue_id):
-        ring = self.user_queues.pop(queue_id, None)
-        if ring is None:
-            raise QueueError(f"no user queue {queue_id}")
-        self.user_by_tgid = _without(self.user_by_tgid, queue_id)
-        return ring
-
-    def remove_rev_queue(self, queue_id):
-        ring = self.rev_queues.pop(queue_id, None)
-        if ring is None:
-            raise QueueError(f"no reverse queue {queue_id}")
-        self.rev_by_tgid = _without(self.rev_by_tgid, queue_id)
-        return ring
-
     def rebind(self, user_ids, rev_ids):
         """Atomically renumber every queue (each map is old id -> new).
 
@@ -174,7 +160,3 @@ class QueueRegistry:
         if queue_id is None:
             return None
         return self.rev_queues.get(queue_id)
-
-
-def _without(by_tgid, queue_id):
-    return {tgid: qid for tgid, qid in by_tgid.items() if qid != queue_id}

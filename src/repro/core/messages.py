@@ -43,11 +43,6 @@ def _register(cls):
     return cls
 
 
-def message_type(name):
-    """Look up a message class by its recorded name."""
-    return _MESSAGE_TYPES[name]
-
-
 def message_for(function):
     """The message class that invokes trait method ``function``."""
     return _MESSAGE_FOR[function]

@@ -7,11 +7,9 @@ pids, the Enoki policies with their ``Schedulable`` tokens.
 Native (trusted, kernel-side) classes:
 
 * :class:`~repro.schedulers.cfs.CfsSchedClass` — the Linux CFS baseline.
-* :class:`~repro.schedulers.rt.RtSchedClass` — SCHED_FIFO/RR.
-* :class:`~repro.schedulers.deadline.DeadlineSchedClass` —
-  SCHED_DEADLINE (EDF + CBS throttling).
 * :class:`~repro.schedulers.fifo_native.NativeFifoClass` — a minimal
-  trusted FIFO, used by substrate tests and docs.
+  trusted FIFO: ghOSt's agent class, and the class tests stack above and
+  below CFS.
 * :mod:`~repro.schedulers.ghost` — the ghOSt comparison model.
 
 Enoki schedulers (implement :class:`repro.core.trait.EnokiScheduler` and
@@ -44,13 +42,11 @@ from repro import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "arachne": "EnokiCoreArbiter",
     "cfs": "CfsSchedClass",
-    "deadline": "DeadlineSchedClass",
     "eevdf": "EnokiEevdf",
     "fifo": "EnokiFifo",
     "fifo_native": "NativeFifoClass",
     "locality": "EnokiLocality",
     "nest": "EnokiNest",
-    "rt": "RtSchedClass",
     "serverless": "EnokiServerless",
     "shinjuku": "EnokiShinjuku",
     "wfq": "EnokiWfq",

@@ -1,12 +1,15 @@
 """A minimal trusted (native) FIFO scheduler class.
 
-This is kernel-side code, like Linux's rt/deadline classes: it implements
-the raw :class:`~repro.simkernel.sched_class.SchedClass` hooks directly with
-no framework between it and the core.  The substrate test-suite uses it to
-validate the kernel's call-ordering contract, and it doubles as the
-reference for how *little* a native class can get away with — and how
-dangerous that is: nothing stops it from returning a bogus pid, which the
-kernel core treats as a crash.
+This is kernel-side code, like CFS: it implements the raw
+:class:`~repro.simkernel.sched_class.SchedClass` hooks directly with no
+framework between it and the core.  ghOSt's agents run under it, a spec
+can name it (``fifo_native``), and the substrate test-suite uses it to
+validate the kernel's call-ordering contract and to stack a class above
+and below CFS.  It doubles as the reference for how *little* a native
+class can get away with — and how dangerous that is: nothing stops it
+from returning a bogus pid, which the kernel core treats as a crash.  A
+task runs until it blocks, yields or is preempted by a higher class;
+there is no time slice.
 """
 
 from repro.simkernel.runqueue import TokenQueue

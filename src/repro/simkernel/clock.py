@@ -8,7 +8,6 @@ from repro.simkernel.errors import SimError
 
 NSEC_PER_USEC = 1_000
 NSEC_PER_MSEC = 1_000_000
-NSEC_PER_SEC = 1_000_000_000
 
 
 def usecs(n):
@@ -19,11 +18,6 @@ def usecs(n):
 def msecs(n):
     """Convert milliseconds to nanoseconds."""
     return int(n * NSEC_PER_MSEC)
-
-
-def secs(n):
-    """Convert seconds to nanoseconds."""
-    return int(n * NSEC_PER_SEC)
 
 
 class Clock:

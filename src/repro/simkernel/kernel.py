@@ -102,30 +102,6 @@ class Kernel:
         self._class_cache.clear()
         return sched_class
 
-    def unregister_sched_class(self, policy):
-        """Remove a class; all its tasks must already be gone."""
-        cls = self._class_by_policy.get(policy)
-        if cls is None:
-            raise SchedulingError(f"policy {policy} not registered")
-        for task in self.tasks.values():
-            if task.policy == policy and task.state != TaskState.DEAD:
-                raise SchedulingError(
-                    f"cannot unregister policy {policy}: pid {task.pid} "
-                    "still attached"
-                )
-        del self._class_by_policy[policy]
-        del self._class_priority[cls]
-        self._classes = [(p, c) for (p, c) in self._classes if c is not cls]
-        # Nothing may keep routing to the detached class: not its hint
-        # handler, not a redirect onto (or left over from) its policy.
-        self._hint_handlers.pop(policy, None)
-        self._policy_redirects = {
-            src: dst for src, dst in self._policy_redirects.items()
-            if policy not in (src, dst)}
-        self._class_cache.clear()
-        cls.detach_kernel()
-        return cls
-
     def redirect_policy(self, policy, to_policy):
         """Route ``class_of`` lookups for ``policy`` to another class.
 
@@ -148,8 +124,8 @@ class Kernel:
 
     def class_of(self, task):
         # Memoised per policy: two dict lookups collapse to one on the
-        # accounting hot path.  The cache is cleared on class registration
-        # changes and policy redirects (failover).
+        # accounting hot path.  The cache is cleared when a class
+        # registers and when a policy is redirected (failover).
         cls = self._class_cache.get(task.policy)
         if cls is not None:
             return cls
@@ -161,11 +137,6 @@ class Kernel:
             )
         self._class_cache[task.policy] = cls
         return cls
-
-    def class_priority(self, cls):
-        if cls not in self._class_priority:
-            raise SchedulingError(f"{cls.name} not registered")
-        return self._class_priority[cls]
 
     def set_trace(self, hook):
         """Install (or remove, with ``None``) the trace hook.
@@ -249,10 +220,6 @@ class Kernel:
         """Request a reschedule of ``cpu`` (used by scheduler classes)."""
         self.dispatcher.resched_cpu(cpu)
 
-    def _update_curr(self, cpu):
-        """Runtime accounting up to now (native classes call this)."""
-        self.dispatcher.update_curr(cpu)
-
     # ------------------------------------------------------------------
     # shared-state helpers used by the subsystems
     # ------------------------------------------------------------------
@@ -277,32 +244,10 @@ class Kernel:
     # queries used by scheduler classes and workloads
     # ------------------------------------------------------------------
 
-    def runnable_pids(self, cpu):
-        return tuple(self.rqs[cpu].queued)
-
     def current_pid(self, cpu):
         cur = self.rqs[cpu].current
         return cur.pid if cur is not None else None
 
-    def queued_cpus(self, pid):
-        """CPUs whose run queue holds ``pid`` (verify-sanitizer tap).
-
-        Exactly one CPU for a healthy queued-RUNNABLE task; more than one
-        means a task was attached twice, zero plus not-in-limbo means the
-        conservation invariant broke.
-        """
-        return [rq.cpu for rq in self.rqs if rq.has(pid)]
-
-    def running_cpus(self, pid):
-        """CPUs currently executing ``pid`` (verify-sanitizer tap)."""
-        return [rq.cpu for rq in self.rqs
-                if rq.current is not None and rq.current.pid == pid]
-
     def alive_tasks(self):
         return [t for t in self.tasks.values()
                 if t.state != TaskState.DEAD]
-
-    def all_done(self, pids=None):
-        if pids is None:
-            return not self.alive_tasks()
-        return all(self.tasks[p].state == TaskState.DEAD for p in pids)

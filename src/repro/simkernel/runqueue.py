@@ -10,8 +10,8 @@ invariant whose violation "can cause the kernel to crash" (section 1).
 
 The policy side is :class:`TokenQueue`, shared by every scheduler: the
 Enoki policies queue their ``Schedulable`` tokens in it, and the native
-classes (CFS, RT, deadline, native FIFO, ghOSt's agent) queue pids with
-``None`` as the token.
+classes (CFS, native FIFO, ghOSt's agent) queue pids with ``None`` as the
+token.
 """
 
 from bisect import insort

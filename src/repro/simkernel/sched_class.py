@@ -73,9 +73,6 @@ class SchedClass:
         self._walk_cost_ns = cfg.sched_balance_ns + cfg.sched_pick_ns
         self._hook_cost_ns = cfg.sched_queue_ns
 
-    def detach_kernel(self):
-        self.kernel = None
-
     # -- cost model (contract in the module docstring) ---------------------
 
     def pick_walk_cost_ns(self):
@@ -151,9 +148,6 @@ class SchedClass:
 
     def migrate_task_rq(self, task, new_cpu):
         """The kernel moved the task to ``new_cpu``'s run queue."""
-
-    def pick_err(self, cpu, pid):
-        """The task returned by pick_next_task could not be scheduled."""
 
     # -- time ----------------------------------------------------------------
 

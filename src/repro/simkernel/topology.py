@@ -40,10 +40,6 @@ class Topology:
             llc: tuple(c.cpu for c in self.cpus if c.llc == llc)
             for llc in self.llcs
         }
-        self._socket_members = {
-            s: tuple(c.cpu for c in self.cpus if c.socket == s)
-            for s in self.sockets
-        }
 
     # -- constructors ---------------------------------------------------
 
@@ -98,9 +94,6 @@ class Topology:
 
     def llc_members(self, llc):
         return self._llc_members[llc]
-
-    def socket_members(self, socket):
-        return self._socket_members[socket]
 
     def siblings_in_llc(self, cpu):
         """All logical CPUs sharing ``cpu``'s LLC (including ``cpu``)."""

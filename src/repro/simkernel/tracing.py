@@ -234,9 +234,6 @@ class SchedTracer:
 
     # -- queries ---------------------------------------------------------
 
-    def events_for_cpu(self, cpu):
-        return [e for e in self.events if e.cpu == cpu]
-
     def events_for_pid(self, pid):
         return [e for e in self.events if e.pid == pid]
 

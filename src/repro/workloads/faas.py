@@ -111,12 +111,6 @@ class FaasSampler:
             self._cum_weights.append(total)
         self.total_weight = total
 
-    @property
-    def long_weight_share(self):
-        """Fraction of invocations expected to hit a long function."""
-        return sum(p.weight for p in self.profiles if p.is_long) \
-            / self.total_weight
-
     def rate_at(self, now_ns):
         """Offered load (requests/s) at virtual instant ``now_ns``."""
         rate = self.offered_rps

@@ -23,12 +23,6 @@ class HackbenchResult:
     elapsed_ns: int
     total_messages: int
 
-    @property
-    def messages_per_second(self):
-        if self.elapsed_ns == 0:
-            return 0.0
-        return self.total_messages / (self.elapsed_ns / 1e9)
-
 
 def run_hackbench(kernel, policy, groups=2, fds=4, loops=20,
                   scheduler_name=""):

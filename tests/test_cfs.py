@@ -4,7 +4,6 @@ import pytest
 
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.fifo_native import NativeFifoClass
-from repro.schedulers.rt import RtSchedClass
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.futex import Futex
@@ -226,6 +225,21 @@ def slice_oracle(monkeypatch):
     return seen
 
 
+class PullingFifo(NativeFifoClass):
+    """Native FIFO with an idle pull, as Linux's RT class has: a CPU with
+    nothing to run takes the head of another CPU's queue.  A task waiting
+    below CFS never runs, so only a pull can move it off its CPU."""
+
+    def balance(self, cpu):
+        if self.kernel.rqs[cpu].nr_running:
+            return None
+        for other, queued in self.queues.cpus.items():
+            if (other != cpu and queued
+                    and self.kernel.tasks[queued[0][1]].can_run_on(cpu)):
+                return queued[0][1]
+        return None
+
+
 class TestSliceMemo:
     """``_slice_for`` answers from a per-queue memo keyed on the CPU's
     runnable-index generation, CFS's generation for the CPU, the number
@@ -241,15 +255,15 @@ class TestSliceMemo:
             assert slice_oracle["others_queued"] > 0
 
     def test_lower_classes_on_the_cpu_move_the_slice(self, slice_oracle):
-        """CFS above an RT and a native FIFO class on three CPUs: their
-        tasks wait on CPU 0 behind nine pinned CFS tasks, and CFS hears of
+        """CFS above two native FIFO classes on three CPUs: their tasks
+        wait on CPU 0 behind nine pinned CFS tasks, and CFS hears of
         none of them.  One arrives, so the CPU holds more tasks and the
         period stretches.  Later one in the heavy CFS task's group is
         pulled away while another arrives: the CPU holds as many tasks as
         before, but the heavy task's hierarchical weight has changed."""
         kernel = Kernel(Topology.smp(3), SimConfig())
         kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
-        rt = kernel.register_sched_class(RtSchedClass(policy=2), priority=5)
+        kernel.register_sched_class(PullingFifo(policy=2), priority=5)
         kernel.register_sched_class(NativeFifoClass(policy=1), priority=3)
         kernel.groups.create("g")
         pin0 = frozenset({0})
@@ -261,11 +275,11 @@ class TestSliceMemo:
                 yield Run(msecs(1))
             return prog
 
-        # The RT task lands on CPU 0 and is pulled when CPU 1 idles at
-        # 2.5 ms; the FIFO tasks run on CPU 2, then move to CPU 0 at 1.5
-        # and 2.6 ms.  Nothing lower than CFS preempts it.
-        pulled = rt.spawn_rt(spinner(msecs(1)), 20, group="g",
-                             allowed_cpus=frozenset({0, 1}))
+        # The grouped task lands on CPU 0 and is pulled when CPU 1 idles
+        # at 2.5 ms; the FIFO tasks run on CPU 2, then move to CPU 0 at
+        # 1.5 and 2.6 ms.  Nothing lower than CFS preempts it.
+        pulled = kernel.spawn(spinner(msecs(1)), policy=2, group="g",
+                              allowed_cpus=frozenset({0, 1}))
         for ns in (usecs(1500), usecs(1100)):
             kernel.spawn(arrive_on_cpu0(ns), policy=1,
                          allowed_cpus=frozenset({2}))

@@ -1,36 +1,32 @@
-"""Full class-stack integration: DL > RT > Enoki > CFS on one machine.
+"""Full class-stack integration: FIFO > Enoki > CFS > FIFO on one machine.
 
 Linux stacks its scheduling classes in strict priority order; the
-substrate must honour the same discipline when all four kinds of class
-are loaded at once — deadline reservations first, then RT, then the
-loadable Enoki policy, with CFS soaking up what is left.
+substrate must honour the same discipline when four classes are loaded
+at once — a trusted native FIFO first, then the loadable Enoki policy,
+then CFS, with a second native FIFO below CFS soaking up what is left.
 """
-
-import pytest
 
 from repro.core import EnokiSchedClass
 from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.deadline import DeadlineSchedClass
-from repro.schedulers.rt import RtSchedClass
+from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
-from repro.simkernel.program import Run, Sleep
+from repro.simkernel.program import Call, Run, Sleep
 from repro.simkernel.task import TaskState
 
 PIN0 = frozenset({0})
+FIFO, ENOKI, CFS, LOW = 1, 7, 0, 2
 
 
 def full_stack(nr_cpus=2):
     kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    dl = DeadlineSchedClass(policy=3)
-    rt = RtSchedClass(policy=2)
-    cfs = CfsSchedClass(policy=0)
-    kernel.register_sched_class(dl, priority=90)
-    kernel.register_sched_class(rt, priority=80)
-    kernel.register_sched_class(cfs, priority=10)
-    EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus, 7), 7, priority=50)
-    return kernel, dl, rt, cfs
+    kernel.register_sched_class(NativeFifoClass(policy=FIFO), priority=80)
+    kernel.register_sched_class(CfsSchedClass(policy=CFS), priority=10)
+    kernel.register_sched_class(NativeFifoClass(policy=LOW), priority=5)
+    EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus, ENOKI), ENOKI,
+                             priority=50)
+    return kernel
 
 
 def spinner(ns):
@@ -41,62 +37,40 @@ def spinner(ns):
 
 class TestFourClassStack:
     def test_priority_order_on_one_core(self):
-        kernel, dl, rt, _cfs = full_stack(nr_cpus=1)
+        kernel = full_stack(nr_cpus=1)
         order = []
 
         def tagged(tag, ns):
             def prog():
                 yield Run(ns)
-                from repro.simkernel.program import Call
                 yield Call(lambda: order.append(tag))
             return prog
 
-        kernel.spawn(tagged("cfs", usecs(80)), policy=0,
-                     allowed_cpus=PIN0)
-        kernel.spawn(tagged("enoki", usecs(80)), policy=7,
-                     allowed_cpus=PIN0)
-        rt_task = rt.spawn_rt(tagged("rt", usecs(80)), 50,
-                              allowed_cpus=PIN0)
-        dl_task = dl.spawn_dl(tagged("dl", usecs(80)),
-                              runtime_ns=usecs(500), period_ns=msecs(5),
-                              allowed_cpus=PIN0)
+        for tag, policy in (("low", LOW), ("cfs", CFS), ("enoki", ENOKI),
+                            ("fifo", FIFO)):
+            kernel.spawn(tagged(tag, usecs(80)), policy=policy,
+                         allowed_cpus=PIN0)
         kernel.run_until_idle()
-        assert order == ["dl", "rt", "enoki", "cfs"]
+        assert order == ["fifo", "enoki", "cfs", "low"]
 
     def test_everyone_finishes_under_mixed_load(self):
-        kernel, dl, rt, _cfs = full_stack(nr_cpus=2)
-        tasks = []
-        tasks.append(dl.spawn_dl(spinner(msecs(1)),
-                                 runtime_ns=usecs(500),
-                                 period_ns=msecs(2)))
-        tasks.append(rt.spawn_rt(spinner(msecs(1)), 30))
+        kernel = full_stack(nr_cpus=2)
+        tasks = [kernel.spawn(spinner(msecs(1)), policy=policy)
+                 for policy in (FIFO, LOW)]
         for _ in range(3):
-            tasks.append(kernel.spawn(spinner(msecs(1)), policy=7))
+            tasks.append(kernel.spawn(spinner(msecs(1)), policy=ENOKI))
         for _ in range(3):
-            tasks.append(kernel.spawn(spinner(msecs(1)), policy=0))
+            tasks.append(kernel.spawn(spinner(msecs(1)), policy=CFS))
         kernel.run_until_idle()
         assert all(t.state is TaskState.DEAD for t in tasks)
 
-    def test_cbs_protects_lower_classes_from_dl_hog(self):
-        """A deadline task with a 30% reservation cannot starve the Enoki
-        scheduler below it, unlike an RT hog which can."""
-        kernel, dl, rt, _cfs = full_stack(nr_cpus=1)
-        dl.spawn_dl(spinner(msecs(30)), runtime_ns=msecs(3),
-                    period_ns=msecs(10), allowed_cpus=PIN0)
-        enoki_task = kernel.spawn(spinner(msecs(5)), policy=7,
-                                  allowed_cpus=PIN0)
-        kernel.run_until(msecs(12))
-        # Despite the "infinite" DL hog, the Enoki task made progress in
-        # the throttled gaps.
-        assert enoki_task.sum_exec_runtime_ns > msecs(3)
-
     def test_enoki_upgrade_under_a_live_stack(self):
-        """Live upgrade of the Enoki scheduler while RT/DL/CFS traffic
-        flows around it."""
+        """Live upgrade of the Enoki scheduler while native FIFO and CFS
+        traffic flows above and below it."""
         from repro.core import UpgradeManager
 
-        kernel, dl, rt, _cfs = full_stack(nr_cpus=2)
-        shim = next(c for _p, c in kernel._classes if c.policy == 7)
+        kernel = full_stack(nr_cpus=2)
+        shim = next(c for _p, c in kernel._classes if c.policy == ENOKI)
 
         def mixed(policy_work):
             def prog():
@@ -105,11 +79,12 @@ class TestFourClassStack:
                     yield Sleep(usecs(200))
             return prog
 
-        tasks = [kernel.spawn(mixed(300), policy=7) for _ in range(4)]
-        tasks.append(rt.spawn_rt(mixed(100), 40))
-        tasks.append(kernel.spawn(mixed(200), policy=0))
+        tasks = [kernel.spawn(mixed(300), policy=ENOKI) for _ in range(4)]
+        tasks.append(kernel.spawn(mixed(100), policy=FIFO))
+        tasks.append(kernel.spawn(mixed(200), policy=CFS))
+        tasks.append(kernel.spawn(mixed(100), policy=LOW))
         manager = UpgradeManager(kernel, shim)
-        manager.schedule_upgrade(lambda: EnokiWfq(2, 7), at_ns=msecs(2))
+        manager.schedule_upgrade(lambda: EnokiWfq(2, ENOKI), at_ns=msecs(2))
         kernel.run_until_idle()
         assert len(manager.reports) == 1
         assert all(t.state is TaskState.DEAD for t in tasks)

@@ -226,9 +226,6 @@ class TestHintPlumbing:
         assert len(shim.queues.user_queues) == 2      # no second ring
         assert ring_a.pushed == 3 and len(received) == 5
 
-        shim.queues.remove_user_queue(qid_a)
-        assert shim.queues.user_by_tgid == {b.tgid: qid_b}
-
     def test_push_to_unknown_queue_fails_gracefully(self):
         kernel, shim, sched = make()
         assert shim.push_rev_message(999, {"x": 1}) is False

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.simkernel.clock import Clock, msecs, secs, usecs
+from repro.simkernel.clock import Clock, msecs, usecs
 from repro.simkernel.errors import SimError
 from repro.simkernel.events import EventQueue
 
@@ -34,7 +34,6 @@ class TestClock:
     def test_unit_helpers(self):
         assert usecs(3) == 3_000
         assert msecs(2) == 2_000_000
-        assert secs(1) == 1_000_000_000
         assert usecs(1.5) == 1_500
 
 

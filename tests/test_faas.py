@@ -76,7 +76,8 @@ class TestFaasSampler:
                               long_function_fraction=0.125)
         long_ids = {p.func_id for p in sampler.profiles if p.is_long}
         assert long_ids == set(range(56, 64))
-        assert sampler.long_weight_share < 0.1
+        long_weight = sum(p.weight for p in sampler.profiles if p.is_long)
+        assert long_weight < 0.1 * sampler.total_weight
 
     def test_burst_windows_multiply_rate(self):
         sampler = FaasSampler(seed=7, offered_rps=10_000.0,

@@ -20,16 +20,12 @@ hierarchical effective weight was memoised: a stale weight after a
 renice, a migration or an unthrottle moves vruntime, so the pick order,
 so the digest.
 
-The ``rt`` and ``deadline`` literals were recorded on the commit before
-the native classes moved onto the shared token queue: every queue order
-those classes keep (priority levels and the front slot a preempted RT
-task keeps, earliest deadline first) decides a pick, so a reordering
-moves the digest.
-
-The ``flat-cfs`` literal was recorded on the commit before CFS's time
-slice was memoised: a stale slice after a wakeup, a block, a migration, a
-renice or a change in how many tasks the CPU holds moves a tick's
-preemption, so the digest.
+The ``flat-cfs`` and ``class-stack`` literals were recorded on the
+commit that retired the RT and deadline classes and moved both scenarios
+onto native FIFO classes.  ``flat-cfs`` therefore
+postdates CFS's memoised time slice: ``TestSliceMemo`` in
+``tests/test_cfs.py`` checks the memo against a full re-sum at its every
+tick (``group-forest`` keeps its pre-memo literal).
 
 The ``upgrade-mixed`` literals for ``eevdf`` and ``nest`` and fuzz
 episode 2's were re-recorded when those two policies stopped losing
@@ -52,8 +48,7 @@ from repro.exp.builder import (
 )
 from repro.schedulers.arachne import EnokiCoreArbiter
 from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.deadline import DeadlineSchedClass
-from repro.schedulers.rt import RtSchedClass
+from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, TaskState, Topology
 from repro.simkernel.clock import msecs, usecs
@@ -199,18 +194,17 @@ def phased(phases, work_ns, sleep_ns):
 
 
 def class_stack_digest():
-    """DL > RT > Enoki > CFS on two CPUs with sleepers in every class, so
-    wakeups land on CPUs busy with a higher and a lower class."""
+    """Native FIFO > Enoki > CFS > native FIFO on two CPUs with sleepers
+    in every class, so wakeups land on CPUs busy with a higher and a
+    lower class."""
     kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    dl = DeadlineSchedClass(policy=3)
-    rt = RtSchedClass(policy=2)
-    kernel.register_sched_class(dl, priority=90)
-    kernel.register_sched_class(rt, priority=80)
+    kernel.register_sched_class(NativeFifoClass(policy=1), priority=80)
     kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
+    kernel.register_sched_class(NativeFifoClass(policy=2), priority=5)
     EnokiSchedClass.register(kernel, EnokiWfq(2, 7), 7, priority=50)
-    dl.spawn_dl(phased(6, usecs(200), usecs(700)),
-                runtime_ns=usecs(500), period_ns=msecs(2))
-    rt.spawn_rt(phased(8, usecs(150), usecs(400)), 30)
+    kernel.spawn(phased(6, usecs(200), usecs(700)), policy=1)
+    kernel.spawn(phased(8, usecs(150), usecs(400)), policy=1)
+    kernel.spawn(phased(6, usecs(100), usecs(500)), policy=2)
     for index in range(3):
         kernel.spawn(phased(10, usecs(120 + 30 * index), usecs(250)),
                      policy=7)
@@ -226,89 +220,20 @@ def run_once(ns):
     return prog
 
 
-def rt_digest():
-    """RT over CFS on two CPUs: three priority levels on CPU 0, an
-    SCHED_RR pair running past its 100 ms slice, a FIFO level preempted by
-    a more urgent sleeper (the preempted task keeps its front slot ahead
-    of its level's queue) and a yielder, plus a short pair on CPU 1 that
-    goes idle and pulls queued work from CPU 0."""
-    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    rt = kernel.register_sched_class(RtSchedClass(policy=2), priority=80)
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
-    pin0 = frozenset({0})
-
-    def yielder():
-        for _ in range(6):
-            yield Run(usecs(400))
-            yield YieldCpu()
-
-    # Fork placement alternates CPUs: the long pair lands on CPU 0, the
-    # short pair on CPU 1, which then idles and pulls the queued one.
-    for ns in (msecs(4), usecs(600), msecs(4), usecs(600)):
-        rt.spawn_rt(run_once(ns), 30)
-    for _ in range(2):
-        rt.spawn_rt(run_once(msecs(230)), 10, round_robin=True,
-                    allowed_cpus=pin0)
-    for _ in range(2):
-        rt.spawn_rt(run_once(msecs(3)), 20, allowed_cpus=pin0)
-    rt.spawn_rt(yielder, 20, allowed_cpus=pin0)
-    rt.spawn_rt(phased(8, usecs(200), usecs(700)), 40, allowed_cpus=pin0)
-    for index in range(2):
-        kernel.spawn(phased(10, usecs(300 + 100 * index), usecs(500)),
-                     policy=0)
-    kernel.run_until_idle()
-    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
-    assert kernel.stats.total_migrations > 0
-    return state_digest(kernel)
-
-
-def deadline_digest():
-    """Three deadline tasks over CFS on two CPUs: a periodic sleeper, a
-    hog that exhausts its CBS budget every period and is throttled until
-    replenishment, and one that moves between CPUs through
-    ``SetAffinity``."""
-    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    dl = kernel.register_sched_class(DeadlineSchedClass(policy=3),
-                                     priority=90)
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
-
-    def mover():
-        for cpus in ({0}, {1}, {0, 1}):
-            yield Run(usecs(400))
-            yield Sleep(usecs(300))
-            yield SetAffinity(frozenset(cpus))
-        yield Run(usecs(400))
-
-    dl.spawn_dl(phased(6, usecs(300), usecs(900)), runtime_ns=usecs(400),
-                deadline_ns=msecs(1), period_ns=msecs(2))
-    hog = dl.spawn_dl(run_once(msecs(5)), runtime_ns=usecs(500),
-                      period_ns=msecs(2))
-    dl.spawn_dl(mover, runtime_ns=usecs(600), deadline_ns=msecs(1),
-                period_ns=msecs(3))
-    for index in range(3):
-        kernel.spawn(phased(8, usecs(250 + 50 * index), usecs(200)),
-                     policy=0)
-    kernel.run_until_idle()
-    assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
-    assert hog.stats.preemptions >= 5
-    return state_digest(kernel)
-
-
 def flat_cfs_digest():
-    """Ungrouped native CFS under deadline and RT on two CPUs.  Ten CFS
-    tasks are pinned to CPU 0, hogs at nine nice levels and one that
-    renices itself while the others wait, so its queue runs past the
+    """Ungrouped native CFS between two native FIFO classes on two CPUs.
+    Ten CFS tasks are pinned to CPU 0, hogs at nine nice levels and one
+    that renices itself while the others wait, so its queue runs past the
     period's eight-task knee; a sleeper wakes into that queue.  Beside
     them: a yielder, a task that moves itself through ``SetAffinity``,
-    free hogs the balancers spread, free sleepers.  An RT task wakes on
-    CPU 0 every 50 us, and a CBS-throttled deadline hog waits on CPU 0's
-    run queue between replenishments, so ticks see more tasks queued on
-    the CPU than CFS has queued."""
+    free hogs the balancers spread, free sleepers.  A FIFO task above CFS
+    wakes on CPU 1 every 50 us, and a FIFO task below CFS waits on CPU
+    0's run queue until CFS has nothing left there, so ticks see more
+    tasks queued on the CPU than CFS has queued."""
     kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    dl = kernel.register_sched_class(DeadlineSchedClass(policy=3),
-                                     priority=90)
-    rt = kernel.register_sched_class(RtSchedClass(policy=2), priority=80)
+    kernel.register_sched_class(NativeFifoClass(policy=1), priority=80)
     kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
+    kernel.register_sched_class(NativeFifoClass(policy=2), priority=5)
     pin0 = frozenset({0})
 
     def renicer():
@@ -341,9 +266,9 @@ def flat_cfs_digest():
                      nice=index)
     for ns in (msecs(9), msecs(7), msecs(8), msecs(6)):
         kernel.spawn(run_once(ns))
-    dl.spawn_dl(run_once(msecs(4)), runtime_ns=usecs(500),
-                period_ns=msecs(3), allowed_cpus=pin0)
-    rt.spawn_rt(phased(250, usecs(10), usecs(40)), 30, allowed_cpus=pin0)
+    kernel.spawn(run_once(msecs(4)), policy=2, allowed_cpus=pin0)
+    kernel.spawn(phased(250, usecs(10), usecs(40)), policy=1,
+                 allowed_cpus=frozenset({1}))
     kernel.run_until_idle()
     assert all(t.state is TaskState.DEAD for t in kernel.tasks.values())
     assert kernel.stats.total_migrations > 0
@@ -589,13 +514,9 @@ GOLDEN = {
     'group-forest':
         "02730a1983558f0871880dfb23decd767d424c865302975171a1055827b5e644",
     'class-stack':
-        "6af0fc425a2d6b26439102b9bc5217c84bbdcab2f3f79c8d755d1ff8b4d05be2",
-    'rt':
-        "ef814f506812f77ac9e99305cefed977daac59261e19267897cdb6ad84db6eeb",
-    'deadline':
-        "ca17c87012f1fd9659a4a48cd62e2a66740b94eb2c1290e9f949c3cbb4937001",
+        "2adfb61d0c3ab457bde3e656a0e8f36f5ff9b9a5364b919ea74467bb584eacb3",
     'flat-cfs':
-        "7f7f04c621af16b4f540615965bed11cc64eb6d083e87180f36a5035815ed22a",
+        "8a4ec2f7f777e5534632cb027f26858029c311a96c7701d46e20b09663ad3bbf",
     'upgrade':
         "4393f8cf099d60d46db58ff02efb1c6db29c0dcbf3e20e7c451ba330c8178ade",
     'recorder':
@@ -683,14 +604,6 @@ def test_group_forest_cfs_digest_is_golden():
 
 def test_four_class_stack_digest_is_golden():
     assert class_stack_digest() == GOLDEN["class-stack"]
-
-
-def test_rt_levels_slices_and_pulls_digest_is_golden():
-    assert rt_digest() == GOLDEN["rt"]
-
-
-def test_deadline_throttle_and_affinity_digest_is_golden():
-    assert deadline_digest() == GOLDEN["deadline"]
 
 
 def test_flat_cfs_nice_renice_and_shared_cpu_digest_is_golden():

@@ -51,10 +51,6 @@ class TestMessageSerialisation:
         assert msgs.response_to_record((1, 2)) == [1, 2]
         assert msgs.response_to_record(None) is None
 
-    def test_unknown_type_raises(self):
-        with pytest.raises(KeyError):
-            msgs.message_type("MsgBogus")
-
 
 class TestQueueRegistry:
     def test_register_and_route_by_tgid(self):
@@ -69,17 +65,6 @@ class TestQueueRegistry:
         registry.add_user_queue(1, RingBuffer(4))
         with pytest.raises(QueueError):
             registry.add_user_queue(1, RingBuffer(4))
-
-    def test_remove_rev_queue_clears_tgid_map(self):
-        registry = QueueRegistry()
-        registry.add_rev_queue(5, RingBuffer(4), tgid=42)
-        registry.remove_rev_queue(5)
-        assert registry.rev_queue_for_tgid(42) is None
-
-    def test_remove_missing_raises(self):
-        registry = QueueRegistry()
-        with pytest.raises(QueueError):
-            registry.remove_user_queue(9)
 
     def test_messages_are_frozen(self):
         message = UserMessage(1, {"a": 1})

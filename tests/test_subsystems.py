@@ -325,14 +325,12 @@ class TestKernelFacadeApi:
     use (schedulers, sanitizers, faults, observers, workloads)."""
 
     METHODS = (
-        "register_sched_class", "unregister_sched_class",
-        "redirect_policy", "class_of", "class_priority",
+        "register_sched_class", "redirect_policy", "class_of",
         "register_hint_handler",
         "spawn", "wake_task", "place_task", "try_migrate", "resched_cpu",
         "run_until", "run_for", "run_until_idle",
-        "runnable_pids", "current_pid", "queued_cpus", "running_cpus",
-        "alive_tasks", "all_done",
-        "_update_curr", "_attach_runnable",
+        "current_pid", "alive_tasks",
+        "_attach_runnable",
     )
     ATTRS = (
         "topology", "config", "clock", "events", "timers", "rqs", "stats",

@@ -161,22 +161,6 @@ class TestKernelMisc:
         kernel.run_for(5_000)
         assert kernel.now == 5_000
 
-    def test_all_done_filters_by_pids(self):
-        kernel = self.make()
-
-        def short():
-            yield Run(1_000)
-
-        def long():
-            yield Run(1_000_000)
-
-        t1 = kernel.spawn(short, policy=1)
-        t2 = kernel.spawn(long, policy=1)
-        kernel.run_for(100_000)
-        assert kernel.all_done([t1.pid])
-        assert not kernel.all_done([t2.pid])
-        assert not kernel.all_done()
-
     def test_deep_idle_exit_costs_more(self):
         """The C-state model: a long-idle CPU wakes slower."""
         config = SimConfig()

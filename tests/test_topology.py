@@ -18,8 +18,8 @@ class TestPresets:
         topo = Topology.big80()
         assert topo.nr_cpus == 80
         assert len(topo.sockets) == 2
-        assert len(topo.socket_members(0)) == 40
-        assert len(topo.socket_members(1)) == 40
+        assert [sum(c.socket == s for c in topo.cpus)
+                for s in topo.sockets] == [40, 40]
 
     def test_big80_smt_pairing(self):
         topo = Topology.big80()

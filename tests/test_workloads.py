@@ -264,7 +264,6 @@ class TestSeedDeterminism:
         a = run_hackbench(cfs_kernel(), 0, groups=2, fds=3, loops=10)
         b = run_hackbench(cfs_kernel(), 0, groups=2, fds=3, loops=10)
         assert a.elapsed_ns == b.elapsed_ns
-        assert a.messages_per_second == b.messages_per_second
 
     def test_schbench_seeds_diverge(self):
         def run(seed):
@@ -304,7 +303,6 @@ class TestHackbench:
         result = run_hackbench(kernel, 0, groups=2, fds=3, loops=10)
         assert result.total_messages == 2 * 3 * 3 * 10
         assert result.elapsed_ns > 0
-        assert result.messages_per_second > 0
 
     def test_scales_with_message_count(self):
         from repro.workloads.hackbench import run_hackbench
