@@ -241,9 +241,6 @@ class SchedTracer:
         wanted = set(kinds)
         return [e for e in self.events if e.kind in wanted]
 
-    def dispatches(self):
-        return [e for e in self.events if e.kind == "dispatch"]
-
     def timeline(self, cpu, start_ns=0, end_ns=None):
         """Reconstruct (start, end, pid-or-None) intervals for one CPU.
 
