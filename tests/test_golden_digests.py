@@ -22,10 +22,10 @@ so the digest.
 
 The ``flat-cfs`` and ``class-stack`` literals were recorded on the
 commit that retired the RT and deadline classes and moved both scenarios
-onto native FIFO classes.  ``flat-cfs`` therefore
-postdates CFS's memoised time slice: ``TestSliceMemo`` in
-``tests/test_cfs.py`` checks the memo against a full re-sum at its every
-tick (``group-forest`` keeps its pre-memo literal).
+onto native FIFO classes.  ``flat-cfs`` therefore postdates CFS's
+memoised time slice: ``TestSliceMemo`` in ``tests/test_cfs.py`` checks
+the memo against a full re-sum at its every tick (``group-forest`` keeps
+its pre-memo literal).
 
 The ``upgrade-mixed`` literals for ``eevdf`` and ``nest`` and fuzz
 episode 2's were re-recorded when those two policies stopped losing

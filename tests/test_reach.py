@@ -28,6 +28,8 @@ from repro.core.trait import EnokiScheduler
 from repro.simkernel.sched_class import SchedClass
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the callers CI runs besides the tests
+CALLERS = ("perfbench", "examples")
 IDENTIFIERS = re.compile(r"[A-Za-z_]\w*(?: [A-Za-z_]\w*)*")
 
 #: user API a document cites, by the document that cites it
@@ -107,25 +109,26 @@ def allowed():
 
 
 @cache
-def unreached(src="src", callers=("perfbench", "examples")):
+def unreached():
     """``{name: [path:line, ...]}`` for each def or class name in
-    ``src`` that nothing outside tests uses."""
+    ``src/`` that nothing outside tests uses."""
     defs, uses, own_uses = {}, {}, {}
-    for path, tree in _trees(src):
+    for path, tree in _trees("src"):
         docstrings = _docstrings(tree)
-        for name in _names(tree, docstrings,
-                           strings=path.name != "__init__.py"):
+        strings = path.name != "__init__.py"
+        for name in _names(tree, docstrings, strings):
             uses[name] = uses.get(name, 0) + 1
         for node in ast.walk(tree):
-            if not _is_def(node) or node.name.startswith("__"):
+            if not _is_def(node) or (node.name.startswith("__")
+                                     and node.name.endswith("__")):
                 continue
             where = f"{path.relative_to(ROOT)}:{node.lineno}"
             defs.setdefault(node.name, []).append(where)
             # a recursive call or a self-reference is not a caller
             own_uses[node.name] = own_uses.get(node.name, 0) + sum(
-                1 for name in _names(node, docstrings)
+                1 for name in _names(node, docstrings, strings)
                 if name == node.name)
-    called = {name for _path, tree in _trees(*callers)
+    called = {name for _path, tree in _trees(*CALLERS)
               for name in _names(tree)}
     return {name: where for name, where in sorted(defs.items())
             if uses.get(name, 0) <= own_uses.get(name, 0)
