@@ -15,7 +15,7 @@ from repro.core import EnokiSchedClass
 from repro.schedulers.arachne import EnokiCoreArbiter
 from repro.schedulers.cfs import CfsSchedClass
 from repro.simkernel import Kernel, SimConfig, Topology
-from repro.simkernel.clock import msecs, usecs
+from repro.simkernel.clock import msecs
 
 
 def main():

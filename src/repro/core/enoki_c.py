@@ -278,20 +278,19 @@ class EnokiSchedClass(SchedClass):
 
     def select_task_rq(self, task, prev_cpu, wake_flags, waker_cpu=-1):
         self._thread_hint = prev_cpu if prev_cpu >= 0 else 0
-        allowed = (
-            tuple(sorted(task.allowed_cpus))
-            if task.allowed_cpus is not None else None
-        )
+        cpus = task.allowed_cpus
+        allowed = tuple(sorted(cpus)) if cpus is not None else None
         cpu = self._call("select_task_rq", (
             task.pid, prev_cpu, waker_cpu, wake_flags, allowed))
-        return self._sanitize_cpu(cpu, task, prev_cpu)
-
-    def _sanitize_cpu(self, cpu, task, prev_cpu):
-        """Enoki-C guards the kernel against bad placement answers."""
-        nr = self.kernel.topology.nr_cpus
-        # A real int only: ``True`` is not CPU 1.
-        if type(cpu) is int and 0 <= cpu < nr and task.can_run_on(cpu):
+        # A real int only (``True`` is not CPU 1), in range, and allowed.
+        if (type(cpu) is int and 0 <= cpu < self.kernel.topology.nr_cpus
+                and (cpus is None or cpu in cpus)):
             return cpu
+        return self._sanitize_cpu(task, prev_cpu)
+
+    def _sanitize_cpu(self, task, prev_cpu):
+        """Enoki-C guards the kernel against a bad placement answer."""
+        nr = self.kernel.topology.nr_cpus
         if self.containment is not None:
             self.containment.note_bad_response()
         if task.can_run_on(prev_cpu) and 0 <= prev_cpu < nr:
@@ -442,11 +441,6 @@ class EnokiSchedClass(SchedClass):
         # only a useless stale proof.
         if old is not None and getattr(old, "consumed", True) is False:
             old._consumed = True
-
-    def update_curr(self, task, delta_ns):
-        # Enoki-C tracks runtimes on the scheduler's behalf; the values are
-        # forwarded inside messages, so nothing to dispatch here.
-        pass
 
     def task_tick(self, cpu, task):
         self._thread_hint = cpu

@@ -139,19 +139,24 @@ class EnokiServerless(QueuePolicy):
     # placement
     # ------------------------------------------------------------------
 
-    def _load(self, cpu):
-        return (len(self.short_queues.cpus[cpu])
-                + len(self.long_queues.cpus[cpu])
-                + (1 if cpu in self.current else 0))
-
     def select_task_rq(self, pid, prev_cpu, waker_cpu, wake_flags,
                        allowed_cpus):
         candidates = (list(allowed_cpus) if allowed_cpus is not None
                       else list(range(self.nr_cpus)))
         with self.lock:
-            if prev_cpu in candidates and self._load(prev_cpu) == 0:
-                return prev_cpu
-            return min(candidates, key=lambda c: (self._load(c), c))
+            short, long_, current = (self.short_queues.cpus,
+                                     self.long_queues.cpus, self.current)
+            # A free prev_cpu, else the least loaded CPU (queued + running;
+            # equal loads go to the lowest CPU).
+            best = best_load = None
+            for cpu in candidates:
+                load = len(short[cpu]) + len(long_[cpu]) + (cpu in current)
+                if not load and cpu == prev_cpu:
+                    return cpu
+                if (best_load is None or load < best_load
+                        or (load == best_load and cpu < best)):
+                    best, best_load = cpu, load
+            return best
 
     # ------------------------------------------------------------------
     # task state tracking

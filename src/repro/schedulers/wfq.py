@@ -57,8 +57,8 @@ class EnokiWfq(QueuePolicy):
         # Keyed by the pid's vruntime at push time, which stays its
         # vruntime for as long as it is queued: all mutation sites
         # (observe on preempt/block/yield, the wakeup floor, migration
-        # re-homing) run while the pid is off-queue, and pick-time
-        # ``_observe_runtime`` on a queued pid sees delta 0.
+        # re-homing) run while the pid is off-queue, and a queued pid's
+        # runtime does not move, so the pick fold skips it.
         self.queues = TokenQueue(nr_cpus)
         self.vruntime = {}         # pid -> weighted runtime
         self.last_runtime = {}     # pid -> last raw runtime seen
@@ -76,10 +76,7 @@ class EnokiWfq(QueuePolicy):
         delta = runtime - last
         self.last_runtime[pid] = runtime
         if delta <= 0:
-            # Queued pids observe a zero delta at every pick (vruntime is
-            # immutable while queued); adding 0 is a no-op, and every read
-            # defaults missing pids to 0, so skip the write entirely.
-            return
+            return      # nothing to add: reads default a missing pid to 0
         weight = self.weights.get(pid, NICE_0_WEIGHT)
         self.vruntime[pid] = (
             self.vruntime.get(pid, 0) + delta * NICE_0_WEIGHT // weight
@@ -95,20 +92,20 @@ class EnokiWfq(QueuePolicy):
                       else list(range(self.nr_cpus)))
         with self.lock:
             queues = self.queues.cpus
-
-            def busy(cpu):
-                return cpu in self.current
-
+            current = self.current
             # Cache affinity: back to the previous CPU if it is free.
-            if (prev_cpu in candidates and not busy(prev_cpu)
+            if (prev_cpu in candidates and prev_cpu not in current
                     and not queues.get(prev_cpu)):
                 return prev_cpu
-            # Otherwise any free CPU, else the shortest queue.
+            # Else the first free CPU, else the first least loaded one.
+            best = best_load = None
             for cpu in candidates:
-                if not busy(cpu) and not queues[cpu]:
+                load = len(queues[cpu]) + (cpu in current)
+                if not load:
                     return cpu
-            return min(candidates,
-                       key=lambda c: (len(queues[c]) + busy(c)))
+                if best_load is None or load < best_load:
+                    best, best_load = cpu, load
+            return best
 
     # ------------------------------------------------------------------
     # state tracking: a pid has a vruntime from its task_new on; each
@@ -203,8 +200,11 @@ class EnokiWfq(QueuePolicy):
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
+            # Fold only a runtime that moved, or a pid with no entry yet.
+            last_runtime = self.last_runtime
             for pid, runtime in runtimes.items():
-                self._observe_runtime(pid, runtime)
+                if last_runtime.get(pid) != runtime:
+                    self._observe_runtime(pid, runtime)
             if not self.queues.cpus[cpu]:
                 return None
             vruntime, pid, token = self._take(self.queues, cpu)

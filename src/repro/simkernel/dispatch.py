@@ -79,22 +79,19 @@ class DispatchEngine:
         prev.stats.preemptions += 1
         rq.current = None
         prev.on_rq = False
-        cls = k.class_of(prev)
-        if prev.group is not None:
-            throttled = k.groups.throttled_ancestor(prev)
-            if throttled is not None:
-                # Preempted because its group ran out of bandwidth: park
-                # instead of re-queueing.  The class sees a plain block
-                # (revoking any Enoki token) and re-learns the task via
-                # the wakeup path at unthrottle time.
-                cls.task_blocked(prev, cpu)
-                k.groups.park(prev, throttled)
-                if k.trace is not None:
-                    k.trace("preempt", t=k.now, cpu=cpu, pid=prev.pid)
-                self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
-                return
-        k._attach_runnable(prev, cpu)
-        cls.task_preempt(prev, cpu)
+        cls = k._class_cache[prev.policy]
+        throttled = (k.groups.throttled_ancestor(prev)
+                     if prev.group is not None else None)
+        if throttled is not None:
+            # Preempted because its group ran out of bandwidth: park
+            # instead of re-queueing.  The class sees a plain block
+            # (revoking any Enoki token) and re-learns the task via
+            # the wakeup path at unthrottle time.
+            cls.task_blocked(prev, cpu)
+            k.groups.park(prev, throttled)
+        else:
+            k._attach_runnable(prev, cpu)
+            cls.task_preempt(prev, cpu)
         if k.trace is not None:
             k.trace("preempt", t=k.now, cpu=cpu, pid=prev.pid)
         self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
@@ -116,7 +113,7 @@ class DispatchEngine:
         prev.run_epoch += 1
         rq.current = None
         prev.on_rq = False
-        cls = k.class_of(prev)
+        cls = k._class_cache[prev.policy]
         if disposition == BLOCK:
             prev.set_state(_BLOCKED)
             stats = prev.stats
@@ -308,8 +305,7 @@ class DispatchEngine:
             self._tick_timers[cpu] = None
             return
         self.update_curr(cpu)
-        (k._class_cache.get(cur.policy) or k.class_of(cur)).task_tick(
-            cpu, cur)
+        k._class_cache[cur.policy].task_tick(cpu, cur)
         if rq.need_resched:
             self.reschedule(cpu)
 
@@ -336,7 +332,6 @@ class DispatchEngine:
         group = cur.group
         if group is not None:
             k.groups.charge(group, delta)
-        # The kernel's per-policy memo, read in place: ``class_of`` fills
-        # it on the first miss after a registration change or a redirect.
-        (k._class_cache.get(cur.policy) or k.class_of(cur)).update_curr(
-            cur, delta)
+        hook = k._class_cache[cur.policy].update_curr
+        if hook is not None:
+            hook(cur, delta)

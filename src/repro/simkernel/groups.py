@@ -337,7 +337,7 @@ class GroupManager:
                 if state is _RUNNABLE and task.on_rq:
                     cpu = task.cpu
                     k.rqs[cpu].detach(task)
-                    k.class_of(task).task_blocked(task, cpu)
+                    k._class_cache[task.policy].task_blocked(task, cpu)
                     self.park(task, group)
                     parked += 1
                 elif state is _RUNNING:
@@ -429,7 +429,7 @@ class GroupManager:
         for tasks that were parked at birth and never saw ``task_new``)."""
         k = self.k
         task.set_state(_RUNNABLE)
-        cls = k.class_of(task)
+        cls = k._class_cache[task.policy]
         origin_cpu = task.cpu if task.cpu >= 0 else 0
         flags = WF_FORK if origin == PARKED_NEW else WF_TTWU
         cpu = k.migration.invoke_select(cls, task, origin_cpu, flags, -1)

@@ -236,7 +236,8 @@ class OpInterpreter:
         task.pending_result = child.pid
         # The fork ran in this task's context: select_task_rq +
         # task_new delay its next op.
-        self.complete_op(task, epoch, k.class_of(child).hooks_cost_ns(2))
+        self.complete_op(
+            task, epoch, k._class_cache[child.policy].hooks_cost_ns(2))
 
     def _set_nice(self, task, op, epoch, cpu):
         k = self.k
@@ -248,7 +249,7 @@ class OpInterpreter:
             k.groups.account(task, cpu)
         else:
             task.set_nice(op.nice)
-        k.class_of(task).task_prio_changed(task, cpu)
+        k._class_cache[task.policy].task_prio_changed(task, cpu)
         task.pending_result = None
         self.boundary(task)
 
@@ -258,7 +259,7 @@ class OpInterpreter:
         if not cpus:
             raise ProgramError(f"pid {task.pid}: empty affinity mask")
         task.allowed_cpus = cpus
-        k.class_of(task).task_affinity_changed(task, cpu)
+        k._class_cache[task.policy].task_affinity_changed(task, cpu)
         if cpu in cpus:
             task.pending_result = None
             self.boundary(task)

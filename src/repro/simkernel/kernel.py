@@ -45,6 +45,22 @@ from repro.simkernel.timers import TimerService
 from repro.simkernel.topology import Topology
 
 
+class _ClassMap(dict):
+    """``policy -> class``: a hit is a call-free subscript; a miss resolves
+    the redirect or raises, and memoises.  Cleared on register / redirect."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def __missing__(self, policy):
+        k = self.kernel
+        cls = k._class_by_policy.get(k._policy_redirects.get(policy, policy))
+        if cls is None:
+            raise SchedulingError(f"unregistered policy {policy}")
+        self[policy] = cls
+        return cls
+
+
 class Kernel:
     """A simulated multicore machine running a stack of scheduler classes."""
 
@@ -62,7 +78,7 @@ class Kernel:
         self._class_by_policy = {}
         self._class_priority = {}     # SchedClass -> priority
         self._policy_redirects = {}   # failed policy -> fallback policy
-        self._class_cache = {}        # policy -> resolved class (memoised)
+        self._class_cache = _ClassMap(self)   # policy -> resolved class
         self._limbo = set()           # pids awaiting deferred placement
         self._hint_handlers = {}      # policy -> handler object
         # Deterministic micro-jitter source (IRQ/C-state variance model).
@@ -123,20 +139,8 @@ class Kernel:
         self._class_cache.clear()
 
     def class_of(self, task):
-        # Memoised per policy: two dict lookups collapse to one on the
-        # accounting hot path.  The cache is cleared when a class
-        # registers and when a policy is redirected (failover).
-        cls = self._class_cache.get(task.policy)
-        if cls is not None:
-            return cls
-        policy = self._policy_redirects.get(task.policy, task.policy)
-        cls = self._class_by_policy.get(policy)
-        if cls is None:
-            raise SchedulingError(
-                f"pid {task.pid} uses unregistered policy {task.policy}"
-            )
-        self._class_cache[task.policy] = cls
-        return cls
+        """The class servicing ``task`` (per-event code subscripts the map)."""
+        return self._class_cache[task.policy]
 
     def set_trace(self, hook):
         """Install (or remove, with ``None``) the trace hook.

@@ -55,7 +55,7 @@ class LifecycleManager:
                     k.trace("fork", t=k.now, cpu=origin_cpu, pid=task.pid,
                             throttled=True)
                 return 0
-        cls = k.class_of(task)
+        cls = k._class_cache[task.policy]
         cpu = k.migration.invoke_select(cls, task, origin_cpu, WF_FORK,
                                         origin_cpu)
         task.set_state(_RUNNABLE)

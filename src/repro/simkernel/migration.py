@@ -84,7 +84,7 @@ class MigrationService:
                     k.trace("wakeup", t=now, cpu=-1, pid=task.pid,
                             waker=waker, throttled=True)
                 return 0
-        cls = k.class_of(task)
+        cls = k._class_cache[task.policy]
         flags = WF_TTWU | (WF_SYNC if sync else 0)
         task.set_state(_RUNNABLE)
         task.last_wakeup_ns = now
@@ -136,7 +136,7 @@ class MigrationService:
                 return True
         k._limbo.discard(pid)
         k._attach_runnable(task, cpu)
-        cls = k.class_of(task)
+        cls = k._class_cache[task.policy]
         self.kick_cpu_for_wakeup(task, cpu, kicker_cpu, cls)
         return True
 
@@ -187,7 +187,7 @@ class MigrationService:
             return
         task.kick_at_ns = now + cost
         priority = k._class_priority
-        if priority[cls] > priority[k.class_of(cur)]:
+        if priority[cls] > priority[k._class_cache[cur.policy]]:
             decision = "now"
         else:
             decision = cls.wakeup_preempt(cpu, task)

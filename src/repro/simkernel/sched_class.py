@@ -20,6 +20,7 @@ walk-through in section 3.1):
 * schedule:     ``balance`` -> (kernel migration) -> ``pick_next_task``
 * tick:         ``task_tick``
 * migration:    kernel detach/attach -> ``migrate_task_rq``
+* accounting:   ``update_curr``, on a class that defines it (CFS only)
 
 Cost-model contract (who charges what, once).  The kernel core charges a
 class's hooks as virtual time through exactly two reads:
@@ -151,8 +152,8 @@ class SchedClass:
 
     # -- time ----------------------------------------------------------------
 
-    def update_curr(self, task, delta_ns):
-        """Runtime accounting: ``task`` just ran for ``delta_ns``."""
+    #: optional ``update_curr(task, delta_ns)``: ``task`` ran ``delta_ns``
+    update_curr = None
 
     def task_tick(self, cpu, task):
         """Periodic tick while ``task`` runs on ``cpu`` (task may be None

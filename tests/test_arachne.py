@@ -1,12 +1,9 @@
 """Tests for the Arachne stack: runtime, Enoki core arbiter, native
 arbiter (paper section 4.2.4)."""
 
-import pytest
-
 from repro.arachne_rt import ArachneRuntime, UCond, UNotify, URun, UWait
 from repro.arachne_rt.clients import EnokiArbiterClient
 from repro.arachne_rt.native_arbiter import NativeCoreArbiter
-from repro.arachne_rt.runtime import SlotState
 from repro.arachne_rt.user_thread import UserThread, UtState
 from repro.core import EnokiSchedClass
 from repro.schedulers.arachne import EnokiCoreArbiter

@@ -88,3 +88,40 @@ class TestFourClassStack:
         kernel.run_until_idle()
         assert len(manager.reports) == 1
         assert all(t.state is TaskState.DEAD for t in tasks)
+
+
+class TestRuntimeAccounting:
+    def test_update_curr_reaches_only_the_class_that_keeps_runtimes(self):
+        """CFS's ``update_curr`` receives every nanosecond its tasks run;
+        the Enoki shim defines no hook, so the dispatcher makes no call
+        for its tasks (their runtimes travel inside the messages)."""
+        kernel = Kernel(Topology.smp(2), SimConfig())
+        cfs = kernel.register_sched_class(CfsSchedClass(policy=CFS),
+                                          priority=10)
+        shim = EnokiSchedClass.register(kernel, EnokiWfq(2, ENOKI), ENOKI,
+                                        priority=50)
+        received = {}
+        keep = cfs.update_curr
+
+        def spy(task, delta_ns):
+            received[task.pid] = received.get(task.pid, 0) + delta_ns
+            keep(task, delta_ns)
+
+        cfs.update_curr = spy
+
+        def mixed(work):
+            def prog():
+                for _ in range(5):
+                    yield Run(usecs(work))
+                    yield Sleep(usecs(150))
+            return prog
+
+        cfs_tasks = [kernel.spawn(mixed(400), policy=CFS) for _ in range(3)]
+        enoki_tasks = [kernel.spawn(mixed(300), policy=ENOKI)
+                       for _ in range(3)]
+        kernel.run_until(msecs(1))      # a tick or two lands mid-Run
+        kernel.run_until_idle()
+        assert received == {t.pid: t.sum_exec_runtime_ns for t in cfs_tasks}
+        assert all(t.sum_exec_runtime_ns >= usecs(1500) for t in enoki_tasks)
+        assert "update_curr" not in vars(EnokiSchedClass)
+        assert shim.update_curr is None

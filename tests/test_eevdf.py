@@ -1,7 +1,5 @@
 """Tests for the EEVDF extension scheduler."""
 
-import pytest
-
 from repro.core import EnokiSchedClass
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.eevdf import EnokiEevdf

@@ -4,7 +4,6 @@ hint plumbing, cost accounting."""
 import pytest
 
 from repro.core import EnokiSchedClass, Recorder, UpgradeManager
-from repro.core import messages as msgs
 from repro.obs import Observer
 from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.wfq import EnokiWfq

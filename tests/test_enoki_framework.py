@@ -6,7 +6,7 @@ hint queues, and the kernel/framework interaction contract.
 
 import pytest
 
-from repro.core import EnokiSchedClass, Recorder
+from repro.core import EnokiSchedClass
 from repro.core.errors import TokenError
 from repro.core.schedulable import Schedulable, TokenRegistry
 from repro.schedulers.fifo import EnokiFifo

@@ -1,7 +1,5 @@
 """Tests for the ghOSt model: deferred placement, agents, staleness."""
 
-import pytest
-
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.ghost import (
     GHOST_POLICY,

@@ -382,6 +382,45 @@ class TestClassStacking:
             kernel.register_sched_class(NativeFifoClass(policy=1))
 
 
+class TestClassMap:
+    """``Kernel._class_cache``: the per-event path subscripts it, and a
+    miss resolves exactly what ``class_of`` always resolved."""
+
+    def test_miss_after_redirect_resolves_to_the_fallback(self):
+        kernel = Kernel(Topology.smp(1), SimConfig())
+        first = kernel.register_sched_class(NativeFifoClass(policy=1))
+        fallback = kernel.register_sched_class(NativeFifoClass(policy=2))
+        task = kernel.spawn(spin_prog, policy=1)
+        assert kernel._class_cache[1] is first     # memoised hit
+        kernel.redirect_policy(1, 2)
+        assert 1 not in kernel._class_cache         # the redirect cleared it
+        assert kernel._class_cache[1] is fallback
+        assert kernel.class_of(task) is fallback
+
+    def test_miss_after_registration_resolves_to_the_new_class(self):
+        kernel = Kernel(Topology.smp(1), SimConfig())
+        kernel.register_sched_class(NativeFifoClass(policy=1))
+        assert kernel._class_cache[1].policy == 1
+        late = kernel.register_sched_class(NativeFifoClass(policy=3))
+        assert dict(kernel._class_cache) == {}     # registration cleared it
+        assert kernel._class_cache[3] is late
+
+    def test_unregistered_policy_raises_naming_it(self):
+        kernel = Kernel(Topology.smp(1), SimConfig())
+        kernel.register_sched_class(NativeFifoClass(policy=1))
+        with pytest.raises(SchedulingError, match="unregistered policy 9"):
+            kernel._class_cache[9]
+        task = kernel.spawn(spin_prog, policy=1)
+        task.policy = 9
+        with pytest.raises(SchedulingError, match="unregistered policy 9"):
+            kernel.class_of(task)
+        assert 9 not in kernel._class_cache         # a failure is not memoised
+
+
+def spin_prog():
+    yield Run(1_000)
+
+
 class TestAccounting:
     def test_cpu_busy_time_charged(self):
         kernel, _ = make_kernel(nr_cpus=1)

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants."""
 
+import contextlib
 import dataclasses
 import json
 from typing import Optional
@@ -14,6 +15,8 @@ from repro.core import messages as msgs
 from repro.core.errors import RecordError
 from repro.core.hints import RingBuffer
 from repro.core.schedulable import Schedulable, TokenRegistry
+from repro.schedulers.serverless import EnokiServerless
+from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel.clock import Clock
 from repro.simkernel.events import EventQueue
 from repro.simkernel.semaphore import Semaphore
@@ -376,3 +379,82 @@ class TestRecordCodecProperties:
                                    "sched": {"pid": 1, "cpu": 0}}}):
             with pytest.raises(RecordError):
                 msgs.decode_call(record, lambda d: d)
+
+
+@st.composite
+def _placement(draw):
+    """A machine state for ``select_task_rq``: per-CPU queue depths (two
+    queues, for serverless), the CPUs running something, the answer's
+    ``prev_cpu`` (in range or not) and an allowed mask, in any order."""
+    nr = draw(st.integers(1, 6))
+    depths = st.lists(st.integers(0, 2), min_size=nr, max_size=nr)
+    allowed = draw(st.none() | st.lists(
+        st.integers(0, nr - 1), min_size=1, max_size=nr, unique=True))
+    return (nr, draw(depths), draw(depths),
+            draw(st.sets(st.integers(0, nr - 1))),
+            draw(st.integers(-1, nr)), allowed)
+
+
+def _fill(queues, depths):
+    for cpu, depth in enumerate(depths):
+        for i in range(depth):
+            queues.push(cpu, i, (cpu, i, id(queues)), None)
+
+
+def _wfq_reference(policy, prev_cpu, allowed_cpus):
+    """``EnokiWfq.select_task_rq`` as it was written with ``min``."""
+    candidates = (list(allowed_cpus) if allowed_cpus is not None
+                  else list(range(policy.nr_cpus)))
+    queues = policy.queues.cpus
+
+    def busy(cpu):
+        return cpu in policy.current
+
+    if (prev_cpu in candidates and not busy(prev_cpu)
+            and not queues.get(prev_cpu)):
+        return prev_cpu
+    for cpu in candidates:
+        if not busy(cpu) and not queues[cpu]:
+            return cpu
+    return min(candidates, key=lambda c: (len(queues[c]) + busy(c)))
+
+
+def _serverless_reference(policy, prev_cpu, allowed_cpus):
+    """``EnokiServerless.select_task_rq`` as it was written with ``min``."""
+    candidates = (list(allowed_cpus) if allowed_cpus is not None
+                  else list(range(policy.nr_cpus)))
+
+    def load(cpu):
+        return (len(policy.short_queues.cpus[cpu])
+                + len(policy.long_queues.cpus[cpu])
+                + (1 if cpu in policy.current else 0))
+
+    if prev_cpu in candidates and load(prev_cpu) == 0:
+        return prev_cpu
+    return min(candidates, key=lambda c: (load(c), c))
+
+
+class TestPlacementProperties:
+    """The inlined placement loops choose exactly what the ``min(...,
+    key=...)`` expressions they replaced chose, ties included."""
+
+    @given(_placement())
+    def test_wfq_matches_its_min_expression(self, drawn):
+        nr, depths, _long, running, prev_cpu, allowed = drawn
+        policy = EnokiWfq(nr)
+        policy.lock = contextlib.nullcontext()
+        _fill(policy.queues, depths)
+        policy.current = {cpu: (100 + cpu, 0) for cpu in running}
+        assert (policy.select_task_rq(1, prev_cpu, -1, 0, allowed)
+                == _wfq_reference(policy, prev_cpu, allowed))
+
+    @given(_placement())
+    def test_serverless_matches_its_min_expression(self, drawn):
+        nr, short, long_, running, prev_cpu, allowed = drawn
+        policy = EnokiServerless(nr)
+        policy.lock = contextlib.nullcontext()
+        _fill(policy.short_queues, short)
+        _fill(policy.long_queues, long_)
+        policy.current = {cpu: (100 + cpu, 0) for cpu in running}
+        assert (policy.select_task_rq(1, prev_cpu, -1, 0, allowed)
+                == _serverless_reference(policy, prev_cpu, allowed))

@@ -16,6 +16,12 @@ def or class name in ``src/`` (dunders excepted), one of these holds:
   below, each with its reason.
 
 A new def that fails here gets a production caller or goes.
+
+The same walk holds imports to the same rule: every name a module in
+``src/``, ``tests/`` or ``examples/`` imports is read there, unless the
+module is a package ``__init__`` (its imports are the package's
+re-exports), the module lists the name in ``__all__``, or
+``SIDE_EFFECT_IMPORTS`` keeps it for what importing it does.
 """
 
 import ast
@@ -55,6 +61,10 @@ KEPT = {
     "busy_ns_total": "the closed per-CPU busy sum the gauges are checked on",
     "_bucket_index": "the reference the histogram's inline copy is held to",
 }
+
+#: ``(file name, imported name)`` kept for its import's side effect, with
+#: the reason; none today
+SIDE_EFFECT_IMPORTS = {}
 
 
 def _is_def(node):
@@ -154,3 +164,32 @@ def test_cited_names_are_in_their_documents():
     for name, document in CITED.items():
         text = (ROOT / document).read_text()
         assert re.search(rf"\b{name}\b", text), (name, document)
+
+
+def _unused_imports(path, tree):
+    """``path:line name`` for each name ``tree`` imports and never reads."""
+    if path.name == "__init__.py":
+        return []
+    exported = {const.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)
+                for const in ast.walk(node.value)
+                if isinstance(const, ast.Constant)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if (name != "*" and name not in read and name not in exported
+                    and (path.name, name) not in SIDE_EFFECT_IMPORTS):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return found
+
+
+def test_no_unused_imports():
+    found = [hit for path, tree in _trees("src", "tests", "examples")
+             for hit in _unused_imports(path, tree)]
+    assert not found, f"imported and never read: {found}"

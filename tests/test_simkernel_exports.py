@@ -83,6 +83,28 @@ class TestLayering:
                           and node.value.id == "TaskState"]
         assert not found
 
+    def test_per_event_modules_subscript_the_class_map(self):
+        """The per-event path finds a task's class with one subscript,
+        ``k._class_cache[task.policy]``: no ``class_of(`` call and no
+        ``_class_cache.get(`` (a hit costs no Python call)."""
+        import ast
+        from pathlib import Path
+        import repro.simkernel as simkernel
+
+        package_dir = Path(inspect.getfile(simkernel)).parent
+        found = []
+        for name in PER_EVENT_MODULES:
+            tree = ast.parse((package_dir / f"{name}.py").read_text())
+            found += [
+                f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and (node.func.attr == "class_of"
+                     or (node.func.attr == "get"
+                         and isinstance(node.func.value, ast.Attribute)
+                         and node.func.value.attr == "_class_cache"))]
+        assert not found
+
     def test_queue_policies_push_only_in_enqueue(self):
         """Every token a queue policy holds enters through one method:
         no ``.push(`` / ``.push_back(`` outside ``_enqueue``."""

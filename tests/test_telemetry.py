@@ -15,9 +15,8 @@ import pytest
 from repro.exp import KernelBuilder
 from repro.exp.bench import run_spec
 from repro.exp.spec import ScenarioSpec
-from repro.obs import Observer
-from repro.obs.accounting import KernelAccounting, task_delay_row
-from repro.obs.telemetry import (SLOMonitor, SLOTarget, TelemetrySampler,
+from repro.obs.accounting import task_delay_row
+from repro.obs.telemetry import (SLOMonitor, SLOTarget,
                                  TIMESERIES_COLUMNS, build_report,
                                  latency_heatmap, render_report_markdown,
                                  render_top_frame, timeseries_csv)

@@ -8,16 +8,7 @@ from repro.simkernel.errors import ProgramError, SimError
 from repro.simkernel.events import EventQueue
 from repro.simkernel.futex import Futex
 from repro.simkernel.pipe import Pipe
-from repro.simkernel.program import (
-    FutexWait,
-    FutexWake,
-    PipeRead,
-    PipeWrite,
-    Run,
-    SendHint,
-    Sleep,
-)
-from repro.simkernel.task import TaskState
+from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.timers import TimerService
 from repro.schedulers.fifo_native import NativeFifoClass
 

@@ -8,7 +8,7 @@ from repro.exp import KernelBuilder, ScenarioSpec
 from repro.obs import Observer
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.simkernel import Kernel, SimConfig, SimError, Topology
-from repro.simkernel.clock import msecs, usecs
+from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.tracing import SchedTracer, TraceEvent
 

@@ -7,7 +7,7 @@ from repro.core.errors import UpgradeError
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.exp.builder import enoki_scheduler_names
 from repro.schedulers.eevdf import EnokiEevdf
-from repro.schedulers.fifo import EnokiFifo, FifoTransferState
+from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.nest import EnokiNest
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology

@@ -1,12 +1,10 @@
 """Behavioural tests for the Enoki WFQ scheduler (paper section 4.2.1)."""
 
-import pytest
-
 from repro.core import EnokiSchedClass
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
 from repro.simkernel import Kernel, SimConfig, Topology
-from repro.simkernel.clock import msecs, usecs
+from repro.simkernel.clock import msecs
 from repro.simkernel.program import Run, SetNice, Sleep
 from repro.simkernel.task import TaskState
 
