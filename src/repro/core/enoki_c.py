@@ -40,10 +40,15 @@ class EnokiSchedClass(SchedClass):
         self.recorder = recorder
         self.lib = LibEnoki(scheduler, enoki_c=self, recorder=recorder)
         #: set by the upgrade manager: the quiesce blackout (section 3.2's
-        #: limitation) the next cost read still has to pay
+        #: limitation) the next settle still has to pay
         self._pending_blackout_ns = 0
         self._armed_timers = {}
+        #: timer-arm and injected-hang time the next pick-walk visit
+        #: collects
         self._extra_cost_ns = 0
+        #: a recorder-bearing shim always settles: ``settle_ns`` tests
+        #: ``recorder.active``, so ``Recorder.stop()`` needs no hook here
+        self.owes = recorder is not None
         #: optional :class:`~repro.obs.profiler.CallbackProfiler`
         self._profiler = None
         #: cached crossing mode, True exactly when nobody is watching and
@@ -130,11 +135,11 @@ class EnokiSchedClass(SchedClass):
         # invocation of the Enoki scheduler"): a flat fee per hook.
         cfg = kernel.config
         call_ns = cfg.enoki_call_ns
-        self._walk_cost_ns += 2 * call_ns
-        self._hook_cost_ns += call_ns
+        self.walk_cost_ns += 2 * call_ns
+        self.hook_cost_ns += call_ns
         self._record_ns = cfg.record_overhead_ns
         #: per-callback attribution on the watched path: what one
-        #: crossing of ``func`` is modelled to cost (``_hook_cost_ns``
+        #: crossing of ``func`` is modelled to cost (``hook_cost_ns``
         #: for every function not listed)
         self._func_cost_ns = {
             "pick_next_task": cfg.sched_pick_ns + call_ns,
@@ -165,34 +170,27 @@ class EnokiSchedClass(SchedClass):
     # cost model
     # ------------------------------------------------------------------
 
-    def pick_walk_cost_ns(self):
-        cost = self._walk_cost_ns + self._extra_cost_ns
-        self._extra_cost_ns = 0
-        if self.recorder is not None or self._pending_blackout_ns:
-            cost += self._surcharge_ns(2)
-        return cost
-
-    def hooks_cost_ns(self, n):
-        cost = n * self._hook_cost_ns
-        if self.recorder is not None or self._pending_blackout_ns:
-            cost += self._surcharge_ns(n)
-        return cost
-
-    def _surcharge_ns(self, n):
-        """What ``n`` hooks cost beyond the attach-time constants."""
-        cost = 0
-        if self.recorder is not None and self.recorder.active:
-            cost = n * self._record_ns
+    def settle_ns(self, n, walk=False):
+        """What ``n`` hooks cost beyond the attach-time constants; a
+        pick-walk visit (``walk``) also collects the accrued extras."""
+        recorder = self.recorder
+        cost = (n * self._record_ns
+                if recorder is not None and recorder.active else 0)
+        if walk:
+            cost += self._extra_cost_ns
+            self._extra_cost_ns = 0
         if self._pending_blackout_ns:
-            # First cost read after an upgrade pays the whole blackout.
+            # The first settle after an upgrade pays the whole blackout.
             cost += self._pending_blackout_ns
             self._pending_blackout_ns = 0
+        self.owes = recorder is not None or self._extra_cost_ns != 0
         return cost
 
     def note_upgrade_blackout(self, pause_ns):
         """The upgrade manager reports a quiesce window; the next dispatch
         on any CPU is delayed by it."""
         self._pending_blackout_ns = pause_ns
+        self.owes = True
 
     # ------------------------------------------------------------------
     # the crossing
@@ -256,7 +254,7 @@ class EnokiSchedClass(SchedClass):
         if not timed:
             return response
         wall_ns = time.perf_counter_ns() - wall_start
-        virtual_ns = self._func_cost_ns.get(func, self._hook_cost_ns)
+        virtual_ns = self._func_cost_ns.get(func, self.hook_cost_ns)
         if self.recorder is not None and self.recorder.active:
             virtual_ns += self._record_ns
         if trace is not None:
@@ -473,6 +471,7 @@ class EnokiSchedClass(SchedClass):
         # dedup below.
         config = self.kernel.config
         self._extra_cost_ns += config.timer_arm_cost_ns
+        self.owes = True
         existing = self._armed_timers.get(cpu)
         if existing is not None and existing.active:
             expiry = (self.kernel.now

@@ -126,10 +126,12 @@ class ContainmentBoundary:
     def after_dispatch(self, func, args):
         """A dispatch of ``func(*args)`` left an injected hang pending:
         charge it, and strike it when it overran the budget."""
-        overrun = self.shim.fault_injector.take_overrun_ns()
+        shim = self.shim
+        overrun = shim.fault_injector.take_overrun_ns()
         # The hang consumed real (virtual) CPU time: charge it into the
         # kernel's cost accounting like any other scheduler-induced work.
-        self.shim._extra_cost_ns += overrun
+        shim._extra_cost_ns += overrun
+        shim.owes = True
         if overrun > CALLBACK_BUDGET_NS:
             self.note_overrun(func, overrun,
                               message=message_for(func)(*args))

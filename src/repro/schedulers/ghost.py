@@ -59,8 +59,8 @@ class GhostSchedClass(SchedClass):
         self.running = {}
         # Every hook produces a message into the agent queue.
         enqueue_ns = kernel.config.ghost_msg_enqueue_ns
-        self._walk_cost_ns += 2 * enqueue_ns
-        self._hook_cost_ns += enqueue_ns
+        self.walk_cost_ns += 2 * enqueue_ns
+        self.hook_cost_ns += enqueue_ns
 
     # -- all placement is deferred to the agent ---------------------------
 

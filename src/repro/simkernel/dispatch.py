@@ -94,7 +94,10 @@ class DispatchEngine:
             cls.task_preempt(prev, cpu)
         if k.trace is not None:
             k.trace("preempt", t=k.now, cpu=cpu, pid=prev.pid)
-        self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
+        cost = cls.hook_cost_ns
+        if cls.owes:
+            cost += cls.settle_ns(1)
+        self.pick_and_switch(cpu, prev, cost)
 
     def deschedule_current(self, cpu, disposition, block_reason=None):
         """The current task leaves the CPU voluntarily.
@@ -145,7 +148,10 @@ class DispatchEngine:
         else:
             raise SimError(f"unknown disposition {disposition}")
         # Every disposition ran exactly one state hook.
-        self.pick_and_switch(cpu, prev, cls.hooks_cost_ns(1))
+        cost = cls.hook_cost_ns
+        if cls.owes:
+            cost += cls.settle_ns(1)
+        self.pick_and_switch(cpu, prev, cost)
 
     # ------------------------------------------------------------------
     # the pick walk (section 3.1)
@@ -168,8 +174,10 @@ class DispatchEngine:
                     cls.balance_err(cpu, pulled)
             stats.sched_invocations += 1
             pid = cls.pick_next_task(cpu)
-            # Read after the hooks: balance + pick + what they accrued.
-            cost += cls.pick_walk_cost_ns()
+            # Settled after the hooks: balance + pick + what they accrued.
+            cost += cls.walk_cost_ns
+            if cls.owes:
+                cost += cls.settle_ns(2, True)
             if pid is None:
                 continue
             # Queued here, runnable, allowed here: one lookup.

@@ -236,8 +236,11 @@ class OpInterpreter:
         task.pending_result = child.pid
         # The fork ran in this task's context: select_task_rq +
         # task_new delay its next op.
-        self.complete_op(
-            task, epoch, k._class_cache[child.policy].hooks_cost_ns(2))
+        cls = k._class_cache[child.policy]
+        cost = 2 * cls.hook_cost_ns
+        if cls.owes:
+            cost += cls.settle_ns(2)
+        self.complete_op(task, epoch, cost)
 
     def _set_nice(self, task, op, epoch, cpu):
         k = self.k

@@ -60,7 +60,9 @@ class LifecycleManager:
                                         origin_cpu)
         task.set_state(_RUNNABLE)
         task.last_wakeup_ns = k.now
-        hook_cost = cls.hooks_cost_ns(2)    # select_task_rq + task_new
+        hook_cost = 2 * cls.hook_cost_ns    # select_task_rq + task_new
+        if cls.owes:
+            hook_cost += cls.settle_ns(2)
         if cpu == DEFERRED_CPU:
             k._limbo.add(task.pid)
             # Limbo counts as wait for delay accounting (see wake_task).

@@ -89,7 +89,9 @@ class MigrationService:
         task.set_state(_RUNNABLE)
         task.last_wakeup_ns = now
         task.wakeup_flags = flags
-        hook_cost = cls.hooks_cost_ns(2)    # select_task_rq + task_wakeup
+        hook_cost = 2 * cls.hook_cost_ns    # select_task_rq + task_wakeup
+        if cls.owes:
+            hook_cost += cls.settle_ns(2)
         cpu = self.invoke_select(cls, task, task.cpu, flags, waker)
         if cpu == DEFERRED_CPU:
             k._limbo.add(task.pid)

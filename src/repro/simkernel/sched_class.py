@@ -23,24 +23,26 @@ walk-through in section 3.1):
 * accounting:   ``update_curr``, on a class that defines it (CFS only)
 
 Cost-model contract (who charges what, once).  The kernel core charges a
-class's hooks as virtual time through exactly two reads:
+class's hooks as virtual time from two attributes, resolved from
+:class:`~repro.simkernel.config.SimConfig` constants at ``attach_kernel``
+(the config is frozen):
 
-* :meth:`SchedClass.pick_walk_cost_ns` — once per class the pick walk
-  visits, *after* ``pick_next_task``: ``sched_balance_ns +
-  sched_pick_ns`` plus whatever the class accrued since the last read
-  (the Enoki shim's timer-arm and injected-hang extras);
-* :meth:`SchedClass.hooks_cost_ns` — once per wakeup, fork
-  (``select_task_rq`` + the state hook: ``n = 2``) and deschedule or
-  preemption (``n = 1``): ``n * sched_queue_ns``.
+* ``walk_cost_ns`` — once per class the pick walk visits, *after*
+  ``pick_next_task``: ``sched_balance_ns + sched_pick_ns``;
+* ``hook_cost_ns`` — ``n`` times per wakeup, fork (``select_task_rq`` +
+  the state hook: ``n = 2``) and deschedule or preemption (``n = 1``):
+  ``sched_queue_ns``.
 
-Both are sums of :class:`~repro.simkernel.config.SimConfig` constants
-resolved at ``attach_kernel`` (the config is frozen).  A class that costs
-more per hook adds to the two constants there (ghOSt: one agent message
-per hook); only the Enoki shim overrides the reads, to add what is not
-constant — the recorder's per-hook overhead while it is active and the
-one-shot upgrade blackout.  ``migrate_ns``, ``context_switch_ns`` and the
-wakeup/idle-exit model are the dispatcher's and the migration service's,
-not the class's.
+A class that costs more per hook adds to the two constants there (ghOSt:
+one agent message per hook).  What is not constant is settled, not read:
+while a class's ``owes`` flag is set, each of those charges also adds
+``cls.settle_ns(n, walk)`` (``walk`` true on a pick-walk visit).  Only
+the Enoki shim ever owes — while it has a recorder (``record_overhead_ns``
+per hook while it is active), an upgrade blackout is pending (paid by the
+first settle) or its hooks accrued timer-arm or injected-hang extras
+(collected by the next pick-walk visit).  ``migrate_ns``,
+``context_switch_ns`` and the wakeup/idle-exit model are the dispatcher's
+and the migration service's, not the class's.
 """
 
 # Wake flags, mirroring the kernel's WF_*.
@@ -67,23 +69,16 @@ class SchedClass:
 
     # -- lifecycle --------------------------------------------------------
 
+    #: cost model (contract in the module docstring): True while the
+    #: class owes more than its constants, i.e. ``settle_ns`` must be read
+    owes = False
+
     def attach_kernel(self, kernel):
         """Called once at registration."""
         self.kernel = kernel
         cfg = kernel.config
-        self._walk_cost_ns = cfg.sched_balance_ns + cfg.sched_pick_ns
-        self._hook_cost_ns = cfg.sched_queue_ns
-
-    # -- cost model (contract in the module docstring) ---------------------
-
-    def pick_walk_cost_ns(self):
-        """Kernel time one pick-walk visit costs: ``balance`` +
-        ``pick_next_task`` + extras accrued since the last read."""
-        return self._walk_cost_ns
-
-    def hooks_cost_ns(self, n):
-        """Kernel time ``n`` placement / state-tracking hooks cost."""
-        return n * self._hook_cost_ns
+        self.walk_cost_ns = cfg.sched_balance_ns + cfg.sched_pick_ns
+        self.hook_cost_ns = cfg.sched_queue_ns
 
     # -- placement ---------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """The cost-model contract (``repro.simkernel.sched_class`` docstring).
 
-The kernel core charges a class through two reads —
-``pick_walk_cost_ns()`` per class visit of the pick walk and
-``hooks_cost_ns(n)`` per wake / fork / deschedule — both sums of
-``SimConfig`` constants resolved at ``attach_kernel``, which is sound
-only because the config is frozen.
+The kernel core charges a class from two attributes — ``walk_cost_ns``
+per class visit of the pick walk and ``hook_cost_ns`` per hook of a
+wake / fork / deschedule — both sums of ``SimConfig`` constants resolved
+at ``attach_kernel``, which is sound only because the config is frozen.
+What is not constant is paid through ``settle_ns``, read only while the
+class's ``owes`` flag is set.
 """
 
 import dataclasses
@@ -14,8 +15,12 @@ import pytest
 from repro.core import EnokiSchedClass, Recorder
 from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.fifo_native import NativeFifoClass
-from repro.schedulers.ghost import GhostSchedClass
+from repro.schedulers.ghost import (
+    GhostSchedClass,
+    install_ghost_percpu_fifo,
+)
 from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel.program import Run, Sleep
 
 #: no two constants equal, none at its default: a sum built from the
 #: wrong field (or from the defaults) cannot come out right
@@ -59,73 +64,93 @@ class TestEveryClassKind:
     def test_pick_walk_is_balance_plus_pick(self, kind):
         cls, fee = attached(kind)
         expected = CONFIG.sched_balance_ns + CONFIG.sched_pick_ns + 2 * fee
-        assert cls.pick_walk_cost_ns() == expected
-        assert cls.pick_walk_cost_ns() == expected
+        assert cls.walk_cost_ns == expected
+        assert cls.owes is False
 
     def test_n_hooks_cost_n_queue_operations(self, kind):
         cls, fee = attached(kind)
-        for n in (1, 2, 5):
-            assert cls.hooks_cost_ns(n) == n * (CONFIG.sched_queue_ns + fee)
+        assert cls.hook_cost_ns == CONFIG.sched_queue_ns + fee
+
+
+@pytest.mark.parametrize("kind", ("native", "ghost"))
+def test_native_and_ghost_classes_never_owe(kind):
+    """Only the shim settles: a class without ``settle_ns`` never sets
+    ``owes``, through a whole run of its own tasks."""
+    kernel = Kernel(Topology.smp(1), CONFIG)
+    if kind == "native":
+        cls = kernel.register_sched_class(NativeFifoClass(policy=1))
+    else:
+        cls, _ = install_ghost_percpu_fifo(kernel, managed_cpus=[0])
+
+    def prog():
+        for _ in range(20):
+            yield Run(20_000)
+            yield Sleep(10_000)
+
+    for _ in range(3):
+        kernel.spawn(prog, policy=cls.policy)
+    kernel.run_until_idle()
+    assert kernel.stats.total_wakeups > 0
+    assert cls.owes is False and not hasattr(cls, "settle_ns")
 
 
 class TestShimSurcharges:
-    WALK = (CONFIG.sched_balance_ns + CONFIG.sched_pick_ns
-            + 2 * CONFIG.enoki_call_ns)
-    HOOK = CONFIG.sched_queue_ns + CONFIG.enoki_call_ns
-
     def test_recorder_overhead_only_while_active(self):
         recorder = Recorder()
         shim, _ = attached("shim", recorder=recorder)
-        assert shim.hooks_cost_ns(3) == 3 * (
-            self.HOOK + CONFIG.record_overhead_ns)
-        assert shim.pick_walk_cost_ns() == (
-            self.WALK + 2 * CONFIG.record_overhead_ns)
+        assert shim.owes
+        assert shim.settle_ns(3) == 3 * CONFIG.record_overhead_ns
+        assert shim.settle_ns(2, True) == 2 * CONFIG.record_overhead_ns
+        # ``stop`` tells the shim nothing: it keeps settling, for nothing.
         recorder.stop()
-        assert shim.hooks_cost_ns(3) == 3 * self.HOOK
-        assert shim.pick_walk_cost_ns() == self.WALK
+        assert shim.owes
+        assert shim.settle_ns(3) == 0
+        assert shim.settle_ns(2, True) == 0
 
     @pytest.mark.parametrize("first", ("hooks", "walk"))
     def test_blackout_is_paid_by_the_first_read_only(self, first):
         shim, _ = attached("shim")
         shim.note_upgrade_blackout(50_000)
-        if first == "hooks":
-            assert shim.hooks_cost_ns(2) == 2 * self.HOOK + 50_000
-        else:
-            assert shim.pick_walk_cost_ns() == self.WALK + 50_000
-        assert shim.hooks_cost_ns(2) == 2 * self.HOOK
-        assert shim.pick_walk_cost_ns() == self.WALK
+        assert shim.owes
+        assert shim.settle_ns(2, first == "walk") == 50_000
+        assert shim.owes is False
+        assert shim.settle_ns(2) == 0
+        assert shim.settle_ns(2, True) == 0
 
     def test_timer_arms_are_collected_by_the_pick_walk_once(self):
         shim, _ = attached("shim")
         shim.arm_resched_timer(0, 10_000)
         shim.arm_resched_timer(1, 10_000)
-        assert shim.hooks_cost_ns(1) == self.HOOK
-        assert shim.pick_walk_cost_ns() == (
-            self.WALK + 2 * CONFIG.timer_arm_cost_ns)
-        assert shim.pick_walk_cost_ns() == self.WALK
+        assert shim.owes
+        assert shim.settle_ns(1) == 0
+        assert shim.owes
+        assert shim.settle_ns(2, True) == 2 * CONFIG.timer_arm_cost_ns
+        assert shim.owes is False
 
 
-def test_the_walk_reads_the_cost_once_per_visit_after_the_pick():
-    log = []
+def test_an_extra_a_visit_accrues_is_charged_in_the_same_dispatch():
+    """The walk settles each class *after* its pick: a timer the upper
+    class arms from a pick that finds nothing is paid by the dispatch of
+    the lower class's task, not by a later one."""
 
-    class Logging(NativeFifoClass):
-        def balance(self, cpu):
-            log.append(f"{self.name}.balance")
-            return super().balance(cpu)
-
-        def pick_next_task(self, cpu):
-            log.append(f"{self.name}.pick")
-            return super().pick_next_task(cpu)
-
-        def pick_walk_cost_ns(self):
-            log.append(f"{self.name}.cost")
-            return super().pick_walk_cost_ns()
+    class Arming(EnokiFifo):
+        def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
+            self.env.start_resched_timer(cpu, 10_000)
+            return super().pick_next_task(cpu, curr_pid, curr_runtime,
+                                          runtimes)
 
     kernel = Kernel(Topology.smp(1), CONFIG)
-    for name, policy, priority in (("hi", 2, 20), ("lo", 1, 10)):
-        cls = Logging(policy=policy)
-        cls.name = name
-        kernel.register_sched_class(cls, priority=priority)
-    kernel.dispatcher.pick_and_switch(0, prev=None)
-    assert log == ["hi.balance", "hi.pick", "hi.cost",
-                   "lo.balance", "lo.pick", "lo.cost"]
+    shim = EnokiSchedClass.register(kernel, Arming(1, 7), 7, priority=20)
+    native = kernel.register_sched_class(NativeFifoClass(policy=1),
+                                         priority=10)
+    costs = []
+
+    def trace(kind, **fields):
+        if kind == "dispatch":
+            costs.append(fields["cost"])
+
+    kernel.set_trace(trace)
+    kernel.spawn(lambda: (yield Run(1_000)), policy=1)
+    kernel.run_until(500_000)
+    assert costs[0] == (shim.walk_cost_ns + CONFIG.timer_arm_cost_ns
+                        + native.walk_cost_ns + CONFIG.context_switch_ns)

@@ -252,9 +252,10 @@ class TestCostAccounting:
     def test_blackout_charged_once(self):
         kernel, shim, sched = make()
         shim.note_upgrade_blackout(50_000)
-        first = shim.pick_walk_cost_ns()
-        second = shim.pick_walk_cost_ns()
+        first = shim.settle_ns(2, True)
+        second = shim.settle_ns(2, True)
         assert first - second == 50_000
+        assert shim.owes is False
 
 
 class TestDispatchThreading:

@@ -159,10 +159,10 @@ class TestUpgrade:
         kernel.run_until(100_000)
         manager = UpgradeManager(kernel, shim)
         report = manager.upgrade_now(EnokiFifo(2, POLICY))
-        cost = shim.hooks_cost_ns(1)
-        assert cost >= report.pause_ns
+        assert shim.owes
+        assert shim.settle_ns(1) >= report.pause_ns
         # The blackout is charged exactly once.
-        assert shim.hooks_cost_ns(1) < report.pause_ns
+        assert shim.settle_ns(1) < report.pause_ns
 
     def test_repeated_upgrades(self):
         kernel, shim, _ = make()
@@ -230,7 +230,7 @@ class TestUpgrade:
         assert manager.reports == [report]
         assert report.pause_ns > 0
         # The quiesce window was real: the blackout is still charged.
-        assert shim.pick_walk_cost_ns() >= report.pause_ns
+        assert shim.settle_ns(2, True) >= report.pause_ns
         kernel.run_until_idle()
 
     def test_upgrade_after_aborted_upgrade_succeeds(self):
