@@ -22,6 +22,12 @@ class MigrationService:
         self.k = kernel
         # Direct clock reference (mirrors DispatchEngine).
         self.clock = kernel.clock
+        # A jitter draw is ``randrange(n)`` without its frames: one
+        # ``getrandbits(n.bit_length())`` per try, retried while >= n
+        # (CPython's rejection loop, so the RNG stream is the same).
+        cfg = kernel.config
+        self._wake_jitter_bits = cfg.wakeup_jitter_ns.bit_length()
+        self._deep_jitter_bits = cfg.idle_exit_deep_jitter_ns.bit_length()
 
     # ------------------------------------------------------------------
     # placement
@@ -152,11 +158,17 @@ class MigrationService:
         class's ``wakeup_preempt`` answer."""
         k = self.k
         cfg = k.config
-        rng = k._rng
+        getrandbits = k._rng.getrandbits
         now = self.clock.now
         rq = k.rqs[cpu]
-        cost = extra + (rng.randrange(cfg.wakeup_jitter_ns)
-                        if cfg.wakeup_jitter_ns > 0 else 0)
+        cost = extra
+        jitter_ns = cfg.wakeup_jitter_ns
+        if jitter_ns > 0:
+            bits = self._wake_jitter_bits
+            draw = getrandbits(bits)
+            while draw >= jitter_ns:
+                draw = getrandbits(bits)
+            cost += draw
         if waker_cpu is None or waker_cpu == cpu:
             cost += cfg.wakeup_local_ns
         else:
@@ -178,9 +190,15 @@ class MigrationService:
                 # — one draw would shift the RNG stream and every digest
                 # (ROADMAP files the fix as a behaviour change).
                 jitter_ns = cfg.idle_exit_deep_jitter_ns
-                window_jitter, kick_jitter = (
-                    (rng.randrange(jitter_ns), rng.randrange(jitter_ns))
-                    if jitter_ns > 0 else (0, 0))
+                window_jitter = kick_jitter = 0
+                if jitter_ns > 0:
+                    bits = self._deep_jitter_bits
+                    window_jitter = getrandbits(bits)
+                    while window_jitter >= jitter_ns:
+                        window_jitter = getrandbits(bits)
+                    kick_jitter = getrandbits(bits)
+                    while kick_jitter >= jitter_ns:
+                        kick_jitter = getrandbits(bits)
                 task.kick_at_ns = (now + cost + cfg.idle_exit_deep_ns
                                    + window_jitter)
                 cost += cfg.idle_exit_deep_ns + kick_jitter
