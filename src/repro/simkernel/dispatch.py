@@ -224,7 +224,7 @@ class DispatchEngine:
         # already this CPU: both were set when the task was attached.
         del rq.queued[task.pid]
         rq.current = task
-        task.set_state(_RUNNING)
+        task.state = _RUNNING       # proven RUNNABLE: no transition check
         start = now + cost
         task.exec_start_ns = start
         task.run_started_ns = start

@@ -92,7 +92,7 @@ class MigrationService:
                 return 0
         cls = k._class_cache[task.policy]
         flags = WF_TTWU | (WF_SYNC if sync else 0)
-        task.set_state(_RUNNABLE)
+        task.state = _RUNNABLE      # proven BLOCKED: no transition check
         task.last_wakeup_ns = now
         task.wakeup_flags = flags
         hook_cost = 2 * cls.hook_cost_ns    # select_task_rq + task_wakeup

@@ -105,6 +105,34 @@ class TestLayering:
                          and node.func.value.attr == "_class_cache"))]
         assert not found
 
+    def test_only_proven_sites_write_task_state(self):
+        """Every task-state transition goes through ``set_state``, whose
+        table rejects an illegal one, except where the writer has just
+        proved the old state: ``dispatch`` (the pick walk proved
+        RUNNABLE) and ``wake_task`` (it tests BLOCKED first)."""
+        import ast
+        from pathlib import Path
+        import repro.simkernel as simkernel
+
+        allowed = {("task.py", "TaskStruct.__init__"),
+                   ("task.py", "TaskStruct.set_state"),
+                   ("dispatch.py", "DispatchEngine.dispatch"),
+                   ("migration.py", "MigrationService.wake_task")}
+        package_dir = Path(inspect.getfile(simkernel)).parent
+        found = []
+        for path in sorted(package_dir.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {node: f"{cls.name}.{fn.name}"
+                     for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)}
+            found += [(path.name, owner.get(node, "<outside a method>"))
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and node.attr == "state"]
+        assert sorted(found) == sorted(allowed)
+
     def test_queue_policies_push_only_in_enqueue(self):
         """Every token a queue policy holds enters through one method:
         no ``.push(`` / ``.push_back(`` outside ``_enqueue``."""
