@@ -380,11 +380,13 @@ class EnokiSchedClass(SchedClass):
         policy = self.policy
         queued = self.kernel.rqs[cpu].queued
         # pid -> runtime of this CPU's queued tasks of ours (Enoki-C tracks
-        # runtimes on the scheduler's behalf); most picks find none.
-        mine = {
-            pid: t.sum_exec_runtime_ns
-            for pid, t in queued.items() if t.policy == policy
-        } if queued else {}
+        # runtimes on the scheduler's behalf); most picks find none.  A
+        # loop, not a comprehension: that would be a frame of its own.
+        mine = {}
+        if queued:
+            for pid, t in queued.items():
+                if t.policy == policy:
+                    mine[pid] = t.sum_exec_runtime_ns
         # (cpu, curr_pid, curr_runtime, runtimes)
         token = self._call("pick_next_task", (cpu, None, None, mine))
         if token is None:
@@ -469,12 +471,14 @@ class EnokiSchedClass(SchedClass):
         # The arm cost is charged unconditionally — the scheduler asked for
         # a (re-)arm either way, and virtual time must not depend on the
         # dedup below.
-        config = self.kernel.config
+        kernel = self.kernel
+        config = kernel.config
         self._extra_cost_ns += config.timer_arm_cost_ns
         self.owes = True
         existing = self._armed_timers.get(cpu)
-        if existing is not None and existing.active:
-            expiry = (self.kernel.now
+        if existing is not None and not (existing.fired
+                                         or existing.cancelled):
+            expiry = (kernel.clock.now
                       + max(delay_ns, config.timer_min_delay_ns)
                       + config.timer_program_ns)
             handle = existing.handle
@@ -483,7 +487,7 @@ class EnokiSchedClass(SchedClass):
                 # exact instant, so skip the cancel + heap churn.
                 return
             existing.cancel()
-        self._armed_timers[cpu] = self.kernel.timers.arm(
+        self._armed_timers[cpu] = kernel.timers.arm(
             delay_ns, self._resched_fire, tag=("enoki-resched", cpu),
         )
 

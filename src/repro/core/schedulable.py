@@ -118,7 +118,7 @@ class TokenRegistry:
     def is_valid(self, token, cpu=None):
         """True when ``token`` is this registry's live token for its pid
         (optionally also checking it authorises ``cpu``)."""
-        if not isinstance(token, Schedulable):
+        if type(token) is not Schedulable:
             return False
         if token._registry_id != self._id or token._consumed:
             return False

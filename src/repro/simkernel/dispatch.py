@@ -73,7 +73,8 @@ class DispatchEngine:
         rq = k.rqs[cpu]
         prev = rq.current
         self.update_curr(cpu)
-        k.interp.pause_run_segment(prev)
+        if prev.run_remaining_ns > 0:
+            k.interp.pause_run_segment(prev)
         prev.run_epoch += 1
         prev.set_state(_RUNNABLE)
         prev.stats.preemptions += 1

@@ -83,10 +83,10 @@ class OpInterpreter:
         self.boundary(task)
 
     def pause_run_segment(self, task):
-        """Bank unfinished Run time when a task is preempted mid-segment."""
-        if task.run_remaining_ns > 0:
-            elapsed = max(0, self.clock.now - task.run_started_ns)
-            task.run_remaining_ns = max(0, task.run_remaining_ns - elapsed)
+        """Bank the unfinished Run time (``run_remaining_ns > 0``) of a
+        task preempted mid-segment."""
+        elapsed = max(0, self.clock.now - task.run_started_ns)
+        task.run_remaining_ns = max(0, task.run_remaining_ns - elapsed)
 
     # ------------------------------------------------------------------
     # syscall completion
@@ -147,8 +147,8 @@ class OpInterpreter:
         extra = 0
         if reader is not None:
             reader.pending_result = item
-            extra = self.k.wake_task(reader, waker_cpu=cpu,
-                                     charge_waker=True)
+            extra = self.k.migration.wake_task(reader, waker_cpu=cpu,
+                                               charge_waker=True)
         task.pending_result = None
         self.complete_op(task, epoch, extra)
 
@@ -164,7 +164,7 @@ class OpInterpreter:
     def _sleep(self, task, op, epoch, cpu):
         k = self.k
         k.dispatcher.deschedule_current(cpu, BLOCK, block_reason="sleep")
-        k.timers.arm(op.ns, lambda _t: k.wake_task(task),
+        k.timers.arm(op.ns, lambda _t: k.migration.wake_task(task),
                      tag=("sleep", task.pid))
 
     def _futex_wait(self, task, op, epoch, cpu):
@@ -180,9 +180,10 @@ class OpInterpreter:
             op.futex.value = op.new_value
         woken = op.futex.take_waiters(op.count)
         extra = 0
+        wake_task = self.k.migration.wake_task
         for waiter in woken:
-            extra += self.k.wake_task(waiter, waker_cpu=cpu, sync=op.sync,
-                                      charge_waker=True)
+            extra += wake_task(waiter, waker_cpu=cpu, sync=op.sync,
+                               charge_waker=True)
         task.pending_result = len(woken)
         self.complete_op(task, epoch, extra)
 
@@ -191,8 +192,8 @@ class OpInterpreter:
         extra = 0
         if waiter is not None:
             waiter.pending_result = None
-            extra = self.k.wake_task(waiter, waker_cpu=cpu,
-                                     charge_waker=True)
+            extra = self.k.migration.wake_task(waiter, waker_cpu=cpu,
+                                               charge_waker=True)
         task.pending_result = None
         self.complete_op(task, epoch, extra)
 
@@ -270,7 +271,7 @@ class OpInterpreter:
         # Running on a now-disallowed CPU: migrate by block + instant wake,
         # which routes through select_task_rq as the migration thread would.
         k.dispatcher.deschedule_current(cpu, BLOCK)
-        k.events.after(k.config.migrate_ns, k.wake_task, task, cpu)
+        k.events.after(k.config.migrate_ns, k.migration.wake_task, task, cpu)
 
     def _exit(self, task, op, epoch, cpu):
         task.exit_value = op.value

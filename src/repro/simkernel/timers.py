@@ -31,7 +31,7 @@ class Timer:
         return not (self.fired or self.cancelled)
 
     def cancel(self):
-        if self.active and self.handle is not None:
+        if not (self.fired or self.cancelled) and self.handle is not None:
             self.service.events.cancel(self.handle)
         self.cancelled = True
         # Break the timer <-> event-handle reference cycle; the cancelled

@@ -163,6 +163,22 @@ class TestSchedulableDiscipline:
         fake = Schedulable(1, 0, generation=999, registry_id=registry._id)
         assert not registry.is_valid(fake)
 
+    def test_subclass_with_live_fields_rejected(self):
+        """Only the exact type is a token: a subclass instance carrying a
+        live token's fields is refused (and not spent)."""
+
+        class Forged(Schedulable):
+            __slots__ = ()
+
+        registry = TokenRegistry()
+        registry.issue(1, 0)
+        generation, cpu = registry.peek(1)
+        fake = Forged(1, cpu, generation=generation,
+                      registry_id=registry._id)
+        assert not registry.is_valid(fake)
+        assert not registry.spend(fake)
+        assert registry.peek(1) == (generation, cpu)
+
 
 class TestPntErrPath:
     def test_wrong_core_token_routes_to_pnt_err(self):
