@@ -6,6 +6,7 @@ and runs the fork path (``select_task_rq`` -> attach -> ``task_new``).
 Exit is the dispatch engine's ``EXIT`` disposition.
 """
 
+from repro.simkernel.errors import ProgramError
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_FORK
 from repro.simkernel.task import TaskState, TaskStruct
 
@@ -29,6 +30,13 @@ class LifecycleManager:
         """Create and start a new task running ``prog`` (a generator fn)."""
         k = self.k
         pid = self._next_pid
+        if (allowed_cpus is not None and frozenset(allowed_cpus).isdisjoint(
+                k.topology.all_cpus())):
+            # Refused here, before any state changes: placement would
+            # blame the scheduler class for the caller's mask.
+            raise ProgramError(
+                f"pid {pid}: affinity mask {sorted(allowed_cpus)} holds no "
+                f"cpu of the {k.topology.nr_cpus}-cpu topology")
         self._next_pid += 1
         task = TaskStruct(pid, prog, name=name, policy=policy, nice=nice,
                           allowed_cpus=allowed_cpus, tgid=tgid)

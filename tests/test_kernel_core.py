@@ -5,10 +5,12 @@ of scheduler-class invocations the paper describes in section 3.1 — before
 any Enoki machinery is layered on top.
 """
 
+import re
+
 import pytest
 
 from repro.simkernel import Kernel, Pipe, SimConfig, Topology
-from repro.simkernel.errors import SchedulingError
+from repro.simkernel.errors import ProgramError, SchedulingError
 from repro.simkernel.program import (
     Call,
     Exit,
@@ -231,6 +233,42 @@ class TestFutex:
         kernel.run_for(100_000)
         assert sorted(woken) == [0, 1]
         assert len(futex.waiters) == 1
+
+
+@pytest.mark.parametrize("mask", (frozenset(), frozenset({2, 5})))
+@pytest.mark.parametrize("enoki", (False, True))
+class TestSpawnMask:
+    """A spawn whose mask holds no CPU of the machine is the caller's
+    error, refused at spawn: it never reaches placement, where it would
+    read as the scheduler class placing the task on a disallowed CPU."""
+
+    @staticmethod
+    def kernel(enoki):
+        builder = KernelBuilder(topology="smp:2")
+        builder = (builder.with_enoki("wfq", policy=1) if enoki
+                   else builder.with_native("fifo_native", policy=1))
+        return builder.build().kernel
+
+    def test_kernel_spawn(self, mask, enoki):
+        kernel = self.kernel(enoki)
+        with pytest.raises(ProgramError, match=re.escape(
+                f"pid 1: affinity mask {sorted(mask)} holds no cpu")):
+            kernel.spawn(spin_prog, policy=1, allowed_cpus=mask)
+        # Refused before anything changed: the pid is still free.
+        assert not kernel.tasks
+        assert kernel.spawn(spin_prog, policy=1).pid == 1
+
+    def test_spawn_op(self, mask, enoki):
+        kernel = self.kernel(enoki)
+
+        def parent():
+            yield Spawn(spin_prog, allowed_cpus=mask)
+
+        kernel.spawn(parent, policy=1)
+        with pytest.raises(ProgramError, match=re.escape(
+                f"pid 2: affinity mask {sorted(mask)} holds no cpu")):
+            kernel.run_until_idle()
+        assert list(kernel.tasks) == [1]
 
 
 class TestSchedulingMechanics:
