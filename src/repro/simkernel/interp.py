@@ -11,6 +11,7 @@ segments are preemptible at any instant.
 from repro.simkernel import program as ops
 from repro.simkernel.dispatch import BLOCK, EXIT, YIELD
 from repro.simkernel.errors import ProgramError
+from repro.simkernel.lifecycle import check_affinity
 from repro.simkernel.task import TaskState
 
 #: per-event state tests read module globals, not enum attributes
@@ -260,8 +261,7 @@ class OpInterpreter:
     def _set_affinity(self, task, op, epoch, cpu):
         k = self.k
         cpus = frozenset(op.cpus)
-        if not cpus:
-            raise ProgramError(f"pid {task.pid}: empty affinity mask")
+        check_affinity(task.pid, cpus, k.topology)
         task.allowed_cpus = cpus
         k._class_cache[task.policy].task_affinity_changed(task, cpu)
         if cpu in cpus:

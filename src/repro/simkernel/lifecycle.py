@@ -14,6 +14,16 @@ from repro.simkernel.task import TaskState, TaskStruct
 _RUNNABLE = TaskState.RUNNABLE
 
 
+def check_affinity(pid, cpus, topology):
+    """Refuse, before any state changes, a mask holding no CPU of
+    ``topology``: the caller's error, which placement would blame on the
+    scheduler class."""
+    if frozenset(cpus).isdisjoint(topology.all_cpus()):
+        raise ProgramError(
+            f"pid {pid}: affinity mask {sorted(cpus)} holds no cpu of the "
+            f"{topology.nr_cpus}-cpu topology")
+
+
 class LifecycleManager:
     """Creates tasks."""
 
@@ -30,13 +40,8 @@ class LifecycleManager:
         """Create and start a new task running ``prog`` (a generator fn)."""
         k = self.k
         pid = self._next_pid
-        if (allowed_cpus is not None and frozenset(allowed_cpus).isdisjoint(
-                k.topology.all_cpus())):
-            # Refused here, before any state changes: placement would
-            # blame the scheduler class for the caller's mask.
-            raise ProgramError(
-                f"pid {pid}: affinity mask {sorted(allowed_cpus)} holds no "
-                f"cpu of the {k.topology.nr_cpus}-cpu topology")
+        if allowed_cpus is not None:
+            check_affinity(pid, allowed_cpus, k.topology)
         self._next_pid += 1
         task = TaskStruct(pid, prog, name=name, policy=policy, nice=nice,
                           allowed_cpus=allowed_cpus, tgid=tgid)

@@ -128,10 +128,11 @@ class TestShimSurcharges:
         assert shim.owes is False
 
 
-def test_an_extra_a_visit_accrues_is_charged_in_the_same_dispatch():
-    """The walk settles each class *after* its pick: a timer the upper
-    class arms from a pick that finds nothing is paid by the dispatch of
-    the lower class's task, not by a later one."""
+def test_the_walk_reads_the_cost_once_per_visit_after_the_pick():
+    """Each visit charges the class's walk cost once and settles it
+    *after* the pick: a timer the upper class arms from a pick that
+    finds nothing is paid by the dispatch of the lower class's task, not
+    by a later one."""
 
     class Arming(EnokiFifo):
         def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):

@@ -237,10 +237,11 @@ class TestFutex:
 
 @pytest.mark.parametrize("mask", (frozenset(), frozenset({2, 5})))
 @pytest.mark.parametrize("enoki", (False, True))
-class TestSpawnMask:
-    """A spawn whose mask holds no CPU of the machine is the caller's
-    error, refused at spawn: it never reaches placement, where it would
-    read as the scheduler class placing the task on a disallowed CPU."""
+class TestForeignMask:
+    """A mask holding no CPU of the machine is the caller's error,
+    refused where it is given (spawn, ``SetAffinity``): it never reaches
+    placement, where it would read as the scheduler class placing the
+    task on a disallowed CPU."""
 
     @staticmethod
     def kernel(enoki):
@@ -269,6 +270,20 @@ class TestSpawnMask:
                 f"pid 2: affinity mask {sorted(mask)} holds no cpu")):
             kernel.run_until_idle()
         assert list(kernel.tasks) == [1]
+
+    def test_set_affinity_op(self, mask, enoki):
+        kernel = self.kernel(enoki)
+
+        def prog():
+            yield Run(1_000)
+            yield SetAffinity(mask)
+            yield Run(1_000)
+
+        task = kernel.spawn(prog, policy=1)
+        with pytest.raises(ProgramError, match=re.escape(
+                f"pid 1: affinity mask {sorted(mask)} holds no cpu")):
+            kernel.run_until_idle()
+        assert task.allowed_cpus is None
 
 
 class TestSchedulingMechanics:
