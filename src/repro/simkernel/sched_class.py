@@ -66,12 +66,13 @@ class SchedClass:
 
     def __init__(self):
         self.kernel = None
+        #: cost model (contract in the module docstring): True while the
+        #: class owes more than its constants, i.e. ``settle_ns`` must be
+        #: read.  An instance attribute: the per-hook test stays a
+        #: specialised instance load.
+        self.owes = False
 
     # -- lifecycle --------------------------------------------------------
-
-    #: cost model (contract in the module docstring): True while the
-    #: class owes more than its constants, i.e. ``settle_ns`` must be read
-    owes = False
 
     def attach_kernel(self, kernel):
         """Called once at registration."""
