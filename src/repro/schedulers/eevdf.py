@@ -14,9 +14,7 @@ Policy (the 6.6 sched/fair.c shape, simplified):
   vruntime is at or below the queue's weighted average;
 * each task carries a **virtual deadline** = vruntime at (re)queue time
   plus its base slice scaled by weight;
-* pick = the *eligible* task with the *earliest virtual deadline* —
-  latency-sensitive (short-slice) tasks get service sooner without
-  starving anyone.
+* pick = the *eligible* task with the *earliest virtual deadline*.
 
 Inherits the Enoki WFQ scheduler's bookkeeping (runtime folding, queues,
 stealing, upgrade state); only ordering and placement credit change,
@@ -24,8 +22,7 @@ which is exactly the kind of surgical policy swap the framework is for.
 
 A live upgrade carries WFQ's state and nothing more, so EEVDF and WFQ
 can replace each other: the incoming version re-derives every queued
-task's deadline from its vruntime (its queue key).  Slices set through
-:meth:`EnokiEevdf.set_slice` do not cross an upgrade.
+task's deadline from its vruntime (its queue key).
 """
 
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
@@ -40,15 +37,10 @@ class EnokiEevdf(EnokiWfq):
     #: base request slice (Linux 6.6's sysctl_sched_base_slice default)
     BASE_SLICE_NS = 750_000
 
-    def __init__(self, nr_cpus, policy=13, base_slice_ns=None):
+    def __init__(self, nr_cpus, policy=13):
         super().__init__(nr_cpus, policy)
-        if base_slice_ns is not None:
-            self.BASE_SLICE_NS = base_slice_ns
         #: pid -> virtual deadline assigned at (re)queue time
         self.vdeadline = {}
-        #: pid -> custom slice (latency hints could set this; shorter
-        #: slice => earlier deadlines => snappier service)
-        self.slice_ns = {}
 
     # ------------------------------------------------------------------
     # deadlines
@@ -56,15 +48,10 @@ class EnokiEevdf(EnokiWfq):
 
     def _assign_deadline(self, pid):
         weight = self.weights.get(pid, NICE_0_WEIGHT)
-        slice_ns = self.slice_ns.get(pid, self.BASE_SLICE_NS)
         self.vdeadline[pid] = (
             self.vruntime.get(pid, 0)
-            + slice_ns * NICE_0_WEIGHT // weight
+            + self.BASE_SLICE_NS * NICE_0_WEIGHT // weight
         )
-
-    def set_slice(self, pid, slice_ns):
-        """Latency tuning: a shorter slice buys earlier deadlines."""
-        self.slice_ns[pid] = max(1, int(slice_ns))
 
     def _enqueue(self, cpu, pid, sched):
         # Every (re)entry to a queue re-derives the deadline.
@@ -74,7 +61,6 @@ class EnokiEevdf(EnokiWfq):
     def task_dead(self, pid):
         super().task_dead(pid)
         self.vdeadline.pop(pid, None)
-        self.slice_ns.pop(pid, None)
 
     # ------------------------------------------------------------------
     # the EEVDF pick

@@ -54,7 +54,8 @@ class LifecycleManager:
         return task
 
     def wake_up_new_task(self, task, origin_cpu):
-        """Place and queue a new task.  Returns the fork-path hook cost."""
+        """Place and queue a new task.  The fork's hook cost is the
+        forking op's to charge (``OpInterpreter._spawn``)."""
         k = self.k
         if task.group is not None:
             throttled = k.groups.throttled_ancestor(task)
@@ -67,15 +68,12 @@ class LifecycleManager:
                 if k.trace is not None:
                     k.trace("fork", t=k.now, cpu=origin_cpu, pid=task.pid,
                             throttled=True)
-                return 0
+                return
         cls = k._class_cache[task.policy]
         cpu = k.migration.invoke_select(cls, task, origin_cpu, WF_FORK,
                                         origin_cpu)
         task.set_state(_RUNNABLE)
         task.last_wakeup_ns = k.now
-        hook_cost = 2 * cls.hook_cost_ns    # select_task_rq + task_new
-        if cls.owes:
-            hook_cost += cls.settle_ns(2)
         if cpu == DEFERRED_CPU:
             k._limbo.add(task.pid)
             # Limbo counts as wait for delay accounting (see wake_task).
@@ -84,11 +82,10 @@ class LifecycleManager:
             if k.trace is not None:
                 k.trace("fork", t=k.now, cpu=origin_cpu, pid=task.pid,
                         deferred=True)
-            return hook_cost
+            return
         k._attach_runnable(task, cpu)
         cls.task_new(task, cpu)
         if k.trace is not None:
             k.trace("fork", t=k.now, cpu=cpu, pid=task.pid,
                     origin=origin_cpu)
         k.migration.kick_cpu_for_wakeup(task, cpu, origin_cpu, cls)
-        return hook_cost

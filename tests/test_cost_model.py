@@ -20,7 +20,7 @@ from repro.schedulers.ghost import (
     install_ghost_percpu_fifo,
 )
 from repro.simkernel import Kernel, SimConfig, Topology
-from repro.simkernel.program import Run, Sleep
+from repro.simkernel.program import Run, Sleep, Spawn
 
 #: no two constants equal, none at its default: a sum built from the
 #: wrong field (or from the defaults) cannot come out right
@@ -155,3 +155,22 @@ def test_the_walk_reads_the_cost_once_per_visit_after_the_pick():
     kernel.run_until(500_000)
     assert costs[0] == (shim.walk_cost_ns + CONFIG.timer_arm_cost_ns
                         + native.walk_cost_ns + CONFIG.context_switch_ns)
+
+
+@pytest.mark.parametrize("blackout_ns", (0, 50_000))
+def test_a_fork_pays_a_pending_blackout_in_the_forking_task(blackout_ns):
+    """The forking op is the one place a fork is charged: a blackout
+    noted while the parent runs delays the parent past its ``Spawn``.
+    (Placement used to settle the fork a second time and drop the cost,
+    so the blackout was consumed and lost.)"""
+    kernel = Kernel(Topology.smp(2), SimConfig())
+    shim = EnokiSchedClass.register(kernel, EnokiFifo(2, 7), 7)
+
+    def parent():
+        yield Run(100_000)
+        yield Spawn(lambda: (yield Run(1_000)), policy=7)
+
+    task = kernel.spawn(parent, policy=7)
+    kernel.events.at(50_000, shim.note_upgrade_blackout, blackout_ns)
+    kernel.run_until_idle()
+    assert task.stats.finished_ns == 109_856 + blackout_ns

@@ -54,31 +54,6 @@ class TestFairness:
 
 
 class TestDeadlineOrdering:
-    def test_short_slice_task_served_sooner(self):
-        """The EEVDF property: a latency-tuned (short slice) task gets the
-        CPU ahead of an equal-weight default task."""
-        kernel, sched = make(nr_cpus=1)
-        order = []
-
-        def tagged(tag):
-            def prog():
-                from repro.simkernel.program import Call
-                yield Call(lambda: order.append(tag))
-                yield Run(usecs(500))
-            return prog
-
-        # Park a hog so both contenders queue behind it.
-        kernel.spawn(spinner(msecs(1)), policy=POLICY, allowed_cpus=PIN0)
-        kernel.run_for(usecs(50))
-        default = kernel.spawn(tagged("default"), policy=POLICY,
-                               allowed_cpus=PIN0)
-        snappy = kernel.spawn(tagged("snappy"), policy=POLICY,
-                              allowed_cpus=PIN0)
-        sched.set_slice(snappy.pid, usecs(100))
-        sched._assign_deadline(snappy.pid)
-        kernel.run_until_idle()
-        assert order.index("snappy") < order.index("default")
-
     def test_ineligible_task_waits(self):
         """A task far ahead of its fair share is not eligible while a
         behind task exists."""

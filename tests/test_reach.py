@@ -55,7 +55,6 @@ KEPT = {
     "arg": "looks up one field of a trace event's payload tuple",
     "step": "runs one event, for tests that check state between events",
     "generate": "the FaaS sampler's pure trace, which its tests compare",
-    "set_slice": "EEVDF's per-task slice, the knob its latency claim is on",
     "episode_digest": "a fuzz episode's digest, which the golden files pin",
     "assert_kernel_state": "the raising check a sanitized test run calls",
     "busy_ns_total": "the closed per-CPU busy sum the gauges are checked on",
