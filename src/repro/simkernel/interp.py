@@ -269,7 +269,10 @@ class OpInterpreter:
             self.boundary(task)
             return
         # Running on a now-disallowed CPU: migrate by block + instant wake,
-        # which routes through select_task_rq as the migration thread would.
+        # which routes through select_task_rq as the migration thread would,
+        # and counts as that thread's move does.
+        task.stats.migrations += 1
+        k.stats.total_migrations += 1
         k.dispatcher.deschedule_current(cpu, BLOCK)
         k.events.after(k.config.migrate_ns, k.migration.wake_task, task, cpu)
 

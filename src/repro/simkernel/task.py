@@ -174,7 +174,13 @@ class TaskStruct:
 
 
 class TaskStats:
-    """Per-task accounting used by workloads and the metric hooks."""
+    """Per-task accounting used by workloads and the metric hooks.
+
+    ``migrations`` counts moves of the task between CPUs after it was
+    first placed: a balancer's pull of the queued task and the forced
+    move off a CPU its own ``SetAffinity`` disallowed.  Where a wakeup
+    places the task is not a migration.
+    """
 
     __slots__ = (
         "wakeups", "wakeup_latency_total_ns", "wakeup_latencies",

@@ -349,6 +349,25 @@ class TestSchedulingMechanics:
         assert task.state is TaskState.DEAD
         assert task.cpu == 1
 
+    @pytest.mark.parametrize("cpus, cpu, moves",
+                             (({0}, 0, 1), ({0, 1}, 1, 0)))
+    def test_a_forced_affinity_move_counts_as_a_migration(self, cpus, cpu,
+                                                          moves):
+        """Leaving a CPU the mask disallows is the migration thread's
+        move; a mask that keeps the CPU moves nothing."""
+        kernel, _ = make_kernel(nr_cpus=2)
+
+        def prog():
+            yield Run(1_000)
+            yield SetAffinity(frozenset(cpus))
+            yield Run(1_000)
+
+        task = kernel.spawn(prog, policy=1, allowed_cpus=frozenset({1}))
+        kernel.run_until_idle()
+        assert task.cpu == cpu
+        assert task.stats.migrations == moves
+        assert kernel.stats.total_migrations == moves
+
     def test_wakeup_latency_recorded(self):
         kernel, _ = make_kernel()
 
