@@ -11,7 +11,7 @@ entry reads the same), the entry is skipped when it surfaces, and the
 heap is rebuilt once cancelled entries both exceed ``COMPACT_THRESHOLD``
 and outnumber the live ones.
 
-DESIGN §10 records the three-band queue (timer wheel, now-FIFO, handle
+CHANGES.md records the three-band queue (timer wheel, now-FIFO, handle
 freelist, batched windows) this heap was once the test oracle for, and
 the measurements it was removed on.
 """

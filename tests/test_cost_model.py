@@ -159,10 +159,9 @@ def test_the_walk_reads_the_cost_once_per_visit_after_the_pick():
 
 @pytest.mark.parametrize("blackout_ns", (0, 50_000))
 def test_a_fork_pays_a_pending_blackout_in_the_forking_task(blackout_ns):
-    """The forking op is the one place a fork is charged: a blackout
-    noted while the parent runs delays the parent past its ``Spawn``.
-    (Placement used to settle the fork a second time and drop the cost,
-    so the blackout was consumed and lost.)"""
+    """The forking op is the one place a fork is charged, so a blackout
+    noted while the parent runs delays the parent past its ``Spawn``
+    instead of being settled by placement and lost."""
     kernel = Kernel(Topology.smp(2), SimConfig())
     shim = EnokiSchedClass.register(kernel, EnokiFifo(2, 7), 7)
 

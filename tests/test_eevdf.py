@@ -12,10 +12,10 @@ POLICY = 13
 PIN0 = frozenset({0})
 
 
-def make(nr_cpus=2, **sched_kwargs):
+def make(nr_cpus=2):
     kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
     kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = EnokiEevdf(nr_cpus, POLICY, **sched_kwargs)
+    sched = EnokiEevdf(nr_cpus, POLICY)
     EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
     return kernel, sched
 
@@ -54,6 +54,22 @@ class TestFairness:
 
 
 class TestDeadlineOrdering:
+    def test_pick_is_the_eligible_entry_with_the_earliest_deadline(self):
+        """The queue head (least vruntime, WFQ's pick) loses to a heavier
+        eligible task behind it: its slice scales to an earlier virtual
+        deadline.  The last entry is past the weighted average, so not
+        eligible."""
+        sched = EnokiEevdf(1, POLICY)
+        for pid, vruntime, weight in ((1, 1_000_000, 1024),
+                                      (2, 1_050_000, 9548),
+                                      (3, 1_200_000, 1024)):
+            sched.vruntime[pid] = vruntime
+            sched.weights[pid] = weight
+            sched._assign_deadline(pid)
+            sched.queues.push(0, vruntime, pid, None)
+        assert sched._take(sched.queues, 0)[1] == 2
+        assert [entry[1] for entry in sched.queues.cpus[0]] == [1, 3]
+
     def test_ineligible_task_waits(self):
         """A task far ahead of its fair share is not eligible while a
         behind task exists."""
