@@ -460,8 +460,7 @@ class EnokiSchedClass(SchedClass):
         # timers (e.g. run-to-completion policies) opts out by setting
         # ``WAKEUP_PREEMPT = None`` — the scheduler, not the kernel,
         # decides when a wakeup interrupts the running task.
-        scheduler = self.lib.scheduler if self.lib is not None else None
-        return getattr(scheduler, "WAKEUP_PREEMPT", "tick")
+        return self.lib.scheduler.WAKEUP_PREEMPT
 
     # ------------------------------------------------------------------
     # timers (EnokiEnv backend)

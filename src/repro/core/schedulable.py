@@ -20,6 +20,8 @@ Semantics reproduced here:
   and hands ownership back to the scheduler (section 3.1).
 """
 
+from operator import attrgetter
+
 from repro.core.errors import TokenError
 
 
@@ -40,13 +42,9 @@ class Schedulable:
         self._registry_id = registry_id
         self._consumed = False
 
-    @property
-    def pid(self):
-        return self._pid
-
-    @property
-    def cpu(self):
-        return self._cpu
+    # Read-only, and frameless (``attrgetter``): read on every crossing.
+    pid = property(attrgetter("_pid"))
+    cpu = property(attrgetter("_cpu"))
 
     @property
     def generation(self):
@@ -134,7 +132,13 @@ class TokenRegistry:
         when given) and is now consumed; False — token untouched — when
         it is stale, foreign, already spent or not a token at all.
         """
-        if not self.is_valid(token, cpu):
+        # ``is_valid``, inline: every pick spends one token.
+        if (type(token) is not Schedulable
+                or token._registry_id != self._id or token._consumed):
+            return False
+        current = self._current.get(token._pid)
+        if (current is None or current[0] != token._generation
+                or (cpu is not None and token._cpu != cpu)):
             return False
         token._consumed = True
         del self._current[token._pid]

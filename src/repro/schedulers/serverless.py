@@ -148,11 +148,12 @@ class EnokiServerless(QueuePolicy):
                                      self.long_queues.cpus, self.current)
             # A free prev_cpu, else the least loaded CPU (queued + running;
             # equal loads go to the lowest CPU).
+            if (prev_cpu in candidates and prev_cpu not in current
+                    and not short[prev_cpu] and not long_[prev_cpu]):
+                return prev_cpu
             best = best_load = None
             for cpu in candidates:
                 load = len(short[cpu]) + len(long_[cpu]) + (cpu in current)
-                if not load and cpu == prev_cpu:
-                    return cpu
                 if (best_load is None or load < best_load
                         or (load == best_load and cpu < best)):
                     best, best_load = cpu, load
@@ -241,8 +242,10 @@ class EnokiServerless(QueuePolicy):
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
-            for pid, runtime in runtimes.items():
-                self._observe(pid, runtime)
+            # Fold only when some runtime is new or moved (as WFQ does).
+            if not runtimes.items() <= self.last_runtime.items():
+                for pid, runtime in runtimes.items():
+                    self._observe(pid, runtime)
             shortq = self.short_queues.cpus[cpu]
             longq = self.long_queues.cpus[cpu]
             take_long = longq and (

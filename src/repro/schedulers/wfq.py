@@ -202,9 +202,10 @@ class EnokiWfq(QueuePolicy):
         with self.lock:
             # Fold only a runtime that moved, or a pid with no entry yet.
             last_runtime = self.last_runtime
-            for pid, runtime in runtimes.items():
-                if last_runtime.get(pid) != runtime:
-                    self._observe_runtime(pid, runtime)
+            if not runtimes.items() <= last_runtime.items():
+                for pid, runtime in runtimes.items():
+                    if last_runtime.get(pid) != runtime:
+                        self._observe_runtime(pid, runtime)
             if not self.queues.cpus[cpu]:
                 return None
             vruntime, pid, token = self._take(self.queues, cpu)

@@ -159,7 +159,8 @@ class DispatchEngine:
     # ------------------------------------------------------------------
 
     def pick_and_switch(self, cpu, prev, base_cost=0):
-        """balance -> pick_next_task over the class stack, then dispatch."""
+        """balance -> pick_next_task over the class stack, then dispatch
+        the task picked, or go idle when no class answers."""
         k = self.k
         rq = k.rqs[cpu]
         if rq.current is not None:
@@ -193,29 +194,25 @@ class DispatchEngine:
                     f"{cls.name}.pick_next_task({cpu}) returned pid {pid} "
                     "which is not runnable on this CPU's run queue"
                 )
-            self.dispatch(cpu, task, prev, cost)
+            break
+        else:
+            # Nobody answered: go idle and stop the tick.
+            now = self.clock.now
+            rq.idle_since_ns = now
+            timer = self._tick_timers[cpu]
+            if timer is not None:
+                timer.cancel()
+                self._tick_timers[cpu] = None
+            if k.trace is not None:
+                k.trace("idle", cpu=cpu, t=now)
             return
-        # Nobody answered: go idle and stop the tick.
+        # Dispatch: switch ``cpu`` to ``task``, which the walk has just
+        # proved queued on this CPU's run queue and runnable here.
         now = self.clock.now
-        rq.idle_since_ns = now
-        timer = self._tick_timers[cpu]
-        if timer is not None:
-            timer.cancel()
-            self._tick_timers[cpu] = None
-        if k.trace is not None:
-            k.trace("idle", cpu=cpu, t=now)
-
-    def dispatch(self, cpu, task, prev, pick_cost):
-        """Switch ``cpu`` to ``task``, which the pick walk has just proved
-        queued on this CPU's run queue and runnable here."""
-        k = self.k
-        now = self.clock.now
-        rq = k.rqs[cpu]
-        cpu_stats = k.stats.cpus[cpu]
+        cpu_stats = stats.cpus[cpu]
         if prev is None and rq.idle_since_ns >= 0:
             cpu_stats.idle_ns += now - rq.idle_since_ns
             rq.idle_since_ns = -1
-        cost = pick_cost
         if task is not prev:
             cost += k.config.context_switch_ns
             rq.nr_switches += 1
@@ -229,16 +226,16 @@ class DispatchEngine:
         start = now + cost
         task.exec_start_ns = start
         task.run_started_ns = start
-        stats = task.stats
-        stats.timeslices += 1
-        if stats.wait_since_ns >= 0:
+        task_stats = task.stats
+        task_stats.timeslices += 1
+        if task_stats.wait_since_ns >= 0:
             # Close the wait segment at ``start``: context-switch cost is
             # time spent waiting for the CPU, not running on it.
-            stats.wait_ns += start - stats.wait_since_ns
-            stats.wait_since_ns = -1
+            task_stats.wait_ns += start - task_stats.wait_since_ns
+            task_stats.wait_since_ns = -1
         if task.last_wakeup_ns >= 0:
             latency = start - task.last_wakeup_ns
-            stats.note_wakeup_latency(latency)
+            task_stats.note_wakeup_latency(latency)
             task.last_wakeup_ns = -1
             acct = k.accounting
             if acct is not None:

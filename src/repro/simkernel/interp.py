@@ -10,7 +10,7 @@ segments are preemptible at any instant.
 
 from repro.simkernel import program as ops
 from repro.simkernel.dispatch import BLOCK, EXIT, YIELD
-from repro.simkernel.errors import ProgramError
+from repro.simkernel.errors import ProgramError, TaskLifecycleError
 from repro.simkernel.lifecycle import check_affinity
 from repro.simkernel.task import TaskState
 
@@ -38,10 +38,17 @@ class OpInterpreter:
         non-preemptible in between."""
         k = self.k
         cpu = task.cpu
+        gen = task._gen     # ``TaskStruct.next_op``, inline
+        if gen is None:
+            raise TaskLifecycleError(f"{task} program not started")
         while True:
             result = task.pending_result
             task.pending_result = None
-            op = task.next_op(result)
+            try:
+                op = gen.send(result)
+            except StopIteration as stop:
+                task.exit_value = stop.value
+                op = None
             if op is None:
                 k.dispatcher.deschedule_current(cpu, EXIT)
                 return
@@ -93,18 +100,6 @@ class OpInterpreter:
     # syscall completion
     # ------------------------------------------------------------------
 
-    def complete_op(self, task, epoch, extra_cost):
-        """Finish a syscall whose effect incurred extra kernel time.
-
-        The extra cost (e.g. try-to-wake-up work done in this task's
-        context) delays the task's next op.
-        """
-        if extra_cost <= 0:
-            self.boundary(task)
-            return
-        task._in_syscall = True
-        self.k.events.after(extra_cost, self.op_epilogue, task, epoch)
-
     def op_epilogue(self, task, epoch):
         k = self.k
         if task.run_epoch != epoch or task.state is not _RUNNING:
@@ -131,8 +126,11 @@ class OpInterpreter:
     # ------------------------------------------------------------------
 
     def op_effect(self, task, op, epoch, effect):
-        """A syscall's entry cost has elapsed: account it, then apply
-        ``effect``, the handler ``advance_program`` resolved."""
+        """A syscall's entry cost has elapsed: account it, apply
+        ``effect`` (the handler ``advance_program`` resolved), finish.
+        A handler returns ``None`` once the task has left the CPU, else
+        the kernel time its work cost in this task's context (e.g.
+        try-to-wake-up): that delays the next op, ``0`` continues now."""
         k = self.k
         if task.run_epoch != epoch or task.state is not _RUNNING:
             return
@@ -141,9 +139,16 @@ class OpInterpreter:
             return
         task._in_syscall = False
         k.dispatcher.update_curr(cpu)
-        effect(self, task, op, epoch, cpu)
+        extra = effect(self, task, op, cpu)
+        if extra is None:
+            return
+        if extra > 0:
+            task._in_syscall = True
+            k.events.after(extra, self.op_epilogue, task, epoch)
+            return
+        self.boundary(task)
 
-    def _pipe_write(self, task, op, epoch, cpu):
+    def _pipe_write(self, task, op, cpu):
         reader, item = op.pipe.write(op.item)
         extra = 0
         if reader is not None:
@@ -151,32 +156,31 @@ class OpInterpreter:
             extra = self.k.migration.wake_task(reader, waker_cpu=cpu,
                                                charge_waker=True)
         task.pending_result = None
-        self.complete_op(task, epoch, extra)
+        return extra
 
-    def _pipe_read(self, task, op, epoch, cpu):
+    def _pipe_read(self, task, op, cpu):
         available, item = op.pipe.try_read()
         if available:
             task.pending_result = item
-            self.boundary(task)
-            return
+            return 0
         op.pipe.add_reader(task)
         self.k.dispatcher.deschedule_current(cpu, BLOCK)
 
-    def _sleep(self, task, op, epoch, cpu):
+    def _sleep(self, task, op, cpu):
         k = self.k
         k.dispatcher.deschedule_current(cpu, BLOCK, block_reason="sleep")
         k.timers.arm(op.ns, lambda _t: k.migration.wake_task(task),
                      tag=("sleep", task.pid))
 
-    def _futex_wait(self, task, op, epoch, cpu):
+    def _futex_wait(self, task, op, cpu):
         if op.futex.should_block(op.expected):
             op.futex.add_waiter(task)
             self.k.dispatcher.deschedule_current(cpu, BLOCK)
-            return
+            return None
         task.pending_result = False
-        self.boundary(task)
+        return 0
 
-    def _futex_wake(self, task, op, epoch, cpu):
+    def _futex_wake(self, task, op, cpu):
         if op.new_value is not None:
             op.futex.value = op.new_value
         woken = op.futex.take_waiters(op.count)
@@ -186,9 +190,9 @@ class OpInterpreter:
             extra += wake_task(waiter, waker_cpu=cpu, sync=op.sync,
                                charge_waker=True)
         task.pending_result = len(woken)
-        self.complete_op(task, epoch, extra)
+        return extra
 
-    def _sem_up(self, task, op, epoch, cpu):
+    def _sem_up(self, task, op, cpu):
         waiter = op.sem.up()
         extra = 0
         if waiter is not None:
@@ -196,17 +200,16 @@ class OpInterpreter:
             extra = self.k.migration.wake_task(waiter, waker_cpu=cpu,
                                                charge_waker=True)
         task.pending_result = None
-        self.complete_op(task, epoch, extra)
+        return extra
 
-    def _sem_down(self, task, op, epoch, cpu):
+    def _sem_down(self, task, op, cpu):
         if op.sem.try_down():
             task.pending_result = None
-            self.boundary(task)
-            return
+            return 0
         op.sem.add_waiter(task)
         self.k.dispatcher.deschedule_current(cpu, BLOCK)
 
-    def _yield_cpu(self, task, op, epoch, cpu):
+    def _yield_cpu(self, task, op, cpu):
         self.k.dispatcher.deschedule_current(cpu, YIELD)
 
     def _hint_handler(self, task, op):
@@ -218,16 +221,16 @@ class OpInterpreter:
             )
         return handler
 
-    def _send_hint(self, task, op, epoch, cpu):
+    def _send_hint(self, task, op, cpu):
         task.pending_result = self._hint_handler(task, op).send_hint(
             task, op.payload)
-        self.boundary(task)
+        return 0
 
-    def _recv_hints(self, task, op, epoch, cpu):
+    def _recv_hints(self, task, op, cpu):
         task.pending_result = self._hint_handler(task, op).drain_rev(task)
-        self.boundary(task)
+        return 0
 
-    def _spawn(self, task, op, epoch, cpu):
+    def _spawn(self, task, op, cpu):
         k = self.k
         child_policy = op.policy if op.policy is not None else task.policy
         child = k.spawn(
@@ -242,9 +245,9 @@ class OpInterpreter:
         cost = 2 * cls.hook_cost_ns
         if cls.owes:
             cost += cls.settle_ns(2)
-        self.complete_op(task, epoch, cost)
+        return cost
 
-    def _set_nice(self, task, op, epoch, cpu):
+    def _set_nice(self, task, op, cpu):
         k = self.k
         if task.group is not None:
             # Re-account under the new weight: the group runnable
@@ -256,9 +259,9 @@ class OpInterpreter:
             task.set_nice(op.nice)
         k._class_cache[task.policy].task_prio_changed(task, cpu)
         task.pending_result = None
-        self.boundary(task)
+        return 0
 
-    def _set_affinity(self, task, op, epoch, cpu):
+    def _set_affinity(self, task, op, cpu):
         k = self.k
         cpus = frozenset(op.cpus)
         check_affinity(task.pid, cpus, k.topology)
@@ -266,8 +269,7 @@ class OpInterpreter:
         k._class_cache[task.policy].task_affinity_changed(task, cpu)
         if cpu in cpus:
             task.pending_result = None
-            self.boundary(task)
-            return
+            return 0
         # Running on a now-disallowed CPU: migrate by block + instant wake,
         # which routes through select_task_rq as the migration thread would,
         # and counts as that thread's move does.
@@ -276,11 +278,11 @@ class OpInterpreter:
         k.dispatcher.deschedule_current(cpu, BLOCK)
         k.events.after(k.config.migrate_ns, k.migration.wake_task, task, cpu)
 
-    def _exit(self, task, op, epoch, cpu):
+    def _exit(self, task, op, cpu):
         task.exit_value = op.value
         self.k.dispatcher.deschedule_current(cpu, EXIT)
 
-    def _unknown_op(self, task, op, epoch, cpu):
+    def _unknown_op(self, task, op, cpu):
         raise ProgramError(f"unknown op {op!r} from pid {task.pid}")
 
 

@@ -229,8 +229,17 @@ class Kernel:
     # ------------------------------------------------------------------
 
     def _attach_runnable(self, task, cpu):
-        rq = self.rqs[cpu]
-        rq.attach(task)
+        # ``self.rqs[cpu].attach(task)``, inline, with the same checks.
+        queued = self.rqs[cpu].queued
+        pid = task.pid
+        if pid in queued:
+            raise SchedulingError(f"pid {pid} double-attached to cpu {cpu}")
+        if task.on_rq:
+            raise SchedulingError(
+                f"pid {pid} already on a run queue (cpu {task.cpu})")
+        queued[pid] = task
+        task.on_rq = True
+        task.cpu = cpu
         now = self.clock.now
         task.last_enqueue_ns = now
         # Delay accounting: open the wait segment unless one is already
@@ -242,7 +251,7 @@ class Kernel:
             self.groups.account(task, cpu)
         acct = self.accounting
         if acct is not None:
-            acct.note_enqueue(cpu, len(rq.queued))
+            acct.note_enqueue(cpu, len(queued))
 
     # ------------------------------------------------------------------
     # queries used by scheduler classes and workloads

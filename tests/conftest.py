@@ -19,6 +19,8 @@ CI runs the tier-1 suite twice: once plain, once with this harness on.
 
 import os
 
+from tests.source_trees import forget
+
 _SANITIZE = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 if _SANITIZE:
@@ -39,3 +41,10 @@ if _SANITIZE:
 
     for _name in ("run_until_idle", "run_until", "run_for"):
         setattr(Kernel, _name, _wrap(_name))
+
+
+def pytest_runtest_teardown(item, nextitem):
+    """Drop the shared source trees once the next test is in another
+    module (see :mod:`tests.source_trees`)."""
+    if nextitem is None or nextitem.module is not item.module:
+        forget()

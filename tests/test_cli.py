@@ -15,6 +15,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.verify import (SCHEDULER_NAMES, ArtifactError, generate_episode,
                           load_artifact)
+from tests.source_trees import class_def, parse
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 #: the documents whose command lines and file paths are checked
@@ -216,8 +217,7 @@ class TestCli:
                 accepted.update(action.option_strings)
                 if isinstance(action, argparse._SubParsersAction):
                     parsers.extend(action.choices.values())
-        with open(os.path.join(root, "perfbench", "run.py")) as handle:
-            tree = ast.parse(handle.read())
+        tree = parse(os.path.join(root, "perfbench", "run.py"))
         accepted.update(
             node.args[0].value for node in ast.walk(tree)
             if isinstance(node, ast.Call)
@@ -279,9 +279,7 @@ def _public_classes():
             path = os.path.join(dirpath, name)
             module = os.path.relpath(path, SRC)[:-3].replace(os.sep, ".")
             module = module.removesuffix(".__init__")
-            with open(path) as handle:
-                tree = ast.parse(handle.read())
-            for node in tree.body:
+            for node in parse(path).body:
                 if (isinstance(node, ast.ClassDef)
                         and not node.name.startswith("_")):
                     classes[node.name] = module
@@ -295,9 +293,8 @@ def _self_attributes(klass):
     for base in klass.__mro__:
         if not base.__module__.startswith("repro"):
             continue
-        tree = ast.parse(inspect.getsource(base))
         names.update(
-            node.attr for node in ast.walk(tree)
+            node.attr for node in ast.walk(class_def(base))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Store)
             and isinstance(node.value, ast.Name) and node.value.id == "self")

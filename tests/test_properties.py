@@ -15,7 +15,7 @@ from repro.core import messages as msgs
 from repro.core.errors import RecordError
 from repro.core.hints import RingBuffer
 from repro.core.schedulable import Schedulable, TokenRegistry
-from repro.schedulers.serverless import EnokiServerless
+from repro.schedulers.serverless import LONG, EnokiServerless
 from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel.clock import Clock
 from repro.simkernel.events import EventQueue
@@ -76,6 +76,27 @@ class TestTokenRegistryProperties:
             registry.consume(token)
             assert not registry.is_valid(token)
             assert registry.peek(pid) is None
+
+    @given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 7)),
+                    min_size=1, max_size=100), st.data())
+    def test_spend_is_true_exactly_when_is_valid_was(self, issues, data):
+        registry = TokenRegistry()
+        tokens = [registry.issue(pid, cpu) for pid, cpu in issues]
+        tokens += [TokenRegistry().issue(1, 0), None, "token"]
+        for token in data.draw(st.permutations(tokens)):
+            cpu = data.draw(st.sampled_from((None, *range(8))))
+            live = registry.is_valid(token)
+            valid = registry.is_valid(token, cpu)
+            assert registry.spend(token, cpu) == valid
+            # spent when valid, untouched otherwise
+            assert registry.is_valid(token) == (live and not valid)
+
+    def test_pid_and_cpu_are_read_only(self):
+        token = TokenRegistry().issue(3, 1)
+        for name in ("pid", "cpu"):
+            with pytest.raises(AttributeError):
+                setattr(token, name, 0)
+        assert (token.pid, token.cpu) == (3, 1)
 
 
 class TestEventQueueProperties:
@@ -458,3 +479,69 @@ class TestPlacementProperties:
         policy.current = {cpu: (100 + cpu, 0) for cpu in running}
         assert (policy.select_task_rq(1, prev_cpu, -1, 0, allowed)
                 == _serverless_reference(policy, prev_cpu, allowed))
+
+
+@st.composite
+def _fold_case(draw):
+    """``(last_runtime, runtimes)``: each queued pid's runtime is the one
+    last seen, a moved one, or the first one seen."""
+    pids = draw(st.lists(st.integers(1, 12), unique=True, max_size=8))
+    runtime = st.integers(0, 10_000)
+    last = {pid: draw(runtime) for pid in pids if draw(st.booleans())}
+    runtimes = {pid: (last[pid] if pid in last and draw(st.booleans())
+                      else draw(runtime)) for pid in pids}
+    return last, runtimes
+
+
+class TestPickFoldProperties:
+    """A pick folds the queued runtimes exactly as observing every one of
+    them would: a moved runtime and a pid with no entry yet change the
+    policy's view, an unchanged runtime is a no-op."""
+
+    @staticmethod
+    def _wfq(last):
+        policy = EnokiWfq(1)
+        policy.lock = contextlib.nullcontext()
+        policy.last_runtime = dict(last)
+        policy.vruntime = {pid: 100 for pid in last}
+        policy.weights = {pid: weight_for_nice(pid % 5) for pid in last}
+        return policy
+
+    @staticmethod
+    def _serverless(last):
+        policy = EnokiServerless(1)
+        policy.lock = contextlib.nullcontext()
+        policy.last_runtime = dict(last)
+        policy.classes = {pid: LONG for pid in last if pid % 2}
+        return policy
+
+    def test_a_moved_runtime_and_a_new_pid_are_folded(self):
+        runtimes = {1: 1_000, 2: 700, 3: 50}
+        wfq = self._wfq({1: 400, 2: 700})
+        assert wfq.pick_next_task(0, None, None, runtimes) is None
+        assert wfq.last_runtime == runtimes
+        assert wfq.vruntime[1] == 100 + 600 * 1024 // weight_for_nice(1)
+        serverless = self._serverless({1: 400, 2: 700})
+        assert serverless.pick_next_task(0, None, None, runtimes) is None
+        assert serverless.last_runtime == runtimes
+        assert serverless.vruntime == {1: 600}
+
+    @given(_fold_case())
+    def test_wfq_pick_folds_as_observing_each(self, case):
+        last, runtimes = case
+        policy, reference = self._wfq(last), self._wfq(last)
+        for pid, runtime in runtimes.items():
+            reference._observe_runtime(pid, runtime)
+        assert policy.pick_next_task(0, None, None, runtimes) is None
+        assert policy.last_runtime == reference.last_runtime
+        assert policy.vruntime == reference.vruntime
+
+    @given(_fold_case())
+    def test_serverless_pick_folds_as_observing_each(self, case):
+        last, runtimes = case
+        policy, reference = self._serverless(last), self._serverless(last)
+        for pid, runtime in runtimes.items():
+            reference._observe(pid, runtime)
+        assert policy.pick_next_task(0, None, None, runtimes) is None
+        assert policy.last_runtime == reference.last_runtime
+        assert policy.vruntime == reference.vruntime

@@ -27,13 +27,12 @@ re-exports), the module lists the name in ``__all__``, or
 import ast
 import re
 from functools import cache
-from pathlib import Path
 
 from repro.core.messages import Message
 from repro.core.trait import EnokiScheduler
 from repro.simkernel.sched_class import SchedClass
+from tests.source_trees import ROOT, trees
 
-ROOT = Path(__file__).resolve().parent.parent
 #: the callers CI runs besides the tests
 CALLERS = ("perfbench", "examples")
 IDENTIFIERS = re.compile(r"[A-Za-z_]\w*(?: [A-Za-z_]\w*)*")
@@ -98,12 +97,6 @@ def _names(node, docstrings=frozenset(), strings=True):
             yield from sub.value.split()
 
 
-def _trees(*dirs):
-    for directory in dirs:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            yield path, ast.parse(path.read_text())
-
-
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -122,7 +115,7 @@ def unreached():
     """``{name: [path:line, ...]}`` for each def or class name in
     ``src/`` that nothing outside tests uses."""
     defs, uses, own_uses = {}, {}, {}
-    for path, tree in _trees("src"):
+    for path, tree in trees("src"):
         docstrings = _docstrings(tree)
         strings = path.name != "__init__.py"
         for name in _names(tree, docstrings, strings):
@@ -137,7 +130,7 @@ def unreached():
             own_uses[node.name] = own_uses.get(node.name, 0) + sum(
                 1 for name in _names(node, docstrings, strings)
                 if name == node.name)
-    called = {name for _path, tree in _trees(*CALLERS)
+    called = {name for _path, tree in trees(*CALLERS)
               for name in _names(tree)}
     return {name: where for name, where in sorted(defs.items())
             if uses.get(name, 0) <= own_uses.get(name, 0)
@@ -189,6 +182,6 @@ def _unused_imports(path, tree):
 
 
 def test_no_unused_imports():
-    found = [hit for path, tree in _trees("src", "tests", "examples")
+    found = [hit for path, tree in trees("src", "tests", "examples")
              for hit in _unused_imports(path, tree)]
     assert not found, f"imported and never read: {found}"

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from tests.source_trees import parse
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 #: the simkernel modules on the per-event path (DESIGN §10's alias rule)
@@ -71,7 +73,7 @@ class TestLayering:
         package_dir = Path(inspect.getfile(simkernel)).parent
         found = []
         for name in PER_EVENT_MODULES:
-            tree = ast.parse((package_dir / f"{name}.py").read_text())
+            tree = parse(package_dir / f"{name}.py")
             for fn in ast.walk(tree):
                 if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
                     continue
@@ -94,7 +96,7 @@ class TestLayering:
         package_dir = Path(inspect.getfile(simkernel)).parent
         found = []
         for name in PER_EVENT_MODULES:
-            tree = ast.parse((package_dir / f"{name}.py").read_text())
+            tree = parse(package_dir / f"{name}.py")
             found += [
                 f"{name}.py:{node.lineno}" for node in ast.walk(tree)
                 if isinstance(node, ast.Call)
@@ -108,7 +110,7 @@ class TestLayering:
     def test_only_proven_sites_write_task_state(self):
         """Every task-state transition goes through ``set_state``, whose
         table rejects an illegal one, except where the writer has just
-        proved the old state: ``dispatch`` (the pick walk proved
+        proved the old state: ``pick_and_switch`` (the pick walk proved
         RUNNABLE) and ``wake_task`` (it tests BLOCKED first)."""
         import ast
         from pathlib import Path
@@ -116,12 +118,12 @@ class TestLayering:
 
         allowed = {("task.py", "TaskStruct.__init__"),
                    ("task.py", "TaskStruct.set_state"),
-                   ("dispatch.py", "DispatchEngine.dispatch"),
+                   ("dispatch.py", "DispatchEngine.pick_and_switch"),
                    ("migration.py", "MigrationService.wake_task")}
         package_dir = Path(inspect.getfile(simkernel)).parent
         found = []
         for path in sorted(package_dir.glob("*.py")):
-            tree = ast.parse(path.read_text())
+            tree = parse(path)
             owner = {node: f"{cls.name}.{fn.name}"
                      for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                      for fn in cls.body if isinstance(fn, ast.FunctionDef)
@@ -159,7 +161,7 @@ class TestLayering:
                 visit(module, child, function)
 
         for module in ("base", "arachne", *enoki_scheduler_names()):
-            tree = ast.parse((package_dir / f"{module}.py").read_text())
+            tree = parse(package_dir / f"{module}.py")
             visit(module, tree, None)
         assert not found
 

@@ -21,7 +21,8 @@ from repro.simkernel import (
 )
 from repro.simkernel.errors import ProgramError, SchedulingError
 from repro.simkernel.futex import Futex
-from repro.simkernel.program import FutexWake, PipeWrite, Run, Sleep
+from repro.simkernel.program import (Call, FutexWait, FutexWake, PipeRead,
+                                    PipeWrite, Run, Sleep)
 from repro.simkernel.sched_class import SchedClass
 from repro.simkernel.task import TaskState
 
@@ -318,6 +319,54 @@ class TestInterpreterCostCharging:
         # A completion from a previous run epoch must not touch the task.
         assert task.run_remaining_ns == 1_000
         assert kernel.rqs[0].current is task
+
+
+class TestSyscallCompletion:
+    """What a syscall's effect does to the task's next op."""
+
+    def test_a_descheduling_effect_does_not_continue_the_task(self):
+        kernel, hi, lo, _log = two_class_kernel()
+        task = make_running(kernel, place_queued(kernel, policy=1))
+        ran = []
+        task._gen = (op for op in (PipeRead(Pipe("p")),
+                                   Call(ran.append, ("next",))))
+        kernel.interp.advance_program(task)
+        assert kernel.events.step()      # the read's effect: pipe empty
+        assert task.state is TaskState.BLOCKED
+        assert kernel.rqs[0].current is None
+        assert not task._in_syscall
+        kernel.run_until_idle()
+        assert ran == []
+
+    def test_futex_wake_delays_the_wakers_next_op_by_the_wake_cost(self):
+        kernel, hi, lo, _log = two_class_kernel()
+        futex = Futex()
+        waiter = make_running(kernel, place_queued(kernel, policy=1, cpu=1),
+                              cpu=1)
+        begin_op(kernel, waiter, FutexWait(futex))
+        kernel.events.step()
+        assert waiter.state is TaskState.BLOCKED
+
+        wakes = []
+        wake_task = kernel.migration.wake_task
+
+        def recording_wake(*args, **kwargs):
+            cost = wake_task(*args, **kwargs)
+            wakes.append((kernel.now, cost))
+            return cost
+
+        kernel.migration.wake_task = recording_wake
+        waker = make_running(kernel, place_queued(kernel, policy=1))
+        kernel.rqs[0].need_resched = False   # the spawn's kick: placed by hand
+        next_op_at = []
+        waker._gen = (op for op in (FutexWake(futex),
+                                    Call(lambda: next_op_at.append(
+                                        kernel.now))))
+        kernel.interp.advance_program(waker)
+        kernel.run_until_idle()
+        ((woke_at, cost),) = wakes
+        assert cost > 0
+        assert next_op_at == [woke_at + cost]
 
 
 class TestKernelFacadeApi:
