@@ -16,11 +16,10 @@ three different ways:
 Run:  python examples/debugging_tools.py
 """
 
-from repro.core import EnokiSchedClass, Recorder, ReplayEngine
+from repro.core import Recorder, ReplayEngine
 from repro.core.watchdog import SchedulerWatchdog
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.tracing import SchedTracer
@@ -45,11 +44,9 @@ class LossyFifo(EnokiFifo):
 
 
 def build(scheduler, recorder=None):
-    kernel = Kernel(Topology.smp(2), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    EnokiSchedClass.register(kernel, scheduler, POLICY, priority=10,
-                             recorder=recorder)
-    return kernel
+    return (KernelBuilder("smp:2").with_native("cfs")
+            .with_enoki(scheduler, policy=POLICY, recorder=recorder)
+            .build().kernel)
 
 
 def workload(kernel):
@@ -64,7 +61,7 @@ def workload(kernel):
 def main():
     # 1. The watchdog catches the lost task live.
     recorder = Recorder()
-    kernel = build(LossyFifo(2, POLICY), recorder=recorder)
+    kernel = build(LossyFifo, recorder=recorder)
     tracer = SchedTracer.attach(kernel)
     watchdog = SchedulerWatchdog(kernel, POLICY,
                                  lost_task_ns=msecs(15))

@@ -21,10 +21,7 @@ import os
 import tempfile
 from dataclasses import replace
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, Sleep
 from repro.verify import (SanitizerSuite, fuzz_run, generate_episode,
@@ -38,11 +35,9 @@ def part1_sanitizers():
     print("=== 1. sanitizers on a live kernel ===")
 
     def build():
-        kernel = Kernel(Topology.smp(2), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        shim = EnokiSchedClass.register(kernel, EnokiFifo(2, POLICY),
-                                        POLICY, priority=10)
-        return kernel, shim
+        session = (KernelBuilder("smp:2").with_native("cfs")
+                   .with_enoki("fifo", policy=POLICY).build())
+        return session.kernel, session.shim
 
     def spin():
         for _ in range(3):

@@ -9,10 +9,9 @@ show that upgrades can change behaviour, not just fix bugs.
 Run:  python examples/live_upgrade.py
 """
 
-from repro.core import EnokiSchedClass, UpgradeManager
-from repro.schedulers.cfs import CfsSchedClass
+from repro.core import UpgradeManager
+from repro.exp import KernelBuilder
 from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
@@ -29,10 +28,9 @@ class WfqV2(EnokiWfq):
 
 
 def main():
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    v1 = EnokiWfq(8, POLICY)
-    shim = EnokiSchedClass.register(kernel, v1, POLICY, priority=10)
+    session = (KernelBuilder("small8").with_native("cfs")
+               .with_enoki("wfq", policy=POLICY).build())
+    kernel, shim = session.kernel, session.shim
     manager = UpgradeManager(kernel, shim)
 
     def worker():

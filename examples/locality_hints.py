@@ -9,10 +9,7 @@ with hints — and print the wakeup-latency medians, the Table 6 shape.
 Run:  python examples/locality_hints.py
 """
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.locality import EnokiLocality
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs
 from repro.workloads.schbench import run_schbench
 
@@ -20,15 +17,14 @@ POLICY = 9
 
 
 def run(mode):
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
+    builder = KernelBuilder("small8").with_native("cfs")
     kwargs = dict(message_threads=2, workers_per_thread=2,
                   warmup_ns=msecs(50), duration_ns=msecs(400))
     if mode == "cfs":
-        return run_schbench(kernel, 0, **kwargs)
-    scheduler = EnokiLocality(
-        8, POLICY, mode="random" if mode == "random" else "hints")
-    EnokiSchedClass.register(kernel, scheduler, POLICY, priority=10)
+        return run_schbench(builder.build().kernel, 0, **kwargs)
+    kernel = builder.with_enoki(
+        "locality", policy=POLICY,
+        mode="random" if mode == "random" else "hints").build().kernel
     return run_schbench(kernel, POLICY,
                         hint_locality=(mode == "hints"), **kwargs)
 

@@ -8,10 +8,7 @@ raced against the CFS baseline on the sched-pipe benchmark.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, Sleep
 from repro.workloads.pipe_bench import run_pipe_benchmark
@@ -22,11 +19,9 @@ POLICY = 7
 def build_kernel():
     """An 8-core machine with CFS as the default class and our Enoki
     FIFO loaded above it."""
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    scheduler = EnokiFifo(nr_cpus=8, policy=POLICY)
-    EnokiSchedClass.register(kernel, scheduler, POLICY, priority=10)
-    return kernel, scheduler
+    session = (KernelBuilder("small8").with_native("cfs")
+               .with_enoki("fifo", policy=POLICY).build())
+    return session.kernel, session.shim.scheduler
 
 
 def mixed_workload(kernel):
@@ -64,8 +59,7 @@ def main():
     kernel, _ = build_kernel()
     fifo = run_pipe_benchmark(kernel, policy=POLICY, rounds=1000,
                               same_core=True)
-    kernel2 = Kernel(Topology.small8(), SimConfig())
-    kernel2.register_sched_class(CfsSchedClass(policy=0), priority=10)
+    kernel2 = KernelBuilder("small8").with_native("cfs").build().kernel
     cfs = run_pipe_benchmark(kernel2, policy=0, rounds=1000,
                              same_core=True)
     print()

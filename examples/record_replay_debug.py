@@ -14,10 +14,9 @@ Run:  python examples/record_replay_debug.py
 import tempfile
 from pathlib import Path
 
-from repro.core import EnokiSchedClass, Recorder, ReplayEngine, load_trace
-from repro.schedulers.cfs import CfsSchedClass
+from repro.core import Recorder, ReplayEngine, load_trace
+from repro.exp import KernelBuilder
 from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.workloads.pipe_bench import run_pipe_benchmark
 
 POLICY = 7
@@ -36,10 +35,9 @@ class BuggyWfq(EnokiWfq):
 
 def main():
     recorder = Recorder()
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    EnokiSchedClass.register(kernel, EnokiWfq(8, POLICY), POLICY,
-                             priority=10, recorder=recorder)
+    kernel = (KernelBuilder("small8").with_native("cfs")
+              .with_enoki("wfq", policy=POLICY, recorder=recorder)
+              .build().kernel)
     result = run_pipe_benchmark(kernel, policy=POLICY, rounds=300)
     recorder.stop()
     print(f"recorded run: {result.latency_us_per_message:.2f} us/msg, "

@@ -10,10 +10,7 @@ CFS batch application.
 Run:  python examples/shinjuku_rocksdb.py
 """
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.shinjuku import EnokiShinjuku
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs
 from repro.workloads.batch import start_batch_app
 from repro.workloads.rocksdb import run_rocksdb
@@ -23,14 +20,12 @@ LOAD = 40_000
 
 
 def run(system, with_batch):
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
+    builder = KernelBuilder("small8").with_native("cfs")
     if system == "enoki-shinjuku":
-        sched = EnokiShinjuku(8, 8, worker_cpus=list(WORKER_CPUS))
-        EnokiSchedClass.register(kernel, sched, 8, priority=10)
-        policy = 8
-    else:
-        policy = 0
+        builder.with_enoki("shinjuku", policy=8,
+                           worker_cpus=list(WORKER_CPUS))
+    session = builder.build()
+    kernel, policy = session.kernel, session.policy
     batch = None
     if with_batch:
         batch = start_batch_app(kernel, 0, cpus=WORKER_CPUS, nice=19)

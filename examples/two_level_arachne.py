@@ -11,18 +11,15 @@ Run:  python examples/two_level_arachne.py
 
 from repro.arachne_rt import ArachneRuntime, URun
 from repro.arachne_rt.clients import EnokiArbiterClient
-from repro.core import EnokiSchedClass
-from repro.schedulers.arachne import EnokiCoreArbiter
-from repro.schedulers.cfs import CfsSchedClass
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs
 
 
 def main():
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    arbiter = EnokiCoreArbiter(8, 11, managed_cores=range(1, 8))
-    shim = EnokiSchedClass.register(kernel, arbiter, 11, priority=20)
+    session = (KernelBuilder("small8").with_native("cfs")
+               .with_enoki("arachne", policy=11, priority=20,
+                           managed_cores=range(1, 8)).build())
+    kernel, shim = session.kernel, session.shim
     runtime = ArachneRuntime(
         kernel, cores=list(range(1, 8)), policy=11,
         arbiter=EnokiArbiterClient(shim), name="app",

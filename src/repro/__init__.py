@@ -16,14 +16,12 @@ The package is layered exactly as DESIGN.md describes:
 
 Quickstart::
 
-    from repro import Kernel, Topology
-    from repro.core import EnokiSchedClass
-    from repro.schedulers.wfq import EnokiWfq
+    from repro.exp import KernelBuilder
     from repro.workloads.pipe_bench import run_pipe_benchmark
 
-    kernel = Kernel(Topology.small8())
-    EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus=8), policy=7)
-    result = run_pipe_benchmark(kernel, policy=7, rounds=2000)
+    session = (KernelBuilder("small8").with_native("cfs")
+               .with_enoki("wfq", policy=7).build())
+    result = run_pipe_benchmark(session.kernel, session.policy, rounds=2000)
     print(result.latency_us_per_message)
 
 ``repro.core``, ``repro.schedulers``, ``repro.obs`` and ``repro.verify``

@@ -9,11 +9,13 @@ need.  :mod:`repro.exp.bench` shards specs across a process pool and
 caches results by spec hash + git revision.
 """
 
-from repro.exp.builder import KernelBuilder, Session, enoki_scheduler_names
+from repro.exp.builder import (SCHEDULERS, KernelBuilder, Session,
+                               enoki_scheduler_names)
 from repro.exp.spec import (ScenarioSpec, canonical_fault_plan,
                             parse_topology)
 
 __all__ = [
+    "SCHEDULERS",
     "KernelBuilder",
     "ScenarioSpec",
     "Session",

@@ -29,7 +29,7 @@ import os
 import subprocess
 import time
 
-from repro.exp.builder import KernelBuilder
+from repro.exp.builder import SCHEDULERS, KernelBuilder
 from repro.exp.spec import ScenarioSpec
 from repro.simkernel.errors import SimError
 
@@ -181,7 +181,7 @@ def _wl_rocksdb(session, opts):
         from repro.workloads.batch import start_batch_app
         # ghOSt runs the batch under ghost at low priority; the others
         # run it under CFS at nice 19 (section 5.4).
-        ghost = session.spec.sched.startswith("ghost_")
+        ghost = SCHEDULERS[session.spec.sched].kind == "ghost"
         batch = start_batch_app(session.kernel,
                                 session.policy if ghost else 0,
                                 cpus=opts["worker_cpus"], nice=19)

@@ -1,34 +1,71 @@
 """The single kernel-construction path: ``KernelBuilder`` -> ``Session``.
 
-Before this layer existed, kernel assembly (topology + cost model + the
-scheduler-class stack + recorder/fault/upgrade wiring) was copy-pasted
-across the CLI, the benchmark suite, the fuzzer, and test fixtures.  The
-builder replaces all of those: describe the stack once — either
-imperatively (``with_native`` / ``with_enoki`` / ``with_ghost``) or
-declaratively from a :class:`~repro.exp.spec.ScenarioSpec` — and
-:meth:`KernelBuilder.build` returns a :class:`Session` holding the live
-kernel plus the handles every harness needs (the shim, the policy under
-test, a fresh-scheduler factory for live upgrades).
+Describe the stack once — either imperatively (``with_native`` /
+``with_enoki`` / ``with_ghost``) or declaratively from a
+:class:`~repro.exp.spec.ScenarioSpec` — and :meth:`KernelBuilder.build`
+returns a :class:`Session` holding the live kernel plus the handles every
+harness needs (the shim, the policy under test, a fresh-scheduler factory
+for live upgrades).  :data:`SCHEDULERS` names every scheduler a session
+can run.
 """
 
+from collections import namedtuple
 from importlib import import_module
 
 from repro.exp.spec import ScenarioSpec, canonical_groups, parse_topology
 from repro.simkernel import Kernel, SimConfig
 from repro.simkernel.errors import SimError
 
-#: scheduler short name -> class name; the short name is the module's
-#: name under ``repro.schedulers``
-_NATIVE_SCHEDULERS = {"cfs": "CfsSchedClass",
-                      "fifo_native": "NativeFifoClass"}
-_ENOKI_SCHEDULERS = {
-    "eevdf": "EnokiEevdf",
-    "fifo": "EnokiFifo",
-    "locality": "EnokiLocality",
-    "nest": "EnokiNest",
-    "serverless": "EnokiServerless",
-    "shinjuku": "EnokiShinjuku",
-    "wfq": "EnokiWfq",
+#: one scheduler a session can run.  ``kind`` is ``native`` (a trusted
+#: kernel class), ``enoki`` (a policy behind the checked shim),
+#: ``arbiter`` (an Enoki policy that schedules Arachne runtimes' cores,
+#: not tasks) or ``ghost`` (an agent stack); ``path`` is the
+#: ``module:attr`` it registers through (a ghOSt stack's installer), left
+#: a string until a session registers it; ``options`` are defaults under
+#: the session's own; ``fuzz`` and ``upgrade`` are empty where the
+#: scheduler admits that leg, else the reason it does not
+SchedulerRow = namedtuple("SchedulerRow", "kind path options fuzz upgrade",
+                          defaults=({}, "", ""))
+
+_NOT_FUZZED = "not in the fuzz pool yet (ROADMAP item 3)"
+_BUILT_IN = "a native class has no shim to swap it through"
+_NO_SHIM = "a ghOSt agent stack has no shim to swap it through"
+
+#: short name -> row; the one list of schedulers
+SCHEDULERS = {
+    "cfs": SchedulerRow("native", "repro.schedulers.cfs:CfsSchedClass",
+                        fuzz="the fuzzer's native control machine",
+                        upgrade=_BUILT_IN),
+    "fifo_native": SchedulerRow(
+        "native", "repro.schedulers.fifo_native:NativeFifoClass",
+        fuzz=_NOT_FUZZED, upgrade=_BUILT_IN),
+    "eevdf": SchedulerRow("enoki", "repro.schedulers.eevdf:EnokiEevdf"),
+    "fifo": SchedulerRow("enoki", "repro.schedulers.fifo:EnokiFifo"),
+    "locality": SchedulerRow(
+        "enoki", "repro.schedulers.locality:EnokiLocality",
+        fuzz=_NOT_FUZZED),
+    "nest": SchedulerRow("enoki", "repro.schedulers.nest:EnokiNest",
+                         fuzz=_NOT_FUZZED),
+    "serverless": SchedulerRow(
+        "enoki", "repro.schedulers.serverless:EnokiServerless"),
+    "shinjuku": SchedulerRow(
+        "enoki", "repro.schedulers.shinjuku:EnokiShinjuku",
+        fuzz=_NOT_FUZZED),
+    "wfq": SchedulerRow("enoki", "repro.schedulers.wfq:EnokiWfq"),
+    "arachne": SchedulerRow(
+        "arbiter", "repro.schedulers.arachne:EnokiCoreArbiter",
+        fuzz=_NOT_FUZZED),
+    "ghost_sol": SchedulerRow(
+        "ghost", "repro.schedulers.ghost:install_ghost_sol",
+        fuzz=_NOT_FUZZED, upgrade=_NO_SHIM),
+    "ghost_percpu_fifo": SchedulerRow(
+        "ghost", "repro.schedulers.ghost:install_ghost_percpu_fifo",
+        fuzz=_NOT_FUZZED, upgrade=_NO_SHIM),
+    # the paper's Shinjuku layout on its eight-CPU box
+    "ghost_shinjuku": SchedulerRow(
+        "ghost", "repro.schedulers.ghost:install_ghost_shinjuku",
+        {"managed_cpus": [3, 4, 5, 6, 7], "agent_cpu": 2},
+        fuzz=_NOT_FUZZED, upgrade=_NO_SHIM),
 }
 
 #: the fault harness's watchdog: scan every 200 us, and call a task
@@ -36,24 +73,35 @@ _ENOKI_SCHEDULERS = {
 WATCHDOG_PERIOD_NS = 200_000
 LOST_TASK_NS = 5_000_000
 
-#: short name -> class, filled as sessions first register each one: a
-#: session imports only the scheduler modules it runs
-_CLASSES = {}
+
+def scheduler_row(name, kinds=None):
+    """``name``'s row; a :class:`SimError` listing the valid names when
+    no row (of one of ``kinds``, if given) has it."""
+    row = SCHEDULERS.get(name)
+    if row is None or (kinds is not None and row.kind not in kinds):
+        what = " or ".join(kinds) + " scheduler" if kinds else "scheduler"
+        valid = ", ".join(n for n, r in SCHEDULERS.items()
+                          if kinds is None or r.kind in kinds)
+        raise SimError(f"unknown {what} {name!r}; valid: {valid}")
+    return row
 
 
-def _scheduler_class(table, name):
-    """The class ``table`` lists under ``name``, imported on first use."""
-    try:
-        return _CLASSES[name]
-    except KeyError:
-        module = import_module(f"repro.schedulers.{name}")
-        cls = _CLASSES[name] = getattr(module, table[name])
-        return cls
+def load(row):
+    """The object ``row.path`` names, importing its module."""
+    module, _, attr = row.path.partition(":")
+    return getattr(import_module(module), attr)
+
+
+def _entry(name, kinds, options):
+    """What ``name``'s row registers, and ``options`` over its defaults."""
+    row = scheduler_row(name, kinds)
+    return load(row), {**row.options, **options}
 
 
 def enoki_scheduler_names():
-    """Short names accepted by :meth:`KernelBuilder.with_enoki`."""
-    return sorted(_ENOKI_SCHEDULERS)
+    """Short names of the Enoki policies :meth:`KernelBuilder.with_enoki`
+    runs ordinary tasks under."""
+    return sorted(n for n, row in SCHEDULERS.items() if row.kind == "enoki")
 
 
 class Session:
@@ -206,9 +254,7 @@ class KernelBuilder:
 
     def with_native(self, name="cfs", policy=0, priority=5, **options):
         """Register a trusted native class (``cfs`` or ``fifo_native``)."""
-        if name not in _NATIVE_SCHEDULERS:
-            raise SimError(f"unknown native scheduler {name!r}")
-        cls = _scheduler_class(_NATIVE_SCHEDULERS, name)
+        cls, options = _entry(name, ("native",), options)
 
         def register(kernel):
             kernel.register_sched_class(cls(policy=policy, **options),
@@ -218,13 +264,14 @@ class KernelBuilder:
             self._policy = policy
         return self
 
-    def with_enoki(self, name, policy=7, priority=10, recorder=None,
+    def with_enoki(self, scheduler, policy=7, priority=10, recorder=None,
                    **options):
         """Register an Enoki scheduler behind the checked shim; it becomes
-        the scheduler under test (``session.policy``)."""
-        if name not in _ENOKI_SCHEDULERS:
-            raise SimError(f"unknown Enoki scheduler {name!r}")
-        cls = _scheduler_class(_ENOKI_SCHEDULERS, name)
+        the scheduler under test (``session.policy``).  ``scheduler`` is
+        a table name or a policy class, built as ``cls(nr_cpus, policy,
+        **options)``."""
+        cls, options = ((scheduler, options) if isinstance(scheduler, type)
+                        else _entry(scheduler, ("enoki", "arbiter"), options))
 
         def register(kernel):
             from repro.core import EnokiSchedClass
@@ -241,37 +288,14 @@ class KernelBuilder:
         self._policy = policy
         return self
 
-    def with_ghost(self, variant="sol", managed_cpus=None, agent_cpu=None,
-                   **options):
-        """Install a ghOSt comparison stack (sol / percpu_fifo / shinjuku)."""
+    def with_ghost(self, name="ghost_sol", **options):
+        """Install a ghOSt comparison stack (``ghost_sol`` /
+        ``ghost_percpu_fifo`` / ``ghost_shinjuku``)."""
+        install, options = _entry(name, ("ghost",), options)
+
         def register(kernel):
-            from repro.schedulers.ghost import (
-                GHOST_POLICY,
-                install_ghost_percpu_fifo,
-                install_ghost_shinjuku,
-                install_ghost_sol,
-            )
-            nr = kernel.topology.nr_cpus
-            if variant == "sol":
-                managed = (list(managed_cpus) if managed_cpus is not None
-                           else list(range(nr - 1)))
-                agent = agent_cpu if agent_cpu is not None else nr - 1
-                install_ghost_sol(kernel, managed_cpus=managed,
-                                  agent_cpu=agent, **options)
-            elif variant == "percpu_fifo":
-                managed = (list(managed_cpus) if managed_cpus is not None
-                           else list(range(nr)))
-                install_ghost_percpu_fifo(kernel, managed_cpus=managed,
-                                          **options)
-            elif variant == "shinjuku":
-                managed = (list(managed_cpus) if managed_cpus is not None
-                           else [3, 4, 5, 6, 7])
-                agent = agent_cpu if agent_cpu is not None else 2
-                install_ghost_shinjuku(kernel, managed_cpus=managed,
-                                       agent_cpu=agent, **options)
-            else:
-                raise SimError(f"unknown ghOSt variant {variant!r}")
-            self._policy = GHOST_POLICY
+            ghost, _agents = install(kernel, **options)
+            self._policy = ghost.policy
         self._registrations.append(register)
         return self
 
@@ -318,15 +342,16 @@ class KernelBuilder:
             builder.with_config(**spec.config)
         if spec.groups:
             builder.with_groups(spec.groups)
-        if spec.sched in _NATIVE_SCHEDULERS:
+        row = scheduler_row(spec.sched)
+        scheduler_row(spec.base_sched, ("native",))
+        if row.kind == "native":
             # Pure native stack: the scheduler under test is the base.
             builder.with_native(spec.sched, policy=0, priority=10,
                                 **spec.sched_options)
             return builder
         builder.with_native(spec.base_sched, policy=0, priority=5)
-        if spec.sched.startswith("ghost_"):
-            builder.with_ghost(spec.sched[len("ghost_"):],
-                               **spec.sched_options)
+        if row.kind == "ghost":
+            builder.with_ghost(spec.sched, **spec.sched_options)
         else:
             builder.with_enoki(spec.sched, policy=spec.policy, priority=10,
                                recorder=recorder, **spec.sched_options)

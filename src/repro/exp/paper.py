@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.analysis.stats import geomean
 from repro.analysis.tables import render_table
 from repro.exp.bench import derive_seed
+from repro.exp.builder import SCHEDULERS
 from repro.exp.spec import ScenarioSpec
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.config import SimConfig
@@ -112,7 +113,7 @@ class Table3(Artefact):
         for config, one in (("one", True), ("two", False)):
             for sched in KEYS[:-1]:
                 options = {}
-                if sched.startswith("ghost_"):
+                if SCHEDULERS[sched].kind == "ghost":
                     options["managed_cpus"] = [0] if one else [0, 1]
                 if sched == "ghost_sol":
                     options["agent_cpu"] = 7

@@ -33,21 +33,16 @@ are loaded through the framework; the hand-written ones share the
   completion, observed/declared long work is demoted to a fair backing
   queue.
 
-Each name loads its module on first use (:func:`repro.lazy_exports`), so a
-session imports only the schedulers it registers.
+Every scheduler is a row of :data:`repro.exp.builder.SCHEDULERS`, and
+this package exports what each row registers.  Each name loads its module
+on first use (:func:`repro.lazy_exports`), so a session imports only the
+schedulers it registers.
 """
 
 from repro import lazy_exports
+from repro.exp.builder import SCHEDULERS
 
+_PATHS = [row.path.split(":") for row in SCHEDULERS.values()]
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "arachne": "EnokiCoreArbiter",
-    "cfs": "CfsSchedClass",
-    "eevdf": "EnokiEevdf",
-    "fifo": "EnokiFifo",
-    "fifo_native": "NativeFifoClass",
-    "locality": "EnokiLocality",
-    "nest": "EnokiNest",
-    "serverless": "EnokiServerless",
-    "shinjuku": "EnokiShinjuku",
-    "wfq": "EnokiWfq",
-})
+    module.rpartition(".")[2]: " ".join(n for m, n in _PATHS if m == module)
+    for module, _ in _PATHS})

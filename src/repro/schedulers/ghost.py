@@ -400,13 +400,19 @@ def _spawn_agent(kernel, model, cpu, name):
     return task
 
 
-def install_ghost_sol(kernel, managed_cpus, agent_cpu,
+def install_ghost_sol(kernel, managed_cpus=None, agent_cpu=None,
                       policy=GHOST_POLICY, preemption_ns=None):
     """Install the SOL global-FIFO ghOSt arrangement.
 
-    The agent runs on ``agent_cpu`` (dedicated) and manages
-    ``managed_cpus``.  Returns (ghost_class, agent_model).
+    The agent runs on ``agent_cpu`` (dedicated; default the last CPU) and
+    manages ``managed_cpus`` (default every other CPU).  Returns
+    (ghost_class, agent_model).
     """
+    nr_cpus = kernel.topology.nr_cpus
+    if managed_cpus is None:
+        managed_cpus = range(nr_cpus - 1)
+    if agent_cpu is None:
+        agent_cpu = nr_cpus - 1
     ghost = GhostSchedClass(policy=policy)
     kernel.register_sched_class(ghost, priority=50)
     model = GhostAgentModel(kernel, ghost, managed_cpus, agent_cpu,
@@ -425,12 +431,15 @@ def install_ghost_shinjuku(kernel, managed_cpus, agent_cpu,
     )
 
 
-def install_ghost_percpu_fifo(kernel, managed_cpus, policy=GHOST_POLICY):
+def install_ghost_percpu_fifo(kernel, managed_cpus=None,
+                              policy=GHOST_POLICY):
     """Install the per-CPU FIFO ghOSt arrangement.
 
-    Each managed CPU hosts its own agent *on that CPU*, competing with the
-    tasks it schedules.  Returns (ghost_class, router).
+    Each managed CPU (default: all) hosts its own agent *on that CPU*,
+    competing with the tasks it schedules.  Returns (ghost_class, router).
     """
+    if managed_cpus is None:
+        managed_cpus = range(kernel.topology.nr_cpus)
     ghost = GhostSchedClass(policy=policy)
     kernel.register_sched_class(ghost, priority=50)
     _ensure_agent_class(kernel)

@@ -38,7 +38,7 @@ class OpInterpreter:
         non-preemptible in between."""
         k = self.k
         cpu = task.cpu
-        gen = task._gen     # ``TaskStruct.next_op``, inline
+        gen = task._gen
         if gen is None:
             raise TaskLifecycleError(f"{task} program not started")
         while True:

@@ -139,16 +139,6 @@ class TaskStruct:
             raise TaskLifecycleError(f"{self} program already started")
         self._gen = self.program()
 
-    def next_op(self, send_value=None):
-        """Advance the program one op.  Returns None when it finishes."""
-        if self._gen is None:
-            raise TaskLifecycleError(f"{self} program not started")
-        try:
-            return self._gen.send(send_value)
-        except StopIteration as stop:
-            self.exit_value = stop.value
-            return None
-
     # -- state machine ---------------------------------------------------
 
     def set_state(self, new_state):

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 from repro import dataclass_kwargs
 from repro.core import FaultPlan, Recorder, ReplayEngine
 from repro.core.faults import FaultSpec
-from repro.exp import KernelBuilder, ScenarioSpec, enoki_scheduler_names
+from repro.exp import (SCHEDULERS, KernelBuilder, ScenarioSpec,
+                       enoki_scheduler_names)
 from repro.exp.spec import GroupSpec, spec_kwargs
 from repro.simkernel.clock import usecs
 from repro.simkernel.errors import SimError
@@ -41,10 +42,11 @@ from repro.verify.sanitizers import SanitizerSuite, Violation
 #: the policy number every fuzzed Enoki module is registered under
 TASK_POLICY = 7
 
-#: schedulers the fuzzer rotates through (a subset of the
-#: ``repro.exp`` registry); all are same-TRANSFER_TYPE-safe to upgrade
-#: to a fresh instance of themselves mid-run
-SCHEDULER_NAMES = ("eevdf", "fifo", "serverless", "wfq")
+#: the fuzz pool: the table rows that admit the fuzz leg, sorted (the
+#: episode generator draws from this order); each admits the upgrade leg
+#: too, since an episode may upgrade it to a fresh instance mid-run
+SCHEDULER_NAMES = tuple(sorted(name for name, row in SCHEDULERS.items()
+                               if not row.fuzz))
 
 #: fault kinds the fuzzer composes ad-hoc plans from (beyond the built-in
 #: plans).  ``hang`` is excluded: its hang_ns needs workload-aware tuning
@@ -182,8 +184,7 @@ class EpisodeResult:
 def generate_episode(seed, sched=None):
     """Derive a complete :class:`EpisodeSpec` from one integer seed."""
     rng = random.Random(seed)
-    name = sched if sched is not None else rng.choice(
-        sorted(SCHEDULER_NAMES))
+    name = sched if sched is not None else rng.choice(SCHEDULER_NAMES)
     nr_cpus = rng.choice((1, 2, 2, 4))
     tasks = []
     for _ in range(rng.randint(2, 8)):

@@ -5,8 +5,7 @@ from repro.arachne_rt import ArachneRuntime, UCond, UNotify, URun, UWait
 from repro.arachne_rt.clients import EnokiArbiterClient
 from repro.arachne_rt.native_arbiter import NativeCoreArbiter
 from repro.arachne_rt.user_thread import UserThread, UtState
-from repro.core import EnokiSchedClass
-from repro.schedulers.arachne import EnokiCoreArbiter
+from repro.exp import KernelBuilder
 from repro.schedulers.cfs import CfsSchedClass
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
@@ -118,12 +117,17 @@ class TestRuntimeScaling:
         assert len(runtime.active_slots()) >= 3
 
 
+def arbiter_session():
+    """CFS under the Enoki core arbiter (policy 11) managing cores 1-7."""
+    session = (KernelBuilder("small8").with_native("cfs")
+               .with_enoki("arachne", policy=11, priority=20,
+                           managed_cores=range(1, 8)).build())
+    return session.kernel, session.shim, session.shim.scheduler
+
+
 class TestEnokiCoreArbiter:
     def make(self):
-        kernel = Kernel(Topology.small8(), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        arbiter = EnokiCoreArbiter(8, 11, managed_cores=range(1, 8))
-        shim = EnokiSchedClass.register(kernel, arbiter, 11, priority=20)
+        kernel, shim, arbiter = arbiter_session()
         client = EnokiArbiterClient(shim)
         runtime = ArachneRuntime(kernel, cores=list(range(1, 5)), policy=11,
                                  arbiter=client, name="rt", min_cores=1,
@@ -168,11 +172,7 @@ class TestEnokiCoreArbiter:
     def test_reclaim_between_processes(self):
         """Two runtimes: when the second asks for cores held idle by the
         first, the arbiter reclaims through the reverse queue."""
-        kernel = Kernel(Topology.small8(), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        arbiter = EnokiCoreArbiter(8, 11, managed_cores=range(1, 8))
-        shim = EnokiSchedClass.register(kernel, arbiter, 11, priority=20)
-
+        kernel, shim, arbiter = arbiter_session()
         rt_a = ArachneRuntime(kernel, cores=[1, 2, 3], policy=11,
                               arbiter=EnokiArbiterClient(shim), name="a",
                               min_cores=1, max_cores=3).start(3)

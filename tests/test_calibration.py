@@ -8,25 +8,19 @@ experiment's comparisons.
 
 import pytest
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.workloads.pipe_bench import run_pipe_benchmark
 
 POLICY = 7
 
 
 def pipe_latency(enoki=False, same_core=False, rounds=1500):
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    policy = 0
+    builder = KernelBuilder("small8").with_native("cfs")
     if enoki:
-        EnokiSchedClass.register(kernel, EnokiWfq(8, POLICY), POLICY,
-                                 priority=10)
-        policy = POLICY
-    result = run_pipe_benchmark(kernel, policy=policy, rounds=rounds,
-                                same_core=same_core)
+        builder.with_enoki("wfq", policy=POLICY)
+    session = builder.build()
+    result = run_pipe_benchmark(session.kernel, policy=session.policy,
+                                rounds=rounds, same_core=same_core)
     return result.latency_us_per_message
 
 

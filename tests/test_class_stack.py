@@ -7,10 +7,7 @@ then CFS, with a second native FIFO below CFS soaking up what is left.
 """
 
 from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.fifo_native import NativeFifoClass
-from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Call, Run, Sleep
 from repro.simkernel.task import TaskState
@@ -20,13 +17,11 @@ FIFO, ENOKI, CFS, LOW = 1, 7, 0, 2
 
 
 def full_stack(nr_cpus=2):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(NativeFifoClass(policy=FIFO), priority=80)
-    kernel.register_sched_class(CfsSchedClass(policy=CFS), priority=10)
-    kernel.register_sched_class(NativeFifoClass(policy=LOW), priority=5)
-    EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus, ENOKI), ENOKI,
-                             priority=50)
-    return kernel
+    return (KernelBuilder(f"smp:{nr_cpus}")
+            .with_native("fifo_native", policy=FIFO, priority=80)
+            .with_native("cfs", policy=CFS, priority=10)
+            .with_native("fifo_native", policy=LOW, priority=5)
+            .with_enoki("wfq", policy=ENOKI, priority=50).build())
 
 
 def spinner(ns):
@@ -37,7 +32,7 @@ def spinner(ns):
 
 class TestFourClassStack:
     def test_priority_order_on_one_core(self):
-        kernel = full_stack(nr_cpus=1)
+        kernel = full_stack(nr_cpus=1).kernel
         order = []
 
         def tagged(tag, ns):
@@ -54,7 +49,7 @@ class TestFourClassStack:
         assert order == ["fifo", "enoki", "cfs", "low"]
 
     def test_everyone_finishes_under_mixed_load(self):
-        kernel = full_stack(nr_cpus=2)
+        kernel = full_stack(nr_cpus=2).kernel
         tasks = [kernel.spawn(spinner(msecs(1)), policy=policy)
                  for policy in (FIFO, LOW)]
         for _ in range(3):
@@ -67,10 +62,8 @@ class TestFourClassStack:
     def test_enoki_upgrade_under_a_live_stack(self):
         """Live upgrade of the Enoki scheduler while native FIFO and CFS
         traffic flows above and below it."""
-        from repro.core import UpgradeManager
-
-        kernel = full_stack(nr_cpus=2)
-        shim = next(c for _p, c in kernel._classes if c.policy == ENOKI)
+        session = full_stack(nr_cpus=2)
+        kernel = session.kernel
 
         def mixed(policy_work):
             def prog():
@@ -83,8 +76,7 @@ class TestFourClassStack:
         tasks.append(kernel.spawn(mixed(100), policy=FIFO))
         tasks.append(kernel.spawn(mixed(200), policy=CFS))
         tasks.append(kernel.spawn(mixed(100), policy=LOW))
-        manager = UpgradeManager(kernel, shim)
-        manager.schedule_upgrade(lambda: EnokiWfq(2, ENOKI), at_ns=msecs(2))
+        manager = session.schedule_upgrade(msecs(2))
         kernel.run_until_idle()
         assert len(manager.reports) == 1
         assert all(t.state is TaskState.DEAD for t in tasks)
@@ -95,11 +87,11 @@ class TestRuntimeAccounting:
         """CFS's ``update_curr`` receives every nanosecond its tasks run;
         the Enoki shim defines no hook, so the dispatcher makes no call
         for its tasks (their runtimes travel inside the messages)."""
-        kernel = Kernel(Topology.smp(2), SimConfig())
-        cfs = kernel.register_sched_class(CfsSchedClass(policy=CFS),
-                                          priority=10)
-        shim = EnokiSchedClass.register(kernel, EnokiWfq(2, ENOKI), ENOKI,
-                                        priority=50)
+        session = (KernelBuilder("smp:2")
+                   .with_native("cfs", policy=CFS, priority=10)
+                   .with_enoki("wfq", policy=ENOKI, priority=50).build())
+        kernel, shim = session.kernel, session.shim
+        cfs = session.sched_class(CFS)
         received = {}
         keep = cfs.update_curr
 

@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import EnokiSchedClass, Recorder
+from repro.core import Recorder
+from repro.exp import KernelBuilder
 from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.ghost import (
@@ -40,9 +41,9 @@ def attached(kind, recorder=None):
     if kind == "ghost":
         cls = kernel.register_sched_class(GhostSchedClass())
         return cls, CONFIG.ghost_msg_enqueue_ns
-    cls = EnokiSchedClass.register(kernel, EnokiFifo(2, 7), 7,
-                                   recorder=recorder)
-    return cls, CONFIG.enoki_call_ns
+    session = (KernelBuilder("smp:2", CONFIG)
+               .with_enoki("fifo", recorder=recorder).build())
+    return session.shim, CONFIG.enoki_call_ns
 
 
 class TestFrozenConfig:
@@ -140,10 +141,9 @@ def test_the_walk_reads_the_cost_once_per_visit_after_the_pick():
             return super().pick_next_task(cpu, curr_pid, curr_runtime,
                                           runtimes)
 
-    kernel = Kernel(Topology.smp(1), CONFIG)
-    shim = EnokiSchedClass.register(kernel, Arming(1, 7), 7, priority=20)
-    native = kernel.register_sched_class(NativeFifoClass(policy=1),
-                                         priority=10)
+    session = (KernelBuilder("smp:1", CONFIG).with_enoki(Arming, priority=20)
+               .with_native("fifo_native", policy=1, priority=10).build())
+    kernel, shim, native = session.kernel, session.shim, session.sched_class(1)
     costs = []
 
     def trace(kind, **fields):
@@ -162,8 +162,8 @@ def test_a_fork_pays_a_pending_blackout_in_the_forking_task(blackout_ns):
     """The forking op is the one place a fork is charged, so a blackout
     noted while the parent runs delays the parent past its ``Spawn``
     instead of being settled by placement and lost."""
-    kernel = Kernel(Topology.smp(2), SimConfig())
-    shim = EnokiSchedClass.register(kernel, EnokiFifo(2, 7), 7)
+    session = KernelBuilder("smp:2").with_enoki("fifo").build()
+    kernel, shim = session.kernel, session.shim
 
     def parent():
         yield Run(100_000)

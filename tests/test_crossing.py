@@ -18,8 +18,7 @@ import pkgutil
 import pytest
 
 import repro.schedulers
-from repro.core import (EnokiSchedClass, FaultPlan, FaultSpec, Recorder,
-                        UpgradeManager)
+from repro.core import FaultPlan, FaultSpec, Recorder, UpgradeManager
 from repro.core import messages as msgs
 from repro.core.errors import EnokiError
 from repro.core.libenoki import LibEnoki
@@ -27,9 +26,9 @@ from repro.core.schedulable import Schedulable
 from repro.core.trait import EnokiScheduler
 from repro.obs import Observer
 from repro.obs.profiler import CallbackProfiler
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel import SimConfig
 from repro.simkernel.program import (Run, SendHint, SetAffinity, SetNice,
                                      Sleep, YieldCpu)
 from repro.simkernel.task import TaskState
@@ -94,13 +93,11 @@ for _func in IN_BAND:
         setattr(SpyWfq, _func, _spy(_func))
 
 
-def make(sched=None, recorder=None, config=None):
-    kernel = Kernel(Topology.smp(NR_CPUS), config or SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = sched if sched is not None else SpyWfq(NR_CPUS, POLICY)
-    shim = EnokiSchedClass.register(kernel, sched, POLICY, priority=10,
-                                    recorder=recorder)
-    return kernel, shim, sched
+def make(sched=SpyWfq, recorder=None, config=None, **options):
+    session = (KernelBuilder(f"smp:{NR_CPUS}", config).with_native("cfs")
+               .with_enoki(sched, policy=POLICY, recorder=recorder,
+                           **options).build())
+    return session.kernel, session.shim, session.shim.scheduler
 
 
 def mixed(i, hints=True):
@@ -166,8 +163,8 @@ class TestTwoModesSeeTheSameArguments:
     def run(self, observed):
         config = SimConfig().scaled(record_overhead_ns=0)
         recorder = Recorder() if observed else None
-        kernel, shim, spy = make(SpyWfq(NR_CPUS, POLICY, bogus_pick_at=9),
-                                 recorder=recorder, config=config)
+        kernel, shim, spy = make(bogus_pick_at=9, recorder=recorder,
+                                 config=config)
         if observed:
             Observer.attach(kernel)
         assert shim._quiet is not observed
@@ -191,7 +188,7 @@ class WakeupCrasher(EnokiWfq):
 
 class TestContainmentIsModeIndependent:
     def run(self, observed):
-        kernel, shim, _ = make(WakeupCrasher(NR_CPUS, POLICY))
+        kernel, shim, _ = make(WakeupCrasher)
         if observed:
             Observer.attach(kernel)
         assert shim._quiet is not observed

@@ -1,9 +1,7 @@
 """Tests for the EEVDF extension scheduler."""
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.eevdf import EnokiEevdf
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
@@ -12,12 +10,11 @@ POLICY = 13
 PIN0 = frozenset({0})
 
 
-def make(nr_cpus=2):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = EnokiEevdf(nr_cpus, POLICY)
-    EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
-    return kernel, sched
+def make(nr_cpus=2, sched="eevdf"):
+    """-> (kernel, shim): ``sched`` over CFS on ``nr_cpus`` CPUs."""
+    session = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+               .with_enoki(sched, policy=POLICY).build())
+    return session.kernel, session.shim
 
 
 def spinner(ns):
@@ -73,7 +70,7 @@ class TestDeadlineOrdering:
     def test_ineligible_task_waits(self):
         """A task far ahead of its fair share is not eligible while a
         behind task exists."""
-        kernel, sched = make(nr_cpus=1)
+        kernel, _ = make(nr_cpus=1)
 
         def sleeper_then_burst():
             yield Run(msecs(4))
@@ -95,12 +92,8 @@ class TestDeadlineOrdering:
         """The velocity story end-to-end: hot-swap WFQ for EEVDF — same
         transfer type, policy changes in place."""
         from repro.core import UpgradeManager
-        from repro.schedulers.wfq import EnokiWfq
 
-        kernel = Kernel(Topology.smp(1), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        wfq = EnokiWfq(1, POLICY)
-        shim = EnokiSchedClass.register(kernel, wfq, POLICY, priority=10)
+        kernel, shim = make(nr_cpus=1, sched="wfq")
         tasks = [kernel.spawn(spinner(msecs(10)), policy=POLICY)
                  for _ in range(3)]
         kernel.run_for(msecs(5))

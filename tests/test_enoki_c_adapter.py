@@ -3,11 +3,12 @@ hint plumbing, cost accounting."""
 
 import pytest
 
-from repro.core import EnokiSchedClass, Recorder, UpgradeManager
+from repro.core import Recorder, UpgradeManager
+from repro.exp import KernelBuilder
 from repro.obs import Observer
 from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel import SimConfig
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
@@ -15,13 +16,11 @@ from repro.simkernel.task import TaskState
 POLICY = 7
 
 
-def make(scheduler=None, nr_cpus=2, recorder=None):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    sched = scheduler if scheduler is not None else EnokiFifo(nr_cpus,
-                                                              POLICY)
-    shim = EnokiSchedClass.register(kernel, sched, POLICY,
-                                    recorder=recorder)
-    return kernel, shim, sched
+def make(scheduler="fifo", nr_cpus=2, recorder=None):
+    session = (KernelBuilder(f"smp:{nr_cpus}")
+               .with_enoki(scheduler, policy=POLICY, recorder=recorder)
+               .build())
+    return session.kernel, session.shim, session.shim.scheduler
 
 
 class TestTokenLifecycle:
@@ -71,7 +70,7 @@ class TestTokenLifecycle:
                                allowed_cpus):
                 return 9999   # nonsense CPU
 
-        kernel, shim, sched = make(GarbagePlacer(2, POLICY))
+        kernel, shim, sched = make(GarbagePlacer)
 
         def prog():
             yield Run(usecs(10))
@@ -86,7 +85,7 @@ class TestTokenLifecycle:
                                allowed_cpus):
                 return 0   # ignores the (cpu 1 only) affinity
 
-        kernel, shim, sched = make(WrongSidePlacer(2, POLICY))
+        kernel, shim, sched = make(WrongSidePlacer)
 
         def prog():
             yield Run(usecs(10))
@@ -107,7 +106,7 @@ class TestAnswerTypes:
     """A non-int answer is a bad response, never a crash or a lookup."""
 
     def run(self, sched, observed):
-        kernel, shim, _ = make(sched, nr_cpus=2)
+        kernel, shim, _ = make(sched)
         if observed:
             Observer.attach(kernel)
 
@@ -134,7 +133,7 @@ class TestAnswerTypes:
             def balance_err(self, cpu, pid, err, sched):
                 self.errors.append((pid, err))
 
-        shim = self.run(BadBalancer(2, POLICY), observed)
+        shim = self.run(BadBalancer, observed)
         assert shim.containment.bad_responses > 0
         assert set(BadBalancer.errors) == {(-1, 2)}
         assert not shim.containment.panics
@@ -148,7 +147,7 @@ class TestAnswerTypes:
                                allowed_cpus):
                 return answer
 
-        shim = self.run(BadPlacer(2, POLICY), observed)
+        shim = self.run(BadPlacer, observed)
         # every placement (3 spawns + their wakeups) was refused
         assert shim.containment.bad_responses >= 3
         assert not shim.containment.panics
@@ -157,14 +156,14 @@ class TestAnswerTypes:
 class TestHintPlumbing:
     def test_ring_overflow_drops_and_reports(self):
         config = SimConfig().scaled(ring_buffer_capacity=4)
-        kernel = Kernel(Topology.smp(1), config)
 
         class DeafFifo(EnokiFifo):
             def enter_queue(self, queue_id, entries):
                 pass   # never drains
 
-        sched = DeafFifo(1, POLICY)
-        shim = EnokiSchedClass.register(kernel, sched, POLICY)
+        session = (KernelBuilder("smp:1", config)
+                   .with_enoki(DeafFifo, policy=POLICY).build())
+        kernel, shim = session.kernel, session.shim
         results = []
 
         def prog():
@@ -233,8 +232,7 @@ class TestHintPlumbing:
 class TestCostAccounting:
     def test_record_mode_charges_extra(self):
         def elapsed(recorder):
-            kernel, _, _ = make(EnokiFifo(1, POLICY), nr_cpus=1,
-                                recorder=recorder)
+            kernel, _, _ = make(nr_cpus=1, recorder=recorder)
 
             def prog():
                 for _ in range(30):
@@ -261,8 +259,7 @@ class TestCostAccounting:
 class TestDispatchThreading:
     def test_thread_tags_follow_cpus(self):
         recorder = Recorder()
-        kernel, shim, sched = make(EnokiFifo(4, POLICY), nr_cpus=4,
-                                   recorder=recorder)
+        kernel, shim, sched = make(nr_cpus=4, recorder=recorder)
 
         def prog():
             yield Run(usecs(50))

@@ -6,11 +6,11 @@ hint queues, and the kernel/framework interaction contract.
 
 import pytest
 
-from repro.core import EnokiSchedClass
 from repro.core.errors import TokenError
+from repro.exp import KernelBuilder
 from repro.core.schedulable import Schedulable, TokenRegistry
 from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, Pipe, SimConfig, Topology
+from repro.simkernel import Pipe
 from repro.simkernel.program import (
     PipeRead,
     PipeWrite,
@@ -25,11 +25,11 @@ from repro.simkernel.task import TaskState
 POLICY = 7
 
 
-def make_enoki_kernel(nr_cpus=2, scheduler=None, recorder=None):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    sched = scheduler if scheduler is not None else EnokiFifo(nr_cpus, POLICY)
-    shim = EnokiSchedClass.register(kernel, sched, POLICY, recorder=recorder)
-    return kernel, shim, sched
+def make_enoki_kernel(nr_cpus=2, scheduler="fifo", recorder=None):
+    session = (KernelBuilder(f"smp:{nr_cpus}")
+               .with_enoki(scheduler, policy=POLICY, recorder=recorder)
+               .build())
+    return session.kernel, session.shim, session.shim.scheduler
 
 
 class TestBasicScheduling:
@@ -93,8 +93,6 @@ class TestBasicScheduling:
     def test_framework_overhead_charged(self):
         """Same workload under native FIFO vs Enoki FIFO: the Enoki run
         must be slower by roughly the per-invocation dispatch cost."""
-        from repro.schedulers.fifo_native import NativeFifoClass
-
         def make_prog():
             def prog():
                 for _ in range(50):
@@ -102,8 +100,8 @@ class TestBasicScheduling:
                     yield Sleep(5_000)
             return prog
 
-        kernel_native = Kernel(Topology.smp(1), SimConfig())
-        kernel_native.register_sched_class(NativeFifoClass(policy=1))
+        kernel_native = (KernelBuilder("smp:1")
+                         .with_native("fifo_native", policy=1).build().kernel)
         kernel_native.spawn(make_prog(), policy=1)
         kernel_native.run_until_idle()
 
@@ -204,8 +202,7 @@ class TestPntErrPath:
                 self.pnt_errs.append((cpu, pid))
                 super().pnt_err(cpu, pid, err, sched)
 
-        sched = WrongCoreFifo(2, POLICY)
-        kernel, _, _ = make_enoki_kernel(nr_cpus=2, scheduler=sched)
+        kernel, _, sched = make_enoki_kernel(nr_cpus=2, scheduler=WrongCoreFifo)
 
         def prog():
             yield Run(5_000)
@@ -249,8 +246,7 @@ class TestPntErrPath:
             def pnt_err(self, cpu, pid, err, sched):
                 self.pnt_errs += 1
 
-        sched = HoarderFifo(1, POLICY)
-        kernel, _, _ = make_enoki_kernel(nr_cpus=1, scheduler=sched)
+        kernel, _, sched = make_enoki_kernel(nr_cpus=1, scheduler=HoarderFifo)
 
         def prog():
             for _ in range(3):
@@ -272,8 +268,7 @@ class TestHints:
             def parse_hint(self, hint):
                 self.hints.append((hint.pid, hint.payload))
 
-        sched = HintFifo(2, POLICY)
-        kernel, _, _ = make_enoki_kernel(nr_cpus=2, scheduler=sched)
+        kernel, _, sched = make_enoki_kernel(nr_cpus=2, scheduler=HintFifo)
 
         def prog():
             yield SendHint({"group": 3})
@@ -292,8 +287,7 @@ class TestHints:
                     queue_id, {"echo": hint.payload["value"]}
                 )
 
-        sched = RevFifo(2, POLICY)
-        kernel, shim, _ = make_enoki_kernel(nr_cpus=2, scheduler=sched)
+        kernel, shim, _ = make_enoki_kernel(nr_cpus=2, scheduler=RevFifo)
         received = []
 
         def prog():

@@ -197,6 +197,23 @@ class TestKernelBuilder:
         with pytest.raises(SimError):
             KernelBuilder().with_enoki("bogus")
 
+    @pytest.mark.parametrize("field", ("sched", "base_sched"))
+    def test_from_spec_rejects_an_unknown_scheduler(self, field):
+        """Read time, not build time, and the error lists the names."""
+        spec = ScenarioSpec(**{"sched": "wfq", field: "ghost_bogus"})
+        with pytest.raises(SimError, match="'ghost_bogus'; valid: cfs, "):
+            KernelBuilder.from_spec(spec)
+
+    def test_with_enoki_takes_a_policy_class(self):
+        from repro.schedulers.wfq import EnokiWfq
+
+        class Marked(EnokiWfq):
+            pass
+
+        session = KernelBuilder().with_enoki(Marked).build()
+        assert type(session.shim.scheduler) is Marked
+        assert type(session.scheduler_factory()) is Marked
+
     def test_seed_threads_into_kernel_rng(self):
         session = KernelBuilder(seed=123).with_native("cfs").build()
         assert session.kernel.config.seed == 123

@@ -12,10 +12,9 @@ from collections import Counter
 
 import pytest
 
-from repro.core import EnokiSchedClass, UpgradeManager
-from repro.schedulers.cfs import CfsSchedClass
+from repro.core import UpgradeManager
+from repro.exp import KernelBuilder
 from repro.schedulers.serverless import EnokiServerless
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
@@ -25,11 +24,10 @@ POLICY = 7
 
 
 def make(nr_cpus=4, **sched_kwargs):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = EnokiServerless(nr_cpus, POLICY, **sched_kwargs)
-    shim = EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
-    return kernel, shim, sched
+    session = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+               .with_enoki("serverless", policy=POLICY, **sched_kwargs)
+               .build())
+    return session.kernel, session.shim, session.shim.scheduler
 
 
 class TestFaasSampler:
@@ -300,9 +298,8 @@ class TestServerlessScheduler:
                 kernel, _, _ = make(nr_cpus=4)
                 policy = POLICY
             else:
-                kernel = Kernel(Topology.smp(4), SimConfig())
-                kernel.register_sched_class(CfsSchedClass(policy=0),
-                                            priority=5)
+                kernel = (KernelBuilder("smp:4").with_native("cfs")
+                          .build().kernel)
                 policy = 0
             return run_faas(kernel, policy, offered_rps=7_500,
                             functions=32, max_workers=32,

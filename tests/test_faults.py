@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import (
     BUILTIN_PLANS,
-    EnokiSchedClass,
     FaultPlan,
     FaultSpec,
     SchedulerWatchdog,
@@ -28,10 +27,9 @@ from repro.core.errors import (
 from repro.core.failover import STRIKE_THRESHOLD, FailoverManager
 from repro.core.hints import RingBuffer
 from repro.core.watchdog import Finding
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
 from repro.simkernel.tracing import SchedTracer
@@ -39,13 +37,12 @@ from repro.simkernel.tracing import SchedTracer
 POLICY = 7
 
 
-def make(nr_cpus=4, fallback=True):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
+def make(nr_cpus=4, fallback=True, sched="wfq"):
+    builder = KernelBuilder(f"smp:{nr_cpus}")
     if fallback:
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = EnokiWfq(nr_cpus, POLICY)
-    shim = EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
-    return kernel, shim, sched
+        builder.with_native("cfs")
+    session = builder.with_enoki(sched, policy=POLICY).build()
+    return session.kernel, session.shim, session.shim.scheduler
 
 
 def hog(hints=False, phases=15):
@@ -400,10 +397,7 @@ class TestHintFaults:
             self.hints.append(hint.payload)
 
     def _run(self, plan_name, tasks=8):
-        kernel = Kernel(Topology.smp(4), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        sched = self.CountingWfq(4, POLICY)
-        shim = EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
+        kernel, shim, sched = make(sched=self.CountingWfq)
         shim.install_faults(FaultPlan.builtin(plan_name))
         spawned = [kernel.spawn(hog(hints=True), policy=POLICY,
                                 origin_cpu=i % 4)

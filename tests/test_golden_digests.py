@@ -11,9 +11,11 @@ every virtual cost, RNG draw and ``(time, seq)`` order feeds them.
 
 The ``nest`` / ``arachne`` / ``upgrade-mixed`` literals were recorded the
 same way on the commit before the Enoki policies moved onto one shared
-token queue: they pin the two policies ``KernelBuilder`` cannot name and
-one mid-run live upgrade per transfer family, taken while run queues are
-several deep and both serverless tiers are populated.
+token queue: they pin the two policies the builder could not name then
+and one mid-run live upgrade per transfer family, taken while run queues
+are several deep and both serverless tiers are populated.  Locality's
+``upgrade-mixed`` literal was recorded on the commit before the scheduler
+table listed its upgrade leg; it already transferred its state there.
 
 The ``group-forest`` literal was recorded on the commit before the
 hierarchical effective weight was memoised: a stale weight after a
@@ -44,19 +46,9 @@ import pytest
 
 from repro.arachne_rt import ArachneRuntime, URun
 from repro.arachne_rt.clients import EnokiArbiterClient
-from repro.core import EnokiSchedClass
 from repro.core.record import Recorder
-from repro.exp import KernelBuilder, ScenarioSpec
-from repro.exp.builder import (
-    _NATIVE_SCHEDULERS,
-    Session,
-    enoki_scheduler_names,
-)
-from repro.schedulers.arachne import EnokiCoreArbiter
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.fifo_native import NativeFifoClass
-from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, TaskState, Topology
+from repro.exp import SCHEDULERS, KernelBuilder, ScenarioSpec
+from repro.simkernel import TaskState, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.pipe import Pipe
 from repro.simkernel.program import (
@@ -77,31 +69,11 @@ from repro.workloads.pipe_bench import run_pipe_benchmark
 
 SEED = 1905
 
-#: every scheduler ``KernelBuilder`` can name -> its ``sched_options``
-#: on smp:4 (ghost_shinjuku's default CPU split assumes eight CPUs)
-SCHEDULERS = {
-    "cfs": {},
-    "fifo_native": {},
-    "eevdf": {},
-    "fifo": {},
-    "locality": {},
-    "nest": {},
-    "serverless": {},
-    "shinjuku": {},
-    "wfq": {},
-    "ghost_sol": {},
-    "ghost_percpu_fifo": {},
-    "ghost_shinjuku": {"managed_cpus": [0, 1, 2], "agent_cpu": 3},
-}
-
-
-def direct_session(factory, policy, topology):
-    """An Enoki policy ``KernelBuilder`` cannot name, registered directly
-    over a CFS base the way ``from_spec`` stacks the nameable ones."""
-    kernel = Kernel(topology, SimConfig(seed=SEED))
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    shim = EnokiSchedClass.register(kernel, factory(), policy, priority=10)
-    return Session(kernel, policy, shim=shim, scheduler_factory=factory)
+#: the table's schedulers under pipe and hackbench traffic: all but the
+#: arbiter, which schedules Arachne runtimes (its workload is below)
+PINNED = sorted(n for n, row in SCHEDULERS.items() if row.kind != "arbiter")
+#: ``sched_options`` on smp:4 (ghost_shinjuku's default split needs eight)
+SMP4_OPTIONS = {"ghost_shinjuku": {"managed_cpus": [0, 1, 2], "agent_cpu": 3}}
 
 
 def session_for(sched, upgrade_at_ns=0):
@@ -109,7 +81,8 @@ def session_for(sched, upgrade_at_ns=0):
         name=f"golden-{sched}", sched=sched, topology="smp:4", seed=SEED,
         # nest's goldens were recorded under its own default policy number
         policy=12 if sched == "nest" else 7,
-        sched_options=SCHEDULERS[sched], upgrade_at_ns=upgrade_at_ns))
+        sched_options=SMP4_OPTIONS.get(sched, {}),
+        upgrade_at_ns=upgrade_at_ns))
 
 
 def pipe_digest(sched):
@@ -203,11 +176,7 @@ def class_stack_digest():
     """Native FIFO > Enoki > CFS > native FIFO on two CPUs with sleepers
     in every class, so wakeups land on CPUs busy with a higher and a
     lower class."""
-    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    kernel.register_sched_class(NativeFifoClass(policy=1), priority=80)
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
-    kernel.register_sched_class(NativeFifoClass(policy=2), priority=5)
-    EnokiSchedClass.register(kernel, EnokiWfq(2, 7), 7, priority=50)
+    kernel = native_stack().with_enoki("wfq", priority=50).build().kernel
     kernel.spawn(phased(6, usecs(200), usecs(700)), policy=1)
     kernel.spawn(phased(8, usecs(150), usecs(400)), policy=1)
     kernel.spawn(phased(6, usecs(100), usecs(500)), policy=2)
@@ -218,6 +187,14 @@ def class_stack_digest():
                      policy=0)
     kernel.run_until_idle()
     return state_digest(kernel)
+
+
+def native_stack():
+    """Native FIFO above and below CFS on two CPUs."""
+    return (KernelBuilder(Topology.smp(2), seed=SEED)
+            .with_native("fifo_native", policy=1, priority=80)
+            .with_native("cfs", policy=0, priority=10)
+            .with_native("fifo_native", policy=2, priority=5))
 
 
 def run_once(ns):
@@ -236,10 +213,7 @@ def flat_cfs_digest():
     wakes on CPU 1 every 50 us, and a FIFO task below CFS waits on CPU
     0's run queue until CFS has nothing left there, so ticks see more
     tasks queued on the CPU than CFS has queued."""
-    kernel = Kernel(Topology.smp(2), SimConfig(seed=SEED))
-    kernel.register_sched_class(NativeFifoClass(policy=1), priority=80)
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
-    kernel.register_sched_class(NativeFifoClass(policy=2), priority=5)
+    kernel = native_stack().build().kernel
     pin0 = frozenset({0})
 
     def renicer():
@@ -300,10 +274,10 @@ def upgrade_digest():
     return state_digest(session.kernel)
 
 
-#: one mid-run live upgrade per transfer family (``arachne`` has its own
-#: workload below); ``locality`` exports no transfer state on the commit
-#: these were recorded on, so it runs the same traffic without one
-UPGRADE_FAMILIES = ("eevdf", "fifo", "nest", "serverless", "shinjuku", "wfq")
+#: one mid-run live upgrade per Enoki row that admits the upgrade leg
+#: (the arbiter's is pinned on its own workload below)
+UPGRADE_FAMILIES = sorted(n for n, row in SCHEDULERS.items()
+                          if row.kind == "enoki" and not row.upgrade)
 MIXED_UPGRADE_AT_NS = 1_500_000
 
 
@@ -366,10 +340,10 @@ def arachne_digest(upgrade_at_ns=0):
     cores: registration, grant, park and reclaim hints, parked tokens
     held across picks (and, with ``upgrade_at_ns``, across a live
     upgrade)."""
-    def factory():
-        return EnokiCoreArbiter(8, 11, managed_cores=range(1, 6))
-
-    session = direct_session(factory, 11, Topology.small8())
+    session = (KernelBuilder(Topology.small8(), seed=SEED)
+               .with_native("cfs")
+               .with_enoki("arachne", policy=11, managed_cores=range(1, 6))
+               .build())
     kernel, shim = session.kernel, session.shim
     done = []
 
@@ -549,6 +523,8 @@ GOLDEN = {
         "2a7f5bcab3f3ed61f9b2e6f6839dea3cabf87107d93aa8a68afac37dbc85ad16",
     ('upgrade-mixed', 'wfq'):
         "9105520e41a5affb462fa0e023b7130e0b0addffbd6ab86913a74de392cc04df",
+    ('upgrade-mixed', 'locality'):
+        "c273c580c1b05c02d0eaee6a75aa9e6c02589f880a2b10c07c9e4ce401be1dbf",
     ('mixed', 'locality'):
         "60021702163e71f64fc62ea9adb2b65c4925ce56c426fd154af9b8ef60253f49",
     'arachne':
@@ -575,11 +551,8 @@ GOLDEN = {
 
 
 def test_every_nameable_scheduler_is_pinned():
-    named = set(_NATIVE_SCHEDULERS) | set(enoki_scheduler_names())
-    assert named <= set(SCHEDULERS)
-
-
-PINNED = sorted(SCHEDULERS)
+    pinned = {key[1] if isinstance(key, tuple) else key for key in GOLDEN}
+    assert set(SCHEDULERS) <= pinned
 
 
 @pytest.mark.parametrize("sched", PINNED)

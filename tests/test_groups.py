@@ -12,13 +12,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import EnokiSchedClass, UpgradeManager
 from repro.core.faults import FaultPlan
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.exp.spec import canonical_groups
 from repro.obs.observer import Observer
 from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.wfq import EnokiWfq
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.errors import SimError
@@ -294,11 +292,10 @@ class TestCompositionWithFaults:
         fails over to CFS — and every task still finishes, with the cap
         enforced throughout (groups are kernel state, not scheduler
         state)."""
-        kernel = Kernel(Topology.smp(4), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        sched = EnokiWfq(4, POLICY)
-        shim = EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
-        shim.install_faults(FaultPlan.builtin("strike-out"))
+        session = (KernelBuilder("smp:4").with_native("cfs")
+                   .with_enoki("wfq", policy=POLICY).build())
+        kernel = session.kernel
+        session.shim.install_faults(FaultPlan.builtin("strike-out"))
         kernel.groups.create("tenant",
                              quota_ns=msecs(2), period_ns=msecs(10))
 
@@ -310,9 +307,7 @@ class TestCompositionWithFaults:
         tasks = [kernel.spawn(hog, name=f"hog-{i}", policy=POLICY,
                               group="tenant", origin_cpu=i % 4)
                  for i in range(8)]
-        manager = UpgradeManager(kernel, shim)
-        manager.schedule_upgrade(lambda: EnokiWfq(4, POLICY),
-                                 at_ns=usecs(800))
+        manager = session.schedule_upgrade(usecs(800))
         kernel.run_until_idle()
         assert len(manager.reports) == 1
         assert kernel.stats.failovers == 1

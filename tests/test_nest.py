@@ -1,12 +1,17 @@
 """Tests for the Nest-inspired Enoki scheduler."""
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.nest import EnokiNest
-from repro.simkernel import Kernel, SchedTracer, SimConfig, Topology
+from repro.exp import KernelBuilder
+from repro.simkernel import SchedTracer
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
+
+
+def nest_session(topology, sched="nest"):
+    """``sched`` over CFS as policy 12."""
+    session = (KernelBuilder(topology).with_native("cfs")
+               .with_enoki(sched, policy=12).build())
+    return session.kernel, session.shim.scheduler
 
 
 def spinner(ns):
@@ -16,15 +21,8 @@ def spinner(ns):
 
 
 class TestNest:
-    def make(self, nr_cpus=8):
-        kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        sched = EnokiNest(nr_cpus, policy=12)
-        EnokiSchedClass.register(kernel, sched, 12, priority=10)
-        return kernel, sched
-
     def test_few_tasks_stay_in_small_nest(self):
-        kernel, nest = self.make()
+        kernel, nest = nest_session("smp:8")
 
         def bursty():
             for _ in range(20):
@@ -40,7 +38,7 @@ class TestNest:
         assert len(used_cpus) <= 3
 
     def test_nest_grows_under_load(self):
-        kernel, nest = self.make()
+        kernel, nest = nest_session("smp:8")
         tasks = [kernel.spawn(spinner(msecs(5)), policy=12)
                  for _ in range(6)]
         kernel.run_until_idle()
@@ -52,21 +50,15 @@ class TestNest:
     def test_warm_reuse_avoids_deep_idle_wakeups(self):
         """The Nest energy/latency claim, measured: warm-core placement
         pays far fewer deep idle exits than spreading placement."""
-        from repro.schedulers.wfq import EnokiWfq
-
-        def run(sched_factory, policy):
-            kernel = Kernel(Topology.small8(), SimConfig())
-            kernel.register_sched_class(CfsSchedClass(policy=0),
-                                        priority=5)
-            EnokiSchedClass.register(kernel, sched_factory(), policy,
-                                     priority=10)
+        def run(sched):
+            kernel, _ = nest_session("small8", sched)
 
             def periodic():
                 for _ in range(30):
                     yield Run(usecs(150))
                     yield Sleep(msecs(3))   # beyond the deep threshold
 
-            tasks = [kernel.spawn(periodic, policy=policy)
+            tasks = [kernel.spawn(periodic, policy=12)
                      for _ in range(2)]
             kernel.run_until_idle()
             lat = []
@@ -75,7 +67,7 @@ class TestNest:
             lat.sort()
             return lat[len(lat) // 2]
 
-        nest_p50 = run(lambda: EnokiNest(8, 12), 12)
+        nest_p50 = run("nest")
         # Under WFQ-with-spread the sleeping pair lands on cold cores.
-        wfq_p50 = run(lambda: EnokiWfq(8, 12), 12)
+        wfq_p50 = run("wfq")
         assert nest_p50 <= wfq_p50

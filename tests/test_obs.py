@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import EnokiSchedClass
+from repro.exp import KernelBuilder
 from repro.obs import (
     CallbackProfiler,
     Histogram,
@@ -15,9 +15,6 @@ from repro.obs import (
     render_report_markdown,
 )
 from repro.obs.metrics import Gauge, _bucket_bounds, _bucket_index
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import WAKEUP_SAMPLE_CAP, TaskStats
@@ -27,11 +24,8 @@ POLICY = 7
 
 
 def wfq_kernel(nr_cpus=8):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus, POLICY), POLICY,
-                             priority=10)
-    return kernel
+    return (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+            .with_enoki("wfq", policy=POLICY).build().kernel)
 
 
 def sleeper(bursts=50, run_us=30, sleep_us=10):

@@ -186,17 +186,12 @@ class TestSchedulingInvariantProperties:
         min_size=1, max_size=10,
     ), st.integers(1, 4))
     def test_all_tasks_complete_and_runtime_accounted(self, specs, nr_cpus):
-        from repro.core import EnokiSchedClass
-        from repro.schedulers.cfs import CfsSchedClass
-        from repro.schedulers.wfq import EnokiWfq
-        from repro.simkernel import Kernel, SimConfig, Topology
+        from repro.exp import KernelBuilder
         from repro.simkernel.program import Run, Sleep
         from repro.simkernel.task import TaskState
 
-        kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-        EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus, 7), 7,
-                                 priority=10)
+        kernel = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+                  .with_enoki("wfq").build().kernel)
 
         def make_prog(run_ns, sleep_ns, phases):
             def prog():
@@ -222,14 +217,12 @@ class TestSchedulingInvariantProperties:
     def test_no_task_lost_under_wfq(self, n_tasks, nr_cpus):
         """The scheduler-state invariant the Schedulable token protects:
         every runnable task is eventually picked."""
-        from repro.core import EnokiSchedClass
-        from repro.schedulers.wfq import EnokiWfq
-        from repro.simkernel import Kernel, SimConfig, Topology
+        from repro.exp import KernelBuilder
         from repro.simkernel.program import Run, YieldCpu
         from repro.simkernel.task import TaskState
 
-        kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-        EnokiSchedClass.register(kernel, EnokiWfq(nr_cpus, 7), 7)
+        kernel = (KernelBuilder(f"smp:{nr_cpus}").with_enoki("wfq")
+                  .build().kernel)
 
         def prog():
             yield Run(10_000)
@@ -252,20 +245,14 @@ class TestRecordReplayProperties:
         min_size=1, max_size=8,
     ), st.integers(1, 3), st.sampled_from(["fifo", "wfq"]))
     def test_roundtrip_matches(self, specs, nr_cpus, which):
-        from repro.core import EnokiSchedClass, Recorder, ReplayEngine
-        from repro.schedulers.fifo import EnokiFifo
-        from repro.schedulers.wfq import EnokiWfq
-        from repro.simkernel import Kernel, SimConfig, Topology
+        from repro.core import Recorder, ReplayEngine
+        from repro.exp import KernelBuilder
         from repro.simkernel.program import Run, Sleep
 
-        def factory():
-            if which == "fifo":
-                return EnokiFifo(nr_cpus, 7)
-            return EnokiWfq(nr_cpus, 7)
-
         recorder = Recorder()
-        kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-        EnokiSchedClass.register(kernel, factory(), 7, recorder=recorder)
+        session = (KernelBuilder(f"smp:{nr_cpus}")
+                   .with_enoki(which, recorder=recorder).build())
+        kernel = session.kernel
 
         def make_prog(run_ns, sleep_ns, phases):
             def prog():
@@ -280,7 +267,7 @@ class TestRecordReplayProperties:
         kernel.run_until_idle(max_events=500_000)
         recorder.stop()
 
-        engine = ReplayEngine(factory, recorder.entries)
+        engine = ReplayEngine(session.scheduler_factory, recorder.entries)
         result = engine.run_sequential()
         assert result.matched, result.divergences[:2]
 

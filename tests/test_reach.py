@@ -5,8 +5,9 @@ must cover, for nothing.  The guard works by name, on the AST: for every
 def or class name in ``src/`` (dunders excepted), one of these holds:
 
 * the name occurs in ``src/`` outside its own definition: as a name, an
-  attribute, an import, or a string of identifiers (``getattr`` hook
-  dispatch, a message's ``FUNCTION``, the builder's scheduler tables).
+  attribute, an import, a string of identifiers (``getattr`` hook
+  dispatch, a message's ``FUNCTION``), or the ``attr`` of a
+  ``module:attr`` string (the builder's scheduler table).
   A package's export table is not a use: its strings name what the
   package offers, not what the program runs;
 * it occurs in ``perfbench/`` or ``examples/``, the callers CI runs;
@@ -36,6 +37,7 @@ from tests.source_trees import ROOT, trees
 #: the callers CI runs besides the tests
 CALLERS = ("perfbench", "examples")
 IDENTIFIERS = re.compile(r"[A-Za-z_]\w*(?: [A-Za-z_]\w*)*")
+REFERENCE = re.compile(r"[\w.]+:([A-Za-z_]\w*)")
 
 #: user API a document cites, by the document that cites it
 CITED = {
@@ -92,9 +94,11 @@ def _names(node, docstrings=frozenset(), strings=True):
         elif isinstance(sub, ast.alias):
             yield sub.name.rpartition(".")[2]
         elif (strings and isinstance(sub, ast.Constant)
-              and isinstance(sub.value, str) and id(sub) not in docstrings
-              and IDENTIFIERS.fullmatch(sub.value)):
-            yield from sub.value.split()
+              and isinstance(sub.value, str) and id(sub) not in docstrings):
+            if IDENTIFIERS.fullmatch(sub.value):
+                yield from sub.value.split()
+            elif reference := REFERENCE.fullmatch(sub.value):
+                yield reference[1]
 
 
 def _subclasses(cls):

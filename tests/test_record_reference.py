@@ -28,14 +28,13 @@ from operator import attrgetter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import EnokiSchedClass, FaultPlan, Recorder
+from repro.core import FaultPlan, Recorder
 from repro.core import messages as msgs
 from repro.core.errors import RecordError
 from repro.core.hints import RingBuffer
 from repro.core.schedulable import Schedulable, TokenRegistry
+from repro.exp import KernelBuilder
 from repro.schedulers.fifo import EnokiFifo
-from repro.schedulers.locality import EnokiLocality
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.program import Run, SendHint, Sleep, Spawn
 from repro.verify.fuzz import _run_episode_session, generate_episode
 from tests.test_faults import run_plan
@@ -252,9 +251,9 @@ class TestSameLog:
 
     def test_hinted_locality_run(self):
         tee = TeeRecorder()
-        kernel = Kernel(Topology.smp(4), SimConfig())
-        sched = EnokiLocality(4, POLICY)
-        EnokiSchedClass.register(kernel, sched, POLICY, recorder=tee)
+        session = (KernelBuilder("smp:4").with_enoki(
+            "locality", policy=POLICY, recorder=tee).build())
+        kernel, sched = session.kernel, session.shim.scheduler
 
         def member():
             yield Sleep(50_000)
@@ -285,9 +284,9 @@ class TestSameLog:
             yield Run(20_000)
 
         def run(recorder):
-            kernel = Kernel(Topology.smp(2), SimConfig())
-            shim = EnokiSchedClass.register(kernel, WakeupCrasher(2, POLICY),
-                                            POLICY, recorder=recorder)
+            session = (KernelBuilder("smp:2").with_enoki(
+                WakeupCrasher, policy=POLICY, recorder=recorder).build())
+            kernel, shim = session.kernel, session.shim
             for i in range(4):
                 kernel.spawn(prog, policy=POLICY, origin_cpu=i % 2)
             kernel.run_until_idle()

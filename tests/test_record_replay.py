@@ -5,27 +5,27 @@ import threading
 
 import pytest
 
-from repro.core import EnokiSchedClass, Recorder, ReplayEngine, load_trace
+from repro.core import Recorder, ReplayEngine, load_trace
 from repro.core import replay as replay_mod
 from repro.core.errors import EnokiError, RecordError, ReplayMismatch
 from repro.core.libenoki import EnokiSpinLock
 from repro.core.replay import Divergence
 from repro.exp import KernelBuilder
 from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, Pipe, SimConfig, Topology
+from repro.simkernel import Pipe
 from repro.simkernel.program import (PipeRead, PipeWrite, Run, SendHint,
                                      Sleep, YieldCpu)
 
 POLICY = 7
 
 
-def run_recorded_workload(nr_cpus=2, rounds=15, sched_class=EnokiFifo):
-    """Run a pipe ping-pong under a recorded Enoki FIFO; returns the
-    recorder and the kernel."""
-    recorder = Recorder()
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    sched = sched_class(nr_cpus, POLICY)
-    EnokiSchedClass.register(kernel, sched, POLICY, recorder=recorder)
+def run_recorded_workload(nr_cpus=2, rounds=15, sched="fifo", record=True):
+    """Run a pipe ping-pong under a recorded (unless not ``record``)
+    Enoki FIFO; returns the recorder and the kernel."""
+    recorder = Recorder() if record else None
+    kernel = (KernelBuilder(f"smp:{nr_cpus}")
+              .with_enoki(sched, policy=POLICY, recorder=recorder)
+              .build().kernel)
     ping, pong = Pipe(), Pipe()
 
     def a():
@@ -41,7 +41,8 @@ def run_recorded_workload(nr_cpus=2, rounds=15, sched_class=EnokiFifo):
     kernel.spawn(a, policy=POLICY)
     kernel.spawn(b, policy=POLICY)
     kernel.run_until_idle()
-    recorder.stop()
+    if record:
+        recorder.stop()
     return recorder, kernel
 
 
@@ -98,26 +99,8 @@ class TestRecorder:
 
     def test_recording_slows_execution(self):
         """Section 5.8: record mode is measurably slower than normal."""
-        recorder, kernel_recorded = run_recorded_workload(rounds=50)
-
-        kernel_plain = Kernel(Topology.smp(2), SimConfig())
-        sched = EnokiFifo(2, POLICY)
-        EnokiSchedClass.register(kernel_plain, sched, POLICY)
-        ping, pong = Pipe(), Pipe()
-
-        def a():
-            for _ in range(50):
-                yield PipeWrite(ping, b"x")
-                yield PipeRead(pong)
-
-        def b():
-            for _ in range(50):
-                yield PipeRead(ping)
-                yield PipeWrite(pong, b"y")
-
-        kernel_plain.spawn(a, policy=POLICY)
-        kernel_plain.spawn(b, policy=POLICY)
-        kernel_plain.run_until_idle()
+        _, kernel_recorded = run_recorded_workload(rounds=50)
+        _, kernel_plain = run_recorded_workload(rounds=50, record=False)
         assert kernel_recorded.now > kernel_plain.now * 1.5
 
 
@@ -210,9 +193,9 @@ class TestReplayWithHints:
         from repro.simkernel.program import Run, SendHint, Sleep, Spawn
 
         recorder = Recorder()
-        kernel = Kernel(Topology.smp(4), SimConfig())
-        sched = EnokiLocality(4, POLICY)
-        EnokiSchedClass.register(kernel, sched, POLICY, recorder=recorder)
+        session = (KernelBuilder("smp:4").with_enoki(
+            "locality", policy=POLICY, recorder=recorder).build())
+        kernel, sched = session.kernel, session.shim.scheduler
 
         def member():
             yield Sleep(50_000)
@@ -243,9 +226,9 @@ class TestReplayWithHints:
         from repro.simkernel.program import Run
 
         recorder = Recorder()
-        kernel = Kernel(Topology.smp(1), SimConfig())
-        sched = EnokiShinjuku(1, POLICY, worker_cpus=[0])
-        EnokiSchedClass.register(kernel, sched, POLICY, recorder=recorder)
+        kernel = (KernelBuilder("smp:1").with_enoki(
+            "shinjuku", policy=POLICY, recorder=recorder, worker_cpus=[0])
+            .build().kernel)
 
         def prog():
             yield Run(100_000)
@@ -399,7 +382,7 @@ class TestReplayModesAgree:
         assert seen == [EnokiSpinLock]
 
         # Live, the same raise lands in the containment boundary.
-        _, kernel = run_recorded_workload(sched_class=Reacquirer)
+        _, kernel = run_recorded_workload(sched=Reacquirer)
         panic = kernel._class_by_policy[POLICY].containment.panics[0]
         assert panic.hook == "task_wakeup"
         assert f"EnokiError: {replayed.value}" in panic.detail
@@ -447,7 +430,7 @@ def run_in_thread(fn, timeout=10.0):
 
 class TestThreadedReplayTerminates:
     def record_two_locks(self):
-        recorder, _ = run_recorded_workload(sched_class=TwoLockFifo)
+        recorder, _ = run_recorded_workload(sched=TwoLockFifo)
         return copy.deepcopy(recorder.entries)
 
     def test_faithful_two_lock_log_replays(self):

@@ -13,10 +13,9 @@ Failures print the seed, so any counterexample is a one-number repro.
 
 import random
 
-from repro.core import EnokiSchedClass
 from repro.core.hints import RingBuffer
-from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
+from repro.simkernel import SimConfig
 from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, RecvHints, SendHint, Sleep
 
@@ -101,9 +100,9 @@ class TestKernelHintAccounting:
     def _storm(self, seed):
         rng = random.Random(seed)
         config = SimConfig(ring_buffer_capacity=rng.randint(1, 4))
-        kernel = Kernel(Topology.smp(2), config)
-        shim = EnokiSchedClass.register(kernel, EnokiFifo(2, POLICY),
-                                        POLICY, priority=10)
+        session = (KernelBuilder("smp:2", config)
+                   .with_enoki("fifo", policy=POLICY).build())
+        kernel, shim = session.kernel, session.shim
 
         def chatty(n_hints, burst_ns):
             def prog():

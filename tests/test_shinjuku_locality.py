@@ -2,29 +2,23 @@
 
 import pytest
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.locality import EnokiLocality
-from repro.schedulers.shinjuku import EnokiShinjuku
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
 
 
-def make_kernel_with(scheduler, policy):
-    kernel = Kernel(Topology.small8(), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    EnokiSchedClass.register(kernel, scheduler, policy, priority=10)
-    return kernel
+def make_kernel_with(scheduler, policy, **options):
+    return (KernelBuilder("small8").with_native("cfs")
+            .with_enoki(scheduler, policy=policy, **options).build().kernel)
 
 
 class TestShinjuku:
     def test_microsecond_preemption_bounds_short_task_latency(self):
         """A 4us task arriving behind a 10ms task must not wait 10ms —
         the 10us preemption slice gives it the CPU quickly."""
-        sched = EnokiShinjuku(8, 8, worker_cpus=[0])
-        kernel = make_kernel_with(sched, 8)
+        kernel = make_kernel_with("shinjuku", 8, worker_cpus=[0])
         pinned = frozenset({0})
 
         def long_task():
@@ -47,8 +41,7 @@ class TestShinjuku:
         assert marks["done"] - start < usecs(100)
 
     def test_preempted_task_goes_to_queue_back(self):
-        sched = EnokiShinjuku(8, 8, worker_cpus=[0])
-        kernel = make_kernel_with(sched, 8)
+        kernel = make_kernel_with("shinjuku", 8, worker_cpus=[0])
         pinned = frozenset({0})
         tasks = [
             kernel.spawn(lambda: iter([Run(usecs(100))]) and None or
@@ -69,8 +62,7 @@ class TestShinjuku:
 
     def test_fcfs_approximation_across_cores(self):
         """An idle worker core pulls the globally-oldest waiting task."""
-        sched = EnokiShinjuku(8, 8, worker_cpus=[0, 1])
-        kernel = make_kernel_with(sched, 8)
+        kernel = make_kernel_with("shinjuku", 8, worker_cpus=[0, 1])
         order = []
 
         def job(tag, ns):
@@ -93,8 +85,7 @@ class TestShinjuku:
     def test_falls_through_to_cfs_when_idle(self):
         """Section 5.4: 'the Enoki scheduler seamlessly cedes cycles to
         CFS' when it has no runnable tasks."""
-        sched = EnokiShinjuku(8, 8, worker_cpus=[0])
-        kernel = make_kernel_with(sched, 8)
+        kernel = make_kernel_with("shinjuku", 8, worker_cpus=[0])
 
         def batch():
             yield Run(usecs(500))
@@ -122,8 +113,7 @@ def _spin(ns):
 
 class TestLocality:
     def test_hinted_tasks_colocate(self):
-        sched = EnokiLocality(8, 9)
-        kernel = make_kernel_with(sched, 9)
+        kernel = make_kernel_with("locality", 9)
         tasks = []
 
         def thread():
@@ -144,8 +134,7 @@ class TestLocality:
         assert len(cpus) == 1
 
     def test_groups_get_distinct_cores(self):
-        sched = EnokiLocality(8, 9)
-        kernel = make_kernel_with(sched, 9)
+        kernel = make_kernel_with("locality", 9)
         group_cpus = {}
 
         def thread(group):
@@ -174,9 +163,10 @@ class TestLocality:
         assert len(distinct) == 3
 
     def test_overload_threshold_breaks_colocation(self):
-        sched = EnokiLocality(8, 9)
-        sched.OVERLOAD_THRESHOLD = 2
-        kernel = make_kernel_with(sched, 9)
+        class Crowded(EnokiLocality):
+            OVERLOAD_THRESHOLD = 2
+
+        kernel = make_kernel_with(Crowded, 9)
         pids = []
 
         def thread():
@@ -197,8 +187,7 @@ class TestLocality:
         assert len(cpus) > 1
 
     def test_random_mode_ignores_hints(self):
-        sched = EnokiLocality(8, 9, mode="random", seed=3)
-        kernel = make_kernel_with(sched, 9)
+        kernel = make_kernel_with("locality", 9, mode="random", seed=3)
         pids = []
 
         def thread():

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.exp.builder import SCHEDULERS, load
 from tests.source_trees import parse
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -20,6 +21,11 @@ PER_EVENT_MODULES = ("events", "timers", "interp", "dispatch", "migration",
 #: the facades whose names load their submodule on first use
 LAZY_FACADES = ("repro.core", "repro.obs", "repro.schedulers",
                 "repro.verify")
+
+#: module name -> row, for every scheduler behind the Enoki shim
+SHIM_ROWS = {row.path.split(":")[0].rpartition(".")[2]: row
+             for row in SCHEDULERS.values()
+             if row.kind in ("enoki", "arbiter")}
 
 
 class TestPublicApi:
@@ -141,7 +147,6 @@ class TestLayering:
         import ast
         from pathlib import Path
         import repro.schedulers as schedulers
-        from repro.exp.builder import enoki_scheduler_names
 
         #: ROADMAP item 2(c): Shinjuku's migrants jump to the global front
         allowed = {("shinjuku", "migrate_task_rq")}
@@ -160,7 +165,7 @@ class TestLayering:
             for child in ast.iter_child_nodes(node):
                 visit(module, child, function)
 
-        for module in ("base", "arachne", *enoki_scheduler_names()):
+        for module in ("base", *SHIM_ROWS):
             tree = parse(package_dir / f"{module}.py")
             visit(module, tree, None)
         assert not found
@@ -173,10 +178,8 @@ class TestLayering:
         import repro.schedulers as schedulers
 
         package_dir = Path(inspect.getfile(schedulers)).parent
-        enoki_files = ["wfq.py", "fifo.py", "shinjuku.py", "locality.py",
-                       "arachne.py", "nest.py"]
-        for name in enoki_files:
-            text = (package_dir / name).read_text()
+        for name in SHIM_ROWS:
+            text = (package_dir / f"{name}.py").read_text()
             assert "simkernel.kernel" not in text, name
             assert "sched_class" not in text, name
 
@@ -194,20 +197,35 @@ class TestLayering:
 
     def test_all_enoki_schedulers_implement_the_trait(self):
         from repro.core.trait import EnokiScheduler
-        from repro.schedulers import (
-            EnokiCoreArbiter,
-            EnokiFifo,
-            EnokiLocality,
-            EnokiNest,
-            EnokiShinjuku,
-            EnokiWfq,
-        )
 
-        for cls in (EnokiCoreArbiter, EnokiFifo, EnokiLocality, EnokiNest,
-                    EnokiShinjuku, EnokiWfq):
+        for row in SHIM_ROWS.values():
+            cls = load(row)
             assert issubclass(cls, EnokiScheduler)
             # And each declares its upgrade transfer type (or None).
             assert hasattr(cls, "TRANSFER_TYPE")
+
+
+class TestSchedulerTable:
+    def test_every_scheduler_module_has_a_row(self):
+        from pathlib import Path
+        import repro.schedulers as schedulers
+
+        package_dir = Path(inspect.getfile(schedulers)).parent
+        listed = {row.path.split(":")[0] for row in SCHEDULERS.values()}
+        for path in package_dir.glob("*.py"):
+            if path.stem not in ("__init__", "base"):
+                assert f"repro.schedulers.{path.stem}" in listed, path.name
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_every_row_resolves(self, name):
+        assert callable(load(SCHEDULERS[name]))
+
+    def test_the_fuzz_pool_is_the_table_rows_that_admit_it(self):
+        from repro.verify import SCHEDULER_NAMES
+        assert SCHEDULER_NAMES == ("eevdf", "fifo", "serverless", "wfq")
+        for name in SCHEDULER_NAMES:
+            assert SCHEDULERS[name].kind == "enoki", name
+            assert not SCHEDULERS[name].upgrade, name
 
 
 def repro_modules_after(code):

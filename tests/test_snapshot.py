@@ -9,13 +9,11 @@ digest the fuzz differential oracles use.
 import pytest
 
 from repro.core import Recorder
-from repro.exp import KernelBuilder
+from repro.exp import KernelBuilder, enoki_scheduler_names
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.snapshot import SnapshotError, capture
 from repro.verify.fuzz import state_digest
 
-#: every scheduler the builder registry knows
-SCHEDULERS = ("wfq", "fifo", "eevdf", "shinjuku", "locality", "serverless")
 
 
 def build_session(sched="wfq", recorder=None):
@@ -82,7 +80,7 @@ class TestFork:
         assert clone.shim.kernel is clone.kernel
         assert image.forks == 1
 
-    @pytest.mark.parametrize("sched", SCHEDULERS)
+    @pytest.mark.parametrize("sched", enoki_scheduler_names())
     def test_forks_replay_identically(self, sched):
         """Two forks — and a fresh build — digest identically."""
         image = capture(build_session(sched))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simkernel import Kernel
 from repro.simkernel.errors import TaskLifecycleError
 from repro.simkernel.program import Run
 from repro.simkernel.task import (
@@ -75,13 +76,6 @@ class TestStateMachine:
 
 
 class TestProgram:
-    def test_step_and_finish(self):
-        task = TaskStruct(1, _noop)
-        task.start_program()
-        op = task.next_op()
-        assert isinstance(op, Run)
-        assert task.next_op() is None
-
     def test_cannot_start_twice(self):
         task = TaskStruct(1, _noop)
         task.start_program()
@@ -89,20 +83,9 @@ class TestProgram:
             task.start_program()
 
     def test_cannot_step_before_start(self):
-        task = TaskStruct(1, _noop)
+        kernel = Kernel()
         with pytest.raises(TaskLifecycleError):
-            task.next_op()
-
-    def test_exit_value_captured(self):
-        def prog():
-            yield Run(1)
-            return 42
-
-        task = TaskStruct(1, prog)
-        task.start_program()
-        task.next_op()
-        assert task.next_op() is None
-        assert task.exit_value == 42
+            kernel.interp.advance_program(TaskStruct(1, _noop))
 
 
 class TestAffinity:

@@ -2,26 +2,24 @@
 
 import pytest
 
-from repro.core import EnokiSchedClass, UpgradeManager
+from repro.core import UpgradeManager
 from repro.core.errors import UpgradeError
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.exp.builder import enoki_scheduler_names
 from repro.schedulers.eevdf import EnokiEevdf
 from repro.schedulers.fifo import EnokiFifo
 from repro.schedulers.nest import EnokiNest
-from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.simkernel import SimConfig
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.task import TaskState
 
 POLICY = 7
 
 
-def make(nr_cpus=2):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    sched = EnokiFifo(nr_cpus, POLICY)
-    shim = EnokiSchedClass.register(kernel, sched, POLICY)
-    return kernel, shim, sched
+def make(topology="smp:2", sched="fifo", config=None, recorder=None):
+    session = (KernelBuilder(topology, config)
+               .with_enoki(sched, policy=POLICY, recorder=recorder).build())
+    return session.kernel, session.shim, session.shim.scheduler
 
 
 def long_prog(phases=20, work=50_000, sleep=20_000):
@@ -73,15 +71,13 @@ class TestUpgrade:
     def test_pause_scales_with_core_count(self):
         """Section 5.7: 1.5us on the 8-core box, ~10us on the 80-core."""
         pauses = {}
-        for topo_name, topo in (("small", Topology.small8()),
-                                ("big", Topology.big80())):
-            kernel = Kernel(topo, SimConfig())
-            sched = EnokiFifo(topo.nr_cpus, POLICY)
-            shim = EnokiSchedClass.register(kernel, sched, POLICY)
+        for topo_name, topo in (("small", "small8"), ("big", "big80")):
+            kernel, shim, _ = make(topo)
             kernel.spawn(long_prog(), policy=POLICY)
             kernel.run_until(100_000)
             manager = UpgradeManager(kernel, shim)
-            report = manager.upgrade_now(EnokiFifo(topo.nr_cpus, POLICY))
+            report = manager.upgrade_now(
+                EnokiFifo(kernel.topology.nr_cpus, POLICY))
             pauses[topo_name] = report.pause_us
             kernel.run_until_idle()
         assert 0.5 < pauses["small"] < 3.0
@@ -109,9 +105,7 @@ class TestUpgrade:
         """EEVDF carries exactly WFQ's state, so the two replace each
         other; Nest's state is WFQ's plus its nest, so the swap is
         refused before anything moves, naming both sides."""
-        kernel = Kernel(Topology.smp(2), SimConfig())
-        shim = EnokiSchedClass.register(kernel, EnokiWfq(2, POLICY),
-                                        POLICY)
+        kernel, shim, _ = make(sched="wfq")
         tasks = [kernel.spawn(long_prog(), policy=POLICY)
                  for _ in range(4)]
         kernel.run_until(100_000)
@@ -142,7 +136,7 @@ class TestUpgrade:
     def test_tokens_stay_valid_across_upgrade(self):
         """Schedulables inside the transferred queues keep working: the
         token registry lives in Enoki-C, not in the module."""
-        kernel, shim, _ = make(nr_cpus=1)
+        kernel, shim, _ = make("smp:1")
         tasks = [kernel.spawn(long_prog(phases=3), policy=POLICY)
                  for _ in range(4)]
         # Let tasks queue up, then upgrade while several are runnable.
@@ -183,10 +177,7 @@ class TestUpgrade:
         from repro.core import Recorder
 
         recorder = Recorder()
-        kernel = Kernel(Topology.smp(2), SimConfig())
-        sched = EnokiFifo(2, POLICY)
-        shim = EnokiSchedClass.register(kernel, sched, POLICY,
-                                        recorder=recorder)
+        kernel, shim, _ = make(recorder=recorder)
         manager = UpgradeManager(kernel, shim)
         with pytest.raises(UpgradeError):
             manager.upgrade_now(EnokiFifo(2, POLICY))
@@ -256,9 +247,7 @@ class TestUpgrade:
         results = {}
         for label, waker, wakee in (("local", 1, 0),
                                     ("cross", 4, 0)):
-            kernel = Kernel(Topology.smp(8, sockets=2), config)
-            sched = EnokiFifo(8, POLICY)
-            EnokiSchedClass.register(kernel, sched, POLICY)
+            kernel, _, _ = make("smp:8:2", config=config)
             from repro.simkernel.futex import Futex
             from repro.simkernel.program import (FutexWait, FutexWake,
                                                  Run, Sleep)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import EnokiSchedClass
 from repro.core.hints import RingBuffer
+from repro.exp import KernelBuilder
 from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.fifo import EnokiFifo
 from repro.simkernel import Kernel, SimConfig, Topology
@@ -27,11 +28,9 @@ POLICY = 7
 
 
 def make_enoki_kernel(nr_cpus=2):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    shim = EnokiSchedClass.register(kernel, EnokiFifo(nr_cpus, POLICY),
-                                    POLICY, priority=10)
-    return kernel, shim
+    session = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+               .with_enoki("fifo", policy=POLICY).build())
+    return session.kernel, session.shim
 
 
 def spin(run_ns=usecs(100), phases=3, sleep_ns=usecs(20)):
@@ -457,6 +456,8 @@ class TestEventRouting:
         kernel.run_until_idle()
         assert suite.summary().get("dispatch", 0) > 0
         assert "token_issue" not in suite.summary()
+        # Registered into a kernel that has already run, which a build
+        # cannot do: the late registration is what this test is about.
         shim = EnokiSchedClass.register(kernel, EnokiFifo(2, POLICY),
                                         POLICY, priority=10)
         suite.observe_framework()

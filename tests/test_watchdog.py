@@ -3,11 +3,9 @@ catches: deadlock/lost tasks/work conservation)."""
 
 import pytest
 
-from repro.core import EnokiSchedClass
 from repro.core.watchdog import SchedulerWatchdog
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.fifo import EnokiFifo
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs
 from repro.simkernel.errors import SchedulingError
 from repro.simkernel.program import Run, Sleep
@@ -15,13 +13,10 @@ from repro.simkernel.program import Run, Sleep
 POLICY = 7
 
 
-def make(scheduler=None, nr_cpus=2):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = scheduler if scheduler is not None \
-        else EnokiFifo(nr_cpus, POLICY)
-    EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
-    return kernel, sched
+def make(scheduler="fifo", nr_cpus=2):
+    session = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+               .with_enoki(scheduler, policy=POLICY).build())
+    return session.kernel, session.shim.scheduler
 
 
 class LossyFifo(EnokiFifo):
@@ -71,7 +66,7 @@ class TestCleanScheduler:
 
 class TestLostTasks:
     def test_dropped_wakeup_detected(self):
-        kernel, _ = make(LossyFifo(2, POLICY))
+        kernel, _ = make(LossyFifo)
         watchdog = SchedulerWatchdog(kernel, POLICY,
                                      lost_task_ns=msecs(20))
 
@@ -87,7 +82,7 @@ class TestLostTasks:
         assert report.by_kind("lost_task")
 
     def test_strict_mode_raises(self):
-        kernel, _ = make(LossyFifo(2, POLICY))
+        kernel, _ = make(LossyFifo)
         SchedulerWatchdog(kernel, POLICY, lost_task_ns=msecs(20),
                           strict=True)
 
@@ -104,7 +99,7 @@ class TestLostTasks:
 
 class TestWorkConservation:
     def test_idle_cpu_with_queued_work_detected(self):
-        kernel, _ = make(LazyFifo(2, POLICY))
+        kernel, _ = make(LazyFifo)
         watchdog = SchedulerWatchdog(kernel, POLICY)
 
         def prog():
@@ -152,7 +147,7 @@ class TestStarvation:
                         return self.queues.remove(queue[-1][1])   # LIFO
                 return None
 
-        kernel, _ = make(FavouritistFifo(1, POLICY), nr_cpus=1)
+        kernel, _ = make(FavouritistFifo, nr_cpus=1)
         watchdog = SchedulerWatchdog(kernel, POLICY,
                                      starvation_ns=msecs(10))
 

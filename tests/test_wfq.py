@@ -1,9 +1,7 @@
 """Behavioural tests for the Enoki WFQ scheduler (paper section 4.2.1)."""
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
+from repro.exp import KernelBuilder
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
-from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs
 from repro.simkernel.program import Run, SetNice, Sleep
 from repro.simkernel.task import TaskState
@@ -12,11 +10,9 @@ POLICY = 7
 
 
 def make(nr_cpus=8):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
-    sched = EnokiWfq(nr_cpus, POLICY)
-    EnokiSchedClass.register(kernel, sched, POLICY, priority=10)
-    return kernel, sched
+    session = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
+               .with_enoki("wfq", policy=POLICY).build())
+    return session.kernel, session.shim.scheduler
 
 
 def spinner(ns):

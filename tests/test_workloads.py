@@ -6,11 +6,7 @@ import sys
 
 import pytest
 
-from repro.core import EnokiSchedClass
-from repro.schedulers.cfs import CfsSchedClass
-from repro.schedulers.shinjuku import EnokiShinjuku
-from repro.schedulers.wfq import EnokiWfq
-from repro.simkernel import Kernel, SimConfig, Topology
+from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs, usecs
 from repro.workloads.apps import ALL_PROFILES, AppProfile, run_app
 from repro.workloads.batch import start_batch_app
@@ -25,10 +21,13 @@ from repro.workloads.rocksdb import run_rocksdb
 from repro.workloads.schbench import run_schbench
 
 
+def cfs_stack(nr_cpus=8):
+    """CFS on ``nr_cpus`` CPUs, for a class above it to join."""
+    return KernelBuilder(f"smp:{nr_cpus}").with_native("cfs", priority=10)
+
+
 def cfs_kernel(nr_cpus=8):
-    kernel = Kernel(Topology.smp(nr_cpus), SimConfig())
-    kernel.register_sched_class(CfsSchedClass(policy=0), priority=10)
-    return kernel
+    return cfs_stack(nr_cpus).build().kernel
 
 
 class TestPipeBench:
@@ -117,9 +116,8 @@ class TestBatchApp:
         kernel.run_until_idle()
 
     def test_batch_yields_to_high_priority_class(self):
-        kernel = cfs_kernel()
-        sched = EnokiShinjuku(8, 8, worker_cpus=[0, 1])
-        EnokiSchedClass.register(kernel, sched, 8, priority=20)
+        kernel = cfs_stack().with_enoki("shinjuku", policy=8, priority=20,
+                                        worker_cpus=[0, 1]).build().kernel
         app = start_batch_app(kernel, 0, cpus=(0, 1), nice=19)
         from repro.simkernel.program import Run
 
@@ -233,12 +231,8 @@ class TestFairnessWorkload:
     def test_wfq_matches_cfs_on_fairness(self):
         """The appendix's headline: Enoki WFQ behaves like a WFQ."""
         def with_wfq():
-            kernel = Kernel(Topology.small8(), SimConfig())
-            kernel.register_sched_class(CfsSchedClass(policy=0),
-                                        priority=5)
-            EnokiSchedClass.register(kernel, EnokiWfq(8, 7), 7,
-                                     priority=10)
-            return kernel
+            return (KernelBuilder("small8").with_native("cfs")
+                    .with_enoki("wfq", policy=7).build().kernel)
 
         kernel = with_wfq()
         spread = run_fair_share(kernel, 7, work_ns=msecs(50))
@@ -312,11 +306,8 @@ class TestHackbench:
         assert large.elapsed_ns > small.elapsed_ns
 
     def test_runs_under_enoki_wfq(self):
-        from repro.core import EnokiSchedClass
-        from repro.schedulers.wfq import EnokiWfq
         from repro.workloads.hackbench import run_hackbench
 
-        kernel = cfs_kernel()
-        EnokiSchedClass.register(kernel, EnokiWfq(8, 7), 7, priority=20)
+        kernel = cfs_stack().with_enoki("wfq", priority=20).build().kernel
         result = run_hackbench(kernel, 7, groups=2, fds=3, loops=10)
         assert result.total_messages == 180
