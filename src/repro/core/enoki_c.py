@@ -114,16 +114,18 @@ class EnokiSchedClass(SchedClass):
         kernel = self.kernel
         lib = self.lib
         env = lib.env
-        untraced = kernel is None or kernel.trace is None
-        self._quiet = (kernel is not None and untraced
+        trace = kernel.trace if kernel is not None else None
+        self._quiet = (kernel is not None and trace is None
                        and not self.failed
                        and self._profiler is None
                        and lib.recorder is None
                        and self.fault_injector is None
                        and lib.rwlock.on_event is None)
-        # Spin locks may skip note_lock_op entirely while nobody (recorder
-        # or trace hook) consumes lock events.
-        env._lock_quiet = env.recorder is None and untraced
+        # The spin locks' taps: they skip lock events entirely while
+        # nobody (recorder or trace hook) consumes them.
+        env._lock_quiet = env.recorder is None and trace is None
+        env._trace = trace
+        env._clock = kernel.clock if kernel is not None else None
 
     #: notification from ``Kernel.set_trace``
     on_trace_changed = refresh_mode
@@ -254,7 +256,8 @@ class EnokiSchedClass(SchedClass):
         if not timed:
             return response
         wall_ns = time.perf_counter_ns() - wall_start
-        virtual_ns = self._func_cost_ns.get(func, self.hook_cost_ns)
+        costs = self._func_cost_ns
+        virtual_ns = costs[func] if func in costs else self.hook_cost_ns
         if self.recorder is not None and self.recorder.active:
             virtual_ns += self._record_ns
         if trace is not None:
@@ -262,8 +265,7 @@ class EnokiSchedClass(SchedClass):
                   func=func, policy=self.policy, wall_ns=wall_ns,
                   cost=virtual_ns)
         if profiler is not None:
-            profiler.note(func, virtual_ns=virtual_ns, wall_ns=wall_ns,
-                          policy=self.policy)
+            profiler.note(func, virtual_ns=virtual_ns, wall_ns=wall_ns)
         return response
 
     #: the CPU whose hook is being handled; assigned directly at every

@@ -11,19 +11,19 @@ timers, reverse hint queues).
 from repro.core.errors import EnokiError
 from repro.core.rwlock import SchedulerRwLock
 
-#: spin-lock op -> trace kind
-_LOCK_KINDS = {"acquire": "lock_acquire", "release": "lock_release"}
-
 
 class EnokiSpinLock:
     """A scheduler-visible lock.
 
     In the simulated kernel there is no true concurrency, so acquisition
-    never blocks — but every acquire/release is reported to the lock
-    observer with the acquiring kernel-thread id, which is exactly the
-    stream the record/replay system needs (section 3.4: "we include
-    recording functionality in the shim wrappers around the kernel lock
-    functions").
+    never blocks — but every acquire/release is reported, with the
+    acquiring kernel-thread id, straight to the recorder and the kernel
+    trace hook the env holds, which is exactly the stream the
+    record/replay system needs (section 3.4: "we include recording
+    functionality in the shim wrappers around the kernel lock
+    functions").  ``acquire``/``release`` are ``__enter__``/``__exit__``,
+    so both spellings share one emit path (``with lock:``, which
+    brackets every scheduler callback, is the hot one).
     """
 
     __slots__ = ("lock_id", "name", "_env", "_held_by")
@@ -34,48 +34,38 @@ class EnokiSpinLock:
         self._env = env
         self._held_by = None
 
-    def acquire(self):
-        if self._held_by is not None:
-            raise EnokiError(
-                f"lock {self.name} re-acquired while held by thread "
-                f"{self._held_by} (self-deadlock)"
-            )
-        env = self._env
-        self._held_by = env._thread
-        if not env._lock_quiet:
-            env.note_lock_op("acquire", self.lock_id)
-
-    def release(self):
-        if self._held_by is None:
-            raise EnokiError(f"lock {self.name} released while not held")
-        self._held_by = None
-        env = self._env
-        if not env._lock_quiet:
-            env.note_lock_op("release", self.lock_id)
-
     def __enter__(self):
-        # acquire(), inlined: `with lock:` brackets every scheduler
-        # callback, so the context-manager protocol is itself hot.
         if self._held_by is not None:
             raise EnokiError(
                 f"lock {self.name} re-acquired while held by thread "
                 f"{self._held_by} (self-deadlock)"
             )
         env = self._env
-        self._held_by = env._thread
+        thread = self._held_by = env._thread
         if not env._lock_quiet:
-            env.note_lock_op("acquire", self.lock_id)
+            if env.recorder is not None:
+                env.recorder.note_lock_op("acquire", self.lock_id, thread)
+            if env._trace is not None:
+                env._trace("lock_acquire", t=env._clock.now, cpu=thread,
+                           lock=self.lock_id)
         return self
 
-    def __exit__(self, exc_type, exc, tb):
-        # release(), inlined (see __enter__).
+    def __exit__(self, exc_type=None, exc=None, tb=None):
         if self._held_by is None:
             raise EnokiError(f"lock {self.name} released while not held")
         self._held_by = None
         env = self._env
         if not env._lock_quiet:
-            env.note_lock_op("release", self.lock_id)
+            thread = env._thread
+            if env.recorder is not None:
+                env.recorder.note_lock_op("release", self.lock_id, thread)
+            if env._trace is not None:
+                env._trace("lock_release", t=env._clock.now, cpu=thread,
+                           lock=self.lock_id)
         return False
+
+    acquire = __enter__
+    release = __exit__
 
 
 class EnokiEnv:
@@ -83,7 +73,8 @@ class EnokiEnv:
 
     Deliberately excludes a clock: all timing information reaches the
     scheduler inside messages, which is what makes record/replay exact
-    (section 3.4's determinism assumption).
+    (section 3.4's determinism assumption).  ``_clock`` only stamps the
+    spin locks' events for whoever watches them.
     """
 
     def __init__(self, enoki_c=None, recorder=None):
@@ -94,12 +85,15 @@ class EnokiEnv:
         self._thread = -1
         self._next_lock_id = 0
         self.locks = []
-        #: cached "no lock observers" flag: True while neither a recorder
-        #: nor a kernel trace hook wants lock events, letting spin-lock
-        #: acquire/release skip ``note_lock_op`` entirely.  Kept fresh by
-        #: the hosting shim's ``refresh_mode`` (trace attach/detach goes
-        #: through ``Kernel.set_trace``).  False (always notify) is the
-        #: safe default for envs without a shim.
+        #: the spin locks' event taps, kept fresh by the hosting shim's
+        #: ``refresh_mode``: ``_lock_quiet`` is True while neither a
+        #: recorder nor a trace hook wants lock events (False, always
+        #: notify, is the safe default); ``_trace`` / ``_clock`` are the
+        #: kernel's trace hook and the clock it stamps lock events with.
+        #: A live upgrade runs the new module's init before that refresh.
+        kernel = getattr(enoki_c, "kernel", None)
+        self._trace = kernel.trace if kernel is not None else None
+        self._clock = kernel.clock if kernel is not None else None
         self._lock_quiet = False
 
     @property
@@ -117,17 +111,6 @@ class EnokiEnv:
         if self.recorder is not None:
             self.recorder.note_lock_created(self._next_lock_id, lock.name)
         return lock
-
-    def note_lock_op(self, op, lock_id):
-        thread = self._thread
-        if self.recorder is not None:
-            self.recorder.note_lock_op(op, lock_id, thread)
-        shim = self._enoki_c
-        kernel = shim.kernel if shim is not None else None
-        trace = kernel.trace if kernel is not None else None
-        if trace is not None:
-            trace(_LOCK_KINDS[op], t=kernel.clock.now, cpu=thread,
-                  lock=lock_id)
 
     # -- timers ------------------------------------------------------------
 
@@ -224,7 +207,9 @@ class LibEnoki:
             injector = None if shim is None else shim.fault_injector
             if injector is not None:
                 injector.on_dispatch(func)
-            response = self._invoke(func, args, extra)
+            response = (self.methods[func](*args)
+                        if func not in self._OUT_OF_BAND
+                        else self._invoke(func, args, extra))
             if injector is not None:
                 response = injector.filter_response(func, response)
         finally:

@@ -30,11 +30,14 @@ class SchedulerRwLock:
         self._readers = 0
         self._writer = False
         self.read_acquisitions = 0
-        #: optional ``callback(op, lock_name)`` observability hook; ``op``
-        #: is one of ``read_acquire``/``read_release``/``write_acquire``/
-        #: ``write_release``.  Left None (a single attribute test) on the
-        #: fast path so disabled tracing costs nothing measurable.
+        #: optional tap: a tracer intake, called as ``on_event(kind, t,
+        #: lock=name)`` with ``kind`` one of ``rwlock_read_acquire``/
+        #: ``_read_release``/``_write_acquire``/``_write_release`` and
+        #: ``t`` read off ``clock``, which whoever sets the tap sets too.
+        #: Left None (a single attribute test) on the fast path so
+        #: disabled tracing costs nothing measurable.
         self.on_event = None
+        self.clock = None
 
     # -- read side --------------------------------------------------------
 
@@ -46,7 +49,8 @@ class SchedulerRwLock:
         self._readers += 1
         self.read_acquisitions += 1
         if self.on_event is not None:
-            self.on_event("read_acquire", self.name)
+            self.on_event("rwlock_read_acquire", self.clock.now,
+                          lock=self.name)
         return True
 
     def release_read(self):
@@ -54,7 +58,8 @@ class SchedulerRwLock:
             raise UpgradeError(f"{self.name}: read release underflow")
         self._readers -= 1
         if self.on_event is not None:
-            self.on_event("read_release", self.name)
+            self.on_event("rwlock_read_release", self.clock.now,
+                          lock=self.name)
 
     # -- write side ----------------------------------------------------------
 
@@ -65,7 +70,8 @@ class SchedulerRwLock:
             return False
         self._writer = True
         if self.on_event is not None:
-            self.on_event("write_acquire", self.name)
+            self.on_event("rwlock_write_acquire", self.clock.now,
+                          lock=self.name)
         return True
 
     def release_write(self):
@@ -73,7 +79,8 @@ class SchedulerRwLock:
             raise UpgradeError(f"{self.name}: write release without hold")
         self._writer = False
         if self.on_event is not None:
-            self.on_event("write_release", self.name)
+            self.on_event("rwlock_write_release", self.clock.now,
+                          lock=self.name)
 
     @property
     def write_held(self):

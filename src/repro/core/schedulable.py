@@ -83,8 +83,8 @@ class TokenRegistry:
     """Enoki-C's book of truth about which tokens are current.
 
     One registry exists per loaded scheduler.  ``issue`` mints a token and
-    invalidates all prior tokens for the pid; ``validate`` checks a token
-    offered back by the scheduler; ``consume`` spends it.
+    invalidates all prior tokens for the pid; ``is_valid`` checks a token
+    offered back by the scheduler; ``spend`` checks and consumes it.
     """
 
     _next_registry_id = 0
@@ -94,11 +94,14 @@ class TokenRegistry:
         self._id = TokenRegistry._next_registry_id
         self._current = {}    # pid -> (generation, cpu)
         self._next_generation = 0
-        #: optional ``callback(op, pid, cpu, generation)`` observability
-        #: tap; ``op`` is one of ``issue``/``consume``/``revoke``.  The
+        #: optional tap: a tracer intake, called as ``on_event(kind, t,
+        #: cpu, pid, gen=generation)`` with ``kind`` one of
+        #: ``token_issue``/``token_consume``/``token_revoke`` and ``t``
+        #: read off ``clock``, which whoever sets the tap sets too.  The
         #: verify sanitizers install one to audit token discipline; left
         #: None (a single attribute test) on the fast path.
         self.on_event = None
+        self.clock = None
 
     def issue(self, pid, cpu):
         """Mint the now-unique valid token for ``pid`` on ``cpu``."""
@@ -106,7 +109,8 @@ class TokenRegistry:
         generation = self._next_generation
         self._current[pid] = (generation, cpu)
         if self.on_event is not None:
-            self.on_event("issue", pid, cpu, generation)
+            self.on_event("token_issue", self.clock.now, cpu, pid,
+                          gen=generation)
         return Schedulable(pid, cpu, generation, self._id)
 
     def peek(self, pid):
@@ -143,25 +147,16 @@ class TokenRegistry:
         token._consumed = True
         del self._current[token._pid]
         if self.on_event is not None:
-            self.on_event("consume", token._pid, token._cpu,
-                          token._generation)
+            self.on_event("token_consume", self.clock.now, token._cpu,
+                          token._pid, gen=token._generation)
         return True
-
-    def consume(self, token):
-        """Spend a valid token.  Raises :class:`TokenError` on misuse."""
-        if self.spend(token):
-            return
-        if not isinstance(token, Schedulable):
-            raise TokenError(f"not a Schedulable: {token!r}")
-        if token._consumed:
-            raise TokenError(f"{token!r} already consumed")
-        raise TokenError(f"{token!r} is stale or foreign")
 
     def revoke(self, pid):
         """Invalidate any live token for ``pid`` (task died/departed)."""
         current = self._current.pop(pid, None)
         if current is not None and self.on_event is not None:
-            self.on_event("revoke", pid, current[1], current[0])
+            self.on_event("token_revoke", self.clock.now, current[1], pid,
+                          gen=current[0])
 
     def live_pids(self):
         return tuple(self._current)

@@ -110,7 +110,11 @@ class Histogram:
         else:
             shift = value.bit_length() - SUBBUCKET_BITS
             index = _SUB + shift * _HALF + ((value >> shift) - _HALF)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        buckets = self.buckets
+        if index in buckets:
+            buckets[index] += 1
+        else:
+            buckets[index] = 1
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:

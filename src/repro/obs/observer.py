@@ -8,8 +8,9 @@
   routes its metrics off the tracer's single intake, by event kind;
 * finds every loaded Enoki shim and installs a
   :class:`~repro.obs.profiler.CallbackProfiler` on it;
-* hooks each scheduler's quiesce read-write lock so acquisitions appear
-  in the event stream;
+* taps each scheduler's quiesce read-write lock with the intake itself
+  (and the kernel clock to stamp with), so acquisitions appear in the
+  event stream;
 * maintains a :class:`~repro.obs.metrics.MetricsRegistry` fed live: the
   intake itself bumps the kind's ``events.<kind>`` counter (the route
   cache holds the registry's own :class:`~repro.obs.metrics.Counter`, so
@@ -60,10 +61,6 @@ _EVENT_COUNTERS = {
     "watchdog_finding": ("watchdog.{finding}",),
 }
 
-#: ``SchedulerRwLock.on_event`` op -> trace kind
-_RWLOCK_KINDS = {op: "rwlock_" + op for op in (
-    "read_acquire", "read_release", "write_acquire", "write_release")}
-
 
 class Observer(SchedTracer):
     """Full-stack tracer + metrics + profilers for one kernel."""
@@ -107,14 +104,15 @@ class Observer(SchedTracer):
             self._observed_shims.append(sched_class)
             rwlock = lib.rwlock
             if rwlock.on_event is None:
-                rwlock.on_event = self._rwlock_hook
+                rwlock.on_event = self._hook
+                rwlock.clock = kernel.clock
                 self._hooked_rwlocks.append(rwlock)
                 sched_class.refresh_mode()
 
     def detach(self):
         for rwlock in self._hooked_rwlocks:
-            if rwlock.on_event == self._rwlock_hook:
-                rwlock.on_event = None
+            if rwlock.on_event == self._hook:
+                rwlock.on_event = rwlock.clock = None
         self._hooked_rwlocks = []
         for profiler in self.profilers.values():
             profiler.uninstall()
@@ -134,19 +132,14 @@ class Observer(SchedTracer):
             family, name, key = _VALUE_METRICS[kind]
             metric = getattr(registry, family)(name)
             feed = metric.record if family == "histogram" else metric.set
-            return lambda kind, t, cpu, pid, fields: feed(fields.get(key, 0))
+            return lambda kind, t, cpu, pid, fields: feed(
+                fields[key] if key in fields else 0)
         names = _EVENT_COUNTERS.get(kind, ())
 
         def bump(kind, t, cpu, pid, fields):
             for name in names:
                 registry.counter(name.format_map(fields)).inc()
         return bump if names else None
-
-    def _rwlock_hook(self, op, name):
-        kernel = self._kernel
-        if kernel is None:
-            return
-        self._hook(_RWLOCK_KINDS[op], kernel.clock.now, lock=name)
 
     # ------------------------------------------------------------------
     # aggregation

@@ -36,7 +36,6 @@ class CallbackProfiler:
 
     def __init__(self):
         self.hooks = {}             # trait method name -> CallbackProfile
-        self.policies = set()       # policies that fed this profiler
         self._shims = []
 
     # -- wiring ----------------------------------------------------------
@@ -55,16 +54,16 @@ class CallbackProfiler:
 
     # -- ingestion (called by Enoki-C on every dispatch) ------------------
 
-    def note(self, hook, virtual_ns, wall_ns, policy=None):
-        profile = self.hooks.get(hook)
-        if profile is None:
-            profile = self.hooks[hook] = CallbackProfile(hook)
+    def note(self, hook, virtual_ns, wall_ns):
+        hooks = self.hooks
+        if hook in hooks:
+            profile = hooks[hook]
+        else:
+            profile = hooks[hook] = CallbackProfile(hook)
         profile.count += 1
         profile.virtual_ns += virtual_ns
         profile.wall_ns += wall_ns
         profile.wall_hist.record(wall_ns)
-        if policy is not None:
-            self.policies.add(policy)
 
     # -- aggregation -----------------------------------------------------
 

@@ -478,6 +478,14 @@ class ClockSanitizer(Sanitizer):
             self._last_t = t
 
 
+class _RwStates(dict):
+    """rwlock name -> ``[readers, writer]``, made on first sight."""
+
+    def __missing__(self, name):
+        state = self[name] = [0, False]
+        return state
+
+
 class LockSanitizer(Sanitizer):
     """Held-lock and lock-order checking over spin/rw lock events.
 
@@ -501,14 +509,19 @@ class LockSanitizer(Sanitizer):
     def __init__(self, suite):
         super().__init__(suite)
         self._held = {}          # thread -> [lock_id, ...] in order
+        self._holds = {}         # lock_id -> its entries across _held
         self._edges = set()      # (lock_a, lock_b): a held while taking b
-        self._rw = {}            # name -> [readers, writer_bool]
+        self._rw = _RwStates()   # name -> [readers, writer_bool]
 
     def route(self, kind):
         """One sink per kind: the method named after it."""
         return getattr(self, kind) if kind in self.KINDS else None
 
     # -- spinlocks ----------------------------------------------------
+    #
+    # The sinks run on every watched crossing: the clean path looks up
+    # by subscript only, and scans the holders only for a lock already
+    # held somewhere.
 
     def _order_ok(self, new_edge):
         """False when adding ``new_edge`` closes a cycle."""
@@ -527,46 +540,63 @@ class LockSanitizer(Sanitizer):
         return True
 
     def lock_acquire(self, kind, t, cpu, pid, fields):
-        lock = fields.get("lock")
-        for holder, locks in self._held.items():
-            if lock in locks:
-                self.flag(f"lock {lock} acquired by thread {cpu} "
-                          f"while held by thread {holder}",
-                          at_ns=t, cpu=cpu)
-        held = self._held.setdefault(cpu, [])
-        for outer in held:
-            edge = (outer, lock)
-            if edge not in self._edges:
-                if not self._order_ok(edge):
-                    self.flag(
-                        f"lock-order inversion: {outer} -> {lock} "
-                        "closes a cycle in the acquisition graph",
-                        at_ns=t, cpu=cpu)
-                self._edges.add(edge)
-        held.append(lock)
+        lock = fields["lock"] if "lock" in fields else None
+        holds = self._holds
+        if lock in holds:
+            holds[lock] += 1
+            for holder, locks in self._held.items():
+                if lock in locks:
+                    self.flag(f"lock {lock} acquired by thread {cpu} "
+                              f"while held by thread {holder}",
+                              at_ns=t, cpu=cpu)
+        else:
+            holds[lock] = 1
+        if cpu in self._held:
+            held = self._held[cpu]
+            for outer in held:
+                edge = (outer, lock)
+                if edge not in self._edges:
+                    if not self._order_ok(edge):
+                        self.flag(
+                            f"lock-order inversion: {outer} -> {lock} "
+                            "closes a cycle in the acquisition graph",
+                            at_ns=t, cpu=cpu)
+                    self._edges.add(edge)
+            held.append(lock)
+        else:
+            self._held[cpu] = [lock]
 
     def lock_release(self, kind, t, cpu, pid, fields):
-        lock = fields.get("lock")
-        held = self._held.get(cpu, [])
+        lock = fields["lock"] if "lock" in fields else None
+        held = self._held[cpu] if cpu in self._held else ()
         if lock not in held:
             self.flag(f"lock {lock} released by thread {cpu} "
                       "which does not hold it", at_ns=t, cpu=cpu)
-        else:
+            return
+        holds = self._holds
+        if holds[lock] > 1:
+            holds[lock] -= 1
             held.remove(lock)
+        else:
+            del holds[lock]
+            if held[-1] == lock:
+                del held[-1]    # the usual: its one hold, taken last
+            else:
+                held.remove(lock)
 
     # -- the per-scheduler quiesce rwlock ------------------------------
 
     def rwlock_read_acquire(self, kind, t, cpu, pid, fields):
-        name = fields.get("lock", "?")
-        state = self._rw.setdefault(name, [0, False])
+        name = fields["lock"] if "lock" in fields else "?"
+        state = self._rw[name]
         if state[1]:
             self.flag(f"rwlock {name!r}: read acquired while the "
                       "upgrade writer holds it", at_ns=t, cpu=cpu)
         state[0] += 1
 
     def rwlock_read_release(self, kind, t, cpu, pid, fields):
-        name = fields.get("lock", "?")
-        state = self._rw.setdefault(name, [0, False])
+        name = fields["lock"] if "lock" in fields else "?"
+        state = self._rw[name]
         if state[0] <= 0:
             self.flag(f"rwlock {name!r}: read release underflow",
                       at_ns=t, cpu=cpu)
@@ -574,8 +604,8 @@ class LockSanitizer(Sanitizer):
             state[0] -= 1
 
     def rwlock_write_acquire(self, kind, t, cpu, pid, fields):
-        name = fields.get("lock", "?")
-        state = self._rw.setdefault(name, [0, False])
+        name = fields["lock"] if "lock" in fields else "?"
+        state = self._rw[name]
         if state[0] > 0 or state[1]:
             self.flag(f"rwlock {name!r}: write acquired with "
                       f"{state[0]} readers inside "
@@ -583,8 +613,8 @@ class LockSanitizer(Sanitizer):
         state[1] = True
 
     def rwlock_write_release(self, kind, t, cpu, pid, fields):
-        name = fields.get("lock", "?")
-        state = self._rw.setdefault(name, [0, False])
+        name = fields["lock"] if "lock" in fields else "?"
+        state = self._rw[name]
         if not state[1]:
             self.flag(f"rwlock {name!r}: write release without "
                       "hold", at_ns=t, cpu=cpu)
@@ -685,13 +715,14 @@ class SanitizerSuite(Observer):
         for shim in _enoki_shims(kernel):
             tokens = shim.tokens
             if tokens.on_event is None:
-                tokens.on_event = self._token_hook
+                tokens.on_event = self._hook
+                tokens.clock = kernel.clock
                 self._tapped_registries.append(tokens)
 
     def detach(self):
         for tokens in self._tapped_registries:
-            if tokens.on_event == self._token_hook:
-                tokens.on_event = None
+            if tokens.on_event == self._hook:
+                tokens.on_event = tokens.clock = None
         self._tapped_registries = []
         super().detach()
 
@@ -711,12 +742,6 @@ class SanitizerSuite(Observer):
                 and not getattr(cls, "failed", False))
 
     # -- event intake --------------------------------------------------
-
-    def _token_hook(self, op, pid, cpu, generation):
-        kernel = self._kernel
-        if kernel is None:
-            return
-        self._hook("token_" + op, kernel.clock.now, cpu, pid, gen=generation)
 
     def record_violation(self, violation):
         self.violations.append(violation)

@@ -114,6 +114,31 @@ class TestCli:
             f"DESIGN.md has {lines} lines, over its ceiling of "
             f"{self.DESIGN_LINES}")
 
+    #: CHANGES.md entries from this PR number on are held to the ceiling
+    CHANGES_FROM_PR = 48
+    CHANGES_ENTRY_LINES = 25
+
+    def test_changes_entries_stay_short(self):
+        """A CHANGES.md entry (``- **PR n ...`` up to the next bullet or
+        heading, its ``FOUND:`` / ``MENDED:`` lines included) runs to at
+        most 25 lines, each counted at its length wrapped to 80 columns."""
+        root = os.path.dirname(SRC)
+        with open(os.path.join(root, "CHANGES.md")) as handle:
+            lines = handle.read().splitlines()
+        entries, pr = {}, None
+        for line in lines:
+            start = re.match(r"- \*\*PR (\d+)\b", line)
+            if start or line.startswith(("- ", "#")):
+                pr = int(start.group(1)) if start else None
+                if pr is not None and pr >= self.CHANGES_FROM_PR:
+                    entries[pr] = 0
+            if pr is not None and pr >= self.CHANGES_FROM_PR:
+                entries[pr] += -(-len(line) // 80)     # a blank: none
+        assert self.CHANGES_FROM_PR in entries
+        long = {pr: n for pr, n in entries.items()
+                if n > self.CHANGES_ENTRY_LINES}
+        assert not long, f"CHANGES.md entries over 25 lines: {long}"
+
     def test_every_cited_class_attribute_exists(self):
         """Each backticked ``Name.attr`` the docs cite, where ``Name`` is a
         public class of ``repro``, is a class attribute, a dataclass

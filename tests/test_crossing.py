@@ -32,6 +32,7 @@ from repro.simkernel import SimConfig
 from repro.simkernel.program import (Run, SendHint, SetAffinity, SetNice,
                                      Sleep, YieldCpu)
 from repro.simkernel.task import TaskState
+from repro.verify import SanitizerSuite
 
 POLICY = 7
 NR_CPUS = 4
@@ -295,3 +296,103 @@ class TestModeFlagFreshness:
         self.finish(kernel, tasks)
         assert len(old.seen) == old_seen
         assert new.seen
+
+    # The lock and rwlock taps hold copies of the trace hook and the
+    # clock; a stale copy would hide lock events from a watcher.
+
+    LOCK_KINDS = ("lock_acquire", "lock_release", "rwlock_read_acquire",
+                  "rwlock_read_release")
+
+    def counted(self, kernel, policy):
+        """Count, and time, every entry into ``policy``'s lock."""
+        lock, entries = policy.lock, []
+
+        class Counted:
+            def __enter__(self):
+                entries.append(kernel.clock.now)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+        policy.lock = Counted()
+        return entries
+
+    def times(self, observer, kind):
+        return [event.t_ns for event in observer.events_of_kind(kind)]
+
+    def test_lock_taps_follow_the_observer(self):
+        kernel, shim, spy, tasks = self.start()
+        before = len(spy.seen)
+        entries = self.counted(kernel, spy)
+        observer = Observer.attach(kernel)
+        kernel.run_until(1_400_000)
+        crossings = self.times(observer, "enoki_msg")
+        assert len(crossings) == len(spy.seen) - before > 0
+        # Each lock event is stamped with the kernel's time at the
+        # crossing that took the lock; each rwlock event with its
+        # crossing's.
+        assert entries
+        assert self.times(observer, "lock_acquire") == entries
+        assert self.times(observer, "lock_release") == entries
+        assert self.times(observer, "rwlock_read_acquire") == crossings
+        assert self.times(observer, "rwlock_read_release") == crossings
+        seen = {kind: len(observer.events_of_kind(kind))
+                for kind in self.LOCK_KINDS}
+        observer.detach()
+        assert shim.lib.env._trace is None
+        assert shim.lib.rwlock.on_event is None
+        taken = len(entries)
+        self.finish(kernel, tasks)
+        assert len(entries) > taken
+        assert {kind: len(observer.events_of_kind(kind))
+                for kind in self.LOCK_KINDS} == seen
+
+    def test_lock_taps_follow_a_live_upgrade(self):
+        class LockingInit(SpyWfq):
+            def reregister_init(self, *args):
+                with self.lock:
+                    return super().reregister_init(*args)
+
+        kernel, shim, _old, tasks = self.start()
+        observer = Observer.attach(kernel)
+        new = LockingInit(NR_CPUS, POLICY)
+        before = len(observer.events_of_kind("lock_acquire"))
+        report = UpgradeManager(kernel, shim).upgrade_now(new)
+        assert not report.aborted and not shim._quiet
+        assert shim.lib.env._trace == observer._hook
+        # The new module's init runs before the swap refreshes the taps.
+        assert self.times(observer, "lock_acquire")[before:] == [kernel.now]
+        marks = {kind: len(observer.events_of_kind(kind))
+                 for kind in (*self.LOCK_KINDS, "enoki_msg")}
+        entries = self.counted(kernel, new)
+        self.finish(kernel, tasks)
+
+        def since(kind):
+            return self.times(observer, kind)[marks[kind]:]
+        assert entries
+        assert since("lock_acquire") == since("lock_release") == entries
+        crossings = since("enoki_msg")
+        assert len(crossings) == len(new.seen) > 0
+        assert since("rwlock_read_acquire") == crossings
+        assert since("rwlock_read_release") == crossings
+
+    def test_suite_over_an_observer_takes_the_lock_taps(self):
+        kernel, shim, _spy, tasks = self.start()
+        first = Observer.attach(kernel)
+        kernel.run_until(1_000_000)
+        suite = SanitizerSuite.attach(kernel)
+        rwlock = shim.lib.rwlock
+        assert rwlock.on_event == suite._hook
+        assert shim.lib.env._trace == suite._hook
+        frozen = first.summary()
+        reads = rwlock.read_acquisitions
+        self.finish(kernel, tasks)
+        assert first.summary() == frozen
+        counts = suite.summary()
+        assert counts["rwlock_read_acquire"] == \
+            counts["rwlock_read_release"] == \
+            rwlock.read_acquisitions - reads > 0
+        assert counts["lock_acquire"] == counts["lock_release"] > 0
+        # (Tokens issued before the suite came cannot be audited.)
+        suite.check()
+        assert not [v for v in suite.violations if v.sanitizer == "lock"]

@@ -139,9 +139,9 @@ class TestSchedulableDiscipline:
     def test_consume_is_single_use(self):
         registry = TokenRegistry()
         token = registry.issue(1, 0)
-        registry.consume(token)
-        with pytest.raises(TokenError):
-            registry.consume(token)
+        assert registry.spend(token)
+        assert not registry.spend(token)
+        assert not registry.is_valid(token)
 
     def test_wrong_cpu_fails_validation(self):
         registry = TokenRegistry()

@@ -73,7 +73,7 @@ class TestTokenRegistryProperties:
         registry = TokenRegistry()
         for pid, cpu in issues:
             token = registry.issue(pid, cpu)
-            registry.consume(token)
+            assert registry.spend(token)
             assert not registry.is_valid(token)
             assert registry.peek(pid) is None
 

@@ -261,6 +261,72 @@ class TestEventStreamSanitizers:
         suite._hook("rwlock_read_release", t=1, cpu=-1, lock="q")
         assert any("underflow" in v.detail for v in suite.violations)
 
+    #: one broken lock stream: (kind, thread, lock field or None)
+    BROKEN_LOCK_STREAM = (
+        ("lock_acquire", 0, "A"),
+        ("lock_acquire", 1, "A"),           # A taken by a second thread
+        ("lock_acquire", 0, "B"),
+        ("lock_acquire", 0, "A"),           # re-acquired by its holder
+        ("lock_release", 0, "A"),           # thread 0 still holds B, A
+        ("lock_release", 2, "B"),           # released by a non-holder
+        ("lock_acquire", 3, "C"),
+        ("lock_acquire", 3, "D"),
+        ("lock_release", 3, "D"),
+        ("lock_release", 3, "C"),
+        ("lock_acquire", 4, "D"),
+        ("lock_acquire", 4, "C"),           # ABBA: D -> C against C -> D
+        ("lock_release", 4, "C"),
+        ("lock_release", 4, "D"),
+        ("lock_acquire", 7, "C"),           # free again: no flag
+        ("lock_release", 7, "C"),
+        ("lock_acquire", 5, None),          # no ``lock`` field
+        ("lock_release", 5, None),
+        ("lock_release", 6, None),
+        ("rwlock_write_acquire", -1, "q"),
+        ("rwlock_read_acquire", -1, "q"),   # a reader under the writer
+        ("rwlock_read_release", -1, "q"),
+        ("rwlock_read_release", -1, "q"),   # read underflow
+        ("rwlock_write_release", -1, "q"),
+        ("rwlock_read_acquire", -1, "r"),
+        ("rwlock_write_acquire", -1, "r"),  # a writer over a reader
+        ("rwlock_write_release", -1, "r"),
+        ("rwlock_read_release", -1, "r"),
+        ("rwlock_write_release", -1, "s"),  # write release without hold
+        ("rwlock_read_acquire", -1, None),  # no ``lock`` field: leaks
+    )
+
+    def test_lock_sanitizer_flags_a_broken_stream_exactly(self):
+        """Every lock flag, its time and its wording, in order."""
+        suite = SanitizerSuite()
+        for t, (kind, thread, lock) in enumerate(self.BROKEN_LOCK_STREAM):
+            fields = {} if lock is None else {"lock": lock}
+            suite._hook(kind, t=t + 1, cpu=thread, **fields)
+        suite.check()
+        inversion = "lock-order inversion: {} closes a cycle in the " \
+            "acquisition graph"
+        assert [(v.sanitizer, v.at_ns, v.detail)
+                for v in suite.violations] == [
+            ("lock", 2, "lock A acquired by thread 1 while held by thread 0"),
+            ("lock", 4, "lock A acquired by thread 0 while held by thread 0"),
+            ("lock", 4, "lock A acquired by thread 0 while held by thread 1"),
+            ("lock", 4, inversion.format("A -> A")),
+            ("lock", 4, inversion.format("B -> A")),
+            ("lock", 6, "lock B released by thread 2 which does not hold it"),
+            ("lock", 12, inversion.format("D -> C")),
+            ("lock", 19,
+             "lock None released by thread 6 which does not hold it"),
+            ("lock", 21,
+             "rwlock 'q': read acquired while the upgrade writer holds it"),
+            ("lock", 23, "rwlock 'q': read release underflow"),
+            ("lock", 26,
+             "rwlock 'r': write acquired with 1 readers inside "
+             "(writer=False)"),
+            ("lock", 29, "rwlock 's': write release without hold"),
+            ("lock", 0, "thread 0 still holds locks ['B', 'A'] at end of run"),
+            ("lock", 0, "thread 1 still holds locks ['A'] at end of run"),
+            ("lock", 0, "rwlock '?' leaked: readers=1 writer=False"),
+        ]
+
     def test_double_consume_without_issue(self):
         suite = SanitizerSuite()
         suite._hook("token_consume", t=5, cpu=0, pid=1, gen=1)
@@ -352,8 +418,6 @@ class TestEventRouting:
         import pathlib
         import re
         import repro
-        from repro.core.libenoki import _LOCK_KINDS
-        from repro.obs.observer import _RWLOCK_KINDS
         from repro.simkernel import tracing
         documented = re.findall(r"^``(\w+)\*?``  ", tracing.__doc__, re.M)
         assert len(documented) == 26
@@ -361,11 +425,14 @@ class TestEventRouting:
             assert any(kind.startswith(name) for kind in ROUTING_TABLE), name
         # Every kind (or kind prefix) written out at an emit site under
         # src/repro is in the module's table, and nothing in the table
-        # has lost its emitter.
-        emitted = {*_LOCK_KINDS.values(), *_RWLOCK_KINDS.values()}
+        # has lost its emitter.  An emit site calls the trace hook
+        # (``trace``, or ``_trace`` as the spin locks hold it), the
+        # intake ``_hook`` or a lock or token tap (``on_event``).
+        emitted = set()
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
             emitted.update(re.findall(
-                r"""\b(?:trace|_hook)\(\s*"(\w+)\"""", path.read_text()))
+                r"""\b(?:_?trace|_hook|on_event)\(\s*"(\w+)\"""",
+                path.read_text()))
         assert len(emitted) > 20
         for kind in emitted:
             assert any(kind.startswith(name) or name.startswith(kind)
@@ -429,7 +496,8 @@ class TestEventRouting:
         # A planted reader under the upgrade writer must be flagged.
         rwlock = shim.lib.rwlock
         assert rwlock.try_acquire_write()
-        rwlock.on_event("read_acquire", rwlock.name)
+        rwlock.on_event("rwlock_read_acquire", rwlock.clock.now,
+                        lock=rwlock.name)
         assert [v.sanitizer for v in suite.violations] == ["lock"]
         assert "read acquired while the upgrade writer holds it" in \
             suite.violations[0].detail
