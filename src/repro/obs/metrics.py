@@ -132,6 +132,17 @@ class Histogram:
         out.max = self.max
         return out
 
+    def merge(self, other):
+        """Add ``other``'s samples, as if each was recorded here too."""
+        for index, samples in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + samples
+        self.count += other.count
+        self.sum += other.sum
+        if other.count and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.count and (self.max is None or other.max > self.max):
+            self.max = other.max
+
     @property
     def mean(self):
         return self.sum / self.count if self.count else 0.0

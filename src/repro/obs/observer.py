@@ -16,8 +16,8 @@
   cache holds the registry's own :class:`~repro.obs.metrics.Counter`, so
   a read without :meth:`collect` sees it), the value metrics and the
   named counters (``_VALUE_METRICS``, ``_EVENT_COUNTERS``) are sinks
-  routed by kind; :meth:`collect` adds the kernel's aggregate statistics
-  and per-task wakeup-latency distributions.
+  routed by kind; :meth:`collect` adds the kernel's aggregates, per-task
+  wakeup latencies and the profilers' histograms (and their merge).
 
 Detaching restores the null-hook fast path everywhere, so a kernel that
 never attaches an Observer pays only a handful of ``is None`` tests;
@@ -42,10 +42,10 @@ from repro.simkernel.tracing import SchedTracer
 
 
 #: kind -> (registry family, metric, field): the metric the field's value
-#: feeds on every event of the kind
+#: feeds on every event of the kind.  Not ``enoki_msg``'s ``wall_ns``: the
+#: profilers keep it per hook, and ``collect`` merges ``enoki.msg_wall_ns``.
 _VALUE_METRICS = {
     "dispatch": ("histogram", "kernel.dispatch_cost_ns", "cost"),
-    "enoki_msg": ("histogram", "enoki.msg_wall_ns", "wall_ns"),
     # The gauge's max watermark is the peak ring pressure.
     "hint_enqueue": ("gauge", "enoki.hint_ring_depth", "depth"),
 }
@@ -195,8 +195,11 @@ class Observer(SchedTracer):
             for sample in task.stats.wakeup_latencies:
                 latency_hist.record(sample)
         registry.histograms[latency_hist.name] = latency_hist
+        msg_wall = Histogram("enoki.msg_wall_ns")
         for policy, profiler in sorted(self.profilers.items()):
-            profiler.publish(registry, prefix=f"enoki.policy{policy}")
+            profiler.publish(registry, f"enoki.policy{policy}", msg_wall)
+        if msg_wall.count:
+            registry.histograms[msg_wall.name] = msg_wall
         return registry
 
     # ------------------------------------------------------------------

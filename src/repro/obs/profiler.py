@@ -77,15 +77,17 @@ class CallbackProfiler:
     def total_wall_ns(self):
         return sum(p.wall_ns for p in self.hooks.values())
 
-    def publish(self, registry, prefix="enoki"):
+    def publish(self, registry, prefix, msg_wall):
         """Set the accumulated totals in a :class:`MetricsRegistry`
-        (idempotent: the profiler, not the registry, holds the counts)."""
+        (idempotent: the profiler, not the registry, holds the counts),
+        and add every hook's wall samples to the ``msg_wall`` histogram."""
         for hook, profile in sorted(self.hooks.items()):
             registry.counter(f"{prefix}.calls.{hook}").value = profile.count
             registry.gauge(
                 f"{prefix}.virtual_ns.{hook}").set(profile.virtual_ns)
             name = f"{prefix}.wall_ns.{hook}"
             registry.histograms[name] = profile.wall_hist.copy(name)
+            msg_wall.merge(profile.wall_hist)
         registry.counter(f"{prefix}.calls.total").value = self.total_calls()
         registry.gauge(
             f"{prefix}.virtual_ns.total").set(self.total_virtual_ns())

@@ -42,7 +42,10 @@ kind                      emitted by
 The ``token_*`` kinds only flow when a
 :class:`~repro.verify.SanitizerSuite` (or anything else that installs a
 ``TokenRegistry.on_event`` tap) is attached — the registry's fast path is
-a single ``is None`` test, like every other hook site.
+a single ``is None`` test, like every other hook site.  Stamps never go
+backwards (``timeline`` relies on it): the intake hands an event stamped
+before the latest in-order one to ``_stamp_backwards``, a no-op that a
+:class:`~repro.verify.SanitizerSuite` makes a ``clock`` flag.
 
 Anything not in the table is legal too — the tracer stores unknown kinds
 verbatim, so layers can add events without touching this module.
@@ -110,8 +113,8 @@ class SchedTracer:
     :meth:`_hook` is the single intake of the observed path: it retains
     each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission (or not) as
     one flat tuple of its values, bumps the kind's counter if the tracer
-    keeps one, then hands it to the sinks routed to its kind
-    (:meth:`add_route`).  A retained emission becomes a
+    keeps one, hands it to the sinks routed to its kind (:meth:`add_route`)
+    and last checks its stamp order.  A retained emission becomes a
     :class:`TraceEvent` when :attr:`events` is first read after it, so a
     run nobody inspects never builds one.
 
@@ -141,6 +144,7 @@ class SchedTracer:
         self._canonical = 0     # ``retained`` when ``events`` was last read
         self.filtered = 0
         self.kinds = kinds
+        self._last_t = 0        # the latest stamp seen in order
         self._kernel = None
         self._resolvers = []    # kind -> sink-or-None, in call order
         self._routes = {}       # kind -> (counter-or-None, sinks) (cache)
@@ -185,6 +189,9 @@ class SchedTracer:
             None, (resolve(kind) for resolve in self._resolvers))))
         return route
 
+    def _stamp_backwards(self, kind, t, cpu, pid):
+        """Called after the sinks of an event stamped before ``_last_t``."""
+
     def _hook(self, kind, t=0, cpu=-1, pid=None, cost=0, **fields):
         if self.kinds is not None and kind not in self.kinds:
             self.filtered += 1
@@ -203,6 +210,10 @@ class SchedTracer:
                 fields["cost"] = cost
             for sink in sinks:
                 sink(kind, t, cpu, pid, fields)
+        if t < self._last_t:
+            self._stamp_backwards(kind, t, cpu, pid)
+        else:
+            self._last_t = t
 
     @property
     def events(self):

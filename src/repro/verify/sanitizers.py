@@ -82,27 +82,33 @@ def conservation_violations(kernel, at_ns=None):
     THROTTLED, DEAD, NEW = TaskState.THROTTLED, TaskState.DEAD, TaskState.NEW
     # One pass over the run queues: pid -> CPUs (the same lists as
     # ``kernel.queued_cpus(pid)`` / ``running_cpus(pid)``, in CPU order),
-    # the pids queued twice, and the queued non-runnable tasks.
-    queued_on, running_on, twice, misqueued = {}, {}, set(), []
+    # the pids queued twice and the queued non-runnable tasks.  The clean
+    # path calls nothing (keys are subscripted, ``twice`` is a dict).
+    queued_on, running_on, twice, misqueued = {}, {}, {}, []
     for rq in kernel.rqs:
-        cpu = rq.cpu
-        for pid, task in rq.queued.items():
+        cpu, queued, current = rq.cpu, rq.queued, rq.current
+        for pid in queued:
             if pid in queued_on:
                 queued_on[pid].append(cpu)
-                twice.add(pid)
+                twice[pid] = True
             else:
                 queued_on[pid] = [cpu]
-            if task.state is not RUNNABLE:
-                misqueued.append((pid, task, cpu))
-        if rq.current is not None:
-            running_on.setdefault(rq.current.pid, []).append(cpu)
-    limbo_pids = kernel._limbo
+            if queued[pid].state is not RUNNABLE:
+                misqueued.append((pid, queued[pid], cpu))
+        if current is not None:
+            if current.pid in running_on:
+                running_on[current.pid].append(cpu)
+            else:
+                running_on[current.pid] = [cpu]
+    limbo_pids, tasks, root = kernel._limbo, kernel.tasks, kernel.groups.root
     nowhere = []
     parked_in = {}      # pid -> names of the group containers holding it
-    for group in kernel.groups.all_groups():
+    for group in kernel.groups.all_groups() if root.children else (root,):
         for pid in group.parked:
-            parked_in[pid] = parked_in.get(pid, nowhere) + [group.name]
-    for pid, task in kernel.tasks.items():
+            parked_in[pid] = (parked_in[pid] if pid in parked_in
+                              else nowhere) + [group.name]
+    for pid in tasks:
+        task = tasks[pid]
         limbo = pid in limbo_pids
         state = task.state
         if pid in twice:
@@ -131,10 +137,11 @@ def conservation_violations(kernel, at_ns=None):
                 flag("RUNNABLE task still parked in throttled group(s) "
                      f"{parked_in[pid]}", pid=pid)
         elif state is RUNNING:
-            running = running_on.get(pid, nowhere)
-            if running == [task.cpu] and pid not in queued_on and not limbo:
+            if (pid in running_on and running_on[pid] == [task.cpu]
+                    and pid not in queued_on and not limbo):
                 continue
             queued = queued_on.get(pid, nowhere)
+            running = running_on.get(pid, nowhere)
             if len(running) != 1:
                 flag(f"RUNNING task is current on {running} "
                      "(expected exactly one CPU)", pid=pid)
@@ -153,12 +160,13 @@ def conservation_violations(kernel, at_ns=None):
                 flag(f"{who} task still scheduler-visible "
                      f"(queued={queued}, running={running}, "
                      f"limbo={limbo})", pid=pid)
-            if state is THROTTLED:
+            # parked in exactly one group: one name, none past it
+            if state is THROTTLED and (pid not in parked_in
+                                       or parked_in[pid][1:]):
                 containers = parked_in.get(pid)
-                if containers is None or len(containers) != 1:
-                    flag("THROTTLED task parked in "
-                         f"{containers if containers else 'no'} group(s) "
-                         "(expected exactly one)", pid=pid)
+                flag("THROTTLED task parked in "
+                     f"{containers if containers else 'no'} group(s) "
+                     "(expected exactly one)", pid=pid)
     for pid, task, cpu in misqueued:
         flag(f"run queue holds non-runnable task "
              f"(state {task.state.name})", pid=pid, cpu=cpu)
@@ -178,7 +186,7 @@ def group_bandwidth_violations(kernel, at_ns=None):
     out = []
     now = kernel.now if at_ns is None else at_ns
     groups = kernel.groups
-    if not groups.has_groups():
+    if not groups.root.children:        # the root group alone
         return out
 
     def flag(detail, pid=-1, cpu=-1):
@@ -434,48 +442,41 @@ class TokenSanitizer(Sanitizer):
                     "violation)", at_ns=t, pid=pid, cpu=cpu)
 
 
-class ConservationSanitizer(Sanitizer):
+class _ScanSanitizer(Sanitizer):
+    """Runs ``scan`` after each event of ``SCAN_KINDS`` and at the end."""
+
+    def on_event(self, kind, t, cpu, pid, fields):
+        kernel = self.suite._kernel
+        if kernel is not None:
+            for violation in self.scan(kernel, at_ns=t):
+                self.suite.record_violation(violation)
+
+    def check(self, kernel):
+        if kernel is not None:
+            for violation in self.scan(kernel):
+                self.suite.record_violation(violation)
+
+
+class ConservationSanitizer(_ScanSanitizer):
     """Task conservation, audited on every state-changing event."""
 
     name = "conservation"
-
-    #: event kinds after which the full state scan runs
+    scan = staticmethod(conservation_violations)
     KINDS = SCAN_KINDS = frozenset({
         "dispatch", "wakeup", "fork", "preempt", "migrate", "idle",
         "failover", "upgrade", "throttle", "unthrottle",
     })
 
-    def on_event(self, kind, t, cpu, pid, fields):
-        kernel = self.suite._kernel
-        if kernel is None:
-            return
-        for violation in conservation_violations(kernel, at_ns=t):
-            self.suite.record_violation(violation)
-
-    def check(self, kernel):
-        if kernel is None:
-            return
-        for violation in conservation_violations(kernel):
-            self.suite.record_violation(violation)
-
 
 class ClockSanitizer(Sanitizer):
-    """Virtual time never runs backwards across the event stream."""
+    """Virtual time never runs backwards: flags what the intake finds."""
 
     name = "clock"
+    KINDS = frozenset()
 
-    def __init__(self, suite):
-        super().__init__(suite)
-        self._last_t = 0
-
-    def on_event(self, kind, t, cpu, pid, fields):
-        if t < self._last_t:
-            self.flag(f"clock went backwards: {kind} at {t} ns after "
-                      f"an event at {self._last_t} ns",
-                      at_ns=t, pid=pid if pid is not None else -1,
-                      cpu=cpu)
-        else:
-            self._last_t = t
+    def backwards(self, kind, t, cpu, pid, last_t):
+        self.flag(f"clock went backwards: {kind} at {t} ns after "
+                  f"an event at {last_t} ns", at_ns=t, pid=pid, cpu=cpu)
 
 
 class _RwStates(dict):
@@ -632,27 +633,13 @@ class LockSanitizer(Sanitizer):
                           f"writer={writer}", at_ns=now)
 
 
-class GroupBandwidthSanitizer(Sanitizer):
+class GroupBandwidthSanitizer(_ScanSanitizer):
     """Group-bandwidth-conservation, audited on every throttle-path
     event (throttle / unthrottle / quota_refill) and at end of run."""
 
     name = "group_bandwidth"
-
-    #: event kinds after which the group scan runs
+    scan = staticmethod(group_bandwidth_violations)
     KINDS = SCAN_KINDS = frozenset({"throttle", "unthrottle", "quota_refill"})
-
-    def on_event(self, kind, t, cpu, pid, fields):
-        kernel = self.suite._kernel
-        if kernel is None:
-            return
-        for violation in group_bandwidth_violations(kernel, at_ns=t):
-            self.suite.record_violation(violation)
-
-    def check(self, kernel):
-        if kernel is None:
-            return
-        for violation in group_bandwidth_violations(kernel):
-            self.suite.record_violation(violation)
 
 
 class HintRingSanitizer(Sanitizer):
@@ -686,8 +673,9 @@ class SanitizerSuite(Observer):
     Everything an :class:`~repro.obs.observer.Observer` does (trace
     retention, metrics, profilers, rwlock hooks) still works; on top,
     every event, retained or not, goes to the sanitizers that claim its
-    kind, the shims' token registries are tapped so ``token_*`` events
-    flow, and ``check()`` runs the final state scans.  Violations land
+    kind (a backwards stamp to the :class:`ClockSanitizer`), the shims'
+    token registries are tapped so ``token_*`` events flow, and
+    ``check()`` runs the final state scans.  Violations land
     in ``violations`` and in the registry's ``verify.*`` counters.
     """
 
@@ -742,6 +730,11 @@ class SanitizerSuite(Observer):
                 and not getattr(cls, "failed", False))
 
     # -- event intake --------------------------------------------------
+
+    def _stamp_backwards(self, kind, t, cpu, pid):
+        for sanitizer in self.sanitizers:
+            if isinstance(sanitizer, ClockSanitizer):
+                sanitizer.backwards(kind, t, cpu, pid, self._last_t)
 
     def record_violation(self, violation):
         self.violations.append(violation)

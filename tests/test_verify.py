@@ -14,6 +14,7 @@ from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import usecs
 from repro.simkernel.errors import SimError
 from repro.obs import Observer
+from repro.obs.metrics import Histogram
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.tracing import SchedTracer
 from repro.verify import (EpisodeSpec, SanitizerError, SanitizerSuite,
@@ -21,8 +22,17 @@ from repro.verify import (EpisodeSpec, SanitizerError, SanitizerSuite,
                           check_kernel_state, fuzz_run, generate_episode,
                           load_artifact, run_episode, shrink_episode,
                           write_artifact)
-from repro.verify.sanitizers import (DEFAULT_SANITIZERS, Sanitizer, Violation,
+from repro.verify.sanitizers import (DEFAULT_SANITIZERS, ClockSanitizer,
+                                     Sanitizer, Violation,
                                      conservation_violations)
+
+from tests.test_sanitizer_scans import (
+    _blocked_in_limbo, _blocked_is_current, _dead_still_queued,
+    _new_task_queued, _queued_twice, _runnable_in_limbo_and_queued,
+    _runnable_is_current, _runnable_lost, _runnable_still_parked,
+    _running_and_queued, _running_in_limbo, _running_on_wrong_cpu,
+    _running_twice, _throttled_parked_twice, _throttled_still_queued,
+    live_kernel)
 
 POLICY = 7
 
@@ -159,6 +169,101 @@ class TestStateScans:
             assert Violation("conservation", kernel.now, detail,
                              pid) in violations, detail
 
+    def test_conservation_flags_planted_states_exactly(self):
+        """Every conservation flag, pinned with its time, wording, pid and
+        cpu, in order: one planted corruption at a time (each reaches one
+        of the scan's flags), then all of them at once."""
+        plants = {
+            _queued_twice: [
+                (123, "task queued on 2 run queues [0, 1]", 1, -1),
+                (123, "RUNNABLE task queued on [0, 1]", 1, -1)],
+            _runnable_is_current: [
+                (123, "RUNNABLE task is current on cpu 1", 1, -1),
+                (123, "RUNNING task is current on [] (expected exactly "
+                 "one CPU)", 4, -1)],
+            _runnable_in_limbo_and_queued: [
+                (123, "RUNNABLE task both in limbo and queued on [0]", 1,
+                 -1)],
+            _runnable_lost: [
+                (123, "RUNNABLE task lost: on no run queue and not in "
+                 "limbo", 1, -1)],
+            _runnable_still_parked: [
+                (123, "RUNNABLE task still parked in throttled group(s) "
+                 "['b']", 3, -1)],
+            _running_twice: [
+                (123, "RUNNING task is current on [0, 1] (expected "
+                 "exactly one CPU)", 4, -1),
+                (123, "RUNNING task is current on [] (expected exactly "
+                 "one CPU)", 7, -1)],
+            _running_on_wrong_cpu: [
+                (123, "RUNNING task thinks it is on cpu 0 but is current "
+                 "on cpu 1", 4, -1)],
+            _running_and_queued: [
+                (123, "RUNNING task also queued=[1] limbo=False", 4, -1),
+                (123, "run queue holds non-runnable task (state RUNNING)",
+                 4, 1)],
+            _running_in_limbo: [
+                (123, "RUNNING task also queued=[] limbo=True", 4, -1)],
+            _dead_still_queued: [
+                (123, "dead task still scheduler-visible (queued=[0], "
+                 "running=[], limbo=False)", 1, -1),
+                (123, "run queue holds non-runnable task (state DEAD)", 1,
+                 0)],
+            _blocked_is_current: [
+                (123, "BLOCKED task still scheduler-visible (queued=[], "
+                 "running=[0], limbo=False)", 6, -1),
+                (123, "RUNNING task is current on [] (expected exactly "
+                 "one CPU)", 7, -1)],
+            _blocked_in_limbo: [
+                (123, "BLOCKED task still scheduler-visible (queued=[], "
+                 "running=[], limbo=True)", 6, -1)],
+            _throttled_still_queued: [
+                (123, "THROTTLED task still scheduler-visible (queued=[0], "
+                 "running=[], limbo=False)", 3, -1),
+                (123, "THROTTLED task parked in no group(s) (expected "
+                 "exactly one)", 3, -1),
+                (123, "run queue holds non-runnable task (state "
+                 "THROTTLED)", 3, 0)],
+            _throttled_parked_twice: [
+                (123, "THROTTLED task parked in ['a', 'b'] group(s) "
+                 "(expected exactly one)", 3, -1)],
+            _new_task_queued: [
+                (123, "run queue holds non-runnable task (state NEW)", 1,
+                 0)],
+        }
+        for plant, expected in plants.items():
+            kernel = live_kernel()
+            plant(kernel)
+            assert [(v.sanitizer, v.at_ns, v.detail, v.pid, v.cpu)
+                    for v in conservation_violations(kernel, at_ns=123)] \
+                == [("conservation", *row) for row in expected], plant
+        kernel = live_kernel()
+        for plant in plants:
+            if plant is not _throttled_parked_twice:   # no task left for it
+                plant(kernel)
+        assert [(v.at_ns, v.detail, v.pid, v.cpu)
+                for v in conservation_violations(kernel)] == [
+            (300000, "RUNNABLE task is current on cpu 1", 1, -1),
+            (300000, "RUNNABLE task both in limbo and queued on [1]", 1, -1),
+            (300000, "dead task still scheduler-visible (queued=[1], "
+             "running=[], limbo=False)", 2, -1),
+            (300000, "THROTTLED task still scheduler-visible (queued=[0], "
+             "running=[], limbo=False)", 3, -1),
+            (300000, "RUNNING task is current on [] (expected exactly one "
+             "CPU)", 4, -1),
+            (300000, "RUNNING task also queued=[0] limbo=True", 4, -1),
+            (300000, "BLOCKED task still scheduler-visible (queued=[], "
+             "running=[0], limbo=True)", 6, -1),
+            (300000, "RUNNING task is current on [] (expected exactly one "
+             "CPU)", 7, -1),
+            (300000, "run queue holds non-runnable task (state THROTTLED)",
+             3, 0),
+            (300000, "run queue holds non-runnable task (state NEW)", 5, 0),
+            (300000, "run queue holds non-runnable task (state RUNNING)",
+             4, 0),
+            (300000, "run queue holds non-runnable task (state DEAD)", 2, 1),
+        ]
+
     def test_live_token_for_dead_task_is_flagged(self):
         kernel, shim = make_enoki_kernel()
         kernel.spawn(spin(phases=1), policy=POLICY)
@@ -191,6 +296,61 @@ class TestEventStreamSanitizers:
         suite._hook("dispatch", t=100, cpu=0, pid=1)
         suite._hook("dispatch", t=50, cpu=0, pid=2)
         assert any(v.sanitizer == "clock" for v in suite.violations)
+
+    #: a stream whose stamps go backwards: (kind, t, thread, pid, fields);
+    #: ``t`` None is an emission that leaves ``t`` at its default, 0
+    BACKWARDS_STREAM = (
+        ("dispatch", 100, 0, 1, {}),
+        ("wakeup", 50, 1, 2, {}),
+        ("timer_fire", None, 0, None, {}),  # still after 100: not advanced
+        ("enoki_msg", 120, 1, 3, {"func": "pick_next_task", "wall_ns": 5}),
+        ("lock_acquire", 110, 0, None, {"lock": "A"}),
+        ("lock_release", 130, 0, None, {"lock": "A"}),
+        ("token_consume", 125, 1, 4, {"gen": 1}),   # and a double consume
+        ("hint_enqueue", 130, 0, 5, {"depth": 1}),  # an equal stamp
+        ("never_heard_of_it", 129, 2, None, {}),
+        ("rwlock_read_acquire", 140, -1, None, {"lock": "q"}),
+        ("rwlock_read_release", 0, -1, None, {"lock": "q"}),
+        ("throttle", 135, 0, None, {"group": "g0"}),
+        ("idle", 140, 1, None, {}),
+    )
+
+    def test_backwards_stamps_are_flagged_exactly(self):
+        """Every clock flag of a stream with backwards stamps of several
+        kinds, with its time, wording, pid and cpu, in order."""
+        suite = SanitizerSuite()
+        for kind, t, cpu, pid, fields in self.BACKWARDS_STREAM:
+            if t is None:
+                suite._hook(kind, cpu=cpu, pid=pid, **fields)
+            else:
+                suite._hook(kind, t=t, cpu=cpu, pid=pid, **fields)
+        suite.check()
+        backwards = "clock went backwards: {} at {} ns after an event at " \
+            "{} ns"
+        assert [(v.sanitizer, v.at_ns, v.detail, v.pid, v.cpu)
+                for v in suite.violations] == [
+            ("clock", 50, backwards.format("wakeup", 50, 100), 2, 1),
+            ("clock", 0, backwards.format("timer_fire", 0, 100), -1, 0),
+            ("clock", 110, backwards.format("lock_acquire", 110, 120), -1, 0),
+            ("token", 125, "token consumed while none live "
+             "(double-consume or use-after-revoke)", 4, 1),
+            ("clock", 125, backwards.format("token_consume", 125, 130), 4, 1),
+            ("clock", 129, backwards.format("never_heard_of_it", 129, 130),
+             -1, 2),
+            ("clock", 0, backwards.format("rwlock_read_release", 0, 140),
+             -1, -1),
+            ("clock", 135, backwards.format("throttle", 135, 140), -1, 0),
+        ]
+
+    def test_a_backwards_stamp_is_flagged_after_its_sinks(self):
+        """The intake checks the stamp once the event's sinks have run,
+        so the clock flag follows every other flag that event drew."""
+        suite = SanitizerSuite()
+        suite._hook("idle", t=10, cpu=0)
+        suite._hook("lock_release", t=5, cpu=1, lock="Z")
+        suite._hook("token_consume", t=5, cpu=1, pid=9, gen=3)
+        assert [v.sanitizer for v in suite.violations] == [
+            "lock", "clock", "token", "clock"]
 
     def test_release_of_unheld_lock(self):
         suite = SanitizerSuite()
@@ -335,42 +495,44 @@ class TestEventStreamSanitizers:
                    for v in suite.violations)
 
 
-#: kind -> the default sanitizers that act on it (everything else returned
-#: immediately when all six were offered every event).  Covers the
-#: taxonomy table in ``repro.simkernel.tracing`` plus the kinds later
-#: layers added, and one kind nobody has heard of.
+#: kind -> the default sanitizers routed its events (everything else
+#: returned immediately when all six were offered every event).  Covers
+#: the taxonomy table in ``repro.simkernel.tracing`` plus the kinds later
+#: layers added, and one kind nobody has heard of.  ``clock`` is routed
+#: nothing: the intake checks every stamp itself (see
+#: ``test_a_backwards_stamp_of_each_kind_is_flagged_once``).
 ROUTING_TABLE = {
-    "dispatch": {"token", "conservation", "clock"},
-    "idle": {"conservation", "clock"},
-    "wakeup": {"conservation", "clock"},
-    "fork": {"conservation", "clock"},
-    "preempt": {"conservation", "clock"},
-    "migrate": {"conservation", "clock"},
-    "migrate_failed": {"clock"},
-    "timer_fire": {"clock"},
-    "enoki_msg": {"clock"},
-    "lock_acquire": {"lock", "clock"},
-    "lock_release": {"lock", "clock"},
-    "rwlock_read_acquire": {"lock", "clock"},
-    "rwlock_read_release": {"lock", "clock"},
-    "rwlock_write_acquire": {"lock", "clock"},
-    "rwlock_write_release": {"lock", "clock"},
-    "upgrade": {"conservation", "clock"},
-    "hint_enqueue": {"clock"},
-    "hint_drop": {"clock"},
-    "hint_dequeue": {"clock"},
-    "token_issue": {"token", "clock"},
-    "token_consume": {"token", "clock"},
-    "token_revoke": {"token", "clock"},
-    "failover": {"conservation", "clock"},
-    "throttle": {"conservation", "group_bandwidth", "clock"},
-    "unthrottle": {"conservation", "group_bandwidth", "clock"},
-    "quota_refill": {"group_bandwidth", "clock"},
-    "enoki_panic": {"clock"},
-    "slo_violation": {"clock"},
-    "watchdog_finding": {"clock"},
-    "never_heard_of_it": {"clock"},
-    "rwlock_downgrade": {"clock"},      # an op the lock sanitizer lacks:
+    "dispatch": {"token", "conservation"},
+    "idle": {"conservation"},
+    "wakeup": {"conservation"},
+    "fork": {"conservation"},
+    "preempt": {"conservation"},
+    "migrate": {"conservation"},
+    "migrate_failed": set(),
+    "timer_fire": set(),
+    "enoki_msg": set(),
+    "lock_acquire": {"lock"},
+    "lock_release": {"lock"},
+    "rwlock_read_acquire": {"lock"},
+    "rwlock_read_release": {"lock"},
+    "rwlock_write_acquire": {"lock"},
+    "rwlock_write_release": {"lock"},
+    "upgrade": {"conservation"},
+    "hint_enqueue": set(),
+    "hint_drop": set(),
+    "hint_dequeue": set(),
+    "token_issue": {"token"},
+    "token_consume": {"token"},
+    "token_revoke": {"token"},
+    "failover": {"conservation"},
+    "throttle": {"conservation", "group_bandwidth"},
+    "unthrottle": {"conservation", "group_bandwidth"},
+    "quota_refill": {"group_bandwidth"},
+    "enoki_panic": set(),
+    "slo_violation": set(),
+    "watchdog_finding": set(),
+    "never_heard_of_it": set(),
+    "rwlock_downgrade": set(),          # an op the lock sanitizer lacks:
     #                                     still retained and counted
 }
 
@@ -413,6 +575,31 @@ class TestEventRouting:
         assert suite.events_seen == 2
         assert [event.kind for event in suite.events] == [kind, kind]
         assert suite.registry.counter("events." + kind).value == 2
+
+    @pytest.mark.parametrize("kind", sorted(ROUTING_TABLE))
+    def test_a_backwards_stamp_of_each_kind_is_flagged_once(self, kind):
+        """Stamp order is the intake's check: one backwards stamp, of any
+        kind, draws exactly one ``clock`` flag, worded as the per-event
+        sink worded it, and only from a suite that holds the clock
+        sanitizer.  The other sanitizers flag what they flagged."""
+        others = [cls for cls in DEFAULT_SANITIZERS
+                  if cls is not ClockSanitizer]
+        suite, without = SanitizerSuite(), SanitizerSuite(sanitizers=others)
+        observer = Observer()
+        for watcher in (suite, without, observer):
+            watcher._hook("idle", t=10, cpu=1)
+            watcher._hook(kind, t=5, cpu=0, pid=1, **PAYLOAD)
+            watcher._hook("idle", t=10, cpu=1)      # equal: in order
+        assert [v for v in suite.violations if v.sanitizer == "clock"] == [
+            Violation("clock", 5, f"clock went backwards: {kind} at 5 ns "
+                      "after an event at 10 ns", pid=1, cpu=0)]
+        assert [v for v in suite.violations if v.sanitizer != "clock"] \
+            == without.violations
+        assert suite.registry.counter("verify.clock").value == 1
+        assert "verify.clock" not in without.registry.counters
+        assert not any(name.startswith("verify.")
+                       for name in observer.registry.counters)
+        assert [e.kind for e in observer.events] == ["idle", kind, "idle"]
 
     def test_table_covers_the_documented_taxonomy(self):
         import pathlib
@@ -579,7 +766,7 @@ class TestKindsFilter:
             len(everything.events) - len(narrow.events) > 0
         assert narrow.registry.snapshot()["counters"] == \
             everything.registry.snapshot()["counters"]
-        assert narrow.registry.histogram("enoki.msg_wall_ns").count == \
+        assert narrow.collect().histograms["enoki.msg_wall_ns"].count == \
             everything.registry.counter("events.enoki_msg").value
 
     def test_sanitizers_see_filtered_kinds(self):
@@ -593,6 +780,52 @@ class TestKindsFilter:
         assert suite.events_seen == suite.filtered + len(suite.events)
         assert {v.sanitizer for v in suite.violations} == {"token"}
         assert "without consuming" in suite.violations[0].detail
+
+
+class TestMsgWallHistogram:
+    """``enoki.msg_wall_ns`` is built at ``collect()`` as the merge of the
+    profilers' per-hook histograms, not recorded a second time live."""
+
+    def test_merge_is_every_crossing_of_every_shim_once(self):
+        kernel, _shim = make_enoki_kernel()
+        observer = Observer.attach(kernel)
+        kernel.spawn(spin(), policy=POLICY)
+        kernel.run_until_idle()
+        # A second Enoki class, registered after attach (as in
+        # ``test_scheduler_registered_after_attach_is_audited``).
+        EnokiSchedClass.register(kernel, EnokiFifo(2, POLICY + 1),
+                                 POLICY + 1, priority=11)
+        observer.observe_framework()
+        for i in range(3):
+            kernel.spawn(spin(), policy=POLICY + i % 2, origin_cpu=i % 2)
+        kernel.run_until_idle()
+        assert sorted(observer.profilers) == [POLICY, POLICY + 1]
+        registry = observer.collect()
+        merged = registry.histograms["enoki.msg_wall_ns"]
+        assert merged.count == registry.counter("events.enoki_msg").value > 0
+        profiles = [profile for profiler in observer.profilers.values()
+                    for profile in profiler.hooks.values()]
+        buckets = {}
+        for profile in profiles:
+            for index, samples in profile.wall_hist.buckets.items():
+                buckets[index] = buckets.get(index, 0) + samples
+        assert merged.buckets == buckets
+        assert merged.sum == sum(profile.wall_ns for profile in profiles)
+        # What recording each crossing's ``wall_ns`` live would have held.
+        live = Histogram("enoki.msg_wall_ns")
+        for event in observer.events_of_kind("enoki_msg"):
+            live.record(event.arg("wall_ns"))
+        assert merged.snapshot() == live.snapshot()
+        assert observer.collect().histograms["enoki.msg_wall_ns"] \
+            .snapshot() == live.snapshot()      # collect is idempotent
+
+    def test_no_crossing_no_histogram(self):
+        kernel = Kernel(Topology.smp(2), SimConfig())
+        kernel.register_sched_class(CfsSchedClass(policy=0), priority=5)
+        observer = Observer.attach(kernel)
+        kernel.spawn(spin(phases=1), policy=0)
+        kernel.run_until_idle()
+        assert "enoki.msg_wall_ns" not in observer.collect().histograms
 
 
 class TestFuzzer:
