@@ -26,6 +26,13 @@ from repro.core.messages import message_for
 from repro.core.schedulable import Schedulable, TokenRegistry
 from repro.simkernel.sched_class import SchedClass
 
+#: the trace payload keys of the emit sites below
+_ENOKI_MSG = ("func", "policy", "wall_ns")
+_FAULT_DROP = ("queue", "reason")
+_QUEUE = ("queue",)
+_QUEUE_DEPTH = ("queue", "depth")
+_COUNT = ("count",)
+
 
 class EnokiSchedClass(SchedClass):
     """The kernel-side shim hosting one loadable Enoki scheduler."""
@@ -261,9 +268,8 @@ class EnokiSchedClass(SchedClass):
         if self.recorder is not None and self.recorder.active:
             virtual_ns += self._record_ns
         if trace is not None:
-            trace("enoki_msg", t=kernel.clock.now, cpu=thread,
-                  func=func, policy=self.policy, wall_ns=wall_ns,
-                  cost=virtual_ns)
+            trace("enoki_msg", kernel.clock.now, thread, _ENOKI_MSG, func,
+                  self.policy, wall_ns, cost=virtual_ns)
         if profiler is not None:
             profiler.note(func, virtual_ns=virtual_ns, wall_ns=wall_ns)
         return response
@@ -532,9 +538,9 @@ class EnokiSchedClass(SchedClass):
             if disposition == "drop":
                 self.kernel.stats.hint_drops += 1
                 if self.kernel.trace is not None:
-                    self.kernel.trace("hint_drop", t=self.kernel.now,
-                                      cpu=task.cpu, pid=task.pid,
-                                      queue=-1, reason="fault")
+                    self.kernel.trace("hint_drop", self.kernel.now,
+                                      task.cpu, _FAULT_DROP, -1, "fault",
+                                      pid=task.pid)
                 return False
             if disposition == "hold":
                 injector.hold_hint(task.pid, task.cpu, task.tgid, payload)
@@ -555,15 +561,14 @@ class EnokiSchedClass(SchedClass):
         if not ring.push(UserMessage(task.pid, payload)):
             self.kernel.stats.hint_drops += 1
             if self.kernel.trace is not None:
-                self.kernel.trace("hint_drop", t=self.kernel.now,
-                                  cpu=task.cpu, pid=task.pid,
-                                  queue=queue_id)
+                self.kernel.trace("hint_drop", self.kernel.now, task.cpu,
+                                  _QUEUE, queue_id, pid=task.pid)
             return False
         self._thread_hint = task.cpu
         if self.kernel.trace is not None:
-            self.kernel.trace("hint_enqueue", t=self.kernel.now,
-                              cpu=task.cpu, pid=task.pid, queue=queue_id,
-                              depth=len(ring))
+            self.kernel.trace("hint_enqueue", self.kernel.now, task.cpu,
+                              _QUEUE_DEPTH, queue_id, len(ring),
+                              pid=task.pid)
         if self.recorder is not None and self.recorder.active:
             # "LibEnoki records each call and hint sent to the scheduler"
             # (section 3.4): the replay refills the ring from this entry.
@@ -578,9 +583,8 @@ class EnokiSchedClass(SchedClass):
             return []
         drained = [entry.payload for entry in ring.drain()]
         if self.kernel.trace is not None:
-            self.kernel.trace("hint_dequeue", t=self.kernel.now,
-                              cpu=task.cpu, pid=task.pid,
-                              count=len(drained))
+            self.kernel.trace("hint_dequeue", self.kernel.now, task.cpu,
+                              _COUNT, len(drained), pid=task.pid)
         return drained
 
     def push_rev_message(self, queue_id, payload):

@@ -20,7 +20,7 @@ the shim dead, drain live tokens, requeue every queued Enoki task into
 the highest-priority native class, and redirect the policy so
 running/blocked tasks are adopted lazily at their next state change.
 Tasks keep their policy number, so hint handlers stay routed and
-watchdogs keep watching; only ``class_of`` resolution changes.  Not a
+watchdogs keep watching; only the policy's class lookup changes.  Not a
 single task is lost — the guarantee ``tests/test_faults.py`` enforces
 under every built-in fault plan.
 """
@@ -42,6 +42,10 @@ STRIKE_THRESHOLD = 3
 #: virtual time a single callback may charge before it counts as an
 #: overrun strike (the per-callback watchdog budget)
 CALLBACK_BUDGET_NS = 1_000_000
+
+#: the trace payload keys of ``enoki_panic`` and ``failover``
+_PANIC = ("policy", "hook", "panic_kind", "strike")
+_FAILOVER = ("policy", "to", "reason", "requeued", "lazy")
 
 
 @dataclass(frozen=True)
@@ -210,9 +214,8 @@ class ContainmentBoundary:
         if kernel is not None:
             kernel.stats.contained_panics += 1
             if kernel.trace is not None:
-                kernel.trace("enoki_panic", t=now, cpu=-1,
-                             policy=shim.policy, hook=hook,
-                             panic_kind=kind, strike=self.strikes)
+                kernel.trace("enoki_panic", now, -1, _PANIC, shim.policy,
+                             hook, kind, self.strikes)
         return record
 
 
@@ -304,7 +307,7 @@ class FailoverManager:
             else:
                 lazy.append(task.pid)
 
-        # 5. Route future class_of lookups to the fallback.  Tasks keep
+        # 5. Route future class lookups to the fallback.  Tasks keep
         # their policy number: hint handlers and watchdogs stay wired.
         kernel.redirect_policy(shim.policy, fallback.policy)
 
@@ -318,10 +321,9 @@ class FailoverManager:
             lazy_pids=tuple(lazy),
         )
         if kernel.trace is not None:
-            kernel.trace("failover", t=kernel.now, cpu=-1,
-                         policy=shim.policy, to=fallback.policy,
-                         reason=reason, requeued=len(requeued),
-                         lazy=len(lazy))
+            kernel.trace("failover", kernel.now, -1, _FAILOVER,
+                         shim.policy, fallback.policy, reason, len(requeued),
+                         len(lazy))
 
         # 6. Every CPU re-picks so the fallback's freshly adopted tasks
         # (and any Enoki task still running) get re-evaluated promptly.

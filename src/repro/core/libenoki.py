@@ -11,6 +11,9 @@ timers, reverse hint queues).
 from repro.core.errors import EnokiError
 from repro.core.rwlock import SchedulerRwLock
 
+#: the trace payload keys of the spin locks' events
+_LOCK = ("lock",)
+
 
 class EnokiSpinLock:
     """A scheduler-visible lock.
@@ -46,8 +49,8 @@ class EnokiSpinLock:
             if env.recorder is not None:
                 env.recorder.note_lock_op("acquire", self.lock_id, thread)
             if env._trace is not None:
-                env._trace("lock_acquire", t=env._clock.now, cpu=thread,
-                           lock=self.lock_id)
+                env._trace("lock_acquire", env._clock.now, thread, _LOCK,
+                           self.lock_id)
         return self
 
     def __exit__(self, exc_type=None, exc=None, tb=None):
@@ -60,8 +63,8 @@ class EnokiSpinLock:
             if env.recorder is not None:
                 env.recorder.note_lock_op("release", self.lock_id, thread)
             if env._trace is not None:
-                env._trace("lock_release", t=env._clock.now, cpu=thread,
-                           lock=self.lock_id)
+                env._trace("lock_release", env._clock.now, thread, _LOCK,
+                           self.lock_id)
         return False
 
     acquire = __enter__

@@ -21,6 +21,9 @@ counters (``repro.core.replay``).
 
 from repro.core.errors import UpgradeError
 
+#: the trace payload keys of the ``rwlock_*`` events
+_LOCK = ("lock",)
+
 
 class SchedulerRwLock:
     """Readers = scheduler dispatches; writer = a live upgrade."""
@@ -31,9 +34,10 @@ class SchedulerRwLock:
         self._writer = False
         self.read_acquisitions = 0
         #: optional tap: a tracer intake, called as ``on_event(kind, t,
-        #: lock=name)`` with ``kind`` one of ``rwlock_read_acquire``/
-        #: ``_read_release``/``_write_acquire``/``_write_release`` and
-        #: ``t`` read off ``clock``, which whoever sets the tap sets too.
+        #: -1, ("lock",), name)`` with ``kind`` one of
+        #: ``rwlock_read_acquire``/``_read_release``/``_write_acquire``/
+        #: ``_write_release`` and ``t`` read off ``clock``, which whoever
+        #: sets the tap sets too.
         #: Left None (a single attribute test) on the fast path so
         #: disabled tracing costs nothing measurable.
         self.on_event = None
@@ -49,8 +53,8 @@ class SchedulerRwLock:
         self._readers += 1
         self.read_acquisitions += 1
         if self.on_event is not None:
-            self.on_event("rwlock_read_acquire", self.clock.now,
-                          lock=self.name)
+            self.on_event("rwlock_read_acquire", self.clock.now, -1, _LOCK,
+                          self.name)
         return True
 
     def release_read(self):
@@ -58,8 +62,8 @@ class SchedulerRwLock:
             raise UpgradeError(f"{self.name}: read release underflow")
         self._readers -= 1
         if self.on_event is not None:
-            self.on_event("rwlock_read_release", self.clock.now,
-                          lock=self.name)
+            self.on_event("rwlock_read_release", self.clock.now, -1, _LOCK,
+                          self.name)
 
     # -- write side ----------------------------------------------------------
 
@@ -70,8 +74,8 @@ class SchedulerRwLock:
             return False
         self._writer = True
         if self.on_event is not None:
-            self.on_event("rwlock_write_acquire", self.clock.now,
-                          lock=self.name)
+            self.on_event("rwlock_write_acquire", self.clock.now, -1, _LOCK,
+                          self.name)
         return True
 
     def release_write(self):
@@ -79,8 +83,8 @@ class SchedulerRwLock:
             raise UpgradeError(f"{self.name}: write release without hold")
         self._writer = False
         if self.on_event is not None:
-            self.on_event("rwlock_write_release", self.clock.now,
-                          lock=self.name)
+            self.on_event("rwlock_write_release", self.clock.now, -1, _LOCK,
+                          self.name)
 
     @property
     def write_held(self):

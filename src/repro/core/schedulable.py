@@ -24,6 +24,9 @@ from operator import attrgetter
 
 from repro.core.errors import TokenError
 
+#: the trace payload keys of the ``token_*`` events
+_GEN = ("gen",)
+
 
 class Schedulable:
     """A linear capability to run ``pid`` on ``cpu``.
@@ -95,7 +98,7 @@ class TokenRegistry:
         self._current = {}    # pid -> (generation, cpu)
         self._next_generation = 0
         #: optional tap: a tracer intake, called as ``on_event(kind, t,
-        #: cpu, pid, gen=generation)`` with ``kind`` one of
+        #: cpu, ("gen",), generation, pid=pid)`` with ``kind`` one of
         #: ``token_issue``/``token_consume``/``token_revoke`` and ``t``
         #: read off ``clock``, which whoever sets the tap sets too.  The
         #: verify sanitizers install one to audit token discipline; left
@@ -109,8 +112,8 @@ class TokenRegistry:
         generation = self._next_generation
         self._current[pid] = (generation, cpu)
         if self.on_event is not None:
-            self.on_event("token_issue", self.clock.now, cpu, pid,
-                          gen=generation)
+            self.on_event("token_issue", self.clock.now, cpu, _GEN,
+                          generation, pid=pid)
         return Schedulable(pid, cpu, generation, self._id)
 
     def peek(self, pid):
@@ -148,15 +151,15 @@ class TokenRegistry:
         del self._current[token._pid]
         if self.on_event is not None:
             self.on_event("token_consume", self.clock.now, token._cpu,
-                          token._pid, gen=token._generation)
+                          _GEN, token._generation, pid=token._pid)
         return True
 
     def revoke(self, pid):
         """Invalidate any live token for ``pid`` (task died/departed)."""
         current = self._current.pop(pid, None)
         if current is not None and self.on_event is not None:
-            self.on_event("token_revoke", self.clock.now, current[1], pid,
-                          gen=current[0])
+            self.on_event("token_revoke", self.clock.now, current[1],
+                          _GEN, current[0], pid=pid)
 
     def live_pids(self):
         return tuple(self._current)

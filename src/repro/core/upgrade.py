@@ -215,8 +215,8 @@ class UpgradeManager:
         """Emit one ``upgrade`` event per quiesce-protocol phase."""
         kernel = self.kernel
         if kernel.trace is not None:
-            kernel.trace("upgrade", t=kernel.now, cpu=-1, phase=phase,
-                         **fields)
+            kernel.trace("upgrade", kernel.now, -1, ("phase", *fields),
+                         phase, *fields.values())
 
     def _pause_model(self, transferred_tasks):
         cfg = self.kernel.config

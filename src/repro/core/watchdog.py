@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 from repro.simkernel.errors import SchedulingError
 from repro.simkernel.task import TaskState
 
+#: the trace payload keys of ``watchdog_finding``
+_FINDING = ("finding", "policy")
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -91,9 +94,9 @@ class SchedulerWatchdog:
         self.report.findings.append(finding)
         kernel = self.kernel
         if kernel.trace is not None:
-            kernel.trace("watchdog_finding", t=finding.at_ns,
-                         cpu=finding.cpu, pid=finding.pid,
-                         finding=finding.kind, policy=self.policy)
+            kernel.trace("watchdog_finding", finding.at_ns, finding.cpu,
+                         _FINDING, finding.kind, self.policy,
+                         pid=finding.pid)
         if self.escalate is not None and finding.kind == "lost_task":
             self.escalate.engage_failover(reason="watchdog:lost_task")
         if self.strict:

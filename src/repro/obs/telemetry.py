@@ -43,6 +43,9 @@ from repro.simkernel.task import TaskState
 #: default window retention (ring size)
 RETAIN_DEFAULT = 4096
 
+#: the trace payload keys of ``slo_violation``
+_SLO_VIOLATION = ("slo", "metric", "value", "bound")
+
 
 # ----------------------------------------------------------------------
 # SLOs
@@ -115,10 +118,9 @@ class SLOMonitor:
             violations.append(violation)
             self.violations_by_slo[target.name] += 1
             if kernel.trace is not None:
-                kernel.trace("slo_violation", t=end_ns, cpu=-1,
-                             slo=target.name, metric=target.metric,
-                             value=violation["value"],
-                             bound=violation["bound"])
+                kernel.trace("slo_violation", end_ns, -1, _SLO_VIOLATION,
+                             target.name, target.metric, violation["value"],
+                             violation["bound"])
             if self.registry is not None:
                 self.registry.counter("slo.violations").inc()
                 self.registry.counter(f"slo.{target.name}.violations").inc()

@@ -94,7 +94,7 @@ class DispatchEngine:
             k._attach_runnable(prev, cpu)
             cls.task_preempt(prev, cpu)
         if k.trace is not None:
-            k.trace("preempt", t=k.now, cpu=cpu, pid=prev.pid)
+            k.trace("preempt", k.now, cpu, (), pid=prev.pid)
         cost = cls.hook_cost_ns
         if cls.owes:
             cost += cls.settle_ns(1)
@@ -204,7 +204,7 @@ class DispatchEngine:
                 timer.cancel()
                 self._tick_timers[cpu] = None
             if k.trace is not None:
-                k.trace("idle", cpu=cpu, t=now)
+                k.trace("idle", now, cpu, ())
             return
         # Dispatch: switch ``cpu`` to ``task``, which the walk has just
         # proved queued on this CPU's run queue and runnable here.
@@ -262,7 +262,7 @@ class DispatchEngine:
             self._tick_timers[cpu] = k.timers.arm_periodic(
                 k.config.tick_period_ns, self.tick, tag=("tick", cpu))
         if k.trace is not None:
-            k.trace("dispatch", cpu=cpu, pid=task.pid, t=now, cost=cost)
+            k.trace("dispatch", now, cpu, (), pid=task.pid, cost=cost)
 
     def _bandwidth_expire(self, task, epoch):
         """A dispatched task's group budget should be dry about now:

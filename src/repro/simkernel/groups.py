@@ -60,6 +60,11 @@ DEFAULT_PERIOD_NS = 10_000_000
 PARKED_NEW = "new"
 PARKED_WAKE = "wake"
 
+#: the trace payload keys of the emit sites below
+_THROTTLE = ("group", "parked", "running", "remaining")
+_QUOTA_REFILL = ("group", "consumed", "remaining")
+_UNTHROTTLE = ("group", "released")
+
 
 class TaskGroup:
     """One node of the group hierarchy."""
@@ -345,9 +350,8 @@ class GroupManager:
                     # the way out (it sees the throttled ancestor).
                     resched_cpus.append(task.cpu)
         if k.trace is not None:
-            k.trace("throttle", t=k.now, cpu=-1, group=group.name,
-                    parked=parked, running=len(resched_cpus),
-                    remaining=group.runtime_remaining_ns)
+            k.trace("throttle", k.now, -1, _THROTTLE, group.name, parked,
+                    len(resched_cpus), group.runtime_remaining_ns)
         for cpu in resched_cpus:
             k.dispatcher.resched_cpu(cpu)
 
@@ -384,9 +388,8 @@ class GroupManager:
             group.quota_ns, group.runtime_remaining_ns + group.quota_ns
         )
         if k.trace is not None:
-            k.trace("quota_refill", t=k.now, cpu=-1, group=group.name,
-                    consumed=consumed,
-                    remaining=group.runtime_remaining_ns)
+            k.trace("quota_refill", k.now, -1, _QUOTA_REFILL, group.name,
+                    consumed, group.runtime_remaining_ns)
         if group.throttled:
             if group.runtime_remaining_ns > 0:
                 self.unthrottle(group)
@@ -409,8 +412,8 @@ class GroupManager:
         # event fired mid-drain (sanitizers scan on unthrottle) must
         # still see every not-yet-admitted task inside a container.
         if k.trace is not None:
-            k.trace("unthrottle", t=k.now, cpu=-1, group=group.name,
-                    released=len(group.parked))
+            k.trace("unthrottle", k.now, -1, _UNTHROTTLE, group.name,
+                    len(group.parked))
         while group.parked:
             pid = next(iter(group.parked))
             task, origin = group.parked.pop(pid)

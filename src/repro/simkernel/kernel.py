@@ -119,7 +119,7 @@ class Kernel:
         return sched_class
 
     def redirect_policy(self, policy, to_policy):
-        """Route ``class_of`` lookups for ``policy`` to another class.
+        """Route the class lookups of ``policy`` to another class.
 
         Scheduler failover uses this: tasks keep their policy number (so
         hint routing and watchdogs stay wired) but are serviced by the
@@ -137,10 +137,6 @@ class Kernel:
             if dst == policy:
                 self._policy_redirects[src] = resolved
         self._class_cache.clear()
-
-    def class_of(self, task):
-        """The class servicing ``task`` (per-event code subscripts the map)."""
-        return self._class_cache[task.policy]
 
     def set_trace(self, hook):
         """Install (or remove, with ``None``) the trace hook.

@@ -13,6 +13,11 @@ from repro.simkernel.task import TaskState, TaskStruct
 #: per-event state tests read module globals, not enum attributes
 _RUNNABLE = TaskState.RUNNABLE
 
+#: the trace payload keys of the ``fork`` emit sites below
+_FORK_THROTTLED = ("throttled",)
+_FORK_DEFERRED = ("deferred",)
+_FORK_ORIGIN = ("origin",)
+
 
 def check_affinity(pid, cpus, topology):
     """Refuse, before any state changes, a mask holding no CPU of
@@ -66,8 +71,8 @@ class LifecycleManager:
                 task.set_state(_RUNNABLE)
                 k.groups.park(task, throttled, origin="new")
                 if k.trace is not None:
-                    k.trace("fork", t=k.now, cpu=origin_cpu, pid=task.pid,
-                            throttled=True)
+                    k.trace("fork", k.now, origin_cpu, _FORK_THROTTLED, True,
+                            pid=task.pid)
                 return
         cls = k._class_cache[task.policy]
         cpu = k.migration.invoke_select(cls, task, origin_cpu, WF_FORK,
@@ -80,12 +85,12 @@ class LifecycleManager:
             task.stats.wait_since_ns = k.now
             cls.task_new(task, DEFERRED_CPU)
             if k.trace is not None:
-                k.trace("fork", t=k.now, cpu=origin_cpu, pid=task.pid,
-                        deferred=True)
+                k.trace("fork", k.now, origin_cpu, _FORK_DEFERRED, True,
+                        pid=task.pid)
             return
         k._attach_runnable(task, cpu)
         cls.task_new(task, cpu)
         if k.trace is not None:
-            k.trace("fork", t=k.now, cpu=cpu, pid=task.pid,
-                    origin=origin_cpu)
+            k.trace("fork", k.now, cpu, _FORK_ORIGIN, origin_cpu,
+                    pid=task.pid)
         k.migration.kick_cpu_for_wakeup(task, cpu, origin_cpu, cls)

@@ -14,6 +14,13 @@ from repro.simkernel.task import TaskState
 #: per-event state tests read module globals, not enum attributes
 _RUNNABLE, _BLOCKED = TaskState.RUNNABLE, TaskState.BLOCKED
 
+#: the trace payload keys of the emit sites below
+_WAKER_THROTTLED = ("waker", "throttled")
+_WAKER_DEFERRED = ("waker", "deferred")
+_WAKER_SYNC = ("waker", "sync")
+_SRC = ("src",)
+_REASON = ("reason",)
+
 
 class MigrationService:
     """Placement and migration over the kernel's shared state."""
@@ -87,8 +94,8 @@ class MigrationService:
                 # waiting on the scheduler, it is waiting on bandwidth.
                 k.groups.park(task, throttled)
                 if k.trace is not None:
-                    k.trace("wakeup", t=now, cpu=-1, pid=task.pid,
-                            waker=waker, throttled=True)
+                    k.trace("wakeup", now, -1, _WAKER_THROTTLED, waker,
+                            True, pid=task.pid)
                 return 0
         cls = k._class_cache[task.policy]
         flags = WF_TTWU | (WF_SYNC if sync else 0)
@@ -106,14 +113,14 @@ class MigrationService:
             stats.wait_since_ns = now
             cls.task_wakeup(task, DEFERRED_CPU)
             if k.trace is not None:
-                k.trace("wakeup", t=now, cpu=-1, pid=task.pid,
-                        waker=waker, deferred=True)
+                k.trace("wakeup", now, -1, _WAKER_DEFERRED, waker, True,
+                        pid=task.pid)
             return hook_cost if charge_waker else 0
         k._attach_runnable(task, cpu)
         cls.task_wakeup(task, cpu)
         if k.trace is not None:
-            k.trace("wakeup", t=now, cpu=cpu, pid=task.pid,
-                    waker=waker, sync=sync)
+            k.trace("wakeup", now, cpu, _WAKER_SYNC, waker, sync,
+                    pid=task.pid)
         extra = 0 if charge_waker else hook_cost
         self.kick_cpu_for_wakeup(task, cpu, waker_cpu, cls, extra)
         return hook_cost if charge_waker else 0
@@ -258,13 +265,13 @@ class MigrationService:
         k.stats.cpus[dest_cpu].steals += 1
         cls.migrate_task_rq(task, dest_cpu)
         if k.trace is not None:
-            k.trace("migrate", t=now, cpu=dest_cpu, pid=pid, src=src_cpu)
+            k.trace("migrate", now, dest_cpu, _SRC, src_cpu, pid=pid)
         return True
 
     def migrate_failed(self, pid, dest_cpu, reason):
         k = self.k
         k.stats.failed_migrations += 1
         if k.trace is not None:
-            k.trace("migrate_failed", t=k.now, cpu=dest_cpu, pid=pid,
-                    reason=reason)
+            k.trace("migrate_failed", k.now, dest_cpu, _REASON, reason,
+                    pid=pid)
         return False

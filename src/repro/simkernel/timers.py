@@ -10,6 +10,9 @@ callback's.
 
 from repro.simkernel.errors import SimError
 
+#: the trace payload keys of ``timer_fire``
+_TAG = ("tag",)
+
 
 class Timer:
     """Handle for an armed timer."""
@@ -58,8 +61,8 @@ class TimerService:
         if isinstance(tag, tuple) and len(tag) == 2 \
                 and isinstance(tag[1], int):
             cpu = tag[1]      # conventionally ("tick", cpu) etc.
-        trace("timer_fire", t=self.events.clock.now, cpu=cpu,
-              tag=str(tag) if tag is not None else None)
+        trace("timer_fire", self.events.clock.now, cpu, _TAG,
+              str(tag) if tag is not None else None)
 
     def arm(self, delay_ns, callback, tag=None):
         """Arm a one-shot timer ``delay_ns`` from now.

@@ -47,6 +47,20 @@ backwards (``timeline`` relies on it): the intake hands an event stamped
 before the latest in-order one to ``_stamp_backwards``, a no-op that a
 :class:`~repro.verify.SanitizerSuite` makes a ``clock`` flag.
 
+Every emit site passes its payload positionally, behind its own
+``is None`` test::
+
+    _LOCK = ("lock",)       # module level, next to the emit site
+    ...
+    if trace is not None:
+        trace("lock_acquire", now, thread, _LOCK, lock_id)
+
+``keys`` is a tuple of field names defined once per site and followed by
+one value per name; ``pid`` (default ``None``) and ``cost`` (default 0)
+are keywords.  The intake retains ``(t, kind, cpu, pid, cost) + keys +
+values`` as it comes, and builds a ``fields`` dict only for a kind that
+has sinks.
+
 Anything not in the table is legal too — the tracer stores unknown kinds
 verbatim, so layers can add events without touching this module.
 
@@ -111,12 +125,12 @@ class SchedTracer:
     """Bounded in-memory trace of typed kernel/framework events.
 
     :meth:`_hook` is the single intake of the observed path: it retains
-    each ``kernel.trace(kind, t=..., cpu=..., ...)`` emission (or not) as
-    one flat tuple of its values, bumps the kind's counter if the tracer
-    keeps one, hands it to the sinks routed to its kind (:meth:`add_route`)
-    and last checks its stamp order.  A retained emission becomes a
-    :class:`TraceEvent` when :attr:`events` is first read after it, so a
-    run nobody inspects never builds one.
+    each ``kernel.trace(kind, t, cpu, keys, *values, pid=, cost=)``
+    emission (or not) as one flat tuple, bumps the kind's counter if the
+    tracer keeps one, hands it to the sinks routed to its kind
+    (:meth:`add_route`) and last checks its stamp order.  A retained
+    emission becomes a :class:`TraceEvent` when :attr:`events` is first
+    read after it, so a run nobody inspects never builds one.
 
     ``kinds`` optionally restricts *retention* to a set of event kinds —
     everything else is counted in ``filtered`` but not stored, which keeps
@@ -173,9 +187,10 @@ class SchedTracer:
         sight of each event kind and returns the sink to call for every
         event of that kind, or ``None``.  A sink is called as
         ``sink(kind, t, cpu, pid, fields)``, ``fields`` being the
-        emitter's other keywords (``cost`` included when charged).  The
-        sinks of one event share that dict, so a sink must not change
-        it; the ring keeps its own copy of the values, not the dict."""
+        emitter's keys mapped to its values (``cost`` included when
+        charged).  The sinks of one event share that dict, so a sink must
+        not change it; the ring keeps its own copy of the values, not the
+        dict."""
         self._resolvers.append(resolve)
         self._routes = {}
 
@@ -192,13 +207,12 @@ class SchedTracer:
     def _stamp_backwards(self, kind, t, cpu, pid):
         """Called after the sinks of an event stamped before ``_last_t``."""
 
-    def _hook(self, kind, t=0, cpu=-1, pid=None, cost=0, **fields):
+    def _hook(self, kind, t, cpu, keys, *values, pid=None, cost=0):
         if self.kinds is not None and kind not in self.kinds:
             self.filtered += 1
         else:
             self.retained += 1
-            self._ring.append((t, kind, cpu, pid, cost,
-                               *fields, *fields.values()))
+            self._ring.append((t, kind, cpu, pid, cost) + keys + values)
         try:
             counter, sinks = self._routes[kind]
         except KeyError:
@@ -206,6 +220,12 @@ class SchedTracer:
         if counter is not None:
             counter.value += 1
         if sinks:
+            # By hand: ``dict(zip(keys, values))`` pays two type calls.
+            fields = {}
+            i = 0
+            for key in keys:
+                fields[key] = values[i]
+                i += 1
             if cost:
                 fields["cost"] = cost
             for sink in sinks:

@@ -193,15 +193,21 @@ def group_bandwidth_violations(kernel, at_ns=None):
         out.append(Violation("group_bandwidth", now, detail, pid, cpu))
 
     nr_cpus = kernel.topology.nr_cpus
+    cpus = range(nr_cpus)
     slack = kernel.config.bandwidth_slack_ns(nr_cpus)
-    all_groups = groups.all_groups()
+    # name -> group in creation order: a parent precedes its children.
+    # The clean path calls nothing: dicts are iterated by key and
+    # subscripted, subtrees walked by hand.
+    by_name = groups._by_name
     RUNNABLE, RUNNING = TaskState.RUNNABLE, TaskState.RUNNING
 
     # -- recount the per-CPU runnable index from task states -----------
     # group -> (task_weight, counted) rows, only for groups that have an
     # accounted task; every other group's rows are all zero.
     recount = {}
-    for pid, task in kernel.tasks.items():
+    tasks = kernel.tasks
+    for pid in tasks:
+        task = tasks[pid]
         group = task.group
         group_cpu = task.group_cpu
         if group is None:
@@ -215,8 +221,9 @@ def group_bandwidth_violations(kernel, at_ns=None):
                      f"{group_cpu}, lives on cpu {task.cpu}",
                      pid=pid, cpu=task.cpu)
             elif 0 <= group_cpu < nr_cpus:
-                rows = recount.get(group)
-                if rows is None:
+                if group in recount:
+                    rows = recount[group]
+                else:
                     rows = recount[group] = ([0] * nr_cpus, [0] * nr_cpus)
                 rows[0][group_cpu] += task.weight
                 rows[1][group_cpu] += 1
@@ -225,20 +232,24 @@ def group_bandwidth_violations(kernel, at_ns=None):
                  f"cpu {group_cpu}", pid=pid)
 
     zeros = [0] * nr_cpus
-    for group in all_groups:
-        expect_tw, expect_nr = recount.get(group, (zeros, zeros))
+    for name in by_name:
+        group = by_name[name]
+        if group in recount:
+            expect_tw, expect_nr = recount[group]
+        else:
+            expect_tw = expect_nr = zeros
         expect_cw = zeros
         if group.children:
-            expect_nr, expect_cw = list(expect_nr), [0] * nr_cpus
+            expect_nr, expect_cw = expect_nr[:], [0] * nr_cpus
             for child in group.children:
-                for cpu in range(nr_cpus):
+                for cpu in cpus:
                     if child.nr_runnable[cpu] > 0:
                         expect_nr[cpu] += 1
                         expect_cw[cpu] += child.weight
         if (group.task_weight == expect_tw and group.nr_runnable == expect_nr
                 and group.child_weight == expect_cw):
             continue
-        for cpu in range(nr_cpus):
+        for cpu in cpus:
             if group.task_weight[cpu] != expect_tw[cpu]:
                 flag(f"group {group.name!r} task_weight[{cpu}] is "
                      f"{group.task_weight[cpu]}, recount says "
@@ -252,19 +263,27 @@ def group_bandwidth_violations(kernel, at_ns=None):
                      f"{group.nr_runnable[cpu]}, recount says "
                      f"{expect_nr[cpu]}", cpu=cpu)
 
-    # Subtree runtime, bottom-up: a group is created after its parent,
-    # so in reverse creation order every child precedes its parent.
+    # Subtree runtime: each group's members' runtime, added to every
+    # ancestor.  In creation order a group is reached before any of its
+    # descendants has added to it, so its entry then holds its own.
     subtree = {}
-    for group in reversed(all_groups):
+    for name in by_name:
+        group = by_name[name]
+        members = group.members
         runtime = 0
-        for task in group.members.values():
-            runtime += task.sum_exec_runtime_ns
-        for child in group.children:
-            runtime += subtree[child]
+        for pid in members:
+            runtime += members[pid].sum_exec_runtime_ns
         subtree[group] = runtime
+    for group in subtree:
+        runtime, parent = subtree[group], group.parent
+        if runtime:
+            while parent is not None:
+                subtree[parent] += runtime
+                parent = parent.parent
 
     # -- bandwidth, conservation, throttle containment -----------------
-    for group in all_groups:
+    for name in by_name:
+        group = by_name[name]
         if group.quota_ns:
             for label, consumed in (
                     ("current", group.period_consumed_ns),
@@ -282,20 +301,30 @@ def group_bandwidth_violations(kernel, at_ns=None):
             # RUNNING members are legal transiently: throttle marks the
             # group and kicks a resched, and the victim stays current
             # until that lands (as in CFS).  A *queued* member, though,
-            # means the throttle failed to drain the run queues.
-            for node in group.iter_subtree():
-                for pid, task in node.members.items():
+            # means the throttle failed to drain the run queues.  The
+            # walk is ``iter_subtree``'s pre-order, on a stack of
+            # ``(node, rest)`` pairs.
+            stack = (group, ())
+            while stack:
+                node, stack = stack
+                members = node.members
+                for pid in members:
+                    task = members[pid]
                     if task.state is RUNNABLE and task.on_rq:
                         flag(f"throttled group {group.name!r} has "
                              f"queued member via {node.name!r}",
                              pid=pid)
+                for child in node.children[::-1]:
+                    stack = (child, stack)
     return out
 
 
+def _is_enoki_shim(cls):
+    return getattr(cls, "lib", None) is not None and hasattr(cls, "tokens")
+
+
 def _enoki_shims(kernel):
-    return [cls for _prio, cls in kernel._classes
-            if getattr(cls, "lib", None) is not None
-            and hasattr(cls, "tokens")]
+    return [cls for _prio, cls in kernel._classes if _is_enoki_shim(cls)]
 
 
 def ring_violations(kernel, at_ns=None):
@@ -409,6 +438,7 @@ class TokenSanitizer(Sanitizer):
         self._live = {}        # pid -> (generation, cpu)
         self._pending = {}     # pid -> (cpu, t) of the consume awaiting
         #                        its dispatch
+        self._shim = {}        # sched class -> is an Enoki shim
 
     def on_event(self, kind, t, cpu, pid, fields):
         if kind == "token_issue":
@@ -428,11 +458,19 @@ class TokenSanitizer(Sanitizer):
         elif kind == "token_revoke":
             self._live.pop(pid, None)
         elif kind == "dispatch":
+            # Only a task a live Enoki shim services spends tokens: not
+            # one of a native class, nor one failed over to the fallback.
             kernel = self.suite._kernel
-            if kernel is None:
+            if kernel is None or pid not in kernel.tasks:
                 return
-            task = kernel.tasks.get(pid)
-            if task is None or not self.suite.monitors_task(task):
+            try:
+                cls = kernel._class_cache[kernel.tasks[pid].policy]
+            except SchedulingError:
+                return              # an unregistered policy: no class
+            shim = self._shim
+            if cls not in shim:
+                shim[cls] = _is_enoki_shim(cls)
+            if not shim[cls] or cls.failed:
                 return
             pending = self._pending.pop(pid, None)
             if pending is None or pending != (cpu, t):
@@ -713,21 +751,6 @@ class SanitizerSuite(Observer):
                 tokens.on_event = tokens.clock = None
         self._tapped_registries = []
         super().detach()
-
-    def monitors_task(self, task):
-        """True when ``task`` is currently serviced by a live Enoki shim
-        (so its dispatches must be token-backed).  Failed-over tasks are
-        serviced by the fallback native class and carry no tokens."""
-        kernel = self._kernel
-        if kernel is None:
-            return False
-        try:
-            cls = kernel.class_of(task)
-        except SchedulingError:
-            return False
-        return (getattr(cls, "lib", None) is not None
-                and hasattr(cls, "tokens")
-                and not getattr(cls, "failed", False))
 
     # -- event intake --------------------------------------------------
 

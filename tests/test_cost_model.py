@@ -146,9 +146,9 @@ def test_the_walk_reads_the_cost_once_per_visit_after_the_pick():
     kernel, shim, native = session.kernel, session.shim, session.sched_class(1)
     costs = []
 
-    def trace(kind, **fields):
+    def trace(kind, t, cpu, keys, *values, pid=None, cost=0):
         if kind == "dispatch":
-            costs.append(fields["cost"])
+            costs.append(cost)
 
     kernel.set_trace(trace)
     kernel.spawn(lambda: (yield Run(1_000)), policy=1)

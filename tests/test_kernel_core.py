@@ -455,8 +455,8 @@ class TestClassStacking:
 
 
 class TestClassMap:
-    """``Kernel._class_cache``: the per-event path subscripts it, and a
-    miss resolves exactly what ``class_of`` always resolved."""
+    """``Kernel._class_cache``: every lookup subscripts it, and a miss
+    resolves the policy's redirect, or its own registered class."""
 
     def test_miss_after_redirect_resolves_to_the_fallback(self):
         kernel = Kernel(Topology.smp(1), SimConfig())
@@ -466,8 +466,7 @@ class TestClassMap:
         assert kernel._class_cache[1] is first     # memoised hit
         kernel.redirect_policy(1, 2)
         assert 1 not in kernel._class_cache         # the redirect cleared it
-        assert kernel._class_cache[1] is fallback
-        assert kernel.class_of(task) is fallback
+        assert kernel._class_cache[task.policy] is fallback
 
     def test_miss_after_registration_resolves_to_the_new_class(self):
         kernel = Kernel(Topology.smp(1), SimConfig())
@@ -485,7 +484,7 @@ class TestClassMap:
         task = kernel.spawn(spin_prog, policy=1)
         task.policy = 9
         with pytest.raises(SchedulingError, match="unregistered policy 9"):
-            kernel.class_of(task)
+            kernel._class_cache[task.policy]
         assert 9 not in kernel._class_cache         # a failure is not memoised
 
 

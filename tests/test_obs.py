@@ -316,7 +316,7 @@ class TestTimelineWraparound:
         # 10 alternating dispatch/idle events on cpu 0, 1000ns apart
         for i in range(10):
             kind = "dispatch" if i % 2 == 0 else "idle"
-            tracer._hook(kind, t=i * 1000, cpu=0, pid=i if kind == "dispatch"
+            tracer._hook(kind, i * 1000, 0, (), pid=i if kind == "dispatch"
                          else None)
         assert tracer.dropped == 6
         spans = tracer.timeline(cpu=0)
@@ -325,8 +325,8 @@ class TestTimelineWraparound:
 
     def test_unwrapped_ring_still_starts_at_zero(self):
         tracer = SchedTracer(capacity=100)
-        tracer._hook("dispatch", t=5000, cpu=0, pid=1)
-        tracer._hook("idle", t=9000, cpu=0)
+        tracer._hook("dispatch", 5000, 0, (), pid=1)
+        tracer._hook("idle", 9000, 0, ())
         spans = tracer.timeline(cpu=0)
         assert spans[0] == (0, 5000, None)
 

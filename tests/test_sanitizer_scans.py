@@ -11,6 +11,8 @@ corruptions that reaches every distinct flag of both scans, then on every
 scan of a sweep of live fuzz episodes.
 """
 
+import sys
+
 import pytest
 
 from repro.schedulers.cfs import CfsSchedClass
@@ -496,3 +498,37 @@ class TestLiveSweep:
         assert mismatches == []
         assert scans["conservation"] > 4000
         assert scans["group_bandwidth"] > 500
+
+    def test_a_clean_group_bandwidth_scan_calls_no_builtin(self):
+        """A group-bandwidth scan that finds nothing subscripts and
+        walks by hand: it makes no call into a builtin, with or without
+        a throttled group to walk.  (Only the scan's own calls count: a
+        garbage collection mid-scan runs other code's callbacks.)"""
+        builtins, scans = [], {False: 0, True: 0}
+        scan_code = group_bandwidth_violations.__code__
+
+        def profile(frame, event, arg):
+            if event == "c_call" and frame.f_code is scan_code:
+                builtins.append(arg.__qualname__)
+
+        def scan(kind, t, cpu, pid, fields):
+            kernel = suite._kernel
+            sys.setprofile(profile)
+            got = group_bandwidth_violations(kernel, at_ns=t)
+            sys.setprofile(None)
+            assert got == []
+            scans[any(g.throttled for g in kernel.groups.all_groups())] += 1
+
+        suite = None
+
+        def attach(kernel):
+            nonlocal suite
+            suite = SanitizerSuite.attach(kernel)
+            suite.add_route(lambda kind: scan if kind in
+                            GroupBandwidthSanitizer.SCAN_KINDS else None)
+            return suite
+
+        for seed in range(8):
+            _run_episode_session(generate_episode(seed), attach)
+        assert builtins == []
+        assert scans[False] > 100 and scans[True] > 100, scans

@@ -55,7 +55,8 @@ class TestCaptureContract:
 
     def test_capture_refuses_trace_hooks(self):
         session = build_session()
-        session.kernel.trace = lambda *a, **k: None
+        session.kernel.trace = (
+            lambda kind, t, cpu, keys, *values, pid=None, cost=0: None)
         with pytest.raises(SnapshotError, match="trace"):
             capture(session)
 

@@ -374,8 +374,7 @@ class TestKernelFacadeApi:
     use (schedulers, sanitizers, faults, observers, workloads)."""
 
     METHODS = (
-        "register_sched_class", "redirect_policy", "class_of",
-        "register_hint_handler",
+        "register_sched_class", "redirect_policy", "register_hint_handler",
         "spawn", "wake_task", "place_task", "try_migrate", "resched_cpu",
         "run_until", "run_for", "run_until_idle",
         "current_pid", "alive_tasks",

@@ -58,6 +58,12 @@ class EagerTracer(SchedTracer):
                 tuple(sorted(fields.items())) if fields else ()))
 
 
+def emit(tracer, kind, t, cpu, pid=None, cost=0, **fields):
+    """Feed one keyword-shaped emission to the positional intake."""
+    tracer._hook(kind, t, cpu, tuple(fields), *fields.values(), pid=pid,
+                 cost=cost)
+
+
 def random_emission(rng, t):
     fields = {name: rng.randrange(100)
               for name in rng.sample(FIELDS, rng.randrange(5))}
@@ -90,7 +96,7 @@ def test_lazy_ring_equals_eager_intake(tracer_cls, kinds):
         # Most cases wrap the ring several times; a few never fill it.
         for t in range(rng.randrange(CAPACITY * 8)):
             emission = random_emission(rng, t)
-            tracer._hook(**emission)
+            emit(tracer, **emission)
             reference._hook(**emission)
             if rng.random() < 0.15:
                 name, read = rng.choice(reads)
@@ -103,7 +109,7 @@ def test_lazy_ring_equals_eager_intake(tracer_cls, kinds):
 def test_raw_ring_is_bounded_by_capacity_without_a_read():
     tracer = SchedTracer(capacity=CAPACITY)
     for t in range(CAPACITY * 10):
-        tracer._hook("dispatch", t=t, cpu=0, pid=1, cost=5, prev=t)
+        emit(tracer, "dispatch", t=t, cpu=0, pid=1, cost=5, prev=t)
         assert len(tracer._ring) <= CAPACITY
     assert tracer.dropped == CAPACITY * 9
     assert [e.t_ns for e in tracer.events] == list(
@@ -131,7 +137,7 @@ def test_each_emission_shape_equals_eager_intake(capacity, kinds):
     tracer = SchedTracer(capacity, kinds=kinds)
     reference = EagerTracer(capacity, kinds=kinds)
     for t, emission in enumerate(list(SHAPES.values()) * 2):
-        tracer._hook(t=t, **emission)
+        emit(tracer, t=t, **emission)
         reference._hook(t=t, **emission)
     assert list(tracer.events) == list(reference.events)
     assert (tracer.dropped, tracer.filtered) == (reference.dropped,

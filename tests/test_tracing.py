@@ -1,5 +1,6 @@
 """Tests for the scheduling tracer."""
 
+import ast
 import re
 
 import pytest
@@ -11,6 +12,9 @@ from repro.simkernel import Kernel, SimConfig, SimError, Topology
 from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.tracing import SchedTracer, TraceEvent
+
+from tests.source_trees import trees
+from tests.test_verify import ROUTING_TABLE
 
 
 def make_kernel(nr_cpus=2):
@@ -68,14 +72,14 @@ class TestTracer:
     def test_capacity_bound_and_drop_count(self):
         tracer = SchedTracer(capacity=10)
         for i in range(25):
-            tracer._hook("dispatch", cpu=0, pid=1, t=i)
+            tracer._hook("dispatch", i, 0, (), pid=1)
         assert len(tracer.events) == 10
         assert tracer.dropped == 15
 
     def test_capacity_zero_counts_and_retains_nothing(self):
         tracer = SchedTracer(capacity=0)
         for i in range(5):
-            tracer._hook("dispatch", cpu=0, pid=1, t=i)
+            tracer._hook("dispatch", i, 0, (), pid=1)
         assert len(tracer.events) == 0
         assert tracer.retained == tracer.dropped == 5
 
@@ -121,3 +125,104 @@ class TestTracer:
         event = TraceEvent(t_ns=1_500_000, kind="dispatch", cpu=3, pid=9)
         text = str(event)
         assert "cpu3" in text and "pid=9" in text
+
+
+# ----------------------------------------------------------------------
+# the positional intake
+# ----------------------------------------------------------------------
+
+#: what an emit site calls: the trace hook (``trace``, or ``_trace`` as
+#: the spin locks hold it), the intake ``_hook`` or a lock or token tap
+HOOK_NAMES = frozenset({"trace", "_trace", "_hook", "on_event"})
+
+
+def _module_keys(tree):
+    """Module-level ``NAME = ("field", ...)`` constants: name -> node."""
+    return {node.targets[0].id: node.value for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Tuple)}
+
+
+def emit_sites():
+    """``(where, kind, keys node, value nodes, call)`` for every emit
+    site under ``src/repro``, its keys constant resolved."""
+    for path, tree in trees("src/repro"):
+        constants = _module_keys(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            if name not in HOOK_NAMES:
+                continue
+            where = f"{path.name}:{node.lineno}"
+            keys = node.args[3] if len(node.args) > 3 else None
+            if isinstance(keys, ast.Name):
+                keys = constants.get(keys.id)
+            yield where, node.args[0].value, keys, node.args[4:], node
+
+
+def _pairs(keys, values):
+    """A key matches a value; ``*fields`` matches ``*fields.values()``."""
+    if len(keys.elts) != len(values):
+        return False
+    for key, value in zip(keys.elts, values):
+        if isinstance(key, ast.Starred):
+            if not (isinstance(value, ast.Starred)
+                    and isinstance(value.value, ast.Call)
+                    and ast.unparse(value.value)
+                    == f"{ast.unparse(key.value)}.values()"):
+                return False
+        elif not (isinstance(key, ast.Constant)
+                  and isinstance(key.value, str)
+                  and not isinstance(value, ast.Starred)):
+            return False
+    return True
+
+
+def static_keys():
+    """kind -> the field-name tuples its emit sites pass (the static
+    prefix of a computed one)."""
+    out = {}
+    for _where, kind, keys, _values, _call in emit_sites():
+        out.setdefault(kind, set()).add(tuple(
+            key.value for key in keys.elts if isinstance(key, ast.Constant)))
+    return out
+
+
+class TestPositionalIntake:
+    def test_every_emit_site_passes_a_keys_constant_and_one_value_each(self):
+        bad, sites = [], 0
+        for where, kind, keys, values, call in emit_sites():
+            sites += 1
+            if keys is None or not _pairs(keys, values):
+                bad.append(f"{where} {kind}: keys and values differ")
+            if {k.arg for k in call.keywords} - {"pid", "cost"}:
+                bad.append(f"{where} {kind}: keywords "
+                           f"{[k.arg for k in call.keywords]}")
+        assert bad == []
+        assert sites >= 34
+
+    @pytest.mark.parametrize("kind", sorted(ROUTING_TABLE))
+    @pytest.mark.parametrize("cost", [0, 7])
+    def test_a_positional_emission_round_trips(self, kind, cost):
+        """The ring yields the event the keyword payload names, and the
+        sinks read that payload, in the emitter's order, ``cost`` last."""
+        emitted = static_keys()
+        assert kind in emitted or kind in {"never_heard_of_it",
+                                           "rwlock_downgrade"}
+        for keys in sorted(emitted.get(kind, {("lock", "gen", "zeta")})):
+            values = tuple(f"{kind}.{key}" for key in keys)
+            payload = dict(zip(keys, values))
+            tracer, seen = SchedTracer(), []
+            tracer.add_route(lambda kind: lambda kind, t, cpu, pid, fields:
+                             seen.append(list(fields.items())))
+            tracer._hook(kind, 5, 1, keys, *values, pid=3, cost=cost)
+            assert list(tracer.events) == [TraceEvent(
+                5, kind, 1, 3, cost, tuple(sorted(payload.items())))]
+            assert seen == [list(payload.items())
+                            + ([("cost", cost)] if cost else [])]

@@ -36,6 +36,9 @@ from tests.test_sanitizer_scans import (
 
 POLICY = 7
 
+#: payload keys for events fed straight into an intake
+LOCK, GEN = ("lock",), ("gen",)
+
 
 def make_enoki_kernel(nr_cpus=2):
     session = (KernelBuilder(f"smp:{nr_cpus}").with_native("cfs")
@@ -95,9 +98,11 @@ class TestSanitizerSuite:
         kernel, _shim = make_enoki_kernel()
         suite = SanitizerSuite.attach(kernel)
         task = kernel.spawn(spin(), policy=POLICY)
-        assert suite.monitors_task(task)
+        suite._hook("dispatch", kernel.now, 0, (), pid=task.pid)
+        assert [v.sanitizer for v in suite.violations] == ["token"]
         task.policy = 99
-        assert not suite.monitors_task(task)
+        suite._hook("dispatch", kernel.now, 0, (), pid=task.pid)
+        assert [v.sanitizer for v in suite.violations] == ["token"]
 
     def test_unexpected_class_lookup_errors_propagate(self, monkeypatch):
         """Only the lookup's own error means "no class"; anything else
@@ -106,11 +111,40 @@ class TestSanitizerSuite:
         suite = SanitizerSuite.attach(kernel)
         task = kernel.spawn(spin(), policy=POLICY)
 
-        def broken(task):
-            raise KeyError(task.policy)
-        monkeypatch.setattr(kernel, "class_of", broken)
+        class Broken(dict):
+            def __missing__(self, policy):
+                raise KeyError(policy)
+        monkeypatch.setattr(kernel, "_class_cache", Broken())
         with pytest.raises(KeyError):
-            suite.monitors_task(task)
+            suite._hook("dispatch", kernel.now, 0, (), pid=task.pid)
+
+    def test_an_unbacked_enoki_dispatch_is_flagged_a_failed_one_is_not(self):
+        """Whether a class is an Enoki shim is settled once per class;
+        whether it has failed is read at every dispatch."""
+        kernel, shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel)
+        task = kernel.spawn(spin(), policy=POLICY)
+        for failed in (False, True, False):
+            shim.failed = failed
+            suite._hook("dispatch", kernel.now, 0, (), pid=task.pid)
+        assert [(v.sanitizer, v.pid) for v in suite.violations] == [
+            ("token", task.pid)] * 2
+
+    def test_a_failed_over_task_dispatches_without_a_token(self):
+        kernel, shim = make_enoki_kernel()
+        suite = SanitizerSuite.attach(kernel)
+        tasks = [kernel.spawn(spin(), policy=POLICY, origin_cpu=i % 2)
+                 for i in range(4)]
+        kernel.run_for(usecs(150))
+        shim.containment.engage_failover(reason="test")
+        failed_at = kernel.now
+        kernel.run_until_idle()
+        suite.check()
+        assert suite.ok, suite.violation_report()
+        assert shim.failed
+        assert any(event.t_ns > failed_at and event.pid in
+                   {task.pid for task in tasks}
+                   for event in suite.events_of_kind("dispatch"))
 
     def test_violations_counted_in_metrics(self):
         kernel, shim = make_enoki_kernel()
@@ -293,16 +327,15 @@ class TestEventStreamSanitizers:
 
     def test_clock_regression(self):
         suite = SanitizerSuite()
-        suite._hook("dispatch", t=100, cpu=0, pid=1)
-        suite._hook("dispatch", t=50, cpu=0, pid=2)
+        suite._hook("dispatch", 100, 0, (), pid=1)
+        suite._hook("dispatch", 50, 0, (), pid=2)
         assert any(v.sanitizer == "clock" for v in suite.violations)
 
-    #: a stream whose stamps go backwards: (kind, t, thread, pid, fields);
-    #: ``t`` None is an emission that leaves ``t`` at its default, 0
+    #: a stream whose stamps go backwards: (kind, t, thread, pid, fields)
     BACKWARDS_STREAM = (
         ("dispatch", 100, 0, 1, {}),
         ("wakeup", 50, 1, 2, {}),
-        ("timer_fire", None, 0, None, {}),  # still after 100: not advanced
+        ("timer_fire", 0, 0, None, {}),     # still after 100: not advanced
         ("enoki_msg", 120, 1, 3, {"func": "pick_next_task", "wall_ns": 5}),
         ("lock_acquire", 110, 0, None, {"lock": "A"}),
         ("lock_release", 130, 0, None, {"lock": "A"}),
@@ -320,10 +353,8 @@ class TestEventStreamSanitizers:
         kinds, with its time, wording, pid and cpu, in order."""
         suite = SanitizerSuite()
         for kind, t, cpu, pid, fields in self.BACKWARDS_STREAM:
-            if t is None:
-                suite._hook(kind, cpu=cpu, pid=pid, **fields)
-            else:
-                suite._hook(kind, t=t, cpu=cpu, pid=pid, **fields)
+            suite._hook(kind, t, cpu, tuple(fields), *fields.values(),
+                        pid=pid)
         suite.check()
         backwards = "clock went backwards: {} at {} ns after an event at " \
             "{} ns"
@@ -346,15 +377,15 @@ class TestEventStreamSanitizers:
         """The intake checks the stamp once the event's sinks have run,
         so the clock flag follows every other flag that event drew."""
         suite = SanitizerSuite()
-        suite._hook("idle", t=10, cpu=0)
-        suite._hook("lock_release", t=5, cpu=1, lock="Z")
-        suite._hook("token_consume", t=5, cpu=1, pid=9, gen=3)
+        suite._hook("idle", 10, 0, ())
+        suite._hook("lock_release", 5, 1, LOCK, "Z")
+        suite._hook("token_consume", 5, 1, GEN, 3, pid=9)
         assert [v.sanitizer for v in suite.violations] == [
             "lock", "clock", "token", "clock"]
 
     def test_release_of_unheld_lock(self):
         suite = SanitizerSuite()
-        suite._hook("lock_release", t=10, cpu=0, lock=3)
+        suite._hook("lock_release", 10, 0, LOCK, 3)
         assert any(v.sanitizer == "lock"
                    and "does not hold" in v.detail
                    for v in suite.violations)
@@ -362,31 +393,27 @@ class TestEventStreamSanitizers:
     def test_lock_order_inversion(self):
         suite = SanitizerSuite()
         # thread 0 takes A then B; thread 1 takes B then A: ABBA.
-        suite._hook("lock_acquire", t=1, cpu=0, lock="A")
-        suite._hook("lock_acquire", t=2, cpu=0, lock="B")
-        suite._hook("lock_release", t=3, cpu=0, lock="B")
-        suite._hook("lock_release", t=4, cpu=0, lock="A")
-        suite._hook("lock_acquire", t=5, cpu=1, lock="B")
-        suite._hook("lock_acquire", t=6, cpu=1, lock="A")
+        suite._hook("lock_acquire", 1, 0, LOCK, "A")
+        suite._hook("lock_acquire", 2, 0, LOCK, "B")
+        suite._hook("lock_release", 3, 0, LOCK, "B")
+        suite._hook("lock_release", 4, 0, LOCK, "A")
+        suite._hook("lock_acquire", 5, 1, LOCK, "B")
+        suite._hook("lock_acquire", 6, 1, LOCK, "A")
         assert any("inversion" in v.detail for v in suite.violations)
 
     def test_consistent_lock_order_is_clean(self):
         suite = SanitizerSuite()
         for thread in (0, 1):
-            suite._hook("lock_acquire", t=thread * 10 + 1, cpu=thread,
-                        lock="A")
-            suite._hook("lock_acquire", t=thread * 10 + 2, cpu=thread,
-                        lock="B")
-            suite._hook("lock_release", t=thread * 10 + 3, cpu=thread,
-                        lock="B")
-            suite._hook("lock_release", t=thread * 10 + 4, cpu=thread,
-                        lock="A")
+            suite._hook("lock_acquire", thread * 10 + 1, thread, LOCK, "A")
+            suite._hook("lock_acquire", thread * 10 + 2, thread, LOCK, "B")
+            suite._hook("lock_release", thread * 10 + 3, thread, LOCK, "B")
+            suite._hook("lock_release", thread * 10 + 4, thread, LOCK, "A")
         suite.check()
         assert suite.ok, suite.violation_report()
 
     def test_held_lock_at_end_of_run(self):
         suite = SanitizerSuite()
-        suite._hook("lock_acquire", t=1, cpu=0, lock="A")
+        suite._hook("lock_acquire", 1, 0, LOCK, "A")
         suite.check()
         assert any("still holds" in v.detail for v in suite.violations)
 
@@ -395,8 +422,8 @@ class TestEventStreamSanitizers:
         suite = SanitizerSuite.attach(kernel)
         kernel.spawn(spin(phases=1), policy=POLICY)
         kernel.run_until_idle()
-        suite._hook("lock_acquire", t=1, cpu=0, lock="A")
-        suite._hook("rwlock_read_acquire", t=2, cpu=-1, lock="q")
+        suite._hook("lock_acquire", 1, 0, LOCK, "A")
+        suite._hook("rwlock_read_acquire", 2, -1, LOCK, "q")
         suite.check()
         leaks = [v for v in suite.violations if v.sanitizer == "lock"]
         assert [v.detail.split()[0] for v in leaks] == ["thread", "rwlock"]
@@ -405,20 +432,20 @@ class TestEventStreamSanitizers:
 
     def test_lock_leaks_of_a_detached_suite_are_reported_at_zero(self):
         suite = SanitizerSuite()
-        suite._hook("lock_acquire", t=1, cpu=0, lock="A")
+        suite._hook("lock_acquire", 1, 0, LOCK, "A")
         suite.check()
         assert [v.at_ns for v in suite.violations] == [0]
 
     def test_rwlock_reader_during_writer(self):
         suite = SanitizerSuite()
-        suite._hook("rwlock_write_acquire", t=1, cpu=-1, lock="q")
-        suite._hook("rwlock_read_acquire", t=2, cpu=-1, lock="q")
+        suite._hook("rwlock_write_acquire", 1, -1, LOCK, "q")
+        suite._hook("rwlock_read_acquire", 2, -1, LOCK, "q")
         assert any(v.sanitizer == "lock" and "writer holds" in v.detail
                    for v in suite.violations)
 
     def test_rwlock_release_underflow(self):
         suite = SanitizerSuite()
-        suite._hook("rwlock_read_release", t=1, cpu=-1, lock="q")
+        suite._hook("rwlock_read_release", 1, -1, LOCK, "q")
         assert any("underflow" in v.detail for v in suite.violations)
 
     #: one broken lock stream: (kind, thread, lock field or None)
@@ -459,8 +486,10 @@ class TestEventStreamSanitizers:
         """Every lock flag, its time and its wording, in order."""
         suite = SanitizerSuite()
         for t, (kind, thread, lock) in enumerate(self.BROKEN_LOCK_STREAM):
-            fields = {} if lock is None else {"lock": lock}
-            suite._hook(kind, t=t + 1, cpu=thread, **fields)
+            if lock is None:
+                suite._hook(kind, t + 1, thread, ())
+            else:
+                suite._hook(kind, t + 1, thread, LOCK, lock)
         suite.check()
         inversion = "lock-order inversion: {} closes a cycle in the " \
             "acquisition graph"
@@ -489,7 +518,7 @@ class TestEventStreamSanitizers:
 
     def test_double_consume_without_issue(self):
         suite = SanitizerSuite()
-        suite._hook("token_consume", t=5, cpu=0, pid=1, gen=1)
+        suite._hook("token_consume", 5, 0, GEN, 1, pid=1)
         assert any(v.sanitizer == "token"
                    and "none live" in v.detail
                    for v in suite.violations)
@@ -540,6 +569,7 @@ ROUTING_TABLE = {
 #: every field some sink reads off one of the kinds above
 PAYLOAD = {"lock": "L", "gen": 1, "slo": "s", "hook": "task_tick",
            "group": "g0", "finding": "lost_task"}
+PAYLOAD_KEYS, PAYLOAD_VALUES = tuple(PAYLOAD), tuple(PAYLOAD.values())
 
 
 def spying(cls, seen):
@@ -568,7 +598,7 @@ class TestEventRouting:
         suite = SanitizerSuite(
             sanitizers=[spying(cls, seen) for cls in DEFAULT_SANITIZERS])
         for t in (1, 2):        # second event rides the cached route
-            suite._hook(kind, t=t, cpu=0, pid=1, **PAYLOAD)
+            suite._hook(kind, t, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES, pid=1)
         assert seen == [(name, kind) for _ in (1, 2)
                         for name in [cls.name for cls in DEFAULT_SANITIZERS]
                         if name in ROUTING_TABLE[kind]]
@@ -587,9 +617,9 @@ class TestEventRouting:
         suite, without = SanitizerSuite(), SanitizerSuite(sanitizers=others)
         observer = Observer()
         for watcher in (suite, without, observer):
-            watcher._hook("idle", t=10, cpu=1)
-            watcher._hook(kind, t=5, cpu=0, pid=1, **PAYLOAD)
-            watcher._hook("idle", t=10, cpu=1)      # equal: in order
+            watcher._hook("idle", 10, 1, ())
+            watcher._hook(kind, 5, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES, pid=1)
+            watcher._hook("idle", 10, 1, ())      # equal: in order
         assert [v for v in suite.violations if v.sanitizer == "clock"] == [
             Violation("clock", 5, f"clock went backwards: {kind} at 5 ns "
                       "after an event at 10 ns", pid=1, cpu=0)]
@@ -639,13 +669,13 @@ class TestEventRouting:
 
         suite = SanitizerSuite(sanitizers=[Everything])
         for kind in sorted(ROUTING_TABLE):
-            suite._hook(kind, t=1, cpu=0, **PAYLOAD)
+            suite._hook(kind, 1, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES)
         assert seen == sorted(ROUTING_TABLE)
 
     def test_rwlock_prefix_reaches_the_lock_sanitizer(self):
         suite = SanitizerSuite()
-        suite._hook("rwlock_write_acquire", t=1, cpu=-1, lock="q")
-        suite._hook("rwlock_write_acquire", t=2, cpu=-1, lock="q")
+        suite._hook("rwlock_write_acquire", 1, -1, LOCK, "q")
+        suite._hook("rwlock_write_acquire", 2, -1, LOCK, "q")
         assert any(v.sanitizer == "lock" and "write acquired" in v.detail
                    for v in suite.violations)
 
@@ -659,7 +689,8 @@ class TestEventRouting:
             assert fields == {**PAYLOAD, "cost": 7}, kind
         suite.add_route(lambda kind: unchanged)
         for kind in sorted(ROUTING_TABLE):
-            suite._hook(kind, t=1, cpu=0, pid=1, cost=7, **PAYLOAD)
+            suite._hook(kind, 1, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES, pid=1,
+                        cost=7)
         assert [(e.kind, e.cost_ns, e.args) for e in suite.events] == [
             (kind, 7, tuple(sorted(PAYLOAD.items())))
             for kind in sorted(ROUTING_TABLE)]
@@ -683,21 +714,21 @@ class TestEventRouting:
         # A planted reader under the upgrade writer must be flagged.
         rwlock = shim.lib.rwlock
         assert rwlock.try_acquire_write()
-        rwlock.on_event("rwlock_read_acquire", rwlock.clock.now,
-                        lock=rwlock.name)
+        rwlock.on_event("rwlock_read_acquire", rwlock.clock.now, -1, LOCK,
+                        rwlock.name)
         assert [v.sanitizer for v in suite.violations] == ["lock"]
         assert "read acquired while the upgrade writer holds it" in \
             suite.violations[0].detail
 
     def test_route_added_after_first_event_takes_effect(self):
         tracer = SchedTracer()
-        tracer._hook("dispatch", t=1, cpu=0, pid=1)
+        tracer._hook("dispatch", 1, 0, (), pid=1)
         late = []
         tracer.add_route(lambda kind: (
             (lambda kind, t, cpu, pid, fields: late.append((kind, t)))
             if kind == "dispatch" else None))
-        tracer._hook("dispatch", t=2, cpu=0, pid=1)
-        tracer._hook("idle", t=3, cpu=0)
+        tracer._hook("dispatch", 2, 0, (), pid=1)
+        tracer._hook("idle", 3, 0, ())
         assert late == [("dispatch", 2)]
 
     def test_scheduler_registered_after_attach_is_audited(self):
