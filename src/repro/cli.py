@@ -377,6 +377,13 @@ def cmd_bench(args):
     print(f"wall {meta['wall_s']:.2f}s, {meta['cache_hits']} cached / "
           f"{meta['executed']} executed"
           + (f", {rate:,.0f} sim-ns per wall-second" if rate else ""))
+    times = meta["cell_wall_s"]
+    slowest = sorted(((times[r["spec_hash"]], r["name"])
+                      for r in payload["results"]
+                      if r["spec_hash"] in times), reverse=True)[:5]
+    if slowest:
+        print("slowest cells (as last run): " + ", ".join(
+            f"{cell} {wall_s:.1f}s" for wall_s, cell in slowest))
     print(f"wrote BENCH_{name}.json")
     if status:
         print("FAIL: a claim of the paper does not hold on this tree")

@@ -11,7 +11,7 @@ timers, reverse hint queues).
 from repro.core.errors import EnokiError
 from repro.core.rwlock import SchedulerRwLock
 
-#: the trace payload keys of the spin locks' events
+#: the trace payload keys of the spin locks' and the rwlock's events
 _LOCK = ("lock",)
 
 
@@ -195,13 +195,20 @@ class LibEnoki:
 
         This is the *watched* crossing (and the replayer's): Enoki-C's
         quiet mode calls the trait method directly (see
-        ``EnokiSchedClass._call``).
+        ``EnokiSchedClass._call``).  The read section is
+        :meth:`SchedulerRwLock.acquire_read` / ``release_read`` written
+        out, counters and tap alike, as the quiet mode's is.
         """
         rwlock = self.rwlock
-        if not rwlock.acquire_read():
+        if rwlock._writer:
             raise EnokiError(
                 "dispatch while the upgrade writer holds the lock"
             )
+        rwlock._readers += 1
+        rwlock.read_acquisitions += 1
+        if rwlock.on_event is not None:
+            rwlock.on_event("rwlock_read_acquire", rwlock.clock.now, -1,
+                            _LOCK, rwlock.name)
         env = self.env
         previous_thread = env._thread
         env._thread = thread
@@ -217,7 +224,10 @@ class LibEnoki:
                 response = injector.filter_response(func, response)
         finally:
             env._thread = previous_thread
-            rwlock.release_read()
+            rwlock._readers -= 1
+            if rwlock.on_event is not None:
+                rwlock.on_event("rwlock_read_release", rwlock.clock.now,
+                                -1, _LOCK, rwlock.name)
         if self.recorder is not None:
             self.recorder.note_call(func, args, response, thread)
         return response

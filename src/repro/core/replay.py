@@ -15,8 +15,8 @@ Two modes, both from the paper:
   than record.  A log whose lock order its calls cannot follow raises
   :class:`ReplayMismatch` rather than blocking for ever.  The mode brings
   its own concurrency — ordered locks, a per-thread ``env._thread``, a
-  serialised rwlock — so the framework classes it drives stay
-  single-threaded.
+  per-thread copy of the lib with its own rwlock counters, added up at
+  the join — so the framework classes it drives stay single-threaded.
 * **sequential** — a fast validation mode that replays messages in global
   sequence order on one thread (sufficient whenever the recorded execution
   was already serialised, which a single-run log always is).  One thread
@@ -24,6 +24,7 @@ Two modes, both from the paper:
   lock here and a replayed call costs about what a live one does.
 """
 
+import copy
 import json
 import threading
 from contextlib import nullcontext
@@ -179,24 +180,6 @@ _replay_tls = threading.local()
 
 def _current_replay_thread():
     return getattr(_replay_tls, "thread", -1)
-
-
-class _SerialisedRwLock(SchedulerRwLock):
-    """The scheduler rwlock under threaded replay: dispatches enter from
-    several OS threads at once, so the read counters update under a
-    mutex.  Replay never upgrades, so no writer exists to wait for."""
-
-    def __init__(self, name):
-        super().__init__(name)
-        self._mutex = threading.Lock()
-
-    def acquire_read(self):
-        with self._mutex:
-            return super().acquire_read()
-
-    def release_read(self):
-        with self._mutex:
-            super().release_read()
 
 
 class _ReplayEnv(EnokiEnv):
@@ -362,14 +345,19 @@ class ReplayEngine:
         orders, queue_order, by_thread, lock_ops = self._analyse()
         env = _ThreadedReplayEnv(orders, queue_order, by_thread)
         lib = self._build_lib(env)
-        lib.rwlock = _SerialisedRwLock(lib.rwlock.name)
         results = {tid: ReplayResult() for tid in by_thread}
+        # Dispatches enter from several OS threads at once, so each gets
+        # the lib with read counters of its own (replay never upgrades:
+        # there is no writer to exclude), added into the lib's at the join.
+        libs = {tid: copy.copy(lib) for tid in by_thread}
+        for local in libs.values():
+            local.rwlock = SchedulerRwLock(lib.rwlock.name)
         failures = []     # in time order: the cause before what it stalls
 
         def worker(thread_id, entries):
             _replay_tls.thread = thread_id
             try:
-                self._replay(lib, entries, results[thread_id],
+                self._replay(libs[thread_id], entries, results[thread_id],
                              env.queue_turns)
             except Exception as exc:   # re-raised by the joining thread
                 failures.append(exc)
@@ -385,6 +373,9 @@ class ReplayEngine:
             thread.start()
         for thread in threads:
             thread.join()
+        for local in libs.values():
+            lib.rwlock._readers += local.rwlock.readers
+            lib.rwlock.read_acquisitions += local.rwlock.read_acquisitions
         if failures:
             raise failures[0]
         result = ReplayResult(lock_ops_replayed=lock_ops)

@@ -14,9 +14,12 @@ Nothing here ever blocks: a read acquire under the writer and a write
 acquire with readers in flight both return False (the caller models the
 delay or raises), and a release without a hold is a framework bug that
 raises.  The *time* the quiesce costs on a real machine is modelled by the
-upgrade manager from the per-CPU sync constants.  Threaded replay, the one
-caller on real OS threads, installs a subclass that serialises the read
-counters (``repro.core.replay``).
+upgrade manager from the per-CPU sync constants.  The crossings write the
+read section out inline (``EnokiSchedClass._call``'s quiet mode and
+``LibEnoki.dispatch``); ``acquire_read``/``release_read`` are the
+reference they are held to.  Threaded replay, the one caller on real OS
+threads, gives each replay thread counters of its own and adds them up
+at the join (``repro.core.replay``).
 """
 
 from repro.core.errors import UpgradeError

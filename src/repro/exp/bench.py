@@ -388,6 +388,18 @@ class BenchCache:
 # the sweep runner
 # ----------------------------------------------------------------------
 
+def _previous_cell_times(path):
+    """spec hash -> wall seconds of each cell, as the last sweep written
+    to ``path`` timed it; empty when there is no readable one."""
+    try:
+        with open(path) as handle:
+            times = json.load(handle)["meta"]["cell_wall_s"]
+        return {spec_hash: wall_s for spec_hash, wall_s in times.items()
+                if type(wall_s) in (int, float)}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return {}
+
+
 def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
               out_dir=".", use_cache=True, rev=None):
     """Run a sweep of specs on ``workers`` processes (fewer than one
@@ -396,7 +408,10 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
     Writes ``BENCH_<name>.json`` into ``out_dir`` and returns the payload.
     Everything outside the payload's ``meta`` key is deterministic for a
     given (specs, git rev) pair — byte-identical across repeat runs, with
-    or without cache hits, at any worker count.
+    or without cache hits, at any worker count.  The cells to run are
+    handed out longest first, by the wall times the previous payload at
+    that path recorded in its ``meta`` (a cell it did not time goes
+    first, in catalogue order); the results keep catalogue order.
     """
     start = time.perf_counter()
     workers = max(1, workers)
@@ -404,6 +419,8 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
              for s in specs]
     rev = rev if rev is not None else git_rev()
     cache = BenchCache(cache_dir, rev) if use_cache else None
+    out_path = os.path.join(out_dir, f"BENCH_{name}.json")
+    previous = _previous_cell_times(out_path)
 
     hashes = [spec.spec_hash() for spec in specs]
     metrics_by_hash = {}
@@ -414,6 +431,8 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
             metrics_by_hash[spec_hash] = cached
         else:
             pending.append((spec, spec_hash))
+    # Longest first: the pool's last cell to start sets the tail.
+    pending.sort(key=lambda cell: -previous.get(cell[1], float("inf")))
 
     dicts = [spec.to_dict() for spec, _ in pending]
     if workers > 1 and len(pending) > 1:
@@ -426,9 +445,13 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
         runs = [_timed_run(spec_dict) for spec_dict in dicts]
     run_wall_s = 0.0
     simulated_total = 0
+    # A cell served from the cache keeps the time it was last run in.
+    cell_wall_s = {spec_hash: previous[spec_hash] for spec_hash in hashes
+                   if spec_hash in previous}
     for (spec, spec_hash), spec_dict, (metrics, wall_s) in zip(
             pending, dicts, runs):
         metrics_by_hash[spec_hash] = metrics
+        cell_wall_s[spec_hash] = wall_s
         run_wall_s += wall_s
         simulated_total += metrics.get("simulated_ns", 0)
         if cache is not None:
@@ -457,10 +480,10 @@ def run_sweep(specs, name, workers=1, cache_dir=DEFAULT_CACHE_DIR,
             "sim_ns_executed": simulated_total,
             "sim_ns_per_wall_s": (simulated_total / run_wall_s
                                   if run_wall_s > 0 else None),
+            "cell_wall_s": cell_wall_s,
         },
     }
     os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, f"BENCH_{name}.json")
     with open(out_path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

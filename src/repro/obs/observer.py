@@ -41,17 +41,20 @@ from repro.obs.profiler import CallbackProfiler
 from repro.simkernel.tracing import SchedTracer
 
 
-#: kind -> (registry family, metric, field): the metric the field's value
-#: feeds on every event of the kind.  Not ``enoki_msg``'s ``wall_ns``: the
-#: profilers keep it per hook, and ``collect`` merges ``enoki.msg_wall_ns``.
+#: kind -> (registry family, metric, index): the metric fed on every
+#: event of the kind, with its ``cost`` (index ``None``) or with the value
+#: at that index of the payload (``hint_enqueue``'s keys are ``("queue",
+#: "depth")``).  Not ``enoki_msg``'s ``wall_ns``: the profilers keep it per
+#: hook, and ``collect`` merges ``enoki.msg_wall_ns``.
 _VALUE_METRICS = {
-    "dispatch": ("histogram", "kernel.dispatch_cost_ns", "cost"),
+    "dispatch": ("histogram", "kernel.dispatch_cost_ns", None),
     # The gauge's max watermark is the peak ring pressure.
-    "hint_enqueue": ("gauge", "enoki.hint_ring_depth", "depth"),
+    "hint_enqueue": ("gauge", "enoki.hint_ring_depth", 1),
 }
 
 #: kind -> counters bumped on every event of the kind; ``{name}`` is the
-#: event's field of that name
+#: event's field of that name.  A name without one is resolved once, when
+#: the kind's route is.
 _EVENT_COUNTERS = {
     "slo_violation": ("slo.traced.{slo}",),
     "enoki_panic": ("containment.panics", "containment.panic.{hook}"),
@@ -129,16 +132,32 @@ class Observer(SchedTracer):
     def _feeder_route(self, kind):
         registry = self.registry
         if kind in _VALUE_METRICS:
-            family, name, key = _VALUE_METRICS[kind]
+            family, name, index = _VALUE_METRICS[kind]
             metric = getattr(registry, family)(name)
             feed = metric.record if family == "histogram" else metric.set
-            return lambda kind, t, cpu, pid, fields: feed(
-                fields[key] if key in fields else 0)
-        names = _EVENT_COUNTERS.get(kind, ())
+            if index is None:
+                return lambda kind, t, cpu, pid, cost, keys, values: feed(
+                    cost)
 
-        def bump(kind, t, cpu, pid, fields):
-            for name in names:
-                registry.counter(name.format_map(fields)).inc()
+            def feed_field(kind, t, cpu, pid, cost, keys, values):
+                try:
+                    value = values[index]
+                except IndexError:      # an emission without the field
+                    value = 0
+                feed(value)
+            return feed_field
+        names = _EVENT_COUNTERS.get(kind, ())
+        counters = tuple(registry.counter(name) for name in names
+                         if "{" not in name)
+        named = tuple(name for name in names if "{" in name)
+
+        def bump(kind, t, cpu, pid, cost, keys, values):
+            for counter in counters:
+                counter.value += 1
+            if named:
+                fields = dict(zip(keys, values))
+                for name in named:
+                    registry.counter(name.format_map(fields)).inc()
         return bump if names else None
 
     # ------------------------------------------------------------------

@@ -58,9 +58,14 @@ class TimerService:
     def _note_fire(self, trace, timer):
         tag = timer.tag
         cpu = -1
-        if isinstance(tag, tuple) and len(tag) == 2 \
-                and isinstance(tag[1], int):
-            cpu = tag[1]      # conventionally ("tick", cpu) etc.
+        if tag.__class__ is tuple:
+            # conventionally ("tick", cpu) etc.: a pair ending in an int
+            try:
+                _name, cpu = tag
+            except ValueError:      # not a pair: ``cpu`` is still -1
+                pass
+            if cpu.__class__ is not int:
+                cpu = -1
         trace("timer_fire", self.events.clock.now, cpu, _TAG,
               str(tag) if tag is not None else None)
 

@@ -58,8 +58,10 @@ Every emit site passes its payload positionally, behind its own
 ``keys`` is a tuple of field names defined once per site and followed by
 one value per name; ``pid`` (default ``None``) and ``cost`` (default 0)
 are keywords.  The intake retains ``(t, kind, cpu, pid, cost) + keys +
-values`` as it comes, and builds a ``fields`` dict only for a kind that
-has sinks.
+values`` as it comes, and hands a kind's sinks the same values
+positionally: ``sink(kind, t, cpu, pid, cost, keys, values)``.  A sink
+that reads a field by index relies on every emit site of that kind
+putting the field there (``tests/test_tracing.py`` checks each one).
 
 Anything not in the table is legal too — the tracer stores unknown kinds
 verbatim, so layers can add events without touching this module.
@@ -186,11 +188,11 @@ class SchedTracer:
         """Register a sink provider: ``resolve(kind)`` is asked on first
         sight of each event kind and returns the sink to call for every
         event of that kind, or ``None``.  A sink is called as
-        ``sink(kind, t, cpu, pid, fields)``, ``fields`` being the
-        emitter's keys mapped to its values (``cost`` included when
-        charged).  The sinks of one event share that dict, so a sink must
-        not change it; the ring keeps its own copy of the values, not the
-        dict."""
+        ``sink(kind, t, cpu, pid, cost, keys, values)``: ``keys`` is the
+        emit site's tuple of field names and ``values`` the tuple of its
+        values, in the same order, so no event builds a dict.  A sink
+        reads a field by its index in ``keys``, which every emit site of
+        the kind must share."""
         self._resolvers.append(resolve)
         self._routes = {}
 
@@ -200,8 +202,12 @@ class SchedTracer:
         return None
 
     def _route(self, kind):
-        route = self._routes[kind] = (self._counter(kind), tuple(filter(
-            None, (resolve(kind) for resolve in self._resolvers))))
+        counter, sinks = self._counter(kind), []
+        for resolve in self._resolvers:
+            sink = resolve(kind)
+            if sink is not None:
+                sinks.append(sink)
+        route = self._routes[kind] = (counter, tuple(sinks))
         return route
 
     def _stamp_backwards(self, kind, t, cpu, pid):
@@ -219,17 +225,8 @@ class SchedTracer:
             counter, sinks = self._route(kind)
         if counter is not None:
             counter.value += 1
-        if sinks:
-            # By hand: ``dict(zip(keys, values))`` pays two type calls.
-            fields = {}
-            i = 0
-            for key in keys:
-                fields[key] = values[i]
-                i += 1
-            if cost:
-                fields["cost"] = cost
-            for sink in sinks:
-                sink(kind, t, cpu, pid, fields)
+        for sink in sinks:
+            sink(kind, t, cpu, pid, cost, keys, values)
         if t < self._last_t:
             self._stamp_backwards(kind, t, cpu, pid)
         else:

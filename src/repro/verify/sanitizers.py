@@ -100,10 +100,12 @@ def conservation_violations(kernel, at_ns=None):
                 running_on[current.pid].append(cpu)
             else:
                 running_on[current.pid] = [cpu]
-    limbo_pids, tasks, root = kernel._limbo, kernel.tasks, kernel.groups.root
+    limbo_pids, tasks = kernel._limbo, kernel.tasks
+    by_name = kernel.groups._by_name    # name -> group, the root included
     nowhere = []
     parked_in = {}      # pid -> names of the group containers holding it
-    for group in kernel.groups.all_groups() if root.children else (root,):
+    for name in by_name:
+        group = by_name[name]
         for pid in group.parked:
             parked_in[pid] = (parked_in[pid] if pid in parked_in
                               else nowhere) + [group.name]
@@ -417,8 +419,9 @@ class Sanitizer:
             Violation(self.name, at_ns, detail,
                       pid if pid is not None else -1, cpu))
 
-    def on_event(self, kind, t, cpu, pid, fields):
-        """One trace event arrived (before ring-buffer filtering)."""
+    def on_event(self, kind, t, cpu, pid, cost, keys, values):
+        """One trace event arrived (before ring-buffer filtering), its
+        payload as the emit site's ``keys`` and ``values``."""
 
     def check(self, kernel):
         """End-of-run (or on-demand) state checks."""
@@ -427,7 +430,9 @@ class Sanitizer:
 class TokenSanitizer(Sanitizer):
     """Token discipline: no task runs on a core without spending a live
     ``Schedulable`` for that core; no double/stale consume; revoked
-    tokens never spent."""
+    tokens never spent.  A ``token_*`` event's payload is ``("gen",)``;
+    the clean path calls nothing (dicts are tested, subscripted and
+    ``del``-ed)."""
 
     name = "token"
     KINDS = frozenset({"token_issue", "token_consume", "token_revoke",
@@ -440,23 +445,26 @@ class TokenSanitizer(Sanitizer):
         #                        its dispatch
         self._shim = {}        # sched class -> is an Enoki shim
 
-    def on_event(self, kind, t, cpu, pid, fields):
+    def on_event(self, kind, t, cpu, pid, cost, keys, values):
         if kind == "token_issue":
-            self._live[pid] = (fields.get("gen"), cpu)
+            self._live[pid] = (values[0] if values else None, cpu)
         elif kind == "token_consume":
-            live = self._live.get(pid)
-            if live is None:
+            live = self._live
+            if pid not in live:
                 self.flag("token consumed while none live "
                           "(double-consume or use-after-revoke)",
                           at_ns=t, pid=pid, cpu=cpu)
-            elif live != (fields.get("gen"), cpu):
-                self.flag(f"stale token consumed (gen {fields.get('gen')}"
-                          f" on cpu {cpu}, live is gen {live[0]} on cpu "
-                          f"{live[1]})", at_ns=t, pid=pid, cpu=cpu)
-            self._live.pop(pid, None)
+            else:
+                gen = values[0] if values else None
+                if live[pid] != (gen, cpu):
+                    self.flag(f"stale token consumed (gen {gen} on cpu "
+                              f"{cpu}, live is gen {live[pid][0]} on cpu "
+                              f"{live[pid][1]})", at_ns=t, pid=pid, cpu=cpu)
+                del live[pid]
             self._pending[pid] = (cpu, t)
         elif kind == "token_revoke":
-            self._live.pop(pid, None)
+            if pid in self._live:
+                del self._live[pid]
         elif kind == "dispatch":
             # Only a task a live Enoki shim services spends tokens: not
             # one of a native class, nor one failed over to the fallback.
@@ -472,18 +480,22 @@ class TokenSanitizer(Sanitizer):
                 shim[cls] = _is_enoki_shim(cls)
             if not shim[cls] or cls.failed:
                 return
-            pending = self._pending.pop(pid, None)
-            if pending is None or pending != (cpu, t):
-                self.flag(
-                    "task dispatched without consuming a live "
-                    "Schedulable for this core (token-discipline "
-                    "violation)", at_ns=t, pid=pid, cpu=cpu)
+            pending = self._pending
+            if pid in pending:
+                consumed = pending[pid]
+                del pending[pid]
+                if consumed == (cpu, t):
+                    return
+            self.flag(
+                "task dispatched without consuming a live Schedulable "
+                "for this core (token-discipline violation)",
+                at_ns=t, pid=pid, cpu=cpu)
 
 
 class _ScanSanitizer(Sanitizer):
     """Runs ``scan`` after each event of ``SCAN_KINDS`` and at the end."""
 
-    def on_event(self, kind, t, cpu, pid, fields):
+    def on_event(self, kind, t, cpu, pid, cost, keys, values):
         kernel = self.suite._kernel
         if kernel is not None:
             for violation in self.scan(kernel, at_ns=t):
@@ -560,7 +572,8 @@ class LockSanitizer(Sanitizer):
     #
     # The sinks run on every watched crossing: the clean path looks up
     # by subscript only, and scans the holders only for a lock already
-    # held somewhere.
+    # held somewhere.  Every lock and rwlock event's payload is
+    # ``("lock",)``, so the lock is ``values[0]``.
 
     def _order_ok(self, new_edge):
         """False when adding ``new_edge`` closes a cycle."""
@@ -578,8 +591,8 @@ class LockSanitizer(Sanitizer):
                          if src == node)
         return True
 
-    def lock_acquire(self, kind, t, cpu, pid, fields):
-        lock = fields["lock"] if "lock" in fields else None
+    def lock_acquire(self, kind, t, cpu, pid, cost, keys, values):
+        lock = values[0] if values else None
         holds = self._holds
         if lock in holds:
             holds[lock] += 1
@@ -605,8 +618,8 @@ class LockSanitizer(Sanitizer):
         else:
             self._held[cpu] = [lock]
 
-    def lock_release(self, kind, t, cpu, pid, fields):
-        lock = fields["lock"] if "lock" in fields else None
+    def lock_release(self, kind, t, cpu, pid, cost, keys, values):
+        lock = values[0] if values else None
         held = self._held[cpu] if cpu in self._held else ()
         if lock not in held:
             self.flag(f"lock {lock} released by thread {cpu} "
@@ -625,16 +638,16 @@ class LockSanitizer(Sanitizer):
 
     # -- the per-scheduler quiesce rwlock ------------------------------
 
-    def rwlock_read_acquire(self, kind, t, cpu, pid, fields):
-        name = fields["lock"] if "lock" in fields else "?"
+    def rwlock_read_acquire(self, kind, t, cpu, pid, cost, keys, values):
+        name = values[0] if values else "?"
         state = self._rw[name]
         if state[1]:
             self.flag(f"rwlock {name!r}: read acquired while the "
                       "upgrade writer holds it", at_ns=t, cpu=cpu)
         state[0] += 1
 
-    def rwlock_read_release(self, kind, t, cpu, pid, fields):
-        name = fields["lock"] if "lock" in fields else "?"
+    def rwlock_read_release(self, kind, t, cpu, pid, cost, keys, values):
+        name = values[0] if values else "?"
         state = self._rw[name]
         if state[0] <= 0:
             self.flag(f"rwlock {name!r}: read release underflow",
@@ -642,8 +655,8 @@ class LockSanitizer(Sanitizer):
         else:
             state[0] -= 1
 
-    def rwlock_write_acquire(self, kind, t, cpu, pid, fields):
-        name = fields["lock"] if "lock" in fields else "?"
+    def rwlock_write_acquire(self, kind, t, cpu, pid, cost, keys, values):
+        name = values[0] if values else "?"
         state = self._rw[name]
         if state[0] > 0 or state[1]:
             self.flag(f"rwlock {name!r}: write acquired with "
@@ -651,8 +664,8 @@ class LockSanitizer(Sanitizer):
                       f"(writer={state[1]})", at_ns=t, cpu=cpu)
         state[1] = True
 
-    def rwlock_write_release(self, kind, t, cpu, pid, fields):
-        name = fields["lock"] if "lock" in fields else "?"
+    def rwlock_write_release(self, kind, t, cpu, pid, cost, keys, values):
+        name = values[0] if values else "?"
         state = self._rw[name]
         if not state[1]:
             self.flag(f"rwlock {name!r}: write release without "

@@ -224,6 +224,103 @@ class TestWriterGuard:
         assert shim.balance(0) is None
 
 
+class _TickingClock:
+    """A clock that moves on at every read, so each stamp tells which
+    read made it."""
+
+    def __init__(self):
+        self.reads = 0
+
+    @property
+    def now(self):
+        self.reads += 1
+        return self.reads * 10
+
+
+class CountingWfq(EnokiWfq):
+    """Notes its lib's read counters from inside each ``balance``."""
+
+    lib = None
+
+    def balance(self, cpu):
+        rwlock = self.lib.rwlock
+        self.inside = (rwlock.readers, rwlock.read_acquisitions)
+        if cpu < 0:
+            raise RuntimeError("planted balance bug")
+        return super().balance(cpu)
+
+
+def reference_dispatch(lib, func, args):
+    """``LibEnoki.dispatch``'s read section spelt with the rwlock's own
+    ``acquire_read`` / ``release_read``."""
+    rwlock = lib.rwlock
+    if not rwlock.acquire_read():
+        raise EnokiError("dispatch while the upgrade writer holds the lock")
+    try:
+        return lib.methods[func](*args)
+    finally:
+        rwlock.release_read()
+
+
+class TestInlineReadSection:
+    """``LibEnoki.dispatch`` writes the read section out inline; the
+    rwlock's ``acquire_read`` / ``release_read`` are the reference it is
+    held to: the same counters inside and after the call, the same two
+    events with the same stamps, and the same refusal under the
+    upgrade writer."""
+
+    def watched_lib(self):
+        lib = LibEnoki(CountingWfq(NR_CPUS, POLICY))
+        lib.scheduler.lib = lib
+        events, rwlock = [], lib.rwlock
+        rwlock.clock = _TickingClock()
+        rwlock.on_event = lambda kind, t, cpu, keys, *values: events.append(
+            (kind, t, cpu, keys, values, rwlock.readers,
+             rwlock.read_acquisitions))
+        return lib, events
+
+    def run(self, dispatch, cpu):
+        lib, events = self.watched_lib()
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(dispatch(lib, "balance", (cpu,)))
+            except RuntimeError as exc:
+                outcomes.append(repr(exc))
+            outcomes.append((lib.scheduler.inside, lib.rwlock.readers,
+                             lib.rwlock.read_acquisitions))
+        return outcomes, events
+
+    @pytest.mark.parametrize("cpu", [0, -1], ids=["returns", "raises"])
+    def test_counters_and_events_match_the_reference(self, cpu):
+        inline = self.run(lambda lib, func, args: lib.dispatch(func, args),
+                          cpu)
+        assert inline == self.run(reference_dispatch, cpu)
+        outcomes, events = inline
+        assert outcomes[1] == ((1, 1), 0, 1) and outcomes[3] == ((1, 2), 0, 2)
+        name = ("enoki-CountingWfq",)
+        assert events == [
+            ("rwlock_read_acquire", 10, -1, ("lock",), name, 1, 1),
+            ("rwlock_read_release", 20, -1, ("lock",), name, 0, 1),
+            ("rwlock_read_acquire", 30, -1, ("lock",), name, 1, 2),
+            ("rwlock_read_release", 40, -1, ("lock",), name, 0, 2)]
+
+    def test_under_the_writer_both_refuse_alike(self):
+        seen = []
+        for dispatch in (lambda lib, func, args: lib.dispatch(func, args),
+                         reference_dispatch):
+            lib, events = self.watched_lib()
+            assert lib.rwlock.try_acquire_write()
+            with pytest.raises(EnokiError, match="upgrade writer"):
+                dispatch(lib, "balance", (0,))
+            seen.append((events, lib.rwlock.readers,
+                         lib.rwlock.read_acquisitions,
+                         lib.scheduler.__dict__.get("inside")))
+        assert seen[0] == seen[1]
+        assert seen[0] == ([("rwlock_write_acquire", 10, -1, ("lock",),
+                             ("enoki-CountingWfq",), 0, 0)], 0, 0, None)
+
+
 class TestModeFlagFreshness:
     """Each watcher, applied mid-run, sees the very next crossing."""
 

@@ -355,6 +355,52 @@ class TestBenchRunner:
         assert ([r["name"] for r in payload["results"]]
                 == [spec.name for spec in specs])
 
+    def test_cells_run_longest_first_by_the_previous_run(self, tmp_path,
+                                                          monkeypatch):
+        """The cells go out slowest first by the times the last payload
+        at the same path kept in its ``meta`` (catalogue order without
+        one, a cell it never timed first); results keep catalogue
+        order, and a cached cell keeps its last time."""
+        from repro.exp import bench
+
+        specs = _tiny_specs() + [replace(_tiny_specs()[0], name="d",
+                                         seed=derive_seed(0, 3))]
+        order = []
+
+        def timed_run(spec_dict):
+            order.append(spec_dict["name"])
+            return {"simulated_ns": 1}, {"a": 1.0, "b": 3.0, "c": 2.0,
+                                         "d": 0.5}[spec_dict["name"]]
+
+        monkeypatch.setattr(bench, "_timed_run", timed_run)
+
+        def sweep(**options):
+            order.clear()
+            payload = run_sweep(specs, "t", out_dir=str(tmp_path),
+                                rev="r1", **options)
+            assert [r["name"] for r in payload["results"]] == list("abcd")
+            return payload
+
+        first = sweep(use_cache=False)
+        assert order == list("abcd")
+        times = {r["name"]: first["meta"]["cell_wall_s"][r["spec_hash"]]
+                 for r in first["results"]}
+        assert times == {"a": 1.0, "b": 3.0, "c": 2.0, "d": 0.5}
+        sweep(use_cache=False)
+        assert order == list("bcad")
+        cache = BenchCache(str(tmp_path / "cache"), "r1")
+        hashes = [spec.spec_hash() for spec in specs]
+        cache.put(hashes[1], specs[1].to_dict(), {"simulated_ns": 1})
+        payload = json.loads((tmp_path / "BENCH_t.json").read_text())
+        del payload["meta"]["cell_wall_s"][hashes[0]]     # "a" untimed
+        (tmp_path / "BENCH_t.json").write_text(json.dumps(payload))
+        warm = sweep(cache_dir=str(tmp_path / "cache"))
+        assert order == list("acd")
+        assert warm["meta"]["cell_wall_s"][hashes[1]] == 3.0
+        (tmp_path / "BENCH_t.json").write_text("{not json")
+        sweep(use_cache=False)
+        assert order == list("abcd")
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_nonpositive_workers_mean_one(self, tmp_path, workers):
         specs = _tiny_specs()

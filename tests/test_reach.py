@@ -60,6 +60,8 @@ KEPT = {
     "assert_kernel_state": "the raising check a sanitized test run calls",
     "busy_ns_total": "the closed per-CPU busy sum the gauges are checked on",
     "_bucket_index": "the reference the histogram's inline copy is held to",
+    "acquire_read": "the reference dispatch's inline read section is held to",
+    "release_read": "the reference dispatch's inline read section is held to",
 }
 
 #: ``(file name, imported name)`` kept for its import's side effect, with

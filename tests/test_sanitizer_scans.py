@@ -11,6 +11,7 @@ corruptions that reaches every distinct flag of both scans, then on every
 scan of a sweep of live fuzz episodes.
 """
 
+import gc
 import sys
 
 import pytest
@@ -23,7 +24,8 @@ from repro.simkernel.task import TaskState
 from repro.verify.fuzz import _run_episode_session, generate_episode
 from repro.verify.sanitizers import (ConservationSanitizer,
                                      GroupBandwidthSanitizer, SanitizerSuite,
-                                     Violation, conservation_violations,
+                                     TokenSanitizer, Violation,
+                                     conservation_violations,
                                      group_bandwidth_violations)
 
 
@@ -469,7 +471,7 @@ class TestLiveSweep:
         scans = {"conservation": 0, "group_bandwidth": 0}
         mismatches = []
 
-        def compare(kind, t, cpu, pid, fields):
+        def compare(kind, t, cpu, pid, cost, keys, values):
             kernel = suite._kernel
             if kind in ConservationSanitizer.SCAN_KINDS:
                 scans["conservation"] += 1
@@ -499,36 +501,93 @@ class TestLiveSweep:
         assert scans["conservation"] > 4000
         assert scans["group_bandwidth"] > 500
 
-    def test_a_clean_group_bandwidth_scan_calls_no_builtin(self):
-        """A group-bandwidth scan that finds nothing subscripts and
-        walks by hand: it makes no call into a builtin, with or without
-        a throttled group to walk.  (Only the scan's own calls count: a
-        garbage collection mid-scan runs other code's callbacks.)"""
-        builtins, scans = [], {False: 0, True: 0}
-        scan_code = group_bandwidth_violations.__code__
+    @staticmethod
+    def _clean_scans(scanner, kinds, split, seeds=range(8)):
+        """Run ``scanner(kernel, at_ns=t)`` under a profiler on each event
+        of ``kinds`` of fuzz episodes ``seeds``: ``(the builtins it called
+        itself, the Python functions it called itself, {split(kernel):
+        scans})``, every scan clean.  (The collector is off for the scan:
+        a garbage collection mid-scan runs other code's callbacks.)"""
+        builtins, functions, scans = [], [], {False: 0, True: 0}
+        scan_code = scanner.__code__
 
         def profile(frame, event, arg):
             if event == "c_call" and frame.f_code is scan_code:
                 builtins.append(arg.__qualname__)
+            elif event == "call" and frame.f_back.f_code is scan_code:
+                functions.append(frame.f_code.co_qualname)
 
-        def scan(kind, t, cpu, pid, fields):
+        def scan(kind, t, cpu, pid, cost, keys, values):
             kernel = suite._kernel
+            collecting = gc.isenabled()
+            gc.disable()
             sys.setprofile(profile)
-            got = group_bandwidth_violations(kernel, at_ns=t)
+            got = scanner(kernel, at_ns=t)
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
             assert got == []
-            scans[any(g.throttled for g in kernel.groups.all_groups())] += 1
+            scans[split(kernel)] += 1
 
         suite = None
 
         def attach(kernel):
             nonlocal suite
             suite = SanitizerSuite.attach(kernel)
-            suite.add_route(lambda kind: scan if kind in
-                            GroupBandwidthSanitizer.SCAN_KINDS else None)
+            suite.add_route(lambda kind: scan if kind in kinds else None)
             return suite
 
-        for seed in range(8):
+        for seed in seeds:
             _run_episode_session(generate_episode(seed), attach)
+        return builtins, functions, scans
+
+    def test_a_clean_group_bandwidth_scan_calls_no_builtin(self):
+        """A group-bandwidth scan that finds nothing subscripts and
+        walks by hand: it makes no call into a builtin, with or without
+        a throttled group to walk."""
+        builtins, _functions, scans = self._clean_scans(
+            group_bandwidth_violations, GroupBandwidthSanitizer.SCAN_KINDS,
+            lambda kernel: any(g.throttled
+                               for g in kernel.groups.all_groups()))
         assert builtins == []
         assert scans[False] > 100 and scans[True] > 100, scans
+
+    def test_a_clean_conservation_scan_calls_no_builtin(self):
+        """The conservation scan calls nothing at all when it finds
+        nothing, with and without a group forest whose parked tasks it
+        collects (so no ``all_groups()`` either)."""
+        builtins, functions, scans = self._clean_scans(
+            conservation_violations, ConservationSanitizer.SCAN_KINDS,
+            lambda kernel: bool(kernel.groups.root.children))
+        assert builtins == [] and functions == []
+        assert scans[False] > 100 and scans[True] > 100, scans
+
+    def test_the_token_sanitizer_calls_no_builtin_on_a_clean_stream(self):
+        """Every event the token sanitizer is routed on a clean episode,
+        ``token_*`` and ``dispatch`` alike, is handled with tests,
+        subscripts and ``del``: no builtin call of its own."""
+        builtins, seen = [], {}
+        code = TokenSanitizer.on_event.__code__
+
+        class Profiled(TokenSanitizer):
+            def on_event(self, kind, t, cpu, pid, cost, keys, values):
+                seen[kind] = seen.get(kind, 0) + 1
+                sys.setprofile(profile)
+                super().on_event(kind, t, cpu, pid, cost, keys, values)
+                sys.setprofile(None)
+
+        def profile(frame, event, arg):
+            if event == "c_call" and frame.f_code is code:
+                builtins.append(arg.__qualname__)
+
+        class Suite(SanitizerSuite):
+            def __init__(self, capacity=200_000, kinds=None):
+                super().__init__(capacity, kinds, sanitizers=[Profiled])
+
+        for seed in range(8):
+            _, suite, _ = _run_episode_session(generate_episode(seed),
+                                               Suite.attach)
+            assert suite.check() == [], suite.violation_report()
+        assert builtins == []
+        assert seen.keys() == TokenSanitizer.KINDS, seen
+        assert min(seen.values()) > 100, seen

@@ -148,12 +148,14 @@ def test_each_emission_shape_equals_eager_intake(capacity, kinds):
 
 def test_retained_entries_are_flat_and_untracked_by_the_gc():
     """A raw ring entry holds only atomic values, so the cyclic GC stops
-    tracking it; a sink editing its ``fields`` cannot reach it."""
+    tracking it; a sink editing a dict it builds from the payload it is
+    handed cannot reach it."""
 
     def editing_attach(kernel):
         suite = SanitizerSuite.attach(kernel)
 
-        def clobber(kind, t, cpu, pid, fields):
+        def clobber(kind, t, cpu, pid, cost, keys, values):
+            fields = dict(zip(keys, values))
             fields.clear()
             fields["clobbered"] = True
         suite.add_route(lambda kind: clobber)

@@ -7,11 +7,13 @@ import pytest
 
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.obs import Observer
+from repro.obs.observer import _VALUE_METRICS
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.simkernel import Kernel, SimConfig, SimError, Topology
 from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, Sleep
 from repro.simkernel.tracing import SchedTracer, TraceEvent
+from repro.verify.sanitizers import LockSanitizer, TokenSanitizer
 
 from tests.source_trees import trees
 from tests.test_verify import ROUTING_TABLE
@@ -194,6 +196,26 @@ def static_keys():
     return out
 
 
+#: kind -> {field: the index its sinks read it at}, for every field a
+#: sink reads off the payload by position: the lock sanitizer's lock, the
+#: token sanitizer's generation and the Observer's ring-depth gauge
+READ_BY_POSITION = {
+    **{kind: {"lock": 0} for kind in LockSanitizer.KINDS},
+    **{kind: {"gen": 0} for kind in TokenSanitizer.KINDS - {"dispatch"}},
+    "hint_enqueue": {"depth": _VALUE_METRICS["hint_enqueue"][2]},
+}
+
+
+def misplaced(emitted):
+    """``(kind, keys, field)`` for each emit site's keys tuple that does
+    not hold a field its sinks read by position at that index."""
+    return [(kind, keys, field)
+            for kind, fields in sorted(READ_BY_POSITION.items())
+            for keys in sorted(emitted.get(kind, ()))
+            for field, index in sorted(fields.items())
+            if keys[index:index + 1] != (field,)]
+
+
 class TestPositionalIntake:
     def test_every_emit_site_passes_a_keys_constant_and_one_value_each(self):
         bad, sites = [], 0
@@ -207,6 +229,18 @@ class TestPositionalIntake:
         assert bad == []
         assert sites >= 34
 
+    def test_each_field_a_sink_reads_by_position_is_at_its_index(self):
+        emitted = static_keys()
+        assert set(READ_BY_POSITION) <= set(emitted)
+        assert misplaced(emitted) == []
+        # A site that orders its keys otherwise, or drops the field, fails.
+        assert misplaced({"lock_release": {("thread", "lock")},
+                          "token_issue": {()},
+                          "hint_enqueue": {("depth", "queue")}}) == [
+            ("hint_enqueue", ("depth", "queue"), "depth"),
+            ("lock_release", ("thread", "lock"), "lock"),
+            ("token_issue", (), "gen")]
+
     @pytest.mark.parametrize("kind", sorted(ROUTING_TABLE))
     @pytest.mark.parametrize("cost", [0, 7])
     def test_a_positional_emission_round_trips(self, kind, cost):
@@ -219,8 +253,10 @@ class TestPositionalIntake:
             values = tuple(f"{kind}.{key}" for key in keys)
             payload = dict(zip(keys, values))
             tracer, seen = SchedTracer(), []
-            tracer.add_route(lambda kind: lambda kind, t, cpu, pid, fields:
-                             seen.append(list(fields.items())))
+            tracer.add_route(
+                lambda kind: lambda kind, t, cpu, pid, cost, keys, values:
+                seen.append(list(zip(keys, values))
+                            + ([("cost", cost)] if cost else [])))
             tracer._hook(kind, 5, 1, keys, *values, pid=3, cost=cost)
             assert list(tracer.events) == [TraceEvent(
                 5, kind, 1, 3, cost, tuple(sorted(payload.items())))]

@@ -581,9 +581,9 @@ def spying(cls, seen):
             if sink is None:
                 return None
 
-            def spy(kind, t, cpu, pid, fields):
+            def spy(kind, t, cpu, pid, cost, keys, values):
                 seen.append((cls.name, kind))
-                sink(kind, t, cpu, pid, fields)
+                sink(kind, t, cpu, pid, cost, keys, values)
             return spy
     return Spy
 
@@ -664,7 +664,7 @@ class TestEventRouting:
         class Everything(Sanitizer):
             name = "everything"
 
-            def on_event(self, kind, t, cpu, pid, fields):
+            def on_event(self, kind, t, cpu, pid, cost, keys, values):
                 seen.append(kind)
 
         suite = SanitizerSuite(sanitizers=[Everything])
@@ -680,12 +680,15 @@ class TestEventRouting:
                    for v in suite.violations)
 
     def test_no_default_sink_changes_the_fields_the_ring_retains(self):
-        """The ring keeps the emitter's ``fields`` dict until ``events``
-        is read, so a sink that edits it would rewrite history; only the
-        intake's own ``cost`` entry is added, and left out again."""
+        """Every sink is handed the emitter's own keys and values, after
+        the default sinks have run on them, and the ring retains that
+        payload; ``cost`` travels on its own."""
         suite = SanitizerSuite()
 
-        def unchanged(kind, t, cpu, pid, fields):   # routed last
+        def unchanged(kind, t, cpu, pid, cost, keys, values):  # routed last
+            fields = dict(zip(keys, values))
+            if cost:
+                fields["cost"] = cost
             assert fields == {**PAYLOAD, "cost": 7}, kind
         suite.add_route(lambda kind: unchanged)
         for kind in sorted(ROUTING_TABLE):
@@ -725,7 +728,8 @@ class TestEventRouting:
         tracer._hook("dispatch", 1, 0, (), pid=1)
         late = []
         tracer.add_route(lambda kind: (
-            (lambda kind, t, cpu, pid, fields: late.append((kind, t)))
+            (lambda kind, t, cpu, pid, cost, keys, values:
+             late.append((kind, t)))
             if kind == "dispatch" else None))
         tracer._hook("dispatch", 2, 0, (), pid=1)
         tracer._hook("idle", 3, 0, ())
