@@ -7,6 +7,7 @@ Scheduler tests drive :func:`run_faas` (or hand-rolled programs) under
 the kernel's per-task stats.
 """
 
+import hashlib
 import statistics
 from collections import Counter
 
@@ -18,7 +19,7 @@ from repro.schedulers.serverless import EnokiServerless
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
-from repro.workloads.faas import FaasSampler, run_faas
+from repro.workloads.faas import FAAS_BASE_OPTIONS, FaasSampler, run_faas
 
 POLICY = 7
 
@@ -35,6 +36,18 @@ class TestFaasSampler:
         a = FaasSampler(seed=42).generate(4_000)
         b = FaasSampler(seed=42).generate(4_000)
         assert a == b
+
+    def test_base_trace_is_pinned(self):
+        """The draw order (gap, function, service per invocation) and
+        every float expression behind the ``faas`` bench trace, pinned
+        byte for byte."""
+        options = {key: value for key, value in FAAS_BASE_OPTIONS.items()
+                   if key not in ("cold_start_us", "max_workers",
+                                  "hint_fraction")}
+        trace = FaasSampler(2024, **options).generate(2000)
+        assert hashlib.sha256(repr(trace).encode()).hexdigest() == (
+            "4ff817a7915b6f841c7d1abb4e38da12"
+            "d670fe264c912886f7a090133112431b")
 
     def test_different_seed_different_trace(self):
         a = FaasSampler(seed=42).generate(1_000)

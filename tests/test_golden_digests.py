@@ -40,6 +40,11 @@ literals were re-recorded when a task's forced move off a CPU its own
 ``SetAffinity`` disallows began to count as a migration: each scenario
 issues ``SetAffinity``, and only the two migration counters moved (a
 digest with them left out is identical before and after).
+
+The ``faas`` literals were recorded on the commit before the serverless
+policy's bookkeeping, the shim's resched timer and the FaaS sampler were
+reworked for speed: they pin the sampler's draw order, the guard and
+wakeup-preemption timers' re-arms, the hint ring and placement.
 """
 
 import pytest
@@ -63,6 +68,7 @@ from repro.simkernel.program import (
     YieldCpu,
 )
 from repro.verify import episode_digest, state_digest
+from repro.workloads.faas import FAAS_BASE_OPTIONS, run_faas
 from repro.workloads.hackbench import run_hackbench
 from repro.workloads.multitenant import run_multitenant
 from repro.workloads.pipe_bench import run_pipe_benchmark
@@ -422,6 +428,22 @@ def deep_idle_digest(sched):
     return state_digest(kernel)
 
 
+def faas_digest(sched):
+    """The open-loop FaaS trace at 15 k rps on eight CPUs, a quarter of
+    the invocations hinted, starting in a burst window: the worker pool
+    grows to its cap, placement finds both free and busy machines, and
+    the resched timer is re-armed earlier, later and at the same
+    instant."""
+    session = KernelBuilder.session_from_spec(ScenarioSpec(
+        name=f"golden-faas-{sched}", sched=sched, topology="small8",
+        seed=SEED, policy=7))
+    result = run_faas(session.kernel, session.policy, seed=SEED,
+                      offered_rps=15_000, warmup_ns=msecs(5),
+                      duration_ns=msecs(40), **FAAS_BASE_OPTIONS)
+    assert result.completed == result.offered > 0
+    return state_digest(session.kernel)
+
+
 GOLDEN = {
     ('pipe', 'cfs'):
         "5055f1e604fe19bd177f4d2e3dc1b24d660ef3c8aa125b437d42f4ae49146176",
@@ -531,6 +553,10 @@ GOLDEN = {
         "df1b45b2a2dc9515b6d4bb31cd612155ac96185ab18997df940585d54d395f1e",
     'arachne-upgrade':
         "318e65ad0011f68f3f37a949393cf8009f00f69cec68ece68e6ffe4acac8d6f6",
+    ('faas', 'serverless'):
+        "c040d87aaa177f1198e93ad455224b9b86f5801a109b73df52451a1570b62eb4",
+    ('faas', 'shinjuku'):
+        "9e3a0da0579a6957a6fe009aa62341daf6f5d1c30197a608903255311639358d",
     ('fuzz', 0):
         "ab63173fe0f1d908d93d8454fca9bc2bf7a3804ab68a7aa5a40afff8df320783",
     ('fuzz', 1):
@@ -625,3 +651,9 @@ def test_deep_idle_sleeper_digest_is_golden(sched):
 def test_quiet_fuzz_episode_digest_is_golden(seed):
     """Fault plans, failover, group forests and parks, unobserved."""
     assert episode_digest(seed) == GOLDEN["fuzz", seed]
+
+
+@pytest.mark.parametrize("sched", ("serverless", "shinjuku"))
+def test_faas_digest_is_golden(sched):
+    """Guard timers, hints and placement under the FaaS driver."""
+    assert faas_digest(sched) == GOLDEN["faas", sched]
