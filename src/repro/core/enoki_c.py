@@ -482,21 +482,23 @@ class EnokiSchedClass(SchedClass):
         config = kernel.config
         self._extra_cost_ns += config.timer_arm_cost_ns
         self.owes = True
-        existing = self._armed_timers.get(cpu)
-        if existing is not None and not (existing.fired
-                                         or existing.cancelled):
-            expiry = (kernel.clock.now
-                      + max(delay_ns, config.timer_min_delay_ns)
-                      + config.timer_program_ns)
-            handle = existing.handle
-            if handle is not None and handle[0] == expiry:
+        timers = self._armed_timers
+        if cpu not in timers:
+            timers[cpu] = kernel.timers.arm(
+                delay_ns, self._resched_fire, tag=("enoki-resched", cpu))
+            return
+        # One timer per CPU, re-armed in place like a queued hrtimer.
+        timer = timers[cpu]
+        handle = timer.handle
+        if handle is not None and not (timer.fired or timer.cancelled):
+            floor = config.timer_min_delay_ns
+            if handle[0] == (kernel.clock.now
+                             + (delay_ns if delay_ns > floor else floor)
+                             + config.timer_program_ns):
                 # Identical re-arm: the armed timer already fires at this
                 # exact instant, so skip the cancel + heap churn.
                 return
-            existing.cancel()
-        self._armed_timers[cpu] = kernel.timers.arm(
-            delay_ns, self._resched_fire, tag=("enoki-resched", cpu),
-        )
+        kernel.timers.arm(delay_ns, self._resched_fire, timer=timer)
 
     def _resched_fire(self, timer):
         self.kernel.resched_cpu(timer.tag[1])

@@ -102,33 +102,42 @@ class EnokiServerless(QueuePolicy):
         self.counters = _fresh_counters()
 
     # ------------------------------------------------------------------
-    # bookkeeping
+    # bookkeeping (several times per invocation: it reads its dicts with
+    # ``in`` and a subscript, not ``dict.get`` and ``max``)
     # ------------------------------------------------------------------
 
     def _observe(self, pid, runtime):
         """Fold a kernel-reported cumulative runtime into our view."""
-        last = self.last_runtime.get(pid, runtime)
-        self.last_runtime[pid] = runtime
-        delta = runtime - last
-        if delta > 0 and self.classes.get(pid, SHORT) == LONG:
-            self.vruntime[pid] = self.vruntime.get(pid, 0) + delta
+        last_runtime, classes = self.last_runtime, self.classes
+        last = last_runtime[pid] if pid in last_runtime else runtime
+        last_runtime[pid] = runtime
+        if runtime > last and pid in classes and classes[pid] == LONG:
+            vruntimes = self.vruntime
+            vruntimes[pid] = ((vruntimes[pid] if pid in vruntimes else 0)
+                              + runtime - last)
 
     def _episode_ns(self, pid, runtime):
         return runtime - self.episode_base.get(pid, 0)
 
     def _enqueue(self, cpu, pid, token):
         """Queue ``pid`` on ``cpu`` according to its current class."""
-        if self.classes.get(pid, SHORT) == LONG:
-            vruntime = self.vruntime[pid] = max(self.vruntime.get(pid, 0),
-                                                self.min_vruntime[cpu])
+        classes = self.classes
+        if pid in classes and classes[pid] == LONG:
+            vruntimes = self.vruntime
+            vruntime = vruntimes[pid] if pid in vruntimes else 0
+            floor = self.min_vruntime[cpu]
+            if floor > vruntime:
+                vruntime = floor
+            vruntimes[pid] = vruntime
             self.long_queues.push(cpu, vruntime, pid, token)
         else:
             self.short_queues.push_back(cpu, pid, token)
 
     def _remove(self, pid):
-        """Unqueue ``pid`` from whichever tier holds it."""
-        short_token = self.short_queues.remove(pid)
-        long_token = self.long_queues.remove(pid)
+        """Unqueue ``pid`` from both tiers; the long tier's token wins."""
+        short, long_ = self.short_queues, self.long_queues
+        short_token = short.remove(pid) if pid in short.where else None
+        long_token = long_.remove(pid) if pid in long_.where else None
         return long_token if long_token is not None else short_token
 
     def _demote(self, pid):
@@ -141,8 +150,9 @@ class EnokiServerless(QueuePolicy):
 
     def select_task_rq(self, pid, prev_cpu, waker_cpu, wake_flags,
                        allowed_cpus):
-        candidates = (list(allowed_cpus) if allowed_cpus is not None
-                      else list(range(self.nr_cpus)))
+        nr_cpus = self.nr_cpus
+        candidates = (allowed_cpus if allowed_cpus is not None
+                      else range(nr_cpus))
         with self.lock:
             short, long_, current = (self.short_queues.cpus,
                                      self.long_queues.cpus, self.current)
@@ -151,6 +161,11 @@ class EnokiServerless(QueuePolicy):
             if (prev_cpu in candidates and prev_cpu not in current
                     and not short[prev_cpu] and not long_[prev_cpu]):
                 return prev_cpu
+            # The lowest free CPU is what the load scan would pick.
+            for cpu in range(nr_cpus):
+                if (cpu in candidates and cpu not in current
+                        and not short[cpu] and not long_[cpu]):
+                    return cpu
             best = best_load = None
             for cpu in candidates:
                 load = len(short[cpu]) + len(long_[cpu]) + (cpu in current)
@@ -173,12 +188,14 @@ class EnokiServerless(QueuePolicy):
                     wake_up_cpu, waker_cpu, sched):
         with self.lock:
             cpu = sched.cpu
-            self.episode_base[pid] = self.last_runtime.get(pid, 0)
-            cls = self.classes.get(pid, SHORT)
+            last_runtime, classes = self.last_runtime, self.classes
+            self.episode_base[pid] = (last_runtime[pid]
+                                      if pid in last_runtime else 0)
+            cls = classes[pid] if pid in classes else SHORT
             self._enqueue(cpu, pid, sched)
-            running = self.current.get(cpu)
-            preempt = (cls == SHORT and running is not None
-                       and running[1] == LONG)
+            current = self.current
+            preempt = (cls == SHORT and cpu in current
+                       and current[cpu][1] == LONG)
             if preempt:
                 self.counters["wakeup_preempts"] += 1
         if preempt:
@@ -190,11 +207,15 @@ class EnokiServerless(QueuePolicy):
         with self.lock:
             self._observe(pid, runtime)
             self._remove(pid)
-            self.current.pop(cpu, None)
+            current = self.current
+            if cpu in current:
+                del current[cpu]
             # End of the wake episode: classification resets to the
             # optimistic default — the next wake may serve a different
             # (short) invocation on the same worker task.
-            self.classes.pop(pid, None)
+            classes = self.classes
+            if pid in classes:
+                del classes[pid]
 
     def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
                      was_latched, sched):
@@ -243,7 +264,8 @@ class EnokiServerless(QueuePolicy):
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
             # Fold only when some runtime is new or moved (as WFQ does).
-            if not runtimes.items() <= self.last_runtime.items():
+            if runtimes and not (runtimes.items()
+                                 <= self.last_runtime.items()):
                 for pid, runtime in runtimes.items():
                     self._observe(pid, runtime)
             shortq = self.short_queues.cpus[cpu]
@@ -254,15 +276,16 @@ class EnokiServerless(QueuePolicy):
             if take_long:
                 vruntime, pid, token = self.long_queues.pop_head(cpu)
                 self.shorts_streak[cpu] = 0
-                self.min_vruntime[cpu] = max(self.min_vruntime[cpu],
-                                             vruntime)
+                if vruntime > self.min_vruntime[cpu]:
+                    self.min_vruntime[cpu] = vruntime
                 self.current[cpu] = (pid, LONG)
                 self.counters["long_picks"] += 1
                 slice_ns = self.long_slice_ns
             elif shortq:
                 _seq, pid, token = self.short_queues.pop_head(cpu)
                 self.shorts_streak[cpu] += 1
-                self.current[cpu] = (pid, self.classes.get(pid, SHORT))
+                cls = self.classes
+                self.current[cpu] = (pid, cls[pid] if pid in cls else SHORT)
                 self.counters["short_picks"] += 1
                 # The guard timer *is* the classifier: a genuine short
                 # finishes before it fires (zero interruptions), a

@@ -69,16 +69,24 @@ class TimerService:
         trace("timer_fire", self.events.clock.now, cpu, _TAG,
               str(tag) if tag is not None else None)
 
-    def arm(self, delay_ns, callback, tag=None):
+    def arm(self, delay_ns, callback, tag=None, timer=None):
         """Arm a one-shot timer ``delay_ns`` from now.
 
         Delays below the hrtimer slack floor are rounded up, mirroring real
-        timer hardware granularity.
+        timer hardware granularity.  ``timer``, one this service armed
+        before, is re-armed in place like a queued hrtimer and keeps its
+        tag and callback; the heap and its ``seq`` counter end exactly as
+        ``timer.cancel()`` plus a fresh arm leave them.
         """
         if delay_ns < 0:
             raise SimError(f"negative timer delay: {delay_ns}")
         delay_ns = max(delay_ns, self.config.timer_min_delay_ns)
-        timer = Timer(self, tag, callback)
+        if timer is None:
+            timer = Timer(self, tag, callback)
+        else:
+            if not timer.fired and timer.handle is not None:
+                self.events.cancel(timer.handle)
+            timer.fired = timer.cancelled = False
         timer.handle = self.events.after(
             delay_ns + self.config.timer_program_ns, self._fire, timer
         )

@@ -110,6 +110,7 @@ class FaasSampler:
             total += profile.weight
             self._cum_weights.append(total)
         self.total_weight = total
+        self._last_index = len(self.profiles) - 1
 
     def rate_at(self, now_ns):
         """Offered load (requests/s) at virtual instant ``now_ns``."""
@@ -119,24 +120,24 @@ class FaasSampler:
             rate *= self.burst_factor
         return rate
 
-    def sample_gap_ns(self, now_ns):
-        interarrival_ns = 1e9 / self.rate_at(now_ns)
-        return max(1, int(self.rng.expovariate(1.0 / interarrival_ns)))
-
-    def sample_function(self):
-        point = self.rng.random() * self.total_weight
-        return self.profiles[min(bisect_right(self._cum_weights, point),
-                                 len(self.profiles) - 1)]
-
-    def sample_service_ns(self, profile):
-        return max(1_000, int(profile.median_ns
-                              * self.rng.lognormvariate(0.0, profile.sigma)))
-
     def sample(self, now_ns):
-        """One invocation: returns ``(gap_ns, profile, service_ns)``."""
-        gap = self.sample_gap_ns(now_ns)
-        profile = self.sample_function()
-        return gap, profile, self.sample_service_ns(profile)
+        """One invocation: returns ``(gap_ns, profile, service_ns)``,
+        drawn in that order (bounds are comparisons, not ``min``)."""
+        rng = self.rng
+        interarrival_ns = 1e9 / self.rate_at(now_ns)
+        gap = int(rng.expovariate(1.0 / interarrival_ns))
+        if gap < 1:
+            gap = 1
+        index = bisect_right(self._cum_weights,
+                             rng.random() * self.total_weight)
+        if index > self._last_index:
+            index = self._last_index
+        profile = self.profiles[index]
+        service_ns = int(profile.median_ns
+                         * rng.lognormvariate(0.0, profile.sigma))
+        if service_ns < 1_000:
+            service_ns = 1_000
+        return gap, profile, service_ns
 
     def generate(self, count, start_ns=0):
         """A pure trace of ``count`` invocations:
@@ -247,13 +248,15 @@ def run_faas(kernel, policy, offered_rps=20_000, duration_ns=msecs(400),
                         measured_ns=duration_ns)
     pool = {"warm": 0, "outstanding": 0, "drained": False}
 
+    clock = kernel.clock
+
     def record(inv):
-        inv.completed_ns = kernel.now
+        now = inv.completed_ns = clock.now
         pool["outstanding"] -= 1
         if inv.arrival_ns < measure_from:
             return
         result.completed += 1
-        latency = inv.completed_ns - inv.arrival_ns
+        latency = now - inv.arrival_ns
         if inv.is_long:
             result.long_latencies_ns.append(latency)
         else:
@@ -290,14 +293,15 @@ def run_faas(kernel, policy, offered_rps=20_000, duration_ns=msecs(400),
         spawn_worker(None)
 
     def arrival():
-        if kernel.now >= end_at:
+        now = clock.now
+        if now >= end_at:
             pool["drained"] = True
             for _ in range(pool["warm"]):
                 queue.append(None)
                 host_sem_up(kernel, sem)
             return
-        gap, profile, service_ns = sampler.sample(kernel.now)
-        inv = Invocation(arrival_ns=kernel.now, func_id=profile.func_id,
+        gap, profile, service_ns = sampler.sample(now)
+        inv = Invocation(arrival_ns=now, func_id=profile.func_id,
                          service_ns=service_ns, is_long=profile.is_long,
                          hinted=ctl_rng.random() < hint_fraction)
         result.total_invocations += 1

@@ -7,18 +7,23 @@ Scheduler tests drive :func:`run_faas` (or hand-rolled programs) under
 the kernel's per-task stats.
 """
 
+import gc
 import hashlib
 import statistics
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import UpgradeManager
 from repro.exp import KernelBuilder
-from repro.schedulers.serverless import EnokiServerless
+from repro.schedulers.serverless import SHORT, EnokiServerless
 from repro.simkernel.clock import msecs, usecs
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
+from repro.simkernel.timers import Timer
 from repro.workloads.faas import FAAS_BASE_OPTIONS, FaasSampler, run_faas
 
 POLICY = 7
@@ -302,6 +307,31 @@ class TestServerlessScheduler:
         assert len(workers) == 16
         assert all(t.state is TaskState.DEAD for t in workers)
 
+    def test_failover_leaves_no_live_resched_timer(self):
+        """Failover cancels the dead module's resched timers (one per
+        CPU, re-armed in place): none is left to fire on its behalf."""
+        kernel, shim, _ = make(nr_cpus=4)
+        live = []
+
+        def resched_timers():
+            tags = [args[0].tag for *_entry, args in kernel.events.pending()
+                    if args and isinstance(args[0], Timer)]
+            return [tag for tag in tags
+                    if isinstance(tag, tuple) and tag[0] == "enoki-resched"]
+
+        def failover():
+            live.append(len(resched_timers()))
+            shim.containment.engage_failover(reason="test")
+            live.append(len(resched_timers()))
+
+        kernel.events.after(msecs(30), failover)
+        result = run_faas(kernel, POLICY, offered_rps=8_000,
+                          functions=16, max_workers=16, prewarm=16,
+                          warmup_ns=msecs(10), duration_ns=msecs(60),
+                          hint_fraction=0.5, seed=3)
+        assert result.completed == result.offered > 0
+        assert live[0] > 0 and live[1] == 0, live
+
     def test_serverless_beats_cfs_p99_under_contention(self):
         """The paper-style claim, scaled down to test size: under a
         contended mixed short/long trace the serverless policy's short
@@ -322,3 +352,92 @@ class TestServerlessScheduler:
         enoki, cfs = run(True), run(False)
         assert enoki.completed == cfs.completed > 0
         assert enoki.p99_us < cfs.p99_us
+
+
+def reference_select(sched, prev_cpu, allowed_cpus):
+    """The placement the free-CPU scan must reproduce: a free
+    ``prev_cpu``, else the least loaded candidate, queued plus running
+    (the lowest CPU on a tie)."""
+    candidates = (list(allowed_cpus) if allowed_cpus is not None
+                  else list(range(sched.nr_cpus)))
+    short, long_, current = (sched.short_queues.cpus,
+                             sched.long_queues.cpus, sched.current)
+    if (prev_cpu in candidates and prev_cpu not in current
+            and not short[prev_cpu] and not long_[prev_cpu]):
+        return prev_cpu
+    best = best_load = None
+    for cpu in candidates:
+        load = len(short[cpu]) + len(long_[cpu]) + (cpu in current)
+        if (best_load is None or load < best_load
+                or (load == best_load and cpu < best)):
+            best, best_load = cpu, load
+    return best
+
+
+@st.composite
+def placements(draw):
+    """Per-CPU short and long depths (mostly empty), the running CPUs,
+    ``prev_cpu`` and ``allowed_cpus``."""
+    nr_cpus = draw(st.integers(1, 8))
+    cpus = st.integers(0, nr_cpus - 1)
+    depths = st.lists(st.sampled_from((0, 0, 1, 3)), min_size=nr_cpus,
+                      max_size=nr_cpus)
+    return (nr_cpus, draw(depths), draw(depths), draw(st.frozensets(cpus)),
+            draw(cpus), draw(st.none() | st.frozensets(cpus)))
+
+
+class TestQuietPath:
+    @settings(max_examples=300, deadline=None)
+    @given(placements())
+    def test_placement_matches_the_min_load_scan(self, case):
+        nr_cpus, shorts, longs, running, prev_cpu, allowed = case
+        _, _, sched = make(nr_cpus=nr_cpus)
+        pid = 1_000
+        for cpu in range(nr_cpus):
+            for _ in range(shorts[cpu]):
+                pid += 1
+                sched.short_queues.push_back(cpu, pid, None)
+            for _ in range(longs[cpu]):
+                pid += 1
+                sched.long_queues.push(cpu, pid, pid, None)
+        for cpu in running:
+            pid += 1
+            sched.current[cpu] = (pid, SHORT)
+        assert (sched.select_task_rq(1, prev_cpu, prev_cpu, 0, allowed)
+                == reference_select(sched, prev_cpu, allowed))
+
+    def test_bookkeeping_calls_no_builtin_on_a_clean_episode(self):
+        """The four hooks every invocation passes through several times
+        test, subscript and ``del``: on a clean FaaS episode with hints
+        they make no builtin call of their own.  (The collector is off
+        for the episode: a collection runs other code's callbacks.)"""
+        names = ("_observe", "_enqueue", "task_wakeup", "task_blocked")
+        codes = {getattr(EnokiServerless, name).__code__: name
+                 for name in names}
+        builtins, calls = [], Counter()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if code in codes:
+                if event == "c_call":
+                    builtins.append(f"{codes[code]}: {arg.__qualname__}")
+                elif event == "call":
+                    calls[codes[code]] += 1
+
+        kernel, _, sched = make(nr_cpus=4)
+        collecting = gc.isenabled()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            result = run_faas(kernel, POLICY, offered_rps=8_000,
+                              functions=16, max_workers=16,
+                              warmup_ns=msecs(10), duration_ns=msecs(60),
+                              hint_fraction=0.5, seed=3)
+        finally:
+            sys.setprofile(None)
+            if collecting:
+                gc.enable()
+        assert result.completed == result.offered > 0
+        assert sched.counters["demotions"] and sched.counters["hint_long"]
+        assert builtins == []
+        assert min(calls[name] for name in names) > 100, calls

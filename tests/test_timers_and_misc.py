@@ -1,6 +1,8 @@
 """Tests for timers, pipes/futexes edge cases, and kernel services."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import Clock
@@ -56,12 +58,80 @@ class TestTimers:
         events.run_until_idle()
         assert count["n"] == 5
 
+    def test_rearm_in_place_reuses_the_timer(self):
+        service, events = make_timer_service()
+        fired = []
+        timer = service.arm(1_000, fired.append, tag="t")
+        assert service.arm(5_000, fired.append, timer=timer) is timer
+        events.run_until_idle()
+        assert fired == [timer] and events.clock.now > 5_000
+        service.arm(1_000, fired.append, timer=timer)
+        assert timer.active
+        events.run_until_idle()
+        assert fired == [timer, timer] and not timer.active
+
     def test_negative_delay_rejected(self):
         service, _ = make_timer_service()
         with pytest.raises(SimError):
             service.arm(-5, lambda t: None)
         with pytest.raises(SimError):
             service.arm_periodic(0, lambda t: None)
+
+
+#: one operation on timer slot ``slot``: ``("arm", slot, delay_ns)`` arms
+#: or re-arms it, ``("cancel", slot, 0)`` cancels it, ``("fire", 0, 0)``
+#: runs the next event.  Delays straddle the 200 ns floor, so re-arms
+#: land earlier, later and on the same expiry as the pending one.
+TIMER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("arm"), st.integers(0, 3),
+              st.sampled_from((0, 150, 200, 300, 1_000, 2_500))),
+    st.tuples(st.just("cancel"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("fire"), st.just(0), st.just(0)),
+), max_size=60)
+
+
+def drive_timers(ops, in_place):
+    """Run ``ops`` on a fresh service.  Every other fire (over all slots)
+    re-arms the fired timer from its own callback, as a resched timer
+    does when the pick it causes arms the next slice.  Returns the heap's
+    ``(time, seq)`` pairs, stale entries included, the live ones, and
+    the fire order."""
+    service, events = make_timer_service()
+    timers, fires = {}, []
+
+    def arm(slot, delay_ns):
+        if in_place and slot in timers:
+            service.arm(delay_ns, on_fire, timer=timers[slot])
+            return
+        if slot in timers:
+            timers[slot].cancel()
+        timers[slot] = service.arm(delay_ns, on_fire, tag=slot)
+
+    def on_fire(timer):
+        fires.append((events.clock.now, timer.tag))
+        if len(fires) % 2:
+            arm(timer.tag, 300)
+
+    for op, slot, delay_ns in ops:
+        if op == "arm":
+            arm(slot, delay_ns)
+        elif op == "cancel" and slot in timers:
+            timers[slot].cancel()
+        elif op == "fire":
+            events.step()
+    heap = sorted(entry[:2] for entry in events._heap)
+    live = [entry[:2] for entry in events.pending()]
+    return heap, live, events._stale, fires
+
+
+class TestRearmInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(TIMER_OPS)
+    def test_in_place_rearm_leaves_the_heap_of_cancel_and_arm(self, ops):
+        """Re-arming one Timer in place cancels its pending entry and
+        queues a new one: the heap (stale entries and ``seq`` numbers
+        included) and the fire order equal a cancel plus a fresh arm's."""
+        assert drive_timers(ops, True) == drive_timers(ops, False)
 
 
 class TestPipeEdgeCases:
