@@ -25,13 +25,8 @@ from repro.core.libenoki import LibEnoki
 from repro.core.messages import message_for
 from repro.core.schedulable import Schedulable, TokenRegistry
 from repro.simkernel.sched_class import SchedClass
-
-#: the trace payload keys of the emit sites below
-_ENOKI_MSG = ("func", "policy", "wall_ns")
-_FAULT_DROP = ("queue", "reason")
-_QUEUE = ("queue",)
-_QUEUE_DEPTH = ("queue", "depth")
-_COUNT = ("count",)
+from repro.simkernel.tracing import (
+    ENOKI_MSG, HINT_DEQUEUE, HINT_DROP, HINT_DROP_FAULT, HINT_ENQUEUE)
 
 
 class EnokiSchedClass(SchedClass):
@@ -268,7 +263,7 @@ class EnokiSchedClass(SchedClass):
         if self.recorder is not None and self.recorder.active:
             virtual_ns += self._record_ns
         if trace is not None:
-            trace("enoki_msg", kernel.clock.now, thread, _ENOKI_MSG, func,
+            trace("enoki_msg", kernel.clock.now, thread, ENOKI_MSG, func,
                   self.policy, wall_ns, cost=virtual_ns)
         if profiler is not None:
             profiler.note(func, virtual_ns=virtual_ns, wall_ns=wall_ns)
@@ -541,7 +536,7 @@ class EnokiSchedClass(SchedClass):
                 self.kernel.stats.hint_drops += 1
                 if self.kernel.trace is not None:
                     self.kernel.trace("hint_drop", self.kernel.now,
-                                      task.cpu, _FAULT_DROP, -1, "fault",
+                                      task.cpu, HINT_DROP_FAULT, -1, "fault",
                                       pid=task.pid)
                 return False
             if disposition == "hold":
@@ -564,12 +559,12 @@ class EnokiSchedClass(SchedClass):
             self.kernel.stats.hint_drops += 1
             if self.kernel.trace is not None:
                 self.kernel.trace("hint_drop", self.kernel.now, task.cpu,
-                                  _QUEUE, queue_id, pid=task.pid)
+                                  HINT_DROP, queue_id, pid=task.pid)
             return False
         self._thread_hint = task.cpu
         if self.kernel.trace is not None:
             self.kernel.trace("hint_enqueue", self.kernel.now, task.cpu,
-                              _QUEUE_DEPTH, queue_id, len(ring),
+                              HINT_ENQUEUE, queue_id, len(ring),
                               pid=task.pid)
         if self.recorder is not None and self.recorder.active:
             # "LibEnoki records each call and hint sent to the scheduler"
@@ -586,7 +581,7 @@ class EnokiSchedClass(SchedClass):
         drained = [entry.payload for entry in ring.drain()]
         if self.kernel.trace is not None:
             self.kernel.trace("hint_dequeue", self.kernel.now, task.cpu,
-                              _COUNT, len(drained), pid=task.pid)
+                              HINT_DEQUEUE, len(drained), pid=task.pid)
         return drained
 
     def push_rev_message(self, queue_id, payload):

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.core.errors import EnokiError, FailoverError, InjectedFault
 from repro.core.messages import message_for
 from repro.simkernel.task import TaskState
+from repro.simkernel.tracing import ENOKI_PANIC, FAILOVER
 
 #: callbacks whose response the kernel consumes synchronously: a crash
 #: here cannot be degraded to a no-op, the class must fail over (or, with
@@ -42,10 +43,6 @@ STRIKE_THRESHOLD = 3
 #: virtual time a single callback may charge before it counts as an
 #: overrun strike (the per-callback watchdog budget)
 CALLBACK_BUDGET_NS = 1_000_000
-
-#: the trace payload keys of ``enoki_panic`` and ``failover``
-_PANIC = ("policy", "hook", "panic_kind", "strike")
-_FAILOVER = ("policy", "to", "reason", "requeued", "lazy")
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ class ContainmentBoundary:
         if kernel is not None:
             kernel.stats.contained_panics += 1
             if kernel.trace is not None:
-                kernel.trace("enoki_panic", now, -1, _PANIC, shim.policy,
+                kernel.trace("enoki_panic", now, -1, ENOKI_PANIC, shim.policy,
                              hook, kind, self.strikes)
         return record
 
@@ -321,7 +318,7 @@ class FailoverManager:
             lazy_pids=tuple(lazy),
         )
         if kernel.trace is not None:
-            kernel.trace("failover", kernel.now, -1, _FAILOVER,
+            kernel.trace("failover", kernel.now, -1, FAILOVER,
                          shim.policy, fallback.policy, reason, len(requeued),
                          len(lazy))
 

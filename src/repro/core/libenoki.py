@@ -10,9 +10,7 @@ timers, reverse hint queues).
 
 from repro.core.errors import EnokiError
 from repro.core.rwlock import SchedulerRwLock
-
-#: the trace payload keys of the spin locks' and the rwlock's events
-_LOCK = ("lock",)
+from repro.simkernel.tracing import LOCK
 
 
 class EnokiSpinLock:
@@ -49,7 +47,7 @@ class EnokiSpinLock:
             if env.recorder is not None:
                 env.recorder.note_lock_op("acquire", self.lock_id, thread)
             if env._trace is not None:
-                env._trace("lock_acquire", env._clock.now, thread, _LOCK,
+                env._trace("lock_acquire", env._clock.now, thread, LOCK,
                            self.lock_id)
         return self
 
@@ -63,7 +61,7 @@ class EnokiSpinLock:
             if env.recorder is not None:
                 env.recorder.note_lock_op("release", self.lock_id, thread)
             if env._trace is not None:
-                env._trace("lock_release", env._clock.now, thread, _LOCK,
+                env._trace("lock_release", env._clock.now, thread, LOCK,
                            self.lock_id)
         return False
 
@@ -208,7 +206,7 @@ class LibEnoki:
         rwlock.read_acquisitions += 1
         if rwlock.on_event is not None:
             rwlock.on_event("rwlock_read_acquire", rwlock.clock.now, -1,
-                            _LOCK, rwlock.name)
+                            LOCK, rwlock.name)
         env = self.env
         previous_thread = env._thread
         env._thread = thread
@@ -227,7 +225,7 @@ class LibEnoki:
             rwlock._readers -= 1
             if rwlock.on_event is not None:
                 rwlock.on_event("rwlock_read_release", rwlock.clock.now,
-                                -1, _LOCK, rwlock.name)
+                                -1, LOCK, rwlock.name)
         if self.recorder is not None:
             self.recorder.note_call(func, args, response, thread)
         return response

@@ -23,9 +23,7 @@ at the join (``repro.core.replay``).
 """
 
 from repro.core.errors import UpgradeError
-
-#: the trace payload keys of the ``rwlock_*`` events
-_LOCK = ("lock",)
+from repro.simkernel.tracing import LOCK
 
 
 class SchedulerRwLock:
@@ -56,7 +54,7 @@ class SchedulerRwLock:
         self._readers += 1
         self.read_acquisitions += 1
         if self.on_event is not None:
-            self.on_event("rwlock_read_acquire", self.clock.now, -1, _LOCK,
+            self.on_event("rwlock_read_acquire", self.clock.now, -1, LOCK,
                           self.name)
         return True
 
@@ -65,7 +63,7 @@ class SchedulerRwLock:
             raise UpgradeError(f"{self.name}: read release underflow")
         self._readers -= 1
         if self.on_event is not None:
-            self.on_event("rwlock_read_release", self.clock.now, -1, _LOCK,
+            self.on_event("rwlock_read_release", self.clock.now, -1, LOCK,
                           self.name)
 
     # -- write side ----------------------------------------------------------
@@ -77,7 +75,7 @@ class SchedulerRwLock:
             return False
         self._writer = True
         if self.on_event is not None:
-            self.on_event("rwlock_write_acquire", self.clock.now, -1, _LOCK,
+            self.on_event("rwlock_write_acquire", self.clock.now, -1, LOCK,
                           self.name)
         return True
 
@@ -86,7 +84,7 @@ class SchedulerRwLock:
             raise UpgradeError(f"{self.name}: write release without hold")
         self._writer = False
         if self.on_event is not None:
-            self.on_event("rwlock_write_release", self.clock.now, -1, _LOCK,
+            self.on_event("rwlock_write_release", self.clock.now, -1, LOCK,
                           self.name)
 
     @property

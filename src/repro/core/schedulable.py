@@ -23,9 +23,7 @@ Semantics reproduced here:
 from operator import attrgetter
 
 from repro.core.errors import TokenError
-
-#: the trace payload keys of the ``token_*`` events
-_GEN = ("gen",)
+from repro.simkernel.tracing import GEN
 
 
 class Schedulable:
@@ -112,7 +110,7 @@ class TokenRegistry:
         generation = self._next_generation
         self._current[pid] = (generation, cpu)
         if self.on_event is not None:
-            self.on_event("token_issue", self.clock.now, cpu, _GEN,
+            self.on_event("token_issue", self.clock.now, cpu, GEN,
                           generation, pid=pid)
         return Schedulable(pid, cpu, generation, self._id)
 
@@ -151,7 +149,7 @@ class TokenRegistry:
         del self._current[token._pid]
         if self.on_event is not None:
             self.on_event("token_consume", self.clock.now, token._cpu,
-                          _GEN, token._generation, pid=token._pid)
+                          GEN, token._generation, pid=token._pid)
         return True
 
     def revoke(self, pid):
@@ -159,7 +157,7 @@ class TokenRegistry:
         current = self._current.pop(pid, None)
         if current is not None and self.on_event is not None:
             self.on_event("token_revoke", self.clock.now, current[1],
-                          _GEN, current[0], pid=pid)
+                          GEN, current[0], pid=pid)
 
     def live_pids(self):
         return tuple(self._current)

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 from repro.core.errors import UpgradeError
 from repro.core.libenoki import LibEnoki
+from repro.simkernel.tracing import (
+    UPGRADE_ABORT, UPGRADE_COMPLETE, UPGRADE_PREPARE, UPGRADE_QUIESCE,
+    UPGRADE_STEP)
 
 
 @dataclass
@@ -71,7 +74,9 @@ class UpgradeManager:
             # scheduled upgrade fired.  Swapping modules on a dead shim
             # would silently resurrect nothing (dispatches stay no-ops),
             # so the upgrade aborts cleanly instead.
-            self._trace_phase("abort", error="failed-over")
+            if kernel.trace is not None:
+                kernel.trace("upgrade", kernel.now, -1, UPGRADE_ABORT,
+                             "abort", "failed-over")
             report = UpgradeReport(
                 requested_at_ns=kernel.now,
                 completed_at_ns=kernel.now,
@@ -94,14 +99,18 @@ class UpgradeManager:
             raise UpgradeError(
                 "could not quiesce: reader still inside the module"
             )
-        self._trace_phase("quiesce", old=type(old_scheduler).__name__,
-                          new=type(new_scheduler).__name__)
+        if kernel.trace is not None:
+            kernel.trace("upgrade", kernel.now, -1, UPGRADE_QUIESCE,
+                         "quiesce", type(old_scheduler).__name__,
+                         type(new_scheduler).__name__)
         abort_error = None
         try:
             # 2. Export state from the old version.
             state = old_lib.dispatch_locked("reregister_prepare", ())
             self._check_state_type(old_scheduler, state)
-            self._trace_phase("prepare", has_state=state is not None)
+            if kernel.trace is not None:
+                kernel.trace("upgrade", kernel.now, -1, UPGRADE_PREPARE,
+                             "prepare", state is not None)
 
             try:
                 # 3. Build the new module and import the state.  The token
@@ -114,7 +123,9 @@ class UpgradeManager:
                 new_lib.rwlock = old_lib.rwlock   # same quiesce domain
                 new_lib.dispatch_locked(
                     "reregister_init", (state is not None,), extra=state)
-                self._trace_phase("init")
+                if kernel.trace is not None:
+                    kernel.trace("upgrade", kernel.now, -1, UPGRADE_STEP,
+                                 "init")
 
                 # Hint queues are "passed as part of the shared state"
                 # (section 3.3): the rings survive in Enoki-C, but the
@@ -128,7 +139,9 @@ class UpgradeManager:
                 shim.lib = new_lib
                 shim.queues.rebind(*queue_table)
                 shim.refresh_mode()
-                self._trace_phase("swap")
+                if kernel.trace is not None:
+                    kernel.trace("upgrade", kernel.now, -1, UPGRADE_STEP,
+                                 "swap")
             except Exception as exc:
                 # The incoming module failed to initialise.  Re-init the
                 # old module with the state it exported and leave the
@@ -137,7 +150,9 @@ class UpgradeManager:
                 abort_error = exc
                 old_lib.dispatch_locked(
                     "reregister_init", (state is not None,), extra=state)
-                self._trace_phase("abort", error=type(exc).__name__)
+                if kernel.trace is not None:
+                    kernel.trace("upgrade", kernel.now, -1, UPGRADE_ABORT,
+                                 "abort", type(exc).__name__)
         finally:
             old_lib.rwlock.release_write()
 
@@ -161,8 +176,9 @@ class UpgradeManager:
         transferred_tasks = len(shim.tokens.live_pids())
         pause_ns = self._pause_model(transferred_tasks)
         shim.note_upgrade_blackout(pause_ns)
-        self._trace_phase("complete", pause_ns=pause_ns,
-                          tasks=transferred_tasks)
+        if kernel.trace is not None:
+            kernel.trace("upgrade", kernel.now, -1, UPGRADE_COMPLETE,
+                         "complete", pause_ns, transferred_tasks)
 
         report = UpgradeReport(
             requested_at_ns=kernel.now,
@@ -210,13 +226,6 @@ class UpgradeManager:
             for old_id, ring in registry.rev_queues.items()
         }
         return user_ids, rev_ids
-
-    def _trace_phase(self, phase, **fields):
-        """Emit one ``upgrade`` event per quiesce-protocol phase."""
-        kernel = self.kernel
-        if kernel.trace is not None:
-            kernel.trace("upgrade", kernel.now, -1, ("phase", *fields),
-                         phase, *fields.values())
 
     def _pause_model(self, transferred_tasks):
         cfg = self.kernel.config

@@ -28,9 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.simkernel.errors import SchedulingError
 from repro.simkernel.task import TaskState
-
-#: the trace payload keys of ``watchdog_finding``
-_FINDING = ("finding", "policy")
+from repro.simkernel.tracing import WATCHDOG_FINDING
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class SchedulerWatchdog:
         kernel = self.kernel
         if kernel.trace is not None:
             kernel.trace("watchdog_finding", finding.at_ns, finding.cpu,
-                         _FINDING, finding.kind, self.policy,
+                         WATCHDOG_FINDING, finding.kind, self.policy,
                          pid=finding.pid)
         if self.escalate is not None and finding.kind == "lost_task":
             self.escalate.engage_failover(reason="watchdog:lost_task")

@@ -35,26 +35,27 @@ to route invariant checkers (token discipline, task conservation, lock
 order, hint-ring accounting) off the same intake, each by event kind.
 """
 
+import re
+
 from repro.obs.export import write_chrome, write_ftrace
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiler import CallbackProfiler
-from repro.simkernel.tracing import SchedTracer
+from repro.simkernel.tracing import SchedTracer, field_index
 
 
-#: kind -> (registry family, metric, index): the metric fed on every
-#: event of the kind, with its ``cost`` (index ``None``) or with the value
-#: at that index of the payload (``hint_enqueue``'s keys are ``("queue",
-#: "depth")``).  Not ``enoki_msg``'s ``wall_ns``: the profilers keep it per
-#: hook, and ``collect`` merges ``enoki.msg_wall_ns``.
+#: kind -> (registry family, metric, field): the metric fed on every
+#: event of the kind, with its ``cost`` (field ``None``) or with that
+#: payload field.  Not ``enoki_msg``'s ``wall_ns``: the profilers keep it
+#: per hook, and ``collect`` merges ``enoki.msg_wall_ns``.
 _VALUE_METRICS = {
     "dispatch": ("histogram", "kernel.dispatch_cost_ns", None),
     # The gauge's max watermark is the peak ring pressure.
-    "hint_enqueue": ("gauge", "enoki.hint_ring_depth", 1),
+    "hint_enqueue": ("gauge", "enoki.hint_ring_depth", "depth"),
 }
 
 #: kind -> counters bumped on every event of the kind; ``{name}`` is the
-#: event's field of that name.  A name without one is resolved once, when
-#: the kind's route is.
+#: event's field of that name, read, like the value metrics', at the
+#: index resolved with the kind's route.
 _EVENT_COUNTERS = {
     "slo_violation": ("slo.traced.{slo}",),
     "enoki_panic": ("containment.panics", "containment.panic.{hook}"),
@@ -63,6 +64,7 @@ _EVENT_COUNTERS = {
     "quota_refill": ("group_refills",),
     "watchdog_finding": ("watchdog.{finding}",),
 }
+_FIELD = re.compile(r"{(\w+)}")
 
 
 class Observer(SchedTracer):
@@ -132,12 +134,13 @@ class Observer(SchedTracer):
     def _feeder_route(self, kind):
         registry = self.registry
         if kind in _VALUE_METRICS:
-            family, name, index = _VALUE_METRICS[kind]
+            family, name, field = _VALUE_METRICS[kind]
             metric = getattr(registry, family)(name)
             feed = metric.record if family == "histogram" else metric.set
-            if index is None:
+            if field is None:
                 return lambda kind, t, cpu, pid, cost, keys, values: feed(
                     cost)
+            index = field_index(field, (kind,))
 
             def feed_field(kind, t, cpu, pid, cost, keys, values):
                 try:
@@ -149,15 +152,15 @@ class Observer(SchedTracer):
         names = _EVENT_COUNTERS.get(kind, ())
         counters = tuple(registry.counter(name) for name in names
                          if "{" not in name)
-        named = tuple(name for name in names if "{" in name)
+        named = tuple(_FIELD.sub(       # "{field}" -> "{its index}"
+            lambda match: "{%d}" % field_index(match[1], (kind,)), name)
+            for name in names if "{" in name)
 
         def bump(kind, t, cpu, pid, cost, keys, values):
             for counter in counters:
                 counter.value += 1
-            if named:
-                fields = dict(zip(keys, values))
-                for name in named:
-                    registry.counter(name.format_map(fields)).inc()
+            for name in named:
+                registry.counter(name.format(*values)).inc()
         return bump if names else None
 
     # ------------------------------------------------------------------

@@ -39,12 +39,10 @@ from collections import deque
 from repro.obs.accounting import KernelAccounting, cpu_rows
 from repro.obs.metrics import Histogram
 from repro.simkernel.task import TaskState
+from repro.simkernel.tracing import SLO_VIOLATION
 
 #: default window retention (ring size)
 RETAIN_DEFAULT = 4096
-
-#: the trace payload keys of ``slo_violation``
-_SLO_VIOLATION = ("slo", "metric", "value", "bound")
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +116,7 @@ class SLOMonitor:
             violations.append(violation)
             self.violations_by_slo[target.name] += 1
             if kernel.trace is not None:
-                kernel.trace("slo_violation", end_ns, -1, _SLO_VIOLATION,
+                kernel.trace("slo_violation", end_ns, -1, SLO_VIOLATION,
                              target.name, target.metric, violation["value"],
                              violation["bound"])
             if self.registry is not None:

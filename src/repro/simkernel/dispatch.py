@@ -9,6 +9,7 @@ describes in section 3.1, the periodic tick, and runtime accounting
 
 from repro.simkernel.errors import SchedulingError, SimError
 from repro.simkernel.task import TaskState
+from repro.simkernel.tracing import NO_KEYS
 
 #: per-event state tests read module globals, not enum attributes
 _RUNNABLE, _RUNNING, _BLOCKED, _DEAD = (
@@ -94,7 +95,7 @@ class DispatchEngine:
             k._attach_runnable(prev, cpu)
             cls.task_preempt(prev, cpu)
         if k.trace is not None:
-            k.trace("preempt", k.now, cpu, (), pid=prev.pid)
+            k.trace("preempt", k.now, cpu, NO_KEYS, pid=prev.pid)
         cost = cls.hook_cost_ns
         if cls.owes:
             cost += cls.settle_ns(1)
@@ -204,7 +205,7 @@ class DispatchEngine:
                 timer.cancel()
                 self._tick_timers[cpu] = None
             if k.trace is not None:
-                k.trace("idle", now, cpu, ())
+                k.trace("idle", now, cpu, NO_KEYS)
             return
         # Dispatch: switch ``cpu`` to ``task``, which the walk has just
         # proved queued on this CPU's run queue and runnable here.
@@ -262,7 +263,7 @@ class DispatchEngine:
             self._tick_timers[cpu] = k.timers.arm_periodic(
                 k.config.tick_period_ns, self.tick, tag=("tick", cpu))
         if k.trace is not None:
-            k.trace("dispatch", now, cpu, (), pid=task.pid, cost=cost)
+            k.trace("dispatch", now, cpu, NO_KEYS, pid=task.pid, cost=cost)
 
     def _bandwidth_expire(self, task, epoch):
         """A dispatched task's group budget should be dry about now:

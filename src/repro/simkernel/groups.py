@@ -44,6 +44,7 @@ flat workloads.
 from repro.simkernel.errors import SimError
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_FORK, WF_TTWU
 from repro.simkernel.task import TaskState
+from repro.simkernel.tracing import QUOTA_REFILL, THROTTLE, UNTHROTTLE
 
 #: per-event state tests read module globals, not enum attributes
 _RUNNABLE, _RUNNING, _THROTTLED = (
@@ -59,11 +60,6 @@ DEFAULT_PERIOD_NS = 10_000_000
 #: birth, ``task_wakeup`` for everything else).
 PARKED_NEW = "new"
 PARKED_WAKE = "wake"
-
-#: the trace payload keys of the emit sites below
-_THROTTLE = ("group", "parked", "running", "remaining")
-_QUOTA_REFILL = ("group", "consumed", "remaining")
-_UNTHROTTLE = ("group", "released")
 
 
 class TaskGroup:
@@ -350,7 +346,7 @@ class GroupManager:
                     # the way out (it sees the throttled ancestor).
                     resched_cpus.append(task.cpu)
         if k.trace is not None:
-            k.trace("throttle", k.now, -1, _THROTTLE, group.name, parked,
+            k.trace("throttle", k.now, -1, THROTTLE, group.name, parked,
                     len(resched_cpus), group.runtime_remaining_ns)
         for cpu in resched_cpus:
             k.dispatcher.resched_cpu(cpu)
@@ -388,7 +384,7 @@ class GroupManager:
             group.quota_ns, group.runtime_remaining_ns + group.quota_ns
         )
         if k.trace is not None:
-            k.trace("quota_refill", k.now, -1, _QUOTA_REFILL, group.name,
+            k.trace("quota_refill", k.now, -1, QUOTA_REFILL, group.name,
                     consumed, group.runtime_remaining_ns)
         if group.throttled:
             if group.runtime_remaining_ns > 0:
@@ -412,7 +408,7 @@ class GroupManager:
         # event fired mid-drain (sanitizers scan on unthrottle) must
         # still see every not-yet-admitted task inside a container.
         if k.trace is not None:
-            k.trace("unthrottle", k.now, -1, _UNTHROTTLE, group.name,
+            k.trace("unthrottle", k.now, -1, UNTHROTTLE, group.name,
                     len(group.parked))
         while group.parked:
             pid = next(iter(group.parked))

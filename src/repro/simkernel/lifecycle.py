@@ -9,14 +9,10 @@ Exit is the dispatch engine's ``EXIT`` disposition.
 from repro.simkernel.errors import ProgramError
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_FORK
 from repro.simkernel.task import TaskState, TaskStruct
+from repro.simkernel.tracing import FORK_DEFERRED, FORK_ORIGIN, FORK_THROTTLED
 
 #: per-event state tests read module globals, not enum attributes
 _RUNNABLE = TaskState.RUNNABLE
-
-#: the trace payload keys of the ``fork`` emit sites below
-_FORK_THROTTLED = ("throttled",)
-_FORK_DEFERRED = ("deferred",)
-_FORK_ORIGIN = ("origin",)
 
 
 def check_affinity(pid, cpus, topology):
@@ -71,7 +67,7 @@ class LifecycleManager:
                 task.set_state(_RUNNABLE)
                 k.groups.park(task, throttled, origin="new")
                 if k.trace is not None:
-                    k.trace("fork", k.now, origin_cpu, _FORK_THROTTLED, True,
+                    k.trace("fork", k.now, origin_cpu, FORK_THROTTLED, True,
                             pid=task.pid)
                 return
         cls = k._class_cache[task.policy]
@@ -85,12 +81,12 @@ class LifecycleManager:
             task.stats.wait_since_ns = k.now
             cls.task_new(task, DEFERRED_CPU)
             if k.trace is not None:
-                k.trace("fork", k.now, origin_cpu, _FORK_DEFERRED, True,
+                k.trace("fork", k.now, origin_cpu, FORK_DEFERRED, True,
                         pid=task.pid)
             return
         k._attach_runnable(task, cpu)
         cls.task_new(task, cpu)
         if k.trace is not None:
-            k.trace("fork", k.now, cpu, _FORK_ORIGIN, origin_cpu,
+            k.trace("fork", k.now, cpu, FORK_ORIGIN, origin_cpu,
                     pid=task.pid)
         k.migration.kick_cpu_for_wakeup(task, cpu, origin_cpu, cls)

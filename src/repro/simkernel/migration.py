@@ -10,16 +10,11 @@ failed-migration accounting that makes balancer miss rates observable.
 from repro.simkernel.errors import SchedulingError
 from repro.simkernel.sched_class import DEFERRED_CPU, WF_SYNC, WF_TTWU
 from repro.simkernel.task import TaskState
+from repro.simkernel.tracing import (
+    MIGRATE, MIGRATE_FAILED, WAKEUP_DEFERRED, WAKEUP_SYNC, WAKEUP_THROTTLED)
 
 #: per-event state tests read module globals, not enum attributes
 _RUNNABLE, _BLOCKED = TaskState.RUNNABLE, TaskState.BLOCKED
-
-#: the trace payload keys of the emit sites below
-_WAKER_THROTTLED = ("waker", "throttled")
-_WAKER_DEFERRED = ("waker", "deferred")
-_WAKER_SYNC = ("waker", "sync")
-_SRC = ("src",)
-_REASON = ("reason",)
 
 
 class MigrationService:
@@ -94,7 +89,7 @@ class MigrationService:
                 # waiting on the scheduler, it is waiting on bandwidth.
                 k.groups.park(task, throttled)
                 if k.trace is not None:
-                    k.trace("wakeup", now, -1, _WAKER_THROTTLED, waker,
+                    k.trace("wakeup", now, -1, WAKEUP_THROTTLED, waker,
                             True, pid=task.pid)
                 return 0
         cls = k._class_cache[task.policy]
@@ -113,13 +108,13 @@ class MigrationService:
             stats.wait_since_ns = now
             cls.task_wakeup(task, DEFERRED_CPU)
             if k.trace is not None:
-                k.trace("wakeup", now, -1, _WAKER_DEFERRED, waker, True,
+                k.trace("wakeup", now, -1, WAKEUP_DEFERRED, waker, True,
                         pid=task.pid)
             return hook_cost if charge_waker else 0
         k._attach_runnable(task, cpu)
         cls.task_wakeup(task, cpu)
         if k.trace is not None:
-            k.trace("wakeup", now, cpu, _WAKER_SYNC, waker, sync,
+            k.trace("wakeup", now, cpu, WAKEUP_SYNC, waker, sync,
                     pid=task.pid)
         extra = 0 if charge_waker else hook_cost
         self.kick_cpu_for_wakeup(task, cpu, waker_cpu, cls, extra)
@@ -265,13 +260,13 @@ class MigrationService:
         k.stats.cpus[dest_cpu].steals += 1
         cls.migrate_task_rq(task, dest_cpu)
         if k.trace is not None:
-            k.trace("migrate", now, dest_cpu, _SRC, src_cpu, pid=pid)
+            k.trace("migrate", now, dest_cpu, MIGRATE, src_cpu, pid=pid)
         return True
 
     def migrate_failed(self, pid, dest_cpu, reason):
         k = self.k
         k.stats.failed_migrations += 1
         if k.trace is not None:
-            k.trace("migrate_failed", k.now, dest_cpu, _REASON, reason,
+            k.trace("migrate_failed", k.now, dest_cpu, MIGRATE_FAILED, reason,
                     pid=pid)
         return False

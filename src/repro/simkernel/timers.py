@@ -9,9 +9,7 @@ callback's.
 """
 
 from repro.simkernel.errors import SimError
-
-#: the trace payload keys of ``timer_fire``
-_TAG = ("tag",)
+from repro.simkernel.tracing import TIMER_FIRE
 
 
 class Timer:
@@ -66,7 +64,7 @@ class TimerService:
                 pass
             if cpu.__class__ is not int:
                 cpu = -1
-        trace("timer_fire", self.events.clock.now, cpu, _TAG,
+        trace("timer_fire", self.events.clock.now, cpu, TIMER_FIRE,
               str(tag) if tag is not None else None)
 
     def arm(self, delay_ns, callback, tag=None, timer=None):

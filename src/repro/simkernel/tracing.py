@@ -6,38 +6,8 @@ helpers experiments use to answer questions like "how long did pid 7 wait
 per wakeup?" or "what ran on CPU 2 between t1 and t2?".
 
 The event taxonomy spans every layer of the reproduction (the unified
-observability model — see README "Observability"):
-
-========================  =====================================================
-kind                      emitted by
-========================  =====================================================
-``dispatch``              kernel core, a task starts running on a CPU
-``idle``                  kernel core, a CPU goes idle
-``wakeup``                kernel core, try-to-wake-up placed a task
-``fork``                  kernel core, a new task was placed
-``preempt``               kernel core, the current task lost its CPU
-``migrate``               kernel core, a queued task moved between run queues
-``migrate_failed``        kernel core, a requested migration was rejected
-``timer_fire``            timer service, an armed timer fired
-``enoki_msg``             Enoki-C, one message dispatched into the scheduler
-``lock_acquire``          libEnoki spin-lock wrapper, a scheduler lock was taken
-``lock_release``          libEnoki spin-lock wrapper, the lock was dropped again
-``rwlock_*``              the per-scheduler read-write lock (quiesce protocol)
-``upgrade``               upgrade manager, one quiesce phase of a live upgrade
-``hint_enqueue``          Enoki-C, a userspace hint entered the ring
-``hint_drop``             Enoki-C, a hint was dropped on ring overflow
-``hint_dequeue``          Enoki-C, a task drained the reverse ring
-``token_issue``           token registry, a ``Schedulable`` was minted
-``token_consume``         token registry, a token was spent (task picked)
-``token_revoke``          token registry, a live token was invalidated
-``throttle``              task groups, a group ran out of quota and was parked
-``unthrottle``            task groups, a refilled group released its tasks
-``quota_refill``          task groups, a bandwidth period rolled over
-``enoki_panic``           containment boundary, a scheduler callback raised
-``failover``              containment boundary, tasks moved to the fallback
-``watchdog_finding``      scheduler watchdog, a lost or starved task was found
-``slo_violation``         telemetry, a window broke a service-level objective
-========================  =====================================================
+observability model — see README "Observability"): :data:`EVENTS`, below,
+names each kind, who emits it and the keys tuples its emit sites pass.
 
 The ``token_*`` kinds only flow when a
 :class:`~repro.verify.SanitizerSuite` (or anything else that installs a
@@ -50,37 +20,155 @@ before the latest in-order one to ``_stamp_backwards``, a no-op that a
 Every emit site passes its payload positionally, behind its own
 ``is None`` test::
 
-    _LOCK = ("lock",)       # module level, next to the emit site
+    from repro.simkernel.tracing import LOCK
     ...
     if trace is not None:
-        trace("lock_acquire", now, thread, _LOCK, lock_id)
+        trace("lock_acquire", now, thread, LOCK, lock_id)
 
-``keys`` is a tuple of field names defined once per site and followed by
-one value per name; ``pid`` (default ``None``) and ``cost`` (default 0)
-are keywords.  The intake retains ``(t, kind, cpu, pid, cost) + keys +
+``keys`` is one of the kind's tuples in :data:`EVENTS`, followed by one
+value per name; ``pid`` (default ``None``) and ``cost`` (default 0) are
+keywords.  The intake retains ``(t, kind, cpu, pid, cost) + keys +
 values`` as it comes, and hands a kind's sinks the same values
 positionally: ``sink(kind, t, cpu, pid, cost, keys, values)``.  A sink
-that reads a field by index relies on every emit site of that kind
-putting the field there (``tests/test_tracing.py`` checks each one).
+that reads a field by index takes it from :func:`field_index`, which
+holds every keys tuple of the kind to the same index.
 
-Anything not in the table is legal too — the tracer stores unknown kinds
+A kind not in the table is legal too — the tracer stores unknown kinds
 verbatim, so layers can add events without touching this module.
 
 Usage::
 
     tracer = SchedTracer.attach(kernel, capacity=100_000)
     ... run workload ...
-    for event in tracer.events_for_cpu(2):
+    for event in tracer.events_for_pid(7):
         print(event)
     print(tracer.timeline(cpu=2, start_ns=0, end_ns=1_000_000))
 """
 
+import json
 from collections import deque
 from typing import NamedTuple, Optional
 
 from repro.simkernel.errors import SimError
 
 _new_event = tuple.__new__
+
+# ----------------------------------------------------------------------
+# the event table: the keys tuples emit sites import, then each kind
+# ----------------------------------------------------------------------
+
+NO_KEYS = ()
+LOCK = ("lock",)
+GEN = ("gen",)
+TIMER_FIRE = ("tag",)
+WAKEUP_THROTTLED = ("waker", "throttled")
+WAKEUP_DEFERRED = ("waker", "deferred")
+WAKEUP_SYNC = ("waker", "sync")
+FORK_THROTTLED = ("throttled",)
+FORK_DEFERRED = ("deferred",)
+FORK_ORIGIN = ("origin",)
+MIGRATE = ("src",)
+MIGRATE_FAILED = ("reason",)
+ENOKI_MSG = ("func", "policy", "wall_ns")
+HINT_ENQUEUE = ("queue", "depth")
+HINT_DROP = ("queue",)
+HINT_DROP_FAULT = ("queue", "reason")
+HINT_DEQUEUE = ("count",)
+UPGRADE_QUIESCE = ("phase", "old", "new")
+UPGRADE_PREPARE = ("phase", "has_state")
+UPGRADE_STEP = ("phase",)
+UPGRADE_COMPLETE = ("phase", "pause_ns", "tasks")
+UPGRADE_ABORT = ("phase", "error")
+THROTTLE = ("group", "parked", "running", "remaining")
+UNTHROTTLE = ("group", "released")
+QUOTA_REFILL = ("group", "consumed", "remaining")
+ENOKI_PANIC = ("policy", "hook", "panic_kind", "strike")
+FAILOVER = ("policy", "to", "reason", "requeued", "lazy")
+WATCHDOG_FINDING = ("finding", "policy")
+SLO_VIOLATION = ("slo", "metric", "value", "bound")
+
+#: kind -> (who emits it, the keys tuples its emit sites may pass)
+EVENTS = {
+    "dispatch": ("kernel core: a task starts running on a CPU", (NO_KEYS,)),
+    "idle": ("kernel core: a CPU goes idle", (NO_KEYS,)),
+    "preempt": ("kernel core: the current task lost its CPU", (NO_KEYS,)),
+    "wakeup": ("kernel core: try-to-wake-up placed or parked a task",
+               (WAKEUP_THROTTLED, WAKEUP_DEFERRED, WAKEUP_SYNC)),
+    "fork": ("kernel core: a new task was placed or parked",
+             (FORK_THROTTLED, FORK_DEFERRED, FORK_ORIGIN)),
+    "migrate": ("kernel core: a queued task changed run queue", (MIGRATE,)),
+    "migrate_failed": ("kernel core: a migration was refused",
+                       (MIGRATE_FAILED,)),
+    "timer_fire": ("timer service: an armed timer fired", (TIMER_FIRE,)),
+    "enoki_msg": ("Enoki-C: one message into the scheduler", (ENOKI_MSG,)),
+    "lock_acquire": ("libEnoki: a scheduler spin lock was taken", (LOCK,)),
+    "lock_release": ("libEnoki: the spin lock was dropped", (LOCK,)),
+    "rwlock_read_acquire": ("quiesce rwlock: a message entered", (LOCK,)),
+    "rwlock_read_release": ("quiesce rwlock: the message left", (LOCK,)),
+    "rwlock_write_acquire": ("quiesce rwlock: an upgrade began", (LOCK,)),
+    "rwlock_write_release": ("quiesce rwlock: the upgrade ended", (LOCK,)),
+    "upgrade": ("upgrade manager: one phase of a live upgrade",
+                (UPGRADE_QUIESCE, UPGRADE_PREPARE, UPGRADE_STEP,
+                 UPGRADE_COMPLETE, UPGRADE_ABORT)),
+    "hint_enqueue": ("Enoki-C: a hint entered its ring", (HINT_ENQUEUE,)),
+    "hint_drop": ("Enoki-C: a hint was dropped (ring full, or a fault)",
+                  (HINT_DROP, HINT_DROP_FAULT)),
+    "hint_dequeue": ("Enoki-C: a task drained its ring", (HINT_DEQUEUE,)),
+    "token_issue": ("token registry: a Schedulable was minted", (GEN,)),
+    "token_consume": ("token registry: a token was spent", (GEN,)),
+    "token_revoke": ("token registry: a live token was revoked", (GEN,)),
+    "throttle": ("task groups: a group ran dry and was parked", (THROTTLE,)),
+    "unthrottle": ("task groups: a group's tasks came back", (UNTHROTTLE,)),
+    "quota_refill": ("task groups: a bandwidth period rolled over",
+                     (QUOTA_REFILL,)),
+    "enoki_panic": ("containment: a scheduler callback raised",
+                    (ENOKI_PANIC,)),
+    "failover": ("containment: tasks moved to the fallback", (FAILOVER,)),
+    "watchdog_finding": ("watchdog: a lost or starved task",
+                         (WATCHDOG_FINDING,)),
+    "slo_violation": ("telemetry: a window broke an SLO", (SLO_VIOLATION,)),
+}
+
+#: the one key whose values are wall-clock time, different on every run:
+#: :func:`canonical_stream` leaves it out
+WALL_CLOCK_KEY = "wall_ns"
+
+
+def field_index(field, kinds):
+    """The index ``field`` holds in every keys tuple of each of
+    ``kinds``, for a sink that reads it by position; a
+    :class:`SimError` unless they all hold it there."""
+    at = {keys.index(field) if field in keys else None
+          for kind in kinds for keys in EVENTS[kind][1]}
+    if len(at) != 1 or None in at:
+        raise SimError(f"{field!r} is not at one index in the keys of "
+                       f"{sorted(kinds)}")
+    return at.pop()
+
+
+def canonical_stream(observer, recorder=None, violations=None):
+    """What ``observer`` (and ``recorder``) kept, as plain JSON data less
+    the wall clock: retained events, retention counts, the collected
+    registry, violations (the observer's by default), record entries."""
+    snapshot = observer.collect().snapshot()
+    snapshot["histograms"] = {
+        name: hist for name, hist in snapshot["histograms"].items()
+        if WALL_CLOCK_KEY not in name}
+    payload = {
+        "events": [
+            [e.t_ns, e.kind, e.cpu, e.pid, e.cost_ns,
+             [[k, v] for k, v in e.args if k != WALL_CLOCK_KEY]]
+            for e in observer.events],
+        "events_seen": getattr(observer, "events_seen", None),
+        "filtered": observer.filtered,
+        "dropped": observer.dropped,
+        "registry": snapshot,
+        "violations": [v.to_dict() for v in (
+            violations if violations is not None
+            else getattr(observer, "violations", []))],
+        "record": recorder.entries if recorder is not None else None,
+    }
+    return json.loads(json.dumps(payload, sort_keys=True, default=str))
 
 
 class TraceEvent(NamedTuple):
@@ -93,7 +181,7 @@ class TraceEvent(NamedTuple):
     """
 
     t_ns: int
-    kind: str                # see the taxonomy table in the module docstring
+    kind: str                # see ``EVENTS``
     cpu: int
     pid: Optional[int] = None
     cost_ns: int = 0
@@ -191,8 +279,7 @@ class SchedTracer:
         ``sink(kind, t, cpu, pid, cost, keys, values)``: ``keys`` is the
         emit site's tuple of field names and ``values`` the tuple of its
         values, in the same order, so no event builds a dict.  A sink
-        reads a field by its index in ``keys``, which every emit site of
-        the kind must share."""
+        reads a field at its :func:`field_index`."""
         self._resolvers.append(resolve)
         self._routes = {}
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from repro.obs.observer import Observer
 from repro.simkernel.errors import SchedulingError
 from repro.simkernel.task import TaskState
+from repro.simkernel.tracing import field_index
 
 
 class SanitizerError(AssertionError):
@@ -430,9 +431,9 @@ class Sanitizer:
 class TokenSanitizer(Sanitizer):
     """Token discipline: no task runs on a core without spending a live
     ``Schedulable`` for that core; no double/stale consume; revoked
-    tokens never spent.  A ``token_*`` event's payload is ``("gen",)``;
-    the clean path calls nothing (dicts are tested, subscripted and
-    ``del``-ed)."""
+    tokens never spent.  A ``token_*`` event's generation is read at
+    ``_GEN_AT``; the clean path calls nothing (dicts are tested,
+    subscripted and ``del``-ed)."""
 
     name = "token"
     KINDS = frozenset({"token_issue", "token_consume", "token_revoke",
@@ -447,7 +448,7 @@ class TokenSanitizer(Sanitizer):
 
     def on_event(self, kind, t, cpu, pid, cost, keys, values):
         if kind == "token_issue":
-            self._live[pid] = (values[0] if values else None, cpu)
+            self._live[pid] = (values[_GEN_AT] if values else None, cpu)
         elif kind == "token_consume":
             live = self._live
             if pid not in live:
@@ -455,7 +456,7 @@ class TokenSanitizer(Sanitizer):
                           "(double-consume or use-after-revoke)",
                           at_ns=t, pid=pid, cpu=cpu)
             else:
-                gen = values[0] if values else None
+                gen = values[_GEN_AT] if values else None
                 if live[pid] != (gen, cpu):
                     self.flag(f"stale token consumed (gen {gen} on cpu "
                               f"{cpu}, live is gen {live[pid][0]} on cpu "
@@ -490,6 +491,9 @@ class TokenSanitizer(Sanitizer):
                 "task dispatched without consuming a live Schedulable "
                 "for this core (token-discipline violation)",
                 at_ns=t, pid=pid, cpu=cpu)
+
+
+_GEN_AT = field_index("gen", TokenSanitizer.KINDS - {"dispatch"})
 
 
 class _ScanSanitizer(Sanitizer):
@@ -572,8 +576,8 @@ class LockSanitizer(Sanitizer):
     #
     # The sinks run on every watched crossing: the clean path looks up
     # by subscript only, and scans the holders only for a lock already
-    # held somewhere.  Every lock and rwlock event's payload is
-    # ``("lock",)``, so the lock is ``values[0]``.
+    # held somewhere.  Every lock and rwlock event names its lock at
+    # ``_LOCK_AT``.
 
     def _order_ok(self, new_edge):
         """False when adding ``new_edge`` closes a cycle."""
@@ -592,7 +596,7 @@ class LockSanitizer(Sanitizer):
         return True
 
     def lock_acquire(self, kind, t, cpu, pid, cost, keys, values):
-        lock = values[0] if values else None
+        lock = values[_LOCK_AT] if values else None
         holds = self._holds
         if lock in holds:
             holds[lock] += 1
@@ -619,7 +623,7 @@ class LockSanitizer(Sanitizer):
             self._held[cpu] = [lock]
 
     def lock_release(self, kind, t, cpu, pid, cost, keys, values):
-        lock = values[0] if values else None
+        lock = values[_LOCK_AT] if values else None
         held = self._held[cpu] if cpu in self._held else ()
         if lock not in held:
             self.flag(f"lock {lock} released by thread {cpu} "
@@ -639,7 +643,7 @@ class LockSanitizer(Sanitizer):
     # -- the per-scheduler quiesce rwlock ------------------------------
 
     def rwlock_read_acquire(self, kind, t, cpu, pid, cost, keys, values):
-        name = values[0] if values else "?"
+        name = values[_LOCK_AT] if values else "?"
         state = self._rw[name]
         if state[1]:
             self.flag(f"rwlock {name!r}: read acquired while the "
@@ -647,7 +651,7 @@ class LockSanitizer(Sanitizer):
         state[0] += 1
 
     def rwlock_read_release(self, kind, t, cpu, pid, cost, keys, values):
-        name = values[0] if values else "?"
+        name = values[_LOCK_AT] if values else "?"
         state = self._rw[name]
         if state[0] <= 0:
             self.flag(f"rwlock {name!r}: read release underflow",
@@ -656,7 +660,7 @@ class LockSanitizer(Sanitizer):
             state[0] -= 1
 
     def rwlock_write_acquire(self, kind, t, cpu, pid, cost, keys, values):
-        name = values[0] if values else "?"
+        name = values[_LOCK_AT] if values else "?"
         state = self._rw[name]
         if state[0] > 0 or state[1]:
             self.flag(f"rwlock {name!r}: write acquired with "
@@ -665,7 +669,7 @@ class LockSanitizer(Sanitizer):
         state[1] = True
 
     def rwlock_write_release(self, kind, t, cpu, pid, cost, keys, values):
-        name = values[0] if values else "?"
+        name = values[_LOCK_AT] if values else "?"
         state = self._rw[name]
         if not state[1]:
             self.flag(f"rwlock {name!r}: write release without "
@@ -682,6 +686,9 @@ class LockSanitizer(Sanitizer):
             if readers or writer:
                 self.flag(f"rwlock {name!r} leaked: readers={readers} "
                           f"writer={writer}", at_ns=now)
+
+
+_LOCK_AT = field_index("lock", LockSanitizer.KINDS)
 
 
 class GroupBandwidthSanitizer(_ScanSanitizer):

@@ -1,18 +1,11 @@
 """Golden observed-stream digests.
 
 The observed path (trace intake -> retention, metrics, sanitizers,
-recorder) must be a pure function of the scenario: every retained event,
-every counter, every ``Violation`` and every record entry.  The digests
-below were first recorded on the commit *before* the three stacked
-``_hook`` overrides were merged into one intake and must never change
-because of a refactor of that pipeline.  They were re-recorded once, when
-the ``kernel.cpu<N>.*`` and ``kernel.busy_ns_total`` gauges began closing
-the open busy/idle segment (with those gauges left out, the digests were
-unchanged).  The three ``faults`` digests (an EEVDF episode) were
-re-recorded when EEVDF began assigning a deadline on every queue entry,
-yield and migration included.  Only wall-clock material is left out
-(the ``wall_ns`` field of ``enoki_msg`` events and the ``*wall_ns*``
-histograms).
+recorder) must be a pure function of the scenario.  Each digest hashes
+``canonical_stream``: every retained event, every counter, every
+``Violation`` and every record entry, less the wall clock (``wall_ns``
+fields and ``*wall_ns*`` histograms).  A refactor of the pipeline must
+leave every digest as it is.
 """
 
 import hashlib
@@ -23,6 +16,7 @@ import pytest
 
 from repro.core.record import Recorder
 from repro.exp import KernelBuilder, ScenarioSpec
+from repro.simkernel.tracing import canonical_stream
 from repro.verify import fuzz, generate_episode, run_episode
 from repro.workloads.pipe_bench import run_pipe_benchmark
 
@@ -34,32 +28,11 @@ SEEDS = (11, 202, 3003)
 FUZZ_SHAPES = {"upgrade": 0, "faults": 19, "groups": 5}
 
 
-def _plain(value):
-    return json.loads(json.dumps(value, sort_keys=True, default=str))
-
-
 def stream_digest(tracer, recorder, violations=None):
     """sha256 over everything the observed path produced."""
-    snapshot = tracer.collect().snapshot()
-    snapshot["histograms"] = {
-        name: hist for name, hist in snapshot["histograms"].items()
-        if "wall_ns" not in name}
-    payload = {
-        "events": [
-            [e.t_ns, e.kind, e.cpu, e.pid, e.cost_ns,
-             [[k, v] for k, v in e.args if k != "wall_ns"]]
-            for e in tracer.events],
-        "events_seen": getattr(tracer, "events_seen", None),
-        "filtered": tracer.filtered,
-        "dropped": tracer.dropped,
-        "registry": snapshot,
-        "violations": [v.to_dict() for v in (
-            violations if violations is not None
-            else getattr(tracer, "violations", []))],
-        "record": recorder.entries if recorder is not None else None,
-    }
-    return hashlib.sha256(
-        json.dumps(_plain(payload), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(
+        canonical_stream(tracer, recorder, violations),
+        sort_keys=True).encode()).hexdigest()
 
 
 def observed_pipe(seed, rounds=40):

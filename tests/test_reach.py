@@ -57,6 +57,8 @@ KEPT = {
     "step": "runs one event, for tests that check state between events",
     "generate": "the FaaS sampler's pure trace, which its tests compare",
     "episode_digest": "a fuzz episode's digest, which the golden files pin",
+    "canonical_stream": "the observed stream the golden digests pin; "
+                        "a --canonical trace would write it",
     "assert_kernel_state": "the raising check a sanitized test run calls",
     "busy_ns_total": "the closed per-CPU busy sum the gauges are checked on",
     "_bucket_index": "the reference the histogram's inline copy is held to",

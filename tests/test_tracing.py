@@ -2,18 +2,22 @@
 
 import ast
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.exp import KernelBuilder, ScenarioSpec
 from repro.obs import Observer
-from repro.obs.observer import _VALUE_METRICS
+from repro.obs.observer import _EVENT_COUNTERS, _VALUE_METRICS
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.simkernel import Kernel, SimConfig, SimError, Topology
 from repro.simkernel.clock import usecs
 from repro.simkernel.program import Run, Sleep
-from repro.simkernel.tracing import SchedTracer, TraceEvent
-from repro.verify.sanitizers import LockSanitizer, TokenSanitizer
+from repro.simkernel import tracing
+from repro.simkernel.tracing import (EVENTS, SchedTracer, TraceEvent,
+                                     field_index)
+from repro.verify.sanitizers import (DEFAULT_SANITIZERS, LockSanitizer,
+                                     TokenSanitizer)
 
 from tests.source_trees import trees
 from tests.test_verify import ROUTING_TABLE
@@ -138,19 +142,15 @@ class TestTracer:
 HOOK_NAMES = frozenset({"trace", "_trace", "_hook", "on_event"})
 
 
-def _module_keys(tree):
-    """Module-level ``NAME = ("field", ...)`` constants: name -> node."""
-    return {node.targets[0].id: node.value for node in tree.body
-            if isinstance(node, ast.Assign) and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Tuple)}
-
-
-def emit_sites():
-    """``(where, kind, keys node, value nodes, call)`` for every emit
-    site under ``src/repro``, its keys constant resolved."""
-    for path, tree in trees("src/repro"):
-        constants = _module_keys(tree)
+def emit_sites(modules):
+    """``(where, kind, keys, value nodes, call)`` for every emit site in
+    ``modules`` (``(path, tree)`` pairs); ``keys`` is ``None`` unless the
+    site passes a name it imports from the table."""
+    for path, tree in modules:
+        imported = {alias.asname or alias.name: alias.name
+                    for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.module == "repro.simkernel.tracing"
+                    for alias in node.names}
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and node.args
                     and isinstance(node.args[0], ast.Constant)
@@ -161,95 +161,104 @@ def emit_sites():
                 func.id if isinstance(func, ast.Name) else None)
             if name not in HOOK_NAMES:
                 continue
-            where = f"{path.name}:{node.lineno}"
             keys = node.args[3] if len(node.args) > 3 else None
-            if isinstance(keys, ast.Name):
-                keys = constants.get(keys.id)
-            yield where, node.args[0].value, keys, node.args[4:], node
+            keys = (getattr(tracing, imported[keys.id])
+                    if isinstance(keys, ast.Name) and keys.id in imported
+                    else None)
+            yield (f"{path.name}:{node.lineno}", node.args[0].value, keys,
+                   node.args[4:], node)
 
 
-def _pairs(keys, values):
-    """A key matches a value; ``*fields`` matches ``*fields.values()``."""
-    if len(keys.elts) != len(values):
-        return False
-    for key, value in zip(keys.elts, values):
-        if isinstance(key, ast.Starred):
-            if not (isinstance(value, ast.Starred)
-                    and isinstance(value.value, ast.Call)
-                    and ast.unparse(value.value)
-                    == f"{ast.unparse(key.value)}.values()"):
-                return False
-        elif not (isinstance(key, ast.Constant)
-                  and isinstance(key.value, str)
-                  and not isinstance(value, ast.Starred)):
-            return False
-    return True
+def bad_sites(sites):
+    """What is wrong with each emit site: keys the table does not list
+    for its kind, a value count other than one per key, or a keyword
+    other than ``pid`` and ``cost``."""
+    bad = []
+    for where, kind, keys, values, call in sites:
+        if keys not in EVENTS.get(kind, ("", ()))[1]:
+            bad.append(f"{where} {kind}: keys not in the table")
+        elif len(values) != len(keys) or any(
+                isinstance(value, ast.Starred) for value in values):
+            bad.append(f"{where} {kind}: keys and values differ")
+        if {k.arg for k in call.keywords} - {"pid", "cost"}:
+            bad.append(f"{where} {kind}: keywords "
+                       f"{[k.arg for k in call.keywords]}")
+    return bad
 
 
 def static_keys():
-    """kind -> the field-name tuples its emit sites pass (the static
-    prefix of a computed one)."""
-    out = {}
-    for _where, kind, keys, _values, _call in emit_sites():
-        out.setdefault(kind, set()).add(tuple(
-            key.value for key in keys.elts if isinstance(key, ast.Constant)))
-    return out
+    """kind -> the keys tuples its emit sites may pass."""
+    return {kind: set(keys) for kind, (_by, keys) in EVENTS.items()}
 
 
-#: kind -> {field: the index its sinks read it at}, for every field a
-#: sink reads off the payload by position: the lock sanitizer's lock, the
-#: token sanitizer's generation and the Observer's ring-depth gauge
-READ_BY_POSITION = {
-    **{kind: {"lock": 0} for kind in LockSanitizer.KINDS},
-    **{kind: {"gen": 0} for kind in TokenSanitizer.KINDS - {"dispatch"}},
-    "hint_enqueue": {"depth": _VALUE_METRICS["hint_enqueue"][2]},
-}
+def positional_reads():
+    """``(field, kinds)`` for every field a sink reads by position: the
+    sanitizers' lock and generation, the Observer's fields."""
+    return ([("lock", LockSanitizer.KINDS),
+             ("gen", TokenSanitizer.KINDS - {"dispatch"})]
+            + [(field, {kind}) for kind, (_family, _name, field)
+               in _VALUE_METRICS.items() if field is not None]
+            + [(field, {kind}) for kind, names in _EVENT_COUNTERS.items()
+               for name in names for field in re.findall(r"{(\w+)}", name)])
 
 
-def misplaced(emitted):
-    """``(kind, keys, field)`` for each emit site's keys tuple that does
-    not hold a field its sinks read by position at that index."""
-    return [(kind, keys, field)
-            for kind, fields in sorted(READ_BY_POSITION.items())
-            for keys in sorted(emitted.get(kind, ()))
-            for field, index in sorted(fields.items())
-            if keys[index:index + 1] != (field,)]
+PLANTED = """
+from repro.simkernel.tracing import GEN, LOCK
+MINE = ("lock",)
+def emit(trace):
+    trace("lock_acquire", 0, 0, LOCK, 1)
+    trace("lock_acquire", 0, 0, GEN, 1)
+    trace("lock_acquire", 0, 0, MINE, 1)
+    trace("lock_acquire", 0, 0, LOCK)
+"""
 
 
 class TestPositionalIntake:
     def test_every_emit_site_passes_a_keys_constant_and_one_value_each(self):
-        bad, sites = [], 0
-        for where, kind, keys, values, call in emit_sites():
-            sites += 1
-            if keys is None or not _pairs(keys, values):
-                bad.append(f"{where} {kind}: keys and values differ")
-            if {k.arg for k in call.keywords} - {"pid", "cost"}:
-                bad.append(f"{where} {kind}: keywords "
-                           f"{[k.arg for k in call.keywords]}")
-        assert bad == []
-        assert sites >= 34
+        sites = list(emit_sites(trees("src/repro")))
+        assert bad_sites(sites) == []
+        assert len(sites) >= 38
+        # Every keys tuple of the table still has an emit site.
+        assert {(kind, keys) for _where, kind, keys, _values, _call
+                in sites} == {(kind, keys) for kind, variants
+                              in static_keys().items() for keys in variants}
+        # A planted site off the table fails.
+        planted = [(Path("planted.py"), ast.parse(PLANTED))]
+        assert [line.split(" ", 1)[1]
+                for line in bad_sites(emit_sites(planted))] == [
+            "lock_acquire: keys not in the table",
+            "lock_acquire: keys not in the table",
+            "lock_acquire: keys and values differ"]
 
-    def test_each_field_a_sink_reads_by_position_is_at_its_index(self):
-        emitted = static_keys()
-        assert set(READ_BY_POSITION) <= set(emitted)
-        assert misplaced(emitted) == []
-        # A site that orders its keys otherwise, or drops the field, fails.
-        assert misplaced({"lock_release": {("thread", "lock")},
-                          "token_issue": {()},
-                          "hint_enqueue": {("depth", "queue")}}) == [
-            ("hint_enqueue", ("depth", "queue"), "depth"),
-            ("lock_release", ("thread", "lock"), "lock"),
-            ("token_issue", (), "gen")]
+    def test_each_field_a_sink_reads_by_position_is_at_its_index(
+            self, monkeypatch):
+        for field, kinds in positional_reads():
+            field_index(field, kinds)   # raises unless every variant agrees
+        # A variant that orders its keys otherwise, or drops the field,
+        # fails.
+        for kind, variant, field in (
+                ("lock_release", ("thread", "lock"), "lock"),
+                ("token_issue", (), "gen"),
+                ("hint_enqueue", ("depth", "queue"), "depth")):
+            by, variants = EVENTS[kind]
+            monkeypatch.setitem(EVENTS, kind, (by, (*variants, variant)))
+            with pytest.raises(SimError, match=repr(field)):
+                field_index(field, {kind})
+
+    def test_every_kind_a_sink_routes_is_in_the_table(self):
+        """A misspelled kind would route nothing, silently."""
+        routed = set(_VALUE_METRICS) | set(_EVENT_COUNTERS)
+        for cls in DEFAULT_SANITIZERS:
+            routed |= (cls.KINDS or set()) | getattr(cls, "SCAN_KINDS", set())
+        assert routed - set(EVENTS) == set()
 
     @pytest.mark.parametrize("kind", sorted(ROUTING_TABLE))
     @pytest.mark.parametrize("cost", [0, 7])
     def test_a_positional_emission_round_trips(self, kind, cost):
         """The ring yields the event the keyword payload names, and the
         sinks read that payload, in the emitter's order, ``cost`` last."""
-        emitted = static_keys()
-        assert kind in emitted or kind in {"never_heard_of_it",
-                                           "rwlock_downgrade"}
-        for keys in sorted(emitted.get(kind, {("lock", "gen", "zeta")})):
+        for keys in sorted(static_keys().get(kind,
+                                             {("lock", "gen", "zeta")})):
             values = tuple(f"{kind}.{key}" for key in keys)
             payload = dict(zip(keys, values))
             tracer, seen = SchedTracer(), []
