@@ -384,12 +384,13 @@ class EnokiSchedClass(SchedClass):
         queued = self.kernel.rqs[cpu].queued
         # pid -> runtime of this CPU's queued tasks of ours (Enoki-C tracks
         # runtimes on the scheduler's behalf); most picks find none.  A
-        # loop, not a comprehension: that would be a frame of its own.
+        # loop over the keys, not a comprehension (a frame of its own) or
+        # ``items()`` (a builtin call).
         mine = {}
-        if queued:
-            for pid, t in queued.items():
-                if t.policy == policy:
-                    mine[pid] = t.sum_exec_runtime_ns
+        for pid in queued:
+            t = queued[pid]
+            if t.policy == policy:
+                mine[pid] = t.sum_exec_runtime_ns
         # (cpu, curr_pid, curr_runtime, runtimes)
         token = self._call("pick_next_task", (cpu, None, None, mine))
         if token is None:

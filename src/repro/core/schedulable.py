@@ -141,21 +141,25 @@ class TokenRegistry:
         if (type(token) is not Schedulable
                 or token._registry_id != self._id or token._consumed):
             return False
-        current = self._current.get(token._pid)
-        if (current is None or current[0] != token._generation
+        live, pid = self._current, token._pid
+        if (pid not in live or live[pid][0] != token._generation
                 or (cpu is not None and token._cpu != cpu)):
             return False
         token._consumed = True
-        del self._current[token._pid]
+        del live[pid]
         if self.on_event is not None:
             self.on_event("token_consume", self.clock.now, token._cpu,
-                          GEN, token._generation, pid=token._pid)
+                          GEN, token._generation, pid=pid)
         return True
 
     def revoke(self, pid):
         """Invalidate any live token for ``pid`` (task died/departed)."""
-        current = self._current.pop(pid, None)
-        if current is not None and self.on_event is not None:
+        live = self._current
+        if pid not in live:
+            return
+        current = live[pid]
+        del live[pid]
+        if self.on_event is not None:
             self.on_event("token_revoke", self.clock.now, current[1],
                           GEN, current[0], pid=pid)
 

@@ -117,7 +117,8 @@ class EnokiServerless(QueuePolicy):
                               + runtime - last)
 
     def _episode_ns(self, pid, runtime):
-        return runtime - self.episode_base.get(pid, 0)
+        base = self.episode_base
+        return runtime - (base[pid] if pid in base else 0)
 
     def _enqueue(self, cpu, pid, token):
         """Queue ``pid`` on ``cpu`` according to its current class."""
@@ -166,13 +167,29 @@ class EnokiServerless(QueuePolicy):
                 if (cpu in candidates and cpu not in current
                         and not short[cpu] and not long_[cpu]):
                     return cpu
-            best = best_load = None
-            for cpu in candidates:
-                load = len(short[cpu]) + len(long_[cpu]) + (cpu in current)
-                if (best_load is None or load < best_load
-                        or (load == best_load and cpu < best)):
-                    best, best_load = cpu, load
-            return best
+            # None is free, so load 1 is the least: a running CPU with
+            # nothing queued wins if every lower candidate runs a task
+            # and queues more.  An idle CPU with work queued is counted.
+            for cpu in range(nr_cpus):
+                if cpu in candidates:
+                    if cpu not in current:
+                        break
+                    if not short[cpu] and not long_[cpu]:
+                        return cpu
+            return self._least_loaded(candidates)
+
+    def _least_loaded(self, candidates):
+        """The least loaded candidate, queued plus running (equal loads
+        go to the lowest CPU)."""
+        short, long_, current = (self.short_queues.cpus,
+                                 self.long_queues.cpus, self.current)
+        best = best_load = None
+        for cpu in candidates:
+            load = len(short[cpu]) + len(long_[cpu]) + (cpu in current)
+            if (best_load is None or load < best_load
+                    or (load == best_load and cpu < best)):
+                best, best_load = cpu, load
+        return best
 
     # ------------------------------------------------------------------
     # task state tracking
@@ -221,8 +238,10 @@ class EnokiServerless(QueuePolicy):
                      was_latched, sched):
         with self.lock:
             self._observe(pid, runtime)
-            self.current.pop(cpu, None)
-            if (self.classes.get(pid, SHORT) == SHORT
+            current, classes = self.current, self.classes
+            if cpu in current:
+                del current[cpu]
+            if ((pid not in classes or classes[pid] == SHORT)
                     and self._episode_ns(pid, runtime)
                     >= self.promote_threshold_ns):
                 # Misclassified: it called itself short (or said nothing)
@@ -263,11 +282,13 @@ class EnokiServerless(QueuePolicy):
 
     def pick_next_task(self, cpu, curr_pid, curr_runtime, runtimes):
         with self.lock:
-            # Fold only when some runtime is new or moved (as WFQ does).
-            if runtimes and not (runtimes.items()
-                                 <= self.last_runtime.items()):
-                for pid, runtime in runtimes.items():
-                    self._observe(pid, runtime)
+            # Fold only a runtime that moved, or a pid with no entry yet
+            # (as WFQ does).
+            last_runtime = self.last_runtime
+            for pid in runtimes:
+                if (pid not in last_runtime
+                        or last_runtime[pid] != runtimes[pid]):
+                    self._observe(pid, runtimes[pid])
             shortq = self.short_queues.cpus[cpu]
             longq = self.long_queues.cpus[cpu]
             take_long = longq and (
@@ -320,12 +341,12 @@ class EnokiServerless(QueuePolicy):
             return
         with self.lock:
             self._observe(pid, runtime)
-            running = self.current.get(cpu)
-            if running is None or running[0] != pid or not queued:
+            current, classes = self.current, self.classes
+            if cpu not in current or current[cpu][0] != pid or not queued:
                 return
             # Backup demotion path for when the guard timer was replaced
             # (e.g. by a wakeup preemption on another class's behalf).
-            preempt = (self.classes.get(pid, SHORT) == SHORT
+            preempt = ((pid not in classes or classes[pid] == SHORT)
                        and self._episode_ns(pid, runtime)
                        >= self.promote_threshold_ns)
         if preempt:
@@ -339,7 +360,8 @@ class EnokiServerless(QueuePolicy):
         payload = hint.payload
         if not isinstance(payload, dict):
             return
-        expected = payload.get("expected_ns")
+        expected = (payload["expected_ns"] if "expected_ns" in payload
+                    else None)
         if not isinstance(expected, int) or hint.pid is None:
             return
         pid = hint.pid
@@ -347,8 +369,9 @@ class EnokiServerless(QueuePolicy):
         with self.lock:
             if expected >= self.promote_threshold_ns:
                 self.counters["hint_long"] += 1
-                already_long = self.classes.get(pid, SHORT) == LONG
-                self.classes[pid] = LONG
+                classes = self.classes
+                already_long = pid in classes and classes[pid] == LONG
+                classes[pid] = LONG
                 if not already_long:
                     for cpu, (cur, _cls) in self.current.items():
                         if cur == pid:

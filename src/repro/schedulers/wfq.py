@@ -67,20 +67,22 @@ class EnokiWfq(QueuePolicy):
         self.current = {}          # cpu -> (pid, runtime at pick)
 
     # ------------------------------------------------------------------
-    # vruntime bookkeeping
+    # vruntime bookkeeping (several times per crossing, so the quiet
+    # path's hooks read their dicts with ``in`` and a subscript and
+    # compare instead of calling ``dict.get``, ``max`` or ``pop``)
     # ------------------------------------------------------------------
 
     def _observe_runtime(self, pid, runtime):
         """Fold a kernel-reported raw runtime into the pid's vruntime."""
-        last = self.last_runtime.get(pid, runtime)
-        delta = runtime - last
-        self.last_runtime[pid] = runtime
-        if delta <= 0:
+        last_runtime = self.last_runtime
+        last = last_runtime[pid] if pid in last_runtime else runtime
+        last_runtime[pid] = runtime
+        if runtime <= last:
             return      # nothing to add: reads default a missing pid to 0
-        weight = self.weights.get(pid, NICE_0_WEIGHT)
-        self.vruntime[pid] = (
-            self.vruntime.get(pid, 0) + delta * NICE_0_WEIGHT // weight
-        )
+        weights, vruntimes = self.weights, self.vruntime
+        weight = weights[pid] if pid in weights else NICE_0_WEIGHT
+        vruntimes[pid] = ((vruntimes[pid] if pid in vruntimes else 0)
+                          + (runtime - last) * NICE_0_WEIGHT // weight)
 
     # ------------------------------------------------------------------
     # placement
@@ -95,7 +97,7 @@ class EnokiWfq(QueuePolicy):
             current = self.current
             # Cache affinity: back to the previous CPU if it is free.
             if (prev_cpu in candidates and prev_cpu not in current
-                    and not queues.get(prev_cpu)):
+                    and not queues[prev_cpu]):
                 return prev_cpu
             # Else the first free CPU, else the first least loaded one.
             best = best_load = None
@@ -135,20 +137,26 @@ class EnokiWfq(QueuePolicy):
             cpu = sched.cpu
             floor = (self.min_vruntime[cpu]
                      - self.sched_latency_ns // self.WAKEUP_BONUS_DIVISOR)
-            self.vruntime[pid] = max(self.vruntime[pid], floor)
+            vruntimes = self.vruntime
+            if floor > vruntimes[pid]:
+                vruntimes[pid] = floor
             self._enqueue(cpu, pid, sched)
 
     def task_blocked(self, pid, runtime, cpu_seqnum, cpu, from_switchto):
         with self.lock:
             self._observe_runtime(pid, runtime)
             self.queues.remove(pid)
-            self.current.pop(cpu, None)
+            current = self.current
+            if cpu in current:
+                del current[cpu]
 
     def task_preempt(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
                      was_latched, sched):
         with self.lock:
             self._observe_runtime(pid, runtime)
-            self.current.pop(cpu, None)
+            current = self.current
+            if cpu in current:
+                del current[cpu]
             self._enqueue(sched.cpu, pid, sched)
 
     def task_yield(self, pid, runtime, cpu_seqnum, cpu, from_switchto,
@@ -202,15 +210,18 @@ class EnokiWfq(QueuePolicy):
         with self.lock:
             # Fold only a runtime that moved, or a pid with no entry yet.
             last_runtime = self.last_runtime
-            if not runtimes.items() <= last_runtime.items():
-                for pid, runtime in runtimes.items():
-                    if last_runtime.get(pid) != runtime:
-                        self._observe_runtime(pid, runtime)
+            for pid in runtimes:
+                if (pid not in last_runtime
+                        or last_runtime[pid] != runtimes[pid]):
+                    self._observe_runtime(pid, runtimes[pid])
             if not self.queues.cpus[cpu]:
                 return None
             vruntime, pid, token = self._take(self.queues, cpu)
-            self.min_vruntime[cpu] = max(self.min_vruntime[cpu], vruntime)
-            self.current[cpu] = (pid, self.last_runtime.get(pid, 0))
+            min_vruntime = self.min_vruntime
+            if vruntime > min_vruntime[cpu]:
+                min_vruntime[cpu] = vruntime
+            self.current[cpu] = (
+                pid, last_runtime[pid] if pid in last_runtime else 0)
             return token
 
     def balance(self, cpu):

@@ -73,7 +73,10 @@ class DispatchEngine:
         k = self.k
         rq = k.rqs[cpu]
         prev = rq.current
-        self.update_curr(cpu)
+        # ``update_curr``'s own ``delta > 0`` test, without its frame when
+        # the op handler has just charged this instant.
+        if prev.exec_start_ns < self.clock.now:
+            self.update_curr(cpu)
         if prev.run_remaining_ns > 0:
             k.interp.pause_run_segment(prev)
         prev.run_epoch += 1
@@ -114,7 +117,8 @@ class DispatchEngine:
         prev = rq.current
         if prev is None:
             raise SchedulingError(f"deschedule on idle cpu {cpu}")
-        self.update_curr(cpu)
+        if prev.exec_start_ns < self.clock.now:     # as in preempt_current
+            self.update_curr(cpu)
         prev.run_epoch += 1
         rq.current = None
         prev.on_rq = False
@@ -184,7 +188,8 @@ class DispatchEngine:
             if pid is None:
                 continue
             # Queued here, runnable, allowed here: one lookup.
-            task = rq.queued.get(pid)
+            queued = rq.queued
+            task = queued[pid] if pid in queued else None
             if (task is None or task.state is not _RUNNABLE
                     or (task.allowed_cpus is not None
                         and cpu not in task.allowed_cpus)):

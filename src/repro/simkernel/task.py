@@ -214,7 +214,9 @@ class TaskStats:
         self.wakeups += 1
         self.wakeup_latency_total_ns += latency_ns
         samples = self.wakeup_latencies
-        if len(samples) == samples.maxlen:
+        # Only this method appends, and nothing clears, so the window is
+        # full before this sample exactly when ``wakeups - 1 >= maxlen``.
+        if self.wakeups > samples.maxlen:
             self.wakeup_samples_dropped += 1
         samples.append(latency_ns)
 

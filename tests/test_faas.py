@@ -7,10 +7,8 @@ Scheduler tests drive :func:`run_faas` (or hand-rolled programs) under
 the kernel's per-task stats.
 """
 
-import gc
 import hashlib
 import statistics
-import sys
 from collections import Counter
 
 import pytest
@@ -25,6 +23,7 @@ from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.task import TaskState
 from repro.simkernel.timers import Timer
 from repro.workloads.faas import FAAS_BASE_OPTIONS, FaasSampler, run_faas
+from tests.call_census import CallCensus
 
 POLICY = 7
 
@@ -407,37 +406,21 @@ class TestQuietPath:
                 == reference_select(sched, prev_cpu, allowed))
 
     def test_bookkeeping_calls_no_builtin_on_a_clean_episode(self):
-        """The four hooks every invocation passes through several times
+        """The hooks every invocation passes through several times
         test, subscript and ``del``: on a clean FaaS episode with hints
-        they make no builtin call of their own.  (The collector is off
-        for the episode: a collection runs other code's callbacks.)"""
-        names = ("_observe", "_enqueue", "task_wakeup", "task_blocked")
-        codes = {getattr(EnokiServerless, name).__code__: name
-                 for name in names}
-        builtins, calls = [], Counter()
-
-        def profile(frame, event, arg):
-            code = frame.f_code
-            if code in codes:
-                if event == "c_call":
-                    builtins.append(f"{codes[code]}: {arg.__qualname__}")
-                elif event == "call":
-                    calls[codes[code]] += 1
-
+        they make no builtin call of their own."""
+        hooks = (EnokiServerless._observe, EnokiServerless._enqueue,
+                 EnokiServerless.select_task_rq, EnokiServerless.task_wakeup,
+                 EnokiServerless.task_blocked, EnokiServerless.task_preempt,
+                 EnokiServerless.pick_next_task, EnokiServerless.task_tick)
         kernel, _, sched = make(nr_cpus=4)
-        collecting = gc.isenabled()
-        gc.disable()
-        sys.setprofile(profile)
-        try:
+        with CallCensus(*hooks) as census:
             result = run_faas(kernel, POLICY, offered_rps=8_000,
                               functions=16, max_workers=16,
                               warmup_ns=msecs(10), duration_ns=msecs(60),
                               hint_fraction=0.5, seed=3)
-        finally:
-            sys.setprofile(None)
-            if collecting:
-                gc.enable()
         assert result.completed == result.offered > 0
         assert sched.counters["demotions"] and sched.counters["hint_long"]
-        assert builtins == []
-        assert min(calls[name] for name in names) > 100, calls
+        assert census.builtins == []
+        entered = [census.entered[hook.__qualname__] for hook in hooks]
+        assert min(entered) > 100, census.entered

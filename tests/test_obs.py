@@ -341,6 +341,17 @@ class TestWakeupLatencyRetention:
         assert stats.wakeup_latencies[-1] == 19      # newest retained
         assert min(stats.wakeup_latencies) == 12     # oldest retained
 
+    def test_a_full_window_drops_from_the_next_sample_on(self):
+        """At the cap nothing is dropped; each sample past it drops one
+        (the count reads ``wakeups``, so it must agree with the deque)."""
+        stats = TaskStats(sample_cap=3)
+        for latency in (10, 20, 30):
+            stats.note_wakeup_latency(latency)
+        assert stats.wakeup_samples_dropped == 0
+        stats.note_wakeup_latency(40)
+        assert stats.wakeup_samples_dropped == 1
+        assert list(stats.wakeup_latencies) == [20, 30, 40]
+
     def test_default_cap_is_generous(self):
         stats = TaskStats()
         assert stats.wakeup_latencies.maxlen == WAKEUP_SAMPLE_CAP

@@ -11,9 +11,6 @@ corruptions that reaches every distinct flag of both scans, then on every
 scan of a sweep of live fuzz episodes.
 """
 
-import gc
-import sys
-
 import pytest
 
 from repro.schedulers.cfs import CfsSchedClass
@@ -27,6 +24,7 @@ from repro.verify.sanitizers import (ConservationSanitizer,
                                      TokenSanitizer, Violation,
                                      conservation_violations,
                                      group_bandwidth_violations)
+from tests.call_census import CallCensus
 
 
 # ----------------------------------------------------------------------
@@ -503,29 +501,15 @@ class TestLiveSweep:
 
     @staticmethod
     def _clean_scans(scanner, kinds, split, seeds=range(8)):
-        """Run ``scanner(kernel, at_ns=t)`` under a profiler on each event
-        of ``kinds`` of fuzz episodes ``seeds``: ``(the builtins it called
-        itself, the Python functions it called itself, {split(kernel):
-        scans})``, every scan clean.  (The collector is off for the scan:
-        a garbage collection mid-scan runs other code's callbacks.)"""
-        builtins, functions, scans = [], [], {False: 0, True: 0}
-        scan_code = scanner.__code__
-
-        def profile(frame, event, arg):
-            if event == "c_call" and frame.f_code is scan_code:
-                builtins.append(arg.__qualname__)
-            elif event == "call" and frame.f_back.f_code is scan_code:
-                functions.append(frame.f_code.co_qualname)
+        """Run ``scanner(kernel, at_ns=t)`` under a :class:`CallCensus`
+        on each event of ``kinds`` of fuzz episodes ``seeds``: ``(the
+        census, {split(kernel): scans})``, every scan clean."""
+        census, scans = CallCensus(scanner), {False: 0, True: 0}
 
         def scan(kind, t, cpu, pid, cost, keys, values):
             kernel = suite._kernel
-            collecting = gc.isenabled()
-            gc.disable()
-            sys.setprofile(profile)
-            got = scanner(kernel, at_ns=t)
-            sys.setprofile(None)
-            if collecting:
-                gc.enable()
+            with census:
+                got = scanner(kernel, at_ns=t)
             assert got == []
             scans[split(kernel)] += 1
 
@@ -539,46 +523,43 @@ class TestLiveSweep:
 
         for seed in seeds:
             _run_episode_session(generate_episode(seed), attach)
-        return builtins, functions, scans
+        return census, scans
 
     def test_a_clean_group_bandwidth_scan_calls_no_builtin(self):
         """A group-bandwidth scan that finds nothing subscripts and
         walks by hand: it makes no call into a builtin, with or without
-        a throttled group to walk."""
-        builtins, _functions, scans = self._clean_scans(
+        a throttled group to walk.  Its one Python call reads the
+        config's slack."""
+        census, scans = self._clean_scans(
             group_bandwidth_violations, GroupBandwidthSanitizer.SCAN_KINDS,
             lambda kernel: any(g.throttled
                                for g in kernel.groups.all_groups()))
-        assert builtins == []
+        assert census.builtins == []
+        assert set(census.calls) == {
+            "group_bandwidth_violations: SimConfig.bandwidth_slack_ns"}
         assert scans[False] > 100 and scans[True] > 100, scans
 
     def test_a_clean_conservation_scan_calls_no_builtin(self):
         """The conservation scan calls nothing at all when it finds
         nothing, with and without a group forest whose parked tasks it
         collects (so no ``all_groups()`` either)."""
-        builtins, functions, scans = self._clean_scans(
+        census, scans = self._clean_scans(
             conservation_violations, ConservationSanitizer.SCAN_KINDS,
             lambda kernel: bool(kernel.groups.root.children))
-        assert builtins == [] and functions == []
+        assert census.builtins == [] and census.calls == []
         assert scans[False] > 100 and scans[True] > 100, scans
 
     def test_the_token_sanitizer_calls_no_builtin_on_a_clean_stream(self):
         """Every event the token sanitizer is routed on a clean episode,
         ``token_*`` and ``dispatch`` alike, is handled with tests,
         subscripts and ``del``: no builtin call of its own."""
-        builtins, seen = [], {}
-        code = TokenSanitizer.on_event.__code__
+        census, seen = CallCensus(TokenSanitizer.on_event), {}
 
         class Profiled(TokenSanitizer):
             def on_event(self, kind, t, cpu, pid, cost, keys, values):
                 seen[kind] = seen.get(kind, 0) + 1
-                sys.setprofile(profile)
-                super().on_event(kind, t, cpu, pid, cost, keys, values)
-                sys.setprofile(None)
-
-        def profile(frame, event, arg):
-            if event == "c_call" and frame.f_code is code:
-                builtins.append(arg.__qualname__)
+                with census:
+                    super().on_event(kind, t, cpu, pid, cost, keys, values)
 
         class Suite(SanitizerSuite):
             def __init__(self, capacity=200_000, kinds=None):
@@ -588,6 +569,6 @@ class TestLiveSweep:
             _, suite, _ = _run_episode_session(generate_episode(seed),
                                                Suite.attach)
             assert suite.check() == [], suite.violation_report()
-        assert builtins == []
+        assert census.builtins == []
         assert seen.keys() == TokenSanitizer.KINDS, seen
         assert min(seen.values()) > 100, seen

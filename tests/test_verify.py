@@ -563,10 +563,19 @@ ROUTING_TABLE = {
 }
 
 
-#: every field some sink reads off one of the kinds above
-PAYLOAD = {"lock": "L", "gen": 1, "slo": "s", "hook": "task_tick",
-           "group": "g0", "finding": "lost_task"}
-PAYLOAD_KEYS, PAYLOAD_VALUES = tuple(PAYLOAD), tuple(PAYLOAD.values())
+#: a value for the fields some sink reads, as their emitters pass them;
+#: every other field carries its own name, so a sink that reads a field
+#: off the wrong index shows it
+FIELD_VALUES = {"lock": "L", "gen": 1, "slo": "s", "hook": "task_tick",
+                "group": "g0", "finding": "lost_task", "depth": 3}
+
+
+def payload(kind):
+    """The keys and values of one event of ``kind``: its first keys
+    tuple in the table (none for a kind the table lacks)."""
+    keys = EVENTS[kind][1][0] if kind in EVENTS else ()
+    return keys, tuple(FIELD_VALUES[field] if field in FIELD_VALUES
+                       else field for field in keys)
 
 
 def spying(cls, seen):
@@ -594,8 +603,9 @@ class TestEventRouting:
         seen = []
         suite = SanitizerSuite(
             sanitizers=[spying(cls, seen) for cls in DEFAULT_SANITIZERS])
+        keys, values = payload(kind)
         for t in (1, 2):        # second event rides the cached route
-            suite._hook(kind, t, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES, pid=1)
+            suite._hook(kind, t, 0, keys, *values, pid=1)
         assert seen == [(name, kind) for _ in (1, 2)
                         for name in [cls.name for cls in DEFAULT_SANITIZERS]
                         if name in ROUTING_TABLE[kind]]
@@ -613,9 +623,10 @@ class TestEventRouting:
                   if cls is not ClockSanitizer]
         suite, without = SanitizerSuite(), SanitizerSuite(sanitizers=others)
         observer = Observer()
+        keys, values = payload(kind)
         for watcher in (suite, without, observer):
             watcher._hook("idle", 10, 1, ())
-            watcher._hook(kind, 5, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES, pid=1)
+            watcher._hook(kind, 5, 0, keys, *values, pid=1)
             watcher._hook("idle", 10, 1, ())      # equal: in order
         assert [v for v in suite.violations if v.sanitizer == "clock"] == [
             Violation("clock", 5, f"clock went backwards: {kind} at 5 ns "
@@ -632,6 +643,22 @@ class TestEventRouting:
         assert set(ROUTING_TABLE) == set(EVENTS) | {"never_heard_of_it",
                                                     "rwlock_downgrade"}
 
+    def test_named_counters_read_the_fields_the_table_gives(self):
+        """An observer fed one event of each kind names its counters
+        after the fields the table puts at the index it reads."""
+        observer = Observer()
+        for kind in sorted(ROUTING_TABLE):
+            keys, values = payload(kind)
+            observer._hook(kind, 1, 0, keys, *values, pid=1)
+        named = {name for name in observer.registry.counters
+                 if not name.startswith("events.")}
+        assert named == {
+            "slo.traced.s", "containment.panics",
+            "containment.panic.task_tick", "containment.failovers",
+            "group_throttles", "groups.g0.throttles", "group_refills",
+            "watchdog.lost_task"}
+        assert observer.registry.gauge("enoki.hint_ring_depth").value == 3
+
     def test_sanitizer_overriding_only_on_event_sees_every_event(self):
         seen = []
 
@@ -643,7 +670,8 @@ class TestEventRouting:
 
         suite = SanitizerSuite(sanitizers=[Everything])
         for kind in sorted(ROUTING_TABLE):
-            suite._hook(kind, 1, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES)
+            keys, values = payload(kind)
+            suite._hook(kind, 1, 0, keys, *values)
         assert seen == sorted(ROUTING_TABLE)
 
     def test_rwlock_prefix_reaches_the_lock_sanitizer(self):
@@ -660,16 +688,13 @@ class TestEventRouting:
         suite = SanitizerSuite()
 
         def unchanged(kind, t, cpu, pid, cost, keys, values):  # routed last
-            fields = dict(zip(keys, values))
-            if cost:
-                fields["cost"] = cost
-            assert fields == {**PAYLOAD, "cost": 7}, kind
+            assert (keys, values, cost) == (*payload(kind), 7), kind
         suite.add_route(lambda kind: unchanged)
         for kind in sorted(ROUTING_TABLE):
-            suite._hook(kind, 1, 0, PAYLOAD_KEYS, *PAYLOAD_VALUES, pid=1,
-                        cost=7)
+            keys, values = payload(kind)
+            suite._hook(kind, 1, 0, keys, *values, pid=1, cost=7)
         assert [(e.kind, e.cost_ns, e.args) for e in suite.events] == [
-            (kind, 7, tuple(sorted(PAYLOAD.items())))
+            (kind, 7, tuple(sorted(zip(*payload(kind)))))
             for kind in sorted(ROUTING_TABLE)]
 
     def test_suite_attached_second_sees_the_quiesce_lock(self):

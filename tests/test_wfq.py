@@ -1,10 +1,16 @@
 """Behavioural tests for the Enoki WFQ scheduler (paper section 4.2.1)."""
 
+from repro.core.enoki_c import EnokiSchedClass
+from repro.core.schedulable import TokenRegistry
 from repro.exp import KernelBuilder
+from repro.obs.accounting import KernelAccounting
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
 from repro.simkernel.clock import msecs
+from repro.simkernel.dispatch import DispatchEngine
 from repro.simkernel.program import Run, SetNice, Sleep
-from repro.simkernel.task import TaskState
+from repro.simkernel.task import TaskState, TaskStats
+from repro.workloads.hackbench import run_hackbench
+from tests.call_census import CallCensus
 
 POLICY = 7
 
@@ -115,3 +121,33 @@ class TestTransferState:
         finish = [t.stats.finished_ns for t in tasks]
         # Fair sharing survived the upgrade: everyone finishes together.
         assert max(finish) - min(finish) < msecs(12)
+
+
+class TestQuietPath:
+    def test_a_clean_hackbench_crossing_calls_no_builtin(self):
+        """The engine's hooks that every hackbench message crosses, Enoki-C's
+        pick, the token registry's spend and revoke and the pick walk
+        test, subscript and ``del``: they make no builtin call of their
+        own, and the wakeup-latency window only appends.  Every
+        ``update_curr`` frame entered charges time (it reaches the
+        accounting's ``note_run``): no caller enters it with nothing to
+        charge."""
+        hooks = (EnokiWfq._observe_runtime, EnokiWfq.pick_next_task,
+                 EnokiWfq.task_wakeup, EnokiWfq.task_blocked,
+                 EnokiWfq.task_preempt, EnokiSchedClass.pick_next_task,
+                 TokenRegistry.spend, TokenRegistry.revoke,
+                 DispatchEngine.pick_and_switch, DispatchEngine.update_curr,
+                 TaskStats.note_wakeup_latency)
+        kernel, _ = make(nr_cpus=4)
+        KernelAccounting.attach(kernel)
+        with CallCensus(*hooks) as census:
+            result = run_hackbench(kernel, POLICY, groups=2, fds=4,
+                                   loops=10)
+        assert result.total_messages == 320
+        assert set(census.builtins) == {
+            "TaskStats.note_wakeup_latency: deque.append"}
+        entered = [census.entered[hook.__qualname__] for hook in hooks]
+        assert min(entered) > 100, census.entered
+        charges = census.calls.count(
+            "DispatchEngine.update_curr: KernelAccounting.note_run")
+        assert charges == census.entered["DispatchEngine.update_curr"]
