@@ -406,6 +406,28 @@ class TestBenchArtefact:
         assert not list(tmp_path.iterdir())
 
 
+class TestFaasCli:
+    """``repro faas``: CFS against the serverless policy on one FaaS
+    trace, its latency table and SLO verdicts, byte for byte."""
+
+    GOLDEN = (
+        "FaaS trace at 10000 invocations/s (short-invocation latency, us)\n"
+        "================================================================\n"
+        "scheduler         p50     p99     p99.9   rps     cold  completed\n"
+        "----------------  ------  ------  ------  ------  ----  ---------\n"
+        "CFS               138.78  583.95  896.15  10,393  0     1559\n"
+        "Enoki-Serverless  138.61  581.93  897.44  10,393  0     1559\n"
+        "SLO[CFS] faas-wakeup-p99: 5 violation(s)\n"
+        "SLO[CFS] faas-rq-depth: met\n"
+        "SLO[Enoki-Serverless] faas-wakeup-p99: met\n"
+        "SLO[Enoki-Serverless] faas-rq-depth: met\n"
+    )
+
+    def test_table_and_slo_lines_are_pinned(self, capsys):
+        assert main(["faas", "--load", "10000", "--duration-ms", "150"]) == 0
+        assert capsys.readouterr().out == self.GOLDEN
+
+
 class TestChaosExitCodes:
     def test_contained_plan_exits_zero(self, capsys):
         assert main(["chaos", "--plan", "tick-crash",
