@@ -14,6 +14,9 @@ Usage::
 
 ``repro bench`` is the one way to run an experiment: the catalogue in
 :mod:`repro.exp.paper` names each artefact of the paper's evaluation.
+
+Every verb's ``--json`` prints one sorted-key JSON document and exits
+with the status the same run has without it; a usage error exits 2.
 """
 
 import argparse
@@ -25,6 +28,11 @@ from repro.exp import KernelBuilder
 from repro.simkernel.clock import msecs
 
 POLICY = 7
+
+
+class UsageError(Exception):
+    """A verb was given a name it does not know (or a damaged reproducer):
+    ``main`` prints ``repro <verb>: <message>`` to stderr and exits 2."""
 
 
 def positive_int(text):
@@ -50,40 +58,37 @@ def _wfq_session(topology=None):
 
 
 def cmd_faas(args):
-    from repro.workloads.faas import FAAS_BASE_OPTIONS, FAAS_SLOS, run_faas
+    from repro.exp.bench import run_spec
+    from repro.exp.spec import ScenarioSpec
+    from repro.workloads.faas import FAAS_BASE_OPTIONS, FAAS_SLOS
 
-    rows = []
-    slo_reports = []
-    for name in ("CFS", "Enoki-Serverless"):
-        builder = (KernelBuilder(seed=args.seed)
-                   .with_native("cfs", policy=0, priority=5))
-        if name != "CFS":
-            builder.with_enoki("serverless", policy=POLICY, priority=10)
-        session = builder.build()
-        session.attach_telemetry(msecs(10), slos=FAAS_SLOS)
-        result = run_faas(session.kernel, session.policy,
-                          offered_rps=args.load,
-                          duration_ns=msecs(args.duration_ms),
-                          warmup_ns=msecs(50), seed=args.seed,
-                          scheduler_name=name, **FAAS_BASE_OPTIONS)
-        session.stop()
-        monitor = session.telemetry.monitor
-        if monitor is not None:
-            slo_reports.append((name, monitor.summary()))
-        rows.append([name, result.p50_us, result.p99_us, result.p999_us,
-                     f"{result.throughput_rps:,.0f}",
-                     result.cold_starts, result.completed])
-    print(render_table(
+    options = {**FAAS_BASE_OPTIONS, "offered_rps": args.load,
+               "duration_ns": msecs(args.duration_ms),
+               "warmup_ns": msecs(50)}
+    # ``repro bench faas``'s runner: the spec names telemetry and SLOs.
+    payload = {}
+    for name, sched in (("CFS", "cfs"), ("Enoki-Serverless", "serverless")):
+        payload[name] = run_spec(ScenarioSpec(
+            sched=sched, seed=args.seed, workload="faas",
+            workload_options=options, telemetry_ns=msecs(10),
+            slos=FAAS_SLOS))
+    # The payload carries an empty percentile as None; the table, nan.
+    rows = [[name, *(float("nan") if metrics[key] is None else metrics[key]
+                     for key in ("p50_us", "p99_us", "p999_us")),
+             f"{metrics['throughput_rps']:,.0f}",
+             metrics["cold_starts"], metrics["completed"]]
+            for name, metrics in payload.items()]
+    lines = [render_table(
         f"FaaS trace at {args.load} invocations/s "
         f"(short-invocation latency, us)",
         ["scheduler", "p50", "p99", "p99.9", "rps", "cold", "completed"],
-        rows))
-    for name, summary in slo_reports:
-        for target in summary["targets"]:
-            state = ("met" if not target["violations"]
-                     else f"{target['violations']} violation(s)")
-            print(f"SLO[{name}] {target['name']}: {state}")
-    return 0
+        rows)]
+    lines += [f"SLO[{name}] {target['name']}: "
+              + ("met" if not target["violations"]
+                 else f"{target['violations']} violation(s)")
+              for name, metrics in payload.items()
+              for target in metrics["telemetry"]["slo"]["targets"]]
+    return payload, "\n".join(lines), 0
 
 
 #: trace ring capacity of ``repro trace``; the default episode emits
@@ -160,7 +165,7 @@ def cmd_trace(args):
         with open(args.csv, "w") as handle:
             handle.write(timeseries_csv(list(sampler.windows)))
     if args.live:
-        return 0
+        return None, None, 0
     report = build_report(session.kernel, sampler, meta={
         "workload": "pipe+hogs",
         "rounds": args.rounds,
@@ -171,11 +176,7 @@ def cmd_trace(args):
     report["events"] = dict(sorted(observer.summary().items()))
     report["dropped_events"] = observer.dropped
     report["metrics"] = observer.collect().snapshot()
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_report_markdown(report))
-    return 0
+    return report, render_report_markdown(report), 0
 
 
 def _chaos_run(plan, rounds, hogs):
@@ -244,43 +245,32 @@ def cmd_chaos(args):
     from repro.core import FaultPlan
 
     if args.list:
-        print("built-in fault plans:")
-        for name in FaultPlan.builtin_names():
-            print(f"  {name:16s} {FaultPlan.builtin(name).description}")
-        return 0
+        plans = {name: FaultPlan.builtin(name).description
+                 for name in FaultPlan.builtin_names()}
+        return plans, "built-in fault plans:\n" + "\n".join(
+            f"  {name:16s} {text}" for name, text in plans.items()), 0
     names = (FaultPlan.builtin_names() if args.plan == "all"
              else [args.plan])
-    rows, outcomes = [], {}
-    lost_total = violation_total = 0
-    for name in names:
-        plan = FaultPlan.builtin(name).with_seed(args.seed)
-        outcome = _chaos_run(plan, rounds=args.rounds, hogs=args.hogs)
-        outcomes[name] = outcome
-        lost_total += outcome["lost"]
-        violation_total += len(outcome["violations"])
-        rows.append([name, outcome["fired"], outcome["panics"],
-                     outcome["failover"], outcome["findings"],
-                     outcome["upgrade"], outcome["lost"],
-                     len(outcome["violations"]),
-                     f"{outcome['latency_us']:.2f}"])
+    outcomes = {name: _chaos_run(FaultPlan.builtin(name).with_seed(args.seed),
+                                 rounds=args.rounds, hogs=args.hogs)
+                for name in names}
+    lost_total = sum(o["lost"] for o in outcomes.values())
+    violation_total = sum(len(o["violations"]) for o in outcomes.values())
     ok = not lost_total and not violation_total
-    if args.json:
-        print(json.dumps({"ok": ok, "seed": args.seed,
-                          "lost": lost_total,
-                          "violations": violation_total,
-                          "plans": outcomes}, indent=2))
-        return 0 if ok else 1
-    print(render_table(
+    payload = {"ok": ok, "seed": args.seed, "lost": lost_total,
+               "violations": violation_total, "plans": outcomes}
+    rows = [[name, o["fired"], o["panics"], o["failover"], o["findings"],
+             o["upgrade"], o["lost"], len(o["violations"]),
+             f"{o['latency_us']:.2f}"] for name, o in outcomes.items()]
+    table = render_table(
         f"chaos: sched-pipe + {args.hogs} hogs under fault injection "
         f"(seed {args.seed})",
         ["plan", "fired", "panics", "failover", "findings", "upgrade",
-         "lost", "sanitize", "us/msg"], rows))
-    if not ok:
-        print(f"FAIL: {lost_total} task(s) lost, "
-              f"{violation_total} invariant violation(s)")
-        return 1
-    print("all plans contained: every task completed, invariants held")
-    return 0
+         "lost", "sanitize", "us/msg"], rows)
+    verdict = ("all plans contained: every task completed, invariants held"
+               if ok else f"FAIL: {lost_total} task(s) lost, "
+               f"{violation_total} invariant violation(s)")
+    return payload, f"{table}\n{verdict}", 0 if ok else 1
 
 
 def cmd_fuzz(args):
@@ -288,28 +278,22 @@ def cmd_fuzz(args):
                               load_artifact, run_episode)
 
     if args.sched is not None and args.sched not in SCHEDULER_NAMES:
-        print(f"repro fuzz: unknown --sched {args.sched!r}; the fuzz pool: "
-              f"{', '.join(SCHEDULER_NAMES)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown --sched {args.sched!r}; the fuzz pool: "
+                         f"{', '.join(SCHEDULER_NAMES)}")
     if args.repro:
         try:
             spec, _payload = load_artifact(args.repro)
         except ArtifactError as exc:
-            print(f"repro fuzz: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(exc) from exc
         result = run_episode(spec)
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-        else:
-            print(f"replaying reproducer (seed {spec.seed}, "
-                  f"{spec.sched}, {len(spec.tasks)} tasks)")
-            for violation in result.violations:
-                print(f"  {violation}")
-            print("violation reproduced" if not result.ok
-                  else "episode passed: the defect is gone")
+        lines = [f"replaying reproducer (seed {spec.seed}, "
+                 f"{spec.sched}, {len(spec.tasks)} tasks)"]
+        lines += [f"  {violation}" for violation in result.violations]
+        lines.append("violation reproduced" if not result.ok
+                     else "episode passed: the defect is gone")
         # A reproducer that still fails exits 1, same as the fuzz run
         # that produced it — so CI can bisect with the artifact alone.
-        return 0 if result.ok else 1
+        return result.to_dict(), "\n".join(lines), 0 if result.ok else 1
 
     progress = None
     if not args.json:
@@ -327,28 +311,21 @@ def cmd_fuzz(args):
         shrunk = shrink_episode(failure.spec, failure)
         artifact = write_artifact(args.out, shrunk)
 
-    if args.json:
-        payload = report.to_dict()
-        payload["artifact"] = artifact
-        print(json.dumps(payload, indent=2))
-        return 0 if report.ok else 1
-    summary = report.to_dict()
-    print(f"{args.episodes} episodes (master seed {args.seed}): "
-          f"{len(report.failures)} failing, "
-          f"{summary['replay_checked']} replay-checked, "
-          f"{summary['control_checked']} control-checked, "
-          f"{summary['faults_fired']} faults fired")
+    payload = report.to_dict()
+    payload["artifact"] = artifact
+    lines = [f"{args.episodes} episodes (master seed {args.seed}): "
+             f"{len(report.failures)} failing, "
+             f"{payload['replay_checked']} replay-checked, "
+             f"{payload['control_checked']} control-checked, "
+             f"{payload['faults_fired']} faults fired"]
     for failure in report.failures[:5]:
-        print(f"  seed {failure.spec.seed} ({failure.spec.sched}):")
-        for violation in failure.violations[:3]:
-            print(f"    {violation}")
+        lines.append(f"  seed {failure.spec.seed} ({failure.spec.sched}):")
+        lines += [f"    {violation}" for violation in failure.violations[:3]]
     if artifact:
-        print(f"shrunk reproducer written to {artifact}")
-    if not report.ok:
-        print("FAIL: invariant violations found")
-        return 1
-    print("all invariants held across every episode")
-    return 0
+        lines.append(f"shrunk reproducer written to {artifact}")
+    lines.append("all invariants held across every episode" if report.ok
+                 else "FAIL: invariant violations found")
+    return payload, "\n".join(lines), 0 if report.ok else 1
 
 
 def cmd_bench(args):
@@ -357,9 +334,8 @@ def cmd_bench(args):
                                  results_by_name)
 
     if args.artefact and args.artefact not in CATALOGUE:
-        print(f"repro bench: unknown artefact {args.artefact!r}; the "
-              f"catalogue: {', '.join(CATALOGUE)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown artefact {args.artefact!r}; the "
+                         f"catalogue: {', '.join(CATALOGUE)}")
     names = [args.artefact] if args.artefact else list(CATALOGUE)
     name = args.artefact or "paper"
     payload = run_sweep(catalogue_specs(names), name, workers=args.workers,
@@ -368,26 +344,36 @@ def cmd_bench(args):
     results = results_by_name(payload)
     reports = [report(CATALOGUE[n], results) for n in names]
     status = 0 if all(holds for _, holds in reports) else 1
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return status
-    print("\n\n".join(text for text, _ in reports) + "\n")
     meta = payload["meta"]
     rate = meta["sim_ns_per_wall_s"]
-    print(f"wall {meta['wall_s']:.2f}s, {meta['cache_hits']} cached / "
-          f"{meta['executed']} executed"
-          + (f", {rate:,.0f} sim-ns per wall-second" if rate else ""))
+    lines = ["\n\n".join(text for text, _ in reports) + "\n",
+             f"wall {meta['wall_s']:.2f}s, {meta['cache_hits']} cached / "
+             f"{meta['executed']} executed"
+             + (f", {rate:,.0f} sim-ns per wall-second" if rate else "")]
     times = meta["cell_wall_s"]
     slowest = sorted(((times[r["spec_hash"]], r["name"])
                       for r in payload["results"]
                       if r["spec_hash"] in times), reverse=True)[:5]
     if slowest:
-        print("slowest cells (as last run): " + ", ".join(
+        lines.append("slowest cells (as last run): " + ", ".join(
             f"{cell} {wall_s:.1f}s" for wall_s, cell in slowest))
-    print(f"wrote BENCH_{name}.json")
+    lines.append(f"wrote BENCH_{name}.json")
     if status:
-        print("FAIL: a claim of the paper does not hold on this tree")
-    return status
+        lines.append("FAIL: a claim of the paper does not hold on this tree")
+    return payload, "\n".join(lines), status
+
+
+def cmd_list(args):
+    from repro.exp.paper import CATALOGUE
+
+    experiments = {name: text for name, (_fn, text) in EXPERIMENTS.items()}
+    artefacts = {name: entry.title for name, entry in CATALOGUE.items()}
+    lines = ["experiments:"]
+    lines += [f"  {name:10s} {text}" for name, text in experiments.items()]
+    lines.append("paper artefacts (repro bench <artefact>):")
+    lines += [f"  {name:16s} {title}" for name, title in artefacts.items()]
+    return ({"experiments": experiments, "artefacts": artefacts},
+            "\n".join(lines), 0)
 
 
 EXPERIMENTS = {
@@ -486,17 +472,22 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one verb and print its result once: the payload as JSON under
+    ``--json``, else the verb's text (``None`` when it already streamed
+    it); returns the verb's exit status, or 2 on a :class:`UsageError`."""
     args = build_parser().parse_args(argv)
-    if args.command in (None, "list"):
-        from repro.exp.paper import CATALOGUE
-        print("experiments:")
-        for name, (_fn, help_text) in EXPERIMENTS.items():
-            print(f"  {name:10s} {help_text}")
-        print("paper artefacts (repro bench <artefact>):")
-        for name, artefact in CATALOGUE.items():
-            print(f"  {name:16s} {artefact.title}")
-        return 0
-    return EXPERIMENTS[args.command][0](args)
+    command = args.command or "list"
+    verb = cmd_list if command == "list" else EXPERIMENTS[command][0]
+    try:
+        payload, text, status = verb(args)
+    except UsageError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return 2
+    if getattr(args, "json", False):
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif text is not None:
+        print(text)
+    return status
 
 
 if __name__ == "__main__":

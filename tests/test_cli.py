@@ -38,6 +38,29 @@ class TestCli:
         assert main([]) == 0
         assert "experiments" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--plan", "hint-drop", "--rounds", "150", "--hogs", "3"],
+        ["fuzz", "--episodes", "2", "--seed", "3", "--bug", "skip_consume"],
+        ["bench", "upgrade-scaling", "--out-dir", "{tmp}",
+         "--cache-dir", "{tmp}/cache"],
+        ["chaos", "--list"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_json_is_one_sorted_document_with_the_same_status(
+            self, argv, tmp_path, capsys):
+        """Every ``--json`` prints one document with sorted keys, and exits
+        with the status of the same run without it; ``bench``'s is the
+        trajectory it wrote."""
+        argv = [word.format(tmp=tmp_path) for word in argv]
+        status = main(argv)
+        capsys.readouterr()
+        assert main([*argv, "--json"]) == status
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if argv[0] == "bench":
+            written = tmp_path / "BENCH_upgrade-scaling.json"
+            assert payload == json.loads(written.read_text())
+
     def test_the_five_quick_verbs_are_gone(self, capsys):
         """So are the six flags of the sweeps the catalogue absorbed, the
         three observed-episode verbs ``repro trace`` absorbed and the
