@@ -114,23 +114,30 @@ class CfsSchedClass(SchedClass):
         return cfg.sched_latency_ns
 
     def _slice_for(self, task, cpu):
+        """The time slice of ``task``, the CPU's current task."""
         kernel = self.kernel
         krq = kernel.rqs[cpu]
         rq = self._rqs[cpu]
+        groups = kernel.groups
+        index_gen = groups.index_gen
         # Memoised: the re-sum reads this CPU's runnable index (a queued
         # entity's ``cpu`` is always the queue's), CFS's tasks on the CPU
         # and their weights (``rq.gen``), and how many tasks it holds.
-        key = (kernel.groups.index_gen[cpu], rq.gen, len(krq.queued),
-               task.pid)
+        key = (index_gen[cpu], rq.gen, krq.nr_queued, task.pid)
         if rq.slice_key == key:
             return rq.slice_ns
-        period = self._sched_period(
-            max(1, len(krq.queued) + (krq.current is not None)))
+        # ``_sched_period`` of the queued tasks and the current one.
+        cfg = kernel.config
+        nr_running = krq.nr_queued + 1
+        if nr_running > cfg.sched_latency_ns // cfg.sched_min_granularity_ns:
+            period = nr_running * cfg.sched_min_granularity_ns
+        else:
+            period = cfg.sched_latency_ns
         tasks = kernel.tasks
-        groups = kernel.groups
-        index_gen = groups.index_gen
         my_weight = total_weight = 0
-        for entity in [task] + [tasks[pid] for _key, pid, _ in rq.queued]:
+        # The ticking task, then every task CFS queues on this CPU.
+        for _key, pid, _ in ((None, task.pid, None), *rq.queued):
+            entity = tasks[pid]
             weight = entity.weight
             if entity.group is not None:
                 at = entity.cpu
@@ -141,9 +148,11 @@ class CfsSchedClass(SchedClass):
             if entity is task:
                 my_weight = weight
             total_weight += weight
-        share = period * my_weight // max(1, total_weight)
+        # Every weight is at least 1, so ``total_weight`` is too.
+        share = period * my_weight // total_weight
+        floor = cfg.sched_min_granularity_ns
         rq.slice_key = key
-        rq.slice_ns = max(kernel.config.sched_min_granularity_ns, share)
+        rq.slice_ns = share if share > floor else floor
         return rq.slice_ns
 
     # ------------------------------------------------------------------
@@ -214,8 +223,9 @@ class CfsSchedClass(SchedClass):
     def task_wakeup(self, task, cpu):
         rq = self._rqs[cpu]
         # place_entity: don't let sleepers bank unbounded credit.
-        threshold = self.kernel.config.sched_latency_ns // 2
-        task.vruntime = max(task.vruntime, rq.min_vruntime - threshold)
+        floor = rq.min_vruntime - self.kernel.config.sched_latency_ns // 2
+        if task.vruntime < floor:
+            task.vruntime = floor
         self._enqueue(task, cpu)
 
     def task_blocked(self, task, cpu):
@@ -284,11 +294,11 @@ class CfsSchedClass(SchedClass):
         task = self.kernel.tasks[pid]
         rq.curr_pid = pid
         rq.curr_start_runtime = task.sum_exec_runtime_ns
-        if queued:
-            rq.min_vruntime = max(rq.min_vruntime,
-                                  min(task.vruntime, queued[0][0][0]))
-        else:
-            rq.min_vruntime = max(rq.min_vruntime, task.vruntime)
+        floor = task.vruntime
+        if queued and queued[0][0][0] < floor:
+            floor = queued[0][0][0]
+        if floor > rq.min_vruntime:
+            rq.min_vruntime = floor
         return pid
 
     def balance(self, cpu):
@@ -380,7 +390,7 @@ class CfsSchedClass(SchedClass):
         topo = self.kernel.topology
         cfg = self.kernel.config
         rqs = self.kernel.rqs
-        my_running = len(rqs[cpu].queued) + (rqs[cpu].current is not None)
+        my_running = rqs[cpu].nr_queued + (rqs[cpu].current is not None)
         for scope, threshold in (
             (topo.siblings_in_llc(cpu), 2),
             (topo.all_cpus(), cfg.numa_imbalance_threshold + 1),
@@ -389,7 +399,7 @@ class CfsSchedClass(SchedClass):
             for other in scope:
                 if other == cpu:
                     continue
-                n = len(rqs[other].queued) + (rqs[other].current is not None)
+                n = rqs[other].nr_queued + (rqs[other].current is not None)
                 if n > busiest_n:
                     busiest, busiest_n = other, n
             if busiest is None:

@@ -227,6 +227,7 @@ class DispatchEngine:
         # current task counts as on_rq, as in Linux) and ``task.cpu`` is
         # already this CPU: both were set when the task was attached.
         del rq.queued[task.pid]
+        rq.nr_queued -= 1
         rq.current = task
         task.state = _RUNNING       # proven RUNNABLE: no transition check
         start = now + cost
@@ -261,9 +262,11 @@ class DispatchEngine:
             if headroom is not None:
                 # Tight enforcement: re-examine the quota the moment the
                 # remaining budget would run dry, not just at the tick.
-                deadline = start + max(headroom,
-                                       k.config.timer_min_delay_ns)
-                k.events.at(deadline, self._bandwidth_expire, task, epoch)
+                floor = k.config.timer_min_delay_ns
+                if headroom < floor:
+                    headroom = floor
+                k.events.at(start + headroom, self._bandwidth_expire, task,
+                            epoch)
         if self._tick_timers[cpu] is None:
             self._tick_timers[cpu] = k.timers.arm_periodic(
                 k.config.tick_period_ns, self.tick, tag=("tick", cpu))
@@ -341,9 +344,15 @@ class DispatchEngine:
         acct = k.accounting
         if acct is not None:
             acct.note_run(cur.policy, delta)
+        # Up the group chain: an uncapped node only adds the runtime; a
+        # capped one also pays from its budget, in ``groups.py``.
         group = cur.group
-        if group is not None:
-            k.groups.charge(group, delta)
+        while group is not None:
+            if group.quota_ns > 0:
+                k.groups.charge(group, delta)
+            else:
+                group.total_runtime_ns += delta
+            group = group.parent
         hook = k._class_cache[cur.policy].update_curr
         if hook is not None:
             hook(cur, delta)

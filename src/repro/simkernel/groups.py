@@ -267,7 +267,9 @@ class GroupManager:
         while group.parent is not None:
             inside = group.task_weight[cpu] + group.child_weight[cpu]
             if inside > 0:
-                eff = max(1, eff * group.weight // inside)
+                eff = eff * group.weight // inside
+                if eff < 1:
+                    eff = 1
             group = group.parent
         task.eff_weight = eff
         task.eff_weight_key = (cpu, self.index_gen[cpu], weight)
@@ -278,25 +280,22 @@ class GroupManager:
     # ------------------------------------------------------------------
 
     def charge(self, group, delta):
-        """Charge ``delta`` runnable nanoseconds up the ancestor chain."""
-        k = self.k
-        node = group
-        while node is not None:
-            node.total_runtime_ns += delta
-            if node.quota_ns > 0:
-                if not node._timer_armed:
-                    self._arm_period(node)
-                node.period_consumed_ns += delta
-                node.runtime_remaining_ns -= delta
-                if (node.runtime_remaining_ns <= 0 and not node.throttled
-                        and not node._enforce_pending):
-                    # Enforcement is deferred one event (same virtual
-                    # instant): update_curr callers keep manipulating the
-                    # current task after charging, so parking it inline
-                    # here would corrupt the dispatch path mid-flight.
-                    node._enforce_pending = True
-                    k.events.after(0, self._enforce, node)
-            node = node.parent
+        """Charge ``delta`` runnable nanoseconds to a capped ``group``
+        (``quota_ns > 0``).  ``DispatchEngine.update_curr`` walks the
+        chain and adds an uncapped node's runtime itself."""
+        group.total_runtime_ns += delta
+        if not group._timer_armed:
+            self._arm_period(group)
+        group.period_consumed_ns += delta
+        group.runtime_remaining_ns -= delta
+        if (group.runtime_remaining_ns <= 0 and not group.throttled
+                and not group._enforce_pending):
+            # Enforcement is deferred one event (same virtual instant):
+            # update_curr callers keep manipulating the current task after
+            # charging, so parking it inline here would corrupt the
+            # dispatch path mid-flight.
+            group._enforce_pending = True
+            self.k.events.after(0, self._enforce, group)
 
     def bandwidth_headroom(self, group):
         """Minimum runtime left across capped ancestors (None = uncapped)."""

@@ -84,17 +84,27 @@ class OpInterpreter:
         k = self.k
         if task.run_epoch != epoch or task.state is not _RUNNING:
             return
-        if k.rqs[task.cpu].current is not task:
+        cpu = task.cpu
+        rq = k.rqs[cpu]
+        if rq.current is not task:
             return
-        k.dispatcher.update_curr(task.cpu)
+        k.dispatcher.update_curr(cpu)
         task.run_remaining_ns = 0
-        self.boundary(task)
+        # ``boundary``, inline: every Run segment ends here.
+        if rq.need_resched:
+            rq.need_resched = False
+            k.dispatcher.preempt_current(cpu)
+            return
+        self.advance_program(task)
 
     def pause_run_segment(self, task):
         """Bank the unfinished Run time (``run_remaining_ns > 0``) of a
-        task preempted mid-segment."""
-        elapsed = max(0, self.clock.now - task.run_started_ns)
-        task.run_remaining_ns = max(0, task.run_remaining_ns - elapsed)
+        task preempted mid-segment, never below zero."""
+        remaining = task.run_remaining_ns
+        elapsed = self.clock.now - task.run_started_ns
+        if elapsed > 0:
+            remaining -= elapsed
+        task.run_remaining_ns = remaining if remaining > 0 else 0
 
     # ------------------------------------------------------------------
     # syscall completion

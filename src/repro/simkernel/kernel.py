@@ -226,7 +226,8 @@ class Kernel:
 
     def _attach_runnable(self, task, cpu):
         # ``self.rqs[cpu].attach(task)``, inline, with the same checks.
-        queued = self.rqs[cpu].queued
+        rq = self.rqs[cpu]
+        queued = rq.queued
         pid = task.pid
         if pid in queued:
             raise SchedulingError(f"pid {pid} double-attached to cpu {cpu}")
@@ -234,6 +235,7 @@ class Kernel:
             raise SchedulingError(
                 f"pid {pid} already on a run queue (cpu {task.cpu})")
         queued[pid] = task
+        rq.nr_queued += 1
         task.on_rq = True
         task.cpu = cpu
         now = self.clock.now
@@ -247,7 +249,7 @@ class Kernel:
             self.groups.account(task, cpu)
         acct = self.accounting
         if acct is not None:
-            acct.note_enqueue(cpu, len(queued))
+            acct.note_enqueue(cpu, rq.nr_queued)
 
     # ------------------------------------------------------------------
     # queries used by scheduler classes and workloads

@@ -26,13 +26,16 @@ class KernelRunQueue:
     """Membership + current-task state for one CPU."""
 
     __slots__ = (
-        "cpu", "queued", "current", "need_resched",
+        "cpu", "queued", "nr_queued", "current", "need_resched",
         "idle_since_ns", "nr_switches",
     )
 
     def __init__(self, cpu):
         self.cpu = cpu
         self.queued = {}           # pid -> TaskStruct (attached, runnable)
+        #: ``len(queued)``, kept by every attach and detach: tasks attached
+        #: to this run queue, excluding the current one
+        self.nr_queued = 0
         self.current = None        # TaskStruct or None (idle)
         self.need_resched = False
         self.idle_since_ns = 0
@@ -50,6 +53,7 @@ class KernelRunQueue:
                 f"pid {task.pid} already on a run queue (cpu {task.cpu})"
             )
         self.queued[task.pid] = task
+        self.nr_queued += 1
         task.on_rq = True
         task.cpu = self.cpu
 
@@ -59,20 +63,16 @@ class KernelRunQueue:
                 f"pid {task.pid} not attached to cpu {self.cpu}"
             )
         del self.queued[task.pid]
+        self.nr_queued -= 1
         task.on_rq = False
 
     def has(self, pid):
         return pid in self.queued
 
     @property
-    def nr_queued(self):
-        """Tasks attached to this run queue (excluding the current task)."""
-        return len(self.queued)
-
-    @property
     def nr_running(self):
         """Queued tasks plus the current one, mirroring rq->nr_running."""
-        return len(self.queued) + (1 if self.current is not None else 0)
+        return self.nr_queued + (1 if self.current is not None else 0)
 
     def load_weight(self):
         """Sum of attached task weights (plus current), for balancing."""

@@ -78,7 +78,9 @@ class TimerService:
         """
         if delay_ns < 0:
             raise SimError(f"negative timer delay: {delay_ns}")
-        delay_ns = max(delay_ns, self.config.timer_min_delay_ns)
+        floor = self.config.timer_min_delay_ns
+        if delay_ns < floor:
+            delay_ns = floor
         if timer is None:
             timer = Timer(self, tag, callback)
         else:

@@ -77,11 +77,14 @@ def run_multitenant(kernel, policy, duration_ns=msecs(200), tenants=None,
     tenants = tuple(tenants) if tenants is not None else DEFAULT_TENANTS
     _ensure_groups(kernel, tenants)
     horizon = kernel.now + duration_ns
+    clock = kernel.clock
 
     def spinner():
         def prog():
-            while kernel.now < horizon:
-                yield Run(slice_ns)
+            # One op for every slice: the interpreter only reads its ns.
+            chunk = Run(slice_ns)
+            while clock.now < horizon:
+                yield chunk
         return prog
 
     spawned = {}

@@ -6,6 +6,7 @@ from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.fifo_native import NativeFifoClass
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import msecs, usecs
+from repro.simkernel.dispatch import DispatchEngine
 from repro.simkernel.futex import Futex
 from repro.simkernel.program import (
     FutexWait,
@@ -14,7 +15,11 @@ from repro.simkernel.program import (
     SetAffinity,
     Sleep,
 )
+from repro.simkernel.groups import GroupManager
+from repro.simkernel.interp import OpInterpreter
 from repro.simkernel.task import TaskState
+from repro.workloads.multitenant import run_multitenant
+from tests.call_census import CallCensus
 from tests.test_golden_digests import (
     GOLDEN,
     flat_cfs_digest,
@@ -213,6 +218,8 @@ def slice_oracle(monkeypatch):
         # The re-sum reads a queued task's weight on that task's ``cpu``;
         # the key names only this CPU's runnable index.
         assert all(tasks[pid].cpu == cpu for _key, pid, _ in rq.queued)
+        krq = cfs.kernel.rqs[cpu]
+        assert krq.nr_queued == len(krq.queued)
         key = rq.slice_key
         got = memoised(cfs, task, cpu)
         assert got == resum_slice(cfs, task, cpu)
@@ -314,3 +321,42 @@ class TestSliceMemo:
         getattr(cfs, hook)(newcomer, 0)
         assert cfs._slice_for(current, 0) == resum_slice(cfs, current, 0)
         assert cfs._slice_for(current, 0) < alone
+
+
+class TestQuietPath:
+    def test_a_multitenant_millisecond_calls_no_builtin(self, monkeypatch):
+        """One capped and one uncapped group spin on four CPUs.  The
+        hooks every simulated millisecond passes through test, compare
+        and subscript: they make no builtin call of their own.  The
+        charge walks the group chain inline and enters ``groups.py`` for
+        a capped node only."""
+        hooks = (CfsSchedClass.update_curr, CfsSchedClass.task_tick,
+                 CfsSchedClass._slice_for, CfsSchedClass.pick_next_task,
+                 DispatchEngine.update_curr, DispatchEngine.tick,
+                 OpInterpreter.run_complete, OpInterpreter.pause_run_segment)
+        charged = []
+        charge = GroupManager.charge
+
+        def capped_charge(groups, group, delta):
+            charged.append(group.name)
+            charge(groups, group, delta)
+
+        monkeypatch.setattr(GroupManager, "charge", capped_charge)
+        kernel = make_kernel(nr_cpus=4)
+        tenants = ({"name": "open", "weight": 2048, "tasks": 8},
+                   {"name": "capped", "weight": 1024, "tasks": 3,
+                    "quota_ns": msecs(2), "period_ns": msecs(10)})
+        with CallCensus(*hooks) as census:
+            result = run_multitenant(kernel, 0, duration_ns=msecs(150),
+                                     tenants=tenants)
+        assert result.completed
+        assert result.tenants["capped"]["throttle_count"] > 0
+        assert census.builtins == []
+        entered = [census.entered[hook.__qualname__] for hook in hooks]
+        assert min(entered) > 100, census.entered
+        assert set(charged) == {"capped"}
+        charging = "DispatchEngine.update_curr: "
+        assert {call for call in census.calls
+                if call.startswith(charging)} == {
+            charging + "CfsSchedClass.update_curr",
+            charging + capped_charge.__qualname__}
