@@ -242,15 +242,21 @@ def _chaos_run(plan, rounds, hogs):
 
 
 def cmd_chaos(args):
-    from repro.core import FaultPlan
+    from repro.core import FaultError, FaultPlan
 
     if args.list:
         plans = {name: FaultPlan.builtin(name).description
                  for name in FaultPlan.builtin_names()}
         return plans, "built-in fault plans:\n" + "\n".join(
             f"  {name:16s} {text}" for name, text in plans.items()), 0
-    names = (FaultPlan.builtin_names() if args.plan == "all"
-             else [args.plan])
+    if args.plan == "all":
+        names = FaultPlan.builtin_names()
+    else:
+        try:
+            FaultPlan.builtin(args.plan)
+        except FaultError as exc:
+            raise UsageError(exc) from exc
+        names = [args.plan]
     outcomes = {name: _chaos_run(FaultPlan.builtin(name).with_seed(args.seed),
                                  rounds=args.rounds, hogs=args.hogs)
                 for name in names}

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import FaultPlan
 from repro.verify import (SCHEDULER_NAMES, ArtifactError, generate_episode,
                           load_artifact)
 from tests.source_trees import class_def, parse
@@ -467,6 +468,15 @@ class TestChaosExitCodes:
         assert payload["violations"] == 0
         assert "hint-drop" in payload["plans"]
         assert payload["plans"]["hint-drop"]["violations"] == []
+
+    def test_unknown_plan_exits_two_naming_the_plans(self, capsys):
+        assert main(["chaos", "--plan", "nosuch"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith(
+            "repro chaos: no built-in fault plan 'nosuch' (available: ")
+        assert err.count("\n") == 1
+        assert all(name in err for name in FaultPlan.builtin_names())
 
 
 class TestFuzzCli:
