@@ -422,7 +422,8 @@ class EnokiSchedClass(SchedClass):
             return None
         # A real int only: anything else (unhashable, ``True``, 1.0) is a
         # bad answer, never a task-table lookup.
-        task = self.kernel.tasks.get(pid) if type(pid) is int else None
+        tasks = self.kernel.tasks
+        task = tasks[pid] if type(pid) is int and pid in tasks else None
         if task is None or task.policy != self.policy:
             if self.containment is not None:
                 self.containment.note_bad_response()

@@ -160,45 +160,67 @@ class CfsSchedClass(SchedClass):
     # ------------------------------------------------------------------
 
     def select_task_rq(self, task, prev_cpu, wake_flags, waker_cpu=-1):
-        topo = self.kernel.topology
-        allowed = [c for c in topo.all_cpus() if task.can_run_on(c)]
-        if not allowed:
-            return prev_cpu
+        kernel = self.kernel
+        topo = kernel.topology
+        rqs = kernel.rqs
+        nr_cpus = topo.nr_cpus
+        mask = task.allowed_cpus
+        if mask is None:
+            allowed = range(nr_cpus)
+        else:
+            allowed = [cpu for cpu in range(nr_cpus) if cpu in mask]
+            if not allowed:
+                return prev_cpu
         if len(allowed) == 1:
             return allowed[0]
         if wake_flags & WF_FORK:
             return self._find_idlest(allowed)
-        if prev_cpu < 0 or prev_cpu >= topo.nr_cpus:
+        if prev_cpu < 0 or prev_cpu >= nr_cpus:
             prev_cpu = allowed[0]
 
-        if (wake_flags & WF_SYNC and 0 <= waker_cpu < topo.nr_cpus
-                and task.can_run_on(waker_cpu)):
+        if (wake_flags & WF_SYNC and 0 <= waker_cpu < nr_cpus
+                and (mask is None or waker_cpu in mask)):
             # Synchronous wakeup: the waker promises to sleep; co-locate.
-            if self.kernel.rqs[waker_cpu].nr_queued == 0:
+            if rqs[waker_cpu].nr_queued == 0:
                 return waker_cpu
 
-        # Fast path: prev_cpu if idle (cache affinity).
-        if task.can_run_on(prev_cpu) and self._is_idle(prev_cpu):
-            return prev_cpu
-        # Look for an idle CPU in the previous LLC, then the whole machine.
-        home_llc = topo.llc_of(prev_cpu if task.can_run_on(prev_cpu)
-                               else allowed[0])
-        for cpu in topo.llc_members(home_llc):
-            if task.can_run_on(cpu) and self._is_idle(cpu):
-                return cpu
+        # Fast path: prev_cpu if idle (cache affinity).  A CPU is idle
+        # when it runs nothing and queues nothing.
+        home = prev_cpu
+        if mask is None or prev_cpu in mask:
+            rq = rqs[prev_cpu]
+            if rq.current is None and rq.nr_queued == 0:
+                return prev_cpu
+        else:
+            home = allowed[0]
+        # Look for an idle CPU in the home LLC, then the whole machine.
+        for cpu in topo.siblings_in_llc(home):
+            if mask is None or cpu in mask:
+                rq = rqs[cpu]
+                if rq.current is None and rq.nr_queued == 0:
+                    return cpu
         for cpu in allowed:
-            if self._is_idle(cpu):
+            rq = rqs[cpu]
+            if rq.current is None and rq.nr_queued == 0:
                 return cpu
-        # No idle CPU: least-loaded allowed CPU, preferring the home LLC.
-        def load_key(cpu):
-            distance = topo.distance(prev_cpu, cpu)
-            return (self.kernel.rqs[cpu].load_weight(), distance)
-
-        return min(allowed, key=load_key)
-
-    def _is_idle(self, cpu):
-        rq = self.kernel.rqs[cpu]
-        return rq.current is None and rq.nr_queued == 0
+        # No idle CPU: the first least-loaded allowed CPU by (load weight,
+        # distance from prev_cpu); the distance only breaks load ties.
+        best = best_load = best_distance = -1
+        for cpu in allowed:
+            rq = rqs[cpu]
+            load = rq.current.weight if rq.current is not None else 0
+            queued = rq.queued
+            for pid in queued:
+                load += queued[pid].weight
+            if best < 0 or load < best_load:
+                best, best_load, best_distance = cpu, load, -1
+            elif load == best_load:
+                if best_distance < 0:
+                    best_distance = topo.distance(prev_cpu, best)
+                distance = topo.distance(prev_cpu, cpu)
+                if distance < best_distance:
+                    best, best_distance = cpu, distance
+        return best
 
     def _find_idlest(self, allowed):
         def key(cpu):
@@ -303,7 +325,9 @@ class CfsSchedClass(SchedClass):
 
     def balance(self, cpu):
         """New-idle balance: pull from the busiest CPU when going idle."""
-        if self._rqs[cpu].queued or self.kernel.rqs[cpu].nr_running:
+        krq = self.kernel.rqs[cpu]
+        if (self._rqs[cpu].queued or krq.nr_queued
+                or krq.current is not None):
             return None
         # Nothing queued anywhere means nothing to pull: skip the topology
         # scan entirely (this runs on every pick while CFS is idle).

@@ -9,6 +9,7 @@ describes in section 3.1, the periodic tick, and runtime accounting
 
 from repro.simkernel.errors import SchedulingError, SimError
 from repro.simkernel.task import TaskState
+from repro.simkernel.timers import Timer
 from repro.simkernel.tracing import NO_KEYS
 
 #: per-event state tests read module globals, not enum attributes
@@ -29,7 +30,15 @@ class DispatchEngine:
         # Direct clock reference: the schedule path reads the time
         # constantly and the kernel's ``now`` property costs a call.
         self.clock = kernel.clock
-        self._tick_timers = [None] * kernel.topology.nr_cpus
+        # One periodic tick per CPU, stopped while the CPU idles and
+        # restarted in place when it leaves idle (NOHZ): a cancelled
+        # chain is a stopped tick.
+        self._tick_timers = []
+        for cpu in kernel.topology.all_cpus():
+            timer = Timer(kernel.timers, ("tick", cpu), self.tick,
+                          kernel.config.tick_period_ns)
+            timer.cancel()
+            self._tick_timers.append(timer)
 
     # ------------------------------------------------------------------
     # reschedule requests
@@ -206,9 +215,8 @@ class DispatchEngine:
             now = self.clock.now
             rq.idle_since_ns = now
             timer = self._tick_timers[cpu]
-            if timer is not None:
+            if not timer.cancelled:
                 timer.cancel()
-                self._tick_timers[cpu] = None
             if k.trace is not None:
                 k.trace("idle", now, cpu, NO_KEYS)
             return
@@ -267,9 +275,10 @@ class DispatchEngine:
                     headroom = floor
                 k.events.at(start + headroom, self._bandwidth_expire, task,
                             epoch)
-        if self._tick_timers[cpu] is None:
-            self._tick_timers[cpu] = k.timers.arm_periodic(
-                k.config.tick_period_ns, self.tick, tag=("tick", cpu))
+        timer = self._tick_timers[cpu]
+        if timer.cancelled:
+            k.timers.arm_periodic(k.config.tick_period_ns, self.tick,
+                                  timer=timer)
         if k.trace is not None:
             k.trace("dispatch", now, cpu, NO_KEYS, pid=task.pid, cost=cost)
 
@@ -309,15 +318,14 @@ class DispatchEngine:
     # ------------------------------------------------------------------
 
     def tick(self, timer):
-        """The periodic tick of ``timer.tag[1]``, armed by :meth:`dispatch`
-        and cancelled when the CPU goes idle."""
+        """The periodic tick of ``timer.tag[1]``, restarted by
+        :meth:`pick_and_switch` and cancelled when the CPU goes idle."""
         k = self.k
         cpu = timer.tag[1]
         rq = k.rqs[cpu]
         cur = rq.current
         if cur is None:
             timer.cancel()
-            self._tick_timers[cpu] = None
             return
         self.update_curr(cpu)
         k._class_cache[cur.policy].task_tick(cpu, cur)

@@ -114,11 +114,18 @@ class OpInterpreter:
         k = self.k
         if task.run_epoch != epoch or task.state is not _RUNNING:
             return
-        if k.rqs[task.cpu].current is not task:
+        cpu = task.cpu
+        rq = k.rqs[cpu]
+        if rq.current is not task:
             return
         task._in_syscall = False
-        k.dispatcher.update_curr(task.cpu)
-        self.boundary(task)
+        k.dispatcher.update_curr(cpu)
+        # ``boundary``, inline (as in ``run_complete``).
+        if rq.need_resched:
+            rq.need_resched = False
+            k.dispatcher.preempt_current(cpu)
+            return
+        self.advance_program(task)
 
     def boundary(self, task):
         """An op finished: honor any pending resched, else keep going."""

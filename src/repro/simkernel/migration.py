@@ -175,7 +175,7 @@ class MigrationService:
             cost += cfg.wakeup_local_ns
         else:
             cost += cfg.wakeup_remote_ns
-            if k.topology.distance(waker_cpu, cpu) >= 4:
+            if cpu in k.topology.cross_socket[waker_cpu]:
                 cost += cfg.wakeup_cross_socket_extra_ns
         # The target CPU owns this wakee until its kick lands (the IPI'd
         # CPU claims the task in Linux); balancers must not steal it in
@@ -231,7 +231,8 @@ class MigrationService:
         rejection reason), so balancers' miss rates are observable.
         """
         k = self.k
-        task = k.tasks.get(pid)
+        tasks = k.tasks
+        task = tasks[pid] if pid in tasks else None
         if task is None or task.state is not _RUNNABLE:
             return self.migrate_failed(pid, dest_cpu, "not-runnable")
         if pid in k._limbo:
@@ -240,9 +241,10 @@ class MigrationService:
         if src_cpu == dest_cpu:
             return self.migrate_failed(pid, dest_cpu, "same-cpu")
         src_rq = k.rqs[src_cpu]
-        if not src_rq.has(pid):
+        if pid not in src_rq.queued:
             return self.migrate_failed(pid, dest_cpu, "not-queued")
-        if not task.can_run_on(dest_cpu):
+        allowed = task.allowed_cpus
+        if allowed is not None and dest_cpu not in allowed:
             return self.migrate_failed(pid, dest_cpu, "affinity")
         now = self.clock.now
         if now - task.last_enqueue_ns < k.config.migration_min_queued_ns:

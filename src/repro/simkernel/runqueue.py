@@ -156,8 +156,10 @@ class TokenQueue:
     def longest_other(self, cpu):
         """The CPU other than ``cpu`` with the most entries (the lowest-
         numbered on a tie), or None when all of them are empty."""
+        cpus = self.cpus
         best, waiting = None, 0
-        for other, queue in self.cpus.items():
+        for other in cpus:
+            queue = cpus[other]
             if queue and other != cpu:
                 depth = len(queue)
                 if depth > waiting:

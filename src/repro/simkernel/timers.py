@@ -99,14 +99,27 @@ class TimerService:
             self._note_fire(owner.trace, timer)
         timer.callback(timer)
 
-    def arm_periodic(self, period_ns, callback, tag=None):
+    def arm_periodic(self, period_ns, callback, tag=None, timer=None):
         """Arm a self-rearming timer.  Returns a handle whose ``cancel``
-        stops the chain."""
+        stops the chain.
+
+        ``timer``, a chain this service armed before, is restarted in
+        place and keeps its tag and callback (as :meth:`arm` re-arms a
+        one-shot timer); a live chain is cancelled first, so the heap and
+        its ``seq`` counter end exactly as ``timer.cancel()`` plus a
+        fresh arm leave them.
+        """
         if period_ns <= 0:
             raise SimError(f"non-positive timer period: {period_ns}")
-        chain = Timer(self, tag, callback, period_ns)
-        chain.handle = self.events.after(period_ns, self._fire_periodic, chain)
-        return chain
+        if timer is None:
+            timer = Timer(self, tag, callback, period_ns)
+        else:
+            if timer.handle is not None:
+                self.events.cancel(timer.handle)
+            timer.cancelled = False
+            timer.period_ns = period_ns
+        timer.handle = self.events.after(period_ns, self._fire_periodic, timer)
+        return timer
 
     def _fire_periodic(self, chain):
         if chain.cancelled:
@@ -119,7 +132,8 @@ class TimerService:
         if owner is not None and owner.trace is not None:
             self._note_fire(owner.trace, chain)
         chain.callback(chain)
-        if not chain.cancelled:
+        # A callback that restarted its own chain has armed it already.
+        if not chain.cancelled and chain.handle is None:
             chain.handle = self.events.after(
                 chain.period_ns, self._fire_periodic, chain
             )

@@ -40,6 +40,12 @@ class Topology:
             llc: tuple(c.cpu for c in self.cpus if c.llc == llc)
             for llc in self.llcs
         }
+        #: per CPU, the CPUs at :meth:`distance` 4 from it (another
+        #: socket): the wakeup cost model's one locality test
+        self.cross_socket = tuple(
+            frozenset(b for b in range(self.nr_cpus)
+                      if self.distance(a, b) >= 4)
+            for a in range(self.nr_cpus))
 
     # -- constructors ---------------------------------------------------
 
@@ -88,12 +94,6 @@ class Topology:
         return cls.smp(80, sockets=2, smt=2)
 
     # -- queries ----------------------------------------------------------
-
-    def llc_of(self, cpu):
-        return self.cpus[cpu].llc
-
-    def llc_members(self, llc):
-        return self._llc_members[llc]
 
     def siblings_in_llc(self, cpu):
         """All logical CPUs sharing ``cpu``'s LLC (including ``cpu``)."""

@@ -59,20 +59,24 @@ def run_pipe_benchmark(kernel, policy, rounds=2_000, same_core=False,
     def mark(name):
         marks[name] = kernel.now
 
+    # One op of each kind per loop: the interpreter only reads its fields.
     def sender():
+        write, read = PipeWrite(ping, b"w"), PipeRead(pong)
         for _ in range(warmup_rounds):
-            yield PipeWrite(ping, b"w")
-            yield PipeRead(pong)
+            yield write
+            yield read
         yield Call(mark, ("start",))
+        write = PipeWrite(ping, b"m")
         for _ in range(rounds):
-            yield PipeWrite(ping, b"m")
-            yield PipeRead(pong)
+            yield write
+            yield read
         yield Call(mark, ("end",))
 
     def receiver():
+        read, write = PipeRead(ping), PipeWrite(pong, b"r")
         for _ in range(warmup_rounds + rounds):
-            yield PipeRead(ping)
-            yield PipeWrite(pong, b"r")
+            yield read
+            yield write
 
     if same_core:
         sender_affinity = receiver_affinity = frozenset({0})

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exp import KernelBuilder
 from repro.simkernel import Kernel, SimConfig, Topology
 from repro.simkernel.clock import Clock
+from repro.simkernel.dispatch import DispatchEngine
 from repro.simkernel.errors import ProgramError, SimError
 from repro.simkernel.events import EventQueue
 from repro.simkernel.futex import Futex
@@ -13,6 +15,7 @@ from repro.simkernel.pipe import Pipe
 from repro.simkernel.program import Run, SendHint, Sleep
 from repro.simkernel.timers import TimerService
 from repro.schedulers.fifo_native import NativeFifoClass
+from repro.workloads.pipe_bench import run_pipe_benchmark
 
 
 def make_timer_service():
@@ -132,6 +135,125 @@ class TestRearmInPlace:
         queues a new one: the heap (stale entries and ``seq`` numbers
         included) and the fire order equal a cancel plus a fresh arm's."""
         assert drive_timers(ops, True) == drive_timers(ops, False)
+
+
+class TestPeriodicRestart:
+    def test_restart_keeps_tag_callback_and_period(self):
+        service, events = make_timer_service()
+        fired = []
+        chain = service.arm_periodic(1_000, fired.append, tag=("tick", 0))
+        events.run_until(2_500)
+        chain.cancel()
+        assert fired == [chain, chain]
+        # A restart keeps the chain's own tag and callback.
+        again = service.arm_periodic(1_000, None, tag="other", timer=chain)
+        assert again is chain and chain.active
+        assert (chain.tag, chain.callback, chain.period_ns) == (
+            ("tick", 0), fired.append, 1_000)
+        assert events.pending() == [chain.handle]
+        assert chain.handle[0] == 3_500
+        events.run_until(5_000)
+        assert fired == [chain] * 4
+
+    def test_restart_cancels_a_live_chain_first(self):
+        service, events = make_timer_service()
+        fired = []
+        chain = service.arm_periodic(1_000, lambda t: fired.append(
+            events.clock.now))
+        events.run_until(1_500)
+        service.arm_periodic(1_000, None, timer=chain)
+        assert len(events) == 1
+        events.run_until(4_000)
+        assert fired == [1_000, 2_500, 3_500]
+
+    @pytest.mark.parametrize("live", [False, True],
+                             ids=["cancelled", "live"])
+    def test_restart_leaves_the_heap_of_cancel_and_arm(self, live):
+        """The queue's live entries, stale count and ``seq`` counter
+        end as ``cancel()`` plus a fresh ``arm_periodic`` leave them."""
+        def drive(in_place):
+            service, events = make_timer_service()
+            other = service.arm_periodic(700, lambda t: None)
+            chain = service.arm_periodic(1_000, lambda t: None, tag="c")
+            events.run_until(2_200)
+            if not live:
+                chain.cancel()
+            events.run_until(2_600)
+            if in_place:
+                service.arm_periodic(1_000, None, timer=chain)
+            else:
+                chain.cancel()
+                chain = service.arm_periodic(1_000, lambda t: None,
+                                             tag="c")
+            events.run_until(4_000)
+            other.cancel()
+            return ([entry[:2] for entry in events.pending()],
+                    sorted(entry[:2] for entry in events._heap),
+                    events._stale, events._seq, chain.handle[0])
+
+        assert drive(True) == drive(False)
+
+    def test_a_chain_restarted_by_its_own_callback_is_armed_once(self):
+        service, events = make_timer_service()
+        fired = []
+
+        def restart(chain):
+            fired.append(events.clock.now)
+            if len(fired) == 1:
+                service.arm_periodic(300, None, timer=chain)
+
+        chain = service.arm_periodic(1_000, restart)
+        events.run_until(2_000)
+        chain.cancel()
+        assert fired == [1_000, 1_300, 1_600, 1_900]
+        assert len(events) == 0
+
+
+class TestNohzTick:
+    def test_each_cpu_restarts_one_tick_timer(self, monkeypatch):
+        """Over a two-CPU pipe ping-pong every CPU idles and leaves idle
+        hundreds of times: each restart reuses the CPU's one tick Timer
+        and re-arms it a tick period after the dispatch.  A task that
+        then runs for longer than a tick is ticked at those instants."""
+        restarts, ticks = [], []
+        arm_periodic, tick = TimerService.arm_periodic, DispatchEngine.tick
+
+        def record_restart(service, period_ns, callback, tag=None,
+                           timer=None):
+            chain = arm_periodic(service, period_ns, callback, tag, timer)
+            restarts.append((service.events.clock.now, chain,
+                             chain.handle[0]))
+            return chain
+
+        def record_tick(dispatcher, timer):
+            ticks.append((dispatcher.clock.now, timer))
+            tick(dispatcher, timer)
+
+        monkeypatch.setattr(TimerService, "arm_periodic", record_restart)
+        monkeypatch.setattr(DispatchEngine, "tick", record_tick)
+        kernel = (KernelBuilder("smp:2").with_native("cfs")
+                  .with_enoki("wfq", policy=7).build()).kernel
+        timers = list(kernel.dispatcher._tick_timers)
+        period = kernel.config.tick_period_ns
+        run_pipe_benchmark(kernel, 7, rounds=200)
+        assert len(restarts) >= 400
+        assert kernel.dispatcher._tick_timers == timers
+        assert {id(chain) for _, chain, _ in restarts} == set(map(id, timers))
+        assert all(chain.tag == ("tick", timers.index(chain))
+                   and expiry == now + period
+                   for now, chain, expiry in restarts)
+
+        def spin():
+            yield Run(3 * period)
+
+        restarts.clear()
+        kernel.spawn(spin, policy=7, allowed_cpus=frozenset({1}))
+        kernel.run_until_idle()
+        dispatched = restarts[0][0]
+        assert [chain for _, chain, _ in restarts] == [timers[1]]
+        assert [now for now, timer in ticks if timer is timers[1]][-3:] == [
+            dispatched + period, dispatched + 2 * period,
+            dispatched + 3 * period]
 
 
 class TestPipeEdgeCases:

@@ -49,6 +49,21 @@ class TestDistance:
         assert topo.siblings_in_llc(0) == (0, 1, 2, 3)
         assert topo.siblings_in_llc(5) == (4, 5, 6, 7)
 
+    @pytest.mark.parametrize("topo", [
+        Topology.small8(), Topology.smp(4), Topology.big80()],
+        ids=["small8", "smp:4", "big80"])
+    def test_cross_socket_is_distance_four(self, topo):
+        """The wakeup cost model's set test and :meth:`distance` agree on
+        every ordered pair."""
+        assert len(topo.cross_socket) == topo.nr_cpus
+        for a in topo.all_cpus():
+            for b in topo.all_cpus():
+                assert ((b in topo.cross_socket[a])
+                        == (topo.distance(a, b) >= 4)), (a, b)
+        # big80's CPUs each see the other socket's 40; one socket, none.
+        other_socket = 40 if topo.nr_cpus == 80 else 0
+        assert all(len(cpus) == other_socket for cpus in topo.cross_socket)
+
 
 class TestValidation:
     def test_uneven_socket_split_rejected(self):

@@ -4,12 +4,17 @@ from repro.core.enoki_c import EnokiSchedClass
 from repro.core.schedulable import TokenRegistry
 from repro.exp import KernelBuilder
 from repro.obs.accounting import KernelAccounting
+from repro.schedulers.cfs import CfsSchedClass
 from repro.schedulers.wfq import EnokiWfq, WfqTransferState
 from repro.simkernel.clock import msecs
 from repro.simkernel.dispatch import DispatchEngine
+from repro.simkernel.interp import OpInterpreter
+from repro.simkernel.migration import MigrationService
 from repro.simkernel.program import Run, SetNice, Sleep
+from repro.simkernel.runqueue import TokenQueue
 from repro.simkernel.task import TaskState, TaskStats
 from repro.workloads.hackbench import run_hackbench
+from repro.workloads.pipe_bench import run_pipe_benchmark
 from tests.call_census import CallCensus
 
 POLICY = 7
@@ -151,3 +156,36 @@ class TestQuietPath:
         charges = census.calls.count(
             "DispatchEngine.update_curr: KernelAccounting.note_run")
         assert charges == census.entered["DispatchEngine.update_curr"]
+
+    def test_a_pipe_message_cycle_calls_no_builtin(self):
+        """Each pipe message on two CPUs wakes the reader on the other
+        CPU, blocks the sender, fails to steal the reader back
+        (``kick-in-flight``), idles the sender's CPU and restarts the
+        reader's tick.  The hooks on that cycle test, compare and
+        subscript: the only builtins they call are the wakeup jitter's
+        draw and the depth ``longest_other`` compares, and they enter no
+        helper that only forwards or looks up."""
+        hooks = (MigrationService.try_migrate, EnokiSchedClass.balance,
+                 CfsSchedClass.balance, TokenQueue.longest_other,
+                 MigrationService.kick_cpu_for_wakeup,
+                 OpInterpreter.op_epilogue, DispatchEngine.pick_and_switch)
+        kernel, _ = make(nr_cpus=2)
+        with CallCensus(*hooks) as census:
+            run_pipe_benchmark(kernel, POLICY, rounds=200)
+        assert kernel.stats.failed_migrations >= 400
+        assert kernel.stats.total_migrations == 0
+        assert set(census.builtins) == {
+            "MigrationService.kick_cpu_for_wakeup: Random.getrandbits",
+            "TokenQueue.longest_other: len"}
+        entered = [census.entered[hook.__qualname__] for hook in hooks]
+        assert min(entered) > 100, census.entered
+        walk = "DispatchEngine.pick_and_switch: "
+        assert {call for call in census.calls
+                if not call.startswith(walk)} == {
+            "EnokiSchedClass.balance: EnokiSchedClass._call",
+            "MigrationService.try_migrate: MigrationService.migrate_failed",
+            "MigrationService.kick_cpu_for_wakeup: EventQueue.after",
+            "OpInterpreter.op_epilogue: DispatchEngine.update_curr",
+            "OpInterpreter.op_epilogue: OpInterpreter.advance_program"}
+        # The tick restarts in place: one frame, no fresh Timer.
+        assert census.calls.count(walk + "TimerService.arm_periodic") > 100
